@@ -80,6 +80,11 @@ class CurvatureProfile:
         return hi - lo
 
     @property
+    def knots(self) -> tuple:
+        """Interior spline nodes, where a tabulated gamma is only C^2."""
+        return tuple(self.nodes[1:-1]) if self.kind == TABULATED else ()
+
+    @property
     def is_smooth(self) -> bool:
         """True when gamma'' is available (needed by the 2D operator)."""
         return self.kind != RECTANGULAR
@@ -144,6 +149,24 @@ class CurvatureProfile:
             m = (s_arr > lo) & (s_arr < hi)
             out[m] = self._spline(s_arr[m], 2)
         return out[0] if scalar else out
+
+    def squared_at(self, s: float) -> float:
+        """gamma(s)^2 at one point: bit for bit `sample(s) ** 2`, no arrays.
+
+        The scalar path of the zero-energy right-hand side, evaluated once
+        per ODE stage; it repeats `sample`'s arithmetic (np.exp included) so
+        the rounding is the same.
+        """
+        if self.kind == TABULATED:
+            lo, hi = self.support
+            g = float(self._spline(s)) if lo <= s <= hi else 0.0
+        else:
+            t = (s - self.center) / self.half_width
+            if not abs(t) < 1.0:
+                return 0.0
+            g = (float(self.amplitude) if self.kind == RECTANGULAR
+                 else self.amplitude * np.exp(-1.0 / (1.0 - t * t)))
+        return float(g * g)
 
     def sample_squared(self, s):
         """gamma(s)^2 with the half-value convention at rectangular jumps.

@@ -22,6 +22,7 @@ from .geometry import CurvatureProfile
 
 DEFAULT_TOL_D = 1e-9
 _ODE_TOL = 1e-12
+_SCAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,8 @@ class Potential1D:
     The standing hypothesis of the limit theory is a nonzero integral of v;
     `integral_small` flags instances that violate it (the v = 0 case is the
     documented exception: it is trivially resonant with constant f_r).
+    `knots` are interior points where v is only piecewise smooth; the
+    zero-energy integration restarts there.
     """
 
     func: Callable
@@ -38,22 +41,24 @@ class Potential1D:
     label: str = ""
     integral: float = 0.0
     integral_small: bool = False
+    knots: tuple = ()
 
     @classmethod
-    def from_callable(cls, func, support, label=""):
+    def from_callable(cls, func, support, label="", knots=()):
         lo, hi = support
         if not hi > lo:
             raise RobinwgError("empty potential support")
         val, _ = quad(func, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=400)
         return cls(func, (float(lo), float(hi)), label, float(val),
-                   abs(val) < 1e-10)
+                   abs(val) < 1e-10, tuple(knots))
 
     @classmethod
     def from_profile(cls, profile: CurvatureProfile, beta: float) -> "Potential1D":
         """v = beta * gamma^2, the effective longitudinal potential."""
         fn = lambda s: beta * profile.sample(s) ** 2
         return cls.from_callable(fn, profile.support,
-                                 label=f"beta*gamma^2, beta={beta!r}")
+                                 label=f"beta*gamma^2, beta={beta!r}",
+                                 knots=profile.knots)
 
     @classmethod
     def zero(cls, support=(-1.0, 1.0)) -> "Potential1D":
@@ -66,7 +71,8 @@ class Potential1D:
         fn = lambda s: self.func(np.asarray(s) / eps) / eps ** 2
         return Potential1D(fn, (lo * eps, hi * eps),
                            f"scaled(eps={eps}) {self.label}",
-                           self.integral / eps, self.integral_small)
+                           self.integral / eps, self.integral_small,
+                           tuple(k * eps for k in self.knots))
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -118,38 +124,78 @@ class ResonanceResult:
         return out
 
 
+def _integrate(v_at, support, knots=(), n=1, rtol=_ODE_TOL, prufer=False,
+               dense=False):
+    """Integrate f'' = v f for n potentials at once, f = 1, f' = 0 at the left.
+
+    `v_at(s)` is v(s): a float, or an array holding the n potentials' values.
+    The state stacks the rows (f, f', q): q is the integral of v f^2, or with
+    `prufer` the Pruefer angle, theta' = cos^2 theta - v sin^2 theta from
+    theta = pi/2 (f = r sin theta, f' = r cos theta).  DOP853 restarts at
+    every knot, where v is only C^2, carrying the state across.  Returns the
+    final (3, n) state and the solution of each piece.
+    """
+    lo, hi = support
+    y = np.repeat([1.0, 0.0, np.pi / 2 if prufer else 0.0], n)
+
+    # one potential stays on numpy scalars: one-element array operations
+    # cost several times the arithmetic they do
+    def rhs(s, y):
+        f, fp, q = y if n == 1 else y.reshape(3, n)
+        v = v_at(s)
+        vf = v * f
+        if prufer:
+            c, sn = np.cos(q), np.sin(q)
+            dq = c * c - v * sn * sn
+        else:
+            dq = vf * f
+        return [fp, vf, dq] if n == 1 else np.concatenate((fp, vf, dq))
+
+    pieces = []
+    edges = [lo, *knots, hi]
+    for a, b in zip(edges[:-1], edges[1:]):
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=rtol, atol=rtol,
+                        dense_output=dense)
+        if not sol.success:
+            raise RobinwgError(f"zero-energy integration failed: {sol.message}")
+        y = sol.y[:, -1]
+        pieces.append(sol)
+    return y.reshape(3, n), pieces
+
+
 def zero_energy_solve(v: Potential1D, n_trace: int = 801,
                       rtol: float = _ODE_TOL) -> ZeroEnergyTrace:
     """Integrate f'' = v f with f = 1, f' = 0 at the left support edge.
 
-    DOP853 with local tolerance 1e-12 (relaxable for coarse scans); the
-    quadrature of v f^2 rides along as an extra state so it inherits the
-    stepper's accuracy.  Bounded on both sides iff the mismatch vanishes.
+    DOP853 with local tolerance 1e-12 (relaxable for coarse scans),
+    restarted at the knots of v; the quadrature of v f^2 rides along as an
+    extra state so it inherits the stepper's accuracy.  Bounded on both
+    sides iff the mismatch vanishes.
     """
     lo, hi = v.support
     need_trace = n_trace > 2
-
-    def rhs(s, y):
-        vv = float(v.func(np.asarray([s]))[0]) if lo <= s <= hi else 0.0
-        return [y[1], vv * y[0], vv * y[0] * y[0]]
-
-    sol = solve_ivp(rhs, (lo, hi), [1.0, 0.0, 0.0], method="DOP853",
-                    rtol=rtol, atol=rtol, dense_output=need_trace)
-    if not sol.success:
-        raise RobinwgError(f"zero-energy integration failed: {sol.message}")
+    func = v.func
+    end, pieces = _integrate(
+        lambda s: float(func(np.asarray([s]))[0]) if lo <= s <= hi else 0.0,
+        v.support, v.knots, rtol=rtol, dense=need_trace)
+    f_right, mismatch, integral = end[:, 0]
     if need_trace:
         grid = np.linspace(lo, hi, n_trace)
-        states = sol.sol(grid)
+        states = np.empty((3, n_trace))
+        for sol in pieces:
+            m = (grid >= sol.t[0]) & (grid <= sol.t[-1])
+            if m.any():
+                states[:, m] = sol.sol(grid[m])
         f, fp = states[0], states[1]
     else:
         grid = np.array([lo, hi])
-        f = np.array([1.0, sol.y[0, -1]])
-        fp = np.array([0.0, sol.y[1, -1]])
+        f = np.array([1.0, f_right])
+        fp = np.array([0.0, mismatch])
     return ZeroEnergyTrace(
-        mismatch=float(sol.y[1, -1]),
-        f_right=float(sol.y[0, -1]),
+        mismatch=float(mismatch),
+        f_right=float(f_right),
         sup_f=float(np.max(np.abs(f))),
-        integral_v_f2=float(sol.y[2, -1]),
+        integral_v_f2=float(integral),
         s=grid, f=f, fprime=fp)
 
 
@@ -180,36 +226,82 @@ def detect_resonance(v: Potential1D, tol_D: float = DEFAULT_TOL_D) -> ResonanceR
         s=tr.s, f_r=tr.f / norm)
 
 
+def coupling_scan(profile: CurvatureProfile, betas):
+    """Mismatch D and node count R of v = beta*gamma^2 for every beta at once.
+
+    One DOP853 solve carries (f, f', theta) for all couplings, with rtol =
+    atol = 1e-10 / sqrt(number of states): scipy's error norm is an RMS over
+    the components, so this keeps every component within 1e-10.  R is the
+    number of zeros of the zero-energy solution on the whole line, i.e. the
+    number of bound states of h below zero (Sturm): floor(theta/pi) zeros on
+    the support, plus one beyond it when f and D have opposite signs.
+    """
+    betas = np.asarray(betas, dtype=float)
+    n = betas.size
+    sq = profile.squared_at
+    end, _ = _integrate(lambda s: betas * sq(s), profile.support,
+                        profile.knots, n=n, rtol=_SCAN_TOL / np.sqrt(3 * n),
+                        prufer=True)
+    f, d, theta = end
+    # snap theta onto the branch of atan2(f, D) nearest it, so the count
+    # agrees with the signs of f and D even where f(hi) is close to zero
+    phi = np.arctan2(f, d)
+    theta = phi + 2.0 * np.pi * np.round((theta - phi) / (2.0 * np.pi))
+    return d, np.floor(theta / np.pi).astype(int) + (f * d < 0)
+
+
 def find_resonant_coupling(profile: CurvatureProfile, beta_range,
                            n_scan: int = 120, tol: float = 1e-11):
     """Smallest-|beta| root of D(beta) = 0 with v = beta*gamma^2, or None.
 
-    Brackets sign changes of the mismatch over the range (at a relaxed ODE
-    tolerance) and refines each by Brent's method at full tolerance.
-    Positive couplings give convex solutions (D > 0), so a range inside
-    (0, inf) scans to None.
+    Brackets sign changes of the mismatch over the range with one batched
+    solve for all scan couplings (`coupling_scan`, every state component
+    held to 1e-10) and refines each by Brent's method at full tolerance on
+    a scalar gamma^2 path.  A tabulated profile's integration restarts at
+    every spline knot.  Positive couplings give convex solutions (D > 0),
+    so a range inside (0, inf) scans to None.
+
+    Sturm guard: D changes sign exactly where the node count (the number of
+    bound states) changes by one, so between two scan points the two must
+    agree.  When they do not (roots closer than the scan spacing cancel in
+    the sign pattern), RobinwgError names the interval instead of a root
+    being missed silently; a finer `n_scan` resolves it.
     """
     lo, hi = min(beta_range), max(beta_range)
     betas = np.linspace(lo, hi, n_scan)
     betas = betas[betas != 0.0]
+    vals, nodes = coupling_scan(profile, betas)
+    signs = np.sign(vals)
+    flips = signs[:-1] * signs[1:] < 0
+    steps = np.abs(np.diff(nodes))
+    # a scan point exactly at a root counts the node on one side only
+    at_root = (signs[:-1] == 0) | (signs[1:] == 0)
+    bad = np.nonzero((steps != flips) & ~(at_root & (steps <= 1)))[0]
+    if bad.size:
+        i = bad[0]
+        raise RobinwgError(
+            f"scan interval [{betas[i]:.6g}, {betas[i + 1]:.6g}]: the node "
+            f"count changes by {steps[i]} but the mismatch changes sign "
+            f"{int(flips[i])} times; increase n_scan")
+
+    sq, support, knots = profile.squared_at, profile.support, profile.knots
 
     def mismatch(beta, rtol=_ODE_TOL):
-        return zero_energy_solve(Potential1D.from_profile(profile, beta),
-                                 n_trace=2, rtol=rtol).mismatch
+        end, _ = _integrate(lambda s: beta * sq(s), support, knots, rtol=rtol)
+        return float(end[1, 0])
 
-    vals = np.array([mismatch(b, rtol=1e-10) for b in betas])
-    flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     roots = [brentq(mismatch, betas[i], betas[i + 1], xtol=1e-13,
-                    rtol=8.9e-16, maxiter=200) for i in flips]
+                    rtol=8.9e-16, maxiter=200) for i in np.nonzero(flips)[0]]
     roots.extend(float(betas[i]) for i in np.nonzero(vals == 0.0)[0])
     if not roots:
         return None
     best = min(roots, key=abs)
-    resid = abs(mismatch(best))
+    d_best = mismatch(best)
+    resid = abs(d_best)
     # |D| at the refined root is floored by the integration's own global
-    # error (large for merely-C^2 tabulated potentials), so calibrate the
-    # acceptance against the evaluation's reproducibility across tolerances
-    noise = abs(mismatch(best) - mismatch(best, rtol=1e-10))
+    # error, so calibrate the acceptance against the evaluation's
+    # reproducibility across tolerances
+    noise = abs(d_best - mismatch(best, rtol=1e-10))
     tol_eff = max(tol, 10.0 * noise)
     if resid >= tol_eff:
         raise RobinwgError(f"refined root has |D| = {resid:.3g} >= {tol_eff:.3g}")

@@ -1,8 +1,12 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from robinwg.errors import RobinwgError
 from robinwg.geometry import (RECTANGULAR, TABULATED, CurvatureProfile,
                               default_bump)
-from robinwg.resonance import (Potential1D, detect_resonance,
+from robinwg.resonance import (Potential1D, coupling_scan, detect_resonance,
                                find_resonant_coupling, zero_energy_solve)
 
 # frozen by the scanner cross-checked against the fixed-step oracle below;
@@ -192,3 +196,103 @@ def test_scaled_potential_support():
     v = Potential1D.from_profile(default_bump(), 1.0).scaled(0.25)
     assert v.support == (-0.5, 0.5)
     assert abs(v(np.array([0.0]))[0] - default_bump().sample(0.0) ** 2 / 0.0625) < 1e-12
+
+
+def test_coupling_scan_square_well_closed_form():
+    # D = -q sin(q L) and 1 + floor(q L / pi) bound states, q = sqrt(-beta)
+    betas = np.linspace(-45.0, -1.0, 9)
+    d, nodes = coupling_scan(SQUARE, betas)
+    q = np.sqrt(-betas)
+    assert np.max(np.abs(d - transfer_matrix_well(betas)[1])) < 1e-9
+    assert list(nodes) == list(1 + np.floor(q / np.pi).astype(int))
+    d, nodes = coupling_scan(SQUARE, np.linspace(0.5, 20.0, 5))
+    assert np.all(d > 0) and not np.any(nodes)
+
+
+def test_sturm_guard_names_interval_with_hidden_roots():
+    # -pi^2 and -4 pi^2 both lie in the one interval: D has the same sign
+    # at both ends while two bound states appear between them
+    with pytest.raises(RobinwgError, match=r"scan interval \[-45, -1\]"):
+        find_resonant_coupling(SQUARE, (-45.0, -1.0), n_scan=2)
+    root = find_resonant_coupling(SQUARE, (-45.0, -1.0))
+    assert abs(root + np.pi ** 2) < 1e-9
+
+
+def seeded_bell(seed):
+    """9-node tabulated bell, interior values x U(0.9, 1.1)."""
+    rng = np.random.default_rng(seed)
+    rng.uniform()
+    values = np.array([0, .12, .36, .6, .68, .6, .36, .12, 0])
+    values[1:-1] *= rng.uniform(0.9, 1.1, 7)
+    return CurvatureProfile(TABULATED, nodes=tuple(np.linspace(-2, 2, 9)),
+                            values=tuple(values))
+
+
+def rk4_knot_aligned(profile, beta, n_steps):
+    """(D, dD/dbeta) by fixed-step RK4 with the variational equation.
+
+    The step divides the knot spacing, so every step sees one cubic piece of
+    the spline and RK4 keeps its fourth order.
+    """
+    lo, hi = profile.support
+    h = (hi - lo) / n_steps
+    g2 = (profile.sample(lo + 0.5 * h * np.arange(2 * n_steps + 1)) ** 2).tolist()
+
+    def rhs(w, f, fp, g, gp):
+        return fp, beta * w * f, gp, w * f + beta * w * g
+
+    y = (1.0, 0.0, 0.0, 0.0)
+    for i in range(n_steps):
+        w0, w1, w2 = g2[2 * i:2 * i + 3]
+        k1 = rhs(w0, *y)
+        k2 = rhs(w1, *(a + 0.5 * h * k for a, k in zip(y, k1)))
+        k3 = rhs(w1, *(a + 0.5 * h * k for a, k in zip(y, k2)))
+        k4 = rhs(w2, *(a + h * k for a, k in zip(y, k3)))
+        y = tuple(a + h / 6 * (p + 2 * q + 2 * r + t)
+                  for a, p, q, r, t in zip(y, k1, k2, k3, k4))
+    return y[1], y[3]
+
+
+def test_tabulated_root_matches_knot_aligned_rk4():
+    # stepping DOP853 across the C^2 knots left beta* ~1e-9 off here
+    prof = seeded_bell(3)
+    root = find_resonant_coupling(prof, (-30.0, -0.5))
+    d, dd = rk4_knot_aligned(prof, root, 16000)
+    newton = root - d / dd
+    assert abs(newton - root) < 1e-11 * abs(root)
+
+
+def test_zero_energy_solve_restarts_at_knots():
+    prof = seeded_bell(3)
+    v = Potential1D.from_profile(prof, -7.0)
+    assert v.knots == prof.knots == tuple(np.linspace(-2, 2, 9)[1:-1])
+    assert v.scaled(0.5).knots == tuple(0.5 * k for k in v.knots)
+    tr = zero_energy_solve(v)
+    d, _ = rk4_knot_aligned(prof, -7.0, 16000)
+    assert abs(tr.mismatch - d) < 1e-11
+    # the trace is continuous across the pieces and starts from (1, 0)
+    assert tr.f[0] == 1.0 and tr.fprime[0] == 0.0
+    assert np.max(np.abs(np.diff(tr.f))) < 0.05
+
+
+def scaled_bump_star(amp):
+    return find_resonant_coupling(default_bump().scaled(amp),
+                                  (-20.0 / amp ** 2, -0.5 / amp ** 2))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(0.8, 2.5))
+def test_resonant_coupling_amplitude_covariance(amp):
+    # v = beta (A gamma)^2 = (beta A^2) gamma^2
+    root = scaled_bump_star(amp)
+    assert abs(root * amp ** 2 - BUMP_BETA_STAR) < 1e-10 * abs(BUMP_BETA_STAR)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(0.8, 2.5))
+def test_node_count_steps_by_one_across_root(amp):
+    root = scaled_bump_star(amp)
+    d, nodes = coupling_scan(default_bump().scaled(amp),
+                             [root * (1 - 1e-6), root * (1 + 1e-6)])
+    assert d[0] * d[1] < 0
+    assert nodes[1] == nodes[0] + 1
