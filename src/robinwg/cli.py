@@ -274,35 +274,18 @@ def cmd_waveguide_check(cfg_raw, out, fmt, seed, override=None):
         n_max=cfg["n_max"], n_u=cfg["n_u"], variant=cfg["variant"],
         error_threshold=cfg["error_threshold"])
     if cfg["dump_field"]:
-        _dump_field_slice(geometry, cfg, z, seed, out, cfg_raw)
+        _dump_field_slice(report.probe_field, out, cfg_raw, seed)
     return _emit_report(report, out, cfg_raw, seed, override)
 
 
-def _dump_field_slice(geometry, cfg, z, seed, out, cfg_raw):
-    """2D resolvent field at the smallest eps, as (s, u, re, im) rows."""
-    from .geometry import ScalingParams, WaveguideGeometry
-    from .waveguide2d import Grid2D, ModeProjector, build_waveguide, \
-        reduced_resolvent
-    eps = cfg["eps_list"][-1]
-    scaling = ScalingParams(epsilon=eps, b=cfg["b"],
-                            delta_ratio=cfg["delta_ratio"])
-    geo = WaveguideGeometry(geometry.profile, cfg["d"], scaling, cfg["alpha"])
-    width = geo.profile.support_width
-    n_s = int(np.ceil(24.0 / (eps * width / 50)))
-    n_s += n_s % 2
-    grid = Grid2D(12.0, n_s, cfg["n_u"], cfg["d"])
-    n_max = cfg["n_max"] if cfg["n_max"] is not None else max(cfg["n"] + 1, 1)
-    op = build_waveguide(geo, cfg["variant"], n_max, grid)
-    proj = ModeProjector(geo, grid, n_max)
-    f = _probe_from(cfg, seed)(grid.s_interior)
-    _, info = reduced_resolvent(op, proj, cfg["n"], cfg["n"], z, f)
-    field = info["field"]
-    stride = max(1, len(grid.s_interior) // 400)
+def _dump_field_slice(probe_field, out, cfg_raw, seed):
+    """2D resolvent field solved at the smallest eps, as (s, u, re, im) rows."""
+    s, u, field = probe_field
+    stride = max(1, len(s) // 400)
     rows = []
-    for i in range(0, len(grid.s_interior), stride):
-        for j, uj in enumerate(grid.u_points):
-            rows.append((grid.s_interior[i], uj,
-                         field[i, j].real, field[i, j].imag))
+    for i in range(0, len(s), stride):
+        for j, uj in enumerate(u):
+            rows.append((s[i], uj, field[i, j].real, field[i, j].imag))
     _write_csv(out / "field_slice.csv", ["s", "u", "re", "im"], rows,
                cfg_raw, seed)
 

@@ -252,6 +252,7 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
         op = build_h_n_eps(profile, beta, eps, b, grid)
         outer = np.abs(s) > 1.0
         e_pred = e_alt = 0.0
+        first = None
         for probe in probes:
             fs = probe(s)
             nf = np.sqrt(np.trapezoid(np.abs(fs) ** 2, s))
@@ -262,13 +263,13 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
             e_pred = max(e_pred, np.sqrt(np.trapezoid(d2[outer], s[outer])) / nf)
             d2 = np.abs(g - g_alt) ** 2
             e_alt = max(e_alt, np.sqrt(np.trapezoid(d2[outer], s[outer])) / nf)
+            if first is None:
+                first = (fs, nf, g)
         errors.append(e_pred)
         alt_errors.append(e_alt)
 
-        # one-sided diagnostics use the first probe
-        fs = probes[0](s)
-        nf = np.sqrt(np.trapezoid(np.abs(fs) ** 2, s))
-        g = resolvent_solve(op, z, fs)
+        # one-sided diagnostics use the first probe's solve
+        fs, nf, g = first
         g_small = (eps, grid, fs, g)
         mass_left = np.trapezoid(np.abs(fs[s < 0]) ** 2, s[s < 0])
         one_sided = mass_left < 1e-12 * nf ** 2 or mass_left > (1 - 1e-12) * nf ** 2

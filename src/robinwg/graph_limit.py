@@ -166,6 +166,36 @@ def green_function(spec: GraphOperatorSpec, z, s, sp):
     return out
 
 
+# one-entry cache of the per-grid work of resolvent_apply; a probe loop
+# calls it many times on one grid with one z
+_last_grid = None
+
+
+def _grid_phases(w, s):
+    """(h, i0, e^{-iws}, e^{iws}) for a validated uniform grid.
+
+    The entry is reused only for the same w and an s equal bit for bit; its
+    arrays are read-only.
+    """
+    global _last_grid
+    key = (np.complex128(w).tobytes(), s.tobytes())
+    entry = _last_grid          # read once: another thread may replace it
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    h = s[1] - s[0]
+    if not np.allclose(np.diff(s), h, rtol=1e-10, atol=1e-12):
+        raise RobinwgError("resolvent_apply needs a uniform grid")
+    i0 = int(np.argmin(np.abs(s)))
+    if abs(s[i0]) > 1e-12 * max(1.0, abs(s[-1])):
+        raise RobinwgError("grid must contain the vertex s = 0")
+    phases = (np.exp(-1j * w * s), np.exp(1j * w * s))
+    for ph in phases:
+        ph.flags.writeable = False
+    entry = (key, (h, i0) + phases)
+    _last_grid = entry
+    return entry[1]
+
+
 def resolvent_apply(spec: GraphOperatorSpec, z, s_grid, f_samples):
     """(h_spec - z)^{-1} f on a uniform grid containing 0.
 
@@ -178,13 +208,8 @@ def resolvent_apply(spec: GraphOperatorSpec, z, s_grid, f_samples):
     f = np.asarray(f_samples)
     if s.ndim != 1 or s.shape != f.shape:
         raise RobinwgError("grid/sample shape mismatch")
-    h = s[1] - s[0]
-    if not np.allclose(np.diff(s), h, rtol=1e-10, atol=1e-12):
-        raise RobinwgError("resolvent_apply needs a uniform grid")
-    i0 = int(np.argmin(np.abs(s)))
-    if abs(s[i0]) > 1e-12 * max(1.0, abs(s[-1])):
-        raise RobinwgError("grid must contain the vertex s = 0")
     w = sqrt_upper(z)
+    h, i0, ph_m, ph_p = _grid_phases(w, s)
     rho_l, rho_r, tau = _amplitudes(spec, w)
 
     iwh = 1j * w * h
@@ -196,8 +221,6 @@ def resolvent_apply(spec: GraphOperatorSpec, z, s_grid, f_samples):
     d0 = (em - 1.0) / (-1j * w) - (em - 1.0 + iwh) / ((1j * w) ** 2 * h)
     d1 = (em - 1.0 + iwh) / ((1j * w) ** 2 * h)
 
-    ph_m = np.exp(-1j * w * s)
-    ph_p = np.exp(1j * w * s)
     # A_i = int_{s_0}^{s_i} e^{-iws'} f ds',  B_i = int_{s_i}^{s_N} e^{iws'} f ds'
     cell_a = ph_m[:-1] * (f[:-1] * d0 + f[1:] * d1)
     A = np.concatenate([[0.0], np.cumsum(cell_a)])
@@ -207,10 +230,10 @@ def resolvent_apply(spec: GraphOperatorSpec, z, s_grid, f_samples):
     pref = 1j / (2 * w)
     out = pref * (ph_p * A + ph_m * B)
 
-    # vertex images; (tau - 1) removes the free cross-side part
+    # vertex images, e^{iw|s|} = e^{-iws} left and e^{iws} right of the
+    # vertex; (tau - 1) removes the free cross-side part
     A0, B0 = A[i0], B[i0]
-    eabs = np.exp(1j * w * np.abs(s))
     left = s < 0
-    out[left] += pref * eabs[left] * (rho_l * A0 + (tau - 1.0) * B0)
-    out[~left] += pref * eabs[~left] * (rho_r * B0 + (tau - 1.0) * A0)
+    out[left] += pref * ph_m[left] * (rho_l * A0 + (tau - 1.0) * B0)
+    out[~left] += pref * ph_p[~left] * (rho_r * B0 + (tau - 1.0) * A0)
     return out

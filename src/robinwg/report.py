@@ -51,6 +51,9 @@ class ConvergenceReport:
     offdiagonal: dict = field(default_factory=dict)
     discretization_estimate: float | None = None
     notes: list = field(default_factory=list)
+    # (s, u, values) of the first probe's 2D field at the last eps; not
+    # serialised by to_dict
+    probe_field: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def exit_code(self) -> int:

@@ -211,3 +211,22 @@ def test_vertex_residual_decoupled():
     vd = VertexData(0.0, 1.0, 0.0, -1.0)
     res = vertex_condition_residuals(GraphOperatorSpec.decoupled(), vd)
     assert res["value"] < 1e-12
+
+
+def test_convergence_study_solves_each_probe_once_per_eps(monkeypatch):
+    from robinwg import effective_1d
+    calls = []
+    solve = effective_1d.resolvent_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(effective_1d, "resolvent_solve", counted)
+    probes = probe_set()[:3]
+    eps_list = [0.4, 0.2]
+    report = convergence_study(default_bump(), BUMP_BETA_STAR, 0.0, 1j,
+                               probes, eps_list, h_target=4e-3)
+    # one solve per probe and eps, plus the refined-grid control solve
+    assert len(calls) == len(probes) * len(eps_list) + 1
+    assert report.transmission and report.vertex_residuals

@@ -296,3 +296,49 @@ def test_resolvent_apply_rejects_bad_grids():
     s = np.linspace(0.5, 10.0, 100)  # no vertex in range
     with pytest.raises(RobinwgError):
         resolvent_apply(GraphOperatorSpec.free(), 1j, s, np.zeros_like(s))
+
+
+def test_resolvent_apply_phase_cache_is_exact(monkeypatch):
+    from robinwg import graph_limit
+    specs = (GraphOperatorSpec.free(),
+             GraphOperatorSpec.deformed(0.6, -0.8, 0.7))
+    grids = (np.linspace(-12.0, 12.0, 2401), np.linspace(-9.0, 9.0, 1801))
+    zs = (1j, -0.5 + 0.8j)
+    probe = lambda s: np.exp(-(s + 3.0) ** 2) + 0.5j * np.exp(-(s - 2.0) ** 2)
+
+    cold = {}
+    for gi, s in enumerate(grids):
+        for zi, z in enumerate(zs):
+            for ki, spec in enumerate(specs):
+                monkeypatch.setattr(graph_limit, "_last_grid", None)
+                cold[gi, zi, ki] = resolvent_apply(spec, z, s, probe(s))
+
+    # alternate grids and z, each pair twice in a row so both the miss and
+    # the hit path run; every result must equal its cold one bit for bit
+    order = [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0), (1, 1)]
+    for gi, zi in order:
+        s = grids[gi]
+        for _ in range(2):
+            for ki, spec in enumerate(specs):
+                out = resolvent_apply(spec, zs[zi], s.copy(), probe(s))
+                assert np.array_equal(out, cold[gi, zi, ki])
+
+
+def test_resolvent_apply_output_independent_of_cache(monkeypatch):
+    from robinwg import graph_limit
+    spec = GraphOperatorSpec.free()
+    s = np.linspace(-10.0, 10.0, 2001)
+    f = np.exp(-(s + 3.0) ** 2)
+    first = resolvent_apply(spec, 1j, s, f)
+    ref = first.copy()
+    assert first.flags.writeable
+    first[:] = 0.0
+    again = resolvent_apply(spec, 1j, s, f)
+    assert np.array_equal(again, ref)
+    assert again is not first
+    # the same array object rescaled in place is a new grid, not a hit
+    s *= 1.5
+    moved = resolvent_apply(spec, 1j, s, f)
+    assert not np.array_equal(moved, ref)
+    monkeypatch.setattr(graph_limit, "_last_grid", None)
+    assert np.array_equal(moved, resolvent_apply(spec, 1j, s, f))

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eigh, solve_banded
 
 from robinwg.effective_1d import Grid1D, build_h_n_eps, bump_probe, resolvent_solve
 from robinwg.errors import ProfileError
 from robinwg.geometry import (RECTANGULAR, SMOOTH_BUMP, CurvatureProfile,
                               ScalingParams, WaveguideGeometry, default_bump)
 from robinwg.transverse import symmetric_spectrum
+from robinwg import cli, waveguide2d
+from robinwg.graph_limit import sqrt_upper
 from robinwg.waveguide2d import (FULL, SIMPLIFIED, Grid2D, ModeProjector,
-                                 build_waveguide, gregory_weights,
-                                 reduced_resolvent, theorem_check)
+                                 _separable_preconditioner, build_waveguide,
+                                 gregory_weights, reduced_resolvent,
+                                 theorem_check)
 
 FLAT = CurvatureProfile(SMOOTH_BUMP, amplitude=0.0, half_width=1.0)
 Z = 1j
@@ -257,3 +260,66 @@ def test_grid_validation():
     grid = Grid2D(4.0, 100, 16, 1.0)
     with pytest.raises(Exception):
         grid.check_mode_resolution(8)   # too many modes for n_u = 16
+
+
+def test_separable_preconditioner_matches_per_mode_banded_solves():
+    geom = bump_geometry(0.4, alpha=0.7)
+    grid = Grid2D(6.0, 600, 32, 1.0)
+    op = build_waveguide(geom, FULL, 1, grid)
+    nsi, nu = op.shape
+    hs, delta = grid.h_s, geom.scaling.delta
+    lam, Phi = op.flat_eigvals, op.flat_eigvecs
+    rng = np.random.default_rng(3)
+    r = rng.standard_normal(nsi * nu) + 1j * rng.standard_normal(nsi * nu)
+    for n in (0, 1):
+        shifts = (lam - lam[n]) / delta ** 2 - Z
+        Rt = r.reshape(nsi, nu) @ Phi
+        Y = np.empty((nsi, nu), dtype=complex)
+        for j in range(nu):
+            ab = np.zeros((3, nsi), dtype=complex)
+            ab[0, 1:] = -1.0 / hs ** 2
+            ab[1, :] = 2.0 / hs ** 2 + op.potential_s + shifts[j]
+            ab[2, :-1] = -1.0 / hs ** 2
+            Y[:, j] = solve_banded((1, 1), ab, Rt[:, j])
+        apply = _separable_preconditioner(op, n, Z)
+        assert np.array_equal(apply(r), (Y @ Phi.T).ravel())
+        assert np.array_equal(apply(r), apply(r))   # no state carried over
+
+
+def test_dump_field_reuses_the_theorem_check_solve(tmp_path, monkeypatch):
+    eps_list = [0.4, 0.2]
+    calls, reports = [], []
+    solve, check = waveguide2d.reduced_resolvent, cli.theorem_check
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    def kept(*args, **kwargs):
+        reports.append(check(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(waveguide2d, "reduced_resolvent", counted)
+    monkeypatch.setattr(cli, "theorem_check", kept)
+    cfg = tmp_path / "wg.cfg"
+    cfg.write_text("alpha = 0.0\nn = 0\nn_max = 1\nn_u = 16\n"
+                   "eps_list = 0.4,0.2\ndump_field = true\n")
+    out = tmp_path / "out"
+    assert cli.main(["waveguide-check", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    assert len(calls) == len(eps_list)
+
+    rows = [line.split(",") for line in
+            (out / "field_slice.csv").read_text().splitlines()
+            if not line.startswith(("#", "s,"))]
+    s_col = np.unique([float(r[0]) for r in rows])
+    si, u, field = reports[0].probe_field
+    stride = max(1, len(si) // 400)
+    assert np.array_equal(s_col, si[::stride])
+    assert len(rows) == len(s_col) * len(u)
+    # theorem_check sizes its box by the decay of the resolvent at z = i
+    L = max(12.0, 10.0 / sqrt_upper(Z).imag + 1.0)
+    assert si[0] == pytest.approx(-L + (si[1] - si[0]))
+    assert si[-1] == pytest.approx(L - (si[1] - si[0]))
+    first = rows[0]
+    assert complex(float(first[2]), float(first[3])) == field[0, 0]
