@@ -22,7 +22,8 @@ from .config import (PROFILE_SCHEMA, alpha_grid, config_hash, parse_kv,
                      profile_from_config, validate)
 from .effective_1d import bump_probe, convergence_study
 from .errors import ConfigError, RobinwgError
-from .graph_limit import GraphOperatorSpec
+from .geometry import ScalingParams, WaveguideGeometry
+from .graph_limit import GraphOperatorSpec, green_function
 from .report import VERDICT_MISMATCH
 from .resonance import Potential1D, detect_resonance, find_resonant_coupling
 from .transverse import beta_table, mu_table, perturbation_coefficients
@@ -121,7 +122,7 @@ RESONANCE_SCHEMA = dict(PROFILE_SCHEMA, **{
 })
 
 
-def cmd_resonance(cfg_raw, out, fmt, seed):
+def cmd_resonance(cfg_raw, out, seed):
     cfg = validate(cfg_raw, RESONANCE_SCHEMA)
     profile = profile_from_config(cfg)
     payload = {}
@@ -190,14 +191,11 @@ def _probe_from(cfg, seed):
 
 
 def _emit_report(report, out, cfg_raw, seed, override):
-    if override is not None:
-        spec = GraphOperatorSpec.decoupled() if override == "decoupled" else \
-            GraphOperatorSpec.free()
-        if report.predicted["kind"] != spec.kind:
-            report.verdict = VERDICT_MISMATCH
-            report.notes.append(
-                f"prediction override {override!r} contradicts the resonance "
-                f"verdict {report.predicted['kind']!r}")
+    if override is not None and report.predicted["kind"] != override:
+        report.verdict = VERDICT_MISMATCH
+        report.notes.append(
+            f"prediction override {override!r} contradicts the resonance "
+            f"verdict {report.predicted['kind']!r}")
     _write_json(out / "report.json", report.to_dict(), cfg_raw, seed)
     rows = [(e, err, alt) for e, err, alt in
             zip(report.eps_list, report.errors, report.alt_errors)]
@@ -210,16 +208,7 @@ def _emit_report(report, out, cfg_raw, seed, override):
 
 def _emit_green_trace(report, out, cfg_raw, seed):
     """Green's function of the predicted limit along the line (for plotting)."""
-    from .graph_limit import green_function
-    p = report.predicted
-    if p["kind"] == "decoupled":
-        spec = GraphOperatorSpec.decoupled()
-    elif p["kind"] == "deformed":
-        spec = GraphOperatorSpec.deformed(p["c_minus"], p["c_plus"], p["b_hat"])
-    elif p["kind"] == "free":
-        spec = GraphOperatorSpec.free()
-    else:
-        spec = GraphOperatorSpec.scale_invariant(p["c_minus"], p["c_plus"])
+    spec = GraphOperatorSpec(**report.predicted)
     s = np.linspace(-8.0, 8.0, 401)
     rows = []
     for src in (-2.0, 1.0):
@@ -229,7 +218,7 @@ def _emit_green_trace(report, out, cfg_raw, seed):
                rows, cfg_raw, seed)
 
 
-def cmd_limit_check(cfg_raw, out, fmt, seed, override=None):
+def cmd_limit_check(cfg_raw, out, seed, override=None):
     cfg = validate(cfg_raw, LIMIT_SCHEMA)
     profile = profile_from_config(cfg)
     beta = _resolve_beta(cfg)
@@ -261,8 +250,7 @@ WAVEGUIDE_SCHEMA = dict(PROFILE_SCHEMA, **{
 })
 
 
-def cmd_waveguide_check(cfg_raw, out, fmt, seed, override=None):
-    from .geometry import ScalingParams, WaveguideGeometry
+def cmd_waveguide_check(cfg_raw, out, seed, override=None):
     cfg = validate(cfg_raw, WAVEGUIDE_SCHEMA)
     profile = profile_from_config(cfg)
     scaling = ScalingParams(epsilon=cfg["eps_list"][0], b=cfg["b"],
@@ -304,8 +292,10 @@ def main(argv=None) -> int:
                        help="key = value config file")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, default=0)
+        if name == "spectrum":
+            p.add_argument("--format", choices=("csv", "json"), default="csv",
+                           help="json also writes beta_table.json")
         if name in ("limit-check", "waveguide-check"):
             p.add_argument("--override-prediction",
                            choices=("decoupled", "free"), default=None,
@@ -318,11 +308,11 @@ def main(argv=None) -> int:
         if args.command == "spectrum":
             return cmd_spectrum(cfg_raw, args.out, args.format, args.seed)
         if args.command == "resonance":
-            return cmd_resonance(cfg_raw, args.out, args.format, args.seed)
+            return cmd_resonance(cfg_raw, args.out, args.seed)
         if args.command == "limit-check":
-            return cmd_limit_check(cfg_raw, args.out, args.format, args.seed,
+            return cmd_limit_check(cfg_raw, args.out, args.seed,
                                    args.override_prediction)
-        return cmd_waveguide_check(cfg_raw, args.out, args.format, args.seed,
+        return cmd_waveguide_check(cfg_raw, args.out, args.seed,
                                    args.override_prediction)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -59,19 +59,10 @@ def validate(raw: dict, schema: dict) -> dict:
                 out[key] = _CASTS[typ](raw[key])
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"key {key!r}: {exc}") from None
-        elif default is REQUIRED:
-            raise ConfigError(f"missing required key {key!r}")
         else:
             out[key] = default
     return out
 
-
-class _Required:
-    def __repr__(self):
-        return "<required>"
-
-
-REQUIRED = _Required()
 
 PROFILE_SCHEMA = {
     "kind": ("str", SMOOTH_BUMP),

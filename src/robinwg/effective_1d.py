@@ -17,9 +17,8 @@ from .errors import GridResolutionError, RobinwgError
 from .geometry import CurvatureProfile
 from .graph_limit import (DECOUPLED, GraphOperatorSpec, resolvent_apply,
                           sqrt_upper)
-from .report import (VERDICT_INCONCLUSIVE, VERDICT_MATCH, VERDICT_MISMATCH,
-                     ConvergenceReport, extrapolate_linear, fit_decay_exponent)
-from .resonance import Potential1D, detect_resonance
+from .report import (ConvergenceReport, extrapolate_linear, predicted_limit,
+                     run_study)
 
 RESOLUTION_FACTOR = 50  # grid cells across the scaled support, per the contract
 
@@ -166,11 +165,6 @@ def _grid_for(profile, eps, z, half_length, h_target):
     return Grid1D(L, n)
 
 
-def _window_transmission(s, g, ref, lo=2.0, hi=6.0):
-    win = (s > lo) & (s < hi)
-    return complex(np.mean(g[win] / ref[win]))
-
-
 @dataclass(frozen=True)
 class VertexData:
     value_minus: complex
@@ -219,111 +213,53 @@ def vertex_condition_residuals(spec: GraphOperatorSpec, vd: VertexData) -> dict:
 
 def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
                       f, eps_list, half_length: float = 16.0,
-                      h_target: float = 2e-3, error_threshold: float = 0.02,
-                      compute_vertex: bool = True) -> ConvergenceReport:
+                      h_target: float = 2e-3,
+                      error_threshold: float = 0.02) -> ConvergenceReport:
     """Per-eps resolvent errors against the resonance-predicted graph limit.
 
-    f may be a callable or a list of callables; with a list the error is the
-    max over the probe set (a sampled stand-in for the operator norm).  The
-    headline error is L2 over |s| > 1, where the limit output is smooth.
+    The 1D backend of `report.run_study`: f may be a callable or a list of
+    callables (the error is then the max over the probe set, a sampled
+    stand-in for the operator norm); the transmission is measured against
+    the continuum free resolvent.  For a limit that couples the edges the
+    first probe's vertex data are fitted at every eps and the gluing
+    conditions tested on them and on their eps -> 0 extrapolation.  The
+    discretisation estimate re-solves the first probe on a grid with h
+    halved at the smallest eps.
     """
-    eps_list = list(eps_list)
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise RobinwgError("eps_list must be strictly decreasing")
-    probes = f if isinstance(f, (list, tuple)) else [f]
-
-    pot = Potential1D.from_profile(profile, beta)
-    res = detect_resonance(pot)
-    predicted = GraphOperatorSpec.from_resonance(res, b)
-    if predicted.kind == DECOUPLED:
-        alt = GraphOperatorSpec.free()
-    else:
-        alt = GraphOperatorSpec.decoupled()
-
+    predicted, alt = predicted_limit(profile, beta, b)
     support_radius = max(abs(profile.support[0]), abs(profile.support[1]))
-    errors, alt_errors, leak_list, tau_list, vres_list = [], [], [], [], []
-    vdata_list = []
-    notes = []
-    g_small = None
-    for eps in eps_list:
+    last = {}
+    vdata = []
+
+    def solver(eps):
         grid = _grid_for(profile, eps, z, half_length, h_target)
         grid.check_truncation(z)
-        s = grid.points
         op = build_h_n_eps(profile, beta, eps, b, grid)
-        outer = np.abs(s) > 1.0
-        e_pred = e_alt = 0.0
-        first = None
-        for probe in probes:
-            fs = probe(s)
-            nf = np.sqrt(np.trapezoid(np.abs(fs) ** 2, s))
-            g = resolvent_solve(op, z, fs)
-            g_pred = resolvent_apply(predicted, z, s, fs)
-            g_alt = resolvent_apply(alt, z, s, fs)
-            d2 = np.abs(g - g_pred) ** 2
-            e_pred = max(e_pred, np.sqrt(np.trapezoid(d2[outer], s[outer])) / nf)
-            d2 = np.abs(g - g_alt) ** 2
-            e_alt = max(e_alt, np.sqrt(np.trapezoid(d2[outer], s[outer])) / nf)
-            if first is None:
-                first = (fs, nf, g)
-        errors.append(e_pred)
-        alt_errors.append(e_alt)
+        last.update(eps=eps, grid=grid)
+        return grid.points, lambda fs: (resolvent_solve(op, z, fs), None)
 
-        # one-sided diagnostics use the first probe's solve
-        fs, nf, g = first
-        g_small = (eps, grid, fs, g)
-        mass_left = np.trapezoid(np.abs(fs[s < 0]) ** 2, s[s < 0])
-        one_sided = mass_left < 1e-12 * nf ** 2 or mass_left > (1 - 1e-12) * nf ** 2
-        if one_sided and mass_left > 0.5 * nf ** 2:
-            far = s > 1.0
-            leak_list.append(
-                float(np.sqrt(np.trapezoid(np.abs(g[far]) ** 2, s[far])) / nf))
-            if predicted.kind != DECOUPLED:
-                free_out = resolvent_apply(GraphOperatorSpec.free(), z, s, fs)
-                tau_list.append(_window_transmission(s, g, free_out))
-        if compute_vertex and predicted.kind != DECOUPLED:
-            vd = extract_vertex_data(s, g, eps, support_radius)
-            vdata_list.append(vd)
-            vres_list.append(vertex_condition_residuals(predicted, vd))
+    def vertex_data(eps, s, fs, nf, g, info):
+        if predicted.kind != DECOUPLED:
+            vdata.append(extract_vertex_data(s, g, eps, support_radius))
 
-    # discretisation control: halve h at the smallest eps, re-measure
-    eps, grid, fs, g = g_small
-    fine = Grid1D(grid.half_length, 2 * grid.n_cells)
-    sf = fine.points
-    opf = build_h_n_eps(profile, beta, eps, b, fine)
-    gf = resolvent_solve(opf, z, probes[0](sf))
-    disc = float(np.max(np.abs(gf[::2] - g)))
+    def floor_estimate(probe, g):
+        fine = Grid1D(last["grid"].half_length, 2 * last["grid"].n_cells)
+        op = build_h_n_eps(profile, beta, last["eps"], b, fine)
+        gf = resolvent_solve(op, z, probe(fine.points))
+        return float(np.max(np.abs(gf[::2] - g)))
 
-    strictly_decreasing = all(a > b_ for a, b_ in zip(errors, errors[1:]))
-    final_ok = errors[-1] < error_threshold
-    pred_wins = errors[-1] < alt_errors[-1]
-    if not pred_wins:
-        verdict = VERDICT_MISMATCH
-    elif strictly_decreasing and final_ok:
-        verdict = VERDICT_MATCH
-    else:
-        verdict = VERDICT_INCONCLUSIVE
-        notes.append("error sequence not strictly decreasing below threshold; "
-                     f"discretization floor estimate {disc:.3g}")
-
-    tau_ext = None
-    if len(tau_list) >= 3:
-        tau_ext = complex(extrapolate_linear(eps_list, np.array(tau_list)))
-
-    vres_ext = {}
-    if len(vdata_list) >= 3:
+    free = GraphOperatorSpec.free()
+    report = run_study(predicted, alt, z, f, eps_list, solver, error_threshold,
+                       lambda s, fs: resolvent_apply(free, z, s, fs),
+                       on_first=vertex_data, floor_estimate=floor_estimate)
+    report.vertex_residuals = [vertex_condition_residuals(predicted, vd)
+                               for vd in vdata]
+    if len(vdata) >= 3:
         # vertex data converges linearly in eps; extrapolate then test the
         # gluing conditions on the limit
         fields = np.array([[vd.value_minus, vd.deriv_minus,
-                            vd.value_plus, vd.deriv_plus] for vd in vdata_list])
-        ext = extrapolate_linear(eps_list, fields)
-        vres_ext = vertex_condition_residuals(predicted, VertexData(*ext))
-
-    return ConvergenceReport(
-        predicted=predicted.to_dict(), eps_list=eps_list, errors=errors,
-        alt_kind=alt.kind, alt_errors=alt_errors, z=complex(z),
-        norm="L2(|s|>1)/||f||", verdict=verdict,
-        fitted_exponent=fit_decay_exponent(eps_list, errors),
-        leakage=leak_list, transmission=tau_list,
-        transmission_extrapolated=tau_ext,
-        vertex_residuals=vres_list, vertex_residual_extrapolated=vres_ext,
-        discretization_estimate=disc, notes=notes)
+                            vd.value_plus, vd.deriv_plus] for vd in vdata])
+        ext = extrapolate_linear(report.eps_list, fields)
+        report.vertex_residual_extrapolated = vertex_condition_residuals(
+            predicted, VertexData(*ext))
+    return report

@@ -327,14 +327,6 @@ def bending_angle(profile: CurvatureProfile) -> float:
     return val
 
 
-def scaled_curvature(geometry: WaveguideGeometry, s):
-    return geometry.scaled_curvature(s)
-
-
-def robin_coefficients(geometry: WaveguideGeometry, s):
-    return geometry.robin_coefficients(s)
-
-
 def scaled_bending_angle(geometry: WaveguideGeometry) -> float:
     """Bending angle of the scaled (possibly deformed) curvature.
 

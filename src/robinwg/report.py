@@ -1,10 +1,14 @@
-"""Convergence-study report shared by the 1D and 2D verification drivers."""
+"""The convergence-study driver shared by the 1D and 2D checks, and its report."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import RobinwgError
+from .graph_limit import DECOUPLED, GraphOperatorSpec, resolvent_apply
+from .resonance import Potential1D, detect_resonance
 
 VERDICT_MATCH = "converges-to-predicted"
 VERDICT_INCONCLUSIVE = "inconclusive"
@@ -89,3 +93,98 @@ class ConvergenceReport:
             "discretization_estimate": c2(self.discretization_estimate),
             "notes": list(self.notes),
         }
+
+
+def predicted_limit(profile, beta: float, b: float):
+    """Graph limit predicted by the resonance analysis of v = beta gamma^2.
+
+    Returns (predicted, alt): the competitor is free when the prediction is
+    decoupled, decoupled otherwise.
+    """
+    res = detect_resonance(Potential1D.from_profile(profile, beta))
+    predicted = GraphOperatorSpec.from_resonance(res, b)
+    alt = (GraphOperatorSpec.free() if predicted.kind == DECOUPLED
+           else GraphOperatorSpec.decoupled())
+    return predicted, alt
+
+
+def _l2_distance(g, ref, s, where):
+    return np.sqrt(np.trapezoid(np.abs(g - ref)[where] ** 2, s[where]))
+
+
+def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
+              eps_list, solver, error_threshold: float, free_line,
+              on_first=None, floor_estimate=None, notes=()) -> ConvergenceReport:
+    """Per-eps resolvent errors against the predicted limit, and the verdict.
+
+    `solver(eps)` returns (s, solve) with solve(f samples on s) -> (g, info).
+    `probes` is a callable or a list of them; the error is the max over the
+    probes of the L2(|s| > 1) distance to the limit output over ||f||, where
+    the limit output is smooth.  The first probe's solve, when that probe
+    lies left of the vertex, gives the leakage past s = 1 and, for a limit
+    that couples the edges, the transmission: the mean of g / free_line(s, f)
+    over 2 < s < 6.  With three or more eps the transmission is extrapolated
+    linearly to eps = 0, otherwise the last value stands in.
+    `on_first(eps, s, f, ||f||, g, info)` sees that solve at every eps;
+    `floor_estimate(probe, g)` gets the first probe and its solve at the
+    smallest eps, and its value is reported as the discretisation estimate.
+    """
+    eps_list = list(eps_list)
+    if not eps_list or any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
+        raise RobinwgError("eps_list must be non-empty and strictly decreasing")
+    probes = probes if isinstance(probes, (list, tuple)) else [probes]
+
+    errors, alt_errors, leakage, taus = [], [], [], []
+    for eps in eps_list:
+        s, solve = solver(eps)
+        outer = np.abs(s) > 1.0
+        e_pred = e_alt = 0.0
+        for i, probe in enumerate(probes):
+            fs = probe(s)
+            nf = np.sqrt(np.trapezoid(np.abs(fs) ** 2, s))
+            g, info = solve(fs)
+            e_pred = max(e_pred, _l2_distance(
+                g, resolvent_apply(predicted, z, s, fs), s, outer) / nf)
+            e_alt = max(e_alt, _l2_distance(
+                g, resolvent_apply(alt, z, s, fs), s, outer) / nf)
+            if i == 0:
+                first = (probe, g)
+                if on_first is not None:
+                    on_first(eps, s, fs, nf, g, info)
+                mass_left = np.trapezoid(np.abs(fs[s < 0]) ** 2, s[s < 0])
+                if mass_left > (1 - 1e-12) * nf ** 2:
+                    far = s > 1.0
+                    leakage.append(float(_l2_distance(g, 0.0, s, far) / nf))
+                    if predicted.kind != DECOUPLED:
+                        ref = free_line(s, fs)
+                        win = (s > 2.0) & (s < 6.0)
+                        taus.append(complex(np.mean(g[win] / ref[win])))
+        errors.append(e_pred)
+        alt_errors.append(e_alt)
+
+    floor = None if floor_estimate is None else floor_estimate(*first)
+    notes = list(notes)
+    strictly = all(a > b for a, b in zip(errors, errors[1:]))
+    if not errors[-1] < alt_errors[-1]:
+        verdict = VERDICT_MISMATCH
+    elif strictly and errors[-1] < error_threshold:
+        verdict = VERDICT_MATCH
+    else:
+        verdict = VERDICT_INCONCLUSIVE
+        if floor is not None:
+            notes.append("error sequence not strictly decreasing below "
+                         f"threshold; discretization floor estimate {floor:.3g}")
+
+    tau_ext = None
+    if len(taus) >= 3:
+        tau_ext = complex(extrapolate_linear(eps_list, np.array(taus)))
+    elif taus:
+        tau_ext = taus[-1]
+
+    return ConvergenceReport(
+        predicted=predicted.to_dict(), eps_list=eps_list, errors=errors,
+        alt_kind=alt.kind, alt_errors=alt_errors, z=complex(z),
+        norm="L2(|s|>1)/||f||", verdict=verdict,
+        fitted_exponent=fit_decay_exponent(eps_list, errors),
+        leakage=leakage, transmission=taus, transmission_extrapolated=tau_ext,
+        discretization_estimate=floor, notes=notes)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import RobinwgError
@@ -27,11 +27,8 @@ _SCAN_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Potential1D:
-    """Compactly supported potential with a cached mean.
+    """Compactly supported potential v on `support`, zero outside it.
 
-    The standing hypothesis of the limit theory is a nonzero integral of v;
-    `integral_small` flags instances that violate it (the v = 0 case is the
-    documented exception: it is trivially resonant with constant f_r).
     `knots` are interior points where v is only piecewise smooth; the
     zero-energy integration restarts there.
     """
@@ -39,8 +36,6 @@ class Potential1D:
     func: Callable
     support: tuple[float, float]
     label: str = ""
-    integral: float = 0.0
-    integral_small: bool = False
     knots: tuple = ()
 
     @classmethod
@@ -48,9 +43,7 @@ class Potential1D:
         lo, hi = support
         if not hi > lo:
             raise RobinwgError("empty potential support")
-        val, _ = quad(func, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=400)
-        return cls(func, (float(lo), float(hi)), label, float(val),
-                   abs(val) < 1e-10, tuple(knots))
+        return cls(func, (float(lo), float(hi)), label, tuple(knots))
 
     @classmethod
     def from_profile(cls, profile: CurvatureProfile, beta: float) -> "Potential1D":
@@ -63,7 +56,7 @@ class Potential1D:
     @classmethod
     def zero(cls, support=(-1.0, 1.0)) -> "Potential1D":
         return cls(lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-                   support, "zero potential", 0.0, True)
+                   support, "zero potential")
 
     def scaled(self, eps: float) -> "Potential1D":
         """v_eps(s) = eps^-2 v(s/eps); the zero-energy problem is covariant."""
@@ -71,7 +64,6 @@ class Potential1D:
         fn = lambda s: self.func(np.asarray(s) / eps) / eps ** 2
         return Potential1D(fn, (lo * eps, hi * eps),
                            f"scaled(eps={eps}) {self.label}",
-                           self.integral / eps, self.integral_small,
                            tuple(k * eps for k in self.knots))
 
     def __call__(self, s):

@@ -86,16 +86,12 @@ class TransverseMode:
         """|Delta(k_n)| in scaled units (see `eigencondition_scale`)."""
         a1, a2 = self.alpha_pair
         if self.branch == REAL:
-            val = _delta_real(self.k, a1, a2, self.d)
+            val = eigencondition(a1, a2, self.d, self.k)
         elif self.branch == IMAGINARY:
             val = _delta_imag(self.k, a1, a2, self.d)
         else:
             val = 2 * self.d * a1 * a2 + a1 + a2
         return abs(val) / eigencondition_scale(self.k, a1, a2, self.d)
-
-
-def _delta_real(k, a1, a2, d):
-    return (a1 * a2 - k * k) * np.sin(2 * k * d) + k * (a1 + a2) * np.cos(2 * k * d)
 
 
 def _delta_imag(kappa, a1, a2, d):
@@ -104,8 +100,7 @@ def _delta_imag(kappa, a1, a2, d):
 
 
 def eigencondition(alpha1, alpha2, d, k):
-    """Delta(k) for complex k; the eigenvalue condition reads Delta(k)=0."""
-    k = complex(k)
+    """Delta(k) for real or complex k; the eigenvalue condition is Delta(k) = 0."""
     return ((alpha1 * alpha2 - k * k) * np.sin(2 * k * d)
             + k * (alpha1 + alpha2) * np.cos(2 * k * d))
 
@@ -248,9 +243,9 @@ def _positive_wavenumbers(a1, a2, d, count, k_floor=0.0):
     grid = np.linspace(max(1e-9, k_floor), k_max, n_samp)
     # divide out the trivial k=0 root
     with np.errstate(invalid="ignore"):
-        vals = _delta_real(grid, a1, a2, d) / grid
+        vals = eigencondition(a1, a2, d, grid) / grid
     sign_flip = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    f = lambda k: _delta_real(k, a1, a2, d) / k
+    f = lambda k: eigencondition(a1, a2, d, k) / k
     roots = [brentq(f, grid[i], grid[i + 1], **_BRENT_KW) for i in sign_flip]
     return sorted(roots)[:count]
 

@@ -26,15 +26,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, lapack
 
-from .effective_1d import Grid1D, build_h_n_eps, resolvent_solve
+from .effective_1d import Discrete1DOperator, Grid1D, resolvent_solve
 from .errors import (GridResolutionError, ProfileError, RobinwgError,
                      SolverConvergenceError)
 from .geometry import WaveguideGeometry
-from .graph_limit import (DECOUPLED, GraphOperatorSpec, resolvent_apply,
-                          sqrt_upper)
-from .report import (VERDICT_INCONCLUSIVE, VERDICT_MATCH, VERDICT_MISMATCH,
-                     ConvergenceReport, extrapolate_linear, fit_decay_exponent)
-from .resonance import Potential1D, detect_resonance
+from .graph_limit import sqrt_upper
+from .report import ConvergenceReport, predicted_limit, run_study
 from .transverse import asymmetric_spectrum, beta_coefficient, symmetric_spectrum
 
 FULL = "full"
@@ -388,54 +385,38 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
 # theorem verification driver
 # ---------------------------------------------------------------------------
 
-def _free_line_resolvent(grid: Grid2D, z, f_s):
-    """Discrete free 1D resolvent on the interior s grid (reference field)."""
-    g1 = Grid1D(grid.s_half_length, grid.n_s)
-    from .geometry import CurvatureProfile, SMOOTH_BUMP
-    flat = CurvatureProfile(SMOOTH_BUMP, amplitude=0.0, half_width=1.0)
-    op = build_h_n_eps(flat, 0.0, 1.0, 0.0, g1)
-    full = np.zeros(grid.n_s + 1, dtype=complex)
-    full[1:-1] = f_s
-    return resolvent_solve(op, z, full)[1:-1]
-
-
 def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
                   n_max: int = None, n_u: int = 32, variant: str = FULL,
                   error_threshold: float = 0.05) -> ConvergenceReport:
     """Reduced-resolvent convergence of the 2D operator against the graph limit.
 
-    For each eps the geometry is rebuilt with the same delta/eps ratio and b,
-    the operator assembled and r_{n,n} compared (L2 over |s| > 1) with the
-    limit predicted by the resonance analysis of beta_n gamma^2.
-    Off-diagonal norms ||r_{m,n} f|| are recorded for every other m <= n_max.
-    The first probe's 2D field at the last eps rides on the report as
-    `probe_field`.
+    The 2D backend of `report.run_study`: for each eps the geometry is
+    rebuilt with the same delta/eps ratio and b, the operator assembled and
+    r_{n,n} compared with the limit predicted by the resonance analysis of
+    beta_n gamma^2; the transmission is measured against the discrete free
+    line resolvent on the same s grid.  Off-diagonal norms ||r_{m,n} f|| of
+    the first probe are recorded for every other m <= n_max, and its 2D
+    field at the last eps rides on the report as `probe_field`.
     """
-    eps_list = list(eps_list)
     if n_max is None:
         n_max = max(n + 1, 1)
+    if not 0 <= n <= n_max:
+        raise RobinwgError(f"need 0 <= n <= n_max, got n = {n}, n_max = {n_max}")
     sc = geometry.scaling
     if sc.delta_ratio is None:
         sc.require_convergence_regime()
 
     mu_n = symmetric_spectrum(geometry.alpha, geometry.d, n)[n].eigenvalue
     beta_n = beta_coefficient(geometry.alpha, mu_n, geometry.d)
-    pot = Potential1D.from_profile(geometry.profile, beta_n)
-    res = detect_resonance(pot)
-    predicted = GraphOperatorSpec.from_resonance(res, sc.b)
-    alt = (GraphOperatorSpec.free() if predicted.kind == DECOUPLED
-           else GraphOperatorSpec.decoupled())
+    predicted, alt = predicted_limit(geometry.profile, beta_n, sc.b)
 
     w = sqrt_upper(z)
     L = max(12.0, 10.0 / w.imag + 1.0)
     width = geometry.profile.support_width
-    probes = probes if isinstance(probes, (list, tuple)) else [probes]
-
-    errors, alt_errors, leak, taus = [], [], [], []
     offdiag = {m: [] for m in range(n_max + 1) if m != n}
-    notes = [f"variant={variant}; delta/eps fixed at "
-             f"{sc.delta / sc.epsilon:.4g} (desk-scale protocol)"]
-    for eps in eps_list:
+    last = {}
+
+    def solver(eps):
         scaling = type(sc)(epsilon=eps, a=sc.a, b=sc.b,
                            delta_ratio=sc.delta / sc.epsilon
                            if sc.delta_ratio is not None else None)
@@ -446,59 +427,30 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
         grid = Grid2D(L, n_s, n_u, geometry.d)
         op = build_waveguide(geo, variant, n_max, grid)
         proj = ModeProjector(geo, grid, n_max)
-        si = grid.s_interior
-        outer = np.abs(si) > 1.0
-        e_pred = e_alt = 0.0
-        first = True
-        for probe in probes:
-            fs = probe(si)
-            nf = np.sqrt(np.trapezoid(np.abs(fs) ** 2, si))
-            g, info = reduced_resolvent(op, proj, n, n, z, fs)
-            g_pred = resolvent_apply(predicted, z, si, fs)
-            g_alt = resolvent_apply(alt, z, si, fs)
-            e_pred = max(e_pred, np.sqrt(np.trapezoid(
-                np.abs(g - g_pred)[outer] ** 2, si[outer])) / nf)
-            e_alt = max(e_alt, np.sqrt(np.trapezoid(
-                np.abs(g - g_alt)[outer] ** 2, si[outer])) / nf)
-            if first:
-                probe_field = (si, grid.u_points, info["field"])
-                # the 2D field from the same solve projects onto every m
-                for m in offdiag:
-                    gm = proj.project(info["field"], m)
-                    offdiag[m].append(float(np.sqrt(np.trapezoid(
-                        np.abs(gm) ** 2, si)) / nf))
-                mass_left = np.trapezoid(np.abs(fs[si < 0]) ** 2, si[si < 0])
-                if mass_left > (1 - 1e-12) * nf ** 2:
-                    far = si > 1.0
-                    leak.append(float(np.sqrt(np.trapezoid(
-                        np.abs(g[far]) ** 2, si[far])) / nf))
-                    if predicted.kind != DECOUPLED:
-                        ref = _free_line_resolvent(grid, z, fs)
-                        win = (si > 2.0) & (si < 6.0)
-                        taus.append(complex(np.mean(g[win] / ref[win])))
-                first = False
-        errors.append(e_pred)
-        alt_errors.append(e_alt)
+        last.update(u=grid.u_points, proj=proj)
+        return grid.s_interior, lambda fs: reduced_resolvent(op, proj, n, n, z, fs)
 
-    strictly = all(a > b for a, b in zip(errors, errors[1:]))
-    pred_wins = errors[-1] < alt_errors[-1]
-    if not pred_wins:
-        verdict = VERDICT_MISMATCH
-    elif strictly and errors[-1] < error_threshold:
-        verdict = VERDICT_MATCH
-    else:
-        verdict = VERDICT_INCONCLUSIVE
+    def offdiagonal_norms(eps, s, fs, nf, g, info):
+        # the 2D field from the same solve projects onto every m
+        last["field"] = (s, last["u"], info["field"])
+        for m in offdiag:
+            gm = last["proj"].project(info["field"], m)
+            offdiag[m].append(float(np.sqrt(np.trapezoid(
+                np.abs(gm) ** 2, s)) / nf))
 
-    tau_ext = None
-    if len(taus) >= 3:
-        tau_ext = complex(extrapolate_linear(eps_list, np.array(taus)))
-    elif taus:
-        tau_ext = taus[-1]
+    def free_line(s, fs):
+        """Discrete free 1D resolvent on the interior s grid."""
+        line = Discrete1DOperator(Grid1D(L, len(s) + 1), np.zeros(len(s) + 2),
+                                  1.0, 0.0, 0.0)
+        full = np.zeros(len(s) + 2, dtype=complex)
+        full[1:-1] = fs
+        return resolvent_solve(line, z, full)[1:-1]
 
-    return ConvergenceReport(
-        predicted=predicted.to_dict(), eps_list=eps_list, errors=errors,
-        alt_kind=alt.kind, alt_errors=alt_errors, z=complex(z),
-        norm="L2(|s|>1)/||f||", verdict=verdict,
-        fitted_exponent=fit_decay_exponent(eps_list, errors),
-        leakage=leak, transmission=taus, transmission_extrapolated=tau_ext,
-        offdiagonal=offdiag, notes=notes, probe_field=probe_field)
+    report = run_study(
+        predicted, alt, z, probes, eps_list, solver, error_threshold, free_line,
+        on_first=offdiagonal_norms,
+        notes=[f"variant={variant}; delta/eps fixed at "
+               f"{sc.delta / sc.epsilon:.4g} (desk-scale protocol)"])
+    report.offdiagonal = offdiag
+    report.probe_field = last["field"]
+    return report

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from robinwg.cli import main
 
@@ -117,3 +118,25 @@ def test_missing_config_file(tmp_path):
     code = main(["spectrum", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path)])
     assert code == 2
+
+
+def test_spectrum_json_format(tmp_path):
+    code, out = run(tmp_path, "spectrum", "alpha_count = 5\nn_max = 1\n",
+                    "--format", "json")
+    assert code == 0
+    doc = json.loads((out / "beta_table.json").read_text())
+    assert len(doc["data"]) == 10
+
+
+def test_format_is_a_spectrum_option_only(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "limit-check", "beta = 3.0\n", "--format", "json")
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("cfg", ["n = 1\nn_max = 0\n", "eps_list = 0.1,0.2,0.4\n"],
+                         ids=["mode_above_n_max", "increasing_eps"])
+def test_waveguide_check_rejects_bad_inputs(tmp_path, capsys, cfg):
+    code, _ = run(tmp_path, "waveguide-check", cfg)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -181,7 +181,7 @@ def test_grid_halving_changes_error_below_10_percent():
     for h in (4e-3, 2e-3):
         rep = convergence_study(default_bump(), 3.0, 0.0, 1j,
                                 bump_probe(-4.0, 1.5), [0.4, 0.2],
-                                h_target=h, compute_vertex=False)
+                                h_target=h)
         errs[h] = np.array(rep.errors)
     assert np.all(np.abs(errs[4e-3] - errs[2e-3]) < 0.1 * errs[2e-3])
 

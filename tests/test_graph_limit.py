@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robinwg.errors import BranchError, RobinwgError
 from robinwg.graph_limit import (GraphOperatorSpec, green_function,
@@ -87,6 +89,18 @@ def test_spec_normalisation():
     assert abs(spec.c_minus ** 2 + spec.c_plus ** 2 - 1.0) < 1e-14
     with pytest.raises(RobinwgError):
         GraphOperatorSpec.scale_invariant(1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["decoupled", "free", "scale_invariant", "deformed"]),
+       st.floats(0.0, 2 * np.pi), st.floats(-50.0, 50.0))
+def test_spec_roundtrips_through_to_dict(kind, theta, b_hat):
+    c = (np.cos(theta), np.sin(theta))
+    spec = {"decoupled": GraphOperatorSpec.decoupled,
+            "free": GraphOperatorSpec.free,
+            "scale_invariant": lambda: GraphOperatorSpec.scale_invariant(*c),
+            "deformed": lambda: GraphOperatorSpec.deformed(*c, b_hat)}[kind]()
+    assert GraphOperatorSpec(**spec.to_dict()) == spec
 
 
 def test_branch_guard():

@@ -1,0 +1,81 @@
+import numpy as np
+import pytest
+
+from robinwg.effective_1d import bump_probe
+from robinwg.errors import RobinwgError
+from robinwg.graph_limit import GraphOperatorSpec, resolvent_apply
+from robinwg.report import (VERDICT_INCONCLUSIVE, VERDICT_MATCH,
+                            VERDICT_MISMATCH, run_study)
+
+Z = 1j
+S = np.linspace(-12.0, 12.0, 2401)
+PROBE = bump_probe(-4.0, 1.5)
+EPS = [0.4, 0.2, 0.1]
+FREE = GraphOperatorSpec.free()
+DECOUPLED = GraphOperatorSpec.decoupled()
+H = 1e-3 * np.cos(S)
+
+
+def free_line(s, fs):
+    return resolvent_apply(FREE, Z, s, fs)
+
+
+def synthetic(limit, offset):
+    """Backend returning the limit's output plus offset(eps) on a fixed grid."""
+    def solver(eps):
+        return S, lambda fs: (resolvent_apply(limit, Z, S, fs) + offset(eps), None)
+    return solver
+
+
+def test_linear_perturbation_converges_with_exponent_one():
+    rep = run_study(FREE, DECOUPLED, Z, PROBE, EPS,
+                    synthetic(FREE, lambda eps: eps * H), 0.02, free_line)
+    assert rep.verdict == VERDICT_MATCH
+    assert abs(rep.fitted_exponent - 1.0) < 1e-12
+    assert len(rep.leakage) == len(rep.transmission) == len(EPS)
+    assert rep.discretization_estimate is None and rep.notes == []
+
+
+def test_constant_offset_is_inconclusive_with_floor_note():
+    seen = []
+
+    def floor(probe, g):
+        seen.append(probe)
+        return 2.5e-4
+
+    solver = synthetic(FREE, lambda eps: 1e-3)
+    rep = run_study(FREE, DECOUPLED, Z, [PROBE, bump_probe(4.0, 1.5)], EPS,
+                    solver, 0.02, free_line, floor_estimate=floor)
+    assert rep.verdict == VERDICT_INCONCLUSIVE
+    assert seen == [PROBE]
+    assert rep.discretization_estimate == 2.5e-4
+    assert len(rep.notes) == 1 and "floor estimate 0.00025" in rep.notes[0]
+
+    rep = run_study(FREE, DECOUPLED, Z, PROBE, EPS, solver, 0.02, free_line,
+                    notes=["backend note"])
+    assert rep.verdict == VERDICT_INCONCLUSIVE
+    assert rep.discretization_estimate is None
+    assert rep.notes == ["backend note"]
+
+
+def test_winning_alternative_is_a_mismatch():
+    rep = run_study(FREE, DECOUPLED, Z, PROBE, EPS,
+                    synthetic(DECOUPLED, lambda eps: eps * H), 0.02, free_line)
+    assert rep.verdict == VERDICT_MISMATCH
+    assert rep.alt_kind == "decoupled"
+    assert rep.errors[-1] > rep.alt_errors[-1]
+
+
+def test_transmission_with_fewer_than_three_eps_is_the_last_value():
+    rep = run_study(FREE, DECOUPLED, Z, PROBE, [0.4, 0.2],
+                    synthetic(FREE, lambda eps: eps * H), 0.02, free_line)
+    assert rep.transmission_extrapolated == rep.transmission[-1]
+
+
+@pytest.mark.parametrize("eps_list", [[], [0.1, 0.2], [0.2, 0.2, 0.1]])
+def test_eps_list_must_be_strictly_decreasing(eps_list):
+    def solver(eps):
+        raise AssertionError("no solve before the eps check")
+
+    with pytest.raises(RobinwgError, match="strictly decreasing"):
+        run_study(FREE, DECOUPLED, Z, PROBE, eps_list, solver, 0.02, free_line)

@@ -185,13 +185,6 @@ def test_resonant_constants_not_both_zero():
     assert abs(res.c_minus ** 2 + res.c_plus ** 2 - 1.0) < 1e-12
 
 
-def test_potential_integral_cache_and_flag():
-    v = Potential1D.from_profile(SQUARE, -2.0)
-    assert abs(v.integral - (-2.0)) < 1e-10
-    assert not v.integral_small
-    assert Potential1D.zero().integral_small
-
-
 def test_scaled_potential_support():
     v = Potential1D.from_profile(default_bump(), 1.0).scaled(0.25)
     assert v.support == (-0.5, 0.5)

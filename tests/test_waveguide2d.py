@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import eigh, solve_banded
 
 from robinwg.effective_1d import Grid1D, build_h_n_eps, bump_probe, resolvent_solve
-from robinwg.errors import ProfileError
+from robinwg.errors import ProfileError, RobinwgError
 from robinwg.geometry import (RECTANGULAR, SMOOTH_BUMP, CurvatureProfile,
                               ScalingParams, WaveguideGeometry, default_bump)
 from robinwg.transverse import symmetric_spectrum
@@ -323,3 +323,11 @@ def test_dump_field_reuses_the_theorem_check_solve(tmp_path, monkeypatch):
     assert si[-1] == pytest.approx(L - (si[1] - si[0]))
     first = rows[0]
     assert complex(float(first[2]), float(first[3])) == field[0, 0]
+
+
+def test_theorem_check_validates_mode_and_eps_list():
+    probe = bump_probe(-4.0, 1.5)
+    with pytest.raises(RobinwgError, match="n_max"):
+        theorem_check(flat_geometry(), 1, Z, probe, [0.4, 0.2], n_max=0)
+    with pytest.raises(RobinwgError, match="strictly decreasing"):
+        theorem_check(flat_geometry(eps=0.1), 0, Z, probe, [0.1, 0.2, 0.4])
