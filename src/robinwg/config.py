@@ -11,8 +11,7 @@ import hashlib
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import (RECTANGULAR, SMOOTH_BUMP, TABULATED, CurvatureProfile,
-                       ScalingParams, WaveguideGeometry)
+from .geometry import RECTANGULAR, SMOOTH_BUMP, TABULATED, CurvatureProfile
 
 
 def parse_kv(text: str) -> dict:
@@ -95,23 +94,6 @@ def profile_to_config(profile: CurvatureProfile) -> str:
         lines.append(f"center = {float(profile.center)!r}")
         lines.append(f"half_width = {float(profile.half_width)!r}")
     return "\n".join(lines) + "\n"
-
-
-GEOMETRY_SCHEMA = dict(PROFILE_SCHEMA, **{
-    "d": ("float", 1.0),
-    "epsilon": ("float", 0.1),
-    "a": ("float", 4.0),
-    "b": ("float", 0.0),
-    "delta_ratio": ("float", None),
-    "alpha": ("float", 0.0),
-})
-
-
-def geometry_from_config(cfg: dict) -> WaveguideGeometry:
-    profile = profile_from_config(cfg)
-    scaling = ScalingParams(epsilon=cfg["epsilon"], a=cfg["a"], b=cfg["b"],
-                            delta_ratio=cfg["delta_ratio"])
-    return WaveguideGeometry(profile, cfg["d"], scaling, cfg["alpha"])
 
 
 def config_hash(raw: dict) -> str:

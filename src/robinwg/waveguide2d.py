@@ -348,10 +348,13 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
 
     mu_n is the discrete flat transverse threshold of the assembled operator
     (subtracting the continuum value would leave an O(h_u^2)/delta^2 drift).
-    GMRES preconditioned by the flat separable solve; convergence is judged
-    on the preconditioned residual, which is the well-scaled one here.
-    Returns (g, info dict); raises SolverConvergenceError with the residual
-    history when the target is missed.
+    GMRES runs on the left-preconditioned system P A x = P rhs, P the flat
+    separable solve, so it stops on the preconditioned residual: the raw one
+    carries the 1/delta^2 transverse stiffness and its rounding floor can sit
+    above rtol.  When GMRES misses rtol, the preconditioned residual
+    recomputed from rhs - A x must still be within 10 rtol.  Returns
+    (g, info dict); raises SolverConvergenceError with the residual history
+    when it is not.
     """
     if complex(z).imag == 0:
         raise RobinwgError("reduced resolvent needs Im z != 0")
@@ -362,14 +365,15 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
     F = projector.synthesize(np.asarray(f_s, dtype=complex), n)
     rhs = op.mass * F.ravel()
     prec = _separable_preconditioner(op, n, z)
-    Mop = spla.LinearOperator(A.shape, matvec=prec, dtype=complex)
+    PA = spla.LinearOperator(A.shape, matvec=lambda x: prec(A @ x), dtype=complex)
+    prhs = prec(rhs)
     history = []
-    g, code = spla.gmres(A, rhs, M=Mop, rtol=rtol, atol=0.0, restart=80,
+    g, code = spla.gmres(PA, prhs, rtol=rtol, atol=0.0, restart=80,
                          maxiter=max(1, maxiter // 80),
                          callback=lambda pr: history.append(float(pr)),
                          callback_type="pr_norm")
     resid = rhs - A @ g
-    pr_res = np.linalg.norm(prec(resid)) / np.linalg.norm(prec(rhs))
+    pr_res = np.linalg.norm(prec(resid)) / np.linalg.norm(prhs)
     if code != 0 and pr_res > 10 * rtol:
         raise SolverConvergenceError(
             f"GMRES stalled at preconditioned residual {pr_res:.3g}", history)

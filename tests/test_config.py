@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from robinwg.config import (GEOMETRY_SCHEMA, PROFILE_SCHEMA, config_hash,
-                            geometry_from_config, parse_kv,
+from robinwg.config import (PROFILE_SCHEMA, config_hash, parse_kv,
                             profile_from_config, profile_to_config, validate)
 from robinwg.errors import ConfigError
 from robinwg.geometry import RECTANGULAR, TABULATED, CurvatureProfile, default_bump
@@ -45,13 +44,6 @@ def test_validate_unknown_and_required():
         validate({"nope": "1"}, PROFILE_SCHEMA)
     with pytest.raises(ConfigError):
         validate({"amplitude": "abc"}, PROFILE_SCHEMA)
-
-
-def test_geometry_from_config_defaults():
-    geom = geometry_from_config(validate({}, GEOMETRY_SCHEMA))
-    assert geom.d == 1.0
-    assert geom.profile == default_bump()
-    assert geom.scaling.delta == pytest.approx(0.1 ** 4)
 
 
 def test_config_hash_stable_under_reordering():

@@ -103,6 +103,21 @@ def test_spec_roundtrips_through_to_dict(kind, theta, b_hat):
     assert GraphOperatorSpec(**spec.to_dict()) == spec
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 2 * np.pi), st.floats(-50.0, 50.0), st.floats(0.01, 50.0))
+def test_s_matrix_unitary_and_mirror_symmetric(theta, b_hat, k):
+    cm, cp = np.cos(theta), np.sin(theta)
+    for make in (GraphOperatorSpec.scale_invariant,
+                 lambda c1, c2: GraphOperatorSpec.deformed(c1, c2, b_hat)):
+        S = scattering_matrix(make(cm, cp), k)
+        assert np.max(np.abs(S.conj().T @ S - np.eye(2))) < 1e-12
+        # the mirror s -> -s swaps c_- and c_+, hence the two reflections
+        M = scattering_matrix(make(cp, cm), k)
+        assert abs(M[0, 0] - S[1, 1]) < 1e-12
+        assert abs(M[1, 1] - S[0, 0]) < 1e-12
+        assert abs(M[1, 0] - S[1, 0]) < 1e-12
+
+
 def test_branch_guard():
     with pytest.raises(BranchError):
         sqrt_upper(4.0)

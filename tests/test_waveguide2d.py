@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import eigh, solve_banded
 
 from robinwg.effective_1d import Grid1D, build_h_n_eps, bump_probe, resolvent_solve
-from robinwg.errors import ProfileError, RobinwgError
+from robinwg.errors import ProfileError, RobinwgError, SolverConvergenceError
 from robinwg.geometry import (RECTANGULAR, SMOOTH_BUMP, CurvatureProfile,
                               ScalingParams, WaveguideGeometry, default_bump)
 from robinwg.transverse import symmetric_spectrum
@@ -72,9 +72,28 @@ def test_flat_reduced_resolvent_is_free_1d():
         ref = resolvent_solve(build_h_n_eps(FLAT, 0.0, 1.0, 0.0, g1), Z, full)[1:-1]
         assert np.max(np.abs(g - ref)) < 1e-8
         assert info["preconditioned_residual"] < 1e-9
+        # the separable preconditioner is exact on the flat strip
+        assert info["iterations"] <= 2
     # off-diagonal vanishes to solver tolerance
     g01, _ = reduced_resolvent(op, proj, 0, 1, Z, f)
     assert np.max(np.abs(g01)) < 1e-9
+
+
+def test_gmres_stall_is_caught_by_the_post_check():
+    # rtol below rounding: GMRES's own residual estimate drops to ~1e-15,
+    # but the preconditioned residual recomputed from rhs - A g does not
+    geom = bump_geometry(0.4)
+    grid = Grid2D(8.0, 512, 48, 1.0)
+    op = build_waveguide(geom, FULL, 1, grid)
+    proj = ModeProjector(geom, grid, 1)
+    f = bump_probe(-4.0, 1.5)(grid.s_interior)
+    rtol = 1e-16
+    with pytest.raises(SolverConvergenceError) as exc:
+        reduced_resolvent(op, proj, 0, 0, Z, f, rtol=rtol, maxiter=80)
+    assert exc.value.history
+    # the solve is good; only the target is out of reach
+    pr_res = float(str(exc.value).rsplit(" ", 1)[-1])
+    assert 10 * rtol < pr_res < 1e-9
 
 
 def test_renormalisation_delta_independence():
