@@ -21,12 +21,12 @@ from . import __version__
 from .config import (PROFILE_SCHEMA, alpha_grid, config_hash, parse_kv,
                      profile_from_config, validate)
 from .effective_1d import bump_probe, convergence_study
-from .errors import ConfigError, RobinwgError
+from .errors import BracketingError, ConfigError, RobinwgError
 from .geometry import ScalingParams, WaveguideGeometry
 from .graph_limit import GraphOperatorSpec, green_function
 from .report import VERDICT_MISMATCH
 from .resonance import Potential1D, detect_resonance, find_resonant_coupling
-from .transverse import beta_table, mu_table, perturbation_coefficients
+from .transverse import beta_table, perturbation_coefficients
 from .waveguide2d import theorem_check
 
 UNITS_NOTE = "lengths in units of the half-width d; alpha, curvature in 1/length"
@@ -82,18 +82,13 @@ def cmd_spectrum(cfg_raw, out, fmt, seed):
     grid = alpha_grid(cfg)
     d, n_max = cfg["d"], cfg["n_max"]
     mu_rows, beta_rows, bad = [], [], 0
-    for alpha, mus in mu_table(grid, d, n_max):
-        for n, mu in enumerate(mus):
-            mu_rows.append((alpha, n, mu))
     for row in beta_table(grid, d, n_max):
+        if not row.mu:
+            raise BracketingError(row.bad[0])
         for n in range(n_max + 1):
-            if not row.mu or row.bad[n]:
-                bad += 1
-                beta_rows.append((row.alpha, n,
-                                  row.mu[n] if row.mu else None, None, None))
-            else:
-                beta_rows.append((row.alpha, n, row.mu[n],
-                                  row.lambda2[n], row.beta[n]))
+            bad += bool(row.bad[n])
+            mu_rows.append((row.alpha, n, row.mu[n]))
+            beta_rows.append((row.alpha, n, row.mu[n], row.lambda2[n], row.beta[n]))
     if bad > cfg["bad_point_quota"]:
         print(f"error: {bad} bad table points exceed quota "
               f"{cfg['bad_point_quota']}", file=sys.stderr)

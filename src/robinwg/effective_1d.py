@@ -143,19 +143,6 @@ def bump_probe(center: float, half_width: float):
     return f
 
 
-def probe_set():
-    """Fixed 10-probe family sampling both sides, odd/even combinations."""
-    probes = []
-    for c in (-4.0, -2.75, 2.75, 4.0):
-        probes.append(bump_probe(c, 1.5))
-        probes.append(bump_probe(c, 0.8))
-    even = bump_probe(-3.5, 1.2)
-    odd = bump_probe(3.5, 1.2)
-    probes.append(lambda s: even(s) + odd(s))
-    probes.append(lambda s: even(s) - odd(s))
-    return probes[:10]
-
-
 def _grid_for(profile, eps, z, half_length, h_target):
     w = sqrt_upper(z)
     L = max(half_length, 10.0 / w.imag + 1.0)

@@ -14,6 +14,12 @@ alpha_1 = alpha_2 = alpha splits by parity:
     even:  p sin(pd) - alpha cos(pd) = 0        (cosine modes)
     odd:   p cos(pd) + alpha sin(pd) = 0        (sine modes)
 
+Every symmetric root, for a whole grid of alpha and modes 0..n_max, is one
+lane of a single lane-wise Brent solve (`_brent_lanes`, a numpy port of
+scipy's brentq that returns its roots bit for bit); `symmetric_spectrum` is
+the one-alpha case of the same call, and `beta_table` solves its grid once.
+The asymmetric case brackets 3-5 roots per call and stays on scalar brentq.
+
 Perturbing (alpha_1, alpha_2) around (alpha, alpha) through the curvature
 parameter eta gives lambda_n = mu_n + lambda2 * (d eta)^2 + O(eta^3); the
 first-order term vanishes identically.  The coupling fed to the effective
@@ -123,97 +129,175 @@ def _odd_equation(x, ad):
     return x * np.cos(x) + ad * np.sin(x)
 
 
-def _even_wavenumber(alpha, d, j):
-    """j-th even-branch root (j = 0, 1, ...), branch-tagged (branch, k)."""
-    ad = alpha * d
-    if j == 0:
-        if ad > 0:
-            x = brentq(_even_equation, 1e-300, np.pi / 2 - 1e-13, args=(ad,), **_BRENT_KW)
-            return REAL, x / d
-        if ad == 0:
-            return ZERO, 0.0
-        # kappa d tanh(kappa d) = -alpha d on (0, inf)
-        g = lambda y: y * np.tanh(y) + ad
-        hi = max(1.0, -2 * ad)
-        while g(hi) < 0:
-            hi *= 2
-        y = brentq(g, 1e-300, hi, **_BRENT_KW)
-        return IMAGINARY, y / d
-    lo = (2 * j - 1) * np.pi / 2 + 1e-13
-    hi = (2 * j + 1) * np.pi / 2 - 1e-13
-    x = brentq(_even_equation, lo, hi, args=(ad,), **_BRENT_KW)
-    return REAL, x / d
+def _brent_lanes(f, a, b, xtol, rtol, maxiter):
+    """Roots of many scalar functions at once, each as `brentq` finds it.
+
+    A numpy port of scipy's Zeros/brentq.c in which every lane takes its own
+    interpolate / extrapolate / bisect branch through `np.where`.  The
+    arithmetic is the C code's, operation for operation, so lane i returns
+    `brentq(f_i, a[i], b[i], xtol=xtol, rtol=rtol, maxiter=maxiter)` bit for
+    bit.  `f(x, lanes)` gives the values of the lanes `lanes` (an index
+    array) at the points `x`; converged lanes leave the working set.  Raises
+    where brentq raises: ValueError for a NaN value or for a bracket whose
+    ends have the same sign, RuntimeError when a lane has not converged
+    after `maxiter` iterations.
+    """
+    def values(x, lanes):
+        fx = f(x, lanes)
+        nan = np.isnan(fx)
+        if nan.any():
+            raise ValueError(f"The function value at x={float(x[nan][0])} is "
+                             "NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
+    lanes = np.arange(xcur.size)
+    fpre, fcur = values(xpre, lanes), values(xcur, lanes)
+    root = np.where(fpre == 0, xpre, xcur)
+    live = (fpre != 0) & (fcur != 0)
+    if np.any(live & (np.signbit(fpre) == np.signbit(fcur))):
+        raise ValueError("f(a) and f(b) must have different signs")
+    if not live.any():
+        return root
+    lanes = lanes[live]
+    xpre, xcur, fpre, fcur = xpre[live], xcur[live], fpre[live], fcur[live]
+    xblk = fblk = spre = scur = np.zeros_like(xcur)
+    for _ in range(maxiter):
+        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk = np.where(flip, xpre, xblk)
+        fblk = np.where(flip, fpre, fblk)
+        spre = np.where(flip, xcur - xpre, spre)
+        scur = np.where(flip, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        if done.any():
+            root[lanes[done]] = xcur[done]
+            keep = ~done
+            if not keep.any():
+                return root
+            lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                v[keep] for v in (lanes, xpre, xcur, xblk, fpre, fcur, fblk,
+                                  spre, scur, delta, sbis))
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolate = (-fcur * (fblk * dblk - fpre * dpre)
+                           / (dblk * dpre * (fblk - fpre)))
+        stry = np.where(xpre == xblk, interpolate, extrapolate)
+        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2 * np.abs(stry) < np.minimum(np.abs(spre),
+                                                  3 * np.abs(sbis) - delta)))
+        spre = np.where(short, scur, sbis)
+        scur = np.where(short, stry, sbis)
+
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur,
+                               np.where(sbis > 0, delta, -delta))
+        fcur = values(xcur, lanes)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def _odd_wavenumber(alpha, d, j):
-    """j-th odd-branch root (j = 0, 1, ...)."""
-    ad = alpha * d
-    if j == 0:
-        if ad > -1.0:
-            x = brentq(_odd_equation, 1e-300, np.pi - 1e-13, args=(ad,), **_BRENT_KW)
-            return REAL, x / d
-        if ad == -1.0:
-            return ZERO, 0.0
-        # kappa d coth(kappa d) = -alpha d has a root iff -alpha d > 1
-        g = lambda y: y / np.tanh(y) + ad
-        hi = max(1.0, -2 * ad)
-        while g(hi) < 0:
-            hi *= 2
-        y = brentq(g, 1e-12, hi, **_BRENT_KW)
-        return IMAGINARY, y / d
-    lo = j * np.pi + 1e-13
-    hi = (j + 1) * np.pi - 1e-13
-    x = brentq(_odd_equation, lo, hi, args=(ad,), **_BRENT_KW)
-    return REAL, x / d
+# lane kinds of the symmetric solve: the two real parity equations and their
+# hyperbolic forms kappa d tanh(kappa d) = -alpha d (even) and
+# kappa d coth(kappa d) = -alpha d (odd)
+_EQUATIONS = (_even_equation, _odd_equation,
+              lambda y, ad: y * np.tanh(y) + ad,
+              lambda y, ad: y / np.tanh(y) + ad)
 
 
-def _symmetric_mode(alpha, d, n) -> TransverseMode:
-    even = (n % 2 == 0)
-    j = n // 2 if even else (n - 1) // 2
-    branch, k = (_even_wavenumber if even else _odd_wavenumber)(alpha, d, j)
-    parity = "even" if even else "odd"
-    if branch == ZERO:
-        if even:
-            A, B = 0.0, 1.0 / np.sqrt(2 * d)
-        else:
-            A, B = np.sqrt(3.0 / (2 * d ** 3)), 0.0
-        lam = 0.0
-    elif branch == REAL:
-        lam = k * k
-        if even:
-            A, B = 0.0, 1.0 / np.sqrt(d + np.sin(2 * k * d) / (2 * k))
-        else:
-            A, B = 1.0 / np.sqrt(d - np.sin(2 * k * d) / (2 * k)), 0.0
-    else:
-        lam = -k * k
-        with np.errstate(over="ignore"):
-            if even:
-                A, B = 0.0, 1.0 / np.sqrt(d + np.sinh(2 * k * d) / (2 * k))
-            else:
-                A, B = 1.0 / np.sqrt(np.sinh(2 * k * d) / (2 * k) - d), 0.0
-        if not (np.isfinite(A) and np.isfinite(B)):
-            A = B = 0.0  # normalisation underflows for kappa*d >~ 350
-    return TransverseMode(n, branch, k, lam, A, B, (alpha, alpha), d, parity)
+def _symmetric_solve(alphas, d, n_max):
+    """Modes 0..n_max of the symmetric problem for every alpha, in one Brent pass.
 
-
-def symmetric_spectrum(alpha: float, d: float, n_max: int) -> list[TransverseMode]:
-    """Modes 0..n_max of the symmetric problem, increasing eigenvalue.
-
-    The even and odd sub-spectra interlace, so the n-th mode is the
-    (n//2)-th root of its parity branch; negative eigenvalues come from the
-    hyperbolic forms of the same equations.
+    Mode n is the (n//2)-th root of its parity branch (the even and odd
+    sub-spectra interlace).  The ground root of each parity sits on the
+    hyperbolic form when the eigenvalue is negative and is exactly zero at
+    alpha d = 0 (even) and alpha d = -1 (odd); every other root is one lane
+    of `_brent_lanes` on its fixed bracket, the hyperbolic ones on (0, hi]
+    with hi doubled until it brackets.  Returns (branch, k, eigenvalue,
+    coef_sin, coef_cos), arrays of shape (len(alphas), n_max + 1), the
+    coefficients normalising each eigenfunction on (-d, d).
     """
     if d <= 0:
         raise ValueError("d must be positive")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    modes = [_symmetric_mode(alpha, d, n) for n in range(n_max + 1)]
-    eigs = [m.eigenvalue for m in modes]
+    n = np.arange(n_max + 1)[None, :]
+    ad = np.asarray(alphas, dtype=float)[:, None] * d
+    ad, n = np.broadcast_arrays(ad, n)
+    even, j = n % 2 == 0, n // 2
+    ground = j == 0
+    zero = ground & np.where(even, ad == 0, ad == -1.0)
+    hyper = ground & ~zero & ~np.where(even, ad > 0, ad > -1.0)  # NaN lands here too
+    kind = np.where(even, 0, 1) + 2 * hyper
+    lo = np.where(ground, np.where(kind == 3, 1e-12, 1e-300),
+                  np.where(even, (2 * j - 1) * np.pi / 2, j * np.pi) + 1e-13)
+    hi = np.where(even, (2 * j + 1) * np.pi / 2, (j + 1) * np.pi) - 1e-13
+
+    solve = np.flatnonzero(~zero)
+    lane_ad, lane_kind = ad.flat[solve], kind.flat[solve]
+
+    def f(x, lanes):
+        out = np.empty_like(x)
+        kinds = lane_kind[lanes]
+        for i, eq in enumerate(_EQUATIONS):
+            m = kinds == i
+            out[m] = eq(x[m], lane_ad[lanes[m]])
+        return out
+
+    lane_lo, lane_hi = lo.flat[solve], hi.flat[solve]
+    grow = np.flatnonzero(lane_kind >= 2)
+    lane_hi[grow] = np.maximum(-2 * lane_ad[grow], 1.0)
+    while grow.size:
+        grow = grow[f(lane_hi[grow], grow) < 0]
+        lane_hi[grow] *= 2
+    x = np.zeros(ad.shape)
+    x.flat[solve] = _brent_lanes(f, lane_lo, lane_hi, **_BRENT_KW)
+
+    k = x / d
+    imag = kind >= 2
+    branch = np.where(zero, ZERO, np.where(imag, IMAGINARY, REAL))
+    lam = np.where(imag, -k * k, k * k)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        wave = np.where(imag, np.sinh(2 * k * d), np.sin(2 * k * d)) / (2 * k)
+        norm = 1.0 / np.sqrt(np.where(even, d + wave, np.where(imag, wave - d, d - wave)))
+    norm = np.where(np.isfinite(norm), norm, 0.0)  # underflows for kappa*d >~ 350
+    norm = np.where(zero, np.where(even, 1.0 / np.sqrt(2 * d),
+                                   np.sqrt(3.0 / (2 * d ** 3))), norm)
+    return branch, k, lam, np.where(even, 0.0, norm), np.where(even, norm, 0.0)
+
+
+def _order_errors(alphas, d, eigenvalues):
+    """Per row, the BracketingError message if its eigenvalues decrease, else ""."""
+    alphas = np.asarray(alphas, dtype=float)
     # allow exponentially split pairs (large negative alpha) to tie in float64
-    tol = 1e-12 * (1.0 + alpha * alpha + 1.0 / d ** 2)
-    if any(eigs[i] > eigs[i + 1] + tol for i in range(len(eigs) - 1)):
-        raise BracketingError(f"symmetric spectrum not increasing: {eigs}")
-    return modes
+    tol = 1e-12 * (1.0 + alphas * alphas + 1.0 / d ** 2)
+    bad = np.any(eigenvalues[:, :-1] > eigenvalues[:, 1:] + tol[:, None], axis=1)
+    return [f"symmetric spectrum not increasing: {row.tolist()}" if b else ""
+            for row, b in zip(eigenvalues, bad)]
+
+
+def symmetric_spectrum(alpha: float, d: float, n_max: int) -> list[TransverseMode]:
+    """Modes 0..n_max of the symmetric problem, increasing eigenvalue.
+
+    The one-alpha case of the table solve (`_symmetric_solve`).
+    """
+    cols = _symmetric_solve([alpha], d, n_max)
+    error = _order_errors([alpha], d, cols[2])[0]
+    if error:
+        raise BracketingError(error)
+    return [TransverseMode(n, branch, k, lam, A, B, (alpha, alpha), d,
+                           "even" if n % 2 == 0 else "odd")
+            for n, (branch, k, lam, A, B)
+            in enumerate(zip(*(c[0].tolist() for c in cols)))]
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +465,24 @@ class PerturbationCoefficients:
     beta: float
 
 
+def _lambda2(alpha, mu, d):
+    """lambda2 elementwise, and the mask of the entries where it is singular."""
+    alpha, mu = np.asarray(alpha, dtype=float), np.asarray(mu, dtype=float)
+    scale = (np.abs(alpha) + 1.0 / d) ** 2
+    origin = (np.abs(alpha) < 1e-9 / d) & (np.abs(mu) < 1e-9 / d ** 2)
+    den1 = alpha * alpha + mu
+    den2 = alpha + d * den1
+    singular = ~origin & ((np.abs(den1) < 1e-12 * scale)
+                          | (np.abs(den2) < 1e-12 * scale * d))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam2 = -mu * (alpha - 2 * d * den1) / (2 * d * d * den1 * den2)
+    return np.where(origin, 1.0 / (4 * d * d), lam2), singular
+
+
+def _singular_message(alpha, mu_n):
+    return f"lambda2 denominator vanishes at alpha={alpha}, mu={mu_n}"
+
+
 def lambda2_coefficient(alpha: float, mu_n: float, d: float) -> float:
     """Second-order eigenvalue coefficient in the (d eta)^2 expansion.
 
@@ -390,15 +492,10 @@ def lambda2_coefficient(alpha: float, mu_n: float, d: float) -> float:
     and equals 1/(4 d^2); it is returned when both arguments vanish to
     tolerance.  Elsewhere a vanishing denominator raises.
     """
-    scale = (abs(alpha) + 1.0 / d) ** 2
-    if abs(alpha) < 1e-9 / d and abs(mu_n) < 1e-9 / d ** 2:
-        return 1.0 / (4 * d * d)
-    den1 = alpha * alpha + mu_n
-    den2 = alpha + d * den1
-    if abs(den1) < 1e-12 * scale or abs(den2) < 1e-12 * scale * d:
-        raise SingularDenominatorError(
-            f"lambda2 denominator vanishes at alpha={alpha}, mu={mu_n}")
-    return -mu_n * (alpha - 2 * d * den1) / (2 * d * d * den1 * den2)
+    lam2, singular = _lambda2(alpha, mu_n, d)
+    if singular:
+        raise SingularDenominatorError(_singular_message(alpha, mu_n))
+    return float(lam2)
 
 
 def beta_coefficient(alpha: float, mu_n: float, d: float) -> float:
@@ -407,9 +504,9 @@ def beta_coefficient(alpha: float, mu_n: float, d: float) -> float:
 
 
 def perturbation_coefficients(alpha: float, d: float, n: int) -> PerturbationCoefficients:
-    mode = _symmetric_mode(alpha, d, n)
-    lam2 = lambda2_coefficient(alpha, mode.eigenvalue, d)
-    return PerturbationCoefficients(n, mode.eigenvalue, lam2, -0.25 + lam2)
+    mu = float(_symmetric_solve([alpha], d, n)[2][0, n])
+    lam2 = lambda2_coefficient(alpha, mu, d)
+    return PerturbationCoefficients(n, mu, lam2, -0.25 + lam2)
 
 
 @dataclass(frozen=True)
@@ -422,35 +519,39 @@ class BetaTableRow:
 
 
 def beta_table(alpha_grid, d: float, n_max: int) -> list[BetaTableRow]:
-    """beta_n(alpha) over a grid; singular points are marked, not fatal."""
+    """beta_n(alpha) over a grid, from one solve of the whole table.
+
+    Singular points of the lambda2 formula are marked, not fatal.  A row
+    whose eigenvalues are not increasing has no values and carries its
+    BracketingError message in every `bad` entry.
+    """
+    grid = list(alpha_grid)
+    mu = _symmetric_solve(grid, d, n_max)[2]
+    lam2, singular = _lambda2(np.asarray(grid, dtype=float)[:, None], mu, d)
     rows = []
-    for alpha in alpha_grid:
-        mus, l2s, bts, bad = [], [], [], []
-        try:
-            modes = symmetric_spectrum(alpha, d, n_max)
-        except BracketingError as exc:
-            rows.append(BetaTableRow(alpha, (), (), (),
-                                     tuple([str(exc)] * (n_max + 1))))
+    for alpha, error, mus, l2s, sing in zip(grid, _order_errors(grid, d, mu),
+                                            mu.tolist(), lam2.tolist(),
+                                            singular.tolist()):
+        if error:
+            rows.append(BetaTableRow(alpha, (), (), (), (error,) * (n_max + 1)))
             continue
-        for m in modes:
-            mus.append(m.eigenvalue)
-            try:
-                l2 = lambda2_coefficient(alpha, m.eigenvalue, d)
-                l2s.append(l2)
-                bts.append(-0.25 + l2)
-                bad.append("")
-            except SingularDenominatorError as exc:
-                l2s.append(None)
-                bts.append(None)
-                bad.append(str(exc))
-        rows.append(BetaTableRow(alpha, tuple(mus), tuple(l2s), tuple(bts), tuple(bad)))
+        l2s = [None if s else l2 for l2, s in zip(l2s, sing)]
+        rows.append(BetaTableRow(
+            alpha, tuple(mus), tuple(l2s),
+            tuple(None if l2 is None else -0.25 + l2 for l2 in l2s),
+            tuple(_singular_message(alpha, m) if s else ""
+                  for m, s in zip(mus, sing))))
     return rows
 
 
 def mu_table(alpha_grid, d: float, n_max: int):
-    """Eigenvalue curves mu_n(alpha); the data behind the spectrum plot."""
-    out = []
-    for alpha in alpha_grid:
-        modes = symmetric_spectrum(alpha, d, n_max)
-        out.append((alpha, tuple(m.eigenvalue for m in modes)))
-    return out
+    """Eigenvalue curves mu_n(alpha): the mu column of `beta_table`.
+
+    Raises the BracketingError of the first row whose eigenvalues are not
+    increasing.  No library code calls it; bench/spans.py traces it by name.
+    """
+    rows = beta_table(alpha_grid, d, n_max)
+    for row in rows:
+        if not row.mu:
+            raise BracketingError(row.bad[0])
+    return [(row.alpha, row.mu) for row in rows]

@@ -4,7 +4,7 @@ from scipy.optimize import brentq
 
 from robinwg.effective_1d import (Grid1D, VertexData, build_h_n_eps,
                                   bump_probe, convergence_study,
-                                  extract_vertex_data, probe_set,
+                                  extract_vertex_data,
                                   resolvent_solve, vertex_condition_residuals)
 from robinwg.errors import GridResolutionError, RobinwgError
 from robinwg.geometry import (RECTANGULAR, SMOOTH_BUMP, CurvatureProfile,
@@ -131,15 +131,6 @@ def test_grid_requires_even_cells():
         Grid1D(8.0, 1001)
 
 
-def test_probe_set_is_deterministic():
-    s = np.linspace(-16, 16, 1001)
-    a = [p(s) for p in probe_set()]
-    b = [p(s) for p in probe_set()]
-    assert len(a) == 10
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
-
-
 def test_convergence_study_generic():
     report = convergence_study(default_bump(), 3.0, 0.0, 1j,
                                bump_probe(-4.0, 1.5), [0.4, 0.2, 0.1],
@@ -223,7 +214,8 @@ def test_convergence_study_solves_each_probe_once_per_eps(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(effective_1d, "resolvent_solve", counted)
-    probes = probe_set()[:3]
+    probes = [bump_probe(-4.0, 1.5), bump_probe(-4.0, 0.8),
+              bump_probe(-2.75, 1.5)]
     eps_list = [0.4, 0.2]
     report = convergence_study(default_bump(), BUMP_BETA_STAR, 0.0, 1j,
                                probes, eps_list, h_target=4e-3)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from robinwg.effective_1d import bump_probe
 from robinwg.errors import BranchError, RobinwgError
 from robinwg.graph_limit import (GraphOperatorSpec, green_function,
                                  resolvent_apply, scattering_matrix,
@@ -371,3 +372,40 @@ def test_resolvent_apply_output_independent_of_cache(monkeypatch):
     assert not np.array_equal(moved, ref)
     monkeypatch.setattr(graph_limit, "_last_grid", None)
     assert np.array_equal(moved, resolvent_apply(spec, 1j, s, f))
+
+
+def _green_quadrature(spec, z, s_eval, s, f):
+    """Trapezoid rule for int G(z; s_eval, s') f(s') ds', split at the vertex.
+
+    G jumps across s' = 0 for c_- != c_+, so each half line takes its own
+    one-sided value at the vertex node (s' = -1e-300 is on the left).
+    """
+    i0 = len(s) // 2
+    left = s[:i0 + 1].copy()
+    left[-1] = -1e-300
+    return (np.trapezoid(green_function(spec, z, s_eval, left) * f[:i0 + 1], left)
+            + np.trapezoid(green_function(spec, z, s_eval, s[i0:]) * f[i0:], s[i0:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["decoupled", "free", "scale_invariant", "deformed"]),
+       st.floats(0.0, 2 * np.pi), st.floats(-5.0, 5.0),
+       st.floats(0.1, 10.0), st.floats(0.01, 2 * np.pi - 0.01),
+       st.floats(-4.0, 4.0), st.floats(0.5, 2.0))
+def test_resolvent_apply_is_quadrature_of_green_function(kind, theta, b_hat, r, phi,
+                                                         center, half_width):
+    c = (np.cos(theta), np.sin(theta))
+    spec = {"decoupled": GraphOperatorSpec.decoupled,
+            "free": GraphOperatorSpec.free,
+            "scale_invariant": lambda: GraphOperatorSpec.scale_invariant(*c),
+            "deformed": lambda: GraphOperatorSpec.deformed(*c, b_hat)}[kind]()
+    z = r * np.exp(1j * phi)                      # off [0, inf)
+    if kind == "deformed":                        # away from the bound state
+        assume(abs(1j * sqrt_upper(z) - b_hat) > 0.1)
+    s = np.linspace(-7.0, 7.0, 4001)
+    f = bump_probe(center, half_width)(s)
+    out = resolvent_apply(spec, z, s, f)
+    # both sides are O(h^2) quadratures of the same integral (h = 3.5e-3)
+    idx = [i for i in range(150, len(s), 397) if i != len(s) // 2]
+    ref = np.array([_green_quadrature(spec, z, s[i], s, f) for i in idx])
+    assert np.max(np.abs(out[idx] - ref)) < 2e-4 * np.max(np.abs(out))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robinwg.errors import RobinwgError
@@ -289,3 +289,52 @@ def test_node_count_steps_by_one_across_root(amp):
                              [root * (1 - 1e-6), root * (1 + 1e-6)])
     assert d[0] * d[1] < 0
     assert nodes[1] == nodes[0] + 1
+
+
+def two_step_well(a, b, L1):
+    """v = -a^2 on [0, L1], -b^2 on [L1, L1 + L2], L2 tuned to a resonance.
+
+    With f = cos(a s) on the first step, f'(L1 + L2) = 0 on the second iff
+    tan(b L2) = f'(L1) / (b f(L1)).
+    """
+    L2 = np.arctan2(-a * np.sin(a * L1), b * np.cos(a * L1)) % np.pi / b
+    return L2, lambda s: np.where(np.asarray(s) < L1, -a * a, -b * b)
+
+
+WELL = (st.floats(0.5, 3.0), st.floats(0.5, 3.0), st.floats(0.2, 2.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(*WELL, st.floats(0.05, 3.0), st.sampled_from([1.0, 1.05]))
+def test_detect_resonance_invariant_under_scaling(a, b, L1, eps, detune):
+    # v -> eps^-2 v(./eps) keeps the verdict and (c-, c+); the mismatch and
+    # b_hat/b carry one factor 1/eps
+    L2, v = two_step_well(a, b, L1)
+    assume(L2 > 0.05)
+    pot = Potential1D.from_callable(v, (0.0, L1 + detune * L2), knots=(L1,))
+    ref, res = detect_resonance(pot), detect_resonance(pot.scaled(eps))
+    assert res.resonant == ref.resonant == (detune == 1.0)
+    assert abs(res.mismatch * eps - ref.mismatch) < 1e-9 * max(1.0, abs(ref.mismatch))
+    if ref.resonant:
+        assert abs(res.c_minus - ref.c_minus) < 1e-9
+        assert abs(res.c_plus - ref.c_plus) < 1e-9
+        assert abs(res.b_hat_per_b * eps - ref.b_hat_per_b) < 1e-8 * max(
+            1.0, abs(ref.b_hat_per_b))
+
+
+@settings(max_examples=30, deadline=None)
+@given(*WELL)
+def test_detect_resonance_reflection_swaps_constants(a, b, L1):
+    L2, v = two_step_well(a, b, L1)
+    assume(L2 > 0.05)
+    pot = Potential1D.from_callable(v, (0.0, L1 + L2), knots=(L1,))
+    mirror = Potential1D.from_callable(lambda s: v(-np.asarray(s)),
+                                       (-(L1 + L2), 0.0), knots=(-L1,))
+    res, res_m = detect_resonance(pot), detect_resonance(mirror)
+    assert res.resonant and res_m.resonant
+    # (c-, c+) swaps up to the overall sign fixed by left-normalisation
+    assert abs(abs(res_m.c_minus) - abs(res.c_plus)) < 1e-9
+    assert abs(abs(res_m.c_plus) - abs(res.c_minus)) < 1e-9
+    assert abs(res_m.c_minus * res_m.c_plus - res.c_minus * res.c_plus) < 1e-9
+    assert abs(res_m.b_hat_per_b - res.b_hat_per_b) < 1e-8 * max(
+        1.0, abs(res.b_hat_per_b))

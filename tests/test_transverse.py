@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh
+from scipy.optimize import brentq
 
-from robinwg.errors import NearSpectrumError, SingularDenominatorError
-from robinwg.transverse import (IMAGINARY, ZERO, asymmetric_spectrum,
-                                beta_coefficient, beta_table,
-                                lambda2_coefficient, mu_table,
+from robinwg import transverse
+from robinwg.cli import main
+from robinwg.errors import (BracketingError, NearSpectrumError,
+                            SingularDenominatorError)
+from robinwg.transverse import (IMAGINARY, REAL, ZERO, _BRENT_KW,
+                                _brent_lanes, _symmetric_solve,
+                                asymmetric_spectrum, beta_coefficient,
+                                beta_table, lambda2_coefficient,
                                 perturbation_coefficients, resolvent_kernel,
                                 symmetric_spectrum)
 
@@ -154,8 +161,7 @@ def test_eigenvalue_count_matches_finite_differences():
 
 def test_mu_curves_monotone_in_alpha():
     grid = np.linspace(-5, 5, 81)
-    rows = mu_table(grid, D, 3)
-    mus = np.array([r[1] for r in rows])
+    mus = np.array([row.mu for row in beta_table(grid, D, 3)])
     assert np.all(np.diff(mus, axis=0) > 0)
 
 
@@ -347,3 +353,165 @@ def test_symmetric_spectrum_input_validation():
 def test_beta_coefficient_matches_definition():
     pc = perturbation_coefficients(1.3, D, 2)
     assert abs(beta_coefficient(1.3, pc.mu, D) - pc.beta) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# lane-wise Brent solve against scalar brentq
+# ---------------------------------------------------------------------------
+
+def scalar_wavenumber(ad, d, n):
+    """Mode n by one scalar brentq call on its parity bracket (the oracle)."""
+    j = n // 2
+    if n % 2 == 0:
+        eq = lambda x: x * np.sin(x) - ad * np.cos(x)
+        if j > 0 or ad > 0:
+            lo = 1e-300 if j == 0 else (2 * j - 1) * np.pi / 2 + 1e-13
+            return REAL, brentq(eq, lo, (2 * j + 1) * np.pi / 2 - 1e-13,
+                                **_BRENT_KW) / d
+        if ad == 0:
+            return ZERO, 0.0
+        g, lo = (lambda y: y * np.tanh(y) + ad), 1e-300
+    else:
+        eq = lambda x: x * np.cos(x) + ad * np.sin(x)
+        if j > 0 or ad > -1.0:
+            lo = 1e-300 if j == 0 else j * np.pi + 1e-13
+            return REAL, brentq(eq, lo, (j + 1) * np.pi - 1e-13,
+                                **_BRENT_KW) / d
+        if ad == -1.0:
+            return ZERO, 0.0
+        g, lo = (lambda y: y / np.tanh(y) + ad), 1e-12
+    hi = max(1.0, -2 * ad)
+    while g(hi) < 0:
+        hi *= 2
+    return IMAGINARY, brentq(g, lo, hi, **_BRENT_KW) / d
+
+
+# alpha d on [-50, 50], with the exact zero modes and their neighbours
+AD = st.one_of(st.floats(-50.0, 50.0),
+               st.sampled_from([0.0, -1.0, np.nextafter(0.0, 1.0),
+                                np.nextafter(-1.0, 0.0), np.nextafter(-1.0, -2.0),
+                                -0.5, -1.5]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(AD, min_size=1, max_size=6), st.integers(0, 12),
+       st.sampled_from([1.0, 0.5, 2.0]))
+def test_lane_solve_is_scalar_brentq_bit_for_bit(ads, n_max, d):
+    alphas = [ad / d for ad in ads]
+    branch, k, lam, _, _ = _symmetric_solve(alphas, d, n_max)
+    for i, alpha in enumerate(alphas):
+        for n in range(n_max + 1):
+            want_branch, want_k = scalar_wavenumber(alpha * d, d, n)
+            assert branch[i, n] == want_branch
+            assert k[i, n] == want_k, (alpha, n)
+            sign = -1.0 if want_branch == IMAGINARY else 1.0
+            assert lam[i, n] == sign * want_k * want_k
+
+
+def test_spectrum_table_is_scalar_brentq_bit_for_bit():
+    # the benchmark's table: 2001 alphas on [-10, 10], modes 0..7; a single
+    # rounding change in a Brent step shows up in a handful of its roots
+    grid = np.linspace(-10.0, 10.0, 2001)
+    k = _symmetric_solve(grid, D, 7)[1]
+    want = [[scalar_wavenumber(alpha, D, n)[1] for n in range(8)] for alpha in grid]
+    assert np.array_equal(k, want)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+# (q, r, t, c, u, v, gap): f = tanh(q (x - r)) - t + c x^3 on [r - u, r + v],
+# NaN left of r - gap through a square root; some brackets miss the root
+LANE = st.tuples(st.floats(0.1, 30.0), st.floats(-3.0, 3.0), st.floats(-0.9, 0.9),
+                 st.floats(-0.05, 0.05), st.floats(0.0, 3.0), st.floats(0.0, 3.0),
+                 st.floats(0.5, 20.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LANE, min_size=1, max_size=5), st.sampled_from([200, 12]))
+def test_brent_lanes_matches_brentq_and_raises_where_it_raises(lanes, maxiter):
+    q, r, t, c, u, v, gap = map(np.array, zip(*lanes))
+    a, b = r - u, r + v
+
+    def f(x, i):
+        with np.errstate(invalid="ignore"):
+            return (np.tanh(q[i] * (x - r[i])) - t[i] + c[i] * x ** 3
+                    + 0.0 * np.sqrt(x - r[i] + gap[i]))
+
+    kw = dict(_BRENT_KW, maxiter=maxiter)
+    want = [_outcome(lambda i=i: brentq(lambda x: float(f(np.array([x]), [i])[0]),
+                                        a[i], b[i], **kw))
+            for i in range(len(lanes))]
+    got = _outcome(lambda: _brent_lanes(f, a, b, **kw))
+    failures = {w for w in want if isinstance(w, type)}
+    if failures:
+        assert got in failures
+    else:
+        assert np.array_equal(got, np.array(want))
+
+
+def test_brent_lanes_errors_name_brentq_messages():
+    f = lambda x, i: x - np.array([0.5, 2.0])[i]
+    with pytest.raises(ValueError, match="f\\(a\\) and f\\(b\\) must have "
+                                         "different signs"):
+        _brent_lanes(f, [0.0, 0.0], [1.0, 1.0], **_BRENT_KW)
+    g = lambda x, i: np.where(x > 0.7, np.nan, x - 0.5)
+    with pytest.raises(ValueError, match="is NaN; solver cannot continue"):
+        _brent_lanes(g, [0.0], [1.0], **_BRENT_KW)
+    with pytest.raises(ValueError, match="is NaN"):
+        brentq(lambda x: float(g(np.array([x]), 0)[0]), 0.0, 1.0, **_BRENT_KW)
+    # an exact zero at a bracket end is returned as is, like brentq does
+    assert np.array_equal(_brent_lanes(f, [0.5, 2.0], [1.0, 3.0], **_BRENT_KW),
+                          [0.5, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# behaviour the one-pass table keeps
+# ---------------------------------------------------------------------------
+
+def test_table_marks_lambda2_pole_at_alpha_d_minus_one(tmp_path):
+    # at alpha d = -1 the odd ground mode is the zero mode and
+    # alpha + d (alpha^2 + mu_1) vanishes: that entry is bad, the rest fine
+    row = beta_table([-1.0], D, 3)[0]
+    assert row.mu[1] == 0.0
+    assert row.lambda2[1] is None and row.beta[1] is None
+    assert row.bad[1].startswith("lambda2 denominator vanishes at alpha=-1.0")
+    assert [bool(b) for b in row.bad] == [False, True, False, False]
+    # the CLI counts it against bad_point_quota and writes it as nan
+    cfg = tmp_path / "spectrum.cfg"
+    grid = "alpha_min = -3\nalpha_max = 1\nalpha_count = 5\n"
+    cfg.write_text(grid + "bad_point_quota = 0\n")
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 1
+    cfg.write_text(grid + "bad_point_quota = 1\n")
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    lines = (tmp_path / "b" / "beta_table.csv").read_text().splitlines()
+    assert "-1.0,1,0.0,nan,nan" in lines
+
+
+def test_decreasing_row_still_fails_spectrum(tmp_path, monkeypatch, capsys):
+    solve = transverse._symmetric_solve
+
+    def swapped(alphas, d, n_max):
+        cols = solve(alphas, d, n_max)
+        cols[2][1, [1, 2]] = cols[2][1, [2, 1]]   # second row out of order
+        return cols
+
+    monkeypatch.setattr(transverse, "_symmetric_solve", swapped)
+    rows = beta_table([0.5, 1.0, 1.5], D, 3)
+    assert rows[0].mu and rows[2].mu
+    assert rows[1].mu == () and rows[1].lambda2 == () and rows[1].beta == ()
+    assert all(b.startswith("symmetric spectrum not increasing: [")
+               for b in rows[1].bad)
+    with pytest.raises(BracketingError):
+        transverse.mu_table([0.5, 1.0, 1.5], D, 3)
+    cfg = tmp_path / "spectrum.cfg"
+    cfg.write_text("alpha_min = 0.5\nalpha_max = 1.5\nalpha_count = 3\n")
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {rows[1].bad[0]}\n"
+    assert not (out / "mu_table.csv").exists()
+    assert not (out / "beta_table.csv").exists()
