@@ -81,6 +81,10 @@ def cmd_spectrum(cfg_raw, out, fmt, seed):
     cfg = validate(cfg_raw, SPECTRUM_SCHEMA)
     grid = alpha_grid(cfg)
     d, n_max = cfg["d"], cfg["n_max"]
+    if not d > 0:
+        raise ConfigError(f"d must be positive, got {d!r}")
+    if n_max < 0:
+        raise ConfigError(f"n_max must be >= 0, got {n_max}")
     mu_rows, beta_rows, bad = [], [], 0
     for row in beta_table(grid, d, n_max):
         if not row.mu:

@@ -15,8 +15,7 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import GridResolutionError, RobinwgError
 from .geometry import CurvatureProfile
-from .graph_limit import (DECOUPLED, GraphOperatorSpec, resolvent_apply,
-                          sqrt_upper)
+from .graph_limit import DECOUPLED, GraphOperatorSpec, sqrt_upper
 from .report import (ConvergenceReport, extrapolate_linear, predicted_limit,
                      run_study)
 
@@ -100,14 +99,17 @@ def build_h_n_eps(profile: CurvatureProfile, beta: float, eps: float,
 def resolvent_solve(op: Discrete1DOperator, z, f_samples) -> np.ndarray:
     """(H - z)^{-1} f by a banded LU solve with partial pivoting.
 
-    f is sampled on the full node set; the output carries zeros at the
-    Dirichlet caps.  The residual is verified to 1e-12 relative.
+    f is sampled on the full node set, one probe or a (probes, nodes)
+    block whose rows share one `solve_banded` call (LAPACK gtsv: each row
+    comes out bit for bit as its own solve would); the output has f's shape
+    and carries zeros at the Dirichlet caps.  Every row's residual is
+    verified to 1e-12 relative.
     """
     if complex(z).imag == 0:
         raise RobinwgError("resolvent_solve needs Im z != 0")
     f = np.asarray(f_samples)
     s = op.grid.points
-    if f.shape != s.shape:
+    if f.shape[-1:] != s.shape or f.ndim > 2:
         raise RobinwgError("f must be sampled on the full grid")
     h = op.grid.h
     n = len(s) - 2
@@ -115,16 +117,19 @@ def resolvent_solve(op: Discrete1DOperator, z, f_samples) -> np.ndarray:
     ab[0, 1:] = -1.0 / h ** 2
     ab[1, :] = 2.0 / h ** 2 + op.potential[1:-1] - z
     ab[2, :-1] = -1.0 / h ** 2
-    g = np.zeros(len(s), dtype=complex)
-    g[1:-1] = solve_banded((1, 1), ab, f[1:-1].astype(complex))
-    resid = op.apply(g)[1:-1] - z * g[1:-1] - f[1:-1]
-    rel = np.linalg.norm(resid) / max(np.linalg.norm(f[1:-1]), 1e-300)
+    g = np.zeros(f.shape, dtype=complex)
+    g[..., 1:-1] = solve_banded((1, 1), ab, f[..., 1:-1].astype(complex).T,
+                                overwrite_ab=True, overwrite_b=True).T
     # backward-stable solve: the attainable residual scales with eps*||A||
     a_scale = 4.0 / h ** 2 + np.max(np.abs(op.potential)) + abs(z)
-    floor = 50 * np.finfo(float).eps * a_scale * (
-        np.linalg.norm(g[1:-1]) / max(np.linalg.norm(f[1:-1]), 1e-300))
-    if rel > max(1e-12, floor):
-        raise RobinwgError(f"banded solve residual {rel:.3g} above target")
+    for fr, gr in zip(np.atleast_2d(f), np.atleast_2d(g)):
+        resid = op.apply(gr)[1:-1] - z * gr[1:-1] - fr[1:-1]
+        f_norm = max(np.linalg.norm(fr[1:-1]), 1e-300)
+        rel = np.linalg.norm(resid) / f_norm
+        floor = 50 * np.finfo(float).eps * a_scale * (
+            np.linalg.norm(gr[1:-1]) / f_norm)
+        if rel > max(1e-12, floor):
+            raise RobinwgError(f"banded solve residual {rel:.3g} above target")
     return g
 
 
@@ -206,8 +211,9 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
 
     The 1D backend of `report.run_study`: f may be a callable or a list of
     callables (the error is then the max over the probe set, a sampled
-    stand-in for the operator norm); the transmission is measured against
-    the continuum free resolvent.  For a limit that couples the edges the
+    stand-in for the operator norm), and all probes of one eps share one
+    banded solve; the transmission is measured against the continuum free
+    resolvent.  For a limit that couples the edges the
     first probe's vertex data are fitted at every eps and the gluing
     conditions tested on them and on their eps -> 0 extrapolation.  The
     discretisation estimate re-solves the first probe on a grid with h
@@ -223,7 +229,7 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
         grid.check_truncation(z)
         op = build_h_n_eps(profile, beta, eps, b, grid)
         last.update(eps=eps, grid=grid)
-        return grid.points, lambda fs: (resolvent_solve(op, z, fs), None)
+        return grid.points, lambda F: (resolvent_solve(op, z, F), None)
 
     def vertex_data(eps, s, fs, nf, g, info):
         if predicted.kind != DECOUPLED:
@@ -235,10 +241,9 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
         gf = resolvent_solve(op, z, probe(fine.points))
         return float(np.max(np.abs(gf[::2] - g)))
 
-    free = GraphOperatorSpec.free()
     report = run_study(predicted, alt, z, f, eps_list, solver, error_threshold,
-                       lambda s, fs: resolvent_apply(free, z, s, fs),
-                       on_first=vertex_data, floor_estimate=floor_estimate)
+                       GraphOperatorSpec.free(), on_first=vertex_data,
+                       floor_estimate=floor_estimate)
     report.vertex_residuals = [vertex_condition_residuals(predicted, vd)
                                for vd in vdata]
     if len(vdata) >= 3:

@@ -196,13 +196,17 @@ def _grid_phases(w, s):
     return entry[1]
 
 
-def resolvent_apply(spec: GraphOperatorSpec, z, s_grid, f_samples):
+def resolvent_apply(spec, z, s_grid, f_samples):
     """(h_spec - z)^{-1} f on a uniform grid containing 0.
 
     Quadrature of the Green's function against the piecewise-linear
     interpolant of f, evaluated exactly: the one-sided exponential moments
     are accumulated by an O(N) recursion, so the only error is the linear
     interpolation of f (O(h^2)) and the grid truncation of its support.
+    `spec` may be a sequence of GraphOperatorSpec: the free part and the
+    moments (A_0, B_0) at the vertex are then computed once and each
+    operator adds its own vertex images to a copy, giving a list of outputs
+    equal bit for bit to separate calls.
     """
     s = np.asarray(s_grid, dtype=float)
     f = np.asarray(f_samples)
@@ -210,7 +214,8 @@ def resolvent_apply(spec: GraphOperatorSpec, z, s_grid, f_samples):
         raise RobinwgError("grid/sample shape mismatch")
     w = sqrt_upper(z)
     h, i0, ph_m, ph_p = _grid_phases(w, s)
-    rho_l, rho_r, tau = _amplitudes(spec, w)
+    specs = [spec] if isinstance(spec, GraphOperatorSpec) else list(spec)
+    amplitudes = [_amplitudes(sp, w) for sp in specs]
 
     iwh = 1j * w * h
     ep = np.exp(iwh)
@@ -228,12 +233,18 @@ def resolvent_apply(spec: GraphOperatorSpec, z, s_grid, f_samples):
     B = np.concatenate([[0.0], np.cumsum(cell_b)])
     B = B[-1] - B
     pref = 1j / (2 * w)
-    out = pref * (ph_p * A + ph_m * B)
+    free = pref * (ph_p * A + ph_m * B)
 
     # vertex images, e^{iw|s|} = e^{-iws} left and e^{iws} right of the
     # vertex; (tau - 1) removes the free cross-side part
     A0, B0 = A[i0], B[i0]
     left = s < 0
-    out[left] += pref * ph_m[left] * (rho_l * A0 + (tau - 1.0) * B0)
-    out[~left] += pref * ph_p[~left] * (rho_r * B0 + (tau - 1.0) * A0)
-    return out
+    right = ~left
+    img_l, img_r = pref * ph_m[left], pref * ph_p[right]
+    outs = []
+    for k, (rho_l, rho_r, tau) in enumerate(amplitudes):
+        out = free if k == len(amplitudes) - 1 else free.copy()
+        out[left] += img_l * (rho_l * A0 + (tau - 1.0) * B0)
+        out[right] += img_r * (rho_r * B0 + (tau - 1.0) * A0)
+        outs.append(out)
+    return outs[0] if isinstance(spec, GraphOperatorSpec) else outs

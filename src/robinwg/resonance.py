@@ -10,7 +10,7 @@ and the deformation coupling per unit b is the integral of v f_r^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -30,13 +30,16 @@ class Potential1D:
     """Compactly supported potential v on `support`, zero outside it.
 
     `knots` are interior points where v is only piecewise smooth; the
-    zero-energy integration restarts there.
+    zero-energy integration restarts there.  `_at`, set by `from_profile`,
+    is v at one point on the scalar gamma^2 path, equal bit for bit to
+    `func` there.
     """
 
     func: Callable
     support: tuple[float, float]
     label: str = ""
     knots: tuple = ()
+    _at: Callable | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_callable(cls, func, support, label="", knots=()):
@@ -49,9 +52,11 @@ class Potential1D:
     def from_profile(cls, profile: CurvatureProfile, beta: float) -> "Potential1D":
         """v = beta * gamma^2, the effective longitudinal potential."""
         fn = lambda s: beta * profile.sample(s) ** 2
-        return cls.from_callable(fn, profile.support,
-                                 label=f"beta*gamma^2, beta={beta!r}",
-                                 knots=profile.knots)
+        sq = profile.squared_at
+        return replace(cls.from_callable(fn, profile.support,
+                                         label=f"beta*gamma^2, beta={beta!r}",
+                                         knots=profile.knots),
+                       _at=lambda s: beta * sq(s))
 
     @classmethod
     def zero(cls, support=(-1.0, 1.0)) -> "Potential1D":
@@ -162,14 +167,17 @@ def zero_energy_solve(v: Potential1D, n_trace: int = 801,
     DOP853 with local tolerance 1e-12 (relaxable for coarse scans),
     restarted at the knots of v; the quadrature of v f^2 rides along as an
     extra state so it inherits the stepper's accuracy.  Bounded on both
-    sides iff the mismatch vanishes.
+    sides iff the mismatch vanishes.  A `from_profile` potential is
+    evaluated on its scalar gamma^2 path, any other through `func` on
+    one-element arrays.
     """
     lo, hi = v.support
     need_trace = n_trace > 2
-    func = v.func
-    end, pieces = _integrate(
-        lambda s: float(func(np.asarray([s]))[0]) if lo <= s <= hi else 0.0,
-        v.support, v.knots, rtol=rtol, dense=need_trace)
+    v_at, func = v._at, v.func
+    if v_at is None:
+        v_at = lambda s: float(func(np.asarray([s]))[0]) if lo <= s <= hi else 0.0
+    end, pieces = _integrate(v_at, v.support, v.knots, rtol=rtol,
+                             dense=need_trace)
     f_right, mismatch, integral = end[:, 0]
     if need_trace:
         grid = np.linspace(lo, hi, n_trace)

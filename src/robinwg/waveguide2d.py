@@ -397,7 +397,8 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
     The 2D backend of `report.run_study`: for each eps the geometry is
     rebuilt with the same delta/eps ratio and b, the operator assembled and
     r_{n,n} compared with the limit predicted by the resonance analysis of
-    beta_n gamma^2; the transmission is measured against the discrete free
+    beta_n gamma^2, one `reduced_resolvent` (GMRES) solve per row of the
+    probe block; the transmission is measured against the discrete free
     line resolvent on the same s grid.  Off-diagonal norms ||r_{m,n} f|| of
     the first probe are recorded for every other m <= n_max, and its 2D
     field at the last eps rides on the report as `probe_field`.
@@ -432,7 +433,15 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
         op = build_waveguide(geo, variant, n_max, grid)
         proj = ModeProjector(geo, grid, n_max)
         last.update(u=grid.u_points, proj=proj)
-        return grid.s_interior, lambda fs: reduced_resolvent(op, proj, n, n, z, fs)
+
+        def solve(F):
+            # only the first row's info (and 2D field) is kept
+            G = np.empty(F.shape, dtype=complex)
+            G[0], info = reduced_resolvent(op, proj, n, n, z, F[0])
+            for i in range(1, len(F)):
+                G[i] = reduced_resolvent(op, proj, n, n, z, F[i])[0]
+            return G, info
+        return grid.s_interior, solve
 
     def offdiagonal_norms(eps, s, fs, nf, g, info):
         # the 2D field from the same solve projects onto every m

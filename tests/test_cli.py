@@ -44,6 +44,15 @@ def test_spectrum_empty_grid_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("cfg", ["d = -1.0\n", "d = 0\n", "n_max = -1\n"],
+                         ids=["negative_d", "zero_d", "negative_n_max"])
+def test_spectrum_bad_geometry_is_config_error(tmp_path, capsys, cfg):
+    code, out = run(tmp_path, "spectrum", "alpha_count = 5\n" + cfg)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not list(out.glob("*"))
+
+
 def test_unknown_key_rejected(tmp_path):
     code, _ = run(tmp_path, "spectrum", "alpha_countt = 5\n")
     assert code == 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from robinwg.effective_1d import (Grid1D, VertexData, build_h_n_eps,
@@ -209,9 +211,9 @@ def test_convergence_study_solves_each_probe_once_per_eps(monkeypatch):
     calls = []
     solve = effective_1d.resolvent_solve
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counted(op, z, f):
+        calls.append(np.shape(f))
+        return solve(op, z, f)
 
     monkeypatch.setattr(effective_1d, "resolvent_solve", counted)
     probes = [bump_probe(-4.0, 1.5), bump_probe(-4.0, 0.8),
@@ -219,6 +221,44 @@ def test_convergence_study_solves_each_probe_once_per_eps(monkeypatch):
     eps_list = [0.4, 0.2]
     report = convergence_study(default_bump(), BUMP_BETA_STAR, 0.0, 1j,
                                probes, eps_list, h_target=4e-3)
-    # one solve per probe and eps, plus the refined-grid control solve
-    assert len(calls) == len(probes) * len(eps_list) + 1
+    # one block solve per eps, plus the refined-grid control solve
+    assert len(calls) == len(eps_list) + 1
+    assert [c[0] for c in calls[:-1]] == [len(probes)] * len(eps_list)
+    assert len(calls[-1]) == 1
     assert report.transmission and report.vertex_residuals
+
+
+BLOCK_GRID = Grid1D(12.0, 2400)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.floats(-8.0, 8.0), st.floats(0.3, 2.0)),
+                min_size=1, max_size=6),
+       st.sampled_from([1j, 0.7 + 1.3j, -2.0 + 0.1j]))
+def test_block_resolvent_solve_equals_row_solves(probes, z):
+    op = build_h_n_eps(default_bump(), -3.0, 0.5, 0.0, BLOCK_GRID)
+    s = BLOCK_GRID.points
+    F = np.array([bump_probe(c, w)(s) for c, w in probes])
+    G = resolvent_solve(op, z, F)
+    assert G.shape == F.shape
+    for f, g in zip(F, G):
+        assert np.array_equal(g, resolvent_solve(op, z, f))
+
+
+@pytest.mark.parametrize("bad", range(4))
+def test_block_residual_gate_fires_for_one_bad_row(monkeypatch, bad):
+    from robinwg import effective_1d
+    banded = effective_1d.solve_banded
+
+    def perturbed(*args, **kwargs):
+        x = banded(*args, **kwargs)
+        x[len(x) // 2, bad] *= 1 + 1e-6
+        return x
+
+    op = build_h_n_eps(default_bump(), -3.0, 0.5, 0.0, BLOCK_GRID)
+    s = BLOCK_GRID.points
+    F = np.array([bump_probe(c, 1.0)(s) for c in (-4.0, -1.0, 0.0, 3.0)])
+    resolvent_solve(op, 1j, F)
+    monkeypatch.setattr(effective_1d, "solve_banded", perturbed)
+    with pytest.raises(RobinwgError, match="banded solve residual"):
+        resolvent_solve(op, 1j, F)

@@ -409,3 +409,25 @@ def test_resolvent_apply_is_quadrature_of_green_function(kind, theta, b_hat, r, 
     idx = [i for i in range(150, len(s), 397) if i != len(s) // 2]
     ref = np.array([_green_quadrature(spec, z, s[i], s, f) for i in idx])
     assert np.max(np.abs(out[idx] - ref)) < 2e-4 * np.max(np.abs(out))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(0.0, 2 * np.pi), st.floats(-5.0, 5.0), st.floats(0.1, 10.0),
+       st.floats(0.01, 2 * np.pi - 0.01), st.floats(-4.0, 4.0),
+       st.permutations(range(4)))
+def test_shared_moment_pass_equals_separate_calls(theta, b_hat, r, phi, center,
+                                                  order):
+    c = (np.cos(theta), np.sin(theta))
+    z = r * np.exp(1j * phi)
+    assume(abs(1j * sqrt_upper(z) - b_hat) > 0.1)
+    kinds = [GraphOperatorSpec.decoupled(), GraphOperatorSpec.free(),
+             GraphOperatorSpec.scale_invariant(*c),
+             GraphOperatorSpec.deformed(*c, b_hat)]
+    specs = [kinds[i] for i in order]
+    s = np.linspace(-7.0, 7.0, 1401)
+    f = bump_probe(center, 1.2)(s) + 0.5j * bump_probe(-center, 0.8)(s)
+    outs = resolvent_apply(specs, z, s, f)
+    assert len(outs) == len(specs)
+    for spec, out in zip(specs, outs):
+        assert np.array_equal(out, resolvent_apply(spec, z, s, f))
+    assert resolvent_apply((), z, s, f) == []

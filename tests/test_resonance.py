@@ -338,3 +338,22 @@ def test_detect_resonance_reflection_swaps_constants(a, b, L1):
     assert abs(res_m.c_minus * res_m.c_plus - res.c_minus * res.c_plus) < 1e-9
     assert abs(res_m.b_hat_per_b - res.b_hat_per_b) < 1e-8 * max(
         1.0, abs(res.b_hat_per_b))
+
+
+@pytest.mark.parametrize("profile, beta", [
+    (default_bump(), BUMP_BETA_STAR),
+    (default_bump(), -3.0),
+    (SQUARE, -np.pi ** 2),
+    (seeded_bell(3), -7.0),
+], ids=["bump_resonant", "bump_detuned", "rectangular_well", "tabulated_bell"])
+def test_profile_potential_scalar_path_equals_general_path(profile, beta):
+    fast = Potential1D.from_profile(profile, beta)
+    general = Potential1D.from_callable(fast.func, fast.support,
+                                        knots=fast.knots)
+    a, b = zero_energy_solve(fast), zero_energy_solve(general)
+    for name in ("mismatch", "f_right", "sup_f", "integral_v_f2"):
+        assert getattr(a, name) == getattr(b, name)
+    for name in ("s", "f", "fprime"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    # the scaled potential carries no scalar path and keeps the general one
+    assert fast.scaled(0.5)._at is None
