@@ -15,7 +15,8 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import GridResolutionError, RobinwgError
 from .geometry import CurvatureProfile
-from .graph_limit import DECOUPLED, GraphOperatorSpec, sqrt_upper
+from .graph_limit import (DECOUPLED, GraphOperatorSpec, resolvent_apply,
+                          sqrt_upper)
 from .report import (ConvergenceReport, extrapolate_linear, predicted_limit,
                      run_study)
 
@@ -213,8 +214,8 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
     callables (the error is then the max over the probe set, a sampled
     stand-in for the operator norm), and all probes of one eps share one
     banded solve; the transmission is measured against the continuum free
-    resolvent.  For a limit that couples the edges the
-    first probe's vertex data are fitted at every eps and the gluing
+    resolvent.  For a limit that couples the edges the first probe's
+    vertex data are fitted at every eps and the gluing
     conditions tested on them and on their eps -> 0 extrapolation.  The
     discretisation estimate re-solves the first probe on a grid with h
     halved at the smallest eps.
@@ -241,9 +242,10 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
         gf = resolvent_solve(op, z, probe(fine.points))
         return float(np.max(np.abs(gf[::2] - g)))
 
+    free = GraphOperatorSpec.free()
     report = run_study(predicted, alt, z, f, eps_list, solver, error_threshold,
-                       GraphOperatorSpec.free(), on_first=vertex_data,
-                       floor_estimate=floor_estimate)
+                       lambda s, fs: resolvent_apply(free, z, s, fs),
+                       on_first=vertex_data, floor_estimate=floor_estimate)
     report.vertex_residuals = [vertex_condition_residuals(predicted, vd)
                                for vd in vdata]
     if len(vdata) >= 3:

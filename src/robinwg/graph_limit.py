@@ -242,8 +242,8 @@ def resolvent_apply(spec, z, s_grid, f_samples):
     right = ~left
     img_l, img_r = pref * ph_m[left], pref * ph_p[right]
     outs = []
-    for k, (rho_l, rho_r, tau) in enumerate(amplitudes):
-        out = free if k == len(amplitudes) - 1 else free.copy()
+    for rho_l, rho_r, tau in amplitudes:
+        out = free.copy()
         out[left] += img_l * (rho_l * A0 + (tau - 1.0) * B0)
         out[right] += img_r * (rho_r * B0 + (tau - 1.0) * A0)
         outs.append(out)

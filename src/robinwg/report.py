@@ -126,10 +126,8 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
     operator come from one `resolvent_apply` moment pass.  The first
     probe's solve, when that probe lies left of the vertex, gives the
     leakage past s = 1 and, for a limit that couples the edges, the
-    transmission: the mean of g / (free line output) over 2 < s < 6.
-    `free_line` is a GraphOperatorSpec, whose continuum resolvent then
-    joins that moment pass, or a callable free_line(s, f).  With three or
-    more eps the transmission is extrapolated linearly to eps = 0,
+    transmission: the mean of g / free_line(s, f) over 2 < s < 6.  With
+    three or more eps the transmission is extrapolated linearly to eps = 0,
     otherwise the last value stands in.
     `on_first(eps, s, f, ||f||, g, info)` sees that solve at every eps;
     `floor_estimate(probe, g)` gets the first probe and its solve at the
@@ -139,8 +137,6 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
     if not eps_list or any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise RobinwgError("eps_list must be non-empty and strictly decreasing")
     probes = probes if isinstance(probes, (list, tuple)) else [probes]
-    coupled = predicted.kind != DECOUPLED
-    line_spec = isinstance(free_line, GraphOperatorSpec)
 
     errors, alt_errors, leakage, taus = [], [], [], []
     for eps in eps_list:
@@ -151,29 +147,25 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
         e_pred = e_alt = 0.0
         for i, (fs, g) in enumerate(zip(F, G)):
             nf = np.sqrt(np.trapezoid(np.abs(fs) ** 2, s))
-            first = i == 0
-            specs = [predicted, alt]
-            if first and coupled and line_spec:
-                specs.append(free_line)
-            outs = resolvent_apply(specs, z, s, fs)
-            e_pred = max(e_pred, _l2_distance(g, outs[0], s, outer) / nf)
-            e_alt = max(e_alt, _l2_distance(g, outs[1], s, outer) / nf)
-            if first:
-                first_solve = (probes[0], g)
+            g_pred, g_alt = resolvent_apply([predicted, alt], z, s, fs)
+            e_pred = max(e_pred, _l2_distance(g, g_pred, s, outer) / nf)
+            e_alt = max(e_alt, _l2_distance(g, g_alt, s, outer) / nf)
+            if i == 0:
+                first = (probes[0], g)
                 if on_first is not None:
                     on_first(eps, s, fs, nf, g, info)
                 mass_left = np.trapezoid(np.abs(fs[s < 0]) ** 2, s[s < 0])
                 if mass_left > (1 - 1e-12) * nf ** 2:
                     far = s > 1.0
                     leakage.append(float(_l2_distance(g, 0.0, s, far) / nf))
-                    if coupled:
-                        ref = outs[2] if line_spec else free_line(s, fs)
+                    if predicted.kind != DECOUPLED:
+                        ref = free_line(s, fs)
                         win = (s > 2.0) & (s < 6.0)
                         taus.append(complex(np.mean(g[win] / ref[win])))
         errors.append(e_pred)
         alt_errors.append(e_alt)
 
-    floor = None if floor_estimate is None else floor_estimate(*first_solve)
+    floor = None if floor_estimate is None else floor_estimate(*first)
     notes = list(notes)
     strictly = all(a > b for a, b in zip(errors, errors[1:]))
     if not errors[-1] < alt_errors[-1]:

@@ -81,11 +81,3 @@ def test_eps_list_must_be_strictly_decreasing(eps_list):
     with pytest.raises(RobinwgError, match="strictly decreasing"):
         run_study(FREE, DECOUPLED, Z, PROBE, eps_list, solver, 0.02, free_line)
 
-
-def test_free_line_spec_joins_the_moment_pass_bit_for_bit():
-    solver = synthetic(FREE, lambda eps: eps * H)
-    probes = [PROBE, bump_probe(4.0, 1.5)]
-    by_call = run_study(FREE, DECOUPLED, Z, probes, EPS, solver, 0.02, free_line)
-    by_spec = run_study(FREE, DECOUPLED, Z, probes, EPS, solver, 0.02, FREE)
-    assert by_spec.to_dict() == by_call.to_dict()
-    assert by_spec.transmission == by_call.transmission
