@@ -37,12 +37,24 @@ def _float_list(s):
         raise ConfigError(f"bad float list {s!r}: {exc}") from None
 
 
+_BOOLS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
+
+
+def _bool(s):
+    try:
+        return _BOOLS[s.lower()]
+    except KeyError:
+        raise ValueError(f"bad bool {s!r}: expected one of "
+                         "1/0, true/false, yes/no") from None
+
+
 _CASTS = {
     "float": float,
     "int": int,
     "str": str,
     "floats": _float_list,
-    "bool": lambda s: s.lower() in ("1", "true", "yes"),
+    "bool": _bool,
 }
 
 

@@ -114,6 +114,15 @@ def test_waveguide_check_small(tmp_path):
     assert header == "s,u,re,im"
 
 
+def test_waveguide_check_rejects_a_misspelt_bool(tmp_path, capsys):
+    cfg = "n_u = 16\neps_list = 0.4,0.2\ndump_field = ture\n"
+    code, out = run(tmp_path, "waveguide-check", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "dump_field" in err
+    assert not out.exists() or not list(out.glob("*"))
+
+
 def test_limit_check_emits_green_trace(tmp_path):
     cfg = "beta = 3.0\neps_list = 0.4,0.2\nh_target = 4e-3\n"
     code, out = run(tmp_path, "limit-check", cfg)

@@ -51,3 +51,16 @@ def test_config_hash_stable_under_reordering():
     b = {"y": "2", "x": "1"}
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash({"x": "1", "y": "3"})
+
+
+@pytest.mark.parametrize("text,value", [
+    ("1", True), ("true", True), ("True", True), ("YES", True),
+    ("0", False), ("false", False), ("FALSE", False), ("No", False)])
+def test_bool_cast_accepts_the_six_spellings_in_any_case(text, value):
+    assert validate({"flag": text}, {"flag": ("bool", False)}) == {"flag": value}
+
+
+@pytest.mark.parametrize("text", ["ture", "on", "off", "2", "y", ""])
+def test_bool_cast_rejects_anything_else(text):
+    with pytest.raises(ConfigError, match="'flag'.*bad bool"):
+        validate({"flag": text}, {"flag": ("bool", True)})

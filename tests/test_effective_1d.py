@@ -16,6 +16,9 @@ from robinwg.report import VERDICT_MATCH
 
 BUMP_BETA_STAR = -7.647474116758
 SQUARE_SYM = CurvatureProfile(RECTANGULAR, amplitude=1.0, half_width=1.0)
+# v = -pi^2 on (0, 1) is resonant: a half sine across the well
+SQUARE_UNIT = CurvatureProfile(RECTANGULAR, amplitude=1.0, center=0.5,
+                               half_width=0.5)
 FLAT = CurvatureProfile(SMOOTH_BUMP, amplitude=0.0, half_width=1.0)
 
 
@@ -226,6 +229,56 @@ def test_convergence_study_solves_each_probe_once_per_eps(monkeypatch):
     assert [c[0] for c in calls[:-1]] == [len(probes)] * len(eps_list)
     assert len(calls[-1]) == 1
     assert report.transmission and report.vertex_residuals
+
+
+# (profile, beta, eps_list, distinct grids): h = min(4e-3, eps*width/50)
+# keeps the bump's grid for every eps, while the unit square's grid is
+# shared by eps = 0.4 and 0.3 and refined at 0.1 and again at 0.08
+SWEEPS = {
+    "bump_shared_grid": (default_bump(), BUMP_BETA_STAR, [0.4, 0.2, 0.1], 1),
+    "square_grid_changes": (SQUARE_UNIT, -np.pi ** 2, [0.4, 0.3, 0.1, 0.08], 3),
+    "bump_decoupled": (default_bump(), 3.0, [0.4, 0.2, 0.1], 1),
+}
+SWEEP_PROBES = [bump_probe(-4.0, 1.5), bump_probe(3.0, 1.0)]
+
+
+@pytest.mark.parametrize("sweep", ["bump_shared_grid", "square_grid_changes"])
+def test_sweep_entries_equal_one_eps_studies(sweep):
+    profile, beta, eps_list, _ = SWEEPS[sweep]
+    rep = convergence_study(profile, beta, 0.0, 1j, SWEEP_PROBES, eps_list,
+                            h_target=4e-3)
+    assert rep.predicted["kind"] == "scale_invariant"
+    assert len(rep.transmission) == len(eps_list)
+    for i, eps in enumerate(eps_list):
+        one = convergence_study(profile, beta, 0.0, 1j, SWEEP_PROBES, [eps],
+                                h_target=4e-3)
+        assert one.errors == [rep.errors[i]]
+        assert one.alt_errors == [rep.alt_errors[i]]
+        assert one.leakage == [rep.leakage[i]]
+        assert one.transmission == [rep.transmission[i]]
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+def test_limit_side_is_computed_once_per_distinct_grid(monkeypatch, sweep):
+    from robinwg import effective_1d, report
+    profile, beta, eps_list, n_grids = SWEEPS[sweep]
+    shared, free = [], []
+
+    def counted(spec, z, s, f):
+        (free if isinstance(spec, GraphOperatorSpec) else shared).append(len(s))
+        return resolvent_apply(spec, z, s, f)
+
+    monkeypatch.setattr(report, "resolvent_apply", counted)
+    monkeypatch.setattr(effective_1d, "resolvent_apply", counted)
+    rep = convergence_study(profile, beta, 0.0, 1j, SWEEP_PROBES, eps_list,
+                            h_target=4e-3)
+    coupled = rep.predicted["kind"] != "decoupled"
+    # one shared pass per probe, and the free reference of the first
+    # (left) probe when the prediction couples the edges, per grid
+    assert len(shared) == len(SWEEP_PROBES) * n_grids
+    assert len(free) == (n_grids if coupled else 0)
+    assert len(set(shared)) == n_grids
+    assert len(rep.errors) == len(rep.leakage) == len(eps_list)
 
 
 BLOCK_GRID = Grid1D(12.0, 2400)

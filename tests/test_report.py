@@ -73,11 +73,18 @@ def test_transmission_with_fewer_than_three_eps_is_the_last_value():
     assert rep.transmission_extrapolated == rep.transmission[-1]
 
 
+def no_solve(eps):
+    raise AssertionError("no solve before the input checks")
+
+
 @pytest.mark.parametrize("eps_list", [[], [0.1, 0.2], [0.2, 0.2, 0.1]])
 def test_eps_list_must_be_strictly_decreasing(eps_list):
-    def solver(eps):
-        raise AssertionError("no solve before the eps check")
-
     with pytest.raises(RobinwgError, match="strictly decreasing"):
-        run_study(FREE, DECOUPLED, Z, PROBE, eps_list, solver, 0.02, free_line)
+        run_study(FREE, DECOUPLED, Z, PROBE, eps_list, no_solve, 0.02,
+                  free_line)
+
+
+def test_empty_probe_list_is_rejected_before_any_solve():
+    with pytest.raises(RobinwgError, match="at least one probe"):
+        run_study(FREE, DECOUPLED, Z, [], EPS, no_solve, 0.02, free_line)
 

@@ -350,3 +350,5 @@ def test_theorem_check_validates_mode_and_eps_list():
         theorem_check(flat_geometry(), 1, Z, probe, [0.4, 0.2], n_max=0)
     with pytest.raises(RobinwgError, match="strictly decreasing"):
         theorem_check(flat_geometry(eps=0.1), 0, Z, probe, [0.1, 0.2, 0.4])
+    with pytest.raises(RobinwgError, match="at least one probe"):
+        theorem_check(flat_geometry(), 0, Z, [], [0.4, 0.2])
