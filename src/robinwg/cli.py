@@ -48,11 +48,16 @@ def _meta_lines(cfg_raw, seed):
 
 
 def _write_csv(path: Path, header, rows, cfg_raw, seed):
+    """`rows` is a sequence of tuples, or a float ndarray with one row per line."""
     lines = _meta_lines(cfg_raw, seed)
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(x) if isinstance(x, (int, float, type(None)))
-                              else str(x) for x in row))
+    if isinstance(rows, np.ndarray):
+        # tolist() gives Python floats, whose repr is _fmt's for every cell
+        lines.extend(",".join(map(repr, row)) for row in rows.tolist())
+    else:
+        for row in rows:
+            lines.append(",".join(_fmt(x) if isinstance(x, (int, float, type(None)))
+                                  else str(x) for x in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -212,9 +217,9 @@ def _emit_green_trace(report, out, cfg_raw, seed):
     rows = []
     for src in (-2.0, 1.0):
         g = green_function(spec, report.z, s, np.full_like(s, src))
-        rows.extend((src, si, gi.real, gi.imag) for si, gi in zip(s, g))
+        rows.append(np.column_stack([np.full_like(s, src), s, g.real, g.imag]))
     _write_csv(out / "green_trace.csv", ["source", "s", "re_g", "im_g"],
-               rows, cfg_raw, seed)
+               np.vstack(rows), cfg_raw, seed)
 
 
 def cmd_limit_check(cfg_raw, out, seed, override=None):
@@ -269,10 +274,10 @@ def _dump_field_slice(probe_field, out, cfg_raw, seed):
     """2D resolvent field solved at the smallest eps, as (s, u, re, im) rows."""
     s, u, field = probe_field
     stride = max(1, len(s) // 400)
-    rows = []
-    for i in range(0, len(s), stride):
-        for j, uj in enumerate(u):
-            rows.append((s[i], uj, field[i, j].real, field[i, j].imag))
+    S, U = np.meshgrid(s[::stride], u, indexing="ij")
+    part = field[::stride]
+    rows = np.column_stack([S.ravel(), U.ravel(), part.real.ravel(),
+                            part.imag.ravel()])
     _write_csv(out / "field_slice.csv", ["s", "u", "re", "im"], rows,
                cfg_raw, seed)
 

@@ -18,10 +18,10 @@ EXIT_CODE = {VERDICT_MATCH: 0, VERDICT_INCONCLUSIVE: 3, VERDICT_MISMATCH: 4}
 
 
 def fit_decay_exponent(eps_list, errors):
-    """Least-squares slope of log(error) against log(eps)."""
+    """Least-squares slope of log(error) against log(eps); nan below two eps."""
     e = np.asarray(errors, dtype=float)
     x = np.log(np.asarray(eps_list, dtype=float))
-    if np.any(e <= 0):
+    if len(e) < 2 or np.any(e <= 0):
         return float("nan")
     coef = np.polyfit(x, np.log(e), 1)
     return float(coef[0])
@@ -178,7 +178,11 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
     floor = None if floor_estimate is None else floor_estimate(probes[0], g)
     notes = list(notes)
     strictly = all(a > b for a, b in zip(errors, errors[1:]))
-    if not errors[-1] < alt_errors[-1]:
+    if len(errors) < 2:
+        verdict = VERDICT_INCONCLUSIVE
+        notes.append("one eps shows no decay; the verdict and the fitted "
+                     "exponent need two or more")
+    elif not errors[-1] < alt_errors[-1]:
         verdict = VERDICT_MISMATCH
     elif strictly and errors[-1] < error_threshold:
         verdict = VERDICT_MATCH

@@ -151,6 +151,9 @@ class DiscreteWaveguideOperator:
     flat_eigvals: np.ndarray       # discrete flat transverse eigenvalues
     flat_eigvecs: np.ndarray       # mass-orthonormal columns
     potential_s: np.ndarray        # flat part of the potential, per s node
+    core: slice                    # s-columns where A differs from the flat
+    core_correction: sp.csr_matrix  # (P^-1 - A)[core, core], P^-1 the flat
+                                    # weighted operator inverted by P
 
     @property
     def shape(self):
@@ -204,11 +207,11 @@ def build_waveguide(geometry: WaveguideGeometry, variant: str,
     A = A + sp.diags(corr.ravel())
 
     gscaled = defo * geometry.profile.sample(si / eps)   # sqrt(1+2 eps b) gamma(s/eps)
+    Vs = -gscaled ** 2 / (4 * eps ** 2)    # flat part of the potential
+    D2s = sp.diags([np.full(nsi - 1, -1.0), np.full(nsi, 2.0),
+                    np.full(nsi - 1, -1.0)], [-1, 0, 1]) / hs ** 2
     if variant == SIMPLIFIED:
-        D2s = sp.diags([np.full(nsi - 1, -1.0), np.full(nsi, 2.0),
-                        np.full(nsi - 1, -1.0)], [-1, 0, 1]) / hs ** 2
         A = A + sp.kron(D2s, sp.diags(wu), format="csr")
-        Vs = -gscaled ** 2 / (4 * eps ** 2)
         V2d = np.repeat(Vs, nu) * np.tile(wu, nsi)
         A = A + sp.diags(V2d)
     else:
@@ -235,11 +238,21 @@ def build_waveguide(geometry: WaveguideGeometry, variant: str,
              + dr * U * g2 / (2 * one ** 3)
              - 1.25 * dr ** 2 * U ** 2 * g1 ** 2 / one ** 4) / eps ** 2
         A = A + sp.diags((V * wu).ravel())
-        Vs = -gscaled ** 2 / (4 * eps ** 2)    # flat part, for preconditioning
 
+    # A equals the flat weighted operator P^-1 (kron(D2s + Vs, W) +
+    # kron(I, Bw)/delta^2) outside the columns where eta or Vs is nonzero,
+    # padded by one column each side for the midpoint fluxes
+    A = A.tocsr()
+    curved = np.flatnonzero((geometry.eta(si) != 0) | (Vs != 0))
+    core = (slice(max(curved[0] - 1, 0), min(curved[-1] + 2, nsi))
+            if len(curved) else slice(0, 0))
+    rows = slice(core.start * nu, core.stop * nu)
+    flat = (sp.kron((D2s + sp.diags(Vs)).tocsr()[core, core], sp.diags(wu))
+            + sp.kron(sp.identity(core.stop - core.start), Bw / delta ** 2))
     mass = np.tile(wu, nsi)
-    return DiscreteWaveguideOperator(geometry, grid, variant, A.tocsr(),
-                                     mass, lam, Phi, Vs)
+    return DiscreteWaveguideOperator(geometry, grid, variant, A, mass, lam,
+                                     Phi, Vs, core,
+                                     (flat - A[rows, rows]).tocsr())
 
 
 # ---------------------------------------------------------------------------
@@ -304,24 +317,42 @@ class ModeProjector:
 # reduced resolvent
 # ---------------------------------------------------------------------------
 
-def _separable_preconditioner(op: DiscreteWaveguideOperator, n: int, z):
-    """Inverse of the flat separable operator by transverse diagonalisation.
+def _separable_preconditioner(op: DiscreteWaveguideOperator, n: int, z,
+                              cols: slice = slice(None)):
+    """Inverse of the flat separable operator on the s-columns `cols`.
 
     Per transverse eigenmode j the s-problem is tridiagonal with diagonal
-    2/hs^2 + V_flat(s) + (lam_j - lam_n)/delta^2 - z; exact for gamma == 0.
-    The n_u+1 mode systems are laid end to end as one tridiagonal with zero
+    2/hs^2 + V_flat(s) + shift_j, shift_j = (lam_j - lam_n)/delta^2 - z; exact
+    for gamma == 0.  On a column range the result is the restriction of the
+    full-grid inverse: the m flat columns beyond each end (V_flat = 0 there)
+    are eliminated exactly by subtracting their Schur term c^2/d_m from that
+    end's diagonal, c = 1/hs^2 and d_m the ratio of the exterior's last two
+    leading determinants.  With r1, r2 = c^2/r1 the roots of
+    r^2 - (2c + shift_j) r + c^2, |r1| >= |r2| and q = r2/r1, the term is
+    r2 (1 - q^m)/(1 - q^(m+1)), zero for m = 0.
+    The mode systems are laid end to end as one tridiagonal with zero
     couplings at the block joints, factored once by LAPACK gttrf; each apply
     is one gttrs between the two transverse transforms.
     """
     nsi, nu = op.shape
+    i0, i1, _ = cols.indices(nsi)
+    k = i1 - i0
     hs = op.grid.h_s
+    c = 1.0 / hs ** 2
     delta = op.geometry.scaling.delta
     lam = op.flat_eigvals
     Phi = op.flat_eigvecs
     shifts = (lam - lam[n]) / delta ** 2 - z
-    diag = (2.0 / hs ** 2 + op.potential_s)[None, :] + shifts[:, None]
-    off = np.full(nu * nsi - 1, -1.0 / hs ** 2, dtype=complex)
-    off[nsi - 1::nsi] = 0.0
+    diag = (2.0 / hs ** 2 + op.potential_s[i0:i1])[None, :] + shifts[:, None]
+    root = np.sqrt(shifts * (shifts + 4 * c))     # of (2c + shift)^2 - 4c^2
+    rp, rm = (2 * c + shifts + root) / 2, (2 * c + shifts - root) / 2
+    r1 = np.where(np.abs(rp) >= np.abs(rm), rp, rm)
+    r2 = c ** 2 / r1
+    q = r2 / r1
+    diag[:, 0] -= r2 * (1 - q ** i0) / (1 - q ** (i0 + 1))
+    diag[:, -1] -= r2 * (1 - q ** (nsi - i1)) / (1 - q ** (nsi - i1 + 1))
+    off = np.full(nu * k - 1, -c, dtype=complex)
+    off[k - 1::k] = 0.0
     dl, d, du, du2, ipiv, info = lapack.zgttrf(
         off.copy(), diag.ravel(), off,
         overwrite_dl=1, overwrite_d=1, overwrite_du=1)
@@ -329,14 +360,14 @@ def _separable_preconditioner(op: DiscreteWaveguideOperator, n: int, z):
         raise RobinwgError(f"separable preconditioner: zgttrf info = {info}")
 
     def apply(r):
-        # mode-major copy of the transformed residual; the (nsi, nu) product
+        # mode-major copy of the transformed residual; the (k, nu) product
         # is freed at once, which keeps the apply within two fields
-        b = (np.asarray(r, dtype=complex).reshape(nsi, nu)
+        b = (np.asarray(r, dtype=complex).reshape(k, nu)
              @ Phi).T.reshape(-1, 1)
         x, info = lapack.zgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)
         if info != 0:
             raise RobinwgError(f"separable preconditioner: zgttrs info = {info}")
-        return (x.reshape(nu, nsi).T @ Phi.T).ravel()
+        return (x.reshape(nu, k).T @ Phi.T).ravel()
 
     return apply
 
@@ -348,13 +379,18 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
 
     mu_n is the discrete flat transverse threshold of the assembled operator
     (subtracting the continuum value would leave an O(h_u^2)/delta^2 drift).
-    GMRES runs on the left-preconditioned system P A x = P rhs, P the flat
-    separable solve, so it stops on the preconditioned residual: the raw one
-    carries the 1/delta^2 transverse stiffness and its rounding floor can sit
-    above rtol.  When GMRES misses rtol, the preconditioned residual
-    recomputed from rhs - A x must still be within 10 rtol.  Returns
-    (g, info dict); raises SolverConvergenceError with the residual history
-    when it is not.
+    A = P^-1 - R^T E R, with P the flat separable solve, R the restriction
+    to the curved core C (`op.core`) and E = `op.core_correction`, so
+    A x = b is x = P (b + R^T E x_C) with x_C solving
+    (I - P_CC E) x_C = (P b)_C, P_CC the restriction of P to C.  GMRES runs
+    on that core system only; the flat exterior is eliminated exactly, and a
+    straight strip (empty core) is x = P b.  Each sweep then recomputes the
+    preconditioned residual P (rhs - A x), the quantity judged, and solves
+    for its correction the same way, until it is within rtol of |P rhs|, it
+    stops falling, or the GMRES iterations reach maxiter; the sweeps correct
+    what the computed P misses of the assembled A.  Above rtol the residual
+    must still be within 10 rtol.  Returns (g, info dict); raises
+    SolverConvergenceError with the residual history when it is not.
     """
     if complex(z).imag == 0:
         raise RobinwgError("reduced resolvent needs Im z != 0")
@@ -365,20 +401,37 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
     F = projector.synthesize(np.asarray(f_s, dtype=complex), n)
     rhs = op.mass * F.ravel()
     prec = _separable_preconditioner(op, n, z)
-    PA = spla.LinearOperator(A.shape, matvec=lambda x: prec(A @ x), dtype=complex)
-    prhs = prec(rhs)
+    C = slice(op.core.start * nu, op.core.stop * nu)
+    E = op.core_correction
+    if E.shape[0]:
+        prec_core = _separable_preconditioner(op, n, z, op.core)
+        K = spla.LinearOperator(E.shape, dtype=complex,
+                                matvec=lambda v: v - prec_core(E @ v))
     history = []
-    g, code = spla.gmres(PA, prhs, rtol=rtol, atol=0.0, restart=80,
-                         maxiter=max(1, maxiter // 80),
-                         callback=lambda pr: history.append(float(pr)),
-                         callback_type="pr_norm")
-    resid = rhs - A @ g
-    pr_res = np.linalg.norm(prec(resid)) / np.linalg.norm(prhs)
-    if code != 0 and pr_res > 10 * rtol:
+    x = np.zeros(len(rhs), dtype=complex)
+    r = rhs.copy()
+    pr = prec(r)
+    scale = np.linalg.norm(pr)
+    pr_res = np.inf
+    while True:
+        if E.shape[0]:
+            xc, _ = spla.gmres(
+                K, pr[C], rtol=rtol, atol=0.0, restart=80,
+                maxiter=max(1, (maxiter - len(history)) // 80),
+                callback=lambda res: history.append(float(res)),
+                callback_type="pr_norm")
+            r[C] += E @ xc                  # r + R^T E x_C
+        x += prec(r)
+        r = rhs - A @ x
+        pr = prec(r)
+        last, pr_res = pr_res, np.linalg.norm(pr) / scale
+        if not rtol < pr_res < last or len(history) >= maxiter:
+            break
+    if pr_res > 10 * rtol:
         raise SolverConvergenceError(
             f"GMRES stalled at preconditioned residual {pr_res:.3g}", history)
-    true_res = np.linalg.norm(resid) / np.linalg.norm(rhs)
-    G = g.reshape(nsi, nu)
+    true_res = np.linalg.norm(r) / np.linalg.norm(rhs)
+    G = x.reshape(nsi, nu)
     out = projector.project(G, m)
     info = {"iterations": len(history), "preconditioned_residual": float(pr_res),
             "raw_residual": float(true_res), "field": G}

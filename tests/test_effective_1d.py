@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from robinwg.errors import GridResolutionError, RobinwgError
 from robinwg.geometry import (RECTANGULAR, SMOOTH_BUMP, CurvatureProfile,
                               default_bump)
 from robinwg.graph_limit import GraphOperatorSpec, resolvent_apply
-from robinwg.report import VERDICT_MATCH
+from robinwg.report import VERDICT_INCONCLUSIVE, VERDICT_MATCH
 
 BUMP_BETA_STAR = -7.647474116758
 SQUARE_SYM = CurvatureProfile(RECTANGULAR, amplitude=1.0, half_width=1.0)
@@ -146,6 +148,19 @@ def test_convergence_study_generic():
     assert all(a > b for a, b in zip(report.leakage, report.leakage[1:]))
     assert report.fitted_exponent > 0.5
     assert report.errors[-1] < report.alt_errors[-1]
+
+
+def test_one_eps_study_is_inconclusive_without_a_fit():
+    # a single error shows no decay: no verdict and no one-point polyfit
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = convergence_study(default_bump(), 3.0, 0.0, 1j,
+                                   bump_probe(-4, 1.5), [0.4], h_target=4e-3)
+    assert not [w for w in caught
+                if issubclass(w.category, np.exceptions.RankWarning)]
+    assert report.verdict == VERDICT_INCONCLUSIVE
+    assert np.isnan(report.fitted_exponent)
+    assert any("one eps" in note for note in report.notes)
 
 
 def test_convergence_study_resonant():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, solve_banded
 
 from robinwg.effective_1d import Grid1D, build_h_n_eps, bump_probe, resolvent_solve
 from robinwg.errors import ProfileError, RobinwgError, SolverConvergenceError
-from robinwg.geometry import (RECTANGULAR, SMOOTH_BUMP, CurvatureProfile,
-                              ScalingParams, WaveguideGeometry, default_bump)
+from robinwg.geometry import (RECTANGULAR, SMOOTH_BUMP, TABULATED,
+                              CurvatureProfile, ScalingParams,
+                              WaveguideGeometry, default_bump)
 from robinwg.transverse import symmetric_spectrum
 from robinwg import cli, waveguide2d
 from robinwg.graph_limit import sqrt_upper
@@ -303,6 +306,89 @@ def test_separable_preconditioner_matches_per_mode_banded_solves():
         apply = _separable_preconditioner(op, n, Z)
         assert np.array_equal(apply(r), (Y @ Phi.T).ravel())
         assert np.array_equal(apply(r), apply(r))   # no state carried over
+
+
+def _direct_field(op, proj, n, f):
+    delta = op.geometry.scaling.delta
+    shift = op.transverse_threshold(n) / delta ** 2 + Z
+    A = op.matrix - sp.diags(shift * op.mass)
+    F = proj.synthesize(f.astype(complex), n)
+    return spla.spsolve(A.tocsc(), op.mass * F.ravel()).reshape(op.shape)
+
+
+BELL = CurvatureProfile(TABULATED, nodes=tuple(np.linspace(-2, 2, 9)),
+                        values=(0.0, 0.12, 0.36, 0.6, 0.68, 0.6, 0.36, 0.12,
+                                0.0))
+
+
+@pytest.mark.parametrize("profile, variant", [(default_bump(), FULL),
+                                              (default_bump(), SIMPLIFIED),
+                                              (BELL, FULL)])
+def test_operator_is_flat_outside_the_core(profile, variant):
+    # the solver eliminates everything outside op.core as flat strip: the
+    # assembled operator must equal the uncurved one there, entry by entry
+    # (the spline's edge slope puts midpoint fluxes beyond its curved nodes)
+    geom = WaveguideGeometry(profile, 1.0,
+                             ScalingParams(epsilon=0.2, delta_ratio=0.05), 0.7)
+    grid = Grid2D(6.0, 1200, 16, 1.0)
+    op = build_waveguide(geom, variant, 1, grid)
+    uncurved = WaveguideGeometry(geom.profile.scaled(0.0), geom.d,
+                                 geom.scaling, geom.alpha)
+    flat = build_waveguide(uncurved, variant, 1, grid)
+    assert flat.core == slice(0, 0)
+    diff = (op.matrix - flat.matrix).tocoo()
+    hit = diff.data != 0
+    cols = np.concatenate([diff.row[hit], diff.col[hit]]) // (grid.n_u + 1)
+    assert op.core.start <= cols.min() and cols.max() < op.core.stop
+    # no wider than the curved columns and one column each side
+    assert op.core.start >= cols.min() - 1 and op.core.stop <= cols.max() + 2
+
+
+@pytest.mark.parametrize("alpha", [-2.0, 0.0, 0.7])
+def test_core_solve_matches_a_direct_solve(alpha):
+    geom = bump_geometry(0.4, alpha=alpha)
+    grid = Grid2D(8.0, 512, 32, 1.0)
+    op = build_waveguide(geom, FULL, 1, grid)
+    proj = ModeProjector(geom, grid, 1)
+    f = bump_probe(-3.0, 1.2)(grid.s_interior)
+    for n in (0, 1):
+        _, info = reduced_resolvent(op, proj, n, n, Z, f)
+        ref = _direct_field(op, proj, n, f)
+        assert np.linalg.norm(info["field"] - ref) < 1e-8 * np.linalg.norm(ref)
+        assert info["preconditioned_residual"] <= 1e-9
+        assert info["iterations"] > 0
+
+
+def test_core_preconditioner_is_the_restriction_of_the_full_one():
+    # the closed-form Schur terms eliminate the flat exterior exactly
+    geom = bump_geometry(0.4, alpha=-2.0)
+    grid = Grid2D(8.0, 512, 32, 1.0)
+    op = build_waveguide(geom, FULL, 1, grid)
+    nu = grid.n_u + 1
+    rows = slice(op.core.start * nu, op.core.stop * nu)
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(rows.stop - rows.start) + 0j
+    for n in (0, 1):
+        embedded = np.zeros(op.matrix.shape[0], dtype=complex)
+        embedded[rows] = v
+        full = _separable_preconditioner(op, n, Z)(embedded)[rows]
+        core = _separable_preconditioner(op, n, Z, op.core)(v)
+        assert np.linalg.norm(core - full) < 1e-12 * np.linalg.norm(full)
+
+
+def test_tabulated_profile_core_is_its_node_range():
+    geom = WaveguideGeometry(BELL, 1.0,
+                             ScalingParams(epsilon=0.4, delta_ratio=0.05), 0.0)
+    grid = Grid2D(8.0, 512, 32, 1.0)
+    op = build_waveguide(geom, FULL, 1, grid)
+    lo, hi = geom.scaled_support
+    inside = np.flatnonzero((grid.s_interior > lo) & (grid.s_interior < hi))
+    assert op.core == slice(inside[0] - 1, inside[-1] + 2)
+    proj = ModeProjector(geom, grid, 1)
+    f = bump_probe(-3.0, 1.2)(grid.s_interior)
+    _, info = reduced_resolvent(op, proj, 0, 0, Z, f)
+    ref = _direct_field(op, proj, 0, f)
+    assert np.linalg.norm(info["field"] - ref) < 1e-8 * np.linalg.norm(ref)
 
 
 def test_dump_field_reuses_the_theorem_check_solve(tmp_path, monkeypatch):
