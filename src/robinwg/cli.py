@@ -37,7 +37,9 @@ def _fmt(x):
         return "nan"
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return str(x)
-    return repr(float(x))
+    if isinstance(x, (int, float)):
+        return repr(float(x))
+    return str(x)
 
 
 def _meta_lines(cfg_raw, seed):
@@ -48,16 +50,14 @@ def _meta_lines(cfg_raw, seed):
 
 
 def _write_csv(path: Path, header, rows, cfg_raw, seed):
-    """`rows` is a sequence of tuples, or a float ndarray with one row per line."""
+    """Rows are tuples, or a float ndarray with one row per line."""
     lines = _meta_lines(cfg_raw, seed)
     lines.append(",".join(header))
     if isinstance(rows, np.ndarray):
         # tolist() gives Python floats, whose repr is _fmt's for every cell
         lines.extend(",".join(map(repr, row)) for row in rows.tolist())
     else:
-        for row in rows:
-            lines.append(",".join(_fmt(x) if isinstance(x, (int, float, type(None)))
-                                  else str(x) for x in row))
+        lines.extend(",".join(map(_fmt, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -18,7 +18,7 @@ EXIT_CODE = {VERDICT_MATCH: 0, VERDICT_INCONCLUSIVE: 3, VERDICT_MISMATCH: 4}
 
 
 def fit_decay_exponent(eps_list, errors):
-    """Least-squares slope of log(error) against log(eps); nan below two eps."""
+    """Least-squares slope of log(error) against log(eps); nan below 2 eps."""
     e = np.asarray(errors, dtype=float)
     x = np.log(np.asarray(eps_list, dtype=float))
     if len(e) < 2 or np.any(e <= 0):

@@ -359,6 +359,18 @@ def test_core_solve_matches_a_direct_solve(alpha):
         assert info["iterations"] > 0
 
 
+def test_straight_strip_is_the_empty_core():
+    geom = flat_geometry(alpha=0.7)
+    grid = Grid2D(8.0, 512, 32, 1.0)
+    op = build_waveguide(geom, FULL, 1, grid)
+    proj = ModeProjector(geom, grid, 1)
+    f = bump_probe(-3.0, 1.2)(grid.s_interior)
+    _, info = reduced_resolvent(op, proj, 0, 0, Z, f)
+    assert op.core == slice(0, 0) and info["iterations"] == 0
+    ref = _direct_field(op, proj, 0, f)
+    assert np.linalg.norm(info["field"] - ref) < 1e-8 * np.linalg.norm(ref)
+
+
 def test_core_preconditioner_is_the_restriction_of_the_full_one():
     # the closed-form Schur terms eliminate the flat exterior exactly
     geom = bump_geometry(0.4, alpha=-2.0)
