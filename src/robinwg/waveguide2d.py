@@ -151,9 +151,9 @@ class DiscreteWaveguideOperator:
     flat_eigvals: np.ndarray       # discrete flat transverse eigenvalues
     flat_eigvecs: np.ndarray       # mass-orthonormal columns
     potential_s: np.ndarray        # flat part of the potential, per s node
-    core: slice                    # s-columns where A differs from the flat
-    core_correction: sp.csr_matrix  # (P^-1 - A)[core, core], P^-1 the flat
-                                    # weighted operator inverted by P
+    core: slice                    # s-columns outside which A equals P^-1
+    core_correction: sp.csr_matrix  # (P^-1 - A)[core, core]; P^-1 is the
+                                    # flat operator the preconditioner inverts
 
     @property
     def shape(self):
