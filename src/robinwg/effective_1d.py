@@ -45,7 +45,11 @@ class Grid1D:
         return np.linspace(-self.half_length, self.half_length, self.n_cells + 1)
 
     def check_truncation(self, z):
-        """L >= 10 / Im sqrt(z) keeps the truncation below discretisation error."""
+        """Require L >= 10 / Im sqrt(z): the cap amplitude measured from s = 0,
+        e^(-Im sqrt(z) L), is below e^-10.  That does not bound the truncation
+        error: a probe supported out to |s| = r_f sees about
+        e^(-Im sqrt(z) (L - r_f)) at a cap, which can exceed the
+        discretisation error."""
         w = sqrt_upper(z)
         if self.half_length * w.imag < 10.0:
             raise GridResolutionError(

@@ -114,24 +114,13 @@ class CurvatureProfile:
         return out[0] if scalar else out
 
     def deriv(self, s):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        scalar = np.asarray(s).ndim == 0
-        out = np.zeros_like(s_arr)
-        if self.kind == SMOOTH_BUMP:
-            t, m = self._mask_t(s_arr)
-            tm = t[m]
-            q = -2.0 * tm / (1.0 - tm ** 2) ** 2
-            out[m] = (self.amplitude * np.exp(-1.0 / (1.0 - tm ** 2)) * q
-                      / self.half_width)
-        elif self.kind == RECTANGULAR:
-            pass  # zero a.e.; the jumps are never evaluated
-        else:
-            lo, hi = self.support
-            m = (s_arr > lo) & (s_arr < hi)
-            out[m] = self._spline(s_arr[m], 1)
-        return out[0] if scalar else out
+        return self._derivative(s, 1)
 
     def deriv2(self, s):
+        return self._derivative(s, 2)
+
+    def _derivative(self, s, order):
+        """gamma' (order 1) or gamma'' (order 2)."""
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         scalar = np.asarray(s).ndim == 0
         out = np.zeros_like(s_arr)
@@ -139,15 +128,14 @@ class CurvatureProfile:
             t, m = self._mask_t(s_arr)
             tm = t[m]
             q = -2.0 * tm / (1.0 - tm ** 2) ** 2
-            qp = -2.0 * (1.0 + 3.0 * tm ** 2) / (1.0 - tm ** 2) ** 3
-            out[m] = (self.amplitude * np.exp(-1.0 / (1.0 - tm ** 2))
-                      * (q * q + qp) / self.half_width ** 2)
-        elif self.kind == RECTANGULAR:
-            pass
-        else:
+            if order == 2:
+                q = q * q - 2.0 * (1.0 + 3.0 * tm ** 2) / (1.0 - tm ** 2) ** 3
+            out[m] = (self.amplitude * np.exp(-1.0 / (1.0 - tm ** 2)) * q
+                      / self.half_width ** order)
+        elif self.kind == TABULATED:    # a rectangle's: zero a.e., jumps unused
             lo, hi = self.support
             m = (s_arr > lo) & (s_arr < hi)
-            out[m] = self._spline(s_arr[m], 2)
+            out[m] = self._spline(s_arr[m], order)
         return out[0] if scalar else out
 
     def squared_at(self, s: float) -> float:

@@ -18,7 +18,9 @@ Every symmetric root, for a whole grid of alpha and modes 0..n_max, is one
 lane of a single lane-wise Brent solve (`_brent_lanes`, a numpy port of
 scipy's brentq that returns its roots bit for bit); `symmetric_spectrum` is
 the one-alpha case of the same call, and `beta_table` solves its grid once.
-The asymmetric case brackets 3-5 roots per call and stays on scalar brentq.
+The asymmetric roots of many (alpha_1, alpha_2) pairs, bracketed on
+sample grids, are likewise one `_brent_lanes` pass (`_asymmetric_solve`);
+`asymmetric_spectrum` is its one-pair case.
 
 Perturbing (alpha_1, alpha_2) around (alpha, alpha) through the curvature
 parameter eta gives lambda_n = mu_n + lambda2 * (d eta)^2 + O(eta^3); the
@@ -32,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BracketingError, NearSpectrumError, SingularDenominatorError
 
@@ -67,15 +68,7 @@ class TransverseMode:
     parity: str | None = None
 
     def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        A, B, k = self.coef_sin, self.coef_cos, self.k
-        if self.branch == REAL:
-            return A * np.sin(k * u) + B * np.cos(k * u)
-        if self.branch == IMAGINARY:
-            if A == 0.0 and B == 0.0:  # boundary layer below float64 range
-                return np.zeros_like(u)
-            return A * np.sinh(k * u) + B * np.cosh(k * u)
-        return A * u + B * np.ones_like(u)
+        return _mode_values(self.branch, self.k, self.coef_sin, self.coef_cos, u)
 
     def deriv(self, u):
         u = np.asarray(u, dtype=float)
@@ -294,128 +287,153 @@ def symmetric_spectrum(alpha: float, d: float, n_max: int) -> list[TransverseMod
     error = _order_errors([alpha], d, cols[2])[0]
     if error:
         raise BracketingError(error)
-    return [TransverseMode(n, branch, k, lam, A, B, (alpha, alpha), d,
-                           "even" if n % 2 == 0 else "odd")
-            for n, (branch, k, lam, A, B)
-            in enumerate(zip(*(c[0].tolist() for c in cols)))]
+    return _mode_list(cols, (alpha, alpha), d, ("even", "odd"))
+
+
+def _mode_list(cols, alpha_pair, d, parities=(None, None)):
+    """TransverseModes from the first row of a solve's column arrays."""
+    return [TransverseMode(n, *entry, alpha_pair, d, parities[n % 2])
+            for n, entry in enumerate(zip(*(c[0].tolist() for c in cols)))]
 
 
 # ---------------------------------------------------------------------------
 # asymmetric case
 # ---------------------------------------------------------------------------
 
-def _zero_mode_defect(a1, a2, d):
+def _asymmetric_solve(alpha1, alpha2, d, n_max):
+    """Modes 0..n_max of every (alpha_1, alpha_2) pair, in one Brent pass.
+
+    Per pair: negative eigenvalues from the sign changes of Delta(i kappa)
+    on 800 samples, then (possibly) a zero mode, then the first `count`
+    roots of Delta(k)/k on 60 (count + 3) samples of (0, (count+3) pi/(2d)].
+    With a zero mode Delta/k vanishes at the origin too, so the samplers
+    start at 0.1/d, away from that sign noise.  Each bracket is one lane of
+    `_brent_lanes`: every root is scalar brentq's bit for bit.  Returns
+    (branch, k, eigenvalue, coef_sin, coef_cos), each (pairs, n_max + 1).
+    """
+    if d <= 0:
+        raise ValueError("d must be positive")
+    a1, a2 = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (alpha1, alpha2))
+    pairs, modes = len(a1), n_max + 1
     # Delta(k)/k -> 2d a1 a2 + a1 + a2 as k -> 0; zero iff 0 is an eigenvalue
-    return 2 * d * a1 * a2 + a1 + a2
+    scale = np.abs(a1) + np.abs(a2) + 1.0 / d
+    has_zero = np.abs(2 * d * a1 * a2 + a1 + a2) < 1e-12 * scale
+    start = np.maximum(1e-9, np.where(has_zero, 0.1 / d, 0.0))
+    equations = (lambda x, p: _delta_imag(x, a1[p], a2[p], d),
+                 lambda x, p: eigencondition(a1[p], a2[p], d, x) / x)
+
+    def brackets(kind, rows, stop, num, first):
+        # (kind, pair, rank within the pair, lo, hi) of the first sign changes
+        grid = np.linspace(start[rows], stop, num, axis=1)
+        with np.errstate(invalid="ignore"):
+            vals = equations[kind](grid, rows[:, None])
+        r, i = np.nonzero(np.sign(vals[:, :-1]) * np.sign(vals[:, 1:]) < 0)
+        rank = np.arange(len(r)) - np.searchsorted(r, r)
+        r, i, rank = r[rank < first], i[rank < first], rank[rank < first]
+        return np.full(len(r), kind), rows[r], rank, grid[r, i], grid[r, i + 1]
+
+    every = np.arange(pairs)
+    lanes = [brackets(0, every, 1.5 * (np.abs(a1) + np.abs(a2)) + 2.0 / d, 800,
+                      np.inf)]
+    n_neg = np.bincount(lanes[0][1], minlength=pairs)
+    count = modes - n_neg - has_zero
+    for c in np.unique(count[count > 0]):
+        lanes.append(brackets(1, every[count == c], (c + 3) * np.pi / (2 * d),
+                              60 * (c + 3), c))
+    kind, pair, rank, lo, hi = map(np.concatenate, zip(*lanes))
+
+    def f(x, lanes):
+        out = np.empty_like(x)
+        for j, eq in enumerate(equations):
+            m = kind[lanes] == j
+            out[m] = eq(x[m], pair[lanes[m]])
+        return out
+
+    roots = _brent_lanes(f, lo, hi, **_BRENT_KW)
+    found = n_neg + has_zero + np.bincount(pair[kind == 1], minlength=pairs)
+    if np.any(found < modes):
+        raise BracketingError(
+            f"found {found[found < modes][0]} modes, expected {modes}")
+    # increasing eigenvalue: kappa decreasing, the zero mode, then k increasing
+    slot = np.where(kind == 0, n_neg[pair] - 1 - rank,
+                    (n_neg + has_zero)[pair] + rank)
+    keep = slot < modes
+    k = np.zeros((pairs, modes))
+    branch = np.full((pairs, modes), 2)                 # zero mode
+    k[pair[keep], slot[keep]] = roots[keep]
+    branch[pair[keep], slot[keep]] = 1 - kind[keep]     # 1 imaginary, 0 real
+    lam = np.where(branch == 1, -k * k, k * k)
+    return ((np.array([REAL, IMAGINARY, ZERO])[branch], k, lam)
+            + _asym_coefficients(branch, k, a1[:, None], a2[:, None], d))
 
 
-def _negative_wavenumbers(a1, a2, d, k_floor=0.0):
-    kap_max = 1.5 * (abs(a1) + abs(a2)) + 2.0 / d
-    grid = np.linspace(max(1e-9, k_floor), kap_max, 800)
-    vals = _delta_imag(grid, a1, a2, d)
-    sign_flip = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    roots = [brentq(_delta_imag, grid[i], grid[i + 1], args=(a1, a2, d), **_BRENT_KW)
-             for i in sign_flip]
-    return sorted(roots, reverse=True)  # most negative eigenvalue first
+def _asym_coefficients(kind, k, a1, a2, d):
+    """Null vectors of the 2x2 boundary systems, then exact normalisation.
 
-
-def _positive_wavenumbers(a1, a2, d, count, k_floor=0.0):
-    if count <= 0:
-        return []
-    k_max = (count + 3) * np.pi / (2 * d)
-    n_samp = 60 * (count + 3)
-    grid = np.linspace(max(1e-9, k_floor), k_max, n_samp)
-    # divide out the trivial k=0 root
-    with np.errstate(invalid="ignore"):
-        vals = eigencondition(a1, a2, d, grid) / grid
-    sign_flip = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    f = lambda k: eigencondition(a1, a2, d, k) / k
-    roots = [brentq(f, grid[i], grid[i + 1], **_BRENT_KW) for i in sign_flip]
-    return sorted(roots)[:count]
-
-
-def _asym_coefficients(branch, k, a1, a2, d):
-    """Null vector of the 2x2 boundary system, then exact normalisation."""
-    if branch == REAL:
-        sd, cd = np.sin(k * d), np.cos(k * d)
-        M = np.array([[k * cd + a1 * sd, a1 * cd - k * sd],
-                      [-(k * cd + a2 * sd), a2 * cd - k * sd]])
-        int_s2 = d - np.sin(2 * k * d) / (2 * k)
-        int_c2 = d + np.sin(2 * k * d) / (2 * k)
-    elif branch == IMAGINARY:
-        with np.errstate(over="ignore"):
-            sd, cd = np.sinh(k * d), np.cosh(k * d)
-            # phi = A sinh + B cosh; phi' = k(A cosh + B sinh)
-            M = np.array([[k * cd + a1 * sd, k * sd + a1 * cd],
-                          [-(k * cd + a2 * sd), k * sd + a2 * cd]])
-            int_s2 = np.sinh(2 * k * d) / (2 * k) - d
-            int_c2 = np.sinh(2 * k * d) / (2 * k) + d
-        if not np.all(np.isfinite(M)):
-            return 0.0, 0.0
-    else:
-        M = np.array([[1 + a1 * d, a1], [-(1 + a2 * d), a2]])
-        int_s2 = 2 * d ** 3 / 3
-        int_c2 = 2 * d
-    _, _, vt = np.linalg.svd(M)
-    A, B = vt[-1]
+    kind: 0 real (A sin + B cos), 1 imaginary (A sinh + B cosh), 2 zero
+    (A u + B).
+    """
+    wave, imag = kind < 2, kind == 1
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sd = np.where(imag, np.sinh(k * d), np.sin(k * d))
+        cd = np.where(imag, np.cosh(k * d), np.cos(k * d))
+        ksd = np.where(imag, k * sd, -(k * sd))         # phi'/k = A cd -+ B sd
+        M = np.stack(np.broadcast_arrays(
+            np.where(wave, k * cd + a1 * sd, 1 + a1 * d),
+            np.where(wave, ksd + a1 * cd, a1),
+            np.where(wave, -(k * cd + a2 * sd), -(1 + a2 * d)),
+            np.where(wave, ksd + a2 * cd, a2)), axis=-1).reshape(k.shape + (2, 2))
+        half = np.where(imag, np.sinh(2 * k * d), np.sin(2 * k * d)) / (2 * k)
+    int_s2 = np.where(wave, np.where(imag, half - d, d - half), 2 * d ** 3 / 3)
+    int_c2 = np.where(wave, d + half, 2 * d)
+    finite = np.all(np.isfinite(M), axis=(-2, -1))
+    M[~finite] = np.eye(2)
+    A, B = np.moveaxis(np.linalg.svd(M)[2][..., -1, :], -1, 0)
     norm = np.sqrt(A * A * int_s2 + B * B * int_c2)  # cross term odd in u
     A, B = A / norm, B / norm
-    if B < 0 or (B == 0 and A < 0):  # fix the overall sign deterministically
-        A, B = -A, -B
-    return A, B
+    flip = (B < 0) | ((B == 0) & (A < 0))  # fix the overall sign deterministically
+    A, B = np.where(flip, -A, A), np.where(flip, -B, B)
+    return np.where(finite, A, 0.0), np.where(finite, B, 0.0)
+
+
+def _mode_values(branch, k, A, B, u):
+    """Eigenfunctions at u, for every entry of the (branch, k, A, B) arrays.
+
+    The result has the shape of the mode arrays followed by that of u.
+    """
+    u = np.asarray(u, dtype=float)
+    b, k, A, B = (np.reshape(x, np.shape(x) + (1,) * u.ndim)
+                  for x in (branch, k, A, B))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.where(b == REAL, A * np.sin(k * u) + B * np.cos(k * u),
+                       A * np.sinh(k * u) + B * np.cosh(k * u))
+    out = np.where(b == ZERO, A * u + B, out)
+    # an imaginary mode whose boundary layer is below float64 range is zero
+    return np.where((b == IMAGINARY) & (A == 0.0) & (B == 0.0), 0.0, out)[()]
 
 
 def _oscillation_counts_ok(modes, n_grid=2000):
     """Sturm check: the n-th eigenfunction changes sign exactly n times."""
-    if not modes:
-        return True
-    d = modes[0].d
-    u = np.linspace(-d, d, n_grid)[1:-1]
     for m in modes:
-        vals = m(u)
-        if np.max(np.abs(vals)) == 0.0:  # underflowed boundary layer
-            continue
-        big = np.abs(vals) > 1e-8 * np.max(np.abs(vals))
-        sig = np.sign(vals[big])
-        changes = int(np.sum(sig[:-1] * sig[1:] < 0))
-        if changes != m.n:
+        vals = m(np.linspace(-m.d, m.d, n_grid)[1:-1])
+        top = np.max(np.abs(vals))
+        sig = np.sign(vals[np.abs(vals) > 1e-8 * top])
+        # an underflowed boundary layer (top = 0) is not counted
+        if top > 0 and np.sum(sig[:-1] * sig[1:] < 0) != m.n:
             return False
     return True
 
 
 def asymmetric_spectrum(alpha1: float, alpha2: float, d: float,
-                        n_max: int, validate: bool = True) -> list[TransverseMode]:
+                        n_max: int) -> list[TransverseMode]:
     """Modes 0..n_max of the (alpha_1, alpha_2) problem, increasing eigenvalue.
 
-    Negative eigenvalues from the hyperbolic branch, then (possibly) a zero
-    mode, then real roots of Delta(k)/k bracketed on a dense grid.  A Sturm
+    The one-pair case of the lane-wise solve (`_asymmetric_solve`).  A Sturm
     oscillation count guards against missed or spurious roots.
     """
-    if d <= 0:
-        raise ValueError("d must be positive")
-    entries = []
-    scale = abs(alpha1) + abs(alpha2) + 1.0 / d
-    has_zero = abs(_zero_mode_defect(alpha1, alpha2, d)) < 1e-12 * scale
-    # with a genuine zero mode, Delta/k vanishes at the origin too; keep the
-    # samplers away from the resulting sign noise (the next root is O(1/d) off)
-    k_floor = 0.1 / d if has_zero else 0.0
-    for kap in _negative_wavenumbers(alpha1, alpha2, d, k_floor):
-        entries.append((IMAGINARY, kap, -kap * kap))
-    if has_zero:
-        entries.append((ZERO, 0.0, 0.0))
-    for k in _positive_wavenumbers(alpha1, alpha2, d, n_max + 1 - len(entries),
-                                   k_floor):
-        entries.append((REAL, k, k * k))
-    entries.sort(key=lambda e: e[2])
-    entries = entries[:n_max + 1]
-    if len(entries) != n_max + 1:
-        raise BracketingError(
-            f"found {len(entries)} modes, expected {n_max + 1}")
-    modes = []
-    for n, (branch, k, lam) in enumerate(entries):
-        A, B = _asym_coefficients(branch, k, alpha1, alpha2, d)
-        modes.append(TransverseMode(n, branch, k, lam, A, B, (alpha1, alpha2), d))
-    if validate and not _oscillation_counts_ok(modes):
+    modes = _mode_list(_asymmetric_solve([alpha1], [alpha2], d, n_max),
+                       (alpha1, alpha2), d)
+    if not _oscillation_counts_ok(modes):
         raise BracketingError("oscillation count inconsistent with mode indices")
     return modes
 

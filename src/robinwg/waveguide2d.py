@@ -1,4 +1,4 @@
-"""Direct discretisation of the 2D waveguide operator and its reduction.
+"""The 2D waveguide operator, held as flat data plus a curved core.
 
 Two variants on the flattened strip R x (-d, d):
 
@@ -11,10 +11,16 @@ ghost elimination.  Multiplying the boundary rows by the trapezoid weight
 1/2 restores symmetry (the recorded weighted symmetrisation); the linear
 systems are then (A - shift*M) x = M F with M the u-weight diagonal.
 
-The reduced resolvent projects onto transverse modes computed per s-column
-by the `transverse` module, after subtracting the *discrete* transverse
-threshold of the flat columns so the renormalised problem is
-delta-independent at machine level.
+The curvature has compact support, so outside a core of O(eps) s-columns
+the operator is the flat separable one, P^-1 = kron(D2s + diag(V_flat), W)
++ kron(I, Bw)/delta^2, with V_flat the flat part of the potential.  Only
+the core correction E = P^-1 - M A is assembled; P^-1 is applied
+matrix-free (second differences by slicing, one product with Bw) and
+inverted exactly by the separable preconditioner, so no whole-grid matrix
+exists.  The reduced resolvent projects onto transverse modes computed per
+s-column by the `transverse` module (the curved columns in one lane-wise
+solve), after subtracting the *discrete* transverse threshold of the flat
+columns so the renormalised problem is delta-independent at machine level.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ from .errors import (GridResolutionError, ProfileError, RobinwgError,
 from .geometry import WaveguideGeometry
 from .graph_limit import sqrt_upper
 from .report import ConvergenceReport, predicted_limit, run_study
-from .transverse import asymmetric_spectrum, beta_coefficient, symmetric_spectrum
+from .transverse import (_asymmetric_solve, _mode_values, beta_coefficient,
+                         symmetric_spectrum)
 
 FULL = "full"
 SIMPLIFIED = "simplified"
@@ -116,44 +123,21 @@ class Grid2D:
                 f"h_s = {self.h_s:.3g} exceeds eps*support/{factor}")
 
 
-def _flat_transverse(alpha, d, n_u):
-    """Ghost-eliminated flat Robin matrix, its weighted form and eigenpairs.
-
-    Returns (B_weighted, mass, eigvals, eigvecs) with eigvecs mass-orthonormal.
-    """
-    hu = 2 * d / n_u
-    nu = n_u + 1
-    B = np.zeros((nu, nu))
-    idx = np.arange(1, n_u)
-    B[idx, idx] = 2 / hu ** 2
-    B[idx, idx - 1] = -1 / hu ** 2
-    B[idx, idx + 1] = -1 / hu ** 2
-    B[0, 0] = (2 + 2 * hu * alpha) / hu ** 2
-    B[0, 1] = -2 / hu ** 2
-    B[n_u, n_u] = (2 + 2 * hu * alpha) / hu ** 2
-    B[n_u, n_u - 1] = -2 / hu ** 2
-    w = np.ones(nu)
-    w[0] = w[-1] = 0.5
-    Bw = w[:, None] * B
-    lam, Phi = eigh(Bw, np.diag(w))
-    return Bw, w, lam, Phi
-
-
 @dataclass
 class DiscreteWaveguideOperator:
-    """Weighted-symmetric sparse operator over the (s interior) x u grid."""
+    """Weighted operator M A = P^-1 - R^T E R on the (s interior) x u grid.
+
+    R restricts to the core columns (see the module docstring)."""
 
     geometry: WaveguideGeometry
     grid: Grid2D
     variant: str
-    matrix: sp.csr_matrix          # weighted form M*A
-    mass: np.ndarray               # diagonal of M (u-weights tiled over s)
+    matrix: sp.csr_matrix          # E = (P^-1 - M A) on the core columns
+    transverse: np.ndarray         # Bw / delta^2, the weighted flat u-operator
     flat_eigvals: np.ndarray       # discrete flat transverse eigenvalues
     flat_eigvecs: np.ndarray       # mass-orthonormal columns
     potential_s: np.ndarray        # flat part of the potential, per s node
     core: slice                    # s-columns outside which A equals P^-1
-    core_correction: sp.csr_matrix  # (P^-1 - A)[core, core]; P^-1 is the
-                                    # flat operator the preconditioner inverts
 
     @property
     def shape(self):
@@ -161,8 +145,20 @@ class DiscreteWaveguideOperator:
 
     def apply(self, field: np.ndarray) -> np.ndarray:
         """Unweighted operator action on a (n_s-1, n_u+1) field."""
-        vec = (self.matrix @ field.ravel()) / self.mass
-        return vec.reshape(self.shape)
+        return self._weighted_apply(field) / self.grid.u_mass
+
+    def _weighted_apply(self, X: np.ndarray, shift=0.0) -> np.ndarray:
+        """(M A - shift M) X: the flat stencil, less R^T E x_C."""
+        wu = self.grid.u_mass
+        c = 1.0 / self.grid.h_s ** 2
+        Y = X @ (self.transverse + np.diag((2 * c - shift) * wu))
+        Y[1:] -= (c * wu) * X[:-1]
+        Y[:-1] -= (c * wu) * X[1:]
+        C = self.core
+        XC = X[C]
+        Y[C] += (self.potential_s[C, None] * wu) * XC - (
+            self.matrix @ XC.ravel()).reshape(XC.shape)
+        return Y
 
     def transverse_threshold(self, n: int) -> float:
         """Discrete flat threshold subtracted by the renormalisation."""
@@ -171,11 +167,13 @@ class DiscreteWaveguideOperator:
 
 def build_waveguide(geometry: WaveguideGeometry, variant: str,
                     n_context: int, grid: Grid2D) -> DiscreteWaveguideOperator:
-    """Assemble the sparse waveguide operator (without threshold shift).
+    """The operator as flat data and E on the core (without threshold shift).
 
-    The full variant needs gamma'': non-smooth profiles are rejected.
-    For gamma == 0 both variants reduce exactly to the separable sum of the
-    1D Dirichlet Laplacian and the transverse Robin operator.
+    The core is the s-columns where eta or V_flat is nonzero, padded by one
+    column each side for the midpoint fluxes.  The full variant needs
+    gamma'': non-smooth profiles are rejected.  For gamma == 0 the core is
+    empty: both variants are exactly the separable sum of the 1D Dirichlet
+    Laplacian and the transverse Robin operator.
     """
     if variant not in (FULL, SIMPLIFIED):
         raise RobinwgError(f"unknown variant {variant!r}")
@@ -196,63 +194,50 @@ def build_waveguide(geometry: WaveguideGeometry, variant: str,
     wu = grid.u_mass
     alpha = geometry.alpha
 
-    Bw, _, lam, Phi = _flat_transverse(alpha, grid.d, grid.n_u)
-    A = sp.kron(sp.eye(nsi), Bw / delta ** 2, format="csr")
-
-    # s-dependent Robin rows differ from the flat ones only on the diagonal
-    a1, a2 = geometry.robin_coefficients(si)
-    corr = np.zeros((nsi, nu))
-    corr[:, 0] = (a2 - alpha) / hu / delta ** 2      # weight 1/2 * 2/hu
-    corr[:, -1] = (a1 - alpha) / hu / delta ** 2
-    A = A + sp.diags(corr.ravel())
+    # ghost-eliminated flat Robin matrix, weighted; Phi is wu-orthonormal
+    B = 2 * np.eye(nu) - np.eye(nu, k=1) - np.eye(nu, k=-1)
+    B[0, 0] = B[-1, -1] = 2 + 2 * hu * alpha
+    B[0, 1] = B[-1, -2] = -2
+    Bw = wu[:, None] * B / hu ** 2
+    lam, Phi = eigh(Bw, np.diag(wu))
 
     gscaled = defo * geometry.profile.sample(si / eps)   # sqrt(1+2 eps b) gamma(s/eps)
     Vs = -gscaled ** 2 / (4 * eps ** 2)    # flat part of the potential
-    D2s = sp.diags([np.full(nsi - 1, -1.0), np.full(nsi, 2.0),
-                    np.full(nsi - 1, -1.0)], [-1, 0, 1]) / hs ** 2
-    if variant == SIMPLIFIED:
-        A = A + sp.kron(D2s, sp.diags(wu), format="csr")
-        V2d = np.repeat(Vs, nu) * np.tile(wu, nsi)
-        A = A + sp.diags(V2d)
-    else:
-        # conservative -d/ds a(s,u) d/ds, a = (1 + u eta)^-2, midpoint fluxes;
-        # the Dirichlet cap cells lie in the flat region where a = 1
-        s_all = grid.s_points
-        smid = 0.5 * (s_all[:-1] + s_all[1:])
-        eta_mid = geometry.eta(smid)
-        a_mid = 1.0 / (1.0 + np.outer(eta_mid, u)) ** 2   # (nsi+1, nu)
-        aL, aR = a_mid[:-1, :], a_mid[1:, :]
-        A = A + sp.diags(((aL + aR) * wu).ravel() / hs ** 2)
-        off = (-aR[:-1, :] * wu).ravel() / hs ** 2
-        n2 = nsi * nu
-        A = A + sp.diags(off, nu, shape=(n2, n2)) + sp.diags(off, -nu, shape=(n2, n2))
+    curved = np.flatnonzero((geometry.eta(si) != 0) | (Vs != 0))
+    core = (slice(max(curved[0] - 1, 0), min(curved[-1] + 2, nsi))
+            if len(curved) else slice(0, 0))
+    s_core = si[core]
 
-        eta_s = geometry.eta(si)
-        one = 1.0 + np.outer(eta_s, u)
-        g2d = gscaled[:, None]
-        g1 = defo * geometry.profile.deriv(si / eps)[:, None]
-        g2 = defo * geometry.profile.deriv2(si / eps)[:, None]
+    # s-dependent Robin rows differ from the flat ones only on the diagonal
+    a1, a2 = geometry.robin_coefficients(s_core)
+    diag = np.zeros((len(s_core), nu))
+    diag[:, 0] = (alpha - a2) / hu / delta ** 2      # weight 1/2 * 2/hu
+    diag[:, -1] = (alpha - a1) / hu / delta ** 2
+    off = np.zeros(max(diag.size - nu, 0))       # simplified: a = 1
+    if variant == FULL:
+        # conservative -d/ds a(s,u) d/ds, a = (1 + u eta)^-2, midpoint fluxes,
+        # against the flat a = 1; the core's outer midpoints (and the
+        # Dirichlet cap cells) lie in the flat region where a = 1
+        s_all = grid.s_points[core.start:core.stop + 2]
+        smid = 0.5 * (s_all[:-1] + s_all[1:])
+        a_mid = 1.0 / (1.0 + np.outer(geometry.eta(smid), u)) ** 2
+        aL, aR = a_mid[:-1, :], a_mid[1:, :]
+        off = ((aR[:-1, :] - 1.0) * wu).ravel() / hs ** 2
+
+        one = 1.0 + np.outer(geometry.eta(s_core), u)
+        g2d = gscaled[core, None]
+        g1 = defo * geometry.profile.deriv(s_core / eps)[:, None]
+        g2 = defo * geometry.profile.deriv2(s_core / eps)[:, None]
         dr = delta / eps
         U = u[None, :]
         V = (-g2d ** 2 / (4 * one ** 2)
              + dr * U * g2 / (2 * one ** 3)
              - 1.25 * dr ** 2 * U ** 2 * g1 ** 2 / one ** 4) / eps ** 2
-        A = A + sp.diags((V * wu).ravel())
-
-    # A equals the flat weighted operator P^-1 (kron(D2s + Vs, W) +
-    # kron(I, Bw)/delta^2) outside the columns where eta or Vs is nonzero,
-    # padded by one column each side for the midpoint fluxes
-    A = A.tocsr()
-    curved = np.flatnonzero((geometry.eta(si) != 0) | (Vs != 0))
-    core = (slice(max(curved[0] - 1, 0), min(curved[-1] + 2, nsi))
-            if len(curved) else slice(0, 0))
-    rows = slice(core.start * nu, core.stop * nu)
-    flat = (sp.kron((D2s + sp.diags(Vs)).tocsr()[core, core], sp.diags(wu))
-            + sp.kron(sp.identity(core.stop - core.start), Bw / delta ** 2))
-    mass = np.tile(wu, nsi)
-    return DiscreteWaveguideOperator(geometry, grid, variant, A, mass, lam,
-                                     Phi, Vs, core,
-                                     (flat - A[rows, rows]).tocsr())
+        diag += ((2.0 - aL - aR) / hs ** 2 + Vs[core, None] - V) * wu
+    E = (sp.diags([off, diag.ravel(), off], [-nu, 0, nu], format="csr")
+         if diag.size else sp.csr_matrix((0, 0)))
+    return DiscreteWaveguideOperator(geometry, grid, variant, E, Bw / delta ** 2,
+                                     lam, Phi, Vs, core)
 
 
 # ---------------------------------------------------------------------------
@@ -263,54 +248,57 @@ def build_waveguide(geometry: WaveguideGeometry, variant: str,
 class ModeProjector:
     """Per-column transverse modes phi_n(alpha^eps(s), .) on the u grid.
 
-    Flat columns (eta = 0) share the symmetric-problem modes; curved columns
-    get their own asymmetric solve.  Projection integrals use Gregory
-    end-corrected weights so sampled products integrate to ~1e-9.
+    Flat columns (eta = 0) share the symmetric modes `flat_modes` (solved
+    here unless given), stored once; the columns from the first to the last
+    curved one (`core`) keep their own, from one lane-wise solve.  Gregory
+    end-corrected weights integrate sampled products to ~1e-9.
     """
 
     geometry: WaveguideGeometry
     grid: Grid2D
     n_max: int
-    modes: np.ndarray = field(init=False)     # (n_max+1, n_s-1, n_u+1)
+    flat_modes: list | None = None
+    flat: np.ndarray = field(init=False)          # (n_max+1, n_u+1)
+    core: slice = field(init=False)
+    core_modes: np.ndarray = field(init=False)    # (n_max+1, core, n_u+1)
     quad: np.ndarray = field(init=False)
 
     def __post_init__(self):
         si = self.grid.s_interior
         u = self.grid.u_points
-        eta = self.geometry.eta(si)
         self.quad = gregory_weights(len(u), self.grid.h_u)
-        flat = symmetric_spectrum(self.geometry.alpha, self.grid.d, self.n_max)
-        flat_cols = np.array([m(u) for m in flat])      # (n_max+1, nu)
-        self.modes = np.empty((self.n_max + 1, len(si), len(u)))
-        self.modes[:] = flat_cols[:, None, :]
-        curved = np.nonzero(eta != 0.0)[0]
-        a1, a2 = self.geometry.robin_coefficients(si[curved])
-        for i, col in enumerate(curved):
-            mset = asymmetric_spectrum(a1[i], a2[i], self.grid.d, self.n_max,
-                                       validate=False)
-            for n, m in enumerate(mset):
-                vals = m(u)
-                # fix the sign to follow the flat modes continuously
-                if np.dot(vals, flat_cols[n]) < 0:
-                    vals = -vals
-                self.modes[n, col] = vals
+        modes = self.flat_modes or symmetric_spectrum(
+            self.geometry.alpha, self.grid.d, self.n_max)
+        self.flat = np.array([m(u) for m in modes])
+        curved = np.flatnonzero(self.geometry.eta(si) != 0.0)
+        self.core = (slice(curved[0], curved[-1] + 1) if len(curved)
+                     else slice(0, 0))
+        self.core_modes = np.repeat(self.flat[:, None, :], len(si[self.core]), 1)
+        branch, k, _, A, B = _asymmetric_solve(
+            *self.geometry.robin_coefficients(si[curved]), self.grid.d, self.n_max)
+        vals = _mode_values(branch.T, k.T, A.T, B.T, u)
+        # fix the sign to follow the flat modes continuously
+        flip = np.einsum("ncu,nu->nc", vals, self.flat) < 0
+        self.core_modes[:, curved - self.core.start] = np.where(
+            flip[..., None], -vals, vals)
 
     def synthesize(self, f_s: np.ndarray, n: int) -> np.ndarray:
         """F(s, u) = f(s) phi_n(alpha(s), u)."""
-        return f_s[:, None] * self.modes[n]
+        out = f_s[:, None] * self.flat[n]
+        out[self.core] = f_s[self.core, None] * self.core_modes[n]
+        return out
 
     def project(self, field: np.ndarray, m: int) -> np.ndarray:
         """Per-column inner product with phi_m."""
-        return (field * self.modes[m]) @ self.quad
+        out = (field * self.flat[m]) @ self.quad
+        out[self.core] = (field[self.core] * self.core_modes[m]) @ self.quad
+        return out
 
     def gram_deviation(self) -> float:
         """Worst per-column deviation of the mode Gram matrix from identity."""
-        worst = 0.0
-        for i in range(self.modes.shape[1]):
-            cols = self.modes[:, i, :]
-            G = (cols * self.quad) @ cols.T
-            worst = max(worst, float(np.max(np.abs(G - np.eye(len(G))))))
-        return worst
+        cols = np.concatenate([self.flat[:, None, :], self.core_modes], axis=1)
+        G = np.einsum("mcu,u,ncu->cmn", cols, self.quad, cols)
+        return float(np.max(np.abs(G - np.eye(self.n_max + 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +368,7 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
     mu_n is the discrete flat transverse threshold of the assembled operator
     (subtracting the continuum value would leave an O(h_u^2)/delta^2 drift).
     A = P^-1 - R^T E R, with P the flat separable solve, R the restriction
-    to the curved core C (`op.core`) and E = `op.core_correction`, so
+    to the curved core C (`op.core`) and E = `op.matrix`, so
     A x = b is x = P (b + R^T E x_C) with x_C solving
     (I - P_CC E) x_C = (P b)_C, P_CC the restriction of P to C.  GMRES runs
     on that core system only; the flat exterior is eliminated exactly, and a
@@ -388,8 +376,8 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
     preconditioned residual P (rhs - A x), the quantity judged, and solves
     for its correction the same way, until it is within rtol of |P rhs|, it
     stops falling, or the GMRES iterations reach maxiter; the sweeps correct
-    what the computed P misses of the assembled A.  Above rtol the residual
-    must still be within 10 rtol.  Returns (g, info dict); raises
+    what the computed P misses of A (applied matrix-free).  Above rtol the
+    residual must still be within 10 rtol.  Returns (g, info dict); raises
     SolverConvergenceError with the residual history when it is not.
     """
     if complex(z).imag == 0:
@@ -397,12 +385,11 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
     nsi, nu = op.shape
     delta = op.geometry.scaling.delta
     shift = op.transverse_threshold(n) / delta ** 2 + z
-    A = op.matrix - sp.diags(shift * op.mass)
-    F = projector.synthesize(np.asarray(f_s, dtype=complex), n)
-    rhs = op.mass * F.ravel()
+    rhs = (projector.synthesize(np.asarray(f_s, dtype=complex), n)
+           * op.grid.u_mass).ravel()
     prec = _separable_preconditioner(op, n, z)
     C = slice(op.core.start * nu, op.core.stop * nu)
-    E = op.core_correction
+    E = op.matrix
     if E.shape[0]:
         prec_core = _separable_preconditioner(op, n, z, op.core)
         K = spla.LinearOperator(E.shape, dtype=complex,
@@ -422,7 +409,7 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
                 callback_type="pr_norm")
             r[C] += E @ xc                  # r + R^T E x_C
         x += prec(r)
-        r = rhs - A @ x
+        r = rhs - op._weighted_apply(x.reshape(nsi, nu), shift).ravel()
         pr = prec(r)
         last, pr_res = pr_res, np.linalg.norm(pr) / scale
         if not rtol < pr_res < last or len(history) >= maxiter:
@@ -464,7 +451,8 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
     if sc.delta_ratio is None:
         sc.require_convergence_regime()
 
-    mu_n = symmetric_spectrum(geometry.alpha, geometry.d, n)[n].eigenvalue
+    flat = symmetric_spectrum(geometry.alpha, geometry.d, n_max)
+    mu_n = flat[n].eigenvalue
     beta_n = beta_coefficient(geometry.alpha, mu_n, geometry.d)
     predicted, alt = predicted_limit(geometry.profile, beta_n, sc.b)
 
@@ -484,7 +472,7 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
         n_s += n_s % 2
         grid = Grid2D(L, n_s, n_u, geometry.d)
         op = build_waveguide(geo, variant, n_max, grid)
-        proj = ModeProjector(geo, grid, n_max)
+        proj = ModeProjector(geo, grid, n_max, flat)
         last.update(u=grid.u_points, proj=proj)
 
         def solve(F):

@@ -1,0 +1,154 @@
+"""Test-only references that share no code with the library paths they check.
+
+`full_grid_matrix` assembles the 2D waveguide operator on the whole grid by
+successive sparse sums, the direct discretisation that the matrix-free apply
+of `waveguide2d` must reproduce.  `scalar_asymmetric_spectrum` solves the
+asymmetric transverse problem one root at a time with scalar brentq, the
+oracle of the lane-wise solve.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+from scipy.optimize import brentq
+
+from robinwg.transverse import _BRENT_KW
+from robinwg.waveguide2d import FULL
+
+
+def full_grid_matrix(op):
+    """(M A, M): the weighted operator of `op` and the u-weight diagonal."""
+    geometry, grid = op.geometry, op.grid
+    sc = geometry.scaling
+    eps, delta = sc.epsilon, sc.delta
+    defo = sc.deformation_factor
+    si, u = grid.s_interior, grid.u_points
+    nsi, nu = len(si), grid.n_u + 1
+    hs, hu = grid.h_s, grid.h_u
+    alpha = geometry.alpha
+
+    # ghost-eliminated flat Robin matrix, boundary rows weighted by 1/2
+    wu = np.ones(nu)
+    wu[0] = wu[-1] = 0.5
+    B = (np.diag(np.full(nu, 2.0)) - np.diag(np.ones(nu - 1), 1)
+         - np.diag(np.ones(nu - 1), -1))
+    B[0, 0] = B[-1, -1] = 2 + 2 * hu * alpha
+    B[0, 1] = B[-1, -2] = -2
+    A = sp.kron(sp.eye(nsi), wu[:, None] * B / hu ** 2 / delta ** 2, format="csr")
+
+    a1, a2 = geometry.robin_coefficients(si)
+    corr = np.zeros((nsi, nu))
+    corr[:, 0] = (a2 - alpha) / hu / delta ** 2
+    corr[:, -1] = (a1 - alpha) / hu / delta ** 2
+    A = A + sp.diags(corr.ravel())
+
+    gscaled = defo * geometry.profile.sample(si / eps)
+    if op.variant != FULL:
+        D2s = sp.diags([np.full(nsi - 1, -1.0), np.full(nsi, 2.0),
+                        np.full(nsi - 1, -1.0)], [-1, 0, 1]) / hs ** 2
+        A = A + sp.kron(D2s, sp.diags(wu), format="csr")
+        A = A + sp.diags(np.repeat(-gscaled ** 2 / (4 * eps ** 2), nu)
+                         * np.tile(wu, nsi))
+    else:
+        s_all = grid.s_points
+        smid = 0.5 * (s_all[:-1] + s_all[1:])
+        a_mid = 1.0 / (1.0 + np.outer(geometry.eta(smid), u)) ** 2
+        aL, aR = a_mid[:-1, :], a_mid[1:, :]
+        A = A + sp.diags(((aL + aR) * wu).ravel() / hs ** 2)
+        off = (-aR[:-1, :] * wu).ravel() / hs ** 2
+        n2 = nsi * nu
+        A = (A + sp.diags(off, nu, shape=(n2, n2))
+             + sp.diags(off, -nu, shape=(n2, n2)))
+
+        one = 1.0 + np.outer(geometry.eta(si), u)
+        g2d = gscaled[:, None]
+        g1 = defo * geometry.profile.deriv(si / eps)[:, None]
+        g2 = defo * geometry.profile.deriv2(si / eps)[:, None]
+        dr = delta / eps
+        U = u[None, :]
+        V = (-g2d ** 2 / (4 * one ** 2)
+             + dr * U * g2 / (2 * one ** 3)
+             - 1.25 * dr ** 2 * U ** 2 * g1 ** 2 / one ** 4) / eps ** 2
+        A = A + sp.diags((V * wu).ravel())
+    return A.tocsr(), np.tile(wu, nsi)
+
+
+def _delta(a1, a2, d, k):
+    return ((a1 * a2 - k * k) * np.sin(2 * k * d)
+            + k * (a1 + a2) * np.cos(2 * k * d))
+
+
+def _delta_imag(kappa, a1, a2, d):
+    return (a1 * a2 + kappa * kappa) * np.tanh(2 * kappa * d) + kappa * (a1 + a2)
+
+
+def _coefficients(branch, k, a1, a2, d):
+    if branch == "real":
+        sd, cd = np.sin(k * d), np.cos(k * d)
+        M = np.array([[k * cd + a1 * sd, a1 * cd - k * sd],
+                      [-(k * cd + a2 * sd), a2 * cd - k * sd]])
+        int_s2 = d - np.sin(2 * k * d) / (2 * k)
+        int_c2 = d + np.sin(2 * k * d) / (2 * k)
+    elif branch == "imaginary":
+        with np.errstate(over="ignore"):
+            sd, cd = np.sinh(k * d), np.cosh(k * d)
+            M = np.array([[k * cd + a1 * sd, k * sd + a1 * cd],
+                          [-(k * cd + a2 * sd), k * sd + a2 * cd]])
+            int_s2 = np.sinh(2 * k * d) / (2 * k) - d
+            int_c2 = np.sinh(2 * k * d) / (2 * k) + d
+        if not np.all(np.isfinite(M)):
+            return 0.0, 0.0
+    else:
+        M = np.array([[1 + a1 * d, a1], [-(1 + a2 * d), a2]])
+        int_s2 = 2 * d ** 3 / 3
+        int_c2 = 2 * d
+    _, _, vt = np.linalg.svd(M)
+    A, B = vt[-1]
+    norm = np.sqrt(A * A * int_s2 + B * B * int_c2)
+    A, B = A / norm, B / norm
+    if B < 0 or (B == 0 and A < 0):
+        A, B = -A, -B
+    return A, B
+
+
+def scalar_asymmetric_spectrum(a1, a2, d, n_max):
+    """[(branch, k, eigenvalue, coef_sin, coef_cos)] for modes 0..n_max.
+
+    Every root is one scalar brentq call on a bracket found by sampling.
+    Returns None when fewer than n_max + 1 modes are found.
+    """
+    scale = abs(a1) + abs(a2) + 1.0 / d
+    has_zero = abs(2 * d * a1 * a2 + a1 + a2) < 1e-12 * scale
+    start = max(1e-9, 0.1 / d if has_zero else 0.0)
+
+    grid = np.linspace(start, 1.5 * (abs(a1) + abs(a2)) + 2.0 / d, 800)
+    vals = _delta_imag(grid, a1, a2, d)
+    flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    kaps = sorted((brentq(_delta_imag, grid[i], grid[i + 1], args=(a1, a2, d),
+                          **_BRENT_KW) for i in flips), reverse=True)
+    entries = [("imaginary", kap, -kap * kap) for kap in kaps]
+    if has_zero:
+        entries.append(("zero", 0.0, 0.0))
+    count = n_max + 1 - len(entries)
+    if count > 0:
+        grid = np.linspace(start, (count + 3) * np.pi / (2 * d), 60 * (count + 3))
+        with np.errstate(invalid="ignore"):
+            vals = _delta(a1, a2, d, grid) / grid
+        flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+        ks = sorted(brentq(lambda k: _delta(a1, a2, d, k) / k, grid[i], grid[i + 1],
+                           **_BRENT_KW) for i in flips)[:count]
+        entries += [("real", k, k * k) for k in ks]
+    entries = sorted(entries, key=lambda e: e[2])[:n_max + 1]
+    if len(entries) != n_max + 1:
+        return None
+    return [(b, k, lam) + _coefficients(b, k, a1, a2, d) for b, k, lam in entries]
+
+
+def mode_values(branch, k, A, B, u):
+    """One eigenfunction on u, as the scalar method sampled it."""
+    if branch == "real":
+        return A * np.sin(k * u) + B * np.cos(k * u)
+    if branch == "imaginary":
+        if A == 0.0 and B == 0.0:
+            return np.zeros_like(u)
+        return A * np.sinh(k * u) + B * np.cosh(k * u)
+    return A * u + B * np.ones_like(u)

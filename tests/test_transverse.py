@@ -7,10 +7,12 @@ from scipy.optimize import brentq
 
 from robinwg import transverse
 from robinwg.cli import main
+from reference import scalar_asymmetric_spectrum
 from robinwg.errors import (BracketingError, NearSpectrumError,
                             SingularDenominatorError)
 from robinwg.transverse import (IMAGINARY, REAL, ZERO, _BRENT_KW,
-                                _brent_lanes, _symmetric_solve,
+                                _asymmetric_solve, _brent_lanes,
+                                _symmetric_solve,
                                 asymmetric_spectrum, beta_coefficient,
                                 beta_table, lambda2_coefficient,
                                 perturbation_coefficients, resolvent_kernel,
@@ -415,6 +417,40 @@ def test_spectrum_table_is_scalar_brentq_bit_for_bit():
     k = _symmetric_solve(grid, D, 7)[1]
     want = [[scalar_wavenumber(alpha, D, n)[1] for n in range(8)] for alpha in grid]
     assert np.array_equal(k, want)
+
+
+# (alpha_1, alpha_2) pairs: general ones, near-symmetric ones as the 2D
+# projector makes them, and pairs with an exact zero mode
+PAIR = st.one_of(
+    st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
+    st.tuples(st.sampled_from([-2.0, 0.0, 0.7]), st.floats(-0.3, 0.3)).map(
+        lambda p: (p[0] - p[1] / (2 * (1 + p[1])), p[0] + p[1] / (2 * (1 - p[1])))),
+    st.floats(-3.0, 3.0).filter(lambda a: abs(2 * a + 1) > 0.1).map(
+        lambda a: (a, -a / (2 * a + 1))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(PAIR, min_size=1, max_size=5), st.integers(0, 6),
+       st.sampled_from([1.0, 0.5, 2.0]))
+def test_asymmetric_lane_solve_is_scalar_brentq_bit_for_bit(pairs, n_max, d):
+    a1, a2 = (np.array(x) / d for x in zip(*pairs))
+    want = [scalar_asymmetric_spectrum(x, y, d, n_max) for x, y in zip(a1, a2)]
+    if None in want:
+        with pytest.raises(BracketingError):
+            _asymmetric_solve(a1, a2, d, n_max)
+        return
+    got = _asymmetric_solve(a1, a2, d, n_max)
+    for i, modes in enumerate(want):
+        for n, entry in enumerate(modes):
+            assert tuple(c[i, n] for c in got) == entry, (a1[i], a2[i], n)
+
+
+def test_asymmetric_spectrum_is_the_one_pair_solve():
+    for a1, a2 in ((0.3, -1.1), (-2.0, -1.9), (1.0, -1.0 / 3.0), (2.2, 2.2)):
+        want = scalar_asymmetric_spectrum(a1, a2, D, 4)
+        got = asymmetric_spectrum(a1, a2, D, 4)
+        assert [(m.branch, m.k, m.eigenvalue, m.coef_sin, m.coef_cos)
+                for m in got] == want
 
 
 def _outcome(call):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, solve_banded
@@ -16,8 +17,12 @@ from robinwg.waveguide2d import (FULL, SIMPLIFIED, Grid2D, ModeProjector,
                                  _separable_preconditioner, build_waveguide,
                                  gregory_weights, reduced_resolvent,
                                  theorem_check)
+from reference import full_grid_matrix, mode_values, scalar_asymmetric_spectrum
 
 FLAT = CurvatureProfile(SMOOTH_BUMP, amplitude=0.0, half_width=1.0)
+BELL = CurvatureProfile(TABULATED, nodes=tuple(np.linspace(-2, 2, 9)),
+                        values=(0.0, 0.12, 0.36, 0.6, 0.68, 0.6, 0.36, 0.12,
+                                0.0))
 Z = 1j
 
 
@@ -48,8 +53,9 @@ def test_separable_eigenvalues_small_grid():
     geom = flat_geometry(alpha=0.3, ratio=0.5)
     grid = Grid2D(2.0, 10, 16, 1.0)
     op = build_waveguide(geom, SIMPLIFIED, 1, grid)
-    A = op.matrix.toarray()
-    M = np.diag(op.mass)
+    A, mass = full_grid_matrix(op)
+    A = A.toarray()
+    M = np.diag(mass)
     vals = np.sort(eigh(A, M, eigvals_only=True))
     hs = grid.h_s
     nsi = len(grid.s_interior)
@@ -119,12 +125,43 @@ def test_projector_orthonormal_and_flat_exact():
     grid = Grid2D(6.0, 600, 128, 1.0)
     proj = ModeProjector(geom, grid, 3)
     assert proj.gram_deviation() < 1e-8
-    # flat columns equal the symmetric modes exactly
+    # flat columns equal the symmetric modes exactly, through synthesize
+    # and project alike
     u = grid.u_points
-    flat_modes = symmetric_spectrum(0.0, 1.0, 3)
-    i_flat = 5  # far from the scaled support
-    for n, m in enumerate(flat_modes):
-        assert np.array_equal(proj.modes[n, i_flat], m(u))
+    flat = np.flatnonzero(geom.eta(grid.s_interior) == 0)
+    assert 5 in flat  # far from the scaled support
+    field = np.random.default_rng(4).standard_normal((len(grid.s_interior), len(u)))
+    for n, m in enumerate(symmetric_spectrum(0.0, 1.0, 3)):
+        S = proj.synthesize(np.ones(len(grid.s_interior)), n)
+        assert np.array_equal(S[flat], np.broadcast_to(m(u), (len(flat), len(u))))
+        want = (field * np.broadcast_to(m(u), field.shape)) @ proj.quad
+        assert np.array_equal(proj.project(field, n)[flat], want[flat])
+
+
+@pytest.mark.parametrize("profile", ["bump", "bell"])
+@pytest.mark.parametrize("alpha", [-2.0, 0.0, 0.7])
+def test_projector_core_modes_are_the_scalar_solves_bit_for_bit(profile, alpha):
+    # one lane-wise pass over all curved columns gives each column the modes
+    # of its own scalar-brentq solve, sign-matched to the flat modes
+    prof = default_bump() if profile == "bump" else BELL
+    geom = WaveguideGeometry(prof, 1.0,
+                             ScalingParams(epsilon=0.4, delta_ratio=0.05), alpha)
+    grid = Grid2D(6.0, 600, 32, 1.0)
+    si, u = grid.s_interior, grid.u_points
+    for n_max in (1, 3):
+        proj = ModeProjector(geom, grid, n_max)
+        flat = [m(u) for m in symmetric_spectrum(alpha, 1.0, n_max)]
+        curved = np.flatnonzero(geom.eta(si) != 0)
+        assert proj.core == slice(curved[0], curved[-1] + 1)
+        a1, a2 = geom.robin_coefficients(si)
+        for col in range(proj.core.start, proj.core.stop):
+            modes = scalar_asymmetric_spectrum(a1[col], a2[col], 1.0, n_max)
+            for n, (branch, k, _, A, B) in enumerate(modes):
+                want = mode_values(branch, k, A, B, u) if col in curved else flat[n]
+                if np.dot(want, flat[n]) < 0:
+                    want = -want
+                got = proj.core_modes[n, col - proj.core.start]
+                assert np.array_equal(got, want), (col, n)
 
 
 def test_projection_bessel_inequality():
@@ -167,10 +204,9 @@ def test_manufactured_solution_second_order():
         lam = (np.pi / (2 * L)) ** 2 + xi0.eigenvalue / delta ** 2
         z = 1j
         rhs = (lam - z) * psi          # exact (H - z) psi
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-        A = op.matrix - sp.diags(z * op.mass)
-        sol = spla.spsolve(A.tocsc(), op.mass * rhs.ravel()).reshape(psi.shape)
+        A, mass = full_grid_matrix(op)
+        A = A - sp.diags(z * mass)
+        sol = spla.spsolve(A.tocsc(), mass * rhs.ravel()).reshape(psi.shape)
         sol_errs.append(np.max(np.abs(sol - psi)) / np.max(np.abs(psi)))
     for errs in (eig_errs, sol_errs):
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -311,14 +347,10 @@ def test_separable_preconditioner_matches_per_mode_banded_solves():
 def _direct_field(op, proj, n, f):
     delta = op.geometry.scaling.delta
     shift = op.transverse_threshold(n) / delta ** 2 + Z
-    A = op.matrix - sp.diags(shift * op.mass)
+    A, mass = full_grid_matrix(op)
+    A = A - sp.diags(shift * mass)
     F = proj.synthesize(f.astype(complex), n)
-    return spla.spsolve(A.tocsc(), op.mass * F.ravel()).reshape(op.shape)
-
-
-BELL = CurvatureProfile(TABULATED, nodes=tuple(np.linspace(-2, 2, 9)),
-                        values=(0.0, 0.12, 0.36, 0.6, 0.68, 0.6, 0.36, 0.12,
-                                0.0))
+    return spla.spsolve(A.tocsc(), mass * F.ravel()).reshape(op.shape)
 
 
 @pytest.mark.parametrize("profile, variant", [(default_bump(), FULL),
@@ -336,12 +368,46 @@ def test_operator_is_flat_outside_the_core(profile, variant):
                                  geom.scaling, geom.alpha)
     flat = build_waveguide(uncurved, variant, 1, grid)
     assert flat.core == slice(0, 0)
-    diff = (op.matrix - flat.matrix).tocoo()
+    diff = (full_grid_matrix(op)[0] - full_grid_matrix(flat)[0]).tocoo()
     hit = diff.data != 0
     cols = np.concatenate([diff.row[hit], diff.col[hit]]) // (grid.n_u + 1)
     assert op.core.start <= cols.min() and cols.max() < op.core.stop
     # no wider than the curved columns and one column each side
     assert op.core.start >= cols.min() - 1 and op.core.stop <= cols.max() + 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([FULL, SIMPLIFIED]), st.sampled_from(["bump", "bell"]),
+       st.floats(-2.0, 1.0), st.sampled_from([0.4, 0.2]), st.integers(0, 2 ** 32 - 1))
+def test_matrix_free_apply_is_the_full_grid_matrix(variant, profile, alpha, eps,
+                                                   seed):
+    # the flat stencil less the core correction is the whole-grid operator
+    prof = default_bump() if profile == "bump" else BELL
+    geom = WaveguideGeometry(prof, 1.0,
+                             ScalingParams(epsilon=eps, delta_ratio=0.05), alpha)
+    grid = Grid2D(6.0, 800, 16, 1.0)
+    op = build_waveguide(geom, variant, 1, grid)
+    A, mass = full_grid_matrix(op)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal(op.shape) + 1j * rng.standard_normal(op.shape)
+    want = (A @ X.ravel() / mass).reshape(op.shape)
+    assert np.linalg.norm(op.apply(X) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_theorem_check_solves_the_flat_spectrum_once(monkeypatch):
+    calls = []
+    solve = waveguide2d.symmetric_spectrum
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(waveguide2d, "symmetric_spectrum", counted)
+    for alpha, n in ((0.0, 0), (-2.0, 1)):
+        calls.clear()
+        theorem_check(bump_geometry(0.4, alpha=alpha), n, Z, bump_probe(-4.0, 1.5),
+                      [0.4, 0.2, 0.1], n_max=1, n_u=16)
+        assert calls == [(alpha, 1.0, 1)]
 
 
 @pytest.mark.parametrize("alpha", [-2.0, 0.0, 0.7])
@@ -381,7 +447,7 @@ def test_core_preconditioner_is_the_restriction_of_the_full_one():
     rng = np.random.default_rng(5)
     v = rng.standard_normal(rows.stop - rows.start) + 0j
     for n in (0, 1):
-        embedded = np.zeros(op.matrix.shape[0], dtype=complex)
+        embedded = np.zeros(np.prod(op.shape), dtype=complex)
         embedded[rows] = v
         full = _separable_preconditioner(op, n, Z)(embedded)[rows]
         core = _separable_preconditioner(op, n, Z, op.core)(v)
