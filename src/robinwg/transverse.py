@@ -319,8 +319,9 @@ def _asymmetric_solve(alpha1, alpha2, d, n_max):
     scale = np.abs(a1) + np.abs(a2) + 1.0 / d
     has_zero = np.abs(2 * d * a1 * a2 + a1 + a2) < 1e-12 * scale
     start = np.maximum(1e-9, np.where(has_zero, 0.1 / d, 0.0))
-    equations = (lambda x, p: _delta_imag(x, a1[p], a2[p], d),
-                 lambda x, p: eigencondition(a1[p], a2[p], d, x) / x)
+    # by branch code: 0 real (k > 0), 1 imaginary (k = i kappa)
+    equations = (lambda x, p: eigencondition(a1[p], a2[p], d, x) / x,
+                 lambda x, p: _delta_imag(x, a1[p], a2[p], d))
 
     def brackets(kind, rows, stop, num, first):
         # (kind, pair, rank within the pair, lo, hi) of the first sign changes
@@ -333,12 +334,12 @@ def _asymmetric_solve(alpha1, alpha2, d, n_max):
         return np.full(len(r), kind), rows[r], rank, grid[r, i], grid[r, i + 1]
 
     every = np.arange(pairs)
-    lanes = [brackets(0, every, 1.5 * (np.abs(a1) + np.abs(a2)) + 2.0 / d, 800,
+    lanes = [brackets(1, every, 1.5 * (np.abs(a1) + np.abs(a2)) + 2.0 / d, 800,
                       np.inf)]
     n_neg = np.bincount(lanes[0][1], minlength=pairs)
     count = modes - n_neg - has_zero
     for c in np.unique(count[count > 0]):
-        lanes.append(brackets(1, every[count == c], (c + 3) * np.pi / (2 * d),
+        lanes.append(brackets(0, every[count == c], (c + 3) * np.pi / (2 * d),
                               60 * (c + 3), c))
     kind, pair, rank, lo, hi = map(np.concatenate, zip(*lanes))
 
@@ -350,18 +351,18 @@ def _asymmetric_solve(alpha1, alpha2, d, n_max):
         return out
 
     roots = _brent_lanes(f, lo, hi, **_BRENT_KW)
-    found = n_neg + has_zero + np.bincount(pair[kind == 1], minlength=pairs)
+    found = n_neg + has_zero + np.bincount(pair[kind == 0], minlength=pairs)
     if np.any(found < modes):
         raise BracketingError(
             f"found {found[found < modes][0]} modes, expected {modes}")
     # increasing eigenvalue: kappa decreasing, the zero mode, then k increasing
-    slot = np.where(kind == 0, n_neg[pair] - 1 - rank,
+    slot = np.where(kind == 1, n_neg[pair] - 1 - rank,
                     (n_neg + has_zero)[pair] + rank)
     keep = slot < modes
     k = np.zeros((pairs, modes))
     branch = np.full((pairs, modes), 2)                 # zero mode
     k[pair[keep], slot[keep]] = roots[keep]
-    branch[pair[keep], slot[keep]] = 1 - kind[keep]     # 1 imaginary, 0 real
+    branch[pair[keep], slot[keep]] = kind[keep]
     lam = np.where(branch == 1, -k * k, k * k)
     return ((np.array([REAL, IMAGINARY, ZERO])[branch], k, lam)
             + _asym_coefficients(branch, k, a1[:, None], a2[:, None], d))
@@ -397,10 +398,8 @@ def _asym_coefficients(kind, k, a1, a2, d):
 
 
 def _mode_values(branch, k, A, B, u):
-    """Eigenfunctions at u, for every entry of the (branch, k, A, B) arrays.
-
-    The result has the shape of the mode arrays followed by that of u.
-    """
+    """Eigenfunctions at u for every entry of the (branch, k, A, B) arrays;
+    the result has their shape followed by that of u."""
     u = np.asarray(u, dtype=float)
     b, k, A, B = (np.reshape(x, np.shape(x) + (1,) * u.ndim)
                   for x in (branch, k, A, B))

@@ -365,7 +365,7 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
                       rtol: float = 1e-9, maxiter: int = 400):
     """g(s) = <phi_m, (Op - mu_n/delta^2 - z)^{-1} f phi_n> per column.
 
-    mu_n is the discrete flat transverse threshold of the assembled operator
+    mu_n is the flat transverse threshold of the discrete operator
     (subtracting the continuum value would leave an O(h_u^2)/delta^2 drift).
     A = P^-1 - R^T E R, with P the flat separable solve, R the restriction
     to the curved core C (`op.core`) and E = `op.matrix`, so
@@ -435,7 +435,7 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
     """Reduced-resolvent convergence of the 2D operator against the graph limit.
 
     The 2D backend of `report.run_study`: for each eps the geometry is
-    rebuilt with the same delta/eps ratio and b, the operator assembled and
+    rebuilt with the same delta/eps ratio and b, the operator built and
     r_{n,n} compared with the limit predicted by the resonance analysis of
     beta_n gamma^2, one `reduced_resolvent` (GMRES) solve per row of the
     probe block; the transmission is measured against the discrete free
