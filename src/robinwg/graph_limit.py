@@ -172,10 +172,11 @@ _last_grid = None
 
 
 def _grid_phases(w, s):
-    """(h, i0, e^{-iws}, e^{iws}) for a validated uniform grid.
+    """(h, i0, i_r, e^{-iws}, e^{iws}) for a validated uniform grid.
 
-    The entry is reused only for the same w and an s equal bit for bit; its
-    arrays are read-only.
+    i0 is the vertex node and i_r the first node with s >= 0, so the nodes
+    left of the vertex (s < 0) are s[:i_r].  The entry is reused only for
+    the same w and an s equal bit for bit; its arrays are read-only.
     """
     global _last_grid
     key = (np.complex128(w).tobytes(), s.tobytes())
@@ -183,21 +184,21 @@ def _grid_phases(w, s):
     if entry is not None and entry[0] == key:
         return entry[1]
     h = s[1] - s[0]
-    if not np.allclose(np.diff(s), h, rtol=1e-10, atol=1e-12):
-        raise RobinwgError("resolvent_apply needs a uniform grid")
+    if not (h > 0 and np.allclose(np.diff(s), h, rtol=1e-10, atol=1e-12)):
+        raise RobinwgError("resolvent_apply needs a uniform increasing grid")
     i0 = int(np.argmin(np.abs(s)))
     if abs(s[i0]) > 1e-12 * max(1.0, abs(s[-1])):
         raise RobinwgError("grid must contain the vertex s = 0")
     phases = (np.exp(-1j * w * s), np.exp(1j * w * s))
     for ph in phases:
         ph.flags.writeable = False
-    entry = (key, (h, i0) + phases)
+    entry = (key, (h, i0, int(np.searchsorted(s, 0.0))) + phases)
     _last_grid = entry
     return entry[1]
 
 
 def resolvent_apply(spec, z, s_grid, f_samples):
-    """(h_spec - z)^{-1} f on a uniform grid containing 0.
+    """(h_spec - z)^{-1} f on a uniform increasing grid containing 0.
 
     Quadrature of the Green's function against the piecewise-linear
     interpolant of f, evaluated exactly: the one-sided exponential moments
@@ -213,7 +214,7 @@ def resolvent_apply(spec, z, s_grid, f_samples):
     if s.ndim != 1 or s.shape != f.shape:
         raise RobinwgError("grid/sample shape mismatch")
     w = sqrt_upper(z)
-    h, i0, ph_m, ph_p = _grid_phases(w, s)
+    h, i0, i_r, ph_m, ph_p = _grid_phases(w, s)
     specs = [spec] if isinstance(spec, GraphOperatorSpec) else list(spec)
     amplitudes = [_amplitudes(sp, w) for sp in specs]
 
@@ -238,13 +239,14 @@ def resolvent_apply(spec, z, s_grid, f_samples):
     # vertex images, e^{iw|s|} = e^{-iws} left and e^{iws} right of the
     # vertex; (tau - 1) removes the free cross-side part
     A0, B0 = A[i0], B[i0]
-    left = s < 0
-    right = ~left
-    img_l, img_r = pref * ph_m[left], pref * ph_p[right]
+    # products of fresh copies, as of the masked gathers these slices
+    # replace: numpy multiplies a large temporary in place, and its
+    # in-place complex product can round differently
+    img_l, img_r = pref * ph_m[:i_r].copy(), pref * ph_p[i_r:].copy()
     outs = []
     for rho_l, rho_r, tau in amplitudes:
         out = free.copy()
-        out[left] += img_l * (rho_l * A0 + (tau - 1.0) * B0)
-        out[right] += img_r * (rho_r * B0 + (tau - 1.0) * A0)
+        out[:i_r] += img_l * (rho_l * A0 + (tau - 1.0) * B0)
+        out[i_r:] += img_r * (rho_r * B0 + (tau - 1.0) * A0)
         outs.append(out)
     return outs[0] if isinstance(spec, GraphOperatorSpec) else outs

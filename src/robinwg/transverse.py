@@ -411,14 +411,27 @@ def _mode_values(branch, k, A, B, u):
     return np.where((b == IMAGINARY) & (A == 0.0) & (B == 0.0), 0.0, out)[()]
 
 
+def _sign_changes(vals: np.ndarray) -> np.ndarray:
+    """Sign changes of each row of `vals` along its last axis.
+
+    Samples below 1e-8 of the row's largest magnitude are skipped, so a
+    node sampled near zero is counted once.
+    """
+    mag = np.abs(vals)
+    sig = np.where(mag > 1e-8 * mag.max(axis=-1, keepdims=True),
+                   np.sign(vals), 0.0)
+    # carry the last kept sign forward over the skipped samples
+    kept = np.where(sig != 0, np.arange(sig.shape[-1]), 0)
+    sig = np.take_along_axis(sig, np.maximum.accumulate(kept, axis=-1), -1)
+    return np.count_nonzero(sig[..., 1:] * sig[..., :-1] < 0, axis=-1)
+
+
 def _oscillation_counts_ok(modes, n_grid=2000):
     """Sturm check: the n-th eigenfunction changes sign exactly n times."""
     for m in modes:
         vals = m(np.linspace(-m.d, m.d, n_grid)[1:-1])
-        top = np.max(np.abs(vals))
-        sig = np.sign(vals[np.abs(vals) > 1e-8 * top])
         # an underflowed boundary layer (top = 0) is not counted
-        if top > 0 and np.sum(sig[:-1] * sig[1:] < 0) != m.n:
+        if np.max(np.abs(vals)) > 0 and _sign_changes(vals) != m.n:
             return False
     return True
 

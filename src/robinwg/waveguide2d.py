@@ -33,13 +33,13 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, lapack
 
 from .effective_1d import Discrete1DOperator, Grid1D, resolvent_solve
-from .errors import (GridResolutionError, ProfileError, RobinwgError,
-                     SolverConvergenceError)
+from .errors import (BracketingError, GridResolutionError, ProfileError,
+                     RobinwgError, SolverConvergenceError)
 from .geometry import WaveguideGeometry
 from .graph_limit import sqrt_upper
 from .report import ConvergenceReport, predicted_limit, run_study
-from .transverse import (_asymmetric_solve, _mode_values, beta_coefficient,
-                         symmetric_spectrum)
+from .transverse import (_asymmetric_solve, _mode_values, _sign_changes,
+                         beta_coefficient, symmetric_spectrum)
 
 FULL = "full"
 SIMPLIFIED = "simplified"
@@ -251,7 +251,10 @@ class ModeProjector:
     Flat columns (eta = 0) share the symmetric modes `flat_modes` (solved
     here unless given), stored once; the columns from the first to the last
     curved one (`core`) keep their own, from one lane-wise solve.  Gregory
-    end-corrected weights integrate sampled products to ~1e-9.
+    end-corrected weights integrate sampled products to ~1e-9.  A Sturm
+    count guards the lane-wise solve: sampled on the u grid, curved mode n
+    must change sign exactly n times, or BracketingError is raised (a
+    missed root shifts the mode indices).
     """
 
     geometry: WaveguideGeometry
@@ -277,6 +280,11 @@ class ModeProjector:
         branch, k, _, A, B = _asymmetric_solve(
             *self.geometry.robin_coefficients(si[curved]), self.grid.d, self.n_max)
         vals = _mode_values(branch.T, k.T, A.T, B.T, u)
+        bad = _sign_changes(vals) != np.arange(self.n_max + 1)[:, None]
+        if bad.any():
+            raise BracketingError(
+                f"{np.count_nonzero(bad.any(0))} of {len(curved)} curved "
+                "columns: mode oscillation count inconsistent with mode index")
         # fix the sign to follow the flat modes continuously
         flip = np.einsum("ncu,nu->nc", vals, self.flat) < 0
         self.core_modes[:, curved - self.core.start] = np.where(
@@ -348,10 +356,9 @@ def _separable_preconditioner(op: DiscreteWaveguideOperator, n: int, z,
         raise RobinwgError(f"separable preconditioner: zgttrf info = {info}")
 
     def apply(r):
-        # mode-major copy of the transformed residual; the (k, nu) product
-        # is freed at once, which keeps the apply within two fields
-        b = (np.asarray(r, dtype=complex).reshape(k, nu)
-             @ Phi).T.reshape(-1, 1)
+        # the transformed residual, formed mode-major
+        b = (Phi.T @ np.asarray(r, dtype=complex).reshape(k, nu).T
+             ).reshape(-1, 1)
         x, info = lapack.zgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)
         if info != 0:
             raise RobinwgError(f"separable preconditioner: zgttrs info = {info}")

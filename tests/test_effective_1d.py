@@ -316,17 +316,30 @@ def test_block_resolvent_solve_equals_row_solves(probes, z):
 @pytest.mark.parametrize("bad", range(4))
 def test_block_residual_gate_fires_for_one_bad_row(monkeypatch, bad):
     from robinwg import effective_1d
-    banded = effective_1d.solve_banded
+    gtsv = effective_1d.zgtsv
 
     def perturbed(*args, **kwargs):
-        x = banded(*args, **kwargs)
+        *bands, x, info = gtsv(*args, **kwargs)
         x[len(x) // 2, bad] *= 1 + 1e-6
-        return x
+        return (*bands, x, info)
 
     op = build_h_n_eps(default_bump(), -3.0, 0.5, 0.0, BLOCK_GRID)
     s = BLOCK_GRID.points
     F = np.array([bump_probe(c, 1.0)(s) for c in (-4.0, -1.0, 0.0, 3.0)])
     resolvent_solve(op, 1j, F)
-    monkeypatch.setattr(effective_1d, "solve_banded", perturbed)
+    monkeypatch.setattr(effective_1d, "zgtsv", perturbed)
     with pytest.raises(RobinwgError, match="banded solve residual"):
         resolvent_solve(op, 1j, F)
+
+
+def test_residual_gate_rejects_non_finite_rows():
+    op = build_h_n_eps(default_bump(), -3.0, 0.5, 0.0, BLOCK_GRID)
+    s = BLOCK_GRID.points
+    F = np.array([bump_probe(c, 1.0)(s) for c in (-4.0, -1.0, 0.0, 3.0)])
+    F[1, 700] = np.nan
+    F[2, 1500] = np.inf
+    with pytest.raises(RobinwgError, match="banded solve residual"):
+        resolvent_solve(op, 1j, F)
+    for row in (1, 2):
+        with pytest.raises(RobinwgError, match="banded solve residual"):
+            resolvent_solve(op, 1j, F[row])

@@ -326,6 +326,9 @@ def test_resolvent_apply_rejects_bad_grids():
     s = np.linspace(0.5, 10.0, 100)  # no vertex in range
     with pytest.raises(RobinwgError):
         resolvent_apply(GraphOperatorSpec.free(), 1j, s, np.zeros_like(s))
+    s = np.linspace(5.0, -5.0, 101)  # decreasing
+    with pytest.raises(RobinwgError, match="increasing"):
+        resolvent_apply(GraphOperatorSpec.free(), 1j, s, np.zeros_like(s))
 
 
 def test_resolvent_apply_phase_cache_is_exact(monkeypatch):
@@ -431,3 +434,55 @@ def test_shared_moment_pass_equals_separate_calls(theta, b_hat, r, phi, center,
     for spec, out in zip(specs, outs):
         assert np.array_equal(out, resolvent_apply(spec, z, s, f))
     assert resolvent_apply((), z, s, f) == []
+
+
+def _masked_resolvent_apply(spec, z, s, f):
+    """resolvent_apply with the vertex images added through boolean masks
+    (`s < 0` and its complement), the update it had before slicing."""
+    from robinwg.graph_limit import _amplitudes
+    w = sqrt_upper(z)
+    h = s[1] - s[0]
+    i0 = int(np.argmin(np.abs(s)))
+    ph_m, ph_p = np.exp(-1j * w * s), np.exp(1j * w * s)
+    iwh = 1j * w * h
+    ep, em = np.exp(iwh), np.exp(-iwh)
+    c0 = (ep - 1.0) / (1j * w) - (ep - 1.0 - iwh) / ((1j * w) ** 2 * h)
+    c1 = (ep - 1.0 - iwh) / ((1j * w) ** 2 * h)
+    d0 = (em - 1.0) / (-1j * w) - (em - 1.0 + iwh) / ((1j * w) ** 2 * h)
+    d1 = (em - 1.0 + iwh) / ((1j * w) ** 2 * h)
+    A = np.concatenate([[0.0], np.cumsum(ph_m[:-1] * (f[:-1] * d0 + f[1:] * d1))])
+    B = np.concatenate([[0.0], np.cumsum(ph_p[:-1] * (f[:-1] * c0 + f[1:] * c1))])
+    B = B[-1] - B
+    pref = 1j / (2 * w)
+    out = pref * (ph_p * A + ph_m * B)
+    A0, B0 = A[i0], B[i0]
+    rho_l, rho_r, tau = _amplitudes(spec, w)
+    left = s < 0
+    right = ~left
+    img_l, img_r = pref * ph_m[left], pref * ph_p[right]
+    out[left] += img_l * (rho_l * A0 + (tau - 1.0) * B0)
+    out[right] += img_r * (rho_r * B0 + (tau - 1.0) * A0)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 40000), st.floats(0.0, 1.0), st.floats(2.0, 60.0),
+       st.sampled_from([0.0, -1e-14, 1e-14]),
+       st.sampled_from([1j, 0.7 + 1.3j, -2.0 + 0.1j, -0.3 + 5.0j]),
+       st.floats(0.0, 2 * np.pi), st.floats(-5.0, 5.0))
+def test_sliced_vertex_images_equal_masked_update(n, at, span, offset, z,
+                                                  theta, b_hat):
+    # the vertex node sits anywhere from the second to the last but one
+    # node, exactly at 0 or just either side of it; up to 40,000 nodes, as
+    # numpy's complex products take other SIMD paths on long arrays
+    k = 1 + int(at * (n - 3))
+    h = span / n
+    s = h * (np.arange(n) - k) + offset
+    f = bump_probe(-0.3 * h * k, 0.4 * h * n)(s) + 0.5j * np.cos(s)
+    c = (np.cos(theta), np.sin(theta))
+    assume(abs(1j * sqrt_upper(z) - b_hat) > 0.1)
+    for spec in (GraphOperatorSpec.decoupled(), GraphOperatorSpec.free(),
+                 GraphOperatorSpec.scale_invariant(*c),
+                 GraphOperatorSpec.deformed(*c, b_hat)):
+        assert np.array_equal(resolvent_apply(spec, z, s, f),
+                              _masked_resolvent_apply(spec, z, s, f))

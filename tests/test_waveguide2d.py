@@ -6,7 +6,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, solve_banded
 
 from robinwg.effective_1d import Grid1D, build_h_n_eps, bump_probe, resolvent_solve
-from robinwg.errors import ProfileError, RobinwgError, SolverConvergenceError
+from robinwg.errors import (BracketingError, ProfileError, RobinwgError,
+                            SolverConvergenceError)
 from robinwg.geometry import (RECTANGULAR, SMOOTH_BUMP, TABULATED,
                               CurvatureProfile, ScalingParams,
                               WaveguideGeometry, default_bump)
@@ -516,3 +517,17 @@ def test_theorem_check_validates_mode_and_eps_list():
         theorem_check(flat_geometry(eps=0.1), 0, Z, probe, [0.1, 0.2, 0.4])
     with pytest.raises(RobinwgError, match="at least one probe"):
         theorem_check(flat_geometry(), 0, Z, [], [0.4, 0.2])
+
+
+def test_mode_projector_sturm_guard():
+    # at alpha = -4 the negative pair splits by ~e^(-2|alpha|d), below the
+    # lane-wise solve's bracket spacing on weakly curved columns: the modes
+    # come out with shifted indices, and the sign count catches it
+    with pytest.raises(BracketingError, match="oscillation count"):
+        theorem_check(bump_geometry(0.4, alpha=-4.0), 0, Z,
+                      bump_probe(-4.0, 1.5), [0.4, 0.2])
+    # the benchmark's three waveguide-check configs pass the guard
+    for alpha, n in ((0.0, 0), (0.0, 1), (-2.0, 0)):
+        rep = theorem_check(bump_geometry(0.4, alpha=alpha), n, Z,
+                            bump_probe(-4.0, 1.5), [0.4, 0.2, 0.1], n_max=1)
+        assert rep.verdict == "converges-to-predicted"
