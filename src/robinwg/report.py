@@ -108,8 +108,23 @@ def predicted_limit(profile, beta: float, b: float):
     return predicted, alt
 
 
-def _l2_distance(g, ref, s, where):
-    return np.sqrt(np.trapezoid(np.abs(g - ref)[where] ** 2, s[where]))
+def _trapezoid_weights(s, *runs):
+    """Weights w with sum(w * y) the trapezoid rule of y on each run.
+
+    Each run is a mask of consecutive nodes; a cell counts only when both
+    its nodes lie in one run, so no cell bridges the gap between two runs.
+    """
+    w = np.zeros(len(s))
+    for run in runs:
+        half = np.where(run[:-1] & run[1:], np.diff(s) / 2, 0.0)
+        w[:-1] += half
+        w[1:] += half
+    return w
+
+
+def _weighted_norm(t, w):
+    """sqrt(sum(w |t|^2)) without forming |t|^2."""
+    return np.sqrt(np.vdot(t, w * t).real)
 
 
 def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
@@ -122,13 +137,15 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
     row by row and info the backend's record of the first row's solve.
     `probes` is a callable or a non-empty list of them, each a pure function
     of s; the error is the max over the probes of the L2(|s| > 1) distance
-    to the limit output over ||f||, where the limit output is smooth.  The
-    limit side does not depend on eps, so it is computed once per distinct
-    grid and reused while later eps return the same s: the sampled probes
-    and their norms, the predicted and competitor outputs (one
-    `resolvent_apply` moment pass per probe), the first probe's free_line
-    reference and the masks.  Each eps still gets its own solve.  The first
-    probe's solve, when that probe lies left of the vertex, gives the
+    to the limit output over ||f||, where the limit output is smooth: the
+    trapezoid rule on the two half-lines s < -1 and s > 1, with no cell
+    across the gap between them.  The limit side does not depend on eps,
+    so it is computed once per distinct grid and reused while later eps
+    return the same s: the sampled probes and their norms, the predicted
+    and competitor outputs (one `resolvent_apply` moment pass per probe),
+    the first probe's free_line reference and the quadrature weights of
+    the error and leakage norms.  Each eps still gets its own solve.  The
+    first probe's solve, when that probe lies left of the vertex, gives the
     leakage past s = 1 and, for a limit that couples the edges, the
     transmission: the mean of g / free_line(s, f) over 2 < s < 6.  With
     three or more eps the transmission is extrapolated linearly to eps = 0,
@@ -151,7 +168,8 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
         if grid is None or not np.array_equal(s, grid):
             # the limit side depends on the grid only, not on eps
             grid = s
-            outer, far = np.abs(s) > 1.0, s > 1.0
+            outer = _trapezoid_weights(s, s < -1.0, s > 1.0)
+            far = slice(int(np.searchsorted(s, 1.0, side="right")), None)
             win = (s > 2.0) & (s < 6.0)
             F = np.array([probe(s) for probe in probes])
             norms = [np.sqrt(np.trapezoid(np.abs(fs) ** 2, s)) for fs in F]
@@ -163,13 +181,14 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
         G, info = solve(F)
         e_pred = e_alt = 0.0
         for g, nf, (g_pred, g_alt) in zip(G, norms, limits):
-            e_pred = max(e_pred, _l2_distance(g, g_pred, s, outer) / nf)
-            e_alt = max(e_alt, _l2_distance(g, g_alt, s, outer) / nf)
+            e_pred = max(e_pred, _weighted_norm(g - g_pred, outer) / nf)
+            e_alt = max(e_alt, _weighted_norm(g - g_alt, outer) / nf)
         g, nf = G[0], norms[0]
         if on_first is not None:
             on_first(eps, s, F[0], nf, g, info)
         if left:
-            leakage.append(float(_l2_distance(g, 0.0, s, far) / nf))
+            # on s > 1 the outer weights are that half-line's own
+            leakage.append(float(_weighted_norm(g[far], outer[far]) / nf))
         if ref is not None:
             taus.append(complex(np.mean(g[win] / ref[win])))
         errors.append(e_pred)

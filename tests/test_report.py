@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robinwg.effective_1d import bump_probe
 from robinwg.errors import RobinwgError
 from robinwg.graph_limit import GraphOperatorSpec, resolvent_apply
 from robinwg.report import (VERDICT_INCONCLUSIVE, VERDICT_MATCH,
-                            VERDICT_MISMATCH, run_study)
+                            VERDICT_MISMATCH, _trapezoid_weights,
+                            _weighted_norm, run_study)
 
 Z = 1j
 S = np.linspace(-12.0, 12.0, 2401)
@@ -88,3 +91,28 @@ def test_empty_probe_list_is_rejected_before_any_solve():
     with pytest.raises(RobinwgError, match="at least one probe"):
         run_study(FREE, DECOUPLED, Z, [], EPS, no_solve, 0.02, free_line)
 
+
+
+def test_outer_norm_of_one_is_the_span_of_the_outer_nodes():
+    # |s| > 1 is two half-lines: the cell across the gap does not count
+    rep = run_study(FREE, DECOUPLED, Z, PROBE, EPS, synthetic(FREE, lambda e: 1.0),
+                    0.02, free_line)
+    nf = np.sqrt(np.trapezoid(np.abs(PROBE(S)) ** 2, S))
+    left, right = S[S < -1.0], S[S > 1.0]
+    span = (left[-1] - left[0]) + (right[-1] - right[0])
+    for e in rep.errors:
+        assert abs((e * nf) ** 2 - span) <= 1e-14 * span
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1.5, 30.0), st.integers(8, 3000), st.floats(-0.5, 0.5),
+       st.integers(0, 2 ** 32 - 1))
+def test_weighted_norms_equal_two_segment_trapezoid(L, n, shift, seed):
+    rng = np.random.default_rng(seed)
+    s = np.linspace(-L, L, n) + shift * 2 * L / n
+    t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    y = np.abs(t) ** 2
+    for runs in ((s < -1.0, s > 1.0), (s > 1.0,)):
+        want = np.sqrt(sum(np.trapezoid(y[r], s[r]) for r in runs))
+        got = _weighted_norm(t, _trapezoid_weights(s, *runs))
+        assert abs(got - want) <= 1e-14 * want
