@@ -185,6 +185,17 @@ def _resolve_beta(cfg):
     return perturbation_coefficients(cfg["alpha"], cfg["d"], cfg["n"]).beta
 
 
+def _check_study(cfg):
+    """The study keys shared by limit-check and waveguide-check."""
+    if cfg["probe"] not in ("bump", "random"):
+        raise ConfigError(f"probe must be 'bump' or 'random', got {cfg['probe']!r}")
+    if not cfg["eps_list"]:
+        raise ConfigError("eps_list must not be empty")
+    for key in ("h_target", "half_length"):
+        if key in cfg and not cfg[key] > 0:
+            raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
+
+
 def _probe_from(cfg, seed):
     if cfg["probe"] == "random":
         rng = np.random.default_rng(seed)
@@ -224,6 +235,7 @@ def _emit_green_trace(report, out, cfg_raw, seed):
 
 def cmd_limit_check(cfg_raw, out, seed, override=None):
     cfg = validate(cfg_raw, LIMIT_SCHEMA)
+    _check_study(cfg)
     profile = profile_from_config(cfg)
     beta = _resolve_beta(cfg)
     z = complex(cfg["z_re"], cfg["z_im"])
@@ -256,6 +268,7 @@ WAVEGUIDE_SCHEMA = dict(PROFILE_SCHEMA, **{
 
 def cmd_waveguide_check(cfg_raw, out, seed, override=None):
     cfg = validate(cfg_raw, WAVEGUIDE_SCHEMA)
+    _check_study(cfg)
     profile = profile_from_config(cfg)
     scaling = ScalingParams(epsilon=cfg["eps_list"][0], b=cfg["b"],
                             delta_ratio=cfg["delta_ratio"])

@@ -45,16 +45,31 @@ class Grid1D:
     def points(self) -> np.ndarray:
         return np.linspace(-self.half_length, self.half_length, self.n_cells + 1)
 
-    def check_truncation(self, z):
-        """Require L >= 10 / Im sqrt(z): the cap amplitude measured from s = 0,
-        e^(-Im sqrt(z) L), is below e^-10.  That does not bound the truncation
-        error: a probe supported out to |s| = r_f sees about
-        e^(-Im sqrt(z) (L - r_f)) at a cap, which can exceed the
-        discretisation error."""
-        w = sqrt_upper(z)
-        if self.half_length * w.imag < 10.0:
-            raise GridResolutionError(
-                f"half_length {self.half_length} < 10/Im(sqrt z) = {10 / w.imag:.3g}")
+
+def s_grid(profile: CurvatureProfile, eps: float, z, min_half_length: float,
+           h_max: float = np.inf) -> Grid1D:
+    """The s-grid of both backends at one eps: the one place grids are sized.
+
+    L = max(min_half_length, 10/Im sqrt(z) + 1), so the decay e^(-Im sqrt(z) L)
+    measured from s = 0 is below e^-10 (that does not bound the truncation
+    error of a probe supported away from the vertex); h = min(h_max,
+    eps * support_width / RESOLUTION_FACTOR), and the cell count 2L/h is
+    rounded up to an even number so that s = 0 is a node.
+    """
+    L = max(min_half_length, 10.0 / sqrt_upper(z).imag + 1.0)
+    h = min(h_max, eps * profile.support_width / RESOLUTION_FACTOR)
+    n = int(np.ceil(2 * L / h))
+    return Grid1D(L, n + n % 2)
+
+
+def check_resolution(h: float, eps: float, profile: CurvatureProfile):
+    """Reject a step h that under-resolves the scaled curvature gamma(s/eps):
+    a curved profile needs h <= eps * support_width / RESOLUTION_FACTOR."""
+    bound = eps * profile.support_width / RESOLUTION_FACTOR
+    if profile.sup_abs() > 0 and h > bound:
+        raise GridResolutionError(
+            f"h = {h:.3g} exceeds eps*support/{RESOLUTION_FACTOR} "
+            f"= {bound:.3g}: scaled potential under-resolved")
 
 
 @dataclass(frozen=True)
@@ -63,10 +78,6 @@ class Discrete1DOperator:
 
     grid: Grid1D
     potential: np.ndarray      # all nodes, caps included
-    epsilon: float
-    beta: float
-    b: float
-    profile: CurvatureProfile | None = None
 
     def apply(self, g):
         """Operator action on full-node samples (caps pinned to zero)."""
@@ -103,15 +114,11 @@ def build_h_n_eps(profile: CurvatureProfile, beta: float, eps: float,
     """Assemble the discrete scaled operator; b = 0 is the undeformed case."""
     if eps <= 0:
         raise RobinwgError("eps must be positive")
-    width = profile.support_width
-    nontrivial = beta != 0.0 and profile.sup_abs() > 0
-    if nontrivial and grid.h > eps * width / RESOLUTION_FACTOR:
-        raise GridResolutionError(
-            f"h = {grid.h:.3g} exceeds eps*support/{RESOLUTION_FACTOR} "
-            f"= {eps * width / RESOLUTION_FACTOR:.3g}: scaled potential under-resolved")
+    if beta != 0.0:
+        check_resolution(grid.h, eps, profile)
     s = grid.points
     V = beta * (1.0 + eps * b) / eps ** 2 * profile.sample_squared(s / eps)
-    return Discrete1DOperator(grid, V, eps, beta, b, profile)
+    return Discrete1DOperator(grid, V)
 
 
 def _gtsv(diag, off, b):
@@ -178,15 +185,6 @@ def bump_probe(center: float, half_width: float):
     return f
 
 
-def _grid_for(profile, eps, z, half_length, h_target):
-    w = sqrt_upper(z)
-    L = max(half_length, 10.0 / w.imag + 1.0)
-    h = min(h_target, eps * profile.support_width / RESOLUTION_FACTOR)
-    n = int(np.ceil(2 * L / h))
-    n += n % 2
-    return Grid1D(L, n)
-
-
 @dataclass(frozen=True)
 class VertexData:
     value_minus: complex
@@ -195,22 +193,21 @@ class VertexData:
     deriv_plus: complex
 
 
-def extract_vertex_data(s, g, eps, support_radius, fit_width=None,
-                        degree=5) -> VertexData:
+def extract_vertex_data(s, g, eps, support_radius) -> VertexData:
     """One-sided extrapolation of (f, f') at 0 from outside the scaled core.
 
-    Polynomial least squares on [a, a + width] per side with
+    Quintic least squares on [a, a + max(0.4, 2a)] per side with
     a = 1.05 * eps * support_radius; raises when the window would swallow
     half the grid.
     """
     a = max(1.05 * eps * support_radius, 5 * (s[1] - s[0]))
-    width = fit_width if fit_width is not None else max(0.4, 2 * a)
+    width = max(0.4, 2 * a)
     if a + width > 0.5 * s[-1]:
         raise GridResolutionError("extrapolation window exceeds half the grid")
     out = {}
     for sign in (+1, -1):
         sel = (sign * s >= a) & (sign * s <= a + width)
-        X = np.vander(s[sel], degree + 1, increasing=True)
+        X = np.vander(s[sel], 6, increasing=True)
         coef, *_ = np.linalg.lstsq(X, g[sel], rcond=None)
         out[sign] = (coef[0], coef[1])
     return VertexData(out[-1][0], out[-1][1], out[+1][0], out[+1][1])
@@ -255,8 +252,7 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
     vdata = []
 
     def solver(eps):
-        grid = _grid_for(profile, eps, z, half_length, h_target)
-        grid.check_truncation(z)
+        grid = s_grid(profile, eps, z, half_length, h_target)
         op = build_h_n_eps(profile, beta, eps, b, grid)
         last.update(eps=eps, grid=grid)
         return grid.points, lambda F: (resolvent_solve(op, z, F), None)

@@ -426,28 +426,23 @@ def _sign_changes(vals: np.ndarray) -> np.ndarray:
     return np.count_nonzero(sig[..., 1:] * sig[..., :-1] < 0, axis=-1)
 
 
-def _oscillation_counts_ok(modes, n_grid=2000):
-    """Sturm check: the n-th eigenfunction changes sign exactly n times."""
-    for m in modes:
-        vals = m(np.linspace(-m.d, m.d, n_grid)[1:-1])
-        # an underflowed boundary layer (top = 0) is not counted
-        if np.max(np.abs(vals)) > 0 and _sign_changes(vals) != m.n:
-            return False
-    return True
-
-
 def asymmetric_spectrum(alpha1: float, alpha2: float, d: float,
                         n_max: int) -> list[TransverseMode]:
     """Modes 0..n_max of the (alpha_1, alpha_2) problem, increasing eigenvalue.
 
     The one-pair case of the lane-wise solve (`_asymmetric_solve`).  A Sturm
-    oscillation count guards against missed or spurious roots.
+    oscillation count guards against missed or spurious roots: sampled on
+    2000 points, mode n must change sign exactly n times, unless its
+    boundary layer underflowed to zero.
     """
-    modes = _mode_list(_asymmetric_solve([alpha1], [alpha2], d, n_max),
-                       (alpha1, alpha2), d)
-    if not _oscillation_counts_ok(modes):
+    cols = _asymmetric_solve([alpha1], [alpha2], d, n_max)
+    branch, k, _, A, B = (c[0] for c in cols)
+    vals = _mode_values(branch, k, A, B, np.linspace(-d, d, 2000)[1:-1])
+    bad = ((np.max(np.abs(vals), axis=-1) > 0)
+           & (_sign_changes(vals) != np.arange(n_max + 1)))
+    if bad.any():
         raise BracketingError("oscillation count inconsistent with mode indices")
-    return modes
+    return _mode_list(cols, (alpha1, alpha2), d)
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, lapack
 
-from .effective_1d import Discrete1DOperator, Grid1D, resolvent_solve
+from .effective_1d import (Discrete1DOperator, check_resolution,
+                           resolvent_solve, s_grid)
 from .errors import (BracketingError, GridResolutionError, ProfileError,
                      RobinwgError, SolverConvergenceError)
 from .geometry import WaveguideGeometry
-from .graph_limit import sqrt_upper
 from .report import ConvergenceReport, predicted_limit, run_study
 from .transverse import (_asymmetric_solve, _mode_values, _sign_changes,
                          beta_coefficient, symmetric_spectrum)
@@ -112,16 +112,6 @@ class Grid2D:
             raise GridResolutionError(
                 f"n_u = {self.n_u} under-resolves transverse mode {n_max}")
 
-    def check_curvature_resolution(self, geometry: WaveguideGeometry,
-                                   factor: int = 50):
-        if geometry.profile.sup_abs() == 0:
-            return
-        width = geometry.profile.support_width
-        eps = geometry.scaling.epsilon
-        if width > 0 and self.h_s > eps * width / factor:
-            raise GridResolutionError(
-                f"h_s = {self.h_s:.3g} exceeds eps*support/{factor}")
-
 
 @dataclass
 class DiscreteWaveguideOperator:
@@ -182,7 +172,7 @@ def build_waveguide(geometry: WaveguideGeometry, variant: str,
     if abs(grid.d - geometry.d) > 1e-14:
         raise RobinwgError("grid.d must match geometry.d")
     grid.check_mode_resolution(n_context)
-    grid.check_curvature_resolution(geometry)
+    check_resolution(grid.h_s, geometry.scaling.epsilon, geometry.profile)
 
     sc = geometry.scaling
     eps, delta = sc.epsilon, sc.delta
@@ -463,9 +453,6 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
     beta_n = beta_coefficient(geometry.alpha, mu_n, geometry.d)
     predicted, alt = predicted_limit(geometry.profile, beta_n, sc.b)
 
-    w = sqrt_upper(z)
-    L = max(12.0, 10.0 / w.imag + 1.0)
-    width = geometry.profile.support_width
     offdiag = {m: [] for m in range(n_max + 1) if m != n}
     last = {}
 
@@ -475,12 +462,11 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
                            if sc.delta_ratio is not None else None)
         geo = WaveguideGeometry(geometry.profile, geometry.d, scaling,
                                 geometry.alpha)
-        n_s = int(np.ceil(2 * L / (eps * width / 50)))
-        n_s += n_s % 2
-        grid = Grid2D(L, n_s, n_u, geometry.d)
+        line = s_grid(geometry.profile, eps, z, 12.0)
+        grid = Grid2D(line.half_length, line.n_cells, n_u, geometry.d)
         op = build_waveguide(geo, variant, n_max, grid)
         proj = ModeProjector(geo, grid, n_max, flat)
-        last.update(u=grid.u_points, proj=proj)
+        last.update(line=line, u=grid.u_points, proj=proj)
 
         def solve(F):
             # only the first row's info (and 2D field) is kept
@@ -500,12 +486,12 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
                 np.abs(gm) ** 2, s)) / nf))
 
     def free_line(s, fs):
-        """Discrete free 1D resolvent on the interior s grid."""
-        line = Discrete1DOperator(Grid1D(L, len(s) + 1), np.zeros(len(s) + 2),
-                                  1.0, 0.0, 0.0)
-        full = np.zeros(len(s) + 2, dtype=complex)
+        """Discrete free 1D resolvent on the interior nodes of this eps's line."""
+        line = last["line"]
+        full = np.zeros(line.n_cells + 1, dtype=complex)
         full[1:-1] = fs
-        return resolvent_solve(line, z, full)[1:-1]
+        return resolvent_solve(Discrete1DOperator(line, np.zeros(len(full))),
+                               z, full)[1:-1]
 
     report = run_study(
         predicted, alt, z, probes, eps_list, solver, error_threshold, free_line,

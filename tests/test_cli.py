@@ -114,12 +114,22 @@ def test_waveguide_check_small(tmp_path):
     assert header == "s,u,re,im"
 
 
-def test_waveguide_check_rejects_a_misspelt_bool(tmp_path, capsys):
-    cfg = "n_u = 16\neps_list = 0.4,0.2\ndump_field = ture\n"
-    code, out = run(tmp_path, "waveguide-check", cfg)
+@pytest.mark.parametrize("command, cfg, key", [
+    ("waveguide-check", "n_u = 16\neps_list = 0.4,0.2\ndump_field = ture\n",
+     "dump_field"),
+    ("waveguide-check", "probe = gaussian\n", "probe"),
+    ("limit-check", "beta = 3.0\nprobe = gaussian\n", "probe"),
+    ("waveguide-check", "eps_list =\n", "eps_list"),
+    ("limit-check", "beta = 3.0\neps_list =\n", "eps_list"),
+    ("limit-check", "beta = 3.0\nh_target = 0\n", "h_target"),
+    ("limit-check", "beta = 3.0\nhalf_length = -5\n", "half_length"),
+], ids=["misspelt_bool", "waveguide_probe", "limit_probe", "waveguide_no_eps",
+        "limit_no_eps", "zero_h_target", "negative_half_length"])
+def test_study_commands_reject_bad_configs(tmp_path, capsys, command, cfg, key):
+    code, out = run(tmp_path, command, cfg)
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "dump_field" in err
+    assert err.startswith("config error: ") and key in err
     assert not out.exists() or not list(out.glob("*"))
 
 

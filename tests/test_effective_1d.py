@@ -2,19 +2,21 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from robinwg.effective_1d import (Grid1D, VertexData, build_h_n_eps,
-                                  bump_probe, convergence_study,
-                                  extract_vertex_data,
-                                  resolvent_solve, vertex_condition_residuals)
+from robinwg.effective_1d import (RESOLUTION_FACTOR, Grid1D, VertexData,
+                                  build_h_n_eps, bump_probe, check_resolution,
+                                  convergence_study, extract_vertex_data,
+                                  resolvent_solve, s_grid,
+                                  vertex_condition_residuals)
 from robinwg.errors import GridResolutionError, RobinwgError
 from robinwg.geometry import (RECTANGULAR, SMOOTH_BUMP, CurvatureProfile,
-                              default_bump)
-from robinwg.graph_limit import GraphOperatorSpec, resolvent_apply
+                              ScalingParams, WaveguideGeometry, default_bump)
+from robinwg.graph_limit import GraphOperatorSpec, resolvent_apply, sqrt_upper
 from robinwg.report import VERDICT_INCONCLUSIVE, VERDICT_MATCH
+from robinwg.waveguide2d import FULL, Grid2D, build_waveguide
 
 BUMP_BETA_STAR = -7.647474116758
 SQUARE_SYM = CurvatureProfile(RECTANGULAR, amplitude=1.0, half_width=1.0)
@@ -121,16 +123,40 @@ def test_scale_covariance_of_spectrum():
         assert np.allclose(ee, e1 / eps ** 2, rtol=1e-8)
 
 
-def test_under_resolved_potential_rejected():
-    grid = Grid1D(16.0, 800)  # h = 0.04 > eps*width/50 = 0.008
-    with pytest.raises(GridResolutionError):
-        build_h_n_eps(default_bump(), 1.0, 0.1, 0.0, grid)
+def _build_1d(profile, eps):
+    return build_h_n_eps(profile, 1.0, eps, 0.0, Grid1D(16.0, 800))
 
 
-def test_truncation_check():
-    with pytest.raises(GridResolutionError):
-        Grid1D(8.0, 1000).check_truncation(1j)
-    Grid1D(16.0, 1000).check_truncation(1j)
+def _build_2d(profile, eps):
+    geo = WaveguideGeometry(profile, 1.0,
+                            ScalingParams(epsilon=eps, delta_ratio=0.05), 0.0)
+    return build_waveguide(geo, FULL, 1, Grid2D(16.0, 800, 16, 1.0))
+
+
+@pytest.mark.parametrize("build", [_build_1d, _build_2d], ids=["1d", "2d"])
+def test_under_resolved_potential_rejected(build):
+    # h = 0.04 > eps*width/50 = 0.008 at eps = 0.1
+    with pytest.raises(GridResolutionError, match="under-resolved"):
+        build(default_bump(), 0.1)
+    build(CurvatureProfile(SMOOTH_BUMP, amplitude=0.0, half_width=2.0), 0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.005, 0.5), st.floats(-4.0, 4.0), st.floats(0.01, 4.0),
+       st.floats(0.5, 30.0), st.one_of(st.just(np.inf), st.floats(1e-4, 0.05)),
+       st.sampled_from([default_bump(), SQUARE_SYM, SQUARE_UNIT]))
+@example(0.025, 0.0, 1.0, 16.0, 2e-3, default_bump())    # README limit-check
+@example(0.1, 0.0, 1.0, 12.0, np.inf, default_bump())    # README waveguide-check
+def test_s_grid_sizes_by_the_one_rule(eps, re_z, im_z, min_half_length, h_max,
+                                      profile):
+    z = complex(re_z, im_z)
+    grid = s_grid(profile, eps, z, min_half_length, h_max)
+    assert grid.half_length >= min_half_length
+    # the cap amplitude measured from s = 0 is below e^-10
+    assert grid.half_length * sqrt_upper(z).imag >= 10.0
+    assert grid.h <= min(h_max, eps * profile.support_width / RESOLUTION_FACTOR)
+    check_resolution(grid.h, eps, profile)
+    assert grid.n_cells % 2 == 0
 
 
 def test_grid_requires_even_cells():

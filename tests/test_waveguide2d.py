@@ -5,7 +5,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, solve_banded
 
-from robinwg.effective_1d import Grid1D, build_h_n_eps, bump_probe, resolvent_solve
+from robinwg.effective_1d import (Grid1D, build_h_n_eps, bump_probe,
+                                  resolvent_solve, s_grid)
 from robinwg.errors import (BracketingError, ProfileError, RobinwgError,
                             SolverConvergenceError)
 from robinwg.geometry import (RECTANGULAR, SMOOTH_BUMP, TABULATED,
@@ -13,7 +14,6 @@ from robinwg.geometry import (RECTANGULAR, SMOOTH_BUMP, TABULATED,
                               WaveguideGeometry, default_bump)
 from robinwg.transverse import symmetric_spectrum
 from robinwg import cli, waveguide2d
-from robinwg.graph_limit import sqrt_upper
 from robinwg.waveguide2d import (FULL, SIMPLIFIED, Grid2D, ModeProjector,
                                  _separable_preconditioner, build_waveguide,
                                  gregory_weights, reduced_resolvent,
@@ -501,10 +501,9 @@ def test_dump_field_reuses_the_theorem_check_solve(tmp_path, monkeypatch):
     stride = max(1, len(si) // 400)
     assert np.array_equal(s_col, si[::stride])
     assert len(rows) == len(s_col) * len(u)
-    # theorem_check sizes its box by the decay of the resolvent at z = i
-    L = max(12.0, 10.0 / sqrt_upper(Z).imag + 1.0)
-    assert si[0] == pytest.approx(-L + (si[1] - si[0]))
-    assert si[-1] == pytest.approx(L - (si[1] - si[0]))
+    # the field lives on the interior nodes of the check's own s-grid
+    assert np.array_equal(si, s_grid(default_bump(), eps_list[-1], Z,
+                                     12.0).points[1:-1])
     first = rows[0]
     assert complex(float(first[2]), float(first[3])) == field[0, 0]
 
