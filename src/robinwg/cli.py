@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -51,14 +52,18 @@ def _meta_lines(cfg_raw, seed):
 
 def _write_csv(path: Path, header, rows, cfg_raw, seed):
     """Rows are tuples, or a float ndarray with one row per line."""
-    lines = _meta_lines(cfg_raw, seed)
-    lines.append(",".join(header))
     if isinstance(rows, np.ndarray):
         # tolist() gives Python floats, whose repr is _fmt's for every cell
-        lines.extend(",".join(map(repr, row)) for row in rows.tolist())
+        lines = (",".join(map(repr, row)) for row in rows.tolist())
     else:
-        lines.extend(",".join(map(_fmt, row)) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+        lines = (",".join(map(_fmt, row)) for row in rows)
+    _write_lines(path, header, lines, cfg_raw, seed)
+
+
+def _write_lines(path: Path, header, lines, cfg_raw, seed):
+    """A CSV of formatted data lines under the metadata and the header."""
+    text = "\n".join([*_meta_lines(cfg_raw, seed), ",".join(header), *lines])
+    path.write_text(text + "\n")
 
 
 def _write_json(path: Path, payload, cfg_raw, seed):
@@ -189,8 +194,13 @@ def _check_study(cfg):
     """The study keys shared by limit-check and waveguide-check."""
     if cfg["probe"] not in ("bump", "random"):
         raise ConfigError(f"probe must be 'bump' or 'random', got {cfg['probe']!r}")
-    if not cfg["eps_list"]:
+    eps = cfg["eps_list"]
+    if not eps:
         raise ConfigError("eps_list must not be empty")
+    if not (all(e > 0 for e in eps)
+            and all(e1 > e2 for e1, e2 in zip(eps, eps[1:]))):
+        raise ConfigError("eps_list must be positive and strictly "
+                          f"decreasing, got {eps!r}")
     for key in ("h_target", "half_length"):
         if key in cfg and not cfg[key] > 0:
             raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
@@ -287,12 +297,17 @@ def _dump_field_slice(probe_field, out, cfg_raw, seed):
     """2D resolvent field solved at the smallest eps, as (s, u, re, im) rows."""
     s, u, field = probe_field
     stride = max(1, len(s) // 400)
-    S, U = np.meshgrid(s[::stride], u, indexing="ij")
     part = field[::stride]
-    rows = np.column_stack([S.ravel(), U.ravel(), part.real.ravel(),
-                            part.imag.ravel()])
-    _write_csv(out / "field_slice.csv", ["s", "u", "re", "im"], rows,
-               cfg_raw, seed)
+    # each s and u value is formatted once, as _write_csv would format it
+    s_txt = list(map(repr, s[::stride].tolist()))
+    u_txt = list(map(repr, u.tolist()))
+    lines = map(",".join, zip(
+        chain.from_iterable(repeat(x, len(u_txt)) for x in s_txt),
+        chain.from_iterable(repeat(u_txt, len(s_txt))),
+        map(repr, part.real.ravel().tolist()),
+        map(repr, part.imag.ravel().tolist())))
+    _write_lines(out / "field_slice.csv", ["s", "u", "re", "im"], lines,
+                 cfg_raw, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ resolvent predicted by the resonance analysis of v = beta gamma^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -41,9 +42,12 @@ class Grid1D:
     def h(self) -> float:
         return 2 * self.half_length / self.n_cells
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        return np.linspace(-self.half_length, self.half_length, self.n_cells + 1)
+        """The nodes, built once per grid and read-only."""
+        pts = np.linspace(-self.half_length, self.half_length, self.n_cells + 1)
+        pts.flags.writeable = False
+        return pts
 
 
 def s_grid(profile: CurvatureProfile, eps: float, z, min_half_length: float,
@@ -96,7 +100,9 @@ class Discrete1DOperator:
         into out; diag = `diagonal(shift)`, work is scratch of out's shape."""
         np.multiply(diag, g[1:-1], out=out)
         np.add(g[:-2], g[2:], out=work)
-        work /= self.grid.h ** 2
+        # times 1/h^2: numpy divides a complex array by a float as by a
+        # complex number, several times slower than this product
+        work *= 1.0 / self.grid.h ** 2
         out -= work
         return out
 
@@ -123,8 +129,8 @@ def build_h_n_eps(profile: CurvatureProfile, beta: float, eps: float,
 
 def _gtsv(diag, off, b):
     """Solve the tridiagonal system with diagonal diag and every off-diagonal
-    entry off for b, (n,) or (n, rhs), by LAPACK zgtsv (LU with partial
-    pivoting); diag and b are overwritten."""
+    entry off for b, (n,) or (n, rhs) with n >= 2, by LAPACK zgtsv (LU with
+    partial pivoting); diag and b are overwritten."""
     bands = np.full((2, len(diag) - 1), off, dtype=complex)
     *_, x, info = zgtsv(bands[0], diag, bands[1], b, overwrite_dl=1,
                         overwrite_d=1, overwrite_du=1, overwrite_b=1)
@@ -133,14 +139,102 @@ def _gtsv(diag, off, b):
     return x
 
 
-def resolvent_solve(op: Discrete1DOperator, z, f_samples) -> np.ndarray:
-    """(H - z)^{-1} f by a tridiagonal LU solve with partial pivoting.
+def _core_half_width(op: Discrete1DOperator) -> int:
+    """k such that the core window W is the nodes i0 - k .. i0 + k around the
+    vertex node i0: the smallest k covering |s| <= 1 and every node where
+    the potential is nonzero.  Each exterior then holds none or at least
+    two interior nodes, and W at least three."""
+    i0 = op.grid.n_cells // 2
+    k = int(np.searchsorted(op.grid.points[i0:], 1.0, side="right")) - 1
+    nz = np.flatnonzero(op.potential)
+    if nz.size:
+        k = max(k, i0 - nz[0], nz[-1] - i0)
+    k = max(k, 1)
+    return i0 - 1 if i0 - k - 1 < 2 else int(k)
+
+
+@dataclass(frozen=True, eq=False)
+class FlatExterior:
+    """The free Dirichlet problem outside the core window W, solved for one
+    grid, z and probe block (see `flat_exterior`).
+
+    Each side of W holds m interior nodes on which h_eps is the free
+    operator E, the Dirichlet cap at its far end.  In node order, `U_left`/
+    `U_right` hold E^{-1} f for the rows `rows_left`/`rows_right` that are
+    nonzero on that side (the other rows' particular solution is zero),
+    `phi_left`/`phi_right` are the Green columns E^{-1} e of the node next
+    to W, and `f_norms` is each row's ||f|| for the residual gate.
+    """
+
+    grid: Grid1D
+    z: complex
+    k: int
+    f: np.ndarray
+    f_norms: np.ndarray
+    rows_left: np.ndarray
+    U_left: np.ndarray
+    phi_left: np.ndarray
+    rows_right: np.ndarray
+    U_right: np.ndarray
+    phi_right: np.ndarray
+
+    def fits(self, op: Discrete1DOperator, z, F) -> bool:
+        """Whether this exterior serves the (probes, nodes) block F on op."""
+        return (op.grid == self.grid and complex(z) == self.z
+                and F.shape == self.f.shape and _core_half_width(op) == self.k
+                and np.array_equal(F, self.f))
+
+
+def flat_exterior(op: Discrete1DOperator, z, f_samples,
+                  previous: FlatExterior | None = None) -> FlatExterior:
+    """The flat exterior of (op.grid, z, f): `previous` when it was built for
+    the same grid, z, probe block and window W, else a new solve.
+
+    W depends on the grid and on op's potential only, so the operators of
+    several eps on one grid share an exterior while their potentials sit
+    inside the same W.  Both sides are the one Toeplitz tridiagonal, so one
+    LAPACK `gtsv` call solves every particular solution and both Green
+    columns.
+    """
+    F = np.atleast_2d(f_samples)
+    if previous is not None and previous.fits(op, z, F):
+        return previous
+    grid, z = op.grid, complex(z)
+    i0 = grid.n_cells // 2
+    k = _core_half_width(op)
+    m = i0 - k - 1
+    sides = (F[:, 1:i0 - k], F[:, i0 + k + 1:-1])
+    rows = [np.flatnonzero(np.any(side != 0, axis=1)) for side in sides]
+    n_left, n_rows = len(rows[0]), len(rows[0]) + len(rows[1])
+    X = np.zeros((n_rows + 2, m), dtype=complex)
+    if m:
+        X[:n_left] = sides[0][rows[0]]
+        X[n_left:n_rows] = sides[1][rows[1]]
+        X[n_rows, -1] = X[n_rows + 1, 0] = 1.0
+        X = _gtsv(np.full(m, 2.0 / grid.h ** 2 - z), -1.0 / grid.h ** 2,
+                  X.T).T
+    block = F.copy()
+    block.flags.writeable = False
+    norms = np.array([max(np.linalg.norm(fr[1:-1]), 1e-300) for fr in F])
+    return FlatExterior(grid, z, k, block, norms, rows[0], X[:n_left],
+                        X[n_rows], rows[1], X[n_left:n_rows], X[n_rows + 1])
+
+
+def resolvent_solve(op: Discrete1DOperator, z, f_samples,
+                    exterior: FlatExterior | None = None) -> np.ndarray:
+    """(H - z)^{-1} f by the exact Schur split of W and its flat exterior.
 
     f is sampled on the full node set, one probe or a (probes, nodes)
-    block whose rows share one LAPACK `gtsv` call (each row comes out bit
-    for bit as its own solve would); the output has f's shape and carries
-    zeros at the Dirichlet caps.  Every row's residual is verified to
-    1e-12 relative, and a row that is not finite fails that check.
+    block; the output has f's shape and carries zeros at the Dirichlet
+    caps.  Outside the core window W the operator is free, so the exterior
+    solves (`flat_exterior`; `exterior` is reused when it fits, else
+    rebuilt) give each row g = U + c g(edge) phi there, with c = 1/h^2 and
+    g(edge) its value at W's end node.  What is left is W's tridiagonal with
+    the Schur corner terms c^2 phi(edge) and the right-hand side corrected
+    by c U(edge): one LAPACK `gtsv` call (LU with partial pivoting) for all
+    rows, each row bit for bit as its own solve would come out.  Every
+    assembled row's residual is verified to 1e-12 relative, and a row that
+    is not finite fails that check.
     """
     if complex(z).imag == 0:
         raise RobinwgError("resolvent_solve needs Im z != 0")
@@ -148,26 +242,48 @@ def resolvent_solve(op: Discrete1DOperator, z, f_samples) -> np.ndarray:
     s = op.grid.points
     if f.shape[-1:] != s.shape or f.ndim > 2:
         raise RobinwgError("f must be sampled on the full grid")
+    F = np.atleast_2d(f)
+    ext = flat_exterior(op, z, F, exterior)
     h = op.grid.h
-    n = len(s) - 2
-    g = np.zeros(f.shape, dtype=complex)
-    g[..., 1:-1] = _gtsv(op.diagonal(z), -1.0 / h ** 2,
-                         f[..., 1:-1].astype(complex).T).T
+    c = 1.0 / h ** 2
+    i0 = op.grid.n_cells // 2
+    lo, hi = i0 - ext.k, i0 + ext.k
+    diag = 2.0 / h ** 2 + op.potential[lo:hi + 1] - z
+    b = F[:, lo:hi + 1].astype(complex).T
+    flat = len(ext.phi_left) > 0        # W short of the caps
+    if flat:
+        diag[0] -= c * c * ext.phi_left[-1]
+        diag[-1] -= c * c * ext.phi_right[0]
+        b[0, ext.rows_left] += c * ext.U_left[:, -1]
+        b[-1, ext.rows_right] += c * ext.U_right[:, 0]
+    x = _gtsv(diag, -c, b)
+    G = np.empty(F.shape, dtype=complex)
+    G[:, [0, -1]] = 0.0
+    G[:, lo:hi + 1] = x.T
+    if flat:
+        for nodes, g_edge, rows, U, phi in (
+                (slice(1, lo), x[0], ext.rows_left, ext.U_left, ext.phi_left),
+                (slice(hi + 1, -1), x[-1], ext.rows_right, ext.U_right,
+                 ext.phi_right)):
+            for r, ge in enumerate(g_edge):
+                np.multiply(phi, c * ge, out=G[r, nodes])
+            for r, u in zip(rows, U):
+                G[r, nodes] += u
     # backward-stable solve: the attainable residual scales with eps*||A||
     a_scale = 4.0 / h ** 2 + np.max(np.abs(op.potential)) + abs(z)
-    diag = op.diagonal(z)       # the solve overwrote the one it was given
+    diag = op.diagonal(z)
+    n = len(s) - 2
     resid, work = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
-    for fr, gr in zip(np.atleast_2d(f), np.atleast_2d(g)):
+    for fr, gr, f_norm in zip(F, G, ext.f_norms):
         op.apply_interior(gr, diag, resid, work)
         resid -= fr[1:-1]
-        f_norm = max(np.linalg.norm(fr[1:-1]), 1e-300)
         rel = np.linalg.norm(resid) / f_norm
         floor = 50 * np.finfo(float).eps * a_scale * (
             np.linalg.norm(gr[1:-1]) / f_norm)
         # judged as "not below": a NaN residual fails
         if not rel <= max(1e-12, floor):
             raise RobinwgError(f"banded solve residual {rel:.3g} above target")
-    return g
+    return G if f.ndim == 2 else G[0]
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +354,10 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
 
     The 1D backend of `report.run_study`: f may be a callable or a list of
     callables (the error is then the max over the probe set, a sampled
-    stand-in for the operator norm), and all probes of one eps share one
-    banded solve; the transmission is measured against the continuum free
-    resolvent.  For a limit that couples the edges the first probe's
+    stand-in for the operator norm), all probes of one eps share one
+    banded solve, and the eps on one grid share its flat exterior
+    (`flat_exterior`), so each eps solves only the core; the transmission
+    is measured against the continuum free resolvent.  For a limit that couples the edges the first probe's
     vertex data are fitted at every eps and the gluing
     conditions tested on them and on their eps -> 0 extrapolation.  The
     discretisation estimate re-solves the first probe on a grid with h
@@ -248,14 +365,19 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
     """
     predicted, alt = predicted_limit(profile, beta, b)
     support_radius = max(abs(profile.support[0]), abs(profile.support[1]))
-    last = {}
+    last = {"exterior": None}
     vdata = []
 
     def solver(eps):
         grid = s_grid(profile, eps, z, half_length, h_target)
         op = build_h_n_eps(profile, beta, eps, b, grid)
         last.update(eps=eps, grid=grid)
-        return grid.points, lambda F: (resolvent_solve(op, z, F), None)
+
+        def solve(F):
+            # the flat exterior of the first eps on a grid serves the later ones
+            last["exterior"] = flat_exterior(op, z, F, last["exterior"])
+            return resolvent_solve(op, z, F, last["exterior"]), None
+        return grid.points, solve
 
     def vertex_data(eps, s, fs, nf, g, info):
         if predicted.kind != DECOUPLED:

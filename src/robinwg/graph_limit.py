@@ -202,8 +202,9 @@ def resolvent_apply(spec, z, s_grid, f_samples):
 
     Quadrature of the Green's function against the piecewise-linear
     interpolant of f, evaluated exactly: the one-sided exponential moments
-    are accumulated by an O(N) recursion, so the only error is the linear
-    interpolation of f (O(h^2)) and the grid truncation of its support.
+    are accumulated by a recursion over the cells that touch f's support,
+    so the only error is the linear interpolation of f (O(h^2)) and the
+    grid truncation of its support.
     `spec` may be a sequence of GraphOperatorSpec: the free part and the
     moments (A_0, B_0) at the vertex are then computed once and each
     operator adds its own vertex images to a copy, giving a list of outputs
@@ -228,17 +229,30 @@ def resolvent_apply(spec, z, s_grid, f_samples):
     d1 = (em - 1.0 + iwh) / ((1j * w) ** 2 * h)
 
     # A_i = int_{s_0}^{s_i} e^{-iws'} f ds',  B_i = int_{s_i}^{s_N} e^{iws'} f ds'
-    cell_a = ph_m[:-1] * (f[:-1] * d0 + f[1:] * d1)
-    A = np.concatenate([[0.0], np.cumsum(cell_a)])
-    cell_b = ph_p[:-1] * (f[:-1] * c0 + f[1:] * c1)
-    B = np.concatenate([[0.0], np.cumsum(cell_b)])
-    B = B[-1] - B
+    # accumulated on the nodes a..e of the cells that touch f's support
+    # only: left of them A is 0 and B its total, right of them the reverse
+    # (the cells outside add exact zeros to the whole-grid recursion)
+    nz = np.flatnonzero(f)
+    a, e = ((max(nz[0] - 1, 0), min(nz[-1] + 1, len(s) - 1)) if nz.size
+            else (0, 0))
+    A = np.zeros(e - a + 1, dtype=complex)
+    B = np.zeros(e - a + 1, dtype=complex)
+    if e > a:
+        A[1:] = np.cumsum(ph_m[a:e] * (f[a:e] * d0 + f[a + 1:e + 1] * d1))
+        cum_b = np.cumsum(ph_p[a:e] * (f[a:e] * c0 + f[a + 1:e + 1] * c1))
+        B[0] = cum_b[-1]
+        B[1:] = cum_b[-1] - cum_b
     pref = 1j / (2 * w)
-    free = pref * (ph_p * A + ph_m * B)
+    free = np.empty(len(s), dtype=complex)
+    free[:a] = pref * (ph_m[:a] * B[0])
+    free[a:e + 1] = pref * (ph_p[a:e + 1] * A + ph_m[a:e + 1] * B)
+    free[e + 1:] = pref * (ph_p[e + 1:] * A[-1])
 
     # vertex images, e^{iw|s|} = e^{-iws} left and e^{iws} right of the
-    # vertex; (tau - 1) removes the free cross-side part
-    A0, B0 = A[i0], B[i0]
+    # vertex; (tau - 1) removes the free cross-side part.  The moments at
+    # the vertex are those at the node of a..e nearest to it
+    at = min(max(i0 - a, 0), e - a)
+    A0, B0 = A[at], B[at]
     # products of fresh copies, as of the masked gathers these slices
     # replace: numpy multiplies a large temporary in place, and its
     # in-place complex product can round differently

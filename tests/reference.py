@@ -1,18 +1,34 @@
 """Test-only references that share no code with the library paths they check.
 
-`full_grid_matrix` assembles the 2D waveguide operator on the whole grid by
-successive sparse sums, the direct discretisation that the matrix-free apply
-of `waveguide2d` must reproduce.  `scalar_asymmetric_spectrum` solves the
+`whole_grid_resolvent` solves the 1D scaled operator on every interior node
+with scipy's banded solver, without the core/exterior split of
+`effective_1d.resolvent_solve`.  `full_grid_matrix` assembles the 2D
+waveguide operator on the whole grid by successive sparse sums, the direct
+discretisation that the matrix-free apply of `waveguide2d` must reproduce.  `scalar_asymmetric_spectrum` solves the
 asymmetric transverse problem one root at a time with scalar brentq, the
 oracle of the lane-wise solve.
 """
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
 from robinwg.transverse import _BRENT_KW
 from robinwg.waveguide2d import FULL
+
+
+def whole_grid_resolvent(h, potential, z, F):
+    """(H - z)^{-1} f for each row of F, H = -D2 + diag(potential) by central
+    differences with step h and Dirichlet caps at the first and last node."""
+    F = np.atleast_2d(F)
+    n = F.shape[1] - 2
+    ab = np.zeros((3, n), dtype=complex)
+    ab[0, 1:] = ab[2, :-1] = -1.0 / h ** 2
+    ab[1] = 2.0 / h ** 2 + potential[1:-1] - z
+    G = np.zeros(F.shape, dtype=complex)
+    G[:, 1:-1] = solve_banded((1, 1), ab, F[:, 1:-1].T).T
+    return G
 
 
 def full_grid_matrix(op):

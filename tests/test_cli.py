@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from robinwg.cli import main
+from robinwg.cli import _dump_field_slice, _write_csv, main
 
 
 def run(tmp_path, name, cfg_text, *extra):
@@ -123,8 +123,15 @@ def test_waveguide_check_small(tmp_path):
     ("limit-check", "beta = 3.0\neps_list =\n", "eps_list"),
     ("limit-check", "beta = 3.0\nh_target = 0\n", "h_target"),
     ("limit-check", "beta = 3.0\nhalf_length = -5\n", "half_length"),
+    ("limit-check", "beta = 3.0\neps_list = 0.4,-0.1\n", "eps_list"),
+    ("limit-check", "beta = 3.0\neps_list = 0.2,0.4\n", "eps_list"),
+    ("waveguide-check", "eps_list = 0.1,0.2,0.4\n", "eps_list"),
+    ("waveguide-check", "eps_list = 0.4,0.4\n", "eps_list"),
+    ("waveguide-check", "eps_list = 0.4,0\n", "eps_list"),
 ], ids=["misspelt_bool", "waveguide_probe", "limit_probe", "waveguide_no_eps",
-        "limit_no_eps", "zero_h_target", "negative_half_length"])
+        "limit_no_eps", "zero_h_target", "negative_half_length",
+        "limit_negative_eps", "limit_increasing_eps", "increasing_eps",
+        "waveguide_repeated_eps", "waveguide_zero_eps"])
 def test_study_commands_reject_bad_configs(tmp_path, capsys, command, cfg, key):
     code, out = run(tmp_path, command, cfg)
     assert code == 2
@@ -162,9 +169,31 @@ def test_format_is_a_spectrum_option_only(tmp_path):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("cfg", ["n = 1\nn_max = 0\n", "eps_list = 0.1,0.2,0.4\n"],
-                         ids=["mode_above_n_max", "increasing_eps"])
+@pytest.mark.parametrize("cfg", ["n = 1\nn_max = 0\n"], ids=["mode_above_n_max"])
 def test_waveguide_check_rejects_bad_inputs(tmp_path, capsys, cfg):
     code, _ = run(tmp_path, "waveguide-check", cfg)
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_field_slice_bytes_equal_the_row_writer(tmp_path):
+    # the column-wise formatting of field_slice.csv against _write_csv on
+    # the (s, u, re, im) rows, on a seeded field with signed zeros and
+    # extreme exponents
+    rng = np.random.default_rng(7)
+    s = np.linspace(-15.14, 15.14, 1203)[1:-1]
+    u = np.linspace(-1.0, 1.0, 17)
+    field = (rng.standard_normal((len(s), len(u)))
+             * 10.0 ** rng.integers(-300, 300, (len(s), len(u)))
+             + 1j * rng.standard_normal((len(s), len(u))))
+    field[3, 4], field[5] = complex(-0.0, 0.0), 1.0
+    cfg_raw = {"alpha": "0.0"}
+    _dump_field_slice((s, u, field), tmp_path, cfg_raw, 3)
+    stride = max(1, len(s) // 400)
+    S, U = np.meshgrid(s[::stride], u, indexing="ij")
+    part = field[::stride]
+    rows = np.column_stack([S.ravel(), U.ravel(), part.real.ravel(),
+                            part.imag.ravel()])
+    _write_csv(tmp_path / "rows.csv", ["s", "u", "re", "im"], rows, cfg_raw, 3)
+    assert ((tmp_path / "field_slice.csv").read_bytes()
+            == (tmp_path / "rows.csv").read_bytes())

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from robinwg.effective_1d import (RESOLUTION_FACTOR, Grid1D, VertexData,
                                   build_h_n_eps, bump_probe, check_resolution,
                                   convergence_study, extract_vertex_data,
-                                  resolvent_solve, s_grid,
+                                  flat_exterior, resolvent_solve, s_grid,
                                   vertex_condition_residuals)
 from robinwg.errors import GridResolutionError, RobinwgError
 from robinwg.geometry import (RECTANGULAR, SMOOTH_BUMP, CurvatureProfile,
@@ -17,6 +17,8 @@ from robinwg.geometry import (RECTANGULAR, SMOOTH_BUMP, CurvatureProfile,
 from robinwg.graph_limit import GraphOperatorSpec, resolvent_apply, sqrt_upper
 from robinwg.report import VERDICT_INCONCLUSIVE, VERDICT_MATCH
 from robinwg.waveguide2d import FULL, Grid2D, build_waveguide
+
+from reference import whole_grid_resolvent
 
 BUMP_BETA_STAR = -7.647474116758
 SQUARE_SYM = CurvatureProfile(RECTANGULAR, amplitude=1.0, half_width=1.0)
@@ -255,9 +257,9 @@ def test_convergence_study_solves_each_probe_once_per_eps(monkeypatch):
     calls = []
     solve = effective_1d.resolvent_solve
 
-    def counted(op, z, f):
+    def counted(op, z, f, exterior=None):
         calls.append(np.shape(f))
-        return solve(op, z, f)
+        return solve(op, z, f, exterior)
 
     monkeypatch.setattr(effective_1d, "resolvent_solve", counted)
     probes = [bump_probe(-4.0, 1.5), bump_probe(-4.0, 0.8),
@@ -320,6 +322,83 @@ def test_limit_side_is_computed_once_per_distinct_grid(monkeypatch, sweep):
     assert len(free) == (n_grids if coupled else 0)
     assert len(set(shared)) == n_grids
     assert len(rep.errors) == len(rep.leakage) == len(eps_list)
+
+
+@pytest.mark.parametrize("sweep", ["bump_shared_grid", "square_grid_changes"])
+def test_sweep_builds_one_flat_exterior_per_distinct_grid(monkeypatch, sweep):
+    from robinwg import effective_1d
+    profile, beta, eps_list, n_grids = SWEEPS[sweep]
+    built = []
+
+    def counted(op, z, f, previous=None):
+        ext = flat_exterior(op, z, f, previous)
+        if ext is not previous:
+            built.append(op.grid)
+        return ext
+
+    monkeypatch.setattr(effective_1d, "flat_exterior", counted)
+    convergence_study(profile, beta, 0.0, 1j, SWEEP_PROBES, eps_list,
+                      h_target=4e-3)
+    # one per grid of the sweep, then one for the refined-grid control solve
+    assert len(built) == n_grids + 1
+    assert len(set(built[:-1])) == n_grids
+
+
+# (profile, beta, eps, grid, probes (center, half-width), z): W is
+# |s| <= max(1, eps * support radius) around the vertex
+EXTERIOR_CASES = {
+    "straddles_window_edge": (default_bump(), -3.0, 0.4, Grid1D(8.0, 1600),
+                              [(-1.0, 0.5), (1.2, 0.4), (0.0, 2.5)], 1j),
+    "potential_past_one": (default_bump(), 2.0, 0.8, Grid1D(8.0, 1600),
+                           [(-2.0, 1.0), (3.0, 1.5)], 0.7 + 1.3j),
+    "one_sided_potential": (SQUARE_UNIT, -np.pi ** 2, 1.5, Grid1D(8.0, 1600),
+                            [(-2.0, 1.0), (2.0, 1.0)], -2.0 + 0.1j),
+    "beta_zero": (default_bump(), 0.0, 0.4, Grid1D(8.0, 1600),
+                  [(-4.0, 1.5), (4.0, 1.0)], 1j),
+    "zero_on_one_side": (default_bump(), -3.0, 0.4, Grid1D(8.0, 1600),
+                         [(-4.0, 1.5), (-3.0, 0.8), (0.0, 0.9)], 0.7 + 1.3j),
+    "off_imaginary_axis": (default_bump(), BUMP_BETA_STAR, 0.2,
+                           Grid1D(10.0, 2500), [(-4.0, 1.5), (3.0, 1.0)],
+                           -2.0 + 0.1j),
+    "window_covers_grid": (default_bump(), -3.0, 0.4, Grid1D(1.04, 104),
+                           [(-0.5, 0.4), (0.3, 0.5)], 1j),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTERIOR_CASES))
+def test_resolvent_solve_equals_whole_grid_banded_solve(case):
+    profile, beta, eps, grid, probes, z = EXTERIOR_CASES[case]
+    op = build_h_n_eps(profile, beta, eps, 0.0, grid)
+    F = np.array([bump_probe(c, w)(grid.points) for c, w in probes])
+    ref = whole_grid_resolvent(grid.h, op.potential, z, F)
+    G = resolvent_solve(op, z, F)
+    for g, r in zip(G, ref):
+        assert np.max(np.abs(g - r)) <= 1e-10 * np.max(np.abs(r))
+    ext = flat_exterior(op, z, F)
+    # an exterior is reused only for its own grid, z and probe block
+    assert flat_exterior(op, z, F, ext) is ext
+    assert flat_exterior(op, z + 0.5, F, ext) is not ext
+    assert flat_exterior(op, z, F[::-1], ext) is not ext
+    assert np.array_equal(resolvent_solve(op, z, F, ext), G)
+
+
+def test_exterior_follows_the_window():
+    # eps * support radius crosses |s| = 1 between 0.4 and 0.8, so W grows
+    # and the exterior of eps 0.4 no longer fits
+    grid = Grid1D(8.0, 1600)
+    F = np.array([bump_probe(-3.0, 1.5)(grid.points)])
+    ops = [build_h_n_eps(default_bump(), 2.0, eps, 0.0, grid)
+           for eps in (0.2, 0.4, 0.8)]
+    ext = flat_exterior(ops[0], 1j, F)
+    assert flat_exterior(ops[1], 1j, F, ext) is ext
+    assert flat_exterior(ops[2], 1j, F, ext) is not ext
+
+
+def test_grid_points_are_built_once_and_read_only():
+    grid = Grid1D(4.0, 400)
+    assert grid.points is grid.points
+    with pytest.raises(ValueError):
+        grid.points[0] = 1.0
 
 
 BLOCK_GRID = Grid1D(12.0, 2400)
