@@ -75,6 +75,14 @@ def _write_json(path: Path, payload, cfg_raw, seed):
 
 # ---------------------------------------------------------------------------
 
+def _check_transverse(d, n, key):
+    """The half-width d and the mode bound `key` = n of a transverse solve."""
+    if not d > 0:
+        raise ConfigError(f"d must be positive, got {d!r}")
+    if n < 0:
+        raise ConfigError(f"{key} must be >= 0, got {n}")
+
+
 SPECTRUM_SCHEMA = {
     "d": ("float", 1.0),
     "n_max": ("int", 3),
@@ -91,10 +99,7 @@ def cmd_spectrum(cfg_raw, out, fmt, seed):
     cfg = validate(cfg_raw, SPECTRUM_SCHEMA)
     grid = alpha_grid(cfg)
     d, n_max = cfg["d"], cfg["n_max"]
-    if not d > 0:
-        raise ConfigError(f"d must be positive, got {d!r}")
-    if n_max < 0:
-        raise ConfigError(f"n_max must be >= 0, got {n_max}")
+    _check_transverse(d, n_max, "n_max")
     mu_rows, beta_rows, bad = [], [], 0
     for row in beta_table(grid, d, n_max):
         if not row.mu:
@@ -133,10 +138,13 @@ RESONANCE_SCHEMA = dict(PROFILE_SCHEMA, **{
 
 def cmd_resonance(cfg_raw, out, seed):
     cfg = validate(cfg_raw, RESONANCE_SCHEMA)
+    if not cfg["tol_d"] > 0:
+        raise ConfigError(f"tol_d must be positive, got {cfg['tol_d']!r}")
     profile = profile_from_config(cfg)
     payload = {}
     beta = cfg["beta"]
     if beta is None and cfg["alpha"] is not None and cfg["n"] is not None:
+        _check_transverse(cfg["d"], cfg["n"], "n")
         pc = perturbation_coefficients(cfg["alpha"], cfg["d"], cfg["n"])
         beta = pc.beta
         payload["beta_source"] = {"alpha": cfg["alpha"], "n": cfg["n"],
@@ -187,6 +195,7 @@ def _resolve_beta(cfg):
         return cfg["beta"]
     if cfg["alpha"] is None or cfg["n"] is None:
         raise ConfigError("need beta or the (alpha, n) pair")
+    _check_transverse(cfg["d"], cfg["n"], "n")
     return perturbation_coefficients(cfg["alpha"], cfg["d"], cfg["n"]).beta
 
 
@@ -201,7 +210,7 @@ def _check_study(cfg):
             and all(e1 > e2 for e1, e2 in zip(eps, eps[1:]))):
         raise ConfigError("eps_list must be positive and strictly "
                           f"decreasing, got {eps!r}")
-    for key in ("h_target", "half_length"):
+    for key in ("h_target", "half_length", "probe_half_width"):
         if key in cfg and not cfg[key] > 0:
             raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
 

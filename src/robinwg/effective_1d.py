@@ -58,12 +58,14 @@ def s_grid(profile: CurvatureProfile, eps: float, z, min_half_length: float,
     measured from s = 0 is below e^-10 (that does not bound the truncation
     error of a probe supported away from the vertex); h = min(h_max,
     eps * support_width / RESOLUTION_FACTOR), and the cell count 2L/h is
-    rounded up to an even number so that s = 0 is a node.
+    rounded up to an even number so that s = 0 is a node, plus 2 where the
+    step 2L/n would still exceed the `check_resolution` bound by an ulp.
     """
     L = max(min_half_length, 10.0 / sqrt_upper(z).imag + 1.0)
-    h = min(h_max, eps * profile.support_width / RESOLUTION_FACTOR)
-    n = int(np.ceil(2 * L / h))
-    return Grid1D(L, n + n % 2)
+    bound = eps * profile.support_width / RESOLUTION_FACTOR
+    n = int(np.ceil(2 * L / min(h_max, bound)))
+    n += n % 2
+    return Grid1D(L, n + 2 if 2 * L / n > bound else n)
 
 
 def check_resolution(h: float, eps: float, profile: CurvatureProfile):
@@ -156,21 +158,20 @@ def _core_half_width(op: Discrete1DOperator) -> int:
 @dataclass(frozen=True, eq=False)
 class FlatExterior:
     """The free Dirichlet problem outside the core window W, solved for one
-    grid, z and probe block (see `flat_exterior`).
+    grid, z and probe block of `n_rows` rows (see `flat_exterior`).
 
     Each side of W holds m interior nodes on which h_eps is the free
     operator E, the Dirichlet cap at its far end.  In node order, `U_left`/
     `U_right` hold E^{-1} f for the rows `rows_left`/`rows_right` that are
-    nonzero on that side (the other rows' particular solution is zero),
+    nonzero on that side (the other rows' particular solution is zero), and
     `phi_left`/`phi_right` are the Green columns E^{-1} e of the node next
-    to W, and `f_norms` is each row's ||f|| for the residual gate.
+    to W.
     """
 
     grid: Grid1D
     z: complex
     k: int
-    f: np.ndarray
-    f_norms: np.ndarray
+    n_rows: int
     rows_left: np.ndarray
     U_left: np.ndarray
     phi_left: np.ndarray
@@ -178,27 +179,18 @@ class FlatExterior:
     U_right: np.ndarray
     phi_right: np.ndarray
 
-    def fits(self, op: Discrete1DOperator, z, F) -> bool:
-        """Whether this exterior serves the (probes, nodes) block F on op."""
-        return (op.grid == self.grid and complex(z) == self.z
-                and F.shape == self.f.shape and _core_half_width(op) == self.k
-                and np.array_equal(F, self.f))
 
-
-def flat_exterior(op: Discrete1DOperator, z, f_samples,
-                  previous: FlatExterior | None = None) -> FlatExterior:
-    """The flat exterior of (op.grid, z, f): `previous` when it was built for
-    the same grid, z, probe block and window W, else a new solve.
+def flat_exterior(op: Discrete1DOperator, z, f_samples) -> FlatExterior:
+    """The flat exterior of (op.grid, z, f), f one row or a (probes, nodes)
+    block.
 
     W depends on the grid and on op's potential only, so the operators of
-    several eps on one grid share an exterior while their potentials sit
-    inside the same W.  Both sides are the one Toeplitz tridiagonal, so one
-    LAPACK `gtsv` call solves every particular solution and both Green
-    columns.
+    several eps on one grid can share an exterior while their potentials
+    sit inside the same W; the caller decides when to build a new one.
+    Both sides are the one Toeplitz tridiagonal, so one LAPACK `gtsv` call
+    solves every particular solution and both Green columns.
     """
     F = np.atleast_2d(f_samples)
-    if previous is not None and previous.fits(op, z, F):
-        return previous
     grid, z = op.grid, complex(z)
     i0 = grid.n_cells // 2
     k = _core_half_width(op)
@@ -213,11 +205,8 @@ def flat_exterior(op: Discrete1DOperator, z, f_samples,
         X[n_rows, -1] = X[n_rows + 1, 0] = 1.0
         X = _gtsv(np.full(m, 2.0 / grid.h ** 2 - z), -1.0 / grid.h ** 2,
                   X.T).T
-    block = F.copy()
-    block.flags.writeable = False
-    norms = np.array([max(np.linalg.norm(fr[1:-1]), 1e-300) for fr in F])
-    return FlatExterior(grid, z, k, block, norms, rows[0], X[:n_left],
-                        X[n_rows], rows[1], X[n_left:n_rows], X[n_rows + 1])
+    return FlatExterior(grid, z, k, len(F), rows[0], X[:n_left], X[n_rows],
+                        rows[1], X[n_left:n_rows], X[n_rows + 1])
 
 
 def resolvent_solve(op: Discrete1DOperator, z, f_samples,
@@ -227,14 +216,15 @@ def resolvent_solve(op: Discrete1DOperator, z, f_samples,
     f is sampled on the full node set, one probe or a (probes, nodes)
     block; the output has f's shape and carries zeros at the Dirichlet
     caps.  Outside the core window W the operator is free, so the exterior
-    solves (`flat_exterior`; `exterior` is reused when it fits, else
-    rebuilt) give each row g = U + c g(edge) phi there, with c = 1/h^2 and
-    g(edge) its value at W's end node.  What is left is W's tridiagonal with
-    the Schur corner terms c^2 phi(edge) and the right-hand side corrected
-    by c U(edge): one LAPACK `gtsv` call (LU with partial pivoting) for all
-    rows, each row bit for bit as its own solve would come out.  Every
-    assembled row's residual is verified to 1e-12 relative, and a row that
-    is not finite fails that check.
+    solves (`flat_exterior`, built here when `exterior` is None) give each
+    row g = U + c g(edge) phi there, with c = 1/h^2 and g(edge) its value
+    at W's end node.  What is left is W's tridiagonal with the Schur corner
+    terms c^2 phi(edge) and the right-hand side corrected by c U(edge): one
+    LAPACK `gtsv` call (LU with partial pivoting) for all rows, each row
+    bit for bit as its own solve would come out.  An `exterior` of another
+    grid, z, W or row count raises RobinwgError; one of another block of
+    f's shape fails the check that every row's residual is within 1e-12 of
+    its own ||f||, as does a row that is not finite.
     """
     if complex(z).imag == 0:
         raise RobinwgError("resolvent_solve needs Im z != 0")
@@ -243,7 +233,11 @@ def resolvent_solve(op: Discrete1DOperator, z, f_samples,
     if f.shape[-1:] != s.shape or f.ndim > 2:
         raise RobinwgError("f must be sampled on the full grid")
     F = np.atleast_2d(f)
-    ext = flat_exterior(op, z, F, exterior)
+    ext = exterior or flat_exterior(op, z, F)
+    if ((ext.grid, ext.z, ext.k, ext.n_rows)
+            != (op.grid, complex(z), _core_half_width(op), len(F))):
+        raise RobinwgError("the flat exterior was built for another grid, "
+                           "z, core window or row count")
     h = op.grid.h
     c = 1.0 / h ** 2
     i0 = op.grid.n_cells // 2
@@ -274,7 +268,8 @@ def resolvent_solve(op: Discrete1DOperator, z, f_samples,
     diag = op.diagonal(z)
     n = len(s) - 2
     resid, work = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
-    for fr, gr, f_norm in zip(F, G, ext.f_norms):
+    for fr, gr in zip(F, G):
+        f_norm = max(np.linalg.norm(fr[1:-1]), 1e-300)
         op.apply_interior(gr, diag, resid, work)
         resid -= fr[1:-1]
         rel = np.linalg.norm(resid) / f_norm
@@ -354,18 +349,19 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
 
     The 1D backend of `report.run_study`: f may be a callable or a list of
     callables (the error is then the max over the probe set, a sampled
-    stand-in for the operator norm), all probes of one eps share one
-    banded solve, and the eps on one grid share its flat exterior
-    (`flat_exterior`), so each eps solves only the core; the transmission
-    is measured against the continuum free resolvent.  For a limit that couples the edges the first probe's
-    vertex data are fitted at every eps and the gluing
-    conditions tested on them and on their eps -> 0 extrapolation.  The
-    discretisation estimate re-solves the first probe on a grid with h
-    halved at the smallest eps.
+    stand-in for the operator norm), and all probes of one eps share one
+    banded solve.  A flat exterior (`flat_exterior`) is built when run_study
+    hands over a new probe block, which it does only on a new grid, or when
+    the core window W changes; the other eps solve only the core.  The
+    transmission is measured against the continuum free resolvent.  For a
+    limit that couples the edges the first probe's vertex data are fitted
+    at every eps and the gluing conditions tested on them and on their
+    eps -> 0 extrapolation.  The discretisation estimate re-solves the
+    first probe on a grid with h halved at the smallest eps.
     """
     predicted, alt = predicted_limit(profile, beta, b)
     support_radius = max(abs(profile.support[0]), abs(profile.support[1]))
-    last = {"exterior": None}
+    last = {"block": None}
     vdata = []
 
     def solver(eps):
@@ -374,8 +370,11 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
         last.update(eps=eps, grid=grid)
 
         def solve(F):
-            # the flat exterior of the first eps on a grid serves the later ones
-            last["exterior"] = flat_exterior(op, z, F, last["exterior"])
+            # run_study hands over the same block while the grid stays, so
+            # the flat exterior of its first eps serves the later ones
+            if (F is not last["block"]
+                    or last["exterior"].k != _core_half_width(op)):
+                last.update(block=F, exterior=flat_exterior(op, z, F))
             return resolvent_solve(op, z, F, last["exterior"]), None
         return grid.points, solve
 

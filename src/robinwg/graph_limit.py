@@ -166,37 +166,6 @@ def green_function(spec: GraphOperatorSpec, z, s, sp):
     return out
 
 
-# one-entry cache of the per-grid work of resolvent_apply; a probe loop
-# calls it many times on one grid with one z
-_last_grid = None
-
-
-def _grid_phases(w, s):
-    """(h, i0, i_r, e^{-iws}, e^{iws}) for a validated uniform grid.
-
-    i0 is the vertex node and i_r the first node with s >= 0, so the nodes
-    left of the vertex (s < 0) are s[:i_r].  The entry is reused only for
-    the same w and an s equal bit for bit; its arrays are read-only.
-    """
-    global _last_grid
-    key = (np.complex128(w).tobytes(), s.tobytes())
-    entry = _last_grid          # read once: another thread may replace it
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    h = s[1] - s[0]
-    if not (h > 0 and np.allclose(np.diff(s), h, rtol=1e-10, atol=1e-12)):
-        raise RobinwgError("resolvent_apply needs a uniform increasing grid")
-    i0 = int(np.argmin(np.abs(s)))
-    if abs(s[i0]) > 1e-12 * max(1.0, abs(s[-1])):
-        raise RobinwgError("grid must contain the vertex s = 0")
-    phases = (np.exp(-1j * w * s), np.exp(1j * w * s))
-    for ph in phases:
-        ph.flags.writeable = False
-    entry = (key, (h, i0, int(np.searchsorted(s, 0.0))) + phases)
-    _last_grid = entry
-    return entry[1]
-
-
 def resolvent_apply(spec, z, s_grid, f_samples):
     """(h_spec - z)^{-1} f on a uniform increasing grid containing 0.
 
@@ -205,17 +174,28 @@ def resolvent_apply(spec, z, s_grid, f_samples):
     are accumulated by a recursion over the cells that touch f's support,
     so the only error is the linear interpolation of f (O(h^2)) and the
     grid truncation of its support.
+    f is one row sampled on the grid or a (probes, nodes) block; the grid
+    is validated and the phases e^{-+iws} formed once per call, and each
+    output has f's shape, every row equal bit for bit to its own call.
     `spec` may be a sequence of GraphOperatorSpec: the free part and the
-    moments (A_0, B_0) at the vertex are then computed once and each
-    operator adds its own vertex images to a copy, giving a list of outputs
-    equal bit for bit to separate calls.
+    moments (A_0, B_0) at the vertex are then computed once per row and
+    each operator adds its own vertex images to a copy, giving a list of
+    outputs equal bit for bit to separate calls.
     """
     s = np.asarray(s_grid, dtype=float)
     f = np.asarray(f_samples)
-    if s.ndim != 1 or s.shape != f.shape:
+    if s.ndim != 1 or f.ndim > 2 or f.shape[-1:] != s.shape:
         raise RobinwgError("grid/sample shape mismatch")
+    h = s[1] - s[0]
+    if not (h > 0 and np.allclose(np.diff(s), h, rtol=1e-10, atol=1e-12)):
+        raise RobinwgError("resolvent_apply needs a uniform increasing grid")
+    i0 = int(np.argmin(np.abs(s)))
+    if abs(s[i0]) > 1e-12 * max(1.0, abs(s[-1])):
+        raise RobinwgError("grid must contain the vertex s = 0")
+    # the nodes left of the vertex (s < 0) are s[:i_r]
+    i_r = int(np.searchsorted(s, 0.0))
     w = sqrt_upper(z)
-    h, i0, i_r, ph_m, ph_p = _grid_phases(w, s)
+    ph_m, ph_p = np.exp(-1j * w * s), np.exp(1j * w * s)
     specs = [spec] if isinstance(spec, GraphOperatorSpec) else list(spec)
     amplitudes = [_amplitudes(sp, w) for sp in specs]
 
@@ -227,40 +207,45 @@ def resolvent_apply(spec, z, s_grid, f_samples):
     c1 = (ep - 1.0 - iwh) / ((1j * w) ** 2 * h)
     d0 = (em - 1.0) / (-1j * w) - (em - 1.0 + iwh) / ((1j * w) ** 2 * h)
     d1 = (em - 1.0 + iwh) / ((1j * w) ** 2 * h)
-
-    # A_i = int_{s_0}^{s_i} e^{-iws'} f ds',  B_i = int_{s_i}^{s_N} e^{iws'} f ds'
-    # accumulated on the nodes a..e of the cells that touch f's support
-    # only: left of them A is 0 and B its total, right of them the reverse
-    # (the cells outside add exact zeros to the whole-grid recursion)
-    nz = np.flatnonzero(f)
-    a, e = ((max(nz[0] - 1, 0), min(nz[-1] + 1, len(s) - 1)) if nz.size
-            else (0, 0))
-    A = np.zeros(e - a + 1, dtype=complex)
-    B = np.zeros(e - a + 1, dtype=complex)
-    if e > a:
-        A[1:] = np.cumsum(ph_m[a:e] * (f[a:e] * d0 + f[a + 1:e + 1] * d1))
-        cum_b = np.cumsum(ph_p[a:e] * (f[a:e] * c0 + f[a + 1:e + 1] * c1))
-        B[0] = cum_b[-1]
-        B[1:] = cum_b[-1] - cum_b
     pref = 1j / (2 * w)
-    free = np.empty(len(s), dtype=complex)
-    free[:a] = pref * (ph_m[:a] * B[0])
-    free[a:e + 1] = pref * (ph_p[a:e + 1] * A + ph_m[a:e + 1] * B)
-    free[e + 1:] = pref * (ph_p[e + 1:] * A[-1])
-
-    # vertex images, e^{iw|s|} = e^{-iws} left and e^{iws} right of the
-    # vertex; (tau - 1) removes the free cross-side part.  The moments at
-    # the vertex are those at the node of a..e nearest to it
-    at = min(max(i0 - a, 0), e - a)
-    A0, B0 = A[at], B[at]
     # products of fresh copies, as of the masked gathers these slices
     # replace: numpy multiplies a large temporary in place, and its
     # in-place complex product can round differently
     img_l, img_r = pref * ph_m[:i_r].copy(), pref * ph_p[i_r:].copy()
-    outs = []
-    for rho_l, rho_r, tau in amplitudes:
-        out = free.copy()
-        out[:i_r] += img_l * (rho_l * A0 + (tau - 1.0) * B0)
-        out[i_r:] += img_r * (rho_r * B0 + (tau - 1.0) * A0)
-        outs.append(out)
+
+    F = np.atleast_2d(f)
+    outs = [np.empty(F.shape, dtype=complex) for _ in amplitudes]
+    for row, fr in enumerate(F):
+        # A_i = int_{s_0}^{s_i} e^{-iws'} f ds' and
+        # B_i = int_{s_i}^{s_N} e^{iws'} f ds', accumulated on the nodes
+        # a..e of the cells that touch f's support only: left of them A is
+        # 0 and B its total, right of them the reverse (the cells outside
+        # add exact zeros to the whole-grid recursion)
+        nz = np.flatnonzero(fr)
+        a, e = ((max(nz[0] - 1, 0), min(nz[-1] + 1, len(s) - 1)) if nz.size
+                else (0, 0))
+        A = np.zeros(e - a + 1, dtype=complex)
+        B = np.zeros(e - a + 1, dtype=complex)
+        if e > a:
+            lo, hi = fr[a:e], fr[a + 1:e + 1]
+            A[1:] = np.cumsum(ph_m[a:e] * (lo * d0 + hi * d1))
+            cum_b = np.cumsum(ph_p[a:e] * (lo * c0 + hi * c1))
+            B[0] = cum_b[-1]
+            B[1:] = cum_b[-1] - cum_b
+        free = np.empty(len(s), dtype=complex)
+        free[:a] = pref * (ph_m[:a] * B[0])
+        free[a:e + 1] = pref * (ph_p[a:e + 1] * A + ph_m[a:e + 1] * B)
+        free[e + 1:] = pref * (ph_p[e + 1:] * A[-1])
+
+        # vertex images, e^{iw|s|} = e^{-iws} left and e^{iws} right of the
+        # vertex; (tau - 1) removes the free cross-side part.  The moments
+        # at the vertex are those at the node of a..e nearest to it
+        at = min(max(i0 - a, 0), e - a)
+        A0, B0 = A[at], B[at]
+        for out, (rho_l, rho_r, tau) in zip(outs, amplitudes):
+            out[row] = free
+            out[row, :i_r] += img_l * (rho_l * A0 + (tau - 1.0) * B0)
+            out[row, i_r:] += img_r * (rho_r * B0 + (tau - 1.0) * A0)
+    if f.ndim == 1:
+        outs = [out[0] for out in outs]
     return outs[0] if isinstance(spec, GraphOperatorSpec) else outs

@@ -139,17 +139,18 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
     of s; the error is the max over the probes of the L2(|s| > 1) distance
     to the limit output over ||f||, where the limit output is smooth: the
     trapezoid rule on the two half-lines s < -1 and s > 1, with no cell
-    across the gap between them.  The limit side does not depend on eps,
-    so it is computed once per distinct grid and reused while later eps
-    return the same s: the sampled probes and their norms, the predicted
-    and competitor outputs (one `resolvent_apply` moment pass per probe),
-    the first probe's free_line reference and the quadrature weights of
-    the error and leakage norms.  Each eps still gets its own solve.  The
-    first probe's solve, when that probe lies left of the vertex, gives the
-    leakage past s = 1 and, for a limit that couples the edges, the
-    transmission: the mean of g / free_line(s, f) over 2 < s < 6.  With
-    three or more eps the transmission is extrapolated linearly to eps = 0,
-    otherwise the last value stands in.
+    across the gap between them.  Only this per-grid pass decides whether an
+    eps is on the last eps's grid (the same s, bit for bit), and only a new
+    grid samples the probe block (each norm finite and positive), makes one
+    `resolvent_apply` call for the predicted and competitor outputs and
+    forms the first probe's free_line reference and the error and leakage
+    weights, none of which depends on eps.  Each eps gets its own solve,
+    handed the same block object while the grid stays, so a backend may
+    key its per-grid work on that object.  The first probe's solve, when
+    that probe lies left of the vertex, gives the leakage past s = 1 and,
+    for a limit that couples the edges, the transmission: the mean of
+    g / free_line(s, f) over 2 < s < 6, extrapolated linearly to eps = 0
+    from three or more eps, else the last value.
     `on_first(eps, s, f, ||f||, g, info)` sees that solve at every eps;
     `floor_estimate(probe, g)` gets the first probe and its solve at the
     smallest eps, and its value is reported as the discretisation estimate.
@@ -173,14 +174,18 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
             win = (s > 2.0) & (s < 6.0)
             F = np.array([probe(s) for probe in probes])
             norms = [np.sqrt(np.trapezoid(np.abs(fs) ** 2, s)) for fs in F]
-            limits = [resolvent_apply([predicted, alt], z, s, fs) for fs in F]
+            for i, nf in enumerate(norms):
+                if not 0.0 < nf < np.inf:
+                    raise RobinwgError(f"probe {i} has sampled norm {nf:.3g} "
+                                       "on the s-grid: need finite and > 0")
+            limits = resolvent_apply([predicted, alt], z, s, F)
             mass_left = np.trapezoid(np.abs(F[0][s < 0]) ** 2, s[s < 0])
             left = mass_left > (1 - 1e-12) * norms[0] ** 2
             ref = (free_line(s, F[0])
                    if left and predicted.kind != DECOUPLED else None)
         G, info = solve(F)
         e_pred = e_alt = 0.0
-        for g, nf, (g_pred, g_alt) in zip(G, norms, limits):
+        for g, nf, g_pred, g_alt in zip(G, norms, *limits):
             e_pred = max(e_pred, _weighted_norm(g - g_pred, outer) / nf)
             e_alt = max(e_alt, _weighted_norm(g - g_alt, outer) / nf)
         g, nf = G[0], norms[0]

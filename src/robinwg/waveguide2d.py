@@ -411,7 +411,8 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
         last, pr_res = pr_res, np.linalg.norm(pr) / scale
         if not rtol < pr_res < last or len(history) >= maxiter:
             break
-    if pr_res > 10 * rtol:
+    # judged as "not below": a NaN residual fails
+    if not pr_res <= 10 * rtol:
         raise SolverConvergenceError(
             f"GMRES stalled at preconditioned residual {pr_res:.3g}", history)
     true_res = np.linalg.norm(r) / np.linalg.norm(rhs)

@@ -128,16 +128,36 @@ def test_waveguide_check_small(tmp_path):
     ("waveguide-check", "eps_list = 0.1,0.2,0.4\n", "eps_list"),
     ("waveguide-check", "eps_list = 0.4,0.4\n", "eps_list"),
     ("waveguide-check", "eps_list = 0.4,0\n", "eps_list"),
+    ("limit-check", "beta = 3.0\nprobe_half_width = 0\n", "probe_half_width"),
+    ("waveguide-check", "probe_half_width = -1\n", "probe_half_width"),
+    ("limit-check", "alpha = 1.0\nn = 0\nd = -1\n", "d must be positive"),
+    ("limit-check", "alpha = 1.0\nn = -1\n", "n must be >= 0"),
+    ("resonance", "alpha = 1.0\nn = -2\n", "n must be >= 0"),
+    ("resonance", "beta = 3.0\ntol_d = -1\n", "tol_d"),
 ], ids=["misspelt_bool", "waveguide_probe", "limit_probe", "waveguide_no_eps",
         "limit_no_eps", "zero_h_target", "negative_half_length",
         "limit_negative_eps", "limit_increasing_eps", "increasing_eps",
-        "waveguide_repeated_eps", "waveguide_zero_eps"])
+        "waveguide_repeated_eps", "waveguide_zero_eps", "limit_zero_probe_width",
+        "waveguide_negative_probe_width", "limit_negative_d",
+        "limit_negative_n", "resonance_negative_n",
+        "resonance_negative_tol_d"])
 def test_study_commands_reject_bad_configs(tmp_path, capsys, command, cfg, key):
     code, out = run(tmp_path, command, cfg)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err
     assert not out.exists() or not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("limit-check", "beta = 3.0\neps_list = 0.4,0.2\nprobe_center = 40\n"),
+    ("waveguide-check", "n_u = 16\neps_list = 0.4,0.2\nprobe_center = 30\n"),
+], ids=["limit", "waveguide"])
+def test_probe_off_the_grid_gets_no_verdict(tmp_path, capsys, command, cfg):
+    code, out = run(tmp_path, command, cfg)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: probe 0 has sampled norm")
+    assert not list(out.glob("*"))
 
 
 def test_limit_check_emits_green_trace(tmp_path):

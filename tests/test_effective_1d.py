@@ -149,6 +149,8 @@ def test_under_resolved_potential_rejected(build):
        st.sampled_from([default_bump(), SQUARE_SYM, SQUARE_UNIT]))
 @example(0.025, 0.0, 1.0, 16.0, 2e-3, default_bump())    # README limit-check
 @example(0.1, 0.0, 1.0, 12.0, np.inf, default_bump())    # README waveguide-check
+# 2L/h = 2100 cells at eps = 1/3 leave h one ulp above eps*width/50
+@example(1 / 3, 0.0, 1.0, 28.0, np.inf, default_bump())
 def test_s_grid_sizes_by_the_one_rule(eps, re_z, im_z, min_half_length, h_max,
                                       profile):
     z = complex(re_z, im_z)
@@ -231,6 +233,13 @@ def test_convergence_study_rejects_increasing_eps():
                           bump_probe(-4.0, 1.5), [0.1, 0.2])
 
 
+def test_convergence_study_rejects_a_probe_off_the_grid():
+    # the probe vanishes on |s| <= 16
+    with pytest.raises(RobinwgError, match="probe 0 has sampled norm 0"):
+        convergence_study(default_bump(), 3.0, 0.0, 1j, bump_probe(40.0, 1.5),
+                          [0.4, 0.2], h_target=4e-3)
+
+
 def test_extract_vertex_data_on_known_field():
     grid = Grid1D(16.0, 8000)
     s = grid.points
@@ -308,7 +317,8 @@ def test_limit_side_is_computed_once_per_distinct_grid(monkeypatch, sweep):
     shared, free = [], []
 
     def counted(spec, z, s, f):
-        (free if isinstance(spec, GraphOperatorSpec) else shared).append(len(s))
+        (free if isinstance(spec, GraphOperatorSpec) else shared).append(
+            np.shape(f))
         return resolvent_apply(spec, z, s, f)
 
     monkeypatch.setattr(report, "resolvent_apply", counted)
@@ -316,11 +326,12 @@ def test_limit_side_is_computed_once_per_distinct_grid(monkeypatch, sweep):
     rep = convergence_study(profile, beta, 0.0, 1j, SWEEP_PROBES, eps_list,
                             h_target=4e-3)
     coupled = rep.predicted["kind"] != "decoupled"
-    # one shared pass per probe, and the free reference of the first
-    # (left) probe when the prediction couples the edges, per grid
-    assert len(shared) == len(SWEEP_PROBES) * n_grids
+    # one shared call for the probe block, and the free reference of the
+    # first (left) probe when the prediction couples the edges, per grid
+    assert len(shared) == n_grids
     assert len(free) == (n_grids if coupled else 0)
     assert len(set(shared)) == n_grids
+    assert all(shape[0] == len(SWEEP_PROBES) for shape in shared)
     assert len(rep.errors) == len(rep.leakage) == len(eps_list)
 
 
@@ -330,11 +341,9 @@ def test_sweep_builds_one_flat_exterior_per_distinct_grid(monkeypatch, sweep):
     profile, beta, eps_list, n_grids = SWEEPS[sweep]
     built = []
 
-    def counted(op, z, f, previous=None):
-        ext = flat_exterior(op, z, f, previous)
-        if ext is not previous:
-            built.append(op.grid)
-        return ext
+    def counted(op, z, f):
+        built.append(op.grid)
+        return flat_exterior(op, z, f)
 
     monkeypatch.setattr(effective_1d, "flat_exterior", counted)
     convergence_study(profile, beta, 0.0, 1j, SWEEP_PROBES, eps_list,
@@ -374,12 +383,13 @@ def test_resolvent_solve_equals_whole_grid_banded_solve(case):
     G = resolvent_solve(op, z, F)
     for g, r in zip(G, ref):
         assert np.max(np.abs(g - r)) <= 1e-10 * np.max(np.abs(r))
+    # a given exterior serves its own grid, z and row count only
     ext = flat_exterior(op, z, F)
-    # an exterior is reused only for its own grid, z and probe block
-    assert flat_exterior(op, z, F, ext) is ext
-    assert flat_exterior(op, z + 0.5, F, ext) is not ext
-    assert flat_exterior(op, z, F[::-1], ext) is not ext
     assert np.array_equal(resolvent_solve(op, z, F, ext), G)
+    with pytest.raises(RobinwgError, match="exterior"):
+        resolvent_solve(op, z + 0.5, F, ext)
+    with pytest.raises(RobinwgError, match="exterior"):
+        resolvent_solve(op, z, F[:1], ext)
 
 
 def test_exterior_follows_the_window():
@@ -390,8 +400,36 @@ def test_exterior_follows_the_window():
     ops = [build_h_n_eps(default_bump(), 2.0, eps, 0.0, grid)
            for eps in (0.2, 0.4, 0.8)]
     ext = flat_exterior(ops[0], 1j, F)
-    assert flat_exterior(ops[1], 1j, F, ext) is ext
-    assert flat_exterior(ops[2], 1j, F, ext) is not ext
+    assert np.array_equal(resolvent_solve(ops[1], 1j, F, ext),
+                          resolvent_solve(ops[1], 1j, F))
+    with pytest.raises(RobinwgError, match="exterior"):
+        resolvent_solve(ops[2], 1j, F, ext)
+
+
+@pytest.mark.parametrize("other", ["grid", "z", "window"])
+def test_resolvent_solve_rejects_an_exterior_of_another_grid_z_or_window(
+        other):
+    grid = Grid1D(8.0, 1600)
+    eps = {"window": 0.8}.get(other, 0.4)
+    theirs = Grid1D(8.0, 1602) if other == "grid" else grid
+    z = 0.7 + 1.3j if other == "z" else 1j
+    op = build_h_n_eps(default_bump(), 2.0, 0.4, 0.0, grid)
+    ext = flat_exterior(build_h_n_eps(default_bump(), 2.0, eps, 0.0, theirs),
+                        z, bump_probe(-3.0, 1.5)(theirs.points))
+    with pytest.raises(RobinwgError, match="exterior"):
+        resolvent_solve(op, 1j, bump_probe(-3.0, 1.5)(grid.points), ext)
+
+
+def test_exterior_of_another_block_fails_the_residual_gate():
+    # same grid, z, W and row count: only the residual check can tell
+    grid = Grid1D(8.0, 1600)
+    op = build_h_n_eps(default_bump(), 2.0, 0.4, 0.0, grid)
+    F = np.array([bump_probe(c, 1.0)(grid.points) for c in (-4.0, 3.0)])
+    ext = flat_exterior(op, 1j, F[::-1])
+    with pytest.raises(RobinwgError, match="banded solve residual"):
+        resolvent_solve(op, 1j, F, ext)
+    assert np.array_equal(resolvent_solve(op, 1j, F[::-1], ext),
+                          resolvent_solve(op, 1j, F[::-1]))
 
 
 def test_grid_points_are_built_once_and_read_only():

@@ -329,10 +329,14 @@ def test_resolvent_apply_rejects_bad_grids():
     s = np.linspace(5.0, -5.0, 101)  # decreasing
     with pytest.raises(RobinwgError, match="increasing"):
         resolvent_apply(GraphOperatorSpec.free(), 1j, s, np.zeros_like(s))
+    # a row or block whose last axis is not the grid
+    s = np.linspace(-5.0, 5.0, 101)
+    for f in (np.zeros(100), np.zeros((2, 100)), np.zeros((1, 2, 101))):
+        with pytest.raises(RobinwgError, match="shape"):
+            resolvent_apply(GraphOperatorSpec.free(), 1j, s, f)
 
 
-def test_resolvent_apply_phase_cache_is_exact(monkeypatch):
-    from robinwg import graph_limit
+def test_resolvent_apply_is_independent_of_call_order():
     specs = (GraphOperatorSpec.free(),
              GraphOperatorSpec.deformed(0.6, -0.8, 0.7))
     grids = (np.linspace(-12.0, 12.0, 2401), np.linspace(-9.0, 9.0, 1801))
@@ -343,11 +347,10 @@ def test_resolvent_apply_phase_cache_is_exact(monkeypatch):
     for gi, s in enumerate(grids):
         for zi, z in enumerate(zs):
             for ki, spec in enumerate(specs):
-                monkeypatch.setattr(graph_limit, "_last_grid", None)
                 cold[gi, zi, ki] = resolvent_apply(spec, z, s, probe(s))
 
-    # alternate grids and z, each pair twice in a row so both the miss and
-    # the hit path run; every result must equal its cold one bit for bit
+    # alternate grids and z, each pair twice in a row; every result must
+    # equal its first one bit for bit
     order = [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0), (1, 1)]
     for gi, zi in order:
         s = grids[gi]
@@ -357,8 +360,7 @@ def test_resolvent_apply_phase_cache_is_exact(monkeypatch):
                 assert np.array_equal(out, cold[gi, zi, ki])
 
 
-def test_resolvent_apply_output_independent_of_cache(monkeypatch):
-    from robinwg import graph_limit
+def test_resolvent_apply_output_is_fresh_per_call():
     spec = GraphOperatorSpec.free()
     s = np.linspace(-10.0, 10.0, 2001)
     f = np.exp(-(s + 3.0) ** 2)
@@ -369,12 +371,11 @@ def test_resolvent_apply_output_independent_of_cache(monkeypatch):
     again = resolvent_apply(spec, 1j, s, f)
     assert np.array_equal(again, ref)
     assert again is not first
-    # the same array object rescaled in place is a new grid, not a hit
+    # the same array object rescaled in place is a new grid
     s *= 1.5
     moved = resolvent_apply(spec, 1j, s, f)
     assert not np.array_equal(moved, ref)
-    monkeypatch.setattr(graph_limit, "_last_grid", None)
-    assert np.array_equal(moved, resolvent_apply(spec, 1j, s, f))
+    assert np.array_equal(moved, resolvent_apply(spec, 1j, s.copy(), f))
 
 
 def _green_quadrature(spec, z, s_eval, s, f):
@@ -434,6 +435,31 @@ def test_shared_moment_pass_equals_separate_calls(theta, b_hat, r, phi, center,
     for spec, out in zip(specs, outs):
         assert np.array_equal(out, resolvent_apply(spec, z, s, f))
     assert resolvent_apply((), z, s, f) == []
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.one_of(st.none(),
+                          st.tuples(st.floats(-6.0, 6.0), st.floats(0.2, 2.0))),
+                min_size=1, max_size=5),
+       st.sampled_from([1j, 0.7 + 1.3j, -2.0 + 0.1j]),
+       st.floats(0.0, 2 * np.pi), st.floats(-5.0, 5.0))
+def test_block_resolvent_apply_equals_row_calls(rows, z, theta, b_hat):
+    # None is an all-zero row
+    c = (np.cos(theta), np.sin(theta))
+    assume(abs(1j * sqrt_upper(z) - b_hat) > 0.1)
+    specs = [GraphOperatorSpec.decoupled(), GraphOperatorSpec.free(),
+             GraphOperatorSpec.deformed(*c, b_hat)]
+    s = np.linspace(-8.0, 8.0, 1601)
+    F = np.array([np.zeros_like(s) if r is None else bump_probe(*r)(s)
+                  for r in rows])
+    outs = resolvent_apply(specs, z, s, F)
+    assert [out.shape for out in outs] == [F.shape] * len(specs)
+    for spec, out in zip(specs, outs):
+        assert np.array_equal(out, resolvent_apply(spec, z, s, F))
+        for f, g in zip(F, out):
+            one = resolvent_apply(spec, z, s, f)
+            assert one.shape == s.shape
+            assert np.array_equal(g, one)
 
 
 def _masked_resolvent_apply(spec, z, s, f):

@@ -92,6 +92,20 @@ def test_empty_probe_list_is_rejected_before_any_solve():
         run_study(FREE, DECOUPLED, Z, [], EPS, no_solve, 0.02, free_line)
 
 
+@pytest.mark.parametrize("bad", [bump_probe(40.0, 1.5),
+                                 lambda s: np.full_like(s, np.nan),
+                                 lambda s: np.full_like(s, np.inf)],
+                         ids=["off_grid", "nan", "inf"])
+def test_probe_without_a_finite_positive_norm_is_rejected(bad):
+    # its error would be 0/0: no verdict may rest on it
+    def solver(eps):
+        return S, lambda F: pytest.fail("no solve after the probe check")
+
+    with pytest.raises(RobinwgError, match="probe 1 has sampled norm"):
+        run_study(FREE, DECOUPLED, Z, [PROBE, bad], EPS, solver, 0.02,
+                  free_line)
+
+
 
 def test_outer_norm_of_one_is_the_span_of_the_outer_nodes():
     # |s| > 1 is two half-lines: the cell across the gap does not count

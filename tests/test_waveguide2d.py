@@ -106,6 +106,19 @@ def test_gmres_stall_is_caught_by_the_post_check():
     assert 10 * rtol < pr_res < 1e-9
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_residual_fails_the_post_check():
+    # NaN compares false both ways, so the gate must read "not below"
+    geom = bump_geometry(0.4)
+    grid = Grid2D(8.0, 512, 16, 1.0)
+    op = build_waveguide(geom, FULL, 1, grid)
+    proj = ModeProjector(geom, grid, 1)
+    f = bump_probe(-4.0, 1.5)(grid.s_interior)
+    f[100] = np.nan
+    with pytest.raises(SolverConvergenceError, match="nan"):
+        reduced_resolvent(op, proj, 0, 0, Z, f)
+
+
 def test_renormalisation_delta_independence():
     grid = Grid2D(12.0, 1200, 32, 1.0)
     si = None
@@ -516,6 +529,10 @@ def test_theorem_check_validates_mode_and_eps_list():
         theorem_check(flat_geometry(eps=0.1), 0, Z, probe, [0.1, 0.2, 0.4])
     with pytest.raises(RobinwgError, match="at least one probe"):
         theorem_check(flat_geometry(), 0, Z, [], [0.4, 0.2])
+    # the probe vanishes on the s-grid (|s| < 12.3 at eps 0.4)
+    with pytest.raises(RobinwgError, match="probe 0 has sampled norm 0"):
+        theorem_check(flat_geometry(), 0, Z, bump_probe(30.0, 1.5),
+                      [0.4, 0.2])
 
 
 def test_mode_projector_sturm_guard():
