@@ -288,6 +288,9 @@ WAVEGUIDE_SCHEMA = dict(PROFILE_SCHEMA, **{
 def cmd_waveguide_check(cfg_raw, out, seed, override=None):
     cfg = validate(cfg_raw, WAVEGUIDE_SCHEMA)
     _check_study(cfg)
+    _check_transverse(cfg["d"], cfg["n"], "n")
+    if cfg["n_max"] is not None and cfg["n_max"] < cfg["n"]:
+        raise ConfigError(f"n_max must be >= n, got {cfg['n_max']}")
     profile = profile_from_config(cfg)
     scaling = ScalingParams(epsilon=cfg["eps_list"][0], b=cfg["b"],
                             delta_ratio=cfg["delta_ratio"])

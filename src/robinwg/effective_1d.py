@@ -130,15 +130,43 @@ def build_h_n_eps(profile: CurvatureProfile, beta: float, eps: float,
 
 
 def _gtsv(diag, off, b):
-    """Solve the tridiagonal system with diagonal diag and every off-diagonal
-    entry off for b, (n,) or (n, rhs) with n >= 2, by LAPACK zgtsv (LU with
-    partial pivoting); diag and b are overwritten."""
+    """Solve the tridiagonal system with diagonal diag and off-diagonals off
+    (a scalar or one entry per gap) for b, (n,) or (n, rhs) with n >= 2, by
+    LAPACK zgtsv (LU with partial pivoting); diag and b are overwritten."""
     bands = np.full((2, len(diag) - 1), off, dtype=complex)
     *_, x, info = zgtsv(bands[0], diag, bands[1], b, overwrite_dl=1,
                         overwrite_d=1, overwrite_du=1, overwrite_b=1)
     if info != 0:
         raise RobinwgError(f"tridiagonal solve failed: gtsv info = {info}")
     return x
+
+
+def exterior_solve(h, z, B_left, B_right):
+    """The free Dirichlet exteriors on both sides of a window, for each z_j.
+
+    Each side's operator is E_j = tridiag(-c, 2c - z_j, -c), c = 1/h^2, on
+    its m nodes between a Dirichlet cap and the window.  B_left (len(z), k,
+    m_left) holds k right-hand sides per z_j, B_right likewise.  Returns
+    (U_left, phi_left, U_right, phi_right): U = E_j^{-1} B_j and phi the
+    Green column E_j^{-1} e of the node next to the window.  All systems go
+    end to end, zero couplings at the joints and left row i sharing a
+    column with right row i, into one LAPACK `gtsv` call of at least two
+    unknowns; each comes out bit for bit as its own solve would.
+    """
+    z = np.atleast_1d(z)
+    (J, kl, ml), (_, kr, mr) = B_left.shape, B_right.shape
+    m, k = ml + mr, max(kl, kr)
+    X = np.zeros((k + 1, J, m), dtype=complex)
+    X[:kl, :, :ml] = B_left.transpose(1, 0, 2)
+    X[:kr, :, ml:] = B_right.transpose(1, 0, 2)
+    X[k, :, max(ml - 1, 0):ml + 1] = 1.0        # the nodes next to the window
+    if m:
+        off = np.full((J, m), -1.0 / h ** 2)
+        off[:, [ml - 1, m - 1]] = 0.0           # the joints
+        X = _gtsv(np.repeat(2.0 / h ** 2 - z, m), off.ravel()[:-1],
+                  X.reshape(k + 1, -1).T).T.reshape(X.shape)
+    return (X[:kl, :, :ml].transpose(1, 0, 2), X[k, :, :ml],
+            X[:kr, :, ml:].transpose(1, 0, 2), X[k, :, ml:])
 
 
 def _core_half_width(op: Discrete1DOperator) -> int:
@@ -157,56 +185,33 @@ def _core_half_width(op: Discrete1DOperator) -> int:
 
 @dataclass(frozen=True, eq=False)
 class FlatExterior:
-    """The free Dirichlet problem outside the core window W, solved for one
-    grid, z and probe block of `n_rows` rows (see `flat_exterior`).
-
-    Each side of W holds m interior nodes on which h_eps is the free
-    operator E, the Dirichlet cap at its far end.  In node order, `U_left`/
-    `U_right` hold E^{-1} f for the rows `rows_left`/`rows_right` that are
-    nonzero on that side (the other rows' particular solution is zero), and
-    `phi_left`/`phi_right` are the Green columns E^{-1} e of the node next
-    to W.
-    """
+    """The free problem outside the core window W for one grid, z and block
+    of `n_rows` rows: per side of W, (left, right), the rows nonzero there,
+    their particular solutions U and the Green column phi of the node next
+    to W (the other rows' particular solution is zero)."""
 
     grid: Grid1D
     z: complex
     k: int
     n_rows: int
-    rows_left: np.ndarray
-    U_left: np.ndarray
-    phi_left: np.ndarray
-    rows_right: np.ndarray
-    U_right: np.ndarray
-    phi_right: np.ndarray
+    rows: tuple
+    U: tuple
+    phi: tuple
 
 
 def flat_exterior(op: Discrete1DOperator, z, f_samples) -> FlatExterior:
     """The flat exterior of (op.grid, z, f), f one row or a (probes, nodes)
-    block.
-
-    W depends on the grid and on op's potential only, so the operators of
-    several eps on one grid can share an exterior while their potentials
-    sit inside the same W; the caller decides when to build a new one.
-    Both sides are the one Toeplitz tridiagonal, so one LAPACK `gtsv` call
-    solves every particular solution and both Green columns.
-    """
+    block, from one `exterior_solve`.  W depends on the grid and op's
+    potential only, so several eps on one grid can share an exterior while
+    their potentials sit inside the same W; the caller decides when."""
     F = np.atleast_2d(f_samples)
-    grid, z = op.grid, complex(z)
-    i0 = grid.n_cells // 2
-    k = _core_half_width(op)
-    m = i0 - k - 1
+    i0, k = op.grid.n_cells // 2, _core_half_width(op)
     sides = (F[:, 1:i0 - k], F[:, i0 + k + 1:-1])
-    rows = [np.flatnonzero(np.any(side != 0, axis=1)) for side in sides]
-    n_left, n_rows = len(rows[0]), len(rows[0]) + len(rows[1])
-    X = np.zeros((n_rows + 2, m), dtype=complex)
-    if m:
-        X[:n_left] = sides[0][rows[0]]
-        X[n_left:n_rows] = sides[1][rows[1]]
-        X[n_rows, -1] = X[n_rows + 1, 0] = 1.0
-        X = _gtsv(np.full(m, 2.0 / grid.h ** 2 - z), -1.0 / grid.h ** 2,
-                  X.T).T
-    return FlatExterior(grid, z, k, len(F), rows[0], X[:n_left], X[n_rows],
-                        rows[1], X[n_left:n_rows], X[n_rows + 1])
+    rows = tuple(np.flatnonzero(np.any(side != 0, axis=1)) for side in sides)
+    U_l, phi_l, U_r, phi_r = exterior_solve(
+        op.grid.h, complex(z), sides[0][None, rows[0]], sides[1][None, rows[1]])
+    return FlatExterior(op.grid, complex(z), k, len(F), rows,
+                        (U_l[0], U_r[0]), (phi_l[0], phi_r[0]))
 
 
 def resolvent_solve(op: Discrete1DOperator, z, f_samples,
@@ -214,17 +219,15 @@ def resolvent_solve(op: Discrete1DOperator, z, f_samples,
     """(H - z)^{-1} f by the exact Schur split of W and its flat exterior.
 
     f is sampled on the full node set, one probe or a (probes, nodes)
-    block; the output has f's shape and carries zeros at the Dirichlet
-    caps.  Outside the core window W the operator is free, so the exterior
-    solves (`flat_exterior`, built here when `exterior` is None) give each
-    row g = U + c g(edge) phi there, with c = 1/h^2 and g(edge) its value
-    at W's end node.  What is left is W's tridiagonal with the Schur corner
-    terms c^2 phi(edge) and the right-hand side corrected by c U(edge): one
-    LAPACK `gtsv` call (LU with partial pivoting) for all rows, each row
-    bit for bit as its own solve would come out.  An `exterior` of another
-    grid, z, W or row count raises RobinwgError; one of another block of
-    f's shape fails the check that every row's residual is within 1e-12 of
-    its own ||f||, as does a row that is not finite.
+    block; the output has f's shape and zeros at the Dirichlet caps.
+    Outside the core window W each row is g = U + c g(edge) phi, c = 1/h^2
+    (`flat_exterior`, built here when `exterior` is None), so W's
+    tridiagonal takes the Schur corner terms c^2 phi(edge) and the
+    right-hand side c U(edge): one LAPACK `gtsv` call for all rows, each
+    bit for bit its own solve.  An `exterior` of another grid, z, W or row
+    count raises RobinwgError; one of another block of f's shape fails the
+    check that every row's residual is within 1e-12 of its own ||f||, as
+    does a row that is not finite.
     """
     if complex(z).imag == 0:
         raise RobinwgError("resolvent_solve needs Im z != 0")
@@ -244,25 +247,23 @@ def resolvent_solve(op: Discrete1DOperator, z, f_samples,
     lo, hi = i0 - ext.k, i0 + ext.k
     diag = 2.0 / h ** 2 + op.potential[lo:hi + 1] - z
     b = F[:, lo:hi + 1].astype(complex).T
-    flat = len(ext.phi_left) > 0        # W short of the caps
+    flat = len(ext.phi[0]) > 0        # W short of the caps
     if flat:
-        diag[0] -= c * c * ext.phi_left[-1]
-        diag[-1] -= c * c * ext.phi_right[0]
-        b[0, ext.rows_left] += c * ext.U_left[:, -1]
-        b[-1, ext.rows_right] += c * ext.U_right[:, 0]
+        diag[0] -= c * c * ext.phi[0][-1]
+        diag[-1] -= c * c * ext.phi[1][0]
+        b[0, ext.rows[0]] += c * ext.U[0][:, -1]
+        b[-1, ext.rows[1]] += c * ext.U[1][:, 0]
     x = _gtsv(diag, -c, b)
     G = np.empty(F.shape, dtype=complex)
     G[:, [0, -1]] = 0.0
     G[:, lo:hi + 1] = x.T
     if flat:
-        for nodes, g_edge, rows, U, phi in (
-                (slice(1, lo), x[0], ext.rows_left, ext.U_left, ext.phi_left),
-                (slice(hi + 1, -1), x[-1], ext.rows_right, ext.U_right,
-                 ext.phi_right)):
+        for nodes, g_edge, rows, U, phi in zip(
+                (slice(1, lo), slice(hi + 1, -1)), (x[0], x[-1]), ext.rows,
+                ext.U, ext.phi):
             for r, ge in enumerate(g_edge):
                 np.multiply(phi, c * ge, out=G[r, nodes])
-            for r, u in zip(rows, U):
-                G[r, nodes] += u
+            G[rows, nodes] += U
     # backward-stable solve: the attainable residual scales with eps*||A||
     a_scale = 4.0 / h ** 2 + np.max(np.abs(op.potential)) + abs(z)
     diag = op.diagonal(z)

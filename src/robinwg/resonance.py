@@ -15,10 +15,10 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import RobinwgError
 from .geometry import CurvatureProfile
+from .transverse import _brent_lanes
 
 DEFAULT_TOL_D = 1e-9
 _ODE_TOL = 1e-12
@@ -290,8 +290,10 @@ def find_resonant_coupling(profile: CurvatureProfile, beta_range,
         end, _ = _integrate(lambda s: beta * sq(s), support, knots, rtol=rtol)
         return float(end[1, 0])
 
-    roots = [brentq(mismatch, betas[i], betas[i + 1], xtol=1e-13,
-                    rtol=8.9e-16, maxiter=200) for i in np.nonzero(flips)[0]]
+    # one lane per bracket, each lane brentq's root bit for bit
+    roots = _brent_lanes(lambda x, lanes: np.array([mismatch(b) for b in x]),
+                         betas[:-1][flips], betas[1:][flips], xtol=1e-13,
+                         rtol=8.9e-16, maxiter=200).tolist()
     roots.extend(float(betas[i]) for i in np.nonzero(vals == 0.0)[0])
     if not roots:
         return None

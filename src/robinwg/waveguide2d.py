@@ -15,9 +15,10 @@ The curvature has compact support, so outside a core of O(eps) s-columns
 the operator is the flat separable one, P^-1 = kron(D2s + diag(V_flat), W)
 + kron(I, Bw)/delta^2, with V_flat the flat part of the potential.  Only
 the core correction E = P^-1 - M A is assembled; P^-1 is applied
-matrix-free (second differences by slicing, one product with Bw) and
-inverted exactly by the separable preconditioner, so no whole-grid matrix
-exists.  The reduced resolvent projects onto transverse modes computed per
+matrix-free (second differences by slicing, one product with Bw), so no
+whole-grid matrix exists.  The reduced resolvent eliminates the flat
+exterior per transverse mode by the 1D backend's `exterior_solve`, runs
+GMRES on the core only, and projects onto transverse modes computed per
 s-column by the `transverse` module (the curved columns in one lane-wise
 solve), after subtracting the *discrete* transverse threshold of the flat
 columns so the renormalised problem is delta-independent at machine level.
@@ -25,7 +26,7 @@ columns so the renormalised problem is delta-independent at machine level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,7 +34,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, lapack
 
 from .effective_1d import (Discrete1DOperator, check_resolution,
-                           resolvent_solve, s_grid)
+                           exterior_solve, resolvent_solve, s_grid)
 from .errors import (BracketingError, GridResolutionError, ProfileError,
                      RobinwgError, SolverConvergenceError)
 from .geometry import WaveguideGeometry
@@ -303,40 +304,22 @@ class ModeProjector:
 # reduced resolvent
 # ---------------------------------------------------------------------------
 
-def _separable_preconditioner(op: DiscreteWaveguideOperator, n: int, z,
-                              cols: slice = slice(None)):
-    """Inverse of the flat separable operator on the s-columns `cols`.
+def _separable_preconditioner(op: DiscreteWaveguideOperator, z, corners):
+    """Inverse of the flat separable operator on the core columns `op.core`.
 
     Per transverse eigenmode j the s-problem is tridiagonal with diagonal
-    2/hs^2 + V_flat(s) + shift_j, shift_j = (lam_j - lam_n)/delta^2 - z; exact
-    for gamma == 0.  On a column range the result is the restriction of the
-    full-grid inverse: the m flat columns beyond each end (V_flat = 0 there)
-    are eliminated exactly by subtracting their Schur term c^2/d_m from that
-    end's diagonal, c = 1/hs^2 and d_m the ratio of the exterior's last two
-    leading determinants.  With r1, r2 = c^2/r1 the roots of
-    r^2 - (2c + shift_j) r + c^2, |r1| >= |r2| and q = r2/r1, the term is
-    r2 (1 - q^m)/(1 - q^(m+1)), zero for m = 0.
-    The mode systems are laid end to end as one tridiagonal with zero
-    couplings at the block joints, factored once by LAPACK gttrf; each apply
-    is one gttrs between the two transverse transforms.
+    2/hs^2 + V_flat(s) - z_j, less at each end the Schur term of the flat
+    exterior beyond it, `corners` = (left, right) per mode.  The mode
+    systems are laid end to end with zero couplings at the joints and
+    factored once by LAPACK gttrf; each apply is one gttrs between the two
+    transverse transforms.
     """
-    nsi, nu = op.shape
-    i0, i1, _ = cols.indices(nsi)
-    k = i1 - i0
-    hs = op.grid.h_s
-    c = 1.0 / hs ** 2
-    delta = op.geometry.scaling.delta
-    lam = op.flat_eigvals
-    Phi = op.flat_eigvecs
-    shifts = (lam - lam[n]) / delta ** 2 - z
-    diag = (2.0 / hs ** 2 + op.potential_s[i0:i1])[None, :] + shifts[:, None]
-    root = np.sqrt(shifts * (shifts + 4 * c))     # of (2c + shift)^2 - 4c^2
-    rp, rm = (2 * c + shifts + root) / 2, (2 * c + shifts - root) / 2
-    r1 = np.where(np.abs(rp) >= np.abs(rm), rp, rm)
-    r2 = c ** 2 / r1
-    q = r2 / r1
-    diag[:, 0] -= r2 * (1 - q ** i0) / (1 - q ** (i0 + 1))
-    diag[:, -1] -= r2 * (1 - q ** (nsi - i1)) / (1 - q ** (nsi - i1 + 1))
+    C, Phi = op.core, op.flat_eigvecs
+    k, nu = C.stop - C.start, op.shape[1]
+    c = 1.0 / op.grid.h_s ** 2
+    diag = (2 * c + op.potential_s[C])[None, :] - z[:, None]
+    diag[:, 0] -= corners[0]
+    diag[:, -1] -= corners[1]
     off = np.full(nu * k - 1, -c, dtype=complex)
     off[k - 1::k] = 0.0
     dl, d, du, du2, ipiv, info = lapack.zgttrf(
@@ -364,63 +347,105 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
 
     mu_n is the flat transverse threshold of the discrete operator
     (subtracting the continuum value would leave an O(h_u^2)/delta^2 drift).
-    A = P^-1 - R^T E R, with P the flat separable solve, R the restriction
-    to the curved core C (`op.core`) and E = `op.matrix`, so
-    A x = b is x = P (b + R^T E x_C) with x_C solving
-    (I - P_CC E) x_C = (P b)_C, P_CC the restriction of P to C.  GMRES runs
-    on that core system only; the flat exterior is eliminated exactly, and a
-    straight strip (empty core) is x = P b.  Each sweep then recomputes the
-    preconditioned residual P (rhs - A x), the quantity judged, and solves
-    for its correction the same way, until it is within rtol of |P rhs|, it
-    stops falling, or the GMRES iterations reach maxiter; the sweeps correct
-    what the computed P misses of A (applied matrix-free).  Above rtol the
-    residual must still be within 10 rtol.  Returns (g, info dict); raises
-    SolverConvergenceError with the residual history when it is not.
+    Outside the core C (`op.core`) the operator is flat: in its transverse
+    eigenbasis Phi, mode j of each exterior is the free line at
+    z_j = z - (lam_j - lam_n)/delta^2 with source c_j f, c = Phi^T W phi_n
+    (not pure mode n when alpha != 0); one `exterior_solve` gives them all.
+    Left is K x_C = b_C, K = P_CC^-1 - E: P_CC the separable solve on C
+    with the exterior's corner terms (`_separable_preconditioner`),
+    E = `op.matrix`, b_C corrected by the particular solutions.  GMRES runs
+    on (I - P_CC E) x_C = P_CC b_C; each sweep then recomputes the judged
+    residual P_CC (b_C - K x_C), K applied matrix-free, and solves for its
+    correction the same way, until it is within rtol of |P_CC b_C|, stops
+    falling, or the GMRES iterations reach maxiter.  Above rtol it must be
+    within 10 rtol, or SolverConvergenceError carries the residual history.
+    An empty core (a straight strip) needs no GMRES; an f that is not
+    finite raises RobinwgError before any work.
+
+    The field x is assembled once and checked on the whole grid: C's rows
+    hold the last core residual r_C = b_C - K x_C, the others only the
+    rounding of the exterior solves and of the length-(n_u + 1) transforms.
+    So with a = 5/hs^2 + |Bw|_inf/delta^2 + |E|_inf + max|V_flat| + |shift|,
+    which bounds the operator and the corner terms, RobinwgError is raised
+    unless |rhs - A x| <= |r_C| + 50 (n_u + 1) eps_mach a |x|.  Returns
+    (g, info).
     """
     if complex(z).imag == 0:
         raise RobinwgError("reduced resolvent needs Im z != 0")
+    f_s = np.asarray(f_s, dtype=complex)
+    if not np.isfinite(f_s).all():
+        raise RobinwgError("reduced resolvent needs a finite f")
     nsi, nu = op.shape
-    delta = op.geometry.scaling.delta
+    wu, Phi, lam = op.grid.u_mass, op.flat_eigvecs, op.flat_eigvals
+    c, delta = 1.0 / op.grid.h_s ** 2, op.geometry.scaling.delta
     shift = op.transverse_threshold(n) / delta ** 2 + z
-    rhs = (projector.synthesize(np.asarray(f_s, dtype=complex), n)
-           * op.grid.u_mass).ravel()
-    prec = _separable_preconditioner(op, n, z)
-    C = slice(op.core.start * nu, op.core.stop * nu)
-    E = op.matrix
-    if E.shape[0]:
-        prec_core = _separable_preconditioner(op, n, z, op.core)
+    zj = z - (lam - lam[n]) / delta ** 2
+    rhs = projector.synthesize(f_s, n) * wu
+    C, E = op.core, op.matrix
+    B = ((projector.flat[n] * wu) @ Phi)[:, None, None] * f_s
+    U_l, phi_l, U_r, phi_r = exterior_solve(op.grid.h_s, zj, B[..., :C.start],
+                                            B[..., C.stop:])
+
+    def assemble(xc, pad):
+        # columns C.start - pad .. C.stop + pad - 1 (cut at the caps) of the
+        # field with core xc: each exterior is U_j + c y_j phi_j per mode
+        y = c * (xc[[0, -1]] * wu) @ Phi if len(xc) else np.zeros((2, nu))
+        i = max(C.start - pad, 0)
+        return np.concatenate([
+            (U_l[:, 0, i:] + y[0, :, None] * phi_l[:, i:]).T @ Phi.T, xc,
+            (U_r[:, 0, :pad] + y[1, :, None] * phi_r[:, :pad]).T @ Phi.T])
+
+    # the core with a neighbour column each side, as an operator of its own
+    lo = max(C.start - 1, 0)
+    local = replace(op, potential_s=op.potential_s[lo:C.stop + 1],
+                    core=slice(C.start - lo, C.stop - lo))
+
+    def core_residual(xc):
+        return (rhs[C] - local._weighted_apply(assemble(xc, 1), shift)[
+            local.core]).ravel()
+
+    history, r, pr_res = [], np.zeros(0), 0.0
+    xc = np.zeros((C.stop - C.start, nu), dtype=complex)
+    if len(xc):
+        prec = _separable_preconditioner(
+            op, zj, (c * c * phi_l[:, -1] if C.start else 0.0,
+                     c * c * phi_r[:, 0] if C.stop < nsi else 0.0))
         K = spla.LinearOperator(E.shape, dtype=complex,
-                                matvec=lambda v: v - prec_core(E @ v))
-    history = []
-    x = np.zeros(len(rhs), dtype=complex)
-    r = rhs.copy()
-    pr = prec(r)
-    scale = np.linalg.norm(pr)
-    pr_res = np.inf
-    while True:
-        if E.shape[0]:
-            xc, _ = spla.gmres(
-                K, pr[C], rtol=rtol, atol=0.0, restart=80,
+                                matvec=lambda v: v - prec(E @ v))
+        r = core_residual(xc)
+        pr = prec(r)
+        scale = np.linalg.norm(pr)
+        pr_res = np.inf
+        while True:
+            dx, _ = spla.gmres(
+                K, pr, rtol=rtol, atol=0.0, restart=80,
                 maxiter=max(1, (maxiter - len(history)) // 80),
                 callback=lambda res: history.append(float(res)),
                 callback_type="pr_norm")
-            r[C] += E @ xc                  # r + R^T E x_C
-        x += prec(r)
-        r = rhs - op._weighted_apply(x.reshape(nsi, nu), shift).ravel()
-        pr = prec(r)
-        last, pr_res = pr_res, np.linalg.norm(pr) / scale
-        if not rtol < pr_res < last or len(history) >= maxiter:
-            break
-    # judged as "not below": a NaN residual fails
-    if not pr_res <= 10 * rtol:
-        raise SolverConvergenceError(
-            f"GMRES stalled at preconditioned residual {pr_res:.3g}", history)
-    true_res = np.linalg.norm(r) / np.linalg.norm(rhs)
-    G = x.reshape(nsi, nu)
-    out = projector.project(G, m)
+            xc += prec(r + E @ dx).reshape(xc.shape)   # x = P (b + E x)
+            r = core_residual(xc)
+            pr = prec(r)
+            last, pr_res = pr_res, np.linalg.norm(pr) / scale
+            if not rtol < pr_res < last or len(history) >= maxiter:
+                break
+        # judged as "not below": a NaN residual fails
+        if not pr_res <= 10 * rtol:
+            raise SolverConvergenceError(
+                f"GMRES stalled at preconditioned residual {pr_res:.3g}",
+                history)
+    x = assemble(xc, nsi)
+    res = np.linalg.norm(rhs - op._weighted_apply(x, shift))
+    a = (5 * c + np.abs(op.transverse).sum(1).max() + abs(shift)
+         + (abs(E).sum(1).max() if E.nnz else 0.0)
+         + np.abs(op.potential_s).max())
+    bound = (np.linalg.norm(r)
+             + 50 * nu * np.finfo(float).eps * a * np.linalg.norm(x))
+    if not res <= bound:
+        raise RobinwgError(f"assembled field residual {res:.3g} above "
+                           f"{bound:.3g}")
     info = {"iterations": len(history), "preconditioned_residual": float(pr_res),
-            "raw_residual": float(true_res), "field": G}
-    return out, info
+            "raw_residual": float(res / np.linalg.norm(rhs)), "field": x}
+    return projector.project(x, m), info
 
 
 # ---------------------------------------------------------------------------

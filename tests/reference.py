@@ -6,7 +6,8 @@ with scipy's banded solver, without the core/exterior split of
 waveguide operator on the whole grid by successive sparse sums, the direct
 discretisation that the matrix-free apply of `waveguide2d` must reproduce.  `scalar_asymmetric_spectrum` solves the
 asymmetric transverse problem one root at a time with scalar brentq, the
-oracle of the lane-wise solve.
+oracle of the lane-wise solve; `scalar_resonant_couplings` refines every
+bracket of a resonance scan by scalar brentq likewise.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ import scipy.sparse as sp
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
+from robinwg.resonance import _ODE_TOL, _integrate, coupling_scan
 from robinwg.transverse import _BRENT_KW
 from robinwg.waveguide2d import FULL
 
@@ -168,3 +170,21 @@ def mode_values(branch, k, A, B, u):
             return np.zeros_like(u)
         return A * np.sinh(k * u) + B * np.cosh(k * u)
     return A * u + B * np.ones_like(u)
+
+
+def scalar_resonant_couplings(profile, beta_range, n_scan=120):
+    """Every root of the zero-energy mismatch D(beta) that the scan of
+    `find_resonant_coupling` brackets, each refined by scalar brentq on the
+    same scalar path and with the same tolerances."""
+    betas = np.linspace(min(beta_range), max(beta_range), n_scan)
+    betas = betas[betas != 0.0]
+    signs = np.sign(coupling_scan(profile, betas)[0])
+
+    def mismatch(beta):
+        end, _ = _integrate(lambda s: beta * profile.squared_at(s),
+                            profile.support, profile.knots, rtol=_ODE_TOL)
+        return float(end[1, 0])
+
+    return [brentq(mismatch, betas[i], betas[i + 1], xtol=1e-13,
+                   rtol=8.9e-16, maxiter=200)
+            for i in np.flatnonzero(signs[:-1] * signs[1:] < 0)]

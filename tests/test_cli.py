@@ -134,13 +134,17 @@ def test_waveguide_check_small(tmp_path):
     ("limit-check", "alpha = 1.0\nn = -1\n", "n must be >= 0"),
     ("resonance", "alpha = 1.0\nn = -2\n", "n must be >= 0"),
     ("resonance", "beta = 3.0\ntol_d = -1\n", "tol_d"),
+    ("waveguide-check", "d = -1\n", "d must be positive"),
+    ("waveguide-check", "n = -1\n", "n must be >= 0"),
+    ("waveguide-check", "n = 1\nn_max = 0\n", "n_max must be >= n"),
 ], ids=["misspelt_bool", "waveguide_probe", "limit_probe", "waveguide_no_eps",
         "limit_no_eps", "zero_h_target", "negative_half_length",
         "limit_negative_eps", "limit_increasing_eps", "increasing_eps",
         "waveguide_repeated_eps", "waveguide_zero_eps", "limit_zero_probe_width",
         "waveguide_negative_probe_width", "limit_negative_d",
         "limit_negative_n", "resonance_negative_n",
-        "resonance_negative_tol_d"])
+        "resonance_negative_tol_d", "waveguide_negative_d",
+        "waveguide_negative_n", "waveguide_n_above_n_max"])
 def test_study_commands_reject_bad_configs(tmp_path, capsys, command, cfg, key):
     code, out = run(tmp_path, command, cfg)
     assert code == 2
@@ -187,13 +191,6 @@ def test_format_is_a_spectrum_option_only(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(tmp_path, "limit-check", "beta = 3.0\n", "--format", "json")
     assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("cfg", ["n = 1\nn_max = 0\n"], ids=["mode_above_n_max"])
-def test_waveguide_check_rejects_bad_inputs(tmp_path, capsys, cfg):
-    code, _ = run(tmp_path, "waveguide-check", cfg)
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_field_slice_bytes_equal_the_row_writer(tmp_path):

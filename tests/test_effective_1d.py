@@ -2,14 +2,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
 from robinwg.effective_1d import (RESOLUTION_FACTOR, Grid1D, VertexData,
                                   build_h_n_eps, bump_probe, check_resolution,
-                                  convergence_study, extract_vertex_data,
-                                  flat_exterior, resolvent_solve, s_grid,
+                                  convergence_study, exterior_solve,
+                                  extract_vertex_data, flat_exterior,
+                                  resolvent_solve, s_grid,
                                   vertex_condition_residuals)
 from robinwg.errors import GridResolutionError, RobinwgError
 from robinwg.geometry import (RECTANGULAR, SMOOTH_BUMP, CurvatureProfile,
@@ -374,6 +376,54 @@ EXTERIOR_CASES = {
 }
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 40), st.integers(1, 4),
+       st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0)), min_size=1,
+                max_size=4),
+       st.integers(0, 3), st.integers(0, 3),
+       st.sampled_from([1j, 0.7 + 1.3j, -2.0 + 0.1j]),
+       st.integers(0, 2 ** 32 - 1))
+@example(2, 2, 1, [0.0], 1, 1, 1j, 0)
+@example(2, 0, 3, [0.0, 8.0], 2, 0, 1j, 1)
+@example(0, 2, 1, [8.0], 0, 1, 1j, 2)
+def test_exterior_solve_is_the_whole_line_solve(ml, mr, w, log_shifts, kl,
+                                                 kr, z, seed):
+    # on each side of a window of w nodes, a whole-line solve is the
+    # exterior's particular solution plus c g(edge) times its Green column;
+    # z_j = z - 10^x (or z itself) reaches the large 2D mode shifts
+    J = len(log_shifts)
+    assume(J * (ml + mr) >= 2)
+    h = 0.05
+    c = 1.0 / h ** 2
+    zs = z - np.array([10 ** x if x else 0.0 for x in log_shifts])
+    rng = np.random.default_rng(seed)
+    k = max(kl, kr)
+    F = rng.standard_normal((J, k, ml + w + mr)) + 0j
+    U_l, phi_l, U_r, phi_r = exterior_solve(h, zs, F[:, :kl, :ml],
+                                            F[:, :kr, ml + w:])
+    assert U_l.shape == (J, kl, ml) and U_r.shape == (J, kr, mr)
+    assert phi_l.shape == (J, ml) and phi_r.shape == (J, mr)
+    ab = np.zeros((3, ml + w + mr), dtype=complex)
+    ab[0, 1:] = ab[2, :-1] = -c
+    for j in range(J):
+        ab[1] = 2 * c - zs[j]
+        G = solve_banded((1, 1), ab, F[j].T).T
+        for i, g in enumerate(G):
+            tol = 1e-12 * np.abs(g).max()
+            if i < kl:
+                want = U_l[j, i] + c * g[ml] * phi_l[j]
+                assert np.abs(g[:ml] - want).max(initial=0) <= tol
+            if i < kr:
+                want = U_r[j, i] + c * g[ml + w - 1] * phi_r[j]
+                assert np.abs(g[ml + w:] - want).max(initial=0) <= tol
+        if ml + mr >= 2:
+            # each system comes out as its own solve, bit for bit
+            one = exterior_solve(h, zs[j:j + 1], F[j:j + 1, :kl, :ml],
+                                 F[j:j + 1, :kr, ml + w:])
+            whole = (U_l, phi_l, U_r, phi_r)
+            assert all(np.array_equal(a[0], b[j]) for a, b in zip(one, whole))
+
+
 @pytest.mark.parametrize("case", sorted(EXTERIOR_CASES))
 def test_resolvent_solve_equals_whole_grid_banded_solve(case):
     profile, beta, eps, grid, probes, z = EXTERIOR_CASES[case]
@@ -463,7 +513,8 @@ def test_block_residual_gate_fires_for_one_bad_row(monkeypatch, bad):
 
     def perturbed(*args, **kwargs):
         *bands, x, info = gtsv(*args, **kwargs)
-        x[len(x) // 2, bad] *= 1 + 1e-6
+        if x.shape[1] == len(F):        # the core solve, one column per row
+            x[len(x) // 2, bad] *= 1 + 1e-6
         return (*bands, x, info)
 
     op = build_h_n_eps(default_bump(), -3.0, 0.5, 0.0, BLOCK_GRID)

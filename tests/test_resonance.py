@@ -9,6 +9,8 @@ from robinwg.geometry import (RECTANGULAR, TABULATED, CurvatureProfile,
 from robinwg.resonance import (Potential1D, coupling_scan, detect_resonance,
                                find_resonant_coupling, zero_energy_solve)
 
+from reference import scalar_resonant_couplings
+
 # frozen by the scanner cross-checked against the fixed-step oracle below;
 # the well-strength invariant is beta* * amplitude^2 * half_width^2 = const
 BUMP_BETA_STAR = -7.647474116758
@@ -357,3 +359,28 @@ def test_profile_potential_scalar_path_equals_general_path(profile, beta):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     # the scaled potential carries no scalar path and keeps the general one
     assert fast.scaled(0.5)._at is None
+
+
+@pytest.mark.parametrize("profile, beta_range", [
+    (default_bump(), (-60.0, -0.5)),
+    (SQUARE, (-45.0, -1.0)),
+    (CurvatureProfile(TABULATED, nodes=(-1.5, -0.5, 0.0, 0.7, 1.5),
+                      values=(0.0, 0.8, 1.1, 0.6, 0.0)), (-40.0, -0.5)),
+], ids=["bump", "rectangle", "tabulated"])
+def test_lane_wise_refinement_is_scalar_brentq(monkeypatch, profile,
+                                               beta_range):
+    # every bracketed root is brentq's bit for bit, and the smallest |beta|
+    # among them is returned
+    from robinwg import resonance
+    found, lanes = [], resonance._brent_lanes
+
+    def kept(*args, **kwargs):
+        found.append(lanes(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(resonance, "_brent_lanes", kept)
+    root = find_resonant_coupling(profile, beta_range)
+    want = scalar_resonant_couplings(profile, beta_range)
+    assert len(want) >= 2
+    assert found[0].tolist() == want
+    assert root == min(want, key=abs)

@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, solve_banded
 
 from robinwg.effective_1d import (Grid1D, build_h_n_eps, bump_probe,
-                                  resolvent_solve, s_grid)
+                                  exterior_solve, resolvent_solve, s_grid)
 from robinwg.errors import (BracketingError, ProfileError, RobinwgError,
                             SolverConvergenceError)
 from robinwg.geometry import (RECTANGULAR, SMOOTH_BUMP, TABULATED,
@@ -106,17 +106,36 @@ def test_gmres_stall_is_caught_by_the_post_check():
     assert 10 * rtol < pr_res < 1e-9
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_nan_residual_fails_the_post_check():
-    # NaN compares false both ways, so the gate must read "not below"
+def test_nan_residual_fails_the_post_check(monkeypatch):
+    # NaN compares false both ways, so the gate must read "not below"; a
+    # finite f reaches it through a GMRES result that is not finite
     geom = bump_geometry(0.4)
     grid = Grid2D(8.0, 512, 16, 1.0)
     op = build_waveguide(geom, FULL, 1, grid)
     proj = ModeProjector(geom, grid, 1)
     f = bump_probe(-4.0, 1.5)(grid.s_interior)
-    f[100] = np.nan
+    monkeypatch.setattr(waveguide2d.spla, "gmres",
+                        lambda K, b, **kw: (np.full(len(b), np.nan + 0j), 0))
     with pytest.raises(SolverConvergenceError, match="nan"):
         reduced_resolvent(op, proj, 0, 0, Z, f)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_f_is_rejected_before_any_work(monkeypatch, bad):
+    geom = bump_geometry(0.4)
+    grid = Grid2D(8.0, 512, 16, 1.0)
+    op = build_waveguide(geom, FULL, 1, grid)
+    proj = ModeProjector(geom, grid, 1)
+    f = bump_probe(-4.0, 1.5)(grid.s_interior)
+    f[100] = bad
+    calls = []
+    for module, name in ((waveguide2d, "exterior_solve"),
+                         (waveguide2d.spla, "gmres")):
+        monkeypatch.setattr(module, name,
+                            lambda *a, name=name, **kw: calls.append(name))
+    with pytest.raises(RobinwgError, match="finite"):
+        reduced_resolvent(op, proj, 0, 0, Z, f)
+    assert calls == []
 
 
 def test_renormalisation_delta_independence():
@@ -334,28 +353,73 @@ def test_grid_validation():
         grid.check_mode_resolution(8)   # too many modes for n_u = 16
 
 
+def _mode_z(op, n):
+    """z_j = z - (lam_j - lam_n)/delta^2, the spectral parameter of mode j."""
+    lam, delta = op.flat_eigvals, op.geometry.scaling.delta
+    return Z - (lam - lam[n]) / delta ** 2
+
+
+def _corner_terms(op, n):
+    """The Schur terms c^2 phi(edge) of the flat exteriors, per mode."""
+    C, (nsi, nu) = op.core, op.shape
+    c = 1.0 / op.grid.h_s ** 2
+    _, phi_l, _, phi_r = exterior_solve(
+        op.grid.h_s, _mode_z(op, n), np.zeros((nu, 0, C.start)),
+        np.zeros((nu, 0, nsi - C.stop)))
+    return c * c * phi_l[:, -1], c * c * phi_r[:, 0]
+
+
+def _whole_line_on_core(op, n, r):
+    """Per-mode whole-line banded solves of the flat separable operator for
+    r on the core columns (zero elsewhere), restricted to the core."""
+    C, (nsi, nu) = op.core, op.shape
+    hs, Phi = op.grid.h_s, op.flat_eigvecs
+    shifts = -_mode_z(op, n)
+    Rt = np.zeros((nsi, nu), dtype=complex)
+    Rt[C] = r.reshape(-1, nu) @ Phi
+    Y = np.empty((nsi, nu), dtype=complex)
+    for j in range(nu):
+        ab = np.zeros((3, nsi), dtype=complex)
+        ab[0, 1:] = ab[2, :-1] = -1.0 / hs ** 2
+        ab[1, :] = 2.0 / hs ** 2 + op.potential_s + shifts[j]
+        Y[:, j] = solve_banded((1, 1), ab, Rt[:, j])
+    return (Y[C] @ Phi.T).ravel()
+
+
 def test_separable_preconditioner_matches_per_mode_banded_solves():
+    # with the exterior's corner terms the core solve is the whole line's
     geom = bump_geometry(0.4, alpha=0.7)
     grid = Grid2D(6.0, 600, 32, 1.0)
     op = build_waveguide(geom, FULL, 1, grid)
-    nsi, nu = op.shape
-    hs, delta = grid.h_s, geom.scaling.delta
-    lam, Phi = op.flat_eigvals, op.flat_eigvecs
+    k = (op.core.stop - op.core.start) * op.shape[1]
     rng = np.random.default_rng(3)
-    r = rng.standard_normal(nsi * nu) + 1j * rng.standard_normal(nsi * nu)
+    r = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     for n in (0, 1):
-        shifts = (lam - lam[n]) / delta ** 2 - Z
-        Rt = r.reshape(nsi, nu) @ Phi
-        Y = np.empty((nsi, nu), dtype=complex)
-        for j in range(nu):
-            ab = np.zeros((3, nsi), dtype=complex)
-            ab[0, 1:] = -1.0 / hs ** 2
-            ab[1, :] = 2.0 / hs ** 2 + op.potential_s + shifts[j]
-            ab[2, :-1] = -1.0 / hs ** 2
-            Y[:, j] = solve_banded((1, 1), ab, Rt[:, j])
-        apply = _separable_preconditioner(op, n, Z)
-        assert np.array_equal(apply(r), (Y @ Phi.T).ravel())
+        apply = _separable_preconditioner(op, _mode_z(op, n),
+                                          _corner_terms(op, n))
+        want = _whole_line_on_core(op, n, r)
+        assert np.linalg.norm(apply(r) - want) < 1e-12 * np.linalg.norm(want)
         assert np.array_equal(apply(r), apply(r))   # no state carried over
+
+
+def test_core_preconditioner_is_the_restriction_of_the_full_one():
+    # an off-centre profile gives exteriors of unequal length
+    prof = CurvatureProfile(TABULATED, nodes=tuple(np.linspace(0.5, 3.0, 6)),
+                            values=(0.0, 0.3, 0.6, 0.6, 0.3, 0.0))
+    geom = WaveguideGeometry(prof, 1.0,
+                             ScalingParams(epsilon=0.4, delta_ratio=0.05), -2.0)
+    grid = Grid2D(8.0, 1000, 32, 1.0)
+    op = build_waveguide(geom, FULL, 1, grid)
+    nsi = op.shape[0]
+    assert op.core.start - (nsi - op.core.stop) > 50
+    k = (op.core.stop - op.core.start) * op.shape[1]
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(k) + 0j
+    for n in (0, 1):
+        core = _separable_preconditioner(op, _mode_z(op, n),
+                                         _corner_terms(op, n))(v)
+        full = _whole_line_on_core(op, n, v)
+        assert np.linalg.norm(core - full) < 1e-12 * np.linalg.norm(full)
 
 
 def _direct_field(op, proj, n, f):
@@ -451,23 +515,6 @@ def test_straight_strip_is_the_empty_core():
     assert np.linalg.norm(info["field"] - ref) < 1e-8 * np.linalg.norm(ref)
 
 
-def test_core_preconditioner_is_the_restriction_of_the_full_one():
-    # the closed-form Schur terms eliminate the flat exterior exactly
-    geom = bump_geometry(0.4, alpha=-2.0)
-    grid = Grid2D(8.0, 512, 32, 1.0)
-    op = build_waveguide(geom, FULL, 1, grid)
-    nu = grid.n_u + 1
-    rows = slice(op.core.start * nu, op.core.stop * nu)
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal(rows.stop - rows.start) + 0j
-    for n in (0, 1):
-        embedded = np.zeros(np.prod(op.shape), dtype=complex)
-        embedded[rows] = v
-        full = _separable_preconditioner(op, n, Z)(embedded)[rows]
-        core = _separable_preconditioner(op, n, Z, op.core)(v)
-        assert np.linalg.norm(core - full) < 1e-12 * np.linalg.norm(full)
-
-
 def test_tabulated_profile_core_is_its_node_range():
     geom = WaveguideGeometry(BELL, 1.0,
                              ScalingParams(epsilon=0.4, delta_ratio=0.05), 0.0)
@@ -547,3 +594,50 @@ def test_mode_projector_sturm_guard():
         rep = theorem_check(bump_geometry(0.4, alpha=alpha), n, Z,
                             bump_probe(-4.0, 1.5), [0.4, 0.2, 0.1], n_max=1)
         assert rep.verdict == "converges-to-predicted"
+
+
+def test_perturbed_exterior_column_trips_the_field_check(monkeypatch):
+    # the assembled field is checked on the whole grid: one exterior column
+    # off by 1e-6 of the field's scale leaves a residual far above the bound
+    geom = bump_geometry(0.4, alpha=-2.0)
+    grid = Grid2D(8.0, 512, 32, 1.0)
+    op = build_waveguide(geom, FULL, 1, grid)
+    proj = ModeProjector(geom, grid, 1)
+    f = bump_probe(-3.0, 1.2)(grid.s_interior)
+    _, info = reduced_resolvent(op, proj, 0, 0, Z, f)
+    solve = waveguide2d.exterior_solve
+
+    def perturbed(*args):
+        U_l, phi_l, U_r, phi_r = solve(*args)
+        U_l[:, :, 40] += 1e-6 * np.abs(info["field"]).max()
+        return U_l, phi_l, U_r, phi_r
+
+    monkeypatch.setattr(waveguide2d, "exterior_solve", perturbed)
+    assert op.core.start > 41
+    with pytest.raises(RobinwgError, match="assembled field residual"):
+        reduced_resolvent(op, proj, 0, 0, Z, f)
+
+
+@pytest.mark.parametrize("profile", [default_bump(), FLAT])
+def test_one_exterior_solve_and_no_factorisation_beyond_the_core(
+        monkeypatch, profile):
+    from robinwg import effective_1d
+    geom = WaveguideGeometry(profile, 1.0,
+                             ScalingParams(epsilon=0.4, delta_ratio=0.05), -2.0)
+    grid = Grid2D(8.0, 512, 32, 1.0)
+    op = build_waveguide(geom, FULL, 1, grid)
+    proj = ModeProjector(geom, grid, 1)
+    f = bump_probe(-3.0, 1.2)(grid.s_interior)
+    sizes = {"gtsv": [], "gttrf": []}
+    for module, name in ((effective_1d, "zgtsv"), (waveguide2d.lapack, "zgttrf")):
+        def counted(dl, d, *args, name=name, lapack=getattr(module, name),
+                    **kwargs):
+            sizes[name[1:]].append(len(d))
+            return lapack(dl, d, *args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    reduced_resolvent(op, proj, 0, 0, Z, f)
+    nsi, nu = op.shape
+    core = (op.core.stop - op.core.start) * nu
+    # the exterior of every mode in one solve, the core factored once
+    assert sizes["gtsv"] == [nsi * nu - core]
+    assert sizes["gttrf"] == ([core] if core else [])
