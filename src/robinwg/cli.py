@@ -6,6 +6,10 @@ codes encode study verdicts so CI can grade runs:
 
     0  success / conclusive match      2  usage or config error
     3  inconclusive                    4  prediction mismatch
+
+`limit-check` and `waveguide-check` import their study modules (and with
+them scipy) inside their `cmd_*`, so `spectrum` and `resonance` run on
+numpy alone.
 """
 
 from __future__ import annotations
@@ -21,26 +25,14 @@ import numpy as np
 from . import __version__
 from .config import (PROFILE_SCHEMA, alpha_grid, config_hash, parse_kv,
                      profile_from_config, validate)
-from .effective_1d import bump_probe, convergence_study
 from .errors import BracketingError, ConfigError, RobinwgError
 from .geometry import ScalingParams, WaveguideGeometry
 from .graph_limit import GraphOperatorSpec, green_function
 from .report import VERDICT_MISMATCH
 from .resonance import Potential1D, detect_resonance, find_resonant_coupling
 from .transverse import beta_table, perturbation_coefficients
-from .waveguide2d import theorem_check
 
 UNITS_NOTE = "lengths in units of the half-width d; alpha, curvature in 1/length"
-
-
-def _fmt(x):
-    if x is None:
-        return "nan"
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return str(x)
-    if isinstance(x, (int, float)):
-        return repr(float(x))
-    return str(x)
 
 
 def _meta_lines(cfg_raw, seed):
@@ -51,12 +43,11 @@ def _meta_lines(cfg_raw, seed):
 
 
 def _write_csv(path: Path, header, rows, cfg_raw, seed):
-    """Rows are tuples, or a float ndarray with one row per line."""
-    if isinstance(rows, np.ndarray):
-        # tolist() gives Python floats, whose repr is _fmt's for every cell
-        lines = (",".join(map(repr, row)) for row in rows.tolist())
-    else:
-        lines = (",".join(map(_fmt, row)) for row in rows)
+    """A float ndarray with one row per line, NaN written as nan.
+
+    tolist() gives Python floats, whose repr is the text of every cell.
+    """
+    lines = (",".join(map(repr, row)) for row in rows.tolist())
     _write_lines(path, header, lines, cfg_raw, seed)
 
 
@@ -100,27 +91,34 @@ def cmd_spectrum(cfg_raw, out, fmt, seed):
     grid = alpha_grid(cfg)
     d, n_max = cfg["d"], cfg["n_max"]
     _check_transverse(d, n_max, "n_max")
-    mu_rows, beta_rows, bad = [], [], 0
-    for row in beta_table(grid, d, n_max):
+    table = beta_table(grid, d, n_max)
+    mu_lines, beta_lines, bad = [], [], 0
+    for row in table:
         if not row.mu:
             raise BracketingError(row.bad[0])
-        for n in range(n_max + 1):
-            bad += bool(row.bad[n])
-            mu_rows.append((row.alpha, n, row.mu[n]))
-            beta_rows.append((row.alpha, n, row.mu[n], row.lambda2[n], row.beta[n]))
+        bad += sum(map(bool, row.bad))
+        # cells are reprs of Python floats; an np.float64's names its type
+        alpha = repr(float(row.alpha))
+        for n, mu, l2, beta in zip(range(n_max + 1), row.mu, row.lambda2,
+                                   row.beta):
+            mu_lines.append(f"{alpha},{n},{mu!r}")
+            # a masked lambda2 is None, and it and its beta are written nan
+            beta_lines.append(f"{mu_lines[-1]},nan,nan" if l2 is None
+                              else f"{mu_lines[-1]},{l2!r},{beta!r}")
     if bad > cfg["bad_point_quota"]:
         print(f"error: {bad} bad table points exceed quota "
               f"{cfg['bad_point_quota']}", file=sys.stderr)
         return 1
-    _write_csv(out / "mu_table.csv", ["alpha", "n", "mu_n"], mu_rows,
-               cfg_raw, seed)
-    _write_csv(out / "beta_table.csv",
-               ["alpha", "n", "mu_n", "lambda2_n", "beta_n"], beta_rows,
-               cfg_raw, seed)
+    _write_lines(out / "mu_table.csv", ["alpha", "n", "mu_n"], mu_lines,
+                 cfg_raw, seed)
+    _write_lines(out / "beta_table.csv",
+                 ["alpha", "n", "mu_n", "lambda2_n", "beta_n"], beta_lines,
+                 cfg_raw, seed)
     if fmt == "json":
         _write_json(out / "beta_table.json",
-                    [{"alpha": r[0], "n": r[1], "mu_n": r[2],
-                      "lambda2_n": r[3], "beta_n": r[4]} for r in beta_rows],
+                    [{"alpha": row.alpha, "n": n, "mu_n": row.mu[n],
+                      "lambda2_n": row.lambda2[n], "beta_n": row.beta[n]}
+                     for row in table for n in range(n_max + 1)],
                     cfg_raw, seed)
     return 0
 
@@ -216,6 +214,7 @@ def _check_study(cfg):
 
 
 def _probe_from(cfg, seed):
+    from .effective_1d import bump_probe
     if cfg["probe"] == "random":
         rng = np.random.default_rng(seed)
         c = rng.uniform(-5.0, -2.5)
@@ -231,8 +230,7 @@ def _emit_report(report, out, cfg_raw, seed, override):
             f"prediction override {override!r} contradicts the resonance "
             f"verdict {report.predicted['kind']!r}")
     _write_json(out / "report.json", report.to_dict(), cfg_raw, seed)
-    rows = [(e, err, alt) for e, err, alt in
-            zip(report.eps_list, report.errors, report.alt_errors)]
+    rows = np.column_stack([report.eps_list, report.errors, report.alt_errors])
     _write_csv(out / "errors.csv",
                ["eps", "error_vs_predicted", f"error_vs_{report.alt_kind}"],
                rows, cfg_raw, seed)
@@ -253,6 +251,7 @@ def _emit_green_trace(report, out, cfg_raw, seed):
 
 
 def cmd_limit_check(cfg_raw, out, seed, override=None):
+    from .effective_1d import convergence_study
     cfg = validate(cfg_raw, LIMIT_SCHEMA)
     _check_study(cfg)
     profile = profile_from_config(cfg)
@@ -286,6 +285,7 @@ WAVEGUIDE_SCHEMA = dict(PROFILE_SCHEMA, **{
 
 
 def cmd_waveguide_check(cfg_raw, out, seed, override=None):
+    from .waveguide2d import theorem_check
     cfg = validate(cfg_raw, WAVEGUIDE_SCHEMA)
     _check_study(cfg)
     _check_transverse(cfg["d"], cfg["n"], "n")

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .errors import ProfileError
 
@@ -44,7 +42,7 @@ class CurvatureProfile:
     half_width: float = 1.0
     nodes: tuple = ()
     values: tuple = ()
-    _spline: CubicSpline | None = field(default=None, repr=False, compare=False)
+    _spline: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (SMOOTH_BUMP, RECTANGULAR, TABULATED):
@@ -61,6 +59,7 @@ class CurvatureProfile:
                                 abs(self.values[-1])) > 1e-12 * vmax:
                 raise ProfileError(
                     "tabulated endpoint values must vanish (compact support)")
+            from scipy.interpolate import CubicSpline
             object.__setattr__(
                 self, "_spline",
                 CubicSpline(np.asarray(self.nodes), np.asarray(self.values),
@@ -311,6 +310,7 @@ def bending_angle(profile: CurvatureProfile) -> float:
         return profile.amplitude * (hi - lo)
     if profile.kind == TABULATED:
         return float(profile._spline.integrate(lo, hi))
+    from scipy.integrate import quad
     val, err = quad(profile.sample, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)
     return val
 

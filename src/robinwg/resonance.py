@@ -6,6 +6,10 @@ of the support; it is bounded to the right iff the outgoing derivative
 D = f'(right edge) vanishes.  At a resonance the asymptotic constants are
 (c_-, c_+) ~ (1, f(right edge)) up to the normalisation c_-^2 + c_+^2 = 1,
 and the deformation coupling per unit b is the integral of v f_r^2.
+
+Every zero-energy solve runs through `_dop853`, a port of scipy's DOP853
+stepper that returns `solve_ivp`'s states bit for bit; scipy itself is the
+oracle in the tests only.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from ._dop853 import dop853
 from .errors import RobinwgError
 from .geometry import CurvatureProfile
 from .transverse import _brent_lanes
@@ -128,9 +132,10 @@ def _integrate(v_at, support, knots=(), n=1, rtol=_ODE_TOL, prufer=False,
     `v_at(s)` is v(s): a float, or an array holding the n potentials' values.
     The state stacks the rows (f, f', q): q is the integral of v f^2, or with
     `prufer` the Pruefer angle, theta' = cos^2 theta - v sin^2 theta from
-    theta = pi/2 (f = r sin theta, f' = r cos theta).  DOP853 restarts at
-    every knot, where v is only C^2, carrying the state across.  Returns the
-    final (3, n) state and the solution of each piece.
+    theta = pi/2 (f = r sin theta, f' = r cos theta).  DOP853 (`_dop853`,
+    scipy's stepper bit for bit) with rtol = atol = `rtol` restarts at every
+    knot, where v is only C^2, carrying the state across.  Returns the final
+    (3, n) state and the `_dop853.Solution` of each piece.
     """
     lo, hi = support
     y = np.repeat([1.0, 0.0, np.pi / 2 if prufer else 0.0], n)
@@ -151,12 +156,8 @@ def _integrate(v_at, support, knots=(), n=1, rtol=_ODE_TOL, prufer=False,
     pieces = []
     edges = [lo, *knots, hi]
     for a, b in zip(edges[:-1], edges[1:]):
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=rtol, atol=rtol,
-                        dense_output=dense)
-        if not sol.success:
-            raise RobinwgError(f"zero-energy integration failed: {sol.message}")
-        y = sol.y[:, -1]
-        pieces.append(sol)
+        pieces.append(dop853(rhs, a, b, y, rtol, dense))
+        y = pieces[-1].y
     return y.reshape(3, n), pieces
 
 
@@ -185,7 +186,7 @@ def zero_energy_solve(v: Potential1D, n_trace: int = 801,
         for sol in pieces:
             m = (grid >= sol.t[0]) & (grid <= sol.t[-1])
             if m.any():
-                states[:, m] = sol.sol(grid[m])
+                states[:, m] = sol(grid[m])
         f, fp = states[0], states[1]
     else:
         grid = np.array([lo, hi])
@@ -230,7 +231,7 @@ def coupling_scan(profile: CurvatureProfile, betas):
     """Mismatch D and node count R of v = beta*gamma^2 for every beta at once.
 
     One DOP853 solve carries (f, f', theta) for all couplings, with rtol =
-    atol = 1e-10 / sqrt(number of states): scipy's error norm is an RMS over
+    atol = 1e-10 / sqrt(number of states): DOP853's error norm is an RMS over
     the components, so this keeps every component within 1e-10.  R is the
     number of zeros of the zero-energy solution on the whole line, i.e. the
     number of bound states of h below zero (Sturm): floor(theta/pi) zeros on
@@ -285,10 +286,15 @@ def find_resonant_coupling(profile: CurvatureProfile, beta_range,
             f"{int(flips[i])} times; increase n_scan")
 
     sq, support, knots = profile.squared_at, profile.support, profile.knots
+    solved = {}
 
     def mismatch(beta, rtol=_ODE_TOL):
-        end, _ = _integrate(lambda s: beta * sq(s), support, knots, rtol=rtol)
-        return float(end[1, 0])
+        # Brent returns a point it has evaluated: the check below reuses it
+        if (beta, rtol) not in solved:
+            end, _ = _integrate(lambda s: beta * sq(s), support, knots,
+                                rtol=rtol)
+            solved[beta, rtol] = float(end[1, 0])
+        return solved[beta, rtol]
 
     # one lane per bracket, each lane brentq's root bit for bit
     roots = _brent_lanes(lambda x, lanes: np.array([mismatch(b) for b in x]),

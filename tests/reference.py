@@ -7,15 +7,22 @@ waveguide operator on the whole grid by successive sparse sums, the direct
 discretisation that the matrix-free apply of `waveguide2d` must reproduce.  `scalar_asymmetric_spectrum` solves the
 asymmetric transverse problem one root at a time with scalar brentq, the
 oracle of the lane-wise solve; `scalar_resonant_couplings` refines every
-bracket of a resonance scan by scalar brentq likewise.
+bracket of a resonance scan by scalar brentq likewise.  `scipy_integrate` is
+the zero-energy integration with every piece solved by scipy's `solve_ivp`
+DOP853, the oracle of the library's port of that stepper.
 """
+
+from unittest import mock
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from robinwg.resonance import _ODE_TOL, _integrate, coupling_scan
+from robinwg import resonance
+from robinwg.errors import RobinwgError
+from robinwg.resonance import _ODE_TOL, coupling_scan
 from robinwg.transverse import _BRENT_KW
 from robinwg.waveguide2d import FULL
 
@@ -181,10 +188,31 @@ def scalar_resonant_couplings(profile, beta_range, n_scan=120):
     signs = np.sign(coupling_scan(profile, betas)[0])
 
     def mismatch(beta):
-        end, _ = _integrate(lambda s: beta * profile.squared_at(s),
-                            profile.support, profile.knots, rtol=_ODE_TOL)
+        end, _ = scipy_integrate(lambda s: beta * profile.squared_at(s),
+                                 profile.support, profile.knots, rtol=_ODE_TOL)
         return float(end[1, 0])
 
     return [brentq(mismatch, betas[i], betas[i + 1], xtol=1e-13,
                    rtol=8.9e-16, maxiter=200)
             for i in np.flatnonzero(signs[:-1] * signs[1:] < 0)]
+
+
+class ScipyDOP853:
+    """`solve_ivp(..., method="DOP853")` called and read as `_dop853.dop853`."""
+
+    def __init__(self, fun, t0, t_bound, y0, tol, dense=False):
+        self.ivp = solve_ivp(fun, (t0, t_bound), y0, method="DOP853",
+                             rtol=tol, atol=tol, dense_output=dense)
+        if not self.ivp.success:
+            raise RobinwgError(
+                f"zero-energy integration failed: {self.ivp.message}")
+        self.t, self.y = self.ivp.t, self.ivp.y[:, -1]
+
+    def __call__(self, s):
+        return self.ivp.sol(s)
+
+
+def scipy_integrate(*args, **kwargs):
+    """`resonance._integrate` with every piece solved by scipy's DOP853."""
+    with mock.patch.object(resonance, "dop853", ScipyDOP853):
+        return resonance._integrate(*args, **kwargs)

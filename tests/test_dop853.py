@@ -1,0 +1,104 @@
+"""The library's DOP853 port against scipy's `solve_ivp`, bit for bit."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from robinwg._dop853 import RTOL_FLOOR
+from robinwg.errors import RobinwgError
+from robinwg.geometry import (RECTANGULAR, TABULATED, CurvatureProfile,
+                              default_bump)
+from robinwg.resonance import Potential1D, _integrate, zero_energy_solve
+
+from reference import scipy_integrate
+
+
+def two_step(s):
+    return np.where(np.asarray(s) < 0.7, -1.0, -2.5)
+
+
+PROFILES = {
+    "bump": default_bump(),
+    "rectangle": CurvatureProfile(RECTANGULAR, amplitude=1.0, center=0.5,
+                                  half_width=0.5),
+    "tabulated": CurvatureProfile(TABULATED,
+                                  nodes=(-1.5, -0.5, 0.0, 0.7, 1.5),
+                                  values=(0.0, 0.8, 1.1, 0.6, 0.0)),
+}
+
+
+def problem(kind, betas):
+    """(v_at, support, knots): one potential per coupling, stacked."""
+    if kind == "callable":
+        # a two-step well with a knot at its jump, through `func`
+        lo, hi = support = (0.0, 1.6)
+        g = lambda s: (float(two_step(np.asarray([s]))[0]) if lo <= s <= hi
+                       else 0.0)
+        knots = (0.7,)
+    else:
+        prof = PROFILES[kind]
+        g, support, knots = prof.squared_at, prof.support, prof.knots
+    if len(betas) == 1:
+        beta = betas[0]
+        return (lambda s: beta * g(s)), support, knots
+    b = np.asarray(betas)
+    return (lambda s: b * g(s)), support, knots
+
+
+def assert_same_run(args, n, rtol, prufer):
+    kwargs = dict(n=n, rtol=rtol, prufer=prufer, dense=True)
+    end, pieces = _integrate(*args, **kwargs)
+    ref_end, ref_pieces = scipy_integrate(*args, **kwargs)
+    assert np.array_equal(end, ref_end)
+    assert len(pieces) == len(ref_pieces)
+    lo, hi = args[1]
+    # the trace grid, with every step boundary on it
+    grid = np.union1d(np.linspace(lo, hi, 801),
+                      np.concatenate([p.t for p in pieces]))
+    for piece, ref in zip(pieces, ref_pieces):
+        assert np.array_equal(piece.t, ref.t)
+        m = (grid >= piece.t[0]) & (grid <= piece.t[-1])
+        assert np.array_equal(piece(grid[m]), ref(grid[m]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["bump", "rectangle", "tabulated", "callable"]),
+       st.lists(st.floats(-20.0, 2.0), min_size=1, max_size=6),
+       st.booleans(), st.booleans())
+def test_port_repeats_solve_ivp_bit_for_bit(kind, betas, scan_tol, prufer):
+    # scalar solves at the 1e-12 of the verdicts, and n-lane Pruefer states
+    # at the scan's 1e-10 / sqrt(3n), or the other way round
+    n = len(betas)
+    rtol = 1e-10 / np.sqrt(3 * n) if scan_tol else 1e-12
+    assert_same_run(problem(kind, betas), n, rtol, prufer)
+
+
+def test_rtol_below_the_floor_is_floored_as_scipy_floors_it():
+    # rtol is raised to 100 eps, atol keeps the value asked for
+    tol = 1e-16
+    assert tol < RTOL_FLOOR
+    args = problem("bump", [-7.6])
+    end, pieces = _integrate(*args, rtol=tol)
+    with pytest.warns(UserWarning, match="rtol"):
+        ref_end, ref_pieces = scipy_integrate(*args, rtol=tol)
+    assert np.array_equal(end, ref_end)
+    assert np.array_equal(pieces[0].t, ref_pieces[0].t)
+    floored, _ = _integrate(*args, rtol=RTOL_FLOOR)
+    assert not np.array_equal(end, floored)
+
+
+@pytest.mark.parametrize("where", [0.3, -1.0], ids=["inside", "left_edge"])
+def test_nan_potential_raises(where):
+    # NaN inside the support shrinks the step below the float spacing, as
+    # in scipy; NaN from the left edge on (where scipy's step size is NaN
+    # and its loop never ends) raises too
+    pot = Potential1D.from_callable(
+        lambda s: np.where(np.asarray(s) > where, np.nan, -4.0), (0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(RobinwgError, match="zero-energy integration failed"):
+            zero_energy_solve(pot)
+

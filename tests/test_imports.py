@@ -1,0 +1,37 @@
+"""A CLI call pays only for the scipy it runs.
+
+Each check imports in a fresh interpreter and reads `sys.modules`: only
+`waveguide-check` and `limit-check` need scipy (`scipy.sparse`,
+`scipy.linalg`), and their `cmd_*` import it when they run.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def modules_after(imports):
+    code = f"import sys, {imports}; print(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    return set(out.stdout.split())
+
+
+def test_no_module_loads_the_ode_spline_or_optimize_stack():
+    loaded = modules_after("robinwg, robinwg.cli, robinwg.effective_1d, "
+                           "robinwg.waveguide2d")
+    assert "robinwg.waveguide2d" in loaded
+    heavy = {"scipy.integrate", "scipy.interpolate", "scipy.optimize",
+             "scipy.special"}
+    assert not heavy & loaded
+
+
+def test_cli_loads_no_scipy():
+    loaded = modules_after("robinwg.cli")
+    assert "robinwg.cli" in loaded
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]

@@ -130,6 +130,25 @@ def test_find_resonant_coupling_bump():
     assert abs(res.b_hat_per_b - BUMP_BHAT_PER_B) < 1e-8
 
 
+def test_scan_solves_each_coupling_once(monkeypatch):
+    # Brent returns a point it evaluated, and the acceptance check reuses
+    # that solve: one batched scan, one solve per Brent point, one noise solve
+    from robinwg import resonance
+    calls, integrate = [], resonance._integrate
+
+    def counted(v_at, *args, n=1, rtol=resonance._ODE_TOL, **kwargs):
+        calls.append((n, rtol, float(v_at(0.0)) if n == 1 else None))
+        return integrate(v_at, *args, n=n, rtol=rtol, **kwargs)
+
+    monkeypatch.setattr(resonance, "_integrate", counted)
+    root = find_resonant_coupling(default_bump(), (-20.0, -0.5))
+    assert [c[0] > 1 for c in calls].count(True) == 1
+    assert [c[1] for c in calls].count(1e-10) == 1
+    fine = [c[2] for c in calls if c[0] == 1 and c[1] == resonance._ODE_TOL]
+    assert len(fine) == len(set(fine)) >= 2
+    assert root * default_bump().squared_at(0.0) in fine
+
+
 def test_find_resonant_coupling_positive_range_none():
     assert find_resonant_coupling(SQUARE, (0.5, 20.0)) is None
 

@@ -533,7 +533,7 @@ def test_tabulated_profile_core_is_its_node_range():
 def test_dump_field_reuses_the_theorem_check_solve(tmp_path, monkeypatch):
     eps_list = [0.4, 0.2]
     calls, reports = [], []
-    solve, check = waveguide2d.reduced_resolvent, cli.theorem_check
+    solve, check = waveguide2d.reduced_resolvent, waveguide2d.theorem_check
 
     def counted(*args, **kwargs):
         calls.append(1)
@@ -544,7 +544,8 @@ def test_dump_field_reuses_the_theorem_check_solve(tmp_path, monkeypatch):
         return reports[-1]
 
     monkeypatch.setattr(waveguide2d, "reduced_resolvent", counted)
-    monkeypatch.setattr(cli, "theorem_check", kept)
+    # cli imports theorem_check inside cmd_waveguide_check
+    monkeypatch.setattr(waveguide2d, "theorem_check", kept)
     cfg = tmp_path / "wg.cfg"
     cfg.write_text("alpha = 0.0\nn = 0\nn_max = 1\nn_u = 16\n"
                    "eps_list = 0.4,0.2\ndump_field = true\n")
