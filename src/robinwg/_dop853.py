@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import RobinwgError
 
+# the strictly lower triangle of A, row by row
 _A_LOWER = np.array([0.05260015195876773, 0.0197250569845379,
     0.0591751709536137, 0.02958758547680685, 0, 0.08876275643042054,
     0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792,
@@ -144,6 +145,7 @@ def dop853(fun, t0, t_bound, y0, tol, dense=False):
     f = np.asarray(fun(t, y), dtype=float)
     h_abs = _initial_step(fun, t, y, t_bound, f, rtol, atol)
     K = np.empty((16, y.size))
+    # stage s combines K[:s] by A[s, :s]; the views are made once per run
     stages = [(K[:s].T, A[s, :s], C[s]) for s in range(16)]
     ts, y_olds, Fs = [t], [], []
     while t < t_bound:

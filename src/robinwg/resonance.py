@@ -50,6 +50,11 @@ class Potential1D:
         lo, hi = support
         if not hi > lo:
             raise RobinwgError("empty potential support")
+        # the integration runs forward over each piece between knots
+        edges = (lo, *knots, hi)
+        if not all(a < b for a, b in zip(edges, edges[1:])):
+            raise RobinwgError(f"knots {tuple(knots)!r} must increase "
+                               f"strictly inside the support {support!r}")
         return cls(func, (float(lo), float(hi)), label, tuple(knots))
 
     @classmethod

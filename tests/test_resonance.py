@@ -206,6 +206,14 @@ def test_resonant_constants_not_both_zero():
     assert abs(res.c_minus ** 2 + res.c_plus ** 2 - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("knots", [(0.0,), (0.6, 0.3), (0.5, 1.5)],
+                         ids=["on_edge", "decreasing", "outside"])
+def test_knots_must_increase_inside_the_support(knots):
+    with pytest.raises(RobinwgError, match="knots"):
+        Potential1D.from_callable(lambda s: -np.ones_like(s), (0.0, 1.0),
+                                  knots=knots)
+
+
 def test_scaled_potential_support():
     v = Potential1D.from_profile(default_bump(), 1.0).scaled(0.25)
     assert v.support == (-0.5, 0.5)
