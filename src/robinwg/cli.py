@@ -153,6 +153,9 @@ def cmd_resonance(cfg_raw, out, seed):
         payload["beta"] = beta
         payload["result"] = res.to_dict()
     elif cfg["beta_min"] is not None and cfg["beta_max"] is not None:
+        if cfg["beta_min"] == cfg["beta_max"]:
+            raise ConfigError(f"beta_min = beta_max = {cfg['beta_min']!r}: "
+                              "the scan range is empty")
         root = find_resonant_coupling(profile, (cfg["beta_min"], cfg["beta_max"]))
         payload["scan_range"] = [cfg["beta_min"], cfg["beta_max"]]
         if root is None:

@@ -59,7 +59,11 @@ _CASTS = {
 
 
 def validate(raw: dict, schema: dict) -> dict:
-    """Cast against the schema; reject unknown keys, fill defaults."""
+    """Cast against the schema; reject unknown keys, fill defaults.
+
+    A float key (or any entry of a float list) that reads nan or +-inf is
+    rejected: no quantity in a run is meaningful at either.
+    """
     unknown = set(raw) - set(schema)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -70,6 +74,8 @@ def validate(raw: dict, schema: dict) -> dict:
                 out[key] = _CASTS[typ](raw[key])
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"key {key!r}: {exc}") from None
+            if typ in ("float", "floats") and not np.all(np.isfinite(out[key])):
+                raise ConfigError(f"key {key!r}: {raw[key]!r} is not finite")
         else:
             out[key] = default
     return out

@@ -28,8 +28,10 @@ class CurvatureProfile:
     kinds:
       smooth-bump   amplitude * exp(-1/(1 - t^2)), t = (s-center)/half_width.
                     Infinitely differentiable, closed-form derivatives.
-      rectangular   amplitude on [center-half_width, center+half_width].
-                    Not smooth; rejected wherever gamma'' is required.
+      rectangular   amplitude on the closed support [lo, hi] =
+                    [center-half_width, center+half_width], the floats of
+                    `support` included.  Not smooth; rejected wherever
+                    gamma'' is required.
       tabulated     natural cubic spline through (nodes, values), clamped to
                     zero outside [nodes[0], nodes[-1]].
 
@@ -96,6 +98,14 @@ class CurvatureProfile:
         return self.sample(s)
 
     def sample(self, s):
+        """gamma(s), at a point or elementwise.
+
+        A rectangle is the amplitude on its closed support, judged on the
+        floats of `support` (lo <= s <= hi) rather than on
+        |s - center| / half_width <= 1, whose rounding can move an edge by
+        an ulp either way.  A stepper that evaluates at the support edges
+        thus sees the well's value there, not a jump to zero.
+        """
         s_arr = np.asarray(s, dtype=float)
         scalar = s_arr.ndim == 0
         s_arr = np.atleast_1d(s_arr)
@@ -103,13 +113,11 @@ class CurvatureProfile:
         if self.kind == SMOOTH_BUMP:
             t, m = self._mask_t(s_arr)
             out[m] = self.amplitude * np.exp(-1.0 / (1.0 - t[m] ** 2))
-        elif self.kind == RECTANGULAR:
-            _, m = self._mask_t(s_arr)
-            out[m] = self.amplitude
         else:
             lo, hi = self.support
             m = (s_arr >= lo) & (s_arr <= hi)
-            out[m] = self._spline(s_arr[m])
+            out[m] = (self.amplitude if self.kind == RECTANGULAR
+                      else self._spline(s_arr[m]))
         return out[0] if scalar else out
 
     def deriv(self, s):
@@ -142,17 +150,21 @@ class CurvatureProfile:
 
         The scalar path of the zero-energy right-hand side, evaluated once
         per ODE stage; it repeats `sample`'s arithmetic (np.exp included) so
-        the rounding is the same.
+        the rounding is the same, and its membership test: a rectangle is
+        the amplitude on its closed support, lo <= s <= hi on the floats of
+        `support`.
         """
-        if self.kind == TABULATED:
-            lo, hi = self.support
-            g = float(self._spline(s)) if lo <= s <= hi else 0.0
-        else:
+        if self.kind == SMOOTH_BUMP:
             t = (s - self.center) / self.half_width
             if not abs(t) < 1.0:
                 return 0.0
+            g = self.amplitude * np.exp(-1.0 / (1.0 - t * t))
+        else:
+            lo, hi = self.support
+            if not lo <= s <= hi:
+                return 0.0
             g = (float(self.amplitude) if self.kind == RECTANGULAR
-                 else self.amplitude * np.exp(-1.0 / (1.0 - t * t)))
+                 else float(self._spline(s)))
         return float(g * g)
 
     def sample_squared(self, s):

@@ -47,6 +47,15 @@ class Potential1D:
 
     @classmethod
     def from_callable(cls, func, support, label="", knots=()):
+        """v = `func` on `support`, restarting the integration at `knots`.
+
+        The stepper evaluates `func` at both ends of every piece (its first
+        stage and, on the last step, its last stage), so a jump sitting
+        exactly on a knot or a support edge is seen by those stages, and
+        the error estimate pays for it in rejected steps.  A `func` that
+        keeps its inside value at the support edges, as a rectangular
+        `CurvatureProfile` does, avoids that there.
+        """
         lo, hi = support
         if not hi > lo:
             raise RobinwgError("empty potential support")
@@ -271,9 +280,12 @@ def find_resonant_coupling(profile: CurvatureProfile, beta_range,
     bound states) changes by one, so between two scan points the two must
     agree.  When they do not (roots closer than the scan spacing cancel in
     the sign pattern), RobinwgError names the interval instead of a root
-    being missed silently; a finer `n_scan` resolves it.
+    being missed silently; a finer `n_scan` resolves it.  An empty range
+    (both ends equal) raises RobinwgError.
     """
     lo, hi = min(beta_range), max(beta_range)
+    if not lo < hi:
+        raise RobinwgError(f"empty coupling range {tuple(beta_range)!r}")
     betas = np.linspace(lo, hi, n_scan)
     betas = betas[betas != 0.0]
     vals, nodes = coupling_scan(profile, betas)

@@ -153,6 +153,24 @@ def test_study_commands_reject_bad_configs(tmp_path, capsys, command, cfg, key):
     assert not out.exists() or not list(out.glob("*"))
 
 
+@pytest.mark.parametrize("command, cfg, key", [
+    ("spectrum", "alpha_min = -inf\n", "alpha_min"),
+    ("resonance", "beta_min = nan\nbeta_max = -1\n", "beta_min"),
+    ("resonance", "beta = inf\n", "beta"),
+    ("limit-check", "beta = 3.0\neps_list = 0.4,nan\n", "eps_list"),
+    ("waveguide-check", "half_width = inf\n", "half_width"),
+    ("resonance", "beta_min = -5\nbeta_max = -5\n", "scan range is empty"),
+], ids=["spectrum_inf", "resonance_nan_range", "resonance_inf_beta",
+        "limit_nan_eps", "waveguide_inf_width", "resonance_empty_range"])
+def test_non_finite_floats_and_empty_scans_are_config_errors(
+        tmp_path, capsys, command, cfg, key):
+    code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not list(out.glob("*"))
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("limit-check", "beta = 3.0\neps_list = 0.4,0.2\nprobe_center = 40\n"),
     ("waveguide-check", "n_u = 16\neps_list = 0.4,0.2\nprobe_center = 30\n"),

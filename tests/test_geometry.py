@@ -153,6 +153,18 @@ def test_tabulated_profile():
     assert abs(bending_angle(prof) - np.trapezoid(prof.sample(t), t)) < 1e-8
 
 
+def test_rectangle_is_the_amplitude_on_its_closed_support():
+    # the edges are the support's own floats: hi = 0.4 here, where
+    # (hi - center) / half_width rounds to 1 + ulp
+    prof = CurvatureProfile(RECTANGULAR, amplitude=0.7, center=0.1,
+                            half_width=0.3)
+    lo, hi = prof.support
+    for s in (lo, hi):
+        assert prof.sample(s) == 0.7 and prof.squared_at(s) == 0.7 * 0.7
+    for s in (np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)):
+        assert prof.sample(s) == 0.0 and prof.squared_at(s) == 0.0
+
+
 def test_rectangular_not_smooth():
     assert not CurvatureProfile(RECTANGULAR, amplitude=1.0).is_smooth
 
