@@ -156,6 +156,9 @@ def cmd_resonance(cfg_raw, out, seed):
         if cfg["beta_min"] == cfg["beta_max"]:
             raise ConfigError(f"beta_min = beta_max = {cfg['beta_min']!r}: "
                               "the scan range is empty")
+        if profile.sup_abs() == 0:
+            raise ConfigError("zero profile: every coupling gives D = 0, "
+                              "so the scan has no root to isolate")
         root = find_resonant_coupling(profile, (cfg["beta_min"], cfg["beta_max"]))
         payload["scan_range"] = [cfg["beta_min"], cfg["beta_max"]]
         if root is None:
@@ -288,12 +291,20 @@ WAVEGUIDE_SCHEMA = dict(PROFILE_SCHEMA, **{
 
 
 def cmd_waveguide_check(cfg_raw, out, seed, override=None):
-    from .waveguide2d import theorem_check
+    from .waveguide2d import FULL, SIMPLIFIED, theorem_check
     cfg = validate(cfg_raw, WAVEGUIDE_SCHEMA)
     _check_study(cfg)
     _check_transverse(cfg["d"], cfg["n"], "n")
     if cfg["n_max"] is not None and cfg["n_max"] < cfg["n"]:
         raise ConfigError(f"n_max must be >= n, got {cfg['n_max']}")
+    if cfg["n_u"] < 16:
+        raise ConfigError(f"n_u must be >= 16, got {cfg['n_u']}")
+    if not 0 < cfg["delta_ratio"] <= 1:
+        raise ConfigError("delta_ratio must lie in (0, 1], got "
+                          f"{cfg['delta_ratio']!r}")
+    if cfg["variant"] not in (FULL, SIMPLIFIED):
+        raise ConfigError(f"variant must be {FULL!r} or {SIMPLIFIED!r}, got "
+                          f"{cfg['variant']!r}")
     profile = profile_from_config(cfg)
     scaling = ScalingParams(epsilon=cfg["eps_list"][0], b=cfg["b"],
                             delta_ratio=cfg["delta_ratio"])

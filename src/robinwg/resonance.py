@@ -154,10 +154,10 @@ def _integrate(v_at, support, knots=(), n=1, rtol=_ODE_TOL, prufer=False,
     lo, hi = support
     y = np.repeat([1.0, 0.0, np.pi / 2 if prufer else 0.0], n)
 
-    # one potential stays on numpy scalars: one-element array operations
+    # one potential runs on Python floats: one-element array operations
     # cost several times the arithmetic they do
     def rhs(s, y):
-        f, fp, q = y if n == 1 else y.reshape(3, n)
+        f, fp, q = y.tolist() if n == 1 else y.reshape(3, n)
         v = v_at(s)
         vf = v * f
         if prufer:
@@ -281,11 +281,15 @@ def find_resonant_coupling(profile: CurvatureProfile, beta_range,
     agree.  When they do not (roots closer than the scan spacing cancel in
     the sign pattern), RobinwgError names the interval instead of a root
     being missed silently; a finer `n_scan` resolves it.  An empty range
-    (both ends equal) raises RobinwgError.
+    (both ends equal) and a zero profile, for which every coupling gives
+    D = 0 and no root is isolated, raise RobinwgError.
     """
     lo, hi = min(beta_range), max(beta_range)
     if not lo < hi:
         raise RobinwgError(f"empty coupling range {tuple(beta_range)!r}")
+    if profile.sup_abs() == 0:
+        raise RobinwgError("zero profile: the mismatch D vanishes at every "
+                           "coupling, so the scan has no root to isolate")
     betas = np.linspace(lo, hi, n_scan)
     betas = betas[betas != 0.0]
     vals, nodes = coupling_scan(profile, betas)

@@ -137,6 +137,10 @@ def test_waveguide_check_small(tmp_path):
     ("waveguide-check", "d = -1\n", "d must be positive"),
     ("waveguide-check", "n = -1\n", "n must be >= 0"),
     ("waveguide-check", "n = 1\nn_max = 0\n", "n_max must be >= n"),
+    ("waveguide-check", "n_u = 15\n", "n_u must be >= 16"),
+    ("waveguide-check", "delta_ratio = 0\n", "delta_ratio must lie in (0, 1]"),
+    ("waveguide-check", "delta_ratio = 1.5\n", "delta_ratio must lie in (0, 1]"),
+    ("waveguide-check", "variant = half\n", "variant must be 'full' or"),
 ], ids=["misspelt_bool", "waveguide_probe", "limit_probe", "waveguide_no_eps",
         "limit_no_eps", "zero_h_target", "negative_half_length",
         "limit_negative_eps", "limit_increasing_eps", "increasing_eps",
@@ -144,7 +148,9 @@ def test_waveguide_check_small(tmp_path):
         "waveguide_negative_probe_width", "limit_negative_d",
         "limit_negative_n", "resonance_negative_n",
         "resonance_negative_tol_d", "waveguide_negative_d",
-        "waveguide_negative_n", "waveguide_n_above_n_max"])
+        "waveguide_negative_n", "waveguide_n_above_n_max",
+        "waveguide_n_u_below_16", "waveguide_zero_delta_ratio",
+        "waveguide_delta_ratio_above_1", "waveguide_unknown_variant"])
 def test_study_commands_reject_bad_configs(tmp_path, capsys, command, cfg, key):
     code, out = run(tmp_path, command, cfg)
     assert code == 2
@@ -160,8 +166,11 @@ def test_study_commands_reject_bad_configs(tmp_path, capsys, command, cfg, key):
     ("limit-check", "beta = 3.0\neps_list = 0.4,nan\n", "eps_list"),
     ("waveguide-check", "half_width = inf\n", "half_width"),
     ("resonance", "beta_min = -5\nbeta_max = -5\n", "scan range is empty"),
+    ("resonance", "amplitude = 0.0\nbeta_min = -20\nbeta_max = -0.5\n",
+     "zero profile"),
 ], ids=["spectrum_inf", "resonance_nan_range", "resonance_inf_beta",
-        "limit_nan_eps", "waveguide_inf_width", "resonance_empty_range"])
+        "limit_nan_eps", "waveguide_inf_width", "resonance_empty_range",
+        "resonance_zero_profile"])
 def test_non_finite_floats_and_empty_scans_are_config_errors(
         tmp_path, capsys, command, cfg, key):
     code, out = run(tmp_path, command, cfg)

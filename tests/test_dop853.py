@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robinwg._dop853 import RTOL_FLOOR
+from robinwg._dop853 import RTOL_FLOOR, dop853
 from robinwg.errors import RobinwgError
 from robinwg.geometry import (RECTANGULAR, TABULATED, CurvatureProfile,
                               default_bump)
 from robinwg.resonance import Potential1D, _integrate, zero_energy_solve
 
-from reference import scipy_integrate
+from reference import ScipyDOP853, scipy_integrate
 
 
 def two_step(s):
@@ -102,3 +102,38 @@ def test_nan_potential_raises(where):
         with pytest.raises(RobinwgError, match="zero-energy integration failed"):
             zero_energy_solve(pot)
 
+
+def assert_same_solution(got, ref):
+    assert np.array_equal(got.t, ref.t)
+    assert np.array_equal(got.y, ref.y)
+    grid = np.union1d(np.linspace(ref.t[0], ref.t[-1], 401), ref.t)
+    assert np.array_equal(got(grid), ref(grid))
+
+
+@pytest.mark.parametrize("lanes", [1, 4], ids=["scalar", "n_lane"])
+@pytest.mark.parametrize("rhs", [lambda s, y: y, lambda s, y: y[::-1]],
+                         ids=["returns_y", "returns_a_view_of_y"])
+def test_rhs_returning_its_argument_leaves_the_stages_intact(rhs, lanes):
+    # the stepper forms every stage argument in one reused buffer; a
+    # right-hand side that hands it back (y' = y, or y' = y reversed) must
+    # still give solve_ivp's steps, end state and dense output bit for bit
+    y0 = np.linspace(1.0, 0.25, 3 * lanes)
+    assert_same_solution(dop853(rhs, 0.0, 2.0, y0, 1e-12, dense=True),
+                         ScipyDOP853(rhs, 0.0, 2.0, y0, 1e-12, dense=True))
+
+
+@pytest.mark.parametrize("lanes", [1, 4], ids=["scalar", "n_lane"])
+def test_rhs_reusing_one_output_array_is_never_kept(lanes):
+    # what the right-hand side returns is copied, never kept: one that
+    # returns the same array every call (where solve_ivp keeps f0 while it
+    # evaluates f1) gives the steps of one that returns a new array
+    out = np.empty(3 * lanes)
+
+    def reused(s, y):
+        np.multiply(y[::-1], -s, out=out)
+        return out
+
+    y0 = np.linspace(1.0, 0.25, 3 * lanes)
+    assert_same_solution(
+        dop853(reused, 0.0, 2.0, y0, 1e-12, dense=True),
+        dop853(lambda s, y: y[::-1] * -s, 0.0, 2.0, y0, 1e-12, dense=True))

@@ -134,6 +134,16 @@ def test_empty_coupling_range_is_rejected():
         find_resonant_coupling(SQUARE, (-5.0, -5.0))
 
 
+@pytest.mark.parametrize("zero", [
+    CurvatureProfile(RECTANGULAR, 0.0, 0.5, 0.5),
+    default_bump().scaled(0.0),
+], ids=["rectangle", "bump"])
+def test_zero_profile_scan_is_rejected(zero):
+    # D = 0 at every coupling: the smallest |beta| must not pass for a root
+    with pytest.raises(RobinwgError, match="zero profile"):
+        find_resonant_coupling(zero, (-20.0, -0.5))
+
+
 def test_find_resonant_coupling_bump():
     root = find_resonant_coupling(default_bump(), (-20.0, -0.5))
     assert abs(root - BUMP_BETA_STAR) < 1e-8
