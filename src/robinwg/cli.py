@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .config import (PROFILE_SCHEMA, alpha_grid, config_hash, parse_kv,
                      profile_from_config, validate)
-from .errors import BracketingError, ConfigError, RobinwgError
+from .errors import BracketingError, ConfigError, ProfileError, RobinwgError
 from .geometry import ScalingParams, WaveguideGeometry
 from .graph_limit import GraphOperatorSpec, green_function
 from .report import VERDICT_MISMATCH
@@ -372,7 +372,9 @@ def main(argv=None) -> int:
                                    args.override_prediction)
         return cmd_waveguide_check(cfg_raw, args.out, args.seed,
                                    args.override_prediction)
-    except ConfigError as exc:
+    except (ConfigError, ProfileError) as exc:
+        # a profile, scaling or chart the library rejects: its values came
+        # from the config
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

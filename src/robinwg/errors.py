@@ -29,16 +29,5 @@ class GridResolutionError(RobinwgError):
     """Grid too coarse for the scaled potential, or truncation box too small."""
 
 
-class SolverConvergenceError(RobinwgError):
-    """Iterative solver failed to reach its residual target.
-
-    Carries the residual history so the caller can report it.
-    """
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = list(history) if history is not None else []
-
-
 class ConfigError(RobinwgError):
     """Malformed or schema-violating run configuration."""

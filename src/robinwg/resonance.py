@@ -280,9 +280,9 @@ def find_resonant_coupling(profile: CurvatureProfile, beta_range,
     bound states) changes by one, so between two scan points the two must
     agree.  When they do not (roots closer than the scan spacing cancel in
     the sign pattern), RobinwgError names the interval instead of a root
-    being missed silently; a finer `n_scan` resolves it.  An empty range
-    (both ends equal) and a zero profile, for which every coupling gives
-    D = 0 and no root is isolated, raise RobinwgError.
+    being missed silently; a narrower range or a finer `n_scan` resolves
+    it.  An empty range (both ends equal) and a zero profile, for which
+    every coupling gives D = 0 and no root is isolated, raise RobinwgError.
     """
     lo, hi = min(beta_range), max(beta_range)
     if not lo < hi:
@@ -304,7 +304,8 @@ def find_resonant_coupling(profile: CurvatureProfile, beta_range,
         raise RobinwgError(
             f"scan interval [{betas[i]:.6g}, {betas[i + 1]:.6g}]: the node "
             f"count changes by {steps[i]} but the mismatch changes sign "
-            f"{int(flips[i])} times; increase n_scan")
+            f"{int(flips[i])} times; narrow the coupling range (beta_min, "
+            "beta_max), or raise n_scan in a library call")
 
     sq, support, knots = profile.squared_at, profile.support, profile.knots
     solved = {}

@@ -17,11 +17,12 @@ the operator is the flat separable one, P^-1 = kron(D2s + diag(V_flat), W)
 the core correction E = P^-1 - M A is assembled; P^-1 is applied
 matrix-free (second differences by slicing, one product with Bw), so no
 whole-grid matrix exists.  The reduced resolvent eliminates the flat
-exterior per transverse mode by the 1D backend's `exterior_solve`, runs
-GMRES on the core only, and projects onto transverse modes computed per
-s-column by the `transverse` module (the curved columns in one lane-wise
-solve), after subtracting the *discrete* transverse threshold of the flat
-columns so the renormalised problem is delta-independent at machine level.
+exterior per transverse mode by the 1D backend's `exterior_solve`, solves
+the core's exact Schur system by one banded LU (bandwidth n_u + 1), and
+projects onto transverse modes computed per s-column by the `transverse`
+module (the curved columns in one lane-wise solve), after subtracting the
+*discrete* transverse threshold of the flat columns so the renormalised
+problem is delta-independent at machine level.
 """
 
 from __future__ import annotations
@@ -30,13 +31,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, lapack
 
 from .effective_1d import (Discrete1DOperator, check_resolution,
                            exterior_solve, resolvent_solve, s_grid)
 from .errors import (BracketingError, GridResolutionError, ProfileError,
-                     RobinwgError, SolverConvergenceError)
+                     RobinwgError)
 from .geometry import WaveguideGeometry
 from .report import ConvergenceReport, predicted_limit, run_study
 from .transverse import (_asymmetric_solve, _mode_values, _sign_changes,
@@ -150,10 +150,6 @@ class DiscreteWaveguideOperator:
         Y[C] += (self.potential_s[C, None] * wu) * XC - (
             self.matrix @ XC.ravel()).reshape(XC.shape)
         return Y
-
-    def transverse_threshold(self, n: int) -> float:
-        """Discrete flat threshold subtracted by the renormalisation."""
-        return float(self.flat_eigvals[n])
 
 
 def build_waveguide(geometry: WaveguideGeometry, variant: str,
@@ -304,91 +300,35 @@ class ModeProjector:
 # reduced resolvent
 # ---------------------------------------------------------------------------
 
-def _separable_preconditioner(op: DiscreteWaveguideOperator, z, corners):
-    """Inverse of the flat separable operator on the core columns `op.core`.
+def _core_system(op: DiscreteWaveguideOperator, projector: ModeProjector,
+                 n: int, z, f_s: np.ndarray):
+    """The core system K x_C = b_C left when the flat exterior is eliminated.
 
-    Per transverse eigenmode j the s-problem is tridiagonal with diagonal
-    2/hs^2 + V_flat(s) - z_j, less at each end the Schur term of the flat
-    exterior beyond it, `corners` = (left, right) per mode.  The mode
-    systems are laid end to end with zero couplings at the joints and
-    factored once by LAPACK gttrf; each apply is one gttrs between the two
-    transverse transforms.
+    Outside the core C (`op.core`) mode j of the flat transverse eigenbasis
+    Phi is the free line at z_j = z - (lam_j - lam_n)/delta^2 with source
+    c_j f, c = Phi^T W phi_n (not pure mode n when alpha != 0); one
+    `exterior_solve` gives every mode's particular solution U_j and Green
+    column phi_j.  Returns (ab, core_residual, assemble, rhs, shift):
+    K = (M A - shift M) on C in LAPACK band storage (kl = ku = n_u + 1,
+    s-major, K[i, j] at ab[2 (n_u + 1) + i - j, j]), whose edge columns
+    carry the exact Schur corners -c^2 (W Phi) diag(phi_j(edge)) (W Phi)^T,
+    c = 1/hs^2; x_C -> b_C - K x_C applied matrix-free on C and its two
+    neighbours; (x_C, pad) -> the field on C and pad columns each side, each
+    exterior U_j + c y_j phi_j per mode with y_j from C's edge column; the
+    whole-grid M F; and shift = lam_n/delta^2 + z.
     """
-    C, Phi = op.core, op.flat_eigvecs
-    k, nu = C.stop - C.start, op.shape[1]
-    c = 1.0 / op.grid.h_s ** 2
-    diag = (2 * c + op.potential_s[C])[None, :] - z[:, None]
-    diag[:, 0] -= corners[0]
-    diag[:, -1] -= corners[1]
-    off = np.full(nu * k - 1, -c, dtype=complex)
-    off[k - 1::k] = 0.0
-    dl, d, du, du2, ipiv, info = lapack.zgttrf(
-        off.copy(), diag.ravel(), off,
-        overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-    if info != 0:
-        raise RobinwgError(f"separable preconditioner: zgttrf info = {info}")
-
-    def apply(r):
-        # the transformed residual, formed mode-major
-        b = (Phi.T @ np.asarray(r, dtype=complex).reshape(k, nu).T
-             ).reshape(-1, 1)
-        x, info = lapack.zgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)
-        if info != 0:
-            raise RobinwgError(f"separable preconditioner: zgttrs info = {info}")
-        return (x.reshape(nu, k).T @ Phi.T).ravel()
-
-    return apply
-
-
-def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
-                      m: int, n: int, z, f_s: np.ndarray,
-                      rtol: float = 1e-9, maxiter: int = 400):
-    """g(s) = <phi_m, (Op - mu_n/delta^2 - z)^{-1} f phi_n> per column.
-
-    mu_n is the flat transverse threshold of the discrete operator
-    (subtracting the continuum value would leave an O(h_u^2)/delta^2 drift).
-    Outside the core C (`op.core`) the operator is flat: in its transverse
-    eigenbasis Phi, mode j of each exterior is the free line at
-    z_j = z - (lam_j - lam_n)/delta^2 with source c_j f, c = Phi^T W phi_n
-    (not pure mode n when alpha != 0); one `exterior_solve` gives them all.
-    Left is K x_C = b_C, K = P_CC^-1 - E: P_CC the separable solve on C
-    with the exterior's corner terms (`_separable_preconditioner`),
-    E = `op.matrix`, b_C corrected by the particular solutions.  GMRES runs
-    on (I - P_CC E) x_C = P_CC b_C; each sweep then recomputes the judged
-    residual P_CC (b_C - K x_C), K applied matrix-free, and solves for its
-    correction the same way, until it is within rtol of |P_CC b_C|, stops
-    falling, or the GMRES iterations reach maxiter.  Above rtol it must be
-    within 10 rtol, or SolverConvergenceError carries the residual history.
-    An empty core (a straight strip) needs no GMRES; an f that is not
-    finite raises RobinwgError before any work.
-
-    The field x is assembled once and checked on the whole grid: C's rows
-    hold the last core residual r_C = b_C - K x_C, the others only the
-    rounding of the exterior solves and of the length-(n_u + 1) transforms.
-    So with a = 5/hs^2 + |Bw|_inf/delta^2 + |E|_inf + max|V_flat| + |shift|,
-    which bounds the operator and the corner terms, RobinwgError is raised
-    unless |rhs - A x| <= |r_C| + 50 (n_u + 1) eps_mach a |x|.  Returns
-    (g, info).
-    """
-    if complex(z).imag == 0:
-        raise RobinwgError("reduced resolvent needs Im z != 0")
-    f_s = np.asarray(f_s, dtype=complex)
-    if not np.isfinite(f_s).all():
-        raise RobinwgError("reduced resolvent needs a finite f")
     nsi, nu = op.shape
     wu, Phi, lam = op.grid.u_mass, op.flat_eigvecs, op.flat_eigvals
     c, delta = 1.0 / op.grid.h_s ** 2, op.geometry.scaling.delta
-    shift = op.transverse_threshold(n) / delta ** 2 + z
+    shift = lam[n] / delta ** 2 + z
     zj = z - (lam - lam[n]) / delta ** 2
     rhs = projector.synthesize(f_s, n) * wu
-    C, E = op.core, op.matrix
+    C, k = op.core, op.core.stop - op.core.start
     B = ((projector.flat[n] * wu) @ Phi)[:, None, None] * f_s
     U_l, phi_l, U_r, phi_r = exterior_solve(op.grid.h_s, zj, B[..., :C.start],
                                             B[..., C.stop:])
 
     def assemble(xc, pad):
-        # columns C.start - pad .. C.stop + pad - 1 (cut at the caps) of the
-        # field with core xc: each exterior is U_j + c y_j phi_j per mode
         y = c * (xc[[0, -1]] * wu) @ Phi if len(xc) else np.zeros((2, nu))
         i = max(C.start - pad, 0)
         return np.concatenate([
@@ -404,47 +344,72 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
         return (rhs[C] - local._weighted_apply(assemble(xc, 1), shift)[
             local.core]).ravel()
 
-    history, r, pr_res = [], np.zeros(0), 0.0
-    xc = np.zeros((C.stop - C.start, nu), dtype=complex)
-    if len(xc):
-        prec = _separable_preconditioner(
-            op, zj, (c * c * phi_l[:, -1] if C.start else 0.0,
-                     c * c * phi_r[:, 0] if C.stop < nsi else 0.0))
-        K = spla.LinearOperator(E.shape, dtype=complex,
-                                matvec=lambda v: v - prec(E @ v))
-        r = core_residual(xc)
-        pr = prec(r)
-        scale = np.linalg.norm(pr)
-        pr_res = np.inf
-        while True:
-            dx, _ = spla.gmres(
-                K, pr, rtol=rtol, atol=0.0, restart=80,
-                maxiter=max(1, (maxiter - len(history)) // 80),
-                callback=lambda res: history.append(float(res)),
-                callback_type="pr_norm")
-            xc += prec(r + E @ dx).reshape(xc.shape)   # x = P (b + E x)
-            r = core_residual(xc)
-            pr = prec(r)
-            last, pr_res = pr_res, np.linalg.norm(pr) / scale
-            if not rtol < pr_res < last or len(history) >= maxiter:
-                break
-        # judged as "not below": a NaN residual fails
-        if not pr_res <= 10 * rtol:
-            raise SolverConvergenceError(
-                f"GMRES stalled at preconditioned residual {pr_res:.3g}",
-                history)
+    iu = np.arange(nu)
+    blocks = np.repeat(op.transverse[None] + 0j, k, axis=0)
+    blocks[:, iu, iu] += (2 * c - shift + op.potential_s[C, None]) * wu
+    WPhi = wu[:, None] * Phi
+    if C.start:
+        blocks[0] -= c * c * (WPhi * phi_l[:, -1]) @ WPhi.T
+    if k and C.stop < nsi:
+        blocks[-1] -= c * c * (WPhi * phi_r[:, 0]) @ WPhi.T
+    ab = np.zeros((3 * nu + 1, k * nu), dtype=complex)
+    ab[2 * nu + iu[:, None] - iu, nu * np.arange(k)[:, None, None] + iu] = blocks
+    ab[nu, nu:] = ab[3 * nu, :-nu] = -c * np.tile(wu, k)[nu:]
+    E = op.matrix.tocoo()
+    ab[2 * nu + E.row - E.col, E.col] -= E.data
+    return ab, core_residual, assemble, rhs, shift
+
+
+def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
+                      m: int, n: int, z, f_s: np.ndarray):
+    """g(s) = <phi_m, (Op - mu_n/delta^2 - z)^{-1} f phi_n> per column.
+
+    mu_n is the flat transverse threshold of the discrete operator
+    (subtracting the continuum value would leave an O(h_u^2)/delta^2 drift).
+    The core system of `_core_system` is solved by one banded LU (LAPACK
+    zgbsv; a nonzero info raises RobinwgError).  With
+    a = 5/hs^2 + |Bw|_inf/delta^2 + |E|_inf + max|V_flat| + |shift|, which
+    bounds the operator and the corner terms, the core residual r_C,
+    recomputed matrix-free, must pass |r_C| <= 50 eps_mach a |x_C|.  The
+    field x is assembled once and checked on the whole grid: C's rows hold
+    r_C, the others only the rounding of the exterior solves and of the
+    length-(n_u + 1) transforms, so |rhs - A x| <= |r_C| +
+    50 (n_u + 1) eps_mach a |x| is required.  Both gates read "not below",
+    so a NaN fails.  An f that is not finite raises RobinwgError before any
+    work.  Returns (g, info); info holds "iterations" (always 0),
+    "raw_residual" and "field" (x).
+    """
+    if complex(z).imag == 0:
+        raise RobinwgError("reduced resolvent needs Im z != 0")
+    f_s = np.asarray(f_s, dtype=complex)
+    if not np.isfinite(f_s).all():
+        raise RobinwgError("reduced resolvent needs a finite f")
+    nsi, nu = op.shape
+    ab, core_residual, assemble, rhs, shift = _core_system(op, projector, n,
+                                                           z, f_s)
+    E, eps_mach = op.matrix, np.finfo(float).eps
+    a = (5 / op.grid.h_s ** 2 + np.abs(op.transverse).sum(1).max()
+         + abs(shift) + (abs(E).sum(1).max() if E.nnz else 0.0)
+         + np.abs(op.potential_s).max())
+    xc = np.zeros((op.core.stop - op.core.start, nu), dtype=complex)
+    if len(xc):     # a straight strip has no core
+        _, _, x, info = lapack.zgbsv(nu, nu, ab, core_residual(xc)[:, None],
+                                     overwrite_ab=1, overwrite_b=1)
+        if info != 0:
+            raise RobinwgError(f"core band solve: zgbsv info = {info}")
+        xc = x.reshape(xc.shape)
+    r = np.linalg.norm(core_residual(xc))
+    bound = 50 * eps_mach * a * np.linalg.norm(xc)
+    if not r <= bound:
+        raise RobinwgError(f"core residual {r:.3g} above {bound:.3g}")
     x = assemble(xc, nsi)
     res = np.linalg.norm(rhs - op._weighted_apply(x, shift))
-    a = (5 * c + np.abs(op.transverse).sum(1).max() + abs(shift)
-         + (abs(E).sum(1).max() if E.nnz else 0.0)
-         + np.abs(op.potential_s).max())
-    bound = (np.linalg.norm(r)
-             + 50 * nu * np.finfo(float).eps * a * np.linalg.norm(x))
+    bound = r + 50 * nu * eps_mach * a * np.linalg.norm(x)
     if not res <= bound:
         raise RobinwgError(f"assembled field residual {res:.3g} above "
                            f"{bound:.3g}")
-    info = {"iterations": len(history), "preconditioned_residual": float(pr_res),
-            "raw_residual": float(res / np.linalg.norm(rhs)), "field": x}
+    info = {"iterations": 0, "raw_residual": float(res / np.linalg.norm(rhs)),
+            "field": x}
     return projector.project(x, m), info
 
 
@@ -460,8 +425,8 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
     The 2D backend of `report.run_study`: for each eps the geometry is
     rebuilt with the same delta/eps ratio and b, the operator built and
     r_{n,n} compared with the limit predicted by the resonance analysis of
-    beta_n gamma^2, one `reduced_resolvent` (GMRES) solve per row of the
-    probe block; the transmission is measured against the discrete free
+    beta_n gamma^2, one `reduced_resolvent` (exterior solve and core band
+    LU) per row of the probe block; the transmission is measured against the discrete free
     line resolvent on the same s grid.  Off-diagonal norms ||r_{m,n} f|| of
     the first probe are recorded for every other m <= n_max, and its 2D
     field at the last eps rides on the report as `probe_field`.

@@ -141,6 +141,16 @@ def test_waveguide_check_small(tmp_path):
     ("waveguide-check", "delta_ratio = 0\n", "delta_ratio must lie in (0, 1]"),
     ("waveguide-check", "delta_ratio = 1.5\n", "delta_ratio must lie in (0, 1]"),
     ("waveguide-check", "variant = half\n", "variant must be 'full' or"),
+    ("resonance", "half_width = -1\nbeta_min = -20\nbeta_max = -0.5\n",
+     "half_width must be positive"),
+    ("resonance", "kind = tabulated\nnodes = 0,1\nvalues = 0,0\n"
+     "beta_min = -20\nbeta_max = -0.5\n", "at least 4 nodes"),
+    ("limit-check", "beta = 3.0\nhalf_width = -1\n",
+     "half_width must be positive"),
+    ("waveguide-check", "b = -10\n", "1 + 2*eps*b > 0"),
+    ("waveguide-check", "amplitude = 100\n", "not a valid chart"),
+    ("waveguide-check", "half_width = -2\n", "half_width must be positive"),
+    ("waveguide-check", "kind = rectangular\n", "requires a smooth profile"),
 ], ids=["misspelt_bool", "waveguide_probe", "limit_probe", "waveguide_no_eps",
         "limit_no_eps", "zero_h_target", "negative_half_length",
         "limit_negative_eps", "limit_increasing_eps", "increasing_eps",
@@ -150,7 +160,11 @@ def test_waveguide_check_small(tmp_path):
         "resonance_negative_tol_d", "waveguide_negative_d",
         "waveguide_negative_n", "waveguide_n_above_n_max",
         "waveguide_n_u_below_16", "waveguide_zero_delta_ratio",
-        "waveguide_delta_ratio_above_1", "waveguide_unknown_variant"])
+        "waveguide_delta_ratio_above_1", "waveguide_unknown_variant",
+        "resonance_negative_half_width", "resonance_two_node_table",
+        "limit_negative_half_width", "waveguide_deformation_below_chart",
+        "waveguide_invalid_chart", "waveguide_negative_half_width",
+        "waveguide_full_variant_rectangle"])
 def test_study_commands_reject_bad_configs(tmp_path, capsys, command, cfg, key):
     code, out = run(tmp_path, command, cfg)
     assert code == 2
@@ -177,6 +191,19 @@ def test_non_finite_floats_and_empty_scans_are_config_errors(
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err
+    assert not list(out.glob("*"))
+
+
+def test_sturm_guard_names_a_remedy_the_config_has(tmp_path, capsys):
+    # n_scan is no config key: the message also says to narrow the range.
+    # -pi^2 and -4 pi^2 share the first of 119 intervals of [-5000, -1]
+    cfg = ("kind = rectangular\namplitude = 1.0\ncenter = 0.5\n"
+           "half_width = 0.5\nbeta_min = -5000\nbeta_max = -1\n")
+    code, out = run(tmp_path, "resonance", cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scan interval [-43.0084, -1]")
+    assert "narrow the coupling range (beta_min, beta_max)" in err
     assert not list(out.glob("*"))
 
 

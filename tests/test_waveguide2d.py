@@ -3,19 +3,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh, solve_banded
+from scipy.linalg import eigh
 
 from robinwg.effective_1d import (Grid1D, build_h_n_eps, bump_probe,
-                                  exterior_solve, resolvent_solve, s_grid)
-from robinwg.errors import (BracketingError, ProfileError, RobinwgError,
-                            SolverConvergenceError)
+                                  resolvent_solve, s_grid)
+from robinwg.errors import BracketingError, ProfileError, RobinwgError
 from robinwg.geometry import (RECTANGULAR, SMOOTH_BUMP, TABULATED,
                               CurvatureProfile, ScalingParams,
                               WaveguideGeometry, default_bump)
 from robinwg.transverse import symmetric_spectrum
 from robinwg import cli, waveguide2d
 from robinwg.waveguide2d import (FULL, SIMPLIFIED, Grid2D, ModeProjector,
-                                 _separable_preconditioner, build_waveguide,
+                                 _core_system, build_waveguide,
                                  gregory_weights, reduced_resolvent,
                                  theorem_check)
 from reference import full_grid_matrix, mode_values, scalar_asymmetric_spectrum
@@ -81,42 +80,23 @@ def test_flat_reduced_resolvent_is_free_1d():
         full[1:-1] = f
         ref = resolvent_solve(build_h_n_eps(FLAT, 0.0, 1.0, 0.0, g1), Z, full)[1:-1]
         assert np.max(np.abs(g - ref)) < 1e-8
-        assert info["preconditioned_residual"] < 1e-9
-        # the separable preconditioner is exact on the flat strip
-        assert info["iterations"] <= 2
     # off-diagonal vanishes to solver tolerance
     g01, _ = reduced_resolvent(op, proj, 0, 1, Z, f)
     assert np.max(np.abs(g01)) < 1e-9
 
 
-def test_gmres_stall_is_caught_by_the_post_check():
-    # rtol below rounding: GMRES's own residual estimate drops to ~1e-15,
-    # but the preconditioned residual recomputed from rhs - A g does not
-    geom = bump_geometry(0.4)
-    grid = Grid2D(8.0, 512, 48, 1.0)
-    op = build_waveguide(geom, FULL, 1, grid)
-    proj = ModeProjector(geom, grid, 1)
-    f = bump_probe(-4.0, 1.5)(grid.s_interior)
-    rtol = 1e-16
-    with pytest.raises(SolverConvergenceError) as exc:
-        reduced_resolvent(op, proj, 0, 0, Z, f, rtol=rtol, maxiter=80)
-    assert exc.value.history
-    # the solve is good; only the target is out of reach
-    pr_res = float(str(exc.value).rsplit(" ", 1)[-1])
-    assert 10 * rtol < pr_res < 1e-9
-
-
 def test_nan_residual_fails_the_post_check(monkeypatch):
     # NaN compares false both ways, so the gate must read "not below"; a
-    # finite f reaches it through a GMRES result that is not finite
+    # finite f reaches it through a band solve result that is not finite
     geom = bump_geometry(0.4)
     grid = Grid2D(8.0, 512, 16, 1.0)
     op = build_waveguide(geom, FULL, 1, grid)
     proj = ModeProjector(geom, grid, 1)
     f = bump_probe(-4.0, 1.5)(grid.s_interior)
-    monkeypatch.setattr(waveguide2d.spla, "gmres",
-                        lambda K, b, **kw: (np.full(len(b), np.nan + 0j), 0))
-    with pytest.raises(SolverConvergenceError, match="nan"):
+    monkeypatch.setattr(waveguide2d.lapack, "zgbsv",
+                        lambda kl, ku, ab, b, **kw: (
+                            ab, None, np.full(b.shape, np.nan + 0j), 0))
+    with pytest.raises(RobinwgError, match="core residual nan"):
         reduced_resolvent(op, proj, 0, 0, Z, f)
 
 
@@ -130,7 +110,7 @@ def test_non_finite_f_is_rejected_before_any_work(monkeypatch, bad):
     f[100] = bad
     calls = []
     for module, name in ((waveguide2d, "exterior_solve"),
-                         (waveguide2d.spla, "gmres")):
+                         (waveguide2d.lapack, "zgbsv")):
         monkeypatch.setattr(module, name,
                             lambda *a, name=name, **kw: calls.append(name))
     with pytest.raises(RobinwgError, match="finite"):
@@ -353,78 +333,48 @@ def test_grid_validation():
         grid.check_mode_resolution(8)   # too many modes for n_u = 16
 
 
-def _mode_z(op, n):
-    """z_j = z - (lam_j - lam_n)/delta^2, the spectral parameter of mode j."""
-    lam, delta = op.flat_eigvals, op.geometry.scaling.delta
-    return Z - (lam - lam[n]) / delta ** 2
+def _band_matrix(ab, nu):
+    """The matrix held in LAPACK band storage with kl = ku = nu."""
+    size = ab.shape[1]
+    return sp.dia_matrix((ab[nu:], 2 * nu - np.arange(nu, 3 * nu + 1)),
+                         shape=(size, size))
 
 
-def _corner_terms(op, n):
-    """The Schur terms c^2 phi(edge) of the flat exteriors, per mode."""
-    C, (nsi, nu) = op.core, op.shape
-    c = 1.0 / op.grid.h_s ** 2
-    _, phi_l, _, phi_r = exterior_solve(
-        op.grid.h_s, _mode_z(op, n), np.zeros((nu, 0, C.start)),
-        np.zeros((nu, 0, nsi - C.stop)))
-    return c * c * phi_l[:, -1], c * c * phi_r[:, 0]
+# an off-centre profile gives exteriors of unequal length
+OFF_CENTRE = CurvatureProfile(TABULATED, nodes=tuple(np.linspace(0.5, 3.0, 6)),
+                              values=(0.0, 0.3, 0.6, 0.6, 0.3, 0.0))
 
 
-def _whole_line_on_core(op, n, r):
-    """Per-mode whole-line banded solves of the flat separable operator for
-    r on the core columns (zero elsewhere), restricted to the core."""
-    C, (nsi, nu) = op.core, op.shape
-    hs, Phi = op.grid.h_s, op.flat_eigvecs
-    shifts = -_mode_z(op, n)
-    Rt = np.zeros((nsi, nu), dtype=complex)
-    Rt[C] = r.reshape(-1, nu) @ Phi
-    Y = np.empty((nsi, nu), dtype=complex)
-    for j in range(nu):
-        ab = np.zeros((3, nsi), dtype=complex)
-        ab[0, 1:] = ab[2, :-1] = -1.0 / hs ** 2
-        ab[1, :] = 2.0 / hs ** 2 + op.potential_s + shifts[j]
-        Y[:, j] = solve_banded((1, 1), ab, Rt[:, j])
-    return (Y[C] @ Phi.T).ravel()
-
-
-def test_separable_preconditioner_matches_per_mode_banded_solves():
-    # with the exterior's corner terms the core solve is the whole line's
-    geom = bump_geometry(0.4, alpha=0.7)
-    grid = Grid2D(6.0, 600, 32, 1.0)
+@pytest.mark.parametrize("profile, alpha, grid", [
+    (default_bump(), 0.7, Grid2D(6.0, 600, 32, 1.0)),
+    (OFF_CENTRE, -2.0, Grid2D(8.0, 1000, 32, 1.0))],
+    ids=["bump", "off_centre"])
+def test_core_band_is_the_matrix_free_core_operator(profile, alpha, grid):
+    # the band, the exterior's Schur corners included, is the operator that
+    # the matrix-free core residual applies: K x = r(0) - r(x)
+    geom = WaveguideGeometry(profile, 1.0,
+                             ScalingParams(epsilon=0.4, delta_ratio=0.05), alpha)
     op = build_waveguide(geom, FULL, 1, grid)
-    k = (op.core.stop - op.core.start) * op.shape[1]
+    proj = ModeProjector(geom, grid, 1)
+    f = bump_probe(-3.0, 1.2)(grid.s_interior)
+    (nsi, nu), C = op.shape, op.core
+    assert 0 < C.start and C.stop < nsi
+    if profile is OFF_CENTRE:
+        assert C.start - (nsi - C.stop) > 50
     rng = np.random.default_rng(3)
-    r = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    x = rng.standard_normal((C.stop - C.start, nu)) + 1j * rng.standard_normal(
+        (C.stop - C.start, nu))
     for n in (0, 1):
-        apply = _separable_preconditioner(op, _mode_z(op, n),
-                                          _corner_terms(op, n))
-        want = _whole_line_on_core(op, n, r)
-        assert np.linalg.norm(apply(r) - want) < 1e-12 * np.linalg.norm(want)
-        assert np.array_equal(apply(r), apply(r))   # no state carried over
-
-
-def test_core_preconditioner_is_the_restriction_of_the_full_one():
-    # an off-centre profile gives exteriors of unequal length
-    prof = CurvatureProfile(TABULATED, nodes=tuple(np.linspace(0.5, 3.0, 6)),
-                            values=(0.0, 0.3, 0.6, 0.6, 0.3, 0.0))
-    geom = WaveguideGeometry(prof, 1.0,
-                             ScalingParams(epsilon=0.4, delta_ratio=0.05), -2.0)
-    grid = Grid2D(8.0, 1000, 32, 1.0)
-    op = build_waveguide(geom, FULL, 1, grid)
-    nsi = op.shape[0]
-    assert op.core.start - (nsi - op.core.stop) > 50
-    k = (op.core.stop - op.core.start) * op.shape[1]
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal(k) + 0j
-    for n in (0, 1):
-        core = _separable_preconditioner(op, _mode_z(op, n),
-                                         _corner_terms(op, n))(v)
-        full = _whole_line_on_core(op, n, v)
-        assert np.linalg.norm(core - full) < 1e-12 * np.linalg.norm(full)
+        ab, core_residual, *_ = _core_system(op, proj, n, Z, f)
+        assert ab.shape == (3 * nu + 1, x.size)
+        want = core_residual(np.zeros_like(x)) - core_residual(x)
+        got = _band_matrix(ab, nu) @ x.ravel()
+        assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
 
 
 def _direct_field(op, proj, n, f):
     delta = op.geometry.scaling.delta
-    shift = op.transverse_threshold(n) / delta ** 2 + Z
+    shift = op.flat_eigvals[n] / delta ** 2 + Z
     A, mass = full_grid_matrix(op)
     A = A - sp.diags(shift * mass)
     F = proj.synthesize(f.astype(complex), n)
@@ -499,8 +449,7 @@ def test_core_solve_matches_a_direct_solve(alpha):
         _, info = reduced_resolvent(op, proj, n, n, Z, f)
         ref = _direct_field(op, proj, n, f)
         assert np.linalg.norm(info["field"] - ref) < 1e-8 * np.linalg.norm(ref)
-        assert info["preconditioned_residual"] <= 1e-9
-        assert info["iterations"] > 0
+        assert info["iterations"] == 0
 
 
 def test_straight_strip_is_the_empty_core():
@@ -629,16 +578,22 @@ def test_one_exterior_solve_and_no_factorisation_beyond_the_core(
     op = build_waveguide(geom, FULL, 1, grid)
     proj = ModeProjector(geom, grid, 1)
     f = bump_probe(-3.0, 1.2)(grid.s_interior)
-    sizes = {"gtsv": [], "gttrf": []}
-    for module, name in ((effective_1d, "zgtsv"), (waveguide2d.lapack, "zgttrf")):
-        def counted(dl, d, *args, name=name, lapack=getattr(module, name),
-                    **kwargs):
-            sizes[name[1:]].append(len(d))
-            return lapack(dl, d, *args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
+    sizes = {"gtsv": [], "gbsv": []}
+    gtsv, gbsv = effective_1d.zgtsv, waveguide2d.lapack.zgbsv
+
+    def counted_gtsv(dl, d, *args, **kwargs):
+        sizes["gtsv"].append(len(d))
+        return gtsv(dl, d, *args, **kwargs)
+
+    def counted_gbsv(kl, ku, ab, *args, **kwargs):
+        sizes["gbsv"].append((kl, ku, ab.shape[1]))
+        return gbsv(kl, ku, ab, *args, **kwargs)
+
+    monkeypatch.setattr(effective_1d, "zgtsv", counted_gtsv)
+    monkeypatch.setattr(waveguide2d.lapack, "zgbsv", counted_gbsv)
     reduced_resolvent(op, proj, 0, 0, Z, f)
     nsi, nu = op.shape
     core = (op.core.stop - op.core.start) * nu
-    # the exterior of every mode in one solve, the core factored once
+    # the exterior of every mode in one solve, the core in one band solve
     assert sizes["gtsv"] == [nsi * nu - core]
-    assert sizes["gttrf"] == ([core] if core else [])
+    assert sizes["gbsv"] == ([(nu, nu, core)] if core else [])
