@@ -217,6 +217,9 @@ def _check_study(cfg):
     for key in ("h_target", "half_length", "probe_half_width"):
         if key in cfg and not cfg[key] > 0:
             raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
+    if cfg["z_im"] == 0:
+        raise ConfigError("z_im must be nonzero: the studies take the "
+                          "resolvent off the real axis")
 
 
 def _probe_from(cfg, seed):
@@ -299,9 +302,6 @@ def cmd_waveguide_check(cfg_raw, out, seed, override=None):
         raise ConfigError(f"n_max must be >= n, got {cfg['n_max']}")
     if cfg["n_u"] < 16:
         raise ConfigError(f"n_u must be >= 16, got {cfg['n_u']}")
-    if not 0 < cfg["delta_ratio"] <= 1:
-        raise ConfigError("delta_ratio must lie in (0, 1], got "
-                          f"{cfg['delta_ratio']!r}")
     if cfg["variant"] not in (FULL, SIMPLIFIED):
         raise ConfigError(f"variant must be {FULL!r} or {SIMPLIFIED!r}, got "
                           f"{cfg['variant']!r}")

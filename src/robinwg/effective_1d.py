@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import zgtsv
 
-from .errors import GridResolutionError, RobinwgError
+from .errors import GridResolutionError, ProfileError, RobinwgError
 from .geometry import CurvatureProfile
 from .graph_limit import (DECOUPLED, GraphOperatorSpec, resolvent_apply,
                           sqrt_upper)
@@ -85,14 +84,6 @@ class Discrete1DOperator:
     grid: Grid1D
     potential: np.ndarray      # all nodes, caps included
 
-    def apply(self, g):
-        """Operator action on full-node samples (caps pinned to zero)."""
-        g = np.asarray(g)
-        out = np.zeros(g.shape, dtype=np.result_type(g, self.potential))
-        self.apply_interior(g, self.diagonal(), out[1:-1],
-                            np.empty(out[1:-1].shape, out.dtype))
-        return out
-
     def diagonal(self, shift=0.0):
         """Diagonal of H - shift on the interior nodes."""
         return 2.0 / self.grid.h ** 2 + self.potential[1:-1] - shift
@@ -107,14 +98,6 @@ class Discrete1DOperator:
         work *= 1.0 / self.grid.h ** 2
         out -= work
         return out
-
-    def lowest_eigenvalues(self, count: int):
-        diag = self.diagonal()
-        off = np.full(len(diag) - 1, -1.0 / self.grid.h ** 2)
-        vals = eigh_tridiagonal(diag, off, select="i",
-                                select_range=(0, count - 1),
-                                eigvals_only=True)
-        return vals
 
 
 def build_h_n_eps(profile: CurvatureProfile, beta: float, eps: float,
@@ -358,8 +341,15 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
     limit that couples the edges the first probe's vertex data are fitted
     at every eps and the gluing conditions tested on them and on their
     eps -> 0 extrapolation.  The discretisation estimate re-solves the
-    first probe on a grid with h halved at the smallest eps.
+    first probe on a grid with h halved at the smallest eps.  An eps with
+    1 + eps*b <= 0, where the deformation flips the coupling's sign, raises
+    ProfileError before any solve.
     """
+    eps_list = list(eps_list)
+    for eps in eps_list:
+        if 1.0 + eps * b <= 0:
+            raise ProfileError(f"deformation requires 1 + eps*b > 0, got "
+                               f"{1.0 + eps * b!r} at eps = {eps!r}")
     predicted, alt = predicted_limit(profile, beta, b)
     support_radius = max(abs(profile.support[0]), abs(profile.support[1]))
     last = {"block": None}

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,8 +55,7 @@ class ConvergenceReport:
     offdiagonal: dict = field(default_factory=dict)
     discretization_estimate: float | None = None
     notes: list = field(default_factory=list)
-    # (s, u, values) of the first probe's 2D field at the last eps; not
-    # serialised by to_dict
+    # (s, u, values): the first probe's 2D field at the last eps
     probe_field: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -64,35 +63,23 @@ class ConvergenceReport:
         return EXIT_CODE[self.verdict]
 
     def to_dict(self):
-        def c2(v):
-            if v is None:
-                return None
-            if isinstance(v, complex):
-                return {"re": v.real, "im": v.imag}
-            return float(v)
+        """The `repr=True` fields, JSON-ready (see `_plain`)."""
+        return {f.name: _plain(getattr(self, f.name))
+                for f in fields(self) if f.repr}
 
-        return {
-            "predicted": self.predicted,
-            "eps_list": [float(e) for e in self.eps_list],
-            "errors": [float(e) for e in self.errors],
-            "alt_kind": self.alt_kind,
-            "alt_errors": [float(e) for e in self.alt_errors],
-            "z": {"re": complex(self.z).real, "im": complex(self.z).imag},
-            "norm": self.norm,
-            "verdict": self.verdict,
-            "fitted_exponent": self.fitted_exponent,
-            "leakage": [float(x) for x in self.leakage],
-            "transmission": [c2(t) for t in self.transmission],
-            "transmission_extrapolated": c2(self.transmission_extrapolated),
-            "vertex_residuals": [
-                {k: float(v) for k, v in r.items()} for r in self.vertex_residuals],
-            "vertex_residual_extrapolated": {
-                k: float(v) for k, v in self.vertex_residual_extrapolated.items()},
-            "offdiagonal": {str(k): [float(x) for x in v]
-                            for k, v in self.offdiagonal.items()},
-            "discretization_estimate": c2(self.discretization_estimate),
-            "notes": list(self.notes),
-        }
+
+def _plain(v):
+    """complex -> {"re", "im"}, a number -> float, dict keys -> str,
+    sequences -> lists, recursively; str, bool and None as they are."""
+    if isinstance(v, dict):
+        return {str(k): _plain(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
+    if isinstance(v, (complex, np.complexfloating)):
+        return {"re": float(v.real), "im": float(v.imag)}
+    if isinstance(v, (int, float, np.number)) and not isinstance(v, bool):
+        return float(v)
+    return v
 
 
 def predicted_limit(profile, beta: float, b: float):

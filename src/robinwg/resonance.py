@@ -41,12 +41,11 @@ class Potential1D:
 
     func: Callable
     support: tuple[float, float]
-    label: str = ""
     knots: tuple = ()
     _at: Callable | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def from_callable(cls, func, support, label="", knots=()):
+    def from_callable(cls, func, support, knots=()):
         """v = `func` on `support`, restarting the integration at `knots`.
 
         The stepper evaluates `func` at both ends of every piece (its first
@@ -64,29 +63,26 @@ class Potential1D:
         if not all(a < b for a, b in zip(edges, edges[1:])):
             raise RobinwgError(f"knots {tuple(knots)!r} must increase "
                                f"strictly inside the support {support!r}")
-        return cls(func, (float(lo), float(hi)), label, tuple(knots))
+        return cls(func, (float(lo), float(hi)), tuple(knots))
 
     @classmethod
     def from_profile(cls, profile: CurvatureProfile, beta: float) -> "Potential1D":
         """v = beta * gamma^2, the effective longitudinal potential."""
         fn = lambda s: beta * profile.sample(s) ** 2
         sq = profile.squared_at
-        return replace(cls.from_callable(fn, profile.support,
-                                         label=f"beta*gamma^2, beta={beta!r}",
-                                         knots=profile.knots),
+        return replace(cls.from_callable(fn, profile.support, profile.knots),
                        _at=lambda s: beta * sq(s))
 
     @classmethod
     def zero(cls, support=(-1.0, 1.0)) -> "Potential1D":
         return cls(lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-                   support, "zero potential")
+                   support)
 
     def scaled(self, eps: float) -> "Potential1D":
         """v_eps(s) = eps^-2 v(s/eps); the zero-energy problem is covariant."""
         lo, hi = self.support
         fn = lambda s: self.func(np.asarray(s) / eps) / eps ** 2
         return Potential1D(fn, (lo * eps, hi * eps),
-                           f"scaled(eps={eps}) {self.label}",
                            tuple(k * eps for k in self.knots))
 
     def __call__(self, s):

@@ -45,17 +45,14 @@ from .transverse import (_asymmetric_solve, _mode_values, _sign_changes,
 FULL = "full"
 SIMPLIFIED = "simplified"
 
-# Gregory end-corrected trapezoid weights, O(h^6); needs >= 14 points.
+# Gregory end-corrected trapezoid weights, O(h^6); needs >= 14 points, and
+# a Grid2D (n_u >= 16) has at least 17.
 _GREGORY6 = np.array([95.0 / 288, 317.0 / 240, 23.0 / 30, 793.0 / 720,
                       157.0 / 160])
 
 
 def gregory_weights(n_points: int, h: float) -> np.ndarray:
     """High-order uniform-grid quadrature weights (end-corrected trapezoid)."""
-    if n_points < 2 * len(_GREGORY6) + 4:
-        w = np.full(n_points, h)
-        w[0] = w[-1] = h / 2
-        return w
     w = np.ones(n_points)
     w[:5] = _GREGORY6
     w[-5:] = _GREGORY6[::-1]
@@ -133,10 +130,6 @@ class DiscreteWaveguideOperator:
     @property
     def shape(self):
         return (len(self.grid.s_interior), self.grid.n_u + 1)
-
-    def apply(self, field: np.ndarray) -> np.ndarray:
-        """Unweighted operator action on a (n_s-1, n_u+1) field."""
-        return self._weighted_apply(field) / self.grid.u_mass
 
     def _weighted_apply(self, X: np.ndarray, shift=0.0) -> np.ndarray:
         """(M A - shift M) X: the flat stencil, less R^T E x_C."""
@@ -289,12 +282,6 @@ class ModeProjector:
         out[self.core] = (field[self.core] * self.core_modes[m]) @ self.quad
         return out
 
-    def gram_deviation(self) -> float:
-        """Worst per-column deviation of the mode Gram matrix from identity."""
-        cols = np.concatenate([self.flat[:, None, :], self.core_modes], axis=1)
-        G = np.einsum("mcu,u,ncu->cmn", cols, self.quad, cols)
-        return float(np.max(np.abs(G - np.eye(self.n_max + 1))))
-
 
 # ---------------------------------------------------------------------------
 # reduced resolvent
@@ -376,8 +363,8 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
     length-(n_u + 1) transforms, so |rhs - A x| <= |r_C| +
     50 (n_u + 1) eps_mach a |x| is required.  Both gates read "not below",
     so a NaN fails.  An f that is not finite raises RobinwgError before any
-    work.  Returns (g, info); info holds "iterations" (always 0),
-    "raw_residual" and "field" (x).
+    work.  Returns (g, info); info holds "iterations" (always 0) and
+    "field" (x).
     """
     if complex(z).imag == 0:
         raise RobinwgError("reduced resolvent needs Im z != 0")
@@ -408,9 +395,7 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
     if not res <= bound:
         raise RobinwgError(f"assembled field residual {res:.3g} above "
                            f"{bound:.3g}")
-    info = {"iterations": 0, "raw_residual": float(res / np.linalg.norm(rhs)),
-            "field": x}
-    return projector.project(x, m), info
+    return projector.project(x, m), {"iterations": 0, "field": x}
 
 
 # ---------------------------------------------------------------------------
@@ -422,22 +407,22 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
                   error_threshold: float = 0.05) -> ConvergenceReport:
     """Reduced-resolvent convergence of the 2D operator against the graph limit.
 
-    The 2D backend of `report.run_study`: for each eps the geometry is
-    rebuilt with the same delta/eps ratio and b, the operator built and
-    r_{n,n} compared with the limit predicted by the resonance analysis of
-    beta_n gamma^2, one `reduced_resolvent` (exterior solve and core band
-    LU) per row of the probe block; the transmission is measured against the discrete free
-    line resolvent on the same s grid.  Off-diagonal norms ||r_{m,n} f|| of
-    the first probe are recorded for every other m <= n_max, and its 2D
-    field at the last eps rides on the report as `probe_field`.
+    The 2D backend of `report.run_study`: for each eps the geometry is the
+    given one at that eps (its a or delta_ratio, and b, kept), the operator
+    built and r_{n,n} compared with the limit predicted by the resonance
+    analysis of beta_n gamma^2, one `reduced_resolvent` (exterior solve and
+    core band LU) per row of the probe block; the transmission is measured
+    against the discrete free line resolvent on the same s grid.
+    Off-diagonal norms ||r_{m,n} f|| of the first probe are recorded for
+    every other m <= n_max, and its 2D field at the last eps rides on the
+    report as `probe_field`.
     """
     if n_max is None:
         n_max = max(n + 1, 1)
     if not 0 <= n <= n_max:
         raise RobinwgError(f"need 0 <= n <= n_max, got n = {n}, n_max = {n_max}")
     sc = geometry.scaling
-    if sc.delta_ratio is None:
-        sc.require_convergence_regime()
+    sc.require_convergence_regime()
 
     flat = symmetric_spectrum(geometry.alpha, geometry.d, n_max)
     mu_n = flat[n].eigenvalue
@@ -448,11 +433,7 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
     last = {}
 
     def solver(eps):
-        scaling = type(sc)(epsilon=eps, a=sc.a, b=sc.b,
-                           delta_ratio=sc.delta / sc.epsilon
-                           if sc.delta_ratio is not None else None)
-        geo = WaveguideGeometry(geometry.profile, geometry.d, scaling,
-                                geometry.alpha)
+        geo = replace(geometry, scaling=replace(sc, epsilon=eps))
         line = s_grid(geometry.profile, eps, z, 12.0)
         grid = Grid2D(line.half_length, line.n_cells, n_u, geometry.d)
         op = build_waveguide(geo, variant, n_max, grid)

@@ -9,7 +9,10 @@ asymmetric transverse problem one root at a time with scalar brentq, the
 oracle of the lane-wise solve; `scalar_resonant_couplings` refines every
 bracket of a resonance scan by scalar brentq likewise.  `scipy_integrate` is
 the zero-energy integration with every piece solved by scipy's `solve_ivp`
-DOP853, the oracle of the library's port of that stepper.
+DOP853, the oracle of the library's port of that stepper.  `apply_1d` and
+`apply_2d` (the operator actions), `lowest_eigenvalues` (the 1D spectrum)
+and `gram_deviation` (the projector's mode Gram check) are called by the
+tests only.
 """
 
 from unittest import mock
@@ -17,7 +20,7 @@ from unittest import mock
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.optimize import brentq
 
 from robinwg import resonance
@@ -38,6 +41,39 @@ def whole_grid_resolvent(h, potential, z, F):
     G = np.zeros(F.shape, dtype=complex)
     G[:, 1:-1] = solve_banded((1, 1), ab, F[:, 1:-1].T).T
     return G
+
+
+def apply_1d(op, g):
+    """A `Discrete1DOperator`'s action on full-node samples g (caps pinned
+    to zero)."""
+    g = np.asarray(g)
+    out = np.zeros(g.shape, dtype=np.result_type(g, op.potential))
+    op.apply_interior(g, op.diagonal(), out[1:-1],
+                      np.empty(out[1:-1].shape, out.dtype))
+    return out
+
+
+def lowest_eigenvalues(op, count):
+    """The `count` lowest eigenvalues of a `Discrete1DOperator`."""
+    diag = op.diagonal()
+    off = np.full(len(diag) - 1, -1.0 / op.grid.h ** 2)
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1),
+                            eigvals_only=True)
+
+
+def apply_2d(op, field):
+    """A `DiscreteWaveguideOperator`'s unweighted action on a (n_s-1, n_u+1)
+    field."""
+    return op._weighted_apply(field) / op.grid.u_mass
+
+
+def gram_deviation(projector):
+    """Worst per-column deviation of a `ModeProjector`'s mode Gram matrix
+    from the identity."""
+    cols = np.concatenate([projector.flat[:, None, :], projector.core_modes],
+                          axis=1)
+    G = np.einsum("mcu,u,ncu->cmn", cols, projector.quad, cols)
+    return float(np.max(np.abs(G - np.eye(projector.n_max + 1))))
 
 
 def full_grid_matrix(op):

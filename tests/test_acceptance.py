@@ -23,6 +23,8 @@ from robinwg.waveguide2d import (FULL, SIMPLIFIED, Grid2D, ModeProjector,
                                  build_waveguide, gregory_weights,
                                  reduced_resolvent, theorem_check)
 
+from reference import apply_2d
+
 D = 1.0
 Z = 1j
 SQUARE = CurvatureProfile(RECTANGULAR, amplitude=1.0, center=0.5, half_width=0.5)
@@ -320,7 +322,7 @@ def test_criterion_12_lemma_magnitude_scaling():
         si, u = grid.s_interior, grid.u_points
         S, U = np.meshgrid(si, u, indexing="ij")
         psi = np.exp(-S ** 2) * np.cos(np.pi * U / 3)
-        dv = a_full.apply(psi) - a_hat.apply(psi)
+        dv = apply_2d(a_full, psi) - apply_2d(a_hat, psi)
         wq = gregory_weights(len(u), grid.h_u)
         norms[ratio] = np.sqrt(np.sum((np.abs(dv) ** 2 @ wq)) * grid.h_s)
     ratio = norms[0.1] / norms[0.05]

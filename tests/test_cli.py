@@ -151,6 +151,9 @@ def test_waveguide_check_small(tmp_path):
     ("waveguide-check", "amplitude = 100\n", "not a valid chart"),
     ("waveguide-check", "half_width = -2\n", "half_width must be positive"),
     ("waveguide-check", "kind = rectangular\n", "requires a smooth profile"),
+    ("limit-check", "beta = 3.0\nb = -10\n", "1 + eps*b > 0"),
+    ("limit-check", "beta = 3.0\nz_im = 0\n", "z_im must be nonzero"),
+    ("waveguide-check", "z_re = -1\nz_im = 0\n", "z_im must be nonzero"),
 ], ids=["misspelt_bool", "waveguide_probe", "limit_probe", "waveguide_no_eps",
         "limit_no_eps", "zero_h_target", "negative_half_length",
         "limit_negative_eps", "limit_increasing_eps", "increasing_eps",
@@ -164,7 +167,8 @@ def test_waveguide_check_small(tmp_path):
         "resonance_negative_half_width", "resonance_two_node_table",
         "limit_negative_half_width", "waveguide_deformation_below_chart",
         "waveguide_invalid_chart", "waveguide_negative_half_width",
-        "waveguide_full_variant_rectangle"])
+        "waveguide_full_variant_rectangle", "limit_deformation_flips_coupling",
+        "limit_real_z", "waveguide_real_z"])
 def test_study_commands_reject_bad_configs(tmp_path, capsys, command, cfg, key):
     code, out = run(tmp_path, command, cfg)
     assert code == 2

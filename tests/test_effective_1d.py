@@ -7,20 +7,21 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
+from robinwg import effective_1d
 from robinwg.effective_1d import (RESOLUTION_FACTOR, Grid1D, VertexData,
                                   build_h_n_eps, bump_probe, check_resolution,
                                   convergence_study, exterior_solve,
                                   extract_vertex_data, flat_exterior,
                                   resolvent_solve, s_grid,
                                   vertex_condition_residuals)
-from robinwg.errors import GridResolutionError, RobinwgError
+from robinwg.errors import GridResolutionError, ProfileError, RobinwgError
 from robinwg.geometry import (RECTANGULAR, SMOOTH_BUMP, CurvatureProfile,
                               ScalingParams, WaveguideGeometry, default_bump)
 from robinwg.graph_limit import GraphOperatorSpec, resolvent_apply, sqrt_upper
 from robinwg.report import VERDICT_INCONCLUSIVE, VERDICT_MATCH
 from robinwg.waveguide2d import FULL, Grid2D, build_waveguide
 
-from reference import whole_grid_resolvent
+from reference import apply_1d, lowest_eigenvalues, whole_grid_resolvent
 
 BUMP_BETA_STAR = -7.647474116758
 SQUARE_SYM = CurvatureProfile(RECTANGULAR, amplitude=1.0, half_width=1.0)
@@ -37,7 +38,7 @@ def test_free_discrete_eigenvalues_analytic():
     h = grid.h
     j = np.arange(1, 6)
     exact = 4 * np.sin(j * np.pi / (2 * (n + 1))) ** 2 / h ** 2
-    vals = op.lowest_eigenvalues(5)
+    vals = lowest_eigenvalues(op, 5)
     assert np.allclose(vals, exact, rtol=1e-12, atol=1e-12)
 
 
@@ -66,7 +67,7 @@ def test_square_well_ground_state_and_order():
     for n in (2000, 4000):
         grid = Grid1D(20.0, n)
         op = build_h_n_eps(SQUARE_SYM, -1.0, 1.0, 0.0, grid)
-        errs.append(abs(op.lowest_eigenvalues(1)[0] - exact))
+        errs.append(abs(lowest_eigenvalues(op, 1)[0] - exact))
     order = np.log2(errs[0] / errs[1])
     assert 1.8 < order < 2.2
     assert errs[1] < 5e-6
@@ -80,7 +81,7 @@ def test_resolvent_solve_inverse_consistency():
     w = np.zeros(len(s), dtype=complex)
     w[1:-1] = rng.standard_normal(len(s) - 2) + 1j * rng.standard_normal(len(s) - 2)
     z = 0.7 + 1.3j
-    f = op.apply(w) - z * w
+    f = apply_1d(op, w) - z * w
     out = resolvent_solve(op, z, f)
     assert np.max(np.abs(out - w)) < 1e-11 * np.max(np.abs(w))
 
@@ -122,8 +123,8 @@ def test_scale_covariance_of_spectrum():
         ge = Grid1D(8.0 * eps, 1600)
         op1 = build_h_n_eps(default_bump(), BUMP_BETA_STAR, 1.0, 0.0, g1)
         ope = build_h_n_eps(default_bump(), BUMP_BETA_STAR, eps, 0.0, ge)
-        e1 = op1.lowest_eigenvalues(5)
-        ee = ope.lowest_eigenvalues(5)
+        e1 = lowest_eigenvalues(op1, 5)
+        ee = lowest_eigenvalues(ope, 5)
         assert np.allclose(ee, e1 / eps ** 2, rtol=1e-8)
 
 
@@ -233,6 +234,19 @@ def test_convergence_study_rejects_increasing_eps():
     with pytest.raises(RobinwgError):
         convergence_study(default_bump(), 1.0, 0.0, 1j,
                           bump_probe(-4.0, 1.5), [0.1, 0.2])
+
+
+def test_convergence_study_rejects_a_deformation_that_flips_the_coupling(
+        monkeypatch):
+    # 1 + eps*b = -3 at eps 0.4 would turn the barrier into a well; the
+    # check comes before the resonance solve and any resolvent solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the deformation check")
+    monkeypatch.setattr(effective_1d, "predicted_limit", no_solve)
+    monkeypatch.setattr(effective_1d, "resolvent_solve", no_solve)
+    with pytest.raises(ProfileError, match=r"1 \+ eps\*b > 0.*eps = 0\.4"):
+        convergence_study(default_bump(), 3.0, -10.0, 1j,
+                          bump_probe(-4.0, 1.5), [0.4, 0.2, 0.1])
 
 
 def test_convergence_study_rejects_a_probe_off_the_grid():

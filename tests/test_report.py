@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,8 @@ from robinwg.effective_1d import bump_probe
 from robinwg.errors import RobinwgError
 from robinwg.graph_limit import GraphOperatorSpec, resolvent_apply
 from robinwg.report import (VERDICT_INCONCLUSIVE, VERDICT_MATCH,
-                            VERDICT_MISMATCH, _trapezoid_weights,
+                            VERDICT_MISMATCH, ConvergenceReport,
+                            _trapezoid_weights,
                             _weighted_norm, run_study)
 
 Z = 1j
@@ -133,3 +137,27 @@ def test_weighted_norms_equal_two_segment_trapezoid(L, n, shift, seed):
                       (_weighted_norm(t[far], w[far]), (far,))):
         want = np.sqrt(sum(np.trapezoid(y[r], s[r]) for r in runs))
         assert abs(got - want) <= 1e-14 * want
+
+
+def test_to_dict_is_the_repr_fields_as_plain_json():
+    report = ConvergenceReport(
+        predicted=FREE.to_dict(), eps_list=[0.4, np.float64(0.2)],
+        errors=[np.float64(1e-3), 5e-4], alt_kind="decoupled",
+        alt_errors=[0.1, 0.2], z=complex(Z), norm="L2", verdict=VERDICT_MATCH,
+        fitted_exponent=1.0, transmission=[np.complex128(0.5 + 0.25j)],
+        transmission_extrapolated=1 - 0.5j,
+        vertex_residuals=[{"value": np.float64(1e-6)}],
+        offdiagonal={1: [np.float64(2e-3)]},
+        discretization_estimate=np.float64(3e-5),
+        notes=("a note",), probe_field=(S, S, np.zeros((2, 2))))
+    d = report.to_dict()
+    assert set(d) == {f.name for f in fields(report) if f.repr}
+    assert "probe_field" not in d
+    assert d["eps_list"] == [0.4, 0.2] and d["notes"] == ["a note"]
+    assert d["transmission"] == [{"re": 0.5, "im": 0.25}]
+    assert d["transmission_extrapolated"] == {"re": 1.0, "im": -0.5}
+    assert d["z"] == {"re": 0.0, "im": 1.0} and d["offdiagonal"] == {"1": [2e-3]}
+    # every number is a Python float, so the JSON text names no numpy type
+    assert json.loads(json.dumps(d)) == d
+    assert type(d["errors"][0]) is float
+    assert type(d["discretization_estimate"]) is float
