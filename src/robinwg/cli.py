@@ -214,7 +214,7 @@ def _check_study(cfg):
             and all(e1 > e2 for e1, e2 in zip(eps, eps[1:]))):
         raise ConfigError("eps_list must be positive and strictly "
                           f"decreasing, got {eps!r}")
-    for key in ("h_target", "half_length", "probe_half_width"):
+    for key in ("h_target", "half_length", "probe_half_width", "error_threshold"):
         if key in cfg and not cfg[key] > 0:
             raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
     if cfg["z_im"] == 0:

@@ -334,16 +334,16 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
     The 1D backend of `report.run_study`: f may be a callable or a list of
     callables (the error is then the max over the probe set, a sampled
     stand-in for the operator norm), and all probes of one eps share one
-    banded solve.  A flat exterior (`flat_exterior`) is built when run_study
-    hands over a new probe block, which it does only on a new grid, or when
-    the core window W changes; the other eps solve only the core.  The
-    transmission is measured against the continuum free resolvent.  For a
-    limit that couples the edges the first probe's vertex data are fitted
-    at every eps and the gluing conditions tested on them and on their
-    eps -> 0 extrapolation.  The discretisation estimate re-solves the
-    first probe on a grid with h halved at the smallest eps.  An eps with
-    1 + eps*b <= 0, where the deformation flips the coupling's sign, raises
-    ProfileError before any solve.
+    banded solve of the block.  A flat exterior (`flat_exterior`) is built
+    when run_study hands over a new probe block, which it does only on a new
+    grid, or when the core window W changes; the other eps solve only the
+    core.  The transmission is measured against the continuum free
+    resolvent.  For a limit that couples the edges each solve fits the first
+    probe's vertex data, and the gluing conditions are tested on them and
+    on their eps -> 0 extrapolation.  The discretisation estimate re-solves
+    the first probe on a grid with h halved at the smallest eps.  An eps
+    with 1 + eps*b <= 0, where the deformation flips the coupling's sign,
+    raises ProfileError before any solve.
     """
     eps_list = list(eps_list)
     for eps in eps_list:
@@ -366,12 +366,12 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
             if (F is not last["block"]
                     or last["exterior"].k != _core_half_width(op)):
                 last.update(block=F, exterior=flat_exterior(op, z, F))
-            return resolvent_solve(op, z, F, last["exterior"]), None
+            G = resolvent_solve(op, z, F, last["exterior"])
+            if predicted.kind != DECOUPLED:
+                vdata.append(extract_vertex_data(grid.points, G[0], eps,
+                                                 support_radius))
+            return G
         return grid.points, solve
-
-    def vertex_data(eps, s, fs, nf, g, info):
-        if predicted.kind != DECOUPLED:
-            vdata.append(extract_vertex_data(s, g, eps, support_radius))
 
     def floor_estimate(probe, g):
         fine = Grid1D(last["grid"].half_length, 2 * last["grid"].n_cells)
@@ -382,7 +382,7 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
     free = GraphOperatorSpec.free()
     report = run_study(predicted, alt, z, f, eps_list, solver, error_threshold,
                        lambda s, fs: resolvent_apply(free, z, s, fs),
-                       on_first=vertex_data, floor_estimate=floor_estimate)
+                       floor_estimate=floor_estimate)
     report.vertex_residuals = [vertex_condition_residuals(predicted, vd)
                                for vd in vdata]
     if len(vdata) >= 3:

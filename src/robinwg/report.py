@@ -116,12 +116,12 @@ def _weighted_norm(t, w):
 
 def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
               eps_list, solver, error_threshold: float, free_line,
-              on_first=None, floor_estimate=None, notes=()) -> ConvergenceReport:
+              floor_estimate=None, notes=()) -> ConvergenceReport:
     """Per-eps resolvent errors against the predicted limit, and the verdict.
 
     `solver(eps)` returns (s, solve): solve(F) takes the probes sampled on s
-    as one (probes, len(s)) block and returns (G, info), G the solutions
-    row by row and info the backend's record of the first row's solve.
+    as one (probes, len(s)) block and returns their solutions G row by row;
+    a backend keeps its own extras of that solve inside solve.
     `probes` is a callable or a non-empty list of them, each a pure function
     of s; the error is the max over the probes of the L2(|s| > 1) distance
     to the limit output over ||f||, where the limit output is smooth: the
@@ -138,7 +138,6 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
     for a limit that couples the edges, the transmission: the mean of
     g / free_line(s, f) over 2 < s < 6, extrapolated linearly to eps = 0
     from three or more eps, else the last value.
-    `on_first(eps, s, f, ||f||, g, info)` sees that solve at every eps;
     `floor_estimate(probe, g)` gets the first probe and its solve at the
     smallest eps, and its value is reported as the discretisation estimate.
     """
@@ -170,14 +169,12 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
             left = mass_left > (1 - 1e-12) * norms[0] ** 2
             ref = (free_line(s, F[0])
                    if left and predicted.kind != DECOUPLED else None)
-        G, info = solve(F)
+        G = solve(F)
         e_pred = e_alt = 0.0
         for g, nf, g_pred, g_alt in zip(G, norms, *limits):
             e_pred = max(e_pred, _weighted_norm(g - g_pred, outer) / nf)
             e_alt = max(e_alt, _weighted_norm(g - g_alt, outer) / nf)
         g, nf = G[0], norms[0]
-        if on_first is not None:
-            on_first(eps, s, F[0], nf, g, info)
         if left:
             # on s > 1 the outer weights are that half-line's own
             leakage.append(float(_weighted_norm(g[far], outer[far]) / nf))

@@ -271,9 +271,9 @@ class ModeProjector:
             flip[..., None], -vals, vals)
 
     def synthesize(self, f_s: np.ndarray, n: int) -> np.ndarray:
-        """F(s, u) = f(s) phi_n(alpha(s), u)."""
-        out = f_s[:, None] * self.flat[n]
-        out[self.core] = f_s[self.core, None] * self.core_modes[n]
+        """F(s, u) = f(s) phi_n(alpha(s), u), for one f or a block of rows."""
+        out = f_s[..., None] * self.flat[n]
+        out[..., self.core, :] = f_s[..., self.core, None] * self.core_modes[n]
         return out
 
     def project(self, field: np.ndarray, m: int) -> np.ndarray:
@@ -288,47 +288,48 @@ class ModeProjector:
 # ---------------------------------------------------------------------------
 
 def _core_system(op: DiscreteWaveguideOperator, projector: ModeProjector,
-                 n: int, z, f_s: np.ndarray):
-    """The core system K x_C = b_C left when the flat exterior is eliminated.
+                 n: int, z, F: np.ndarray):
+    """The core system K x_C = b_C of each row of the (rows, nsi) block F.
 
     Outside the core C (`op.core`) mode j of the flat transverse eigenbasis
     Phi is the free line at z_j = z - (lam_j - lam_n)/delta^2 with source
     c_j f, c = Phi^T W phi_n (not pure mode n when alpha != 0); one
-    `exterior_solve` gives every mode's particular solution U_j and Green
-    column phi_j.  Returns (ab, core_residual, assemble, rhs, shift):
-    K = (M A - shift M) on C in LAPACK band storage (kl = ku = n_u + 1,
-    s-major, K[i, j] at ab[2 (n_u + 1) + i - j, j]), whose edge columns
-    carry the exact Schur corners -c^2 (W Phi) diag(phi_j(edge)) (W Phi)^T,
-    c = 1/hs^2; x_C -> b_C - K x_C applied matrix-free on C and its two
-    neighbours; (x_C, pad) -> the field on C and pad columns each side, each
+    `exterior_solve` gives every row's particular solution U_j and the
+    shared Green column phi_j.  Returns (ab, core_residual, assemble, rhs,
+    shift): the rows' common K = (M A - shift M) on C in LAPACK band storage
+    (kl = ku = n_u + 1, s-major, K[i, j] at ab[2 (n_u + 1) + i - j, j]),
+    whose edge columns carry the exact Schur corners
+    -c^2 (W Phi) diag(phi_j(edge)) (W Phi)^T, c = 1/hs^2; (p, x_C) -> row
+    p's b_C - K x_C applied matrix-free on C and its two neighbours;
+    (p, x_C, pad) -> row p's field on C and pad columns each side, each
     exterior U_j + c y_j phi_j per mode with y_j from C's edge column; the
-    whole-grid M F; and shift = lam_n/delta^2 + z.
+    whole-grid M F of every row; and shift = lam_n/delta^2 + z.
     """
     nsi, nu = op.shape
     wu, Phi, lam = op.grid.u_mass, op.flat_eigvecs, op.flat_eigvals
     c, delta = 1.0 / op.grid.h_s ** 2, op.geometry.scaling.delta
     shift = lam[n] / delta ** 2 + z
     zj = z - (lam - lam[n]) / delta ** 2
-    rhs = projector.synthesize(f_s, n) * wu
+    rhs = projector.synthesize(F, n) * wu
     C, k = op.core, op.core.stop - op.core.start
-    B = ((projector.flat[n] * wu) @ Phi)[:, None, None] * f_s
+    B = ((projector.flat[n] * wu) @ Phi)[:, None, None] * F
     U_l, phi_l, U_r, phi_r = exterior_solve(op.grid.h_s, zj, B[..., :C.start],
                                             B[..., C.stop:])
 
-    def assemble(xc, pad):
+    def assemble(p, xc, pad):
         y = c * (xc[[0, -1]] * wu) @ Phi if len(xc) else np.zeros((2, nu))
         i = max(C.start - pad, 0)
         return np.concatenate([
-            (U_l[:, 0, i:] + y[0, :, None] * phi_l[:, i:]).T @ Phi.T, xc,
-            (U_r[:, 0, :pad] + y[1, :, None] * phi_r[:, :pad]).T @ Phi.T])
+            (U_l[:, p, i:] + y[0, :, None] * phi_l[:, i:]).T @ Phi.T, xc,
+            (U_r[:, p, :pad] + y[1, :, None] * phi_r[:, :pad]).T @ Phi.T])
 
     # the core with a neighbour column each side, as an operator of its own
     lo = max(C.start - 1, 0)
     local = replace(op, potential_s=op.potential_s[lo:C.stop + 1],
                     core=slice(C.start - lo, C.stop - lo))
 
-    def core_residual(xc):
-        return (rhs[C] - local._weighted_apply(assemble(xc, 1), shift)[
+    def core_residual(p, xc):
+        return (rhs[p, C] - local._weighted_apply(assemble(p, xc, 1), shift)[
             local.core]).ravel()
 
     iu = np.arange(nu)
@@ -351,51 +352,60 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
                       m: int, n: int, z, f_s: np.ndarray):
     """g(s) = <phi_m, (Op - mu_n/delta^2 - z)^{-1} f phi_n> per column.
 
-    mu_n is the flat transverse threshold of the discrete operator
-    (subtracting the continuum value would leave an O(h_u^2)/delta^2 drift).
-    The core system of `_core_system` is solved by one banded LU (LAPACK
-    zgbsv; a nonzero info raises RobinwgError).  With
+    f is one row on the s interior or a (rows, nsi) block, g of its shape;
+    an f that is not finite raises RobinwgError before any work.  mu_n is
+    the discrete operator's flat transverse threshold (the continuum value
+    would leave an O(h_u^2)/delta^2 drift).  The rows share one
+    `_core_system` and one banded LU (LAPACK zgbsv, a column per row; a
+    nonzero info raises RobinwgError), each row bit for bit its own call.
+    Each row then passes two gates on its own norms.  With
     a = 5/hs^2 + |Bw|_inf/delta^2 + |E|_inf + max|V_flat| + |shift|, which
     bounds the operator and the corner terms, the core residual r_C,
     recomputed matrix-free, must pass |r_C| <= 50 eps_mach a |x_C|.  The
     field x is assembled once and checked on the whole grid: C's rows hold
     r_C, the others only the rounding of the exterior solves and of the
     length-(n_u + 1) transforms, so |rhs - A x| <= |r_C| +
-    50 (n_u + 1) eps_mach a |x| is required.  Both gates read "not below",
-    so a NaN fails.  An f that is not finite raises RobinwgError before any
-    work.  Returns (g, info); info holds "iterations" (always 0) and
-    "field" (x).
+    50 (n_u + 1) eps_mach a |x| is required; both gates read "not below",
+    so a NaN fails.  Returns (g, {"iterations": 0, "field": x}), x a list of
+    each row's field for a block.
     """
     if complex(z).imag == 0:
         raise RobinwgError("reduced resolvent needs Im z != 0")
-    f_s = np.asarray(f_s, dtype=complex)
-    if not np.isfinite(f_s).all():
-        raise RobinwgError("reduced resolvent needs a finite f")
+    f = np.asarray(f_s, dtype=complex)
     nsi, nu = op.shape
+    if f.shape[-1:] != (nsi,) or f.ndim > 2 or not np.isfinite(f).all():
+        raise RobinwgError("reduced resolvent needs a finite f on the s interior")
+    F = np.atleast_2d(f)
     ab, core_residual, assemble, rhs, shift = _core_system(op, projector, n,
-                                                           z, f_s)
+                                                           z, F)
     E, eps_mach = op.matrix, np.finfo(float).eps
     a = (5 / op.grid.h_s ** 2 + np.abs(op.transverse).sum(1).max()
          + abs(shift) + (abs(E).sum(1).max() if E.nnz else 0.0)
          + np.abs(op.potential_s).max())
-    xc = np.zeros((op.core.stop - op.core.start, nu), dtype=complex)
-    if len(xc):     # a straight strip has no core
-        _, _, x, info = lapack.zgbsv(nu, nu, ab, core_residual(xc)[:, None],
-                                     overwrite_ab=1, overwrite_b=1)
+    XC = np.zeros((len(F), op.core.stop - op.core.start, nu), dtype=complex)
+    if XC.shape[1]:     # a straight strip has no core
+        b = np.array([core_residual(p, xc) for p, xc in enumerate(XC)]).T
+        _, _, x, info = lapack.zgbsv(nu, nu, ab, b, overwrite_ab=1,
+                                     overwrite_b=1)
         if info != 0:
             raise RobinwgError(f"core band solve: zgbsv info = {info}")
-        xc = x.reshape(xc.shape)
-    r = np.linalg.norm(core_residual(xc))
-    bound = 50 * eps_mach * a * np.linalg.norm(xc)
-    if not r <= bound:
-        raise RobinwgError(f"core residual {r:.3g} above {bound:.3g}")
-    x = assemble(xc, nsi)
-    res = np.linalg.norm(rhs - op._weighted_apply(x, shift))
-    bound = r + 50 * nu * eps_mach * a * np.linalg.norm(x)
-    if not res <= bound:
-        raise RobinwgError(f"assembled field residual {res:.3g} above "
-                           f"{bound:.3g}")
-    return projector.project(x, m), {"iterations": 0, "field": x}
+        XC = x.T.reshape(XC.shape)
+    G, X = [], []
+    for p, xc in enumerate(XC):
+        r = np.linalg.norm(core_residual(p, xc))
+        bound = 50 * eps_mach * a * np.linalg.norm(xc)
+        if not r <= bound:
+            raise RobinwgError(f"core residual {r:.3g} above {bound:.3g}")
+        x = assemble(p, xc, nsi)
+        res = np.linalg.norm(rhs[p] - op._weighted_apply(x, shift))
+        bound = r + 50 * nu * eps_mach * a * np.linalg.norm(x)
+        if not res <= bound:
+            raise RobinwgError(f"assembled field residual {res:.3g} above "
+                               f"{bound:.3g}")
+        G.append(projector.project(x, m))
+        X.append(x)
+    G, X = (G[0], X[0]) if f.ndim == 1 else (np.array(G), X)
+    return G, {"iterations": 0, "field": X}
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +419,12 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
 
     The 2D backend of `report.run_study`: for each eps the geometry is the
     given one at that eps (its a or delta_ratio, and b, kept), the operator
-    built and r_{n,n} compared with the limit predicted by the resonance
-    analysis of beta_n gamma^2, one `reduced_resolvent` (exterior solve and
-    core band LU) per row of the probe block; the transmission is measured
-    against the discrete free line resolvent on the same s grid.
-    Off-diagonal norms ||r_{m,n} f|| of the first probe are recorded for
-    every other m <= n_max, and its 2D field at the last eps rides on the
-    report as `probe_field`.
+    built and r_{n,n} of the whole probe block, from one `reduced_resolvent`
+    call, compared with the limit predicted by the resonance analysis of
+    beta_n gamma^2; the transmission is measured against the discrete free
+    line resolvent on the same s grid.  The first probe's 2D field gives
+    the off-diagonal norms ||r_{m,n} f|| / ||f|| for every other m <= n_max,
+    and at the last eps rides on the report as `probe_field`.
     """
     if n_max is None:
         n_max = max(n + 1, 1)
@@ -438,36 +447,29 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
         grid = Grid2D(line.half_length, line.n_cells, n_u, geometry.d)
         op = build_waveguide(geo, variant, n_max, grid)
         proj = ModeProjector(geo, grid, n_max, flat)
-        last.update(line=line, u=grid.u_points, proj=proj)
+        s = grid.s_interior
+        last["line"] = line
 
         def solve(F):
-            # only the first row's info (and 2D field) is kept
-            G = np.empty(F.shape, dtype=complex)
-            G[0], info = reduced_resolvent(op, proj, n, n, z, F[0])
-            for i in range(1, len(F)):
-                G[i] = reduced_resolvent(op, proj, n, n, z, F[i])[0]
-            return G, info
-        return grid.s_interior, solve
-
-    def offdiagonal_norms(eps, s, fs, nf, g, info):
-        # the 2D field from the same solve projects onto every m
-        last["field"] = (s, last["u"], info["field"])
-        for m in offdiag:
-            gm = last["proj"].project(info["field"], m)
-            offdiag[m].append(float(np.sqrt(np.trapezoid(
-                np.abs(gm) ** 2, s)) / nf))
+            G, info = reduced_resolvent(op, proj, n, n, z, F)
+            # the first probe's 2D field projects onto every other m
+            x = info["field"][0]
+            nf = np.sqrt(np.trapezoid(np.abs(F[0]) ** 2, s))
+            for m in offdiag:
+                offdiag[m].append(float(np.sqrt(np.trapezoid(
+                    np.abs(proj.project(x, m)) ** 2, s)) / nf))
+            last["field"] = (s, grid.u_points, x)
+            return G
+        return s, solve
 
     def free_line(s, fs):
         """Discrete free 1D resolvent on the interior nodes of this eps's line."""
         line = last["line"]
-        full = np.zeros(line.n_cells + 1, dtype=complex)
-        full[1:-1] = fs
-        return resolvent_solve(Discrete1DOperator(line, np.zeros(len(full))),
-                               z, full)[1:-1]
+        free = Discrete1DOperator(line, np.zeros(line.n_cells + 1))
+        return resolvent_solve(free, z, np.pad(fs.astype(complex), 1))[1:-1]
 
     report = run_study(
         predicted, alt, z, probes, eps_list, solver, error_threshold, free_line,
-        on_first=offdiagonal_norms,
         notes=[f"variant={variant}; delta/eps fixed at "
                f"{sc.delta / sc.epsilon:.4g} (desk-scale protocol)"])
     report.offdiagonal = offdiag

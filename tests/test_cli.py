@@ -154,6 +154,8 @@ def test_waveguide_check_small(tmp_path):
     ("limit-check", "beta = 3.0\nb = -10\n", "1 + eps*b > 0"),
     ("limit-check", "beta = 3.0\nz_im = 0\n", "z_im must be nonzero"),
     ("waveguide-check", "z_re = -1\nz_im = 0\n", "z_im must be nonzero"),
+    ("limit-check", "beta = 3.0\nerror_threshold = -1\n", "error_threshold"),
+    ("waveguide-check", "error_threshold = 0\n", "error_threshold"),
 ], ids=["misspelt_bool", "waveguide_probe", "limit_probe", "waveguide_no_eps",
         "limit_no_eps", "zero_h_target", "negative_half_length",
         "limit_negative_eps", "limit_increasing_eps", "increasing_eps",
@@ -168,7 +170,8 @@ def test_waveguide_check_small(tmp_path):
         "limit_negative_half_width", "waveguide_deformation_below_chart",
         "waveguide_invalid_chart", "waveguide_negative_half_width",
         "waveguide_full_variant_rectangle", "limit_deformation_flips_coupling",
-        "limit_real_z", "waveguide_real_z"])
+        "limit_real_z", "waveguide_real_z", "limit_negative_error_threshold",
+        "waveguide_zero_error_threshold"])
 def test_study_commands_reject_bad_configs(tmp_path, capsys, command, cfg, key):
     code, out = run(tmp_path, command, cfg)
     assert code == 2

@@ -30,8 +30,8 @@ def free_line(s, fs):
 def synthetic(limit, offset):
     """Backend returning the limit's output plus offset(eps) on a fixed grid."""
     def solver(eps):
-        return S, lambda F: (np.array([resolvent_apply(limit, Z, S, fs)
-                                       + offset(eps) for fs in F]), None)
+        return S, lambda F: np.array([resolvent_apply(limit, Z, S, fs)
+                                      + offset(eps) for fs in F])
     return solver
 
 

@@ -108,15 +108,47 @@ def test_non_finite_f_is_rejected_before_any_work(monkeypatch, bad):
     op = build_waveguide(geom, FULL, 1, grid)
     proj = ModeProjector(geom, grid, 1)
     f = bump_probe(-4.0, 1.5)(grid.s_interior)
+    block = np.array([f, f, f])
     f[100] = bad
+    # in a block, a finite first row does not let a bad second row through
+    block[1, 100] = bad
     calls = []
     for module, name in ((waveguide2d, "exterior_solve"),
                          (waveguide2d.lapack, "zgbsv")):
         monkeypatch.setattr(module, name,
                             lambda *a, name=name, **kw: calls.append(name))
-    with pytest.raises(RobinwgError, match="finite"):
-        reduced_resolvent(op, proj, 0, 0, Z, f)
+    for rows in (f, block):
+        with pytest.raises(RobinwgError, match="finite"):
+            reduced_resolvent(op, proj, 0, 0, Z, rows)
     assert calls == []
+
+
+@pytest.mark.parametrize("profile, alpha", [(default_bump(), -2.0),
+                                            (default_bump(), 0.7),
+                                            (FLAT, 0.7)],
+                         ids=["curved_alpha_-2", "curved_alpha_0.7",
+                              "straight_strip"])
+def test_block_rows_equal_their_single_row_calls(profile, alpha):
+    geom = WaveguideGeometry(profile, 1.0,
+                             ScalingParams(epsilon=0.4, delta_ratio=0.05), alpha)
+    grid = Grid2D(8.0, 512, 32, 1.0)
+    op = build_waveguide(geom, FULL, 1, grid)
+    proj = ModeProjector(geom, grid, 1)
+    si = grid.s_interior
+    F = np.array([bump_probe(-3.0, 1.2)(si), bump_probe(2.5, 0.8)(si),
+                  np.cos(si) * bump_probe(0.0, 4.0)(si)])
+    assert (op.core.stop > op.core.start) == (profile is not FLAT)
+    for m, n in ((0, 0), (1, 0), (1, 1)):
+        G, info = reduced_resolvent(op, proj, m, n, Z, F)
+        assert G.shape == F.shape and info["iterations"] == 0
+        assert len(info["field"]) == len(F)
+        for f, g, x in zip(F, G, info["field"]):
+            g1, info1 = reduced_resolvent(op, proj, m, n, Z, f)
+            assert np.array_equal(g, g1)
+            assert np.array_equal(x, info1["field"])
+    for bad in (F[:, :-1], F[None]):
+        with pytest.raises(RobinwgError, match="on the s interior"):
+            reduced_resolvent(op, proj, 0, 0, Z, bad)
 
 
 def test_renormalisation_delta_independence():
@@ -366,9 +398,9 @@ def test_core_band_is_the_matrix_free_core_operator(profile, alpha, grid):
     x = rng.standard_normal((C.stop - C.start, nu)) + 1j * rng.standard_normal(
         (C.stop - C.start, nu))
     for n in (0, 1):
-        ab, core_residual, *_ = _core_system(op, proj, n, Z, f)
+        ab, core_residual, *_ = _core_system(op, proj, n, Z, f[None])
         assert ab.shape == (3 * nu + 1, x.size)
-        want = core_residual(np.zeros_like(x)) - core_residual(x)
+        want = core_residual(0, np.zeros_like(x)) - core_residual(0, x)
         got = _band_matrix(ab, nu) @ x.ravel()
         assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
 
@@ -592,9 +624,43 @@ def test_one_exterior_solve_and_no_factorisation_beyond_the_core(
 
     monkeypatch.setattr(effective_1d, "zgtsv", counted_gtsv)
     monkeypatch.setattr(waveguide2d.lapack, "zgbsv", counted_gbsv)
-    reduced_resolvent(op, proj, 0, 0, Z, f)
     nsi, nu = op.shape
     core = (op.core.stop - op.core.start) * nu
-    # the exterior of every mode in one solve, the core in one band solve
-    assert sizes["gtsv"] == [nsi * nu - core]
-    assert sizes["gbsv"] == ([(nu, nu, core)] if core else [])
+    # a block of 3 rows is solved by the same two calls as one row
+    for rows in (f, np.array([f, 2 * f, 3 * f])):
+        sizes["gtsv"].clear()
+        sizes["gbsv"].clear()
+        reduced_resolvent(op, proj, 0, 0, Z, rows)
+        # the exterior of every mode in one solve, the core in one band solve
+        assert sizes["gtsv"] == [nsi * nu - core]
+        assert sizes["gbsv"] == ([(nu, nu, core)] if core else [])
+
+
+def test_two_probe_study_is_the_max_of_its_one_probe_studies(monkeypatch):
+    # the README geometry; the report's per-eps errors are the max over the
+    # probes, and every first-probe record is the first probe's own
+    probes = [bump_probe(-4.0, 1.5), bump_probe(-5.0, 1.8)]
+    eps_list = [0.4, 0.2, 0.1]
+    calls = []
+    solve = waveguide2d.reduced_resolvent
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(waveguide2d, "reduced_resolvent", counted)
+    geom = bump_geometry(0.4)
+    both = theorem_check(geom, 0, Z, probes, eps_list, n_max=1)
+    assert len(calls) == len(eps_list)
+    first, second = (theorem_check(geom, 0, Z, p, eps_list, n_max=1)
+                     for p in probes)
+    for key in ("errors", "alt_errors"):
+        assert getattr(both, key) == [max(a, b) for a, b in zip(
+            getattr(first, key), getattr(second, key))]
+    # each maximum comes from a different probe here
+    assert both.errors == second.errors != first.errors
+    assert both.alt_errors == first.alt_errors != second.alt_errors
+    for key in ("leakage", "transmission", "offdiagonal"):
+        assert getattr(both, key) == getattr(first, key)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(both.probe_field, first.probe_field))
