@@ -294,14 +294,16 @@ WAVEGUIDE_SCHEMA = dict(PROFILE_SCHEMA, **{
 
 
 def cmd_waveguide_check(cfg_raw, out, seed, override=None):
-    from .waveguide2d import FULL, SIMPLIFIED, theorem_check
+    from .waveguide2d import (FULL, SIMPLIFIED, Grid2D, resolve_n_max,
+                              theorem_check)
     cfg = validate(cfg_raw, WAVEGUIDE_SCHEMA)
     _check_study(cfg)
     _check_transverse(cfg["d"], cfg["n"], "n")
-    if cfg["n_max"] is not None and cfg["n_max"] < cfg["n"]:
-        raise ConfigError(f"n_max must be >= n, got {cfg['n_max']}")
-    if cfg["n_u"] < 16:
-        raise ConfigError(f"n_u must be >= 16, got {cfg['n_u']}")
+    try:    # n <= n_max, and n_u >= 16 resolves mode n_max at any s extent
+        n_max = resolve_n_max(cfg["n"], cfg["n_max"])
+        Grid2D(1.0, 8, cfg["n_u"], cfg["d"]).check_mode_resolution(n_max)
+    except RobinwgError as exc:
+        raise ConfigError(str(exc)) from None
     if cfg["variant"] not in (FULL, SIMPLIFIED):
         raise ConfigError(f"variant must be {FULL!r} or {SIMPLIFIED!r}, got "
                           f"{cfg['variant']!r}")
@@ -312,7 +314,7 @@ def cmd_waveguide_check(cfg_raw, out, seed, override=None):
     z = complex(cfg["z_re"], cfg["z_im"])
     report = theorem_check(
         geometry, cfg["n"], z, _probe_from(cfg, seed), cfg["eps_list"],
-        n_max=cfg["n_max"], n_u=cfg["n_u"], variant=cfg["variant"],
+        n_max=n_max, n_u=cfg["n_u"], variant=cfg["variant"],
         error_threshold=cfg["error_threshold"])
     if cfg["dump_field"]:
         _dump_field_slice(report.probe_field, out, cfg_raw, seed)

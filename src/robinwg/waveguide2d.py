@@ -14,14 +14,12 @@ systems are then (A - shift*M) x = M F with M the u-weight diagonal.
 The curvature has compact support, so outside a core of O(eps) s-columns
 the operator is the flat separable one, P^-1 = kron(D2s + diag(V_flat), W)
 + kron(I, Bw)/delta^2, with V_flat the flat part of the potential.  Only
-the core correction E = P^-1 - M A is assembled; P^-1 is applied
-matrix-free (second differences by slicing, one product with Bw), so no
-whole-grid matrix exists.  The reduced resolvent eliminates the flat
-exterior per transverse mode by the 1D backend's `exterior_solve`, solves
-the core's exact Schur system by one banded LU (bandwidth n_u + 1), and
-projects onto transverse modes computed per s-column by the `transverse`
-module (the curved columns in one lane-wise solve), after subtracting the
-*discrete* transverse threshold of the flat columns so the renormalised
+the core correction E = P^-1 - M A is assembled and P^-1 is applied
+matrix-free.  The reduced resolvent eliminates the flat exterior per
+transverse mode by the 1D backend's `exterior_solve`, solves the core's
+exact Schur system by one banded LU, assembles each field once and checks
+it by one matrix-free apply, and projects onto per-column transverse modes
+after subtracting the *discrete* flat threshold, so the renormalised
 problem is delta-independent at machine level.
 """
 
@@ -72,7 +70,7 @@ class Grid2D:
         if self.n_s % 2 or self.n_s < 8:
             raise GridResolutionError("n_s must be even and >= 8")
         if self.n_u < 16:
-            raise GridResolutionError("n_u must be >= 16")
+            raise GridResolutionError(f"n_u must be >= 16, got {self.n_u}")
         if self.s_half_length <= 0 or self.d <= 0:
             raise GridResolutionError("lengths must be positive")
 
@@ -103,12 +101,11 @@ class Grid2D:
         return w
 
     def check_mode_resolution(self, n_max: int):
-        # >= 8 points per half wavelength of the highest projected mode,
-        # whose wavenumber is below (n_max + 1) pi / (2 d)
-        p = (n_max + 1) * np.pi / (2 * self.d)
-        if (np.pi / p) / self.h_u < 8 - 1e-12:
+        # mode n_max's half wavelength exceeds 2 d / (n_max + 1): >= 8 cells
+        if self.n_u < 8 * (n_max + 1):
             raise GridResolutionError(
-                f"n_u = {self.n_u} under-resolves transverse mode {n_max}")
+                f"n_u = {self.n_u} under-resolves transverse mode {n_max}; "
+                f"n_u >= {8 * (n_max + 1)} resolves it")
 
 
 @dataclass
@@ -295,15 +292,15 @@ def _core_system(op: DiscreteWaveguideOperator, projector: ModeProjector,
     Phi is the free line at z_j = z - (lam_j - lam_n)/delta^2 with source
     c_j f, c = Phi^T W phi_n (not pure mode n when alpha != 0); one
     `exterior_solve` gives every row's particular solution U_j and the
-    shared Green column phi_j.  Returns (ab, core_residual, assemble, rhs,
-    shift): the rows' common K = (M A - shift M) on C in LAPACK band storage
+    shared Green column phi_j.  Returns (ab, b, assemble, rhs, shift): the
+    rows' common K = (M A - shift M) on C in LAPACK band storage
     (kl = ku = n_u + 1, s-major, K[i, j] at ab[2 (n_u + 1) + i - j, j]),
     whose edge columns carry the exact Schur corners
-    -c^2 (W Phi) diag(phi_j(edge)) (W Phi)^T, c = 1/hs^2; (p, x_C) -> row
-    p's b_C - K x_C applied matrix-free on C and its two neighbours;
-    (p, x_C, pad) -> row p's field on C and pad columns each side, each
-    exterior U_j + c y_j phi_j per mode with y_j from C's edge column; the
-    whole-grid M F of every row; and shift = lam_n/delta^2 + z.
+    -c^2 (W Phi) diag(phi_j(edge)) (W Phi)^T, c = 1/hs^2; b_C, a column per
+    row: M F on C plus c W Phi U_j of the exterior column next to each edge;
+    (p, x_C) -> row p's whole-grid field, each exterior U_j + c y_j phi_j
+    per mode with y_j from C's edge column; every row's M F; and
+    shift = lam_n/delta^2 + z.
     """
     nsi, nu = op.shape
     wu, Phi, lam = op.grid.u_mass, op.flat_eigvecs, op.flat_eigvals
@@ -316,36 +313,32 @@ def _core_system(op: DiscreteWaveguideOperator, projector: ModeProjector,
     U_l, phi_l, U_r, phi_r = exterior_solve(op.grid.h_s, zj, B[..., :C.start],
                                             B[..., C.stop:])
 
-    def assemble(p, xc, pad):
+    def assemble(p, xc):
         y = c * (xc[[0, -1]] * wu) @ Phi if len(xc) else np.zeros((2, nu))
-        i = max(C.start - pad, 0)
         return np.concatenate([
-            (U_l[:, p, i:] + y[0, :, None] * phi_l[:, i:]).T @ Phi.T, xc,
-            (U_r[:, p, :pad] + y[1, :, None] * phi_r[:, :pad]).T @ Phi.T])
-
-    # the core with a neighbour column each side, as an operator of its own
-    lo = max(C.start - 1, 0)
-    local = replace(op, potential_s=op.potential_s[lo:C.stop + 1],
-                    core=slice(C.start - lo, C.stop - lo))
-
-    def core_residual(p, xc):
-        return (rhs[p, C] - local._weighted_apply(assemble(p, xc, 1), shift)[
-            local.core]).ravel()
+            (U_l[:, p] + y[0, :, None] * phi_l).T @ Phi.T, xc,
+            (U_r[:, p] + y[1, :, None] * phi_r).T @ Phi.T])
 
     iu = np.arange(nu)
     blocks = np.repeat(op.transverse[None] + 0j, k, axis=0)
     blocks[:, iu, iu] += (2 * c - shift + op.potential_s[C, None]) * wu
     WPhi = wu[:, None] * Phi
+    b = rhs[:, C].astype(complex)
+    # each exterior's Schur corner in K, and its particular solution in b
     if C.start:
         blocks[0] -= c * c * (WPhi * phi_l[:, -1]) @ WPhi.T
+        for p in range(len(F)):
+            b[p, 0] += (c * wu) * (U_l[:, p, -1:].T @ Phi.T)[0]
     if k and C.stop < nsi:
         blocks[-1] -= c * c * (WPhi * phi_r[:, 0]) @ WPhi.T
+        for p in range(len(F)):
+            b[p, -1] += (c * wu) * (U_r[:, p, :1].T @ Phi.T)[0]
     ab = np.zeros((3 * nu + 1, k * nu), dtype=complex)
     ab[2 * nu + iu[:, None] - iu, nu * np.arange(k)[:, None, None] + iu] = blocks
     ab[nu, nu:] = ab[3 * nu, :-nu] = -c * np.tile(wu, k)[nu:]
     E = op.matrix.tocoo()
     ab[2 * nu + E.row - E.col, E.col] -= E.data
-    return ab, core_residual, assemble, rhs, shift
+    return ab, b.reshape(len(F), -1).T, assemble, rhs, shift
 
 
 def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
@@ -358,16 +351,15 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
     would leave an O(h_u^2)/delta^2 drift).  The rows share one
     `_core_system` and one banded LU (LAPACK zgbsv, a column per row; a
     nonzero info raises RobinwgError), each row bit for bit its own call.
-    Each row then passes two gates on its own norms.  With
-    a = 5/hs^2 + |Bw|_inf/delta^2 + |E|_inf + max|V_flat| + |shift|, which
-    bounds the operator and the corner terms, the core residual r_C,
-    recomputed matrix-free, must pass |r_C| <= 50 eps_mach a |x_C|.  The
-    field x is assembled once and checked on the whole grid: C's rows hold
-    r_C, the others only the rounding of the exterior solves and of the
-    length-(n_u + 1) transforms, so |rhs - A x| <= |r_C| +
-    50 (n_u + 1) eps_mach a |x| is required; both gates read "not below",
-    so a NaN fails.  Returns (g, {"iterations": 0, "field": x}), x a list of
-    each row's field for a block.
+    Each row's field x is assembled once, and one matrix-free apply gives
+    its residual R = M F - (M A - shift M) x for two gates on the row's own
+    norms.  With a = 5/hs^2 + |Bw|_inf/delta^2 + |E|_inf + max|V_flat| +
+    |shift|, which bounds the operator and the corner terms, C's rows R_C
+    (the core system's residual) must pass |R_C| <= 50 eps_mach a |x_C|.
+    The other rows hold only the rounding of the exterior solves and of the
+    length-(n_u + 1) transforms, so |R| <= |R_C| + 50 (n_u + 1) eps_mach a |x|
+    is required; both gates read "not below", so a NaN fails.  Returns
+    (g, {"iterations": 0, "field": x}), x a list of fields for a block.
     """
     if complex(z).imag == 0:
         raise RobinwgError("reduced resolvent needs Im z != 0")
@@ -376,28 +368,25 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
     if f.shape[-1:] != (nsi,) or f.ndim > 2 or not np.isfinite(f).all():
         raise RobinwgError("reduced resolvent needs a finite f on the s interior")
     F = np.atleast_2d(f)
-    ab, core_residual, assemble, rhs, shift = _core_system(op, projector, n,
-                                                           z, F)
-    E, eps_mach = op.matrix, np.finfo(float).eps
+    ab, b, assemble, rhs, shift = _core_system(op, projector, n, z, F)
+    C, E, eps_mach = op.core, op.matrix, np.finfo(float).eps
     a = (5 / op.grid.h_s ** 2 + np.abs(op.transverse).sum(1).max()
          + abs(shift) + (abs(E).sum(1).max() if E.nnz else 0.0)
          + np.abs(op.potential_s).max())
-    XC = np.zeros((len(F), op.core.stop - op.core.start, nu), dtype=complex)
-    if XC.shape[1]:     # a straight strip has no core
-        b = np.array([core_residual(p, xc) for p, xc in enumerate(XC)]).T
-        _, _, x, info = lapack.zgbsv(nu, nu, ab, b, overwrite_ab=1,
+    if len(b):     # a straight strip has no core
+        _, _, b, info = lapack.zgbsv(nu, nu, ab, b, overwrite_ab=1,
                                      overwrite_b=1)
         if info != 0:
             raise RobinwgError(f"core band solve: zgbsv info = {info}")
-        XC = x.T.reshape(XC.shape)
     G, X = [], []
-    for p, xc in enumerate(XC):
-        r = np.linalg.norm(core_residual(p, xc))
+    for p, xc in enumerate(b.T.reshape(len(F), -1, nu)):
+        x = assemble(p, xc)
+        R = rhs[p] - op._weighted_apply(x, shift)
+        r = np.linalg.norm(R[C])
         bound = 50 * eps_mach * a * np.linalg.norm(xc)
         if not r <= bound:
             raise RobinwgError(f"core residual {r:.3g} above {bound:.3g}")
-        x = assemble(p, xc, nsi)
-        res = np.linalg.norm(rhs[p] - op._weighted_apply(x, shift))
+        res = np.linalg.norm(R)
         bound = r + 50 * nu * eps_mach * a * np.linalg.norm(x)
         if not res <= bound:
             raise RobinwgError(f"assembled field residual {res:.3g} above "
@@ -411,6 +400,15 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
 # ---------------------------------------------------------------------------
 # theorem verification driver
 # ---------------------------------------------------------------------------
+
+def resolve_n_max(n: int, n_max: int | None) -> int:
+    """The highest mode a check projects onto: n_max, by default n + 1."""
+    n_max = n + 1 if n_max is None else n_max
+    if not 0 <= n <= n_max:
+        raise RobinwgError(f"n_max must be >= n >= 0, got n = {n}, "
+                           f"n_max = {n_max}")
+    return n_max
+
 
 def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
                   n_max: int = None, n_u: int = 32, variant: str = FULL,
@@ -426,10 +424,7 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
     the off-diagonal norms ||r_{m,n} f|| / ||f|| for every other m <= n_max,
     and at the last eps rides on the report as `probe_field`.
     """
-    if n_max is None:
-        n_max = max(n + 1, 1)
-    if not 0 <= n <= n_max:
-        raise RobinwgError(f"need 0 <= n <= n_max, got n = {n}, n_max = {n_max}")
+    n_max = resolve_n_max(n, n_max)
     sc = geometry.scaling
     sc.require_convergence_regime()
 

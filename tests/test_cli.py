@@ -138,6 +138,9 @@ def test_waveguide_check_small(tmp_path):
     ("waveguide-check", "n = -1\n", "n must be >= 0"),
     ("waveguide-check", "n = 1\nn_max = 0\n", "n_max must be >= n"),
     ("waveguide-check", "n_u = 15\n", "n_u must be >= 16"),
+    ("waveguide-check", "n = 3\n", "n_u = 32 under-resolves transverse mode 4; "
+     "n_u >= 40"),
+    ("waveguide-check", "n = 3\nn_max = 4\n", "n_u >= 40 resolves it"),
     ("waveguide-check", "delta_ratio = 0\n", "delta_ratio must lie in (0, 1]"),
     ("waveguide-check", "delta_ratio = 1.5\n", "delta_ratio must lie in (0, 1]"),
     ("waveguide-check", "variant = half\n", "variant must be 'full' or"),
@@ -164,7 +167,8 @@ def test_waveguide_check_small(tmp_path):
         "limit_negative_n", "resonance_negative_n",
         "resonance_negative_tol_d", "waveguide_negative_d",
         "waveguide_negative_n", "waveguide_n_above_n_max",
-        "waveguide_n_u_below_16", "waveguide_zero_delta_ratio",
+        "waveguide_n_u_below_16", "waveguide_default_n_max_under_resolved",
+        "waveguide_n_max_under_resolved", "waveguide_zero_delta_ratio",
         "waveguide_delta_ratio_above_1", "waveguide_unknown_variant",
         "resonance_negative_half_width", "resonance_two_node_table",
         "limit_negative_half_width", "waveguide_deformation_below_chart",

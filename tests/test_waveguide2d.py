@@ -101,6 +101,26 @@ def test_nan_residual_fails_the_post_check(monkeypatch):
         reduced_resolvent(op, proj, 0, 0, Z, f)
 
 
+def test_perturbed_core_solution_trips_the_core_gate(monkeypatch):
+    # a finite core error, one entry off by 1e-8 relative, fails the core
+    # backward-error gate before the whole-grid check is read
+    geom = bump_geometry(0.4, alpha=-2.0)
+    grid = Grid2D(8.0, 512, 32, 1.0)
+    op = build_waveguide(geom, FULL, 1, grid)
+    proj = ModeProjector(geom, grid, 1)
+    f = bump_probe(-3.0, 1.2)(grid.s_interior)
+    gbsv = waveguide2d.lapack.zgbsv
+
+    def perturbed(*args, **kwargs):
+        lu, piv, x, info = gbsv(*args, **kwargs)
+        x[np.unravel_index(np.abs(x).argmax(), x.shape)] *= 1 + 1e-8
+        return lu, piv, x, info
+
+    monkeypatch.setattr(waveguide2d.lapack, "zgbsv", perturbed)
+    with pytest.raises(RobinwgError, match="core residual"):
+        reduced_resolvent(op, proj, 0, 0, Z, f)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_f_is_rejected_before_any_work(monkeypatch, bad):
     geom = bump_geometry(0.4)
@@ -383,13 +403,16 @@ OFF_CENTRE = CurvatureProfile(TABULATED, nodes=tuple(np.linspace(0.5, 3.0, 6)),
     (OFF_CENTRE, -2.0, Grid2D(8.0, 1000, 32, 1.0))],
     ids=["bump", "off_centre"])
 def test_core_band_is_the_matrix_free_core_operator(profile, alpha, grid):
-    # the band, the exterior's Schur corners included, is the operator that
-    # the matrix-free core residual applies: K x = r(0) - r(x)
+    # the band, the exterior's Schur corners included, and b are the core
+    # rows of the whole-grid system: K x = b - (M F - (M A - shift M) x)[C]
+    # for the field x assembled from any core values
     geom = WaveguideGeometry(profile, 1.0,
                              ScalingParams(epsilon=0.4, delta_ratio=0.05), alpha)
     op = build_waveguide(geom, FULL, 1, grid)
     proj = ModeProjector(geom, grid, 1)
-    f = bump_probe(-3.0, 1.2)(grid.s_interior)
+    # a source on both exteriors and on the core
+    s = grid.s_interior
+    f = bump_probe(-3.0, 1.2)(s) + bump_probe(1.5, 2.5)(s)
     (nsi, nu), C = op.shape, op.core
     assert 0 < C.start and C.stop < nsi
     if profile is OFF_CENTRE:
@@ -398,9 +421,10 @@ def test_core_band_is_the_matrix_free_core_operator(profile, alpha, grid):
     x = rng.standard_normal((C.stop - C.start, nu)) + 1j * rng.standard_normal(
         (C.stop - C.start, nu))
     for n in (0, 1):
-        ab, core_residual, *_ = _core_system(op, proj, n, Z, f[None])
-        assert ab.shape == (3 * nu + 1, x.size)
-        want = core_residual(0, np.zeros_like(x)) - core_residual(0, x)
+        ab, b, assemble, rhs, shift = _core_system(op, proj, n, Z, f[None])
+        assert ab.shape == (3 * nu + 1, x.size) and b.shape == (x.size, 1)
+        want = b[:, 0] - (rhs[0] - op._weighted_apply(assemble(0, x), shift))[
+            C].ravel()
         got = _band_matrix(ab, nu) @ x.ravel()
         assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
 
@@ -622,18 +646,30 @@ def test_one_exterior_solve_and_no_factorisation_beyond_the_core(
         sizes["gbsv"].append((kl, ku, ab.shape[1]))
         return gbsv(kl, ku, ab, *args, **kwargs)
 
+    apply = waveguide2d.DiscreteWaveguideOperator._weighted_apply
+    applies = []
+
+    def counted_apply(self, *args, **kwargs):
+        applies.append(1)
+        return apply(self, *args, **kwargs)
+
     monkeypatch.setattr(effective_1d, "zgtsv", counted_gtsv)
     monkeypatch.setattr(waveguide2d.lapack, "zgbsv", counted_gbsv)
+    monkeypatch.setattr(waveguide2d.DiscreteWaveguideOperator,
+                        "_weighted_apply", counted_apply)
     nsi, nu = op.shape
     core = (op.core.stop - op.core.start) * nu
     # a block of 3 rows is solved by the same two calls as one row
     for rows in (f, np.array([f, 2 * f, 3 * f])):
         sizes["gtsv"].clear()
         sizes["gbsv"].clear()
+        applies.clear()
         reduced_resolvent(op, proj, 0, 0, Z, rows)
         # the exterior of every mode in one solve, the core in one band solve
         assert sizes["gtsv"] == [nsi * nu - core]
         assert sizes["gbsv"] == ([(nu, nu, core)] if core else [])
+        # one matrix-free apply per row serves both gates
+        assert len(applies) == np.atleast_2d(rows).shape[0]
 
 
 def test_two_probe_study_is_the_max_of_its_one_probe_studies(monkeypatch):
