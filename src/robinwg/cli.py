@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .config import (PROFILE_SCHEMA, alpha_grid, config_hash, parse_kv,
                      profile_from_config, validate)
-from .errors import BracketingError, ConfigError, ProfileError, RobinwgError
+from .errors import ConfigError, ProfileError, RobinwgError
 from .geometry import ScalingParams, WaveguideGeometry
 from .graph_limit import GraphOperatorSpec, green_function
 from .report import VERDICT_MISMATCH
@@ -33,6 +33,8 @@ from .resonance import Potential1D, detect_resonance, find_resonant_coupling
 from .transverse import beta_table, perturbation_coefficients
 
 UNITS_NOTE = "lengths in units of the half-width d; alpha, curvature in 1/length"
+# unknowns per probe at a study's smallest eps: 8x the largest README 2D grid
+MAX_UNKNOWNS = 2_000_000
 
 
 def _meta_lines(cfg_raw, seed):
@@ -88,38 +90,34 @@ SPECTRUM_SCHEMA = {
 
 def cmd_spectrum(cfg_raw, out, fmt, seed):
     cfg = validate(cfg_raw, SPECTRUM_SCHEMA)
-    grid = alpha_grid(cfg)
     d, n_max = cfg["d"], cfg["n_max"]
     _check_transverse(d, n_max, "n_max")
-    table = beta_table(grid, d, n_max)
-    mu_lines, beta_lines, bad = [], [], 0
-    for row in table:
-        if not row.mu:
-            raise BracketingError(row.bad[0])
-        bad += sum(map(bool, row.bad))
-        # cells are reprs of Python floats; an np.float64's names its type
-        alpha = repr(float(row.alpha))
-        for n, mu, l2, beta in zip(range(n_max + 1), row.mu, row.lambda2,
-                                   row.beta):
-            mu_lines.append(f"{alpha},{n},{mu!r}")
-            # a masked lambda2 is None, and it and its beta are written nan
-            beta_lines.append(f"{mu_lines[-1]},nan,nan" if l2 is None
-                              else f"{mu_lines[-1]},{l2!r},{beta!r}")
+    table = beta_table(alpha_grid(cfg), d, n_max).check_order()
+    bad = int(np.count_nonzero(np.isnan(table.lambda2)))
     if bad > cfg["bad_point_quota"]:
         print(f"error: {bad} bad table points exceed quota "
               f"{cfg['bad_point_quota']}", file=sys.stderr)
         return 1
-    _write_lines(out / "mu_table.csv", ["alpha", "n", "mu_n"], mu_lines,
+    # cells are reprs of Python floats from tolist() (an np.float64's names
+    # its type), so a singular entry is written nan; alpha's once per row
+    alphas = list(map(repr, table.alpha.tolist()))
+    mu_lines = [f"{alpha},{n},{mu!r}"
+                for alpha, row in zip(alphas, table.mu.tolist())
+                for n, mu in enumerate(row)]
+    l2s, betas = table.lambda2.ravel().tolist(), table.beta.ravel().tolist()
+    keys = ["alpha", "n", "mu_n", "lambda2_n", "beta_n"]
+    _write_lines(out / "mu_table.csv", keys[:3], mu_lines, cfg_raw, seed)
+    _write_lines(out / "beta_table.csv", keys,
+                 (f"{line},{l2!r},{beta!r}"
+                  for line, l2, beta in zip(mu_lines, l2s, betas)),
                  cfg_raw, seed)
-    _write_lines(out / "beta_table.csv",
-                 ["alpha", "n", "mu_n", "lambda2_n", "beta_n"], beta_lines,
-                 cfg_raw, seed)
-    if fmt == "json":
+    if fmt == "json":   # JSON has no nan: a singular entry is null
+        entries = zip(np.repeat(table.alpha, n_max + 1).tolist(),
+                      [*range(n_max + 1)] * len(alphas),
+                      table.mu.ravel().tolist(), l2s, betas)
         _write_json(out / "beta_table.json",
-                    [{"alpha": row.alpha, "n": n, "mu_n": row.mu[n],
-                      "lambda2_n": row.lambda2[n], "beta_n": row.beta[n]}
-                     for row in table for n in range(n_max + 1)],
-                    cfg_raw, seed)
+                    [dict(zip(keys, (x if x == x else None for x in entry)))
+                     for entry in entries], cfg_raw, seed)
     return 0
 
 
@@ -134,19 +132,24 @@ RESONANCE_SCHEMA = dict(PROFILE_SCHEMA, **{
 })
 
 
+def _resolve_beta(cfg):
+    """The coupling a config sets and its source: (beta, None) from a `beta`
+    key, (beta_n(alpha), source) from an (alpha, n) pair, else (None, None)."""
+    if cfg["beta"] is not None or cfg["alpha"] is None or cfg["n"] is None:
+        return cfg["beta"], None
+    _check_transverse(cfg["d"], cfg["n"], "n")
+    pc = perturbation_coefficients(cfg["alpha"], cfg["d"], cfg["n"])
+    return pc.beta, {"alpha": cfg["alpha"], "n": cfg["n"], "mu_n": pc.mu,
+                     "lambda2": pc.lambda2}
+
+
 def cmd_resonance(cfg_raw, out, seed):
     cfg = validate(cfg_raw, RESONANCE_SCHEMA)
     if not cfg["tol_d"] > 0:
         raise ConfigError(f"tol_d must be positive, got {cfg['tol_d']!r}")
     profile = profile_from_config(cfg)
-    payload = {}
-    beta = cfg["beta"]
-    if beta is None and cfg["alpha"] is not None and cfg["n"] is not None:
-        _check_transverse(cfg["d"], cfg["n"], "n")
-        pc = perturbation_coefficients(cfg["alpha"], cfg["d"], cfg["n"])
-        beta = pc.beta
-        payload["beta_source"] = {"alpha": cfg["alpha"], "n": cfg["n"],
-                                  "mu_n": pc.mu, "lambda2": pc.lambda2}
+    beta, source = _resolve_beta(cfg)
+    payload = {} if source is None else {"beta_source": source}
     if beta is not None:
         res = detect_resonance(Potential1D.from_profile(profile, beta),
                                cfg["tol_d"])
@@ -194,17 +197,11 @@ LIMIT_SCHEMA = dict(PROFILE_SCHEMA, **{
 })
 
 
-def _resolve_beta(cfg):
-    if cfg["beta"] is not None:
-        return cfg["beta"]
-    if cfg["alpha"] is None or cfg["n"] is None:
-        raise ConfigError("need beta or the (alpha, n) pair")
-    _check_transverse(cfg["d"], cfg["n"], "n")
-    return perturbation_coefficients(cfg["alpha"], cfg["d"], cfg["n"]).beta
-
-
-def _check_study(cfg):
-    """The study keys shared by limit-check and waveguide-check."""
+def _check_study(cfg, profile, min_half_length, h_max=np.inf, n_u=None):
+    """The study keys shared by limit-check and waveguide-check; returns z.
+    The s-grid at the smallest eps may hold MAX_UNKNOWNS unknowns per probe:
+    nodes in 1D, interior columns times n_u + 1 in 2D."""
+    from .effective_1d import s_grid
     if cfg["probe"] not in ("bump", "random"):
         raise ConfigError(f"probe must be 'bump' or 'random', got {cfg['probe']!r}")
     eps = cfg["eps_list"]
@@ -220,6 +217,15 @@ def _check_study(cfg):
     if cfg["z_im"] == 0:
         raise ConfigError("z_im must be nonzero: the studies take the "
                           "resolvent off the real axis")
+    z = complex(cfg["z_re"], cfg["z_im"])
+    n = s_grid(profile, eps[-1], z, min_half_length, h_max).n_cells
+    size = n + 1 if n_u is None else (n - 1) * (n_u + 1)
+    if size > MAX_UNKNOWNS:
+        raise ConfigError(
+            f"z_re = {cfg['z_re']!r}, z_im = {cfg['z_im']!r} give a grid of "
+            f"{size:,} unknowns per probe at eps = {eps[-1]!r}, above "
+            f"{MAX_UNKNOWNS:,}; raise z_im or lower z_re")
+    return z
 
 
 def _probe_from(cfg, seed):
@@ -262,10 +268,11 @@ def _emit_green_trace(report, out, cfg_raw, seed):
 def cmd_limit_check(cfg_raw, out, seed, override=None):
     from .effective_1d import convergence_study
     cfg = validate(cfg_raw, LIMIT_SCHEMA)
-    _check_study(cfg)
     profile = profile_from_config(cfg)
-    beta = _resolve_beta(cfg)
-    z = complex(cfg["z_re"], cfg["z_im"])
+    z = _check_study(cfg, profile, cfg["half_length"], cfg["h_target"])
+    beta, _ = _resolve_beta(cfg)
+    if beta is None:
+        raise ConfigError("need beta or the (alpha, n) pair")
     report = convergence_study(
         profile, beta, cfg["b"], z, _probe_from(cfg, seed), cfg["eps_list"],
         half_length=cfg["half_length"], h_target=cfg["h_target"],
@@ -294,10 +301,11 @@ WAVEGUIDE_SCHEMA = dict(PROFILE_SCHEMA, **{
 
 
 def cmd_waveguide_check(cfg_raw, out, seed, override=None):
-    from .waveguide2d import (FULL, SIMPLIFIED, Grid2D, resolve_n_max,
-                              theorem_check)
+    from .waveguide2d import (FULL, MIN_HALF_LENGTH, SIMPLIFIED, Grid2D,
+                              resolve_n_max, theorem_check)
     cfg = validate(cfg_raw, WAVEGUIDE_SCHEMA)
-    _check_study(cfg)
+    profile = profile_from_config(cfg)
+    z = _check_study(cfg, profile, MIN_HALF_LENGTH, n_u=cfg["n_u"])
     _check_transverse(cfg["d"], cfg["n"], "n")
     try:    # n <= n_max, and n_u >= 16 resolves mode n_max at any s extent
         n_max = resolve_n_max(cfg["n"], cfg["n_max"])
@@ -307,11 +315,9 @@ def cmd_waveguide_check(cfg_raw, out, seed, override=None):
     if cfg["variant"] not in (FULL, SIMPLIFIED):
         raise ConfigError(f"variant must be {FULL!r} or {SIMPLIFIED!r}, got "
                           f"{cfg['variant']!r}")
-    profile = profile_from_config(cfg)
     scaling = ScalingParams(epsilon=cfg["eps_list"][0], b=cfg["b"],
                             delta_ratio=cfg["delta_ratio"])
     geometry = WaveguideGeometry(profile, cfg["d"], scaling, cfg["alpha"])
-    z = complex(cfg["z_re"], cfg["z_im"])
     report = theorem_check(
         geometry, cfg["n"], z, _probe_from(cfg, seed), cfg["eps_list"],
         n_max=n_max, n_u=cfg["n_u"], variant=cfg["variant"],

@@ -27,6 +27,7 @@ from .transverse import _brent_lanes
 DEFAULT_TOL_D = 1e-9
 _ODE_TOL = 1e-12
 _SCAN_TOL = 1e-10
+_ROOT_TOL = 1e-11   # |D| a refined root must be below (or 10x its noise)
 
 
 @dataclass(frozen=True)
@@ -262,7 +263,7 @@ def coupling_scan(profile: CurvatureProfile, betas):
 
 
 def find_resonant_coupling(profile: CurvatureProfile, beta_range,
-                           n_scan: int = 120, tol: float = 1e-11):
+                           n_scan: int = 120):
     """Smallest-|beta| root of D(beta) = 0 with v = beta*gamma^2, or None.
 
     Brackets sign changes of the mismatch over the range with one batched
@@ -328,7 +329,7 @@ def find_resonant_coupling(profile: CurvatureProfile, beta_range,
     # error, so calibrate the acceptance against the evaluation's
     # reproducibility across tolerances
     noise = abs(d_best - mismatch(best, rtol=1e-10))
-    tol_eff = max(tol, 10.0 * noise)
+    tol_eff = max(_ROOT_TOL, 10.0 * noise)
     if resid >= tol_eff:
         raise RobinwgError(f"refined root has |D| = {resid:.3g} >= {tol_eff:.3g}")
     return float(best)

@@ -491,7 +491,7 @@ class PerturbationCoefficients:
 
 
 def _lambda2(alpha, mu, d):
-    """lambda2 elementwise, and the mask of the entries where it is singular."""
+    """lambda2 elementwise, nan where the formula is singular."""
     alpha, mu = np.asarray(alpha, dtype=float), np.asarray(mu, dtype=float)
     scale = (np.abs(alpha) + 1.0 / d) ** 2
     origin = (np.abs(alpha) < 1e-9 / d) & (np.abs(mu) < 1e-9 / d ** 2)
@@ -501,7 +501,7 @@ def _lambda2(alpha, mu, d):
                           | (np.abs(den2) < 1e-12 * scale * d))
     with np.errstate(divide="ignore", invalid="ignore"):
         lam2 = -mu * (alpha - 2 * d * den1) / (2 * d * d * den1 * den2)
-    return np.where(origin, 1.0 / (4 * d * d), lam2), singular
+    return np.where(singular, np.nan, np.where(origin, 1.0 / (4 * d * d), lam2))
 
 
 def _singular_message(alpha, mu_n):
@@ -517,10 +517,10 @@ def lambda2_coefficient(alpha: float, mu_n: float, d: float) -> float:
     and equals 1/(4 d^2); it is returned when both arguments vanish to
     tolerance.  Elsewhere a vanishing denominator raises.
     """
-    lam2, singular = _lambda2(alpha, mu_n, d)
-    if singular:
+    lam2 = float(_lambda2(alpha, mu_n, d))
+    if np.isnan(lam2):
         raise SingularDenominatorError(_singular_message(alpha, mu_n))
-    return float(lam2)
+    return lam2
 
 
 def beta_coefficient(alpha: float, mu_n: float, d: float) -> float:
@@ -528,55 +528,46 @@ def beta_coefficient(alpha: float, mu_n: float, d: float) -> float:
     return -0.25 + lambda2_coefficient(alpha, mu_n, d)
 
 
-def perturbation_coefficients(alpha: float, d: float, n: int) -> PerturbationCoefficients:
-    mu = float(_symmetric_solve([alpha], d, n)[2][0, n])
-    lam2 = lambda2_coefficient(alpha, mu, d)
-    return PerturbationCoefficients(n, mu, lam2, -0.25 + lam2)
-
-
 @dataclass(frozen=True)
-class BetaTableRow:
-    alpha: float
-    mu: tuple
-    lambda2: tuple          # entries None where the formula is singular
-    beta: tuple
-    bad: tuple              # error messages, "" where fine
+class BetaTable:
+    """beta_n(alpha) on a grid: `alpha` (A,); `mu`, `lambda2`, `beta`
+    (A, n_max + 1), the last two nan where lambda2 is singular; `errors`,
+    each row's BracketingError message, "" where its eigenvalues increase."""
+
+    alpha: np.ndarray
+    mu: np.ndarray
+    lambda2: np.ndarray
+    beta: np.ndarray
+    errors: list
+
+    def check_order(self) -> BetaTable:
+        """The table itself; raises the first row's BracketingError if any."""
+        for error in filter(None, self.errors):
+            raise BracketingError(error)
+        return self
 
 
-def beta_table(alpha_grid, d: float, n_max: int) -> list[BetaTableRow]:
-    """beta_n(alpha) over a grid, from one solve of the whole table.
-
-    Singular points of the lambda2 formula are marked, not fatal.  A row
-    whose eigenvalues are not increasing has no values and carries its
-    BracketingError message in every `bad` entry.
-    """
-    grid = list(alpha_grid)
-    mu = _symmetric_solve(grid, d, n_max)[2]
-    lam2, singular = _lambda2(np.asarray(grid, dtype=float)[:, None], mu, d)
-    rows = []
-    for alpha, error, mus, l2s, sing in zip(grid, _order_errors(grid, d, mu),
-                                            mu.tolist(), lam2.tolist(),
-                                            singular.tolist()):
-        if error:
-            rows.append(BetaTableRow(alpha, (), (), (), (error,) * (n_max + 1)))
-            continue
-        l2s = [None if s else l2 for l2, s in zip(l2s, sing)]
-        rows.append(BetaTableRow(
-            alpha, tuple(mus), tuple(l2s),
-            tuple(None if l2 is None else -0.25 + l2 for l2 in l2s),
-            tuple(_singular_message(alpha, m) if s else ""
-                  for m, s in zip(mus, sing))))
-    return rows
+def beta_table(alpha_grid, d: float, n_max: int) -> BetaTable:
+    """beta_n(alpha) for modes 0..n_max over a grid, from one solve of the
+    whole table; singular points and decreasing rows are marked, not fatal."""
+    alpha = np.array(alpha_grid, dtype=float)
+    mu = _symmetric_solve(alpha, d, n_max)[2]
+    lam2 = _lambda2(alpha[:, None], mu, d)
+    return BetaTable(alpha, mu, lam2, -0.25 + lam2, _order_errors(alpha, d, mu))
 
 
-def mu_table(alpha_grid, d: float, n_max: int):
-    """Eigenvalue curves mu_n(alpha): the mu column of `beta_table`.
+def perturbation_coefficients(alpha: float, d: float, n: int) -> PerturbationCoefficients:
+    """Mode n of the one-alpha `beta_table`; raises its row's BracketingError,
+    or SingularDenominatorError where lambda2 is singular."""
+    table = beta_table([alpha], d, n).check_order()
+    mu, lam2 = table.mu[0, n].item(), table.lambda2[0, n].item()
+    if np.isnan(lam2):
+        raise SingularDenominatorError(_singular_message(alpha, mu))
+    return PerturbationCoefficients(n, mu, lam2, table.beta[0, n].item())
 
-    Raises the BracketingError of the first row whose eigenvalues are not
-    increasing.  No library code calls it; bench/spans.py traces it by name.
-    """
-    rows = beta_table(alpha_grid, d, n_max)
-    for row in rows:
-        if not row.mu:
-            raise BracketingError(row.bad[0])
-    return [(row.alpha, row.mu) for row in rows]
+
+def mu_table(alpha_grid, d: float, n_max: int) -> np.ndarray:
+    """Eigenvalue curves mu_n(alpha), (A, n_max + 1): `beta_table`'s `mu`;
+    raises the first decreasing row's BracketingError.  No library code
+    calls it; bench/spans.py traces it by name."""
+    return beta_table(alpha_grid, d, n_max).check_order().mu

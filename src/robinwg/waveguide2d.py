@@ -42,6 +42,8 @@ from .transverse import (_asymmetric_solve, _mode_values, _sign_changes,
 
 FULL = "full"
 SIMPLIFIED = "simplified"
+# the strip's smallest s half-length; `s_grid` lengthens it as z nears [0, inf)
+MIN_HALF_LENGTH = 12.0
 
 # Gregory end-corrected trapezoid weights, O(h^6); needs >= 14 points, and
 # a Grid2D (n_u >= 16) has at least 17.
@@ -438,7 +440,7 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
 
     def solver(eps):
         geo = replace(geometry, scaling=replace(sc, epsilon=eps))
-        line = s_grid(geometry.profile, eps, z, 12.0)
+        line = s_grid(geometry.profile, eps, z, MIN_HALF_LENGTH)
         grid = Grid2D(line.half_length, line.n_cells, n_u, geometry.d)
         op = build_waveguide(geo, variant, n_max, grid)
         proj = ModeProjector(geo, grid, n_max, flat)

@@ -205,6 +205,28 @@ def test_non_finite_floats_and_empty_scans_are_config_errors(
     assert not list(out.glob("*"))
 
 
+@pytest.mark.parametrize("command, cfg, size", [
+    ("limit-check", "beta = 3.0\nz_re = 1.0\nz_im = 0.001\n", "20,001,005"),
+    ("waveguide-check", "z_re = 1.0\nz_im = 0.01\n", "16,508,481"),
+], ids=["limit", "waveguide"])
+def test_z_near_the_positive_axis_is_rejected_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, cfg, size):
+    # these grids would need gigabytes: a missing guard fails here at once
+    from robinwg import effective_1d, waveguide2d
+
+    def no_study(*args, **kwargs):
+        raise AssertionError("the study ran past the grid guard")
+
+    monkeypatch.setattr(effective_1d, "convergence_study", no_study)
+    monkeypatch.setattr(waveguide2d, "theorem_check", no_study)
+    code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: z_re = 1.0, z_im = ")
+    assert f"grid of {size} unknowns" in err and "2,000,000" in err
+    assert not list(out.glob("*"))
+
+
 def test_sturm_guard_names_a_remedy_the_config_has(tmp_path, capsys):
     # n_scan is no config key: the message also says to narrow the range.
     # -pi^2 and -4 pi^2 share the first of 119 intervals of [-5000, -1]

@@ -1,8 +1,8 @@
 """A CLI call pays only for the scipy it runs.
 
-Each check imports in a fresh interpreter and reads `sys.modules`: only
-`waveguide-check` and `limit-check` need scipy (`scipy.sparse`,
-`scipy.linalg`), and their `cmd_*` import it when they run.
+Each check imports (and runs) in a fresh interpreter and reads
+`sys.modules`: only `waveguide-check` and `limit-check` need scipy
+(`scipy.sparse`, `scipy.linalg`), and their `cmd_*` import it when they run.
 """
 
 import os
@@ -13,8 +13,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def modules_after(imports):
-    code = f"import sys, {imports}; print(*sorted(sys.modules))"
+def modules_after(imports, then="pass"):
+    """The modules loaded after `imports` and the statements `then`."""
+    code = f"import sys, {imports}\n{then}\nprint(*sorted(sys.modules))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -35,4 +36,22 @@ def test_no_module_loads_the_ode_spline_or_optimize_stack():
 def test_cli_loads_no_scipy():
     loaded = modules_after("robinwg.cli")
     assert "robinwg.cli" in loaded
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+
+
+def test_spectrum_and_resonance_run_on_numpy_alone(tmp_path):
+    configs = {"spectrum": "alpha_count = 21\n",
+               "scan": "beta_min = -20\nbeta_max = -0.5\n",    # bump scan
+               "mode": "alpha = 0.7\nn = 1\n"}                 # beta_1(0.7)
+    calls = []
+    for name, text in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+        command = "spectrum" if name == "spectrum" else "resonance"
+        calls.append([command, "--config", str(tmp_path / f"{name}.cfg"),
+                      "--out", str(tmp_path / name)])
+    loaded = modules_after("robinwg.cli", "\n".join(
+        f"assert robinwg.cli.main({argv!r}) == 0" for argv in calls))
+    assert (tmp_path / "spectrum" / "beta_table.csv").exists()
+    assert (tmp_path / "scan" / "resonance.json").exists()
+    assert "beta_source" in (tmp_path / "mode" / "resonance.json").read_text()
     assert not [m for m in loaded if m.split(".")[0] == "scipy"]

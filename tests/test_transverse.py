@@ -163,7 +163,7 @@ def test_eigenvalue_count_matches_finite_differences():
 
 def test_mu_curves_monotone_in_alpha():
     grid = np.linspace(-5, 5, 81)
-    mus = np.array([row.mu for row in beta_table(grid, D, 3)])
+    mus = beta_table(grid, D, 3).mu
     assert np.all(np.diff(mus, axis=0) > 0)
 
 
@@ -315,31 +315,28 @@ def test_finite_eta_fit_matches_lambda2():
 # ---------------------------------------------------------------------------
 
 def test_beta_table_neumann_row():
-    rows = beta_table([0.0], D, 3)
-    assert np.allclose(rows[0].beta, (0.0, 0.75, 0.75, 0.75), atol=1e-10)
+    table = beta_table([0.0], D, 3)
+    assert np.allclose(table.beta[0], (0.0, 0.75, 0.75, 0.75), atol=1e-10)
 
 
 def test_beta_table_large_alpha_row():
-    rows = beta_table([1e4], D, 3)
-    assert np.allclose(rows[0].beta, -0.25, atol=1e-3)
+    table = beta_table([1e4], D, 3)
+    assert np.allclose(table.beta[0], -0.25, atol=1e-3)
 
 
 def test_beta_table_marks_bad_points_not_fatal():
     # a grid crossing the lambda2 pole region for n=1 must not abort
-    rows = beta_table(np.linspace(-3.0, -0.2, 57), D, 3)
-    assert len(rows) == 57
-    for row in rows:
-        for n in range(4):
-            if not row.bad[n]:
-                assert np.isfinite(row.beta[n])
+    table = beta_table(np.linspace(-3.0, -0.2, 57), D, 3)
+    assert table.beta.shape == (57, 4) and len(table.errors) == 57
+    # every entry not marked nan is finite
+    assert not np.any(np.isinf(table.beta))
 
 
 def test_beta_anomalous_low_modes_at_large_negative_alpha():
     # the two negative eigenvalues drag beta_0, beta_1 away from the -1/4
     # asymptote reached by the higher modes
-    rows = beta_table([-30.0], D, 3)
-    b = rows[0].beta
-    dev = [abs(x + 0.25) if x is not None else np.inf for x in b]
+    b = beta_table([-30.0], D, 3).beta[0]
+    dev = np.where(np.isnan(b), np.inf, np.abs(b + 0.25))
     assert dev[2] < 0.05 and dev[3] < 0.05  # regular modes near the asymptote
     assert dev[0] > 100 * max(dev[2], dev[3])
     assert dev[1] > 100 * max(dev[2], dev[3])
@@ -512,11 +509,13 @@ def test_brent_lanes_errors_name_brentq_messages():
 def test_table_marks_lambda2_pole_at_alpha_d_minus_one(tmp_path):
     # at alpha d = -1 the odd ground mode is the zero mode and
     # alpha + d (alpha^2 + mu_1) vanishes: that entry is bad, the rest fine
-    row = beta_table([-1.0], D, 3)[0]
-    assert row.mu[1] == 0.0
-    assert row.lambda2[1] is None and row.beta[1] is None
-    assert row.bad[1].startswith("lambda2 denominator vanishes at alpha=-1.0")
-    assert [bool(b) for b in row.bad] == [False, True, False, False]
+    table = beta_table([-1.0], D, 3)
+    assert table.mu[0, 1] == 0.0
+    assert np.isnan(table.lambda2[0, 1]) and np.isnan(table.beta[0, 1])
+    with pytest.raises(SingularDenominatorError,
+                       match=r"^lambda2 denominator vanishes at alpha=-1\.0"):
+        perturbation_coefficients(-1.0, D, 1)
+    assert np.isnan(table.lambda2[0]).tolist() == [False, True, False, False]
     # the CLI counts it against bad_point_quota and writes it as nan
     cfg = tmp_path / "spectrum.cfg"
     grid = "alpha_min = -3\nalpha_max = 1\nalpha_count = 5\n"
@@ -533,21 +532,55 @@ def test_decreasing_row_still_fails_spectrum(tmp_path, monkeypatch, capsys):
 
     def swapped(alphas, d, n_max):
         cols = solve(alphas, d, n_max)
-        cols[2][1, [1, 2]] = cols[2][1, [2, 1]]   # second row out of order
+        row = np.flatnonzero(np.asarray(alphas) == 1.0)[:, None]
+        cols[2][row, [1, 2]] = cols[2][row, [2, 1]]   # alpha = 1 out of order
         return cols
 
     monkeypatch.setattr(transverse, "_symmetric_solve", swapped)
-    rows = beta_table([0.5, 1.0, 1.5], D, 3)
-    assert rows[0].mu and rows[2].mu
-    assert rows[1].mu == () and rows[1].lambda2 == () and rows[1].beta == ()
-    assert all(b.startswith("symmetric spectrum not increasing: [")
-               for b in rows[1].bad)
+    table = beta_table([0.5, 1.0, 1.5], D, 3)
+    assert table.errors[0] == table.errors[2] == ""
+    assert table.errors[1].startswith("symmetric spectrum not increasing: [")
     with pytest.raises(BracketingError):
         transverse.mu_table([0.5, 1.0, 1.5], D, 3)
+    with pytest.raises(BracketingError, match="not increasing"):
+        perturbation_coefficients(1.0, D, 3)
+    perturbation_coefficients(0.5, D, 3)
     cfg = tmp_path / "spectrum.cfg"
     cfg.write_text("alpha_min = 0.5\nalpha_max = 1.5\nalpha_count = 3\n")
     out = tmp_path / "out"
     assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {rows[1].bad[0]}\n"
+    assert capsys.readouterr().err == f"error: {table.errors[1]}\n"
     assert not (out / "mu_table.csv").exists()
     assert not (out / "beta_table.csv").exists()
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.sampled_from([1.0, 0.7]),
+       extra=st.lists(st.floats(-40.0, 40.0), max_size=6),
+       n_max=st.integers(0, 5))
+def test_table_entries_are_the_one_alpha_routes_bit_for_bit(d, extra, n_max):
+    # alpha d = -1 (the zero mode's pole), 0 (the joint origin limit) and
+    # -30 (exponentially split pairs), and alpha = 1e4 (Dirichlet limit)
+    grid = [-1.0 / d, 0.0, -30.0 / d, 1e4, *extra]
+    table = beta_table(grid, d, n_max)
+    assert table.mu.shape == table.beta.shape == (len(grid), n_max + 1)
+    assert not any(table.errors)
+    # alpha d = -1 makes mode 1 the zero mode, a pole of the lambda2 formula
+    assert np.isnan(table.lambda2[0, 1:2]).all()
+    for i, alpha in enumerate(grid):
+        modes = symmetric_spectrum(alpha, d, n_max)
+        for n in range(n_max + 1):
+            mu, lam2, beta = (table.mu[i, n], table.lambda2[i, n],
+                              table.beta[i, n])
+            assert mu == modes[n].eigenvalue
+            if np.isnan(lam2):
+                assert np.isnan(beta)
+                with pytest.raises(SingularDenominatorError):
+                    lambda2_coefficient(alpha, mu, d)
+                with pytest.raises(SingularDenominatorError):
+                    perturbation_coefficients(alpha, d, n)
+                continue
+            assert lam2 == lambda2_coefficient(alpha, mu, d)
+            assert beta == beta_coefficient(alpha, modes[n].eigenvalue, d)
+            pc = perturbation_coefficients(alpha, d, n)
+            assert (pc.mu, pc.lambda2, pc.beta) == (mu, lam2, beta)
