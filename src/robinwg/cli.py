@@ -8,8 +8,8 @@ codes encode study verdicts so CI can grade runs:
     3  inconclusive                    4  prediction mismatch
 
 `limit-check` and `waveguide-check` import their study modules (and with
-them scipy) inside their `cmd_*`, so `spectrum` and `resonance` run on
-numpy alone.
+them scipy's compiled LAPACK extension) inside their `cmd_*`, so `spectrum`
+and `resonance` run on numpy alone.
 """
 
 from __future__ import annotations

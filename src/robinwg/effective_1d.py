@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import zgtsv
 
+from ._lapack import zgtsv
 from .errors import GridResolutionError, ProfileError, RobinwgError
 from .geometry import CurvatureProfile
 from .graph_limit import (DECOUPLED, GraphOperatorSpec, resolvent_apply,

@@ -28,9 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigh, lapack
 
+from . import _lapack as lapack
 from .effective_1d import (Discrete1DOperator, check_resolution,
                            exterior_solve, resolvent_solve, s_grid)
 from .errors import (BracketingError, GridResolutionError, ProfileError,
@@ -110,6 +109,32 @@ class Grid2D:
                 f"n_u >= {8 * (n_max + 1)} resolves it")
 
 
+@dataclass(frozen=True)
+class CoreBands:
+    """The core correction E, held as its three nonzero diagonals.
+
+    E is symmetric with bands at offsets 0 and +-(n_u + 1) only: E[i, i] =
+    diag[i] and E[i + n_u + 1, i] = E[i, i + n_u + 1] = off[i], s-major."""
+
+    diag: np.ndarray
+    off: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        """E's nonzero entries, as a sparse matrix would store them."""
+        return np.count_nonzero(self.diag) + 2 * np.count_nonzero(self.off)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """E x, each row summed from zero as lower band, diagonal, upper
+        band: a CSR matvec's order, so E x is a CSR product bit for bit."""
+        nu = len(self.diag) - len(self.off)
+        y = np.zeros(len(x), np.result_type(self.diag, x))
+        y[nu:] += self.off * x[:-nu]
+        y += self.diag * x
+        y[:-nu] += self.off * x[nu:]
+        return y
+
+
 @dataclass
 class DiscreteWaveguideOperator:
     """Weighted operator M A = P^-1 - R^T E R on the (s interior) x u grid.
@@ -119,7 +144,7 @@ class DiscreteWaveguideOperator:
     geometry: WaveguideGeometry
     grid: Grid2D
     variant: str
-    matrix: sp.csr_matrix          # E = (P^-1 - M A) on the core columns
+    matrix: CoreBands              # E = (P^-1 - M A) on the core columns
     transverse: np.ndarray         # Bw / delta^2, the weighted flat u-operator
     flat_eigvals: np.ndarray       # discrete flat transverse eigenvalues
     flat_eigvecs: np.ndarray       # mass-orthonormal columns
@@ -140,7 +165,7 @@ class DiscreteWaveguideOperator:
         C = self.core
         XC = X[C]
         Y[C] += (self.potential_s[C, None] * wu) * XC - (
-            self.matrix @ XC.ravel()).reshape(XC.shape)
+            self.matrix.apply(XC.ravel())).reshape(XC.shape)
         return Y
 
 
@@ -178,7 +203,9 @@ def build_waveguide(geometry: WaveguideGeometry, variant: str,
     B[0, 0] = B[-1, -1] = 2 + 2 * hu * alpha
     B[0, 1] = B[-1, -2] = -2
     Bw = wu[:, None] * B / hu ** 2
-    lam, Phi = eigh(Bw, np.diag(wu))
+    lam, Phi, info = lapack.dsygvd(Bw, np.diag(wu))
+    if info != 0:
+        raise RobinwgError(f"flat transverse eigenproblem: dsygvd info = {info}")
 
     gscaled = defo * geometry.profile.sample(si / eps)   # sqrt(1+2 eps b) gamma(s/eps)
     Vs = -gscaled ** 2 / (4 * eps ** 2)    # flat part of the potential
@@ -213,10 +240,9 @@ def build_waveguide(geometry: WaveguideGeometry, variant: str,
              + dr * U * g2 / (2 * one ** 3)
              - 1.25 * dr ** 2 * U ** 2 * g1 ** 2 / one ** 4) / eps ** 2
         diag += ((2.0 - aL - aR) / hs ** 2 + Vs[core, None] - V) * wu
-    E = (sp.diags([off, diag.ravel(), off], [-nu, 0, nu], format="csr")
-         if diag.size else sp.csr_matrix((0, 0)))
-    return DiscreteWaveguideOperator(geometry, grid, variant, E, Bw / delta ** 2,
-                                     lam, Phi, Vs, core)
+    return DiscreteWaveguideOperator(geometry, grid, variant,
+                                     CoreBands(diag.ravel(), off),
+                                     Bw / delta ** 2, lam, Phi, Vs, core)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +364,10 @@ def _core_system(op: DiscreteWaveguideOperator, projector: ModeProjector,
     ab = np.zeros((3 * nu + 1, k * nu), dtype=complex)
     ab[2 * nu + iu[:, None] - iu, nu * np.arange(k)[:, None, None] + iu] = blocks
     ab[nu, nu:] = ab[3 * nu, :-nu] = -c * np.tile(wu, k)[nu:]
-    E = op.matrix.tocoo()
-    ab[2 * nu + E.row - E.col, E.col] -= E.data
+    E = op.matrix
+    ab[2 * nu] -= E.diag
+    ab[nu, nu:] -= E.off
+    ab[3 * nu, :-nu] -= E.off
     return ab, b.reshape(len(F), -1).T, assemble, rhs, shift
 
 
@@ -372,8 +400,9 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
     F = np.atleast_2d(f)
     ab, b, assemble, rhs, shift = _core_system(op, projector, n, z, F)
     C, E, eps_mach = op.core, op.matrix, np.finfo(float).eps
+    E_abs = CoreBands(np.abs(E.diag), np.abs(E.off))
     a = (5 / op.grid.h_s ** 2 + np.abs(op.transverse).sum(1).max()
-         + abs(shift) + (abs(E).sum(1).max() if E.nnz else 0.0)
+         + abs(shift) + E_abs.apply(np.ones(len(E.diag))).max(initial=0.0)
          + np.abs(op.potential_s).max())
     if len(b):     # a straight strip has no core
         _, _, b, info = lapack.zgbsv(nu, nu, ab, b, overwrite_ab=1,

@@ -67,6 +67,46 @@ def test_separable_eigenvalues_small_grid():
     assert np.max(np.abs(vals - sums[:len(vals)])) < 1e-10 * np.max(np.abs(vals))
 
 
+@pytest.mark.parametrize("n_u, alpha", [(32, 0.0), (32, -2.0), (64, 0.0)])
+def test_flat_transverse_modes_are_scipy_eigh_bit_for_bit(n_u, alpha):
+    # LAPACK dsygvd as `scipy.linalg.eigh(Bw, diag(wu))` calls it, Bw the
+    # weighted ghost-eliminated Robin matrix built as the library builds it
+    grid = Grid2D(8.0, 512, n_u, 1.0)
+    op = build_waveguide(bump_geometry(0.4, alpha=alpha), FULL, 1, grid)
+    nu, hu, wu = n_u + 1, grid.h_u, grid.u_mass
+    B = 2 * np.eye(nu) - np.eye(nu, k=1) - np.eye(nu, k=-1)
+    B[0, 0] = B[-1, -1] = 2 + 2 * hu * alpha
+    B[0, 1] = B[-1, -2] = -2
+    lam, Phi = eigh(wu[:, None] * B / hu ** 2, np.diag(wu))
+    assert op.flat_eigvals.tobytes() == lam.tobytes()
+    assert op.flat_eigvecs.tobytes() == Phi.tobytes()
+
+
+def test_failed_flat_eigenproblem_raises(monkeypatch):
+    dsygvd = waveguide2d.lapack.dsygvd
+    monkeypatch.setattr(waveguide2d.lapack, "dsygvd",
+                        lambda *a, **kw: (*dsygvd(*a, **kw)[:2], 3))
+    with pytest.raises(RobinwgError, match="dsygvd info = 3"):
+        build_waveguide(bump_geometry(0.4), FULL, 1, Grid2D(8.0, 512, 16, 1.0))
+
+
+@pytest.mark.parametrize("variant", [FULL, SIMPLIFIED])
+def test_core_bands_apply_and_count_like_csr(variant):
+    # E x summed in CSR's row order, bit for bit, and CSR's nnz, which
+    # leaves out explicit zeros (the simplified off band is all zero)
+    grid = Grid2D(8.0, 512, 32, 1.0)
+    E = build_waveguide(bump_geometry(0.4, alpha=-2.0), variant, 1,
+                        grid).matrix
+    nu = grid.n_u + 1
+    csr = sp.diags([E.off, E.diag, E.off], [-nu, 0, nu], format="csr")
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(len(E.diag)) + 1j * rng.standard_normal(len(E.diag))
+    assert E.apply(x).tobytes() == (csr @ x).tobytes()
+    assert E.nnz == csr.nnz
+    if variant == SIMPLIFIED:     # the record keeps zeros that CSR drops
+        assert E.nnz < len(E.diag) + 2 * len(E.off)
+
+
 def test_flat_reduced_resolvent_is_free_1d():
     geom = flat_geometry()
     grid = Grid2D(12.0, 1200, 128, 1.0)
