@@ -124,24 +124,31 @@ def _gtsv(diag, off, b):
     return x
 
 
-def exterior_solve(h, z, B_left, B_right):
+def exterior_solve(h, z, B_left, B_right, scale=None):
     """The free Dirichlet exteriors on both sides of a window, for each z_j.
 
     Each side's operator is E_j = tridiag(-c, 2c - z_j, -c), c = 1/h^2, on
     its m nodes between a Dirichlet cap and the window.  B_left (len(z), k,
-    m_left) holds k right-hand sides per z_j, B_right likewise.  Returns
-    (U_left, phi_left, U_right, phi_right): U = E_j^{-1} B_j and phi the
-    Green column E_j^{-1} e of the node next to the window.  All systems go
-    end to end, zero couplings at the joints and left row i sharing a
-    column with right row i, into one LAPACK `gtsv` call of at least two
-    unknowns; each comes out bit for bit as its own solve would.
+    m_left) holds k right-hand sides per z_j, or (1, k, m_left) one set for
+    every z_j; B_right likewise.  With `scale` (a real array, one per z_j) the
+    system of z_j takes its right-hand sides times scale[j], formed as it is
+    filled, so no scaled copy of the whole B is made.  Returns (U_left,
+    phi_left, U_right, phi_right): U = E_j^{-1} B_j and phi the Green column
+    E_j^{-1} e of the node next to the window.  All systems go end to end,
+    zero couplings at the joints and left row i sharing a column with right
+    row i, into one LAPACK `gtsv` call of at least two unknowns; each comes
+    out bit for bit as its own solve would.
     """
     z = np.atleast_1d(z)
-    (J, kl, ml), (_, kr, mr) = B_left.shape, B_right.shape
+    J = len(z)
+    (_, kl, ml), (_, kr, mr) = B_left.shape, B_right.shape
     m, k = ml + mr, max(kl, kr)
     X = np.zeros((k + 1, J, m), dtype=complex)
-    X[:kl, :, :ml] = B_left.transpose(1, 0, 2)
-    X[:kr, :, ml:] = B_right.transpose(1, 0, 2)
+    for B, part in ((B_left, X[:kl, :, :ml]), (B_right, X[:kr, :, ml:])):
+        if scale is None:
+            part[...] = B.transpose(1, 0, 2)
+        else:
+            np.multiply(scale[:, None, None], B, out=part.transpose(1, 0, 2))
     X[k, :, max(ml - 1, 0):ml + 1] = 1.0        # the nodes next to the window
     if m:
         off = np.full((J, m), -1.0 / h ** 2)
@@ -246,7 +253,8 @@ def resolvent_solve(op: Discrete1DOperator, z, f_samples,
                 ext.U, ext.phi):
             for r, ge in enumerate(g_edge):
                 np.multiply(phi, c * ge, out=G[r, nodes])
-            G[rows, nodes] += U
+            for r, u in zip(rows, U):
+                G[r, nodes] += u
     # backward-stable solve: the attainable residual scales with eps*||A||
     a_scale = 4.0 / h ** 2 + np.max(np.abs(op.potential)) + abs(z)
     diag = op.diagonal(z)
@@ -337,10 +345,14 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
     banded solve of the block.  A flat exterior (`flat_exterior`) is built
     when run_study hands over a new probe block, which it does only on a new
     grid, or when the core window W changes; the other eps solve only the
-    core.  The transmission is measured against the continuum free
-    resolvent.  For a limit that couples the edges each solve fits the first
-    probe's vertex data, and the gluing conditions are tested on them and
-    on their eps -> 0 extrapolation.  The discretisation estimate re-solves
+    core.  The backend holds that one exterior and the block it was built
+    for, and lets both go on a new grid before run_study samples its block,
+    on a new W before the next exterior is built, and before the
+    discretisation estimate.  The transmission is measured against the
+    continuum free resolvent.  For a limit that couples the edges each
+    solve fits the first probe's vertex data, and the gluing conditions are
+    tested on them and on their eps -> 0 extrapolation.  The
+    discretisation estimate re-solves
     the first probe on a grid with h halved at the smallest eps.  An eps
     with 1 + eps*b <= 0, where the deformation flips the coupling's sign,
     raises ProfileError before any solve.
@@ -352,11 +364,15 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
                                f"{1.0 + eps * b!r} at eps = {eps!r}")
     predicted, alt = predicted_limit(profile, beta, b)
     support_radius = max(abs(profile.support[0]), abs(profile.support[1]))
-    last = {"block": None}
+    last = {"grid": None, "block": None, "exterior": None}
     vdata = []
 
     def solver(eps):
         grid = s_grid(profile, eps, z, half_length, h_target)
+        if grid != last["grid"]:
+            # run_study samples a new block on a new grid: the old block
+            # and its exterior go before any array of the new grid is made
+            last.update(block=None, exterior=None)
         op = build_h_n_eps(profile, beta, eps, b, grid)
         last.update(eps=eps, grid=grid)
 
@@ -365,6 +381,8 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
             # the flat exterior of its first eps serves the later ones
             if (F is not last["block"]
                     or last["exterior"].k != _core_half_width(op)):
+                # the old exterior goes before the next one is built
+                last.update(block=None, exterior=None)
                 last.update(block=F, exterior=flat_exterior(op, z, F))
             G = resolvent_solve(op, z, F, last["exterior"])
             if predicted.kind != DECOUPLED:
@@ -374,6 +392,7 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
         return grid.points, solve
 
     def floor_estimate(probe, g):
+        last.update(block=None, exterior=None)
         fine = Grid1D(last["grid"].half_length, 2 * last["grid"].n_cells)
         op = build_h_n_eps(profile, beta, last["eps"], b, fine)
         gf = resolvent_solve(op, z, probe(fine.points))

@@ -114,6 +114,14 @@ def _weighted_norm(t, w):
     return np.sqrt(np.vdot(t, w * t).real)
 
 
+def _max_error(G, L, norms, w):
+    """max over the rows of ||g - l||_w / ||f||, G and L row-aligned blocks."""
+    e = 0.0
+    for g, lim, nf in zip(G, L, norms):
+        e = max(e, _weighted_norm(g - lim, w) / nf)
+    return e
+
+
 def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
               eps_list, solver, error_threshold: float, free_line,
               floor_estimate=None, notes=()) -> ConvergenceReport:
@@ -138,8 +146,13 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
     for a limit that couples the edges, the transmission: the mean of
     g / free_line(s, f) over 2 < s < 6, extrapolated linearly to eps = 0
     from three or more eps, else the last value.
-    `floor_estimate(probe, g)` gets the first probe and its solve at the
-    smallest eps, and its value is reported as the discretisation estimate.
+    `floor_estimate(probe, g)` gets the first probe and a copy of its solve
+    at the smallest eps, and its value is reported as the discretisation
+    estimate.  The driver holds one grid's working set at a time: the probe
+    block, the predicted and competitor outputs and the reference, and one
+    eps's solution block.  The old grid's blocks go before the new grid's
+    are sampled, the last eps's solution before the next solve, and every
+    block before the floor estimate runs.
     """
     eps_list = list(eps_list)
     if not eps_list or any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
@@ -152,8 +165,11 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
     grid = None
     for eps in eps_list:
         s, solve = solver(eps)
+        G = None            # one solution block alive at a time
         if grid is None or not np.array_equal(s, grid):
-            # the limit side depends on the grid only, not on eps
+            # the limit side depends on the grid only, not on eps; the old
+            # grid's blocks go before the new grid's are made
+            F = limits = ref = None
             grid = s
             outer = _trapezoid_weights(s, s < -1.0, s > 1.0)
             far = slice(int(np.searchsorted(s, 1.0, side="right")), None)
@@ -170,19 +186,19 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
             ref = (free_line(s, F[0])
                    if left and predicted.kind != DECOUPLED else None)
         G = solve(F)
-        e_pred = e_alt = 0.0
-        for g, nf, g_pred, g_alt in zip(G, norms, *limits):
-            e_pred = max(e_pred, _weighted_norm(g - g_pred, outer) / nf)
-            e_alt = max(e_alt, _weighted_norm(g - g_alt, outer) / nf)
-        g, nf = G[0], norms[0]
+        errors.append(_max_error(G, limits[0], norms, outer))
+        alt_errors.append(_max_error(G, limits[1], norms, outer))
         if left:
             # on s > 1 the outer weights are that half-line's own
-            leakage.append(float(_weighted_norm(g[far], outer[far]) / nf))
+            leakage.append(float(_weighted_norm(G[0, far], outer[far])
+                                 / norms[0]))
         if ref is not None:
-            taus.append(complex(np.mean(g[win] / ref[win])))
-        errors.append(e_pred)
-        alt_errors.append(e_alt)
+            taus.append(complex(np.mean(G[0, win] / ref[win])))
 
+    # the floor estimate gets a copy of the first probe's solve, with the
+    # last grid's blocks gone
+    g = G[0].copy()
+    F = limits = ref = G = None
     floor = None if floor_estimate is None else floor_estimate(probes[0], g)
     notes = list(notes)
     strictly = all(a > b for a, b in zip(errors, errors[1:]))

@@ -319,27 +319,27 @@ def _core_system(op: DiscreteWaveguideOperator, projector: ModeProjector,
     Outside the core C (`op.core`) mode j of the flat transverse eigenbasis
     Phi is the free line at z_j = z - (lam_j - lam_n)/delta^2 with source
     c_j f, c = Phi^T W phi_n (not pure mode n when alpha != 0); one
-    `exterior_solve` gives every row's particular solution U_j and the
-    shared Green column phi_j.  Returns (ab, b, assemble, rhs, shift): the
-    rows' common K = (M A - shift M) on C in LAPACK band storage
-    (kl = ku = n_u + 1, s-major, K[i, j] at ab[2 (n_u + 1) + i - j, j]),
-    whose edge columns carry the exact Schur corners
-    -c^2 (W Phi) diag(phi_j(edge)) (W Phi)^T, c = 1/hs^2; b_C, a column per
-    row: M F on C plus c W Phi U_j of the exterior column next to each edge;
-    (p, x_C) -> row p's whole-grid field, each exterior U_j + c y_j phi_j
-    per mode with y_j from C's edge column; every row's M F; and
-    shift = lam_n/delta^2 + z.
+    `exterior_solve`, which scales each row by c_j as it fills mode j's
+    system, gives every row's particular solution U_j and the shared Green
+    column phi_j.  Returns (ab, b, assemble, shift): the rows' common
+    K = (M A - shift M) on C in LAPACK band storage (kl = ku = n_u + 1,
+    s-major, K[i, j] at ab[2 (n_u + 1) + i - j, j]), whose edge columns
+    carry the exact Schur corners -c^2 (W Phi) diag(phi_j(edge)) (W Phi)^T,
+    c = 1/hs^2; b_C, a column per row: M F on C plus c W Phi U_j of the
+    exterior column next to each edge; (p, x_C) -> row p's whole-grid
+    field, each exterior U_j + c y_j phi_j per mode with y_j from C's edge
+    column; and shift = lam_n/delta^2 + z.  Only U and phi span the whole
+    grid: M F is formed on C alone.
     """
     nsi, nu = op.shape
     wu, Phi, lam = op.grid.u_mass, op.flat_eigvecs, op.flat_eigvals
     c, delta = 1.0 / op.grid.h_s ** 2, op.geometry.scaling.delta
     shift = lam[n] / delta ** 2 + z
     zj = z - (lam - lam[n]) / delta ** 2
-    rhs = projector.synthesize(F, n) * wu
     C, k = op.core, op.core.stop - op.core.start
-    B = ((projector.flat[n] * wu) @ Phi)[:, None, None] * F
-    U_l, phi_l, U_r, phi_r = exterior_solve(op.grid.h_s, zj, B[..., :C.start],
-                                            B[..., C.stop:])
+    U_l, phi_l, U_r, phi_r = exterior_solve(
+        op.grid.h_s, zj, F[None, :, :C.start], F[None, :, C.stop:],
+        (projector.flat[n] * wu) @ Phi)
 
     def assemble(p, xc):
         y = c * (xc[[0, -1]] * wu) @ Phi if len(xc) else np.zeros((2, nu))
@@ -351,7 +351,8 @@ def _core_system(op: DiscreteWaveguideOperator, projector: ModeProjector,
     blocks = np.repeat(op.transverse[None] + 0j, k, axis=0)
     blocks[:, iu, iu] += (2 * c - shift + op.potential_s[C, None]) * wu
     WPhi = wu[:, None] * Phi
-    b = rhs[:, C].astype(complex)
+    # M F on C: synthesising f = 1 gives phi_n itself on every column
+    b = F[:, C, None] * projector.synthesize(np.ones(nsi), n)[C] * wu
     # each exterior's Schur corner in K, and its particular solution in b
     if C.start:
         blocks[0] -= c * c * (WPhi * phi_l[:, -1]) @ WPhi.T
@@ -368,7 +369,7 @@ def _core_system(op: DiscreteWaveguideOperator, projector: ModeProjector,
     ab[2 * nu] -= E.diag
     ab[nu, nu:] -= E.off
     ab[3 * nu, :-nu] -= E.off
-    return ab, b.reshape(len(F), -1).T, assemble, rhs, shift
+    return ab, b.reshape(len(F), -1).T, assemble, shift
 
 
 def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
@@ -388,8 +389,11 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
     (the core system's residual) must pass |R_C| <= 50 eps_mach a |x_C|.
     The other rows hold only the rounding of the exterior solves and of the
     length-(n_u + 1) transforms, so |R| <= |R_C| + 50 (n_u + 1) eps_mach a |x|
-    is required; both gates read "not below", so a NaN fails.  Returns
-    (g, {"iterations": 0, "field": x}), x a list of fields for a block.
+    is required; both gates read "not below", so a NaN fails.  The call
+    holds the exterior solutions of every row and mode (one whole-grid
+    field's worth per row) and, per row in turn, that row's field, M F and
+    residual; of the fields it keeps the first row's only.  Returns
+    (g, {"iterations": 0, "field": x}), x the first (or only) row's field.
     """
     if complex(z).imag == 0:
         raise RobinwgError("reduced resolvent needs Im z != 0")
@@ -398,7 +402,7 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
     if f.shape[-1:] != (nsi,) or f.ndim > 2 or not np.isfinite(f).all():
         raise RobinwgError("reduced resolvent needs a finite f on the s interior")
     F = np.atleast_2d(f)
-    ab, b, assemble, rhs, shift = _core_system(op, projector, n, z, F)
+    ab, b, assemble, shift = _core_system(op, projector, n, z, F)
     C, E, eps_mach = op.core, op.matrix, np.finfo(float).eps
     E_abs = CoreBands(np.abs(E.diag), np.abs(E.off))
     a = (5 / op.grid.h_s ** 2 + np.abs(op.transverse).sum(1).max()
@@ -409,10 +413,11 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
                                      overwrite_b=1)
         if info != 0:
             raise RobinwgError(f"core band solve: zgbsv info = {info}")
-    G, X = [], []
+    G = []
     for p, xc in enumerate(b.T.reshape(len(F), -1, nu)):
         x = assemble(p, xc)
-        R = rhs[p] - op._weighted_apply(x, shift)
+        R = (projector.synthesize(F[p], n) * op.grid.u_mass
+             - op._weighted_apply(x, shift))
         r = np.linalg.norm(R[C])
         bound = 50 * eps_mach * a * np.linalg.norm(xc)
         if not r <= bound:
@@ -423,9 +428,10 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
             raise RobinwgError(f"assembled field residual {res:.3g} above "
                                f"{bound:.3g}")
         G.append(projector.project(x, m))
-        X.append(x)
-    G, X = (G[0], X[0]) if f.ndim == 1 else (np.array(G), X)
-    return G, {"iterations": 0, "field": X}
+        if not p:
+            field = x
+    G = G[0] if f.ndim == 1 else np.array(G)
+    return G, {"iterations": 0, "field": field}
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +474,7 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
     last = {}
 
     def solver(eps):
+        last.pop("field", None)    # the last eps's field goes before this one's
         geo = replace(geometry, scaling=replace(sc, epsilon=eps))
         line = s_grid(geometry.profile, eps, z, MIN_HALF_LENGTH)
         grid = Grid2D(line.half_length, line.n_cells, n_u, geometry.d)
@@ -479,7 +486,7 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
         def solve(F):
             G, info = reduced_resolvent(op, proj, n, n, z, F)
             # the first probe's 2D field projects onto every other m
-            x = info["field"][0]
+            x = info["field"]
             nf = np.sqrt(np.trapezoid(np.abs(F[0]) ** 2, s))
             for m in offdiag:
                 offdiag[m].append(float(np.sqrt(np.trapezoid(

@@ -12,9 +12,10 @@ the zero-energy integration with every piece solved by scipy's `solve_ivp`
 DOP853, the oracle of the library's port of that stepper.  `apply_1d` and
 `apply_2d` (the operator actions), `lowest_eigenvalues` (the 1D spectrum)
 and `gram_deviation` (the projector's mode Gram check) are called by the
-tests only.
+tests only.  `traced_peak` reads a call's peak working set from tracemalloc.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,17 @@ from robinwg.errors import RobinwgError
 from robinwg.resonance import _ODE_TOL, coupling_scan
 from robinwg.transverse import _BRENT_KW
 from robinwg.waveguide2d import FULL
+
+
+def traced_peak(fn):
+    """The peak bytes tracemalloc sees while fn() runs; numpy reports every
+    array buffer to it, so the figure repeats from run to run."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def whole_grid_resolvent(h, potential, z, F):

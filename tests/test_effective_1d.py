@@ -1,4 +1,5 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from robinwg.graph_limit import GraphOperatorSpec, resolvent_apply, sqrt_upper
 from robinwg.report import VERDICT_INCONCLUSIVE, VERDICT_MATCH
 from robinwg.waveguide2d import FULL, Grid2D, build_waveguide
 
-from reference import apply_1d, lowest_eigenvalues, whole_grid_resolvent
+from reference import (apply_1d, lowest_eigenvalues, traced_peak,
+                       whole_grid_resolvent)
 
 BUMP_BETA_STAR = -7.647474116758
 SQUARE_SYM = CurvatureProfile(RECTANGULAR, amplitude=1.0, half_width=1.0)
@@ -355,11 +357,15 @@ def test_limit_side_is_computed_once_per_distinct_grid(monkeypatch, sweep):
 def test_sweep_builds_one_flat_exterior_per_distinct_grid(monkeypatch, sweep):
     from robinwg import effective_1d
     profile, beta, eps_list, n_grids = SWEEPS[sweep]
-    built = []
+    built, alive = [], []
 
     def counted(op, z, f):
+        # the study lets each exterior go before it builds the next one
+        assert not any(ref() for ref in alive)
         built.append(op.grid)
-        return flat_exterior(op, z, f)
+        ext = flat_exterior(op, z, f)
+        alive.append(weakref.ref(ext))
+        return ext
 
     monkeypatch.setattr(effective_1d, "flat_exterior", counted)
     convergence_study(profile, beta, 0.0, 1j, SWEEP_PROBES, eps_list,
@@ -367,6 +373,24 @@ def test_sweep_builds_one_flat_exterior_per_distinct_grid(monkeypatch, sweep):
     # one per grid of the sweep, then one for the refined-grid control solve
     assert len(built) == n_grids + 1
     assert len(set(built[:-1])) == n_grids
+
+
+def test_two_grid_study_holds_one_grid_working_set():
+    # eps 0.2 and 0.1 of the unit square well: the second grid halves h.
+    # The study holds the new grid's probe block, its predicted and
+    # competitor outputs, one flat exterior and one solution block, and
+    # none of the old grid's: its traced peak stays below 5.25 blocks of
+    # (probes x finest nodes) complex numbers (6.2 when the old grid's
+    # blocks lived on into the new grid's)
+    probes = [bump_probe(c, w) for c, w in zip(np.linspace(-5.0, 5.0, 10),
+                                               np.linspace(0.8, 1.6, 10))]
+    eps_list = [0.2, 0.1]
+    grids = [s_grid(SQUARE_UNIT, eps, 1j, 16.0, 4e-3) for eps in eps_list]
+    assert grids[1].n_cells == 2 * grids[0].n_cells
+    peak = traced_peak(lambda: convergence_study(
+        SQUARE_UNIT, -np.pi ** 2, 1.0, 1j, probes, eps_list, h_target=4e-3))
+    block = len(probes) * (grids[1].n_cells + 1) * 16
+    assert peak < 5.25 * block
 
 
 # (profile, beta, eps, grid, probes (center, half-width), z): W is
@@ -436,6 +460,13 @@ def test_exterior_solve_is_the_whole_line_solve(ml, mr, w, log_shifts, kl,
                                  F[j:j + 1, :kr, ml + w:])
             whole = (U_l, phi_l, U_r, phi_r)
             assert all(np.array_equal(a[0], b[j]) for a, b in zip(one, whole))
+    # one set of right-hand sides, scaled per z_j as each system is filled,
+    # is the solve of the scaled copy bit for bit
+    c = rng.standard_normal(J)
+    B = c[:, None, None] * F[:1]
+    scaled = exterior_solve(h, zs, F[:1, :kl, :ml], F[:1, :kr, ml + w:], c)
+    want = exterior_solve(h, zs, B[:, :kl, :ml], B[:, :kr, ml + w:])
+    assert all(np.array_equal(a, b) for a, b in zip(scaled, want))
 
 
 @pytest.mark.parametrize("case", sorted(EXTERIOR_CASES))

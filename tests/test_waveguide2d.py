@@ -18,7 +18,7 @@ from robinwg.waveguide2d import (FULL, SIMPLIFIED, Grid2D, ModeProjector,
                                  gregory_weights, reduced_resolvent,
                                  theorem_check)
 from reference import (apply_2d, full_grid_matrix, gram_deviation, mode_values,
-                       scalar_asymmetric_spectrum)
+                       scalar_asymmetric_spectrum, traced_peak)
 
 FLAT = CurvatureProfile(SMOOTH_BUMP, amplitude=0.0, half_width=1.0)
 BELL = CurvatureProfile(TABULATED, nodes=tuple(np.linspace(-2, 2, 9)),
@@ -201,14 +201,34 @@ def test_block_rows_equal_their_single_row_calls(profile, alpha):
     for m, n in ((0, 0), (1, 0), (1, 1)):
         G, info = reduced_resolvent(op, proj, m, n, Z, F)
         assert G.shape == F.shape and info["iterations"] == 0
-        assert len(info["field"]) == len(F)
-        for f, g, x in zip(F, G, info["field"]):
+        # the block keeps the first row's field only
+        assert info["field"].shape == op.shape
+        for p, (f, g) in enumerate(zip(F, G)):
             g1, info1 = reduced_resolvent(op, proj, m, n, Z, f)
             assert np.array_equal(g, g1)
-            assert np.array_equal(x, info1["field"])
+            if p == 0:
+                assert np.array_equal(info["field"], info1["field"])
     for bad in (F[:, :-1], F[None]):
         with pytest.raises(RobinwgError, match="on the s interior"):
             reduced_resolvent(op, proj, 0, 0, Z, bad)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -2.0])
+def test_block_call_holds_one_row_field_at_a_time(alpha):
+    # a 10-row call holds every row's exterior solutions (one field's worth
+    # per row) and one row's field, M F and residual at a time: its traced
+    # peak stays below 2.5 blocks of rows x n_si x (n_u + 1) complex
+    # numbers (3.7 with every row's M F, every row's field and the scaled
+    # exterior right-hand sides held at once), on theorem_check's grid
+    geom = bump_geometry(0.2, alpha=alpha)
+    line = s_grid(geom.profile, 0.2, Z, waveguide2d.MIN_HALF_LENGTH)
+    grid = Grid2D(line.half_length, line.n_cells, 32, 1.0)
+    op = build_waveguide(geom, FULL, 1, grid)
+    proj = ModeProjector(geom, grid, 1)
+    si = grid.s_interior
+    F = np.array([bump_probe(c, 1.0)(si) for c in np.linspace(-5.0, 5.0, 10)])
+    peak = traced_peak(lambda: reduced_resolvent(op, proj, 0, 0, Z, F))
+    assert peak < 2.5 * F.size * op.shape[1] * 16
 
 
 def test_renormalisation_delta_independence():
@@ -460,10 +480,12 @@ def test_core_band_is_the_matrix_free_core_operator(profile, alpha, grid):
     rng = np.random.default_rng(3)
     x = rng.standard_normal((C.stop - C.start, nu)) + 1j * rng.standard_normal(
         (C.stop - C.start, nu))
+    F = f[None].astype(complex)
     for n in (0, 1):
-        ab, b, assemble, rhs, shift = _core_system(op, proj, n, Z, f[None])
+        ab, b, assemble, shift = _core_system(op, proj, n, Z, F)
         assert ab.shape == (3 * nu + 1, x.size) and b.shape == (x.size, 1)
-        want = b[:, 0] - (rhs[0] - op._weighted_apply(assemble(0, x), shift))[
+        rhs = proj.synthesize(F[0], n) * grid.u_mass
+        want = b[:, 0] - (rhs - op._weighted_apply(assemble(0, x), shift))[
             C].ravel()
         got = _band_matrix(ab, nu) @ x.ravel()
         assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
