@@ -124,20 +124,19 @@ def _gtsv(diag, off, b):
     return x
 
 
-def exterior_solve(h, z, B_left, B_right, scale=None):
+def exterior_solve(h, z, B_left, B_right, scale):
     """The free Dirichlet exteriors on both sides of a window, for each z_j.
 
     Each side's operator is E_j = tridiag(-c, 2c - z_j, -c), c = 1/h^2, on
-    its m nodes between a Dirichlet cap and the window.  B_left (len(z), k,
-    m_left) holds k right-hand sides per z_j, or (1, k, m_left) one set for
-    every z_j; B_right likewise.  With `scale` (a real array, one per z_j) the
-    system of z_j takes its right-hand sides times scale[j], formed as it is
+    its m nodes between a Dirichlet cap and the window.  B_left (1, k,
+    m_left) holds k right-hand sides, B_right likewise; the system of z_j
+    takes them times scale[j] (a real array, one per z_j), formed as it is
     filled, so no scaled copy of the whole B is made.  Returns (U_left,
-    phi_left, U_right, phi_right): U = E_j^{-1} B_j and phi the Green column
-    E_j^{-1} e of the node next to the window.  All systems go end to end,
-    zero couplings at the joints and left row i sharing a column with right
-    row i, into one LAPACK `gtsv` call of at least two unknowns; each comes
-    out bit for bit as its own solve would.
+    phi_left, U_right, phi_right): U = E_j^{-1} scale[j] B and phi the Green
+    column E_j^{-1} e of the node next to the window.  All systems go end to
+    end, zero couplings at the joints and left row i sharing a column with
+    right row i, into one LAPACK `gtsv` call of at least two unknowns; each
+    comes out bit for bit as its own solve would.
     """
     z = np.atleast_1d(z)
     J = len(z)
@@ -145,10 +144,7 @@ def exterior_solve(h, z, B_left, B_right, scale=None):
     m, k = ml + mr, max(kl, kr)
     X = np.zeros((k + 1, J, m), dtype=complex)
     for B, part in ((B_left, X[:kl, :, :ml]), (B_right, X[:kr, :, ml:])):
-        if scale is None:
-            part[...] = B.transpose(1, 0, 2)
-        else:
-            np.multiply(scale[:, None, None], B, out=part.transpose(1, 0, 2))
+        np.multiply(scale[:, None, None], B, out=part.transpose(1, 0, 2))
     X[k, :, max(ml - 1, 0):ml + 1] = 1.0        # the nodes next to the window
     if m:
         off = np.full((J, m), -1.0 / h ** 2)
@@ -198,8 +194,10 @@ def flat_exterior(op: Discrete1DOperator, z, f_samples) -> FlatExterior:
     i0, k = op.grid.n_cells // 2, _core_half_width(op)
     sides = (F[:, 1:i0 - k], F[:, i0 + k + 1:-1])
     rows = tuple(np.flatnonzero(np.any(side != 0, axis=1)) for side in sides)
+    # times 1.0, exact: the rows as they are
     U_l, phi_l, U_r, phi_r = exterior_solve(
-        op.grid.h, complex(z), sides[0][None, rows[0]], sides[1][None, rows[1]])
+        op.grid.h, complex(z), sides[0][None, rows[0]], sides[1][None, rows[1]],
+        np.ones(1))
     return FlatExterior(op.grid, complex(z), k, len(F), rows,
                         (U_l[0], U_r[0]), (phi_l[0], phi_r[0]))
 

@@ -9,7 +9,8 @@ and the deformation coupling per unit b is the integral of v f_r^2.
 
 Every zero-energy solve runs through `_dop853`, a port of scipy's DOP853
 stepper that returns `solve_ivp`'s states bit for bit; scipy itself is the
-oracle in the tests only.
+oracle in the tests only.  A coupling scan brackets its roots by a lattice
+count of resonances (`_lattice_counts`), which solves no ODE.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .transverse import _brent_lanes
 
 DEFAULT_TOL_D = 1e-9
 _ODE_TOL = 1e-12
-_SCAN_TOL = 1e-10
 _ROOT_TOL = 1e-11   # |D| a refined root must be below (or 10x its noise)
+_LATTICE_CELLS = 500
 
 
 @dataclass(frozen=True)
@@ -136,40 +137,31 @@ class ResonanceResult:
         return out
 
 
-def _integrate(v_at, support, knots=(), n=1, rtol=_ODE_TOL, prufer=False,
-               dense=False):
-    """Integrate f'' = v f for n potentials at once, f = 1, f' = 0 at the left.
+def _integrate(v_at, support, knots=(), rtol=_ODE_TOL, dense=False):
+    """Integrate f'' = v f with f = 1, f' = 0 at the left support edge.
 
-    `v_at(s)` is v(s): a float, or an array holding the n potentials' values.
-    The state stacks the rows (f, f', q): q is the integral of v f^2, or with
-    `prufer` the Pruefer angle, theta' = cos^2 theta - v sin^2 theta from
-    theta = pi/2 (f = r sin theta, f' = r cos theta).  DOP853 (`_dop853`,
-    scipy's stepper bit for bit) with rtol = atol = `rtol` restarts at every
-    knot, where v is only C^2, carrying the state across.  Returns the final
-    (3, n) state and the `_dop853.Solution` of each piece.
+    `v_at(s)` is v at one point, a float.  The state is (f, f', q), q the
+    integral of v f^2.  DOP853 (`_dop853`, scipy's stepper bit for bit) with
+    rtol = atol = `rtol` restarts at every knot, where v is only C^2,
+    carrying the state across.  Returns the final state and the
+    `_dop853.Solution` of each piece.
     """
     lo, hi = support
-    y = np.repeat([1.0, 0.0, np.pi / 2 if prufer else 0.0], n)
+    y = np.array([1.0, 0.0, 0.0])
 
-    # one potential runs on Python floats: one-element array operations
-    # cost several times the arithmetic they do
+    # the state runs on Python floats: one-element array operations cost
+    # several times the arithmetic they do
     def rhs(s, y):
-        f, fp, q = y.tolist() if n == 1 else y.reshape(3, n)
-        v = v_at(s)
-        vf = v * f
-        if prufer:
-            c, sn = np.cos(q), np.sin(q)
-            dq = c * c - v * sn * sn
-        else:
-            dq = vf * f
-        return [fp, vf, dq] if n == 1 else np.concatenate((fp, vf, dq))
+        f, fp, _ = y.tolist()
+        vf = v_at(s) * f
+        return [fp, vf, vf * f]
 
     pieces = []
     edges = [lo, *knots, hi]
     for a, b in zip(edges[:-1], edges[1:]):
         pieces.append(dop853(rhs, a, b, y, rtol, dense))
         y = pieces[-1].y
-    return y.reshape(3, n), pieces
+    return y, pieces
 
 
 def zero_energy_solve(v: Potential1D, n_trace: int = 801,
@@ -190,7 +182,7 @@ def zero_energy_solve(v: Potential1D, n_trace: int = 801,
         v_at = lambda s: float(func(np.asarray([s]))[0]) if lo <= s <= hi else 0.0
     end, pieces = _integrate(v_at, v.support, v.knots, rtol=rtol,
                              dense=need_trace)
-    f_right, mismatch, integral = end[:, 0]
+    f_right, mismatch, integral = end
     if need_trace:
         grid = np.linspace(lo, hi, n_trace)
         states = np.empty((3, n_trace))
@@ -238,48 +230,52 @@ def detect_resonance(v: Potential1D, tol_D: float = DEFAULT_TOL_D) -> ResonanceR
         s=tr.s, f_r=tr.f / norm)
 
 
-def coupling_scan(profile: CurvatureProfile, betas):
-    """Mismatch D and node count R of v = beta*gamma^2 for every beta at once.
+def _lattice_counts(profile: CurvatureProfile, betas) -> np.ndarray:
+    """The number of resonances above each beta; no ODE is solved.
 
-    One DOP853 solve carries (f, f', theta) for all couplings, with rtol =
-    atol = 1e-10 / sqrt(number of states): DOP853's error norm is an RMS over
-    the components, so this keeps every component within 1e-10.  R is the
-    number of zeros of the zero-energy solution on the whole line, i.e. the
-    number of bound states of h below zero (Sturm): floor(theta/pi) zeros on
-    the support, plus one beyond it when f and D have opposite signs.
+    A resonance of v = beta*gamma^2 is a Neumann eigenfunction of -f'' =
+    lam gamma^2 f on the support, beta = -lam.  On `_LATTICE_CELLS` cells
+    of width h, h (K + beta M), K the Neumann second differences and M the
+    trapezoid mass h gamma(s)^2 (`sample`: a rectangle's amplitude on its
+    closed support), is tridiag(-1, stiff * (1 + 6c), -1), c = h^2 beta
+    gamma^2 / 12, stiff = 2 (1 at the ends).  Numerov's diagonal stiff *
+    (1 + 5c) / (1 - c) agrees to first order in c and places the roots to
+    fourth order (1e-9 relative here, against 1e-5).  Its count of negative
+    LDL^T pivots is the count of lattice eigenvalues lam < -beta, lam = 0
+    included (Sylvester's inertia; Pryce 1993).  One pass over the nodes
+    takes every coupling.
     """
     betas = np.asarray(betas, dtype=float)
-    n = betas.size
-    sq = profile.squared_at
-    end, _ = _integrate(lambda s: betas * sq(s), profile.support,
-                        profile.knots, n=n, rtol=_SCAN_TOL / np.sqrt(3 * n),
-                        prufer=True)
-    f, d, theta = end
-    # snap theta onto the branch of atan2(f, D) nearest it, so the count
-    # agrees with the signs of f and D even where f(hi) is close to zero
-    phi = np.arctan2(f, d)
-    theta = phi + 2.0 * np.pi * np.round((theta - phi) / (2.0 * np.pi))
-    return d, np.floor(theta / np.pi).astype(int) + (f * d < 0)
+    s, h = np.linspace(*profile.support, _LATTICE_CELLS + 1, retstep=True)
+    c = (h * h / 12 * profile.sample(s) ** 2)[:, None] * betas
+    stiff = np.full((s.size, 1), 2.0)
+    stiff[[0, -1]] = 1.0
+    # a zero pivot counts as positive; past c = 1 (beta > 0) none is negative
+    with np.errstate(divide="ignore"):
+        diag = np.where(c < 1, stiff * (1 + 5 * c) / (1 - c), np.inf)
+        pivot = diag[0]
+        negative = (pivot < 0).astype(int)
+        for row in diag[1:]:
+            pivot = row - 1.0 / pivot
+            negative += pivot < 0
+    return negative
 
 
-def find_resonant_coupling(profile: CurvatureProfile, beta_range,
-                           n_scan: int = 120):
+def find_resonant_coupling(profile: CurvatureProfile, beta_range):
     """Smallest-|beta| root of D(beta) = 0 with v = beta*gamma^2, or None.
 
-    Brackets sign changes of the mismatch over the range with one batched
-    solve for all scan couplings (`coupling_scan`, every state component
-    held to 1e-10) and refines each by Brent's method at full tolerance on
-    a scalar gamma^2 path.  A tabulated profile's integration restarts at
-    every spline knot.  Positive couplings give convex solutions (D > 0),
-    so a range inside (0, inf) scans to None.
+    Scans 120 couplings over the range, 0 left out.  Brent's method refines
+    at full tolerance, on a scalar gamma^2 path, each interval across which
+    the lattice count of resonances (`_lattice_counts`) steps by one.  A
+    tabulated profile's integration restarts at every spline knot.
+    Positive couplings give convex solutions (D > 0), so a range inside
+    (0, inf) scans to None.
 
-    Sturm guard: D changes sign exactly where the node count (the number of
-    bound states) changes by one, so between two scan points the two must
-    agree.  When they do not (roots closer than the scan spacing cancel in
-    the sign pattern), RobinwgError names the interval instead of a root
-    being missed silently; a narrower range or a finer `n_scan` resolves
-    it.  An empty range (both ends equal) and a zero profile, for which
-    every coupling gives D = 0 and no root is isolated, raise RobinwgError.
+    Guard: instead of a root being missed silently, RobinwgError names an
+    interval where the count steps by more than one (a narrower range
+    separates the roots) or steps by one while D keeps its sign (the count
+    misplaced a root).  An empty range and a zero profile, for which every
+    coupling gives D = 0 and no root is isolated, raise RobinwgError.
     """
     lo, hi = min(beta_range), max(beta_range)
     if not lo < hi:
@@ -287,39 +283,41 @@ def find_resonant_coupling(profile: CurvatureProfile, beta_range,
     if profile.sup_abs() == 0:
         raise RobinwgError("zero profile: the mismatch D vanishes at every "
                            "coupling, so the scan has no root to isolate")
-    betas = np.linspace(lo, hi, n_scan)
+    betas = np.linspace(lo, hi, 120)
     betas = betas[betas != 0.0]
-    vals, nodes = coupling_scan(profile, betas)
-    signs = np.sign(vals)
-    flips = signs[:-1] * signs[1:] < 0
-    steps = np.abs(np.diff(nodes))
-    # a scan point exactly at a root counts the node on one side only
-    at_root = (signs[:-1] == 0) | (signs[1:] == 0)
-    bad = np.nonzero((steps != flips) & ~(at_root & (steps <= 1)))[0]
-    if bad.size:
-        i = bad[0]
+    steps = np.abs(np.diff(_lattice_counts(profile, betas)))
+    interval = lambda i: f"scan interval [{betas[i]:.6g}, {betas[i + 1]:.6g}]"
+    many = np.flatnonzero(steps > 1)
+    if many.size:
+        i = many[0]
         raise RobinwgError(
-            f"scan interval [{betas[i]:.6g}, {betas[i + 1]:.6g}]: the node "
-            f"count changes by {steps[i]} but the mismatch changes sign "
-            f"{int(flips[i])} times; narrow the coupling range (beta_min, "
-            "beta_max), or raise n_scan in a library call")
+            f"{interval(i)} holds {steps[i]} resonances but brackets one "
+            "root only; narrow the coupling range (beta_min, beta_max)")
 
     sq, support, knots = profile.squared_at, profile.support, profile.knots
     solved = {}
 
     def mismatch(beta, rtol=_ODE_TOL):
-        # Brent returns a point it has evaluated: the check below reuses it
+        # Brent starts from the bracket ends and returns a point it has
+        # evaluated: the guard and the acceptance check reuse those solves
         if (beta, rtol) not in solved:
             end, _ = _integrate(lambda s: beta * sq(s), support, knots,
                                 rtol=rtol)
-            solved[beta, rtol] = float(end[1, 0])
+            solved[beta, rtol] = float(end[1])
         return solved[beta, rtol]
 
+    stepped = np.flatnonzero(steps == 1)
+    for i in stepped:
+        d_lo, d_hi = mismatch(betas[i]), mismatch(betas[i + 1])
+        if np.sign(d_lo) * np.sign(d_hi) > 0:
+            raise RobinwgError(
+                f"{interval(i)}: the resonance count steps by one but the "
+                f"mismatch D keeps its sign ({d_lo:.3g}, {d_hi:.3g}); shift "
+                "or narrow the coupling range (beta_min, beta_max)")
     # one lane per bracket, each lane brentq's root bit for bit
     roots = _brent_lanes(lambda x, lanes: np.array([mismatch(b) for b in x]),
-                         betas[:-1][flips], betas[1:][flips], xtol=1e-13,
+                         betas[stepped], betas[stepped + 1], xtol=1e-13,
                          rtol=8.9e-16, maxiter=200).tolist()
-    roots.extend(float(betas[i]) for i in np.nonzero(vals == 0.0)[0])
     if not roots:
         return None
     best = min(roots, key=abs)

@@ -6,8 +6,9 @@ with scipy's banded solver, without the core/exterior split of
 waveguide operator on the whole grid by successive sparse sums, the direct
 discretisation that the matrix-free apply of `waveguide2d` must reproduce.  `scalar_asymmetric_spectrum` solves the
 asymmetric transverse problem one root at a time with scalar brentq, the
-oracle of the lane-wise solve; `scalar_resonant_couplings` refines every
-bracket of a resonance scan by scalar brentq likewise.  `scipy_integrate` is
+oracle of the lane-wise solve; `scalar_resonant_couplings` brackets the
+roots of a resonance scan by the signs of scipy's solves and refines each
+by scalar brentq likewise.  `scipy_integrate` is
 the zero-energy integration with every piece solved by scipy's `solve_ivp`
 DOP853, the oracle of the library's port of that stepper.  `apply_1d` and
 `apply_2d` (the operator actions), `lowest_eigenvalues` (the 1D spectrum)
@@ -26,7 +27,7 @@ from scipy.optimize import brentq
 
 from robinwg import resonance
 from robinwg.errors import RobinwgError
-from robinwg.resonance import _ODE_TOL, coupling_scan
+from robinwg.resonance import _ODE_TOL
 from robinwg.transverse import _BRENT_KW
 from robinwg.waveguide2d import FULL
 
@@ -227,19 +228,21 @@ def mode_values(branch, k, A, B, u):
     return A * u + B * np.ones_like(u)
 
 
-def scalar_resonant_couplings(profile, beta_range, n_scan=120):
-    """Every root of the zero-energy mismatch D(beta) that the scan of
-    `find_resonant_coupling` brackets, each refined by scalar brentq on the
-    same scalar path and with the same tolerances."""
-    betas = np.linspace(min(beta_range), max(beta_range), n_scan)
+def scalar_resonant_couplings(profile, beta_range):
+    """Every root of the zero-energy mismatch D(beta) between two of the
+    120 scan couplings of `find_resonant_coupling` where D changes sign,
+    each refined by scalar brentq on the same scalar path and with the same
+    tolerances.  The signs come from scipy's solves at 1e-8: only a scan
+    coupling about that close to a root could take the wrong one."""
+    betas = np.linspace(min(beta_range), max(beta_range), 120)
     betas = betas[betas != 0.0]
-    signs = np.sign(coupling_scan(profile, betas)[0])
 
-    def mismatch(beta):
+    def mismatch(beta, rtol=_ODE_TOL):
         end, _ = scipy_integrate(lambda s: beta * profile.squared_at(s),
-                                 profile.support, profile.knots, rtol=_ODE_TOL)
-        return float(end[1, 0])
+                                 profile.support, profile.knots, rtol=rtol)
+        return float(end[1])
 
+    signs = np.sign([mismatch(beta, 1e-8) for beta in betas])
     return [brentq(mismatch, betas[i], betas[i + 1], xtol=1e-13,
                    rtol=8.9e-16, maxiter=200)
             for i in np.flatnonzero(signs[:-1] * signs[1:] < 0)]

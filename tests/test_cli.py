@@ -228,8 +228,7 @@ def test_z_near_the_positive_axis_is_rejected_before_any_solve(
 
 
 def test_sturm_guard_names_a_remedy_the_config_has(tmp_path, capsys):
-    # n_scan is no config key: the message also says to narrow the range.
-    # -pi^2 and -4 pi^2 share the first of 119 intervals of [-5000, -1]
+    # -pi^2 and -4 pi^2 share the last of 119 intervals of [-5000, -1]
     cfg = ("kind = rectangular\namplitude = 1.0\ncenter = 0.5\n"
            "half_width = 0.5\nbeta_min = -5000\nbeta_max = -1\n")
     code, out = run(tmp_path, "resonance", cfg)

@@ -436,16 +436,18 @@ def test_exterior_solve_is_the_whole_line_solve(ml, mr, w, log_shifts, kl,
     zs = z - np.array([10 ** x if x else 0.0 for x in log_shifts])
     rng = np.random.default_rng(seed)
     k = max(kl, kr)
-    F = rng.standard_normal((J, k, ml + w + mr)) + 0j
+    F = rng.standard_normal((1, k, ml + w + mr)) + 0j
+    scale = rng.standard_normal(J)
     U_l, phi_l, U_r, phi_r = exterior_solve(h, zs, F[:, :kl, :ml],
-                                            F[:, :kr, ml + w:])
+                                            F[:, :kr, ml + w:], scale)
     assert U_l.shape == (J, kl, ml) and U_r.shape == (J, kr, mr)
     assert phi_l.shape == (J, ml) and phi_r.shape == (J, mr)
     ab = np.zeros((3, ml + w + mr), dtype=complex)
     ab[0, 1:] = ab[2, :-1] = -c
     for j in range(J):
         ab[1] = 2 * c - zs[j]
-        G = solve_banded((1, 1), ab, F[j].T).T
+        Fj = scale[j] * F
+        G = solve_banded((1, 1), ab, Fj[0].T).T
         for i, g in enumerate(G):
             tol = 1e-12 * np.abs(g).max()
             if i < kl:
@@ -455,18 +457,12 @@ def test_exterior_solve_is_the_whole_line_solve(ml, mr, w, log_shifts, kl,
                 want = U_r[j, i] + c * g[ml + w - 1] * phi_r[j]
                 assert np.abs(g[ml + w:] - want).max(initial=0) <= tol
         if ml + mr >= 2:
-            # each system comes out as its own solve, bit for bit
-            one = exterior_solve(h, zs[j:j + 1], F[j:j + 1, :kl, :ml],
-                                 F[j:j + 1, :kr, ml + w:])
+            # each system, its right-hand sides scaled as it is filled,
+            # comes out as its own solve of the scaled copy, bit for bit
+            one = exterior_solve(h, zs[j:j + 1], Fj[:, :kl, :ml],
+                                 Fj[:, :kr, ml + w:], np.ones(1))
             whole = (U_l, phi_l, U_r, phi_r)
             assert all(np.array_equal(a[0], b[j]) for a, b in zip(one, whole))
-    # one set of right-hand sides, scaled per z_j as each system is filled,
-    # is the solve of the scaled copy bit for bit
-    c = rng.standard_normal(J)
-    B = c[:, None, None] * F[:1]
-    scaled = exterior_solve(h, zs, F[:1, :kl, :ml], F[:1, :kr, ml + w:], c)
-    want = exterior_solve(h, zs, B[:, :kl, :ml], B[:, :kr, ml + w:])
-    assert all(np.array_equal(a, b) for a, b in zip(scaled, want))
 
 
 @pytest.mark.parametrize("case", sorted(EXTERIOR_CASES))

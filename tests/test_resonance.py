@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from robinwg.errors import RobinwgError
 from robinwg.geometry import (RECTANGULAR, TABULATED, CurvatureProfile,
                               default_bump)
-from robinwg.resonance import (Potential1D, _integrate, coupling_scan,
+from robinwg import resonance
+from robinwg.resonance import (Potential1D, _integrate, _lattice_counts,
                                detect_resonance, find_resonant_coupling,
                                zero_energy_solve)
 
@@ -160,37 +161,25 @@ def test_find_resonant_coupling_bump():
 
 
 def test_scan_solves_each_coupling_once(monkeypatch):
-    # Brent returns a point it evaluated, and the acceptance check reuses
-    # that solve: one batched scan, one solve per Brent point, one noise solve
-    from robinwg import resonance
+    # the guard reads D at the bracket ends Brent starts from, Brent returns
+    # a point it evaluated, and the acceptance check reuses that solve: one
+    # solve per Brent point and one noise solve
     calls, integrate = [], resonance._integrate
 
-    def counted(v_at, *args, n=1, rtol=resonance._ODE_TOL, **kwargs):
-        calls.append((n, rtol, float(v_at(0.0)) if n == 1 else None))
-        return integrate(v_at, *args, n=n, rtol=rtol, **kwargs)
+    def counted(v_at, *args, rtol=resonance._ODE_TOL, **kwargs):
+        calls.append((rtol, float(v_at(0.0))))
+        return integrate(v_at, *args, rtol=rtol, **kwargs)
 
     monkeypatch.setattr(resonance, "_integrate", counted)
     root = find_resonant_coupling(default_bump(), (-20.0, -0.5))
-    assert [c[0] > 1 for c in calls].count(True) == 1
-    assert [c[1] for c in calls].count(1e-10) == 1
-    fine = [c[2] for c in calls if c[0] == 1 and c[1] == resonance._ODE_TOL]
+    assert [c[0] for c in calls].count(1e-10) == 1
+    fine = [c[1] for c in calls if c[0] == resonance._ODE_TOL]
     assert len(fine) == len(set(fine)) >= 2
     assert root * default_bump().squared_at(0.0) in fine
 
 
 def test_find_resonant_coupling_positive_range_none():
     assert find_resonant_coupling(SQUARE, (0.5, 20.0)) is None
-
-
-def test_scan_uniqueness_in_range():
-    # D(beta) continuous: every sign change on a fine scan is matched by a root
-    prof = default_bump()
-    betas = np.linspace(-20.0, -0.5, 120)
-    vals = [zero_energy_solve(Potential1D.from_profile(prof, b), 2,
-                              rtol=1e-9).mismatch
-            for b in betas]
-    flips = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
-    assert len(flips) == 1  # unique resonance in the default scan window
 
 
 def test_reflection_covariance():
@@ -249,24 +238,49 @@ def test_scaled_potential_support():
     assert abs(v(np.array([0.0]))[0] - default_bump().sample(0.0) ** 2 / 0.0625) < 1e-12
 
 
-def test_coupling_scan_square_well_closed_form():
-    # D = -q sin(q L) and 1 + floor(q L / pi) bound states, q = sqrt(-beta)
+def test_lattice_count_square_well_closed_form(monkeypatch):
+    # Neumann eigenvalues (j pi)^2 of the unit well: 1 + floor(q / pi)
+    # resonances above beta = -q^2, lam = 0 included; none for beta > 0,
+    # where h^2 beta / 12 > 1 too.  The count solves no ODE.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the lattice count ran the ODE stepper")
+
+    monkeypatch.setattr(resonance, "dop853", no_solve)
     betas = np.linspace(-45.0, -1.0, 9)
-    d, nodes = coupling_scan(SQUARE, betas)
     q = np.sqrt(-betas)
-    assert np.max(np.abs(d - transfer_matrix_well(betas)[1])) < 2e-11
-    assert list(nodes) == list(1 + np.floor(q / np.pi).astype(int))
-    d, nodes = coupling_scan(SQUARE, np.linspace(0.5, 20.0, 5))
-    assert np.all(d > 0) and not np.any(nodes)
+    assert list(_lattice_counts(SQUARE, betas)) == list(
+        1 + np.floor(q / np.pi).astype(int))
+    assert not np.any(_lattice_counts(SQUARE, [0.5, 5.0, 20.0, 1e7]))
 
 
-def test_sturm_guard_names_interval_with_hidden_roots():
-    # -pi^2 and -4 pi^2 both lie in the one interval: D has the same sign
-    # at both ends while two bound states appear between them
-    with pytest.raises(RobinwgError, match=r"scan interval \[-45, -1\]"):
-        find_resonant_coupling(SQUARE, (-45.0, -1.0), n_scan=2)
+def test_sturm_guard_names_interval_with_hidden_roots(monkeypatch):
+    # -pi^2 and -4 pi^2 share the last of the 119 intervals: the count
+    # steps by two there, and the guard fires before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the scan solved before the guard")
+
+    with monkeypatch.context() as m:
+        m.setattr(resonance, "_integrate", no_solve)
+        with pytest.raises(RobinwgError, match=r"scan interval "
+                           r"\[-43\.0084, -1\] holds 2 resonances"):
+            find_resonant_coupling(SQUARE, (-5000.0, -1.0))
     root = find_resonant_coupling(SQUARE, (-45.0, -1.0))
     assert abs(root + np.pi ** 2) < 5e-12
+
+
+def test_sturm_guard_names_interval_where_count_and_mismatch_disagree(
+        monkeypatch):
+    # a count that places the root one interval early: D keeps its sign
+    # over the interval it steps in, which the guard names
+    counts = resonance._lattice_counts
+    monkeypatch.setattr(resonance, "_lattice_counts",
+                        lambda p, b: np.append(counts(p, b)[1:], 1))
+    betas = np.linspace(-20.0, -0.5, 120)
+    i = np.searchsorted(betas, BUMP_BETA_STAR) - 2
+    with pytest.raises(RobinwgError, match=(
+            rf"scan interval \[{betas[i]:.6g}, {betas[i + 1]:.6g}\]: the "
+            "resonance count steps by one but the mismatch D keeps its sign")):
+        find_resonant_coupling(default_bump(), (-20.0, -0.5))
 
 
 def seeded_bell(seed):
@@ -342,11 +356,46 @@ def test_resonant_coupling_amplitude_covariance(amp):
 @settings(max_examples=10, deadline=None)
 @given(st.floats(0.8, 2.5))
 def test_node_count_steps_by_one_across_root(amp):
+    # the lattice places the root to about 1e-10 here: read it 1e-6
+    # either side
     root = scaled_bump_star(amp)
-    d, nodes = coupling_scan(default_bump().scaled(amp),
-                             [root * (1 - 1e-6), root * (1 + 1e-6)])
+    prof = default_bump().scaled(amp)
+    betas = [root * (1 - 1e-6), root * (1 + 1e-6)]
+    d = [zero_energy_solve(Potential1D.from_profile(prof, b), 2).mismatch
+         for b in betas]
     assert d[0] * d[1] < 0
+    nodes = _lattice_counts(prof, betas)
     assert nodes[1] == nodes[0] + 1
+
+
+def scalar_sign_changes(profile, betas):
+    """Intervals of `betas` over which scalar solves of D change sign."""
+    d = np.sign([zero_energy_solve(Potential1D.from_profile(profile, b), 2,
+                                   rtol=1e-8).mismatch for b in betas])
+    return np.flatnonzero(d[:-1] * d[1:] < 0)
+
+
+SCANS = st.one_of(
+    st.floats(0.8, 2.5).map(
+        lambda a: (default_bump().scaled(a), (-60.0 / a ** 2, -0.5 / a ** 2))),
+    st.integers(0, 2 ** 16).map(lambda seed: (seeded_bell(seed),
+                                              (-30.0, -0.5))))
+
+
+@settings(max_examples=4, deadline=None)
+@given(SCANS)
+@example((default_bump(), (-20.0, -0.5)))
+@example((seeded_bell(287), (-30.0, -0.5)))  # a root 2e-5 from a coupling
+def test_count_steps_where_scalar_mismatch_changes_sign(scan):
+    # the brackets of find_resonant_coupling are the scalar sign changes
+    profile, beta_range = scan
+    betas = np.linspace(*beta_range, 120)
+    steps = -np.diff(_lattice_counts(profile, betas))
+    flips = scalar_sign_changes(profile, betas)
+    assert set(steps) <= {0, 1}
+    assert np.array_equal(np.flatnonzero(steps), flips)
+    if scan == (default_bump(), (-20.0, -0.5)):
+        assert flips.size == 1  # the one resonance of the default window
 
 
 def two_step_well(a, b, L1):
@@ -427,7 +476,6 @@ def test_lane_wise_refinement_is_scalar_brentq(monkeypatch, profile,
                                                beta_range):
     # every bracketed root is brentq's bit for bit, and the smallest |beta|
     # among them is returned
-    from robinwg import resonance
     found, lanes = [], resonance._brent_lanes
 
     def kept(*args, **kwargs):
