@@ -214,7 +214,10 @@ def dop853(fun, t0, t_bound, y0, tol, dense=False):
                 error_norm = 0.0
             else:
                 denom = err5_norm_2 + 0.01 * err3_norm_2
-                error_norm = h_abs * err5_norm_2 / math.sqrt(denom * n)
+                # 0.01 err3^2 can underflow to 0 with err5 = 0: numpy's
+                # 0/0 there is nan (a rejected step), where Python raises
+                error_norm = (h_abs * err5_norm_2 / math.sqrt(denom * n)
+                              if denom else math.nan)
             if error_norm < 1:
                 factor = (MAX_FACTOR if error_norm == 0 else
                           min(MAX_FACTOR, SAFETY * error_norm ** EXPONENT))

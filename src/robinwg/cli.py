@@ -25,7 +25,8 @@ import numpy as np
 from . import __version__
 from .config import (PROFILE_SCHEMA, alpha_grid, config_hash, parse_kv,
                      profile_from_config, validate)
-from .errors import ConfigError, ProfileError, RobinwgError
+from .errors import (ConfigError, GridResolutionError, ProfileError,
+                     RobinwgError)
 from .geometry import ScalingParams, WaveguideGeometry
 from .graph_limit import GraphOperatorSpec, green_function
 from .report import VERDICT_MISMATCH
@@ -34,6 +35,7 @@ from .transverse import beta_table, perturbation_coefficients
 
 UNITS_NOTE = "lengths in units of the half-width d; alpha, curvature in 1/length"
 # unknowns per probe at a study's smallest eps: 8x the largest README 2D grid
+# (the strip's s extent grows as z nears [0, inf); the 1D one is half_length)
 MAX_UNKNOWNS = 2_000_000
 
 
@@ -189,7 +191,8 @@ LIMIT_SCHEMA = dict(PROFILE_SCHEMA, **{
     "z_im": ("float", 1.0),
     "eps_list": ("floats", [0.4, 0.2, 0.1, 0.05, 0.025]),
     "error_threshold": ("float", 0.02),
-    "half_length": ("float", 16.0),
+    # every probe vanishes outside [-half_length, half_length]
+    "half_length": ("float", 8.0),
     "h_target": ("float", 2e-3),
     "probe_center": ("float", -4.0),
     "probe_half_width": ("float", 1.5),
@@ -197,11 +200,8 @@ LIMIT_SCHEMA = dict(PROFILE_SCHEMA, **{
 })
 
 
-def _check_study(cfg, profile, min_half_length, h_max=np.inf, n_u=None):
-    """The study keys shared by limit-check and waveguide-check; returns z.
-    The s-grid at the smallest eps may hold MAX_UNKNOWNS unknowns per probe:
-    nodes in 1D, interior columns times n_u + 1 in 2D."""
-    from .effective_1d import s_grid
+def _check_study(cfg):
+    """The study keys shared by limit-check and waveguide-check; returns z."""
     if cfg["probe"] not in ("bump", "random"):
         raise ConfigError(f"probe must be 'bump' or 'random', got {cfg['probe']!r}")
     eps = cfg["eps_list"]
@@ -217,15 +217,20 @@ def _check_study(cfg, profile, min_half_length, h_max=np.inf, n_u=None):
     if cfg["z_im"] == 0:
         raise ConfigError("z_im must be nonzero: the studies take the "
                           "resolvent off the real axis")
-    z = complex(cfg["z_re"], cfg["z_im"])
-    n = s_grid(profile, eps[-1], z, min_half_length, h_max).n_cells
+    return complex(cfg["z_re"], cfg["z_im"])
+
+
+def _check_grid_size(profile, eps, half_length, h_max, n_u, cause, remedy):
+    """The s-grid at the smallest eps may hold MAX_UNKNOWNS unknowns per
+    probe: nodes in 1D (n_u None), interior columns times n_u + 1 in 2D;
+    a larger one is a config error naming the keys that set it."""
+    from .effective_1d import s_grid
+    n = s_grid(profile, eps, half_length, h_max).n_cells
     size = n + 1 if n_u is None else (n - 1) * (n_u + 1)
     if size > MAX_UNKNOWNS:
         raise ConfigError(
-            f"z_re = {cfg['z_re']!r}, z_im = {cfg['z_im']!r} give a grid of "
-            f"{size:,} unknowns per probe at eps = {eps[-1]!r}, above "
-            f"{MAX_UNKNOWNS:,}; raise z_im or lower z_re")
-    return z
+            f"{cause} give a grid of {size:,} unknowns per probe at "
+            f"eps = {eps!r}, above {MAX_UNKNOWNS:,}; {remedy}")
 
 
 def _probe_from(cfg, seed):
@@ -266,17 +271,31 @@ def _emit_green_trace(report, out, cfg_raw, seed):
 
 
 def cmd_limit_check(cfg_raw, out, seed, override=None):
-    from .effective_1d import convergence_study
+    from .effective_1d import check_support, convergence_study
     cfg = validate(cfg_raw, LIMIT_SCHEMA)
     profile = profile_from_config(cfg)
-    z = _check_study(cfg, profile, cfg["half_length"], cfg["h_target"])
+    z = _check_study(cfg)
+    L = cfg["half_length"]
+    _check_grid_size(profile, cfg["eps_list"][-1], L, cfg["h_target"], None,
+                     f"half_length = {L!r}, h_target = {cfg['h_target']!r}",
+                     "lower half_length or raise h_target")
+    probe = _probe_from(cfg, seed)
+    if np.any(probe(np.array([-L, L]))):
+        raise ConfigError(
+            f"the probe is nonzero at s = +-half_length = {L!r}; every "
+            "probe must vanish outside [-half_length, half_length]: raise "
+            "half_length")
     beta, _ = _resolve_beta(cfg)
     if beta is None:
         raise ConfigError("need beta or the (alpha, n) pair")
+    if beta != 0.0:
+        try:    # the widest scaled support is the largest eps's
+            check_support(profile, max(cfg["eps_list"]), L)
+        except GridResolutionError as exc:
+            raise ConfigError(f"{exc}: raise half_length") from None
     report = convergence_study(
-        profile, beta, cfg["b"], z, _probe_from(cfg, seed), cfg["eps_list"],
-        half_length=cfg["half_length"], h_target=cfg["h_target"],
-        error_threshold=cfg["error_threshold"])
+        profile, beta, cfg["b"], z, probe, cfg["eps_list"], half_length=L,
+        h_target=cfg["h_target"], error_threshold=cfg["error_threshold"])
     return _emit_report(report, out, cfg_raw, seed, override)
 
 
@@ -301,11 +320,15 @@ WAVEGUIDE_SCHEMA = dict(PROFILE_SCHEMA, **{
 
 
 def cmd_waveguide_check(cfg_raw, out, seed, override=None):
-    from .waveguide2d import (FULL, MIN_HALF_LENGTH, SIMPLIFIED, Grid2D,
-                              resolve_n_max, theorem_check)
+    from .waveguide2d import (FULL, SIMPLIFIED, Grid2D, resolve_n_max,
+                              s_half_length, theorem_check)
     cfg = validate(cfg_raw, WAVEGUIDE_SCHEMA)
     profile = profile_from_config(cfg)
-    z = _check_study(cfg, profile, MIN_HALF_LENGTH, n_u=cfg["n_u"])
+    z = _check_study(cfg)
+    _check_grid_size(profile, cfg["eps_list"][-1], s_half_length(z), np.inf,
+                     cfg["n_u"],
+                     f"z_re = {cfg['z_re']!r}, z_im = {cfg['z_im']!r}",
+                     "raise z_im or lower z_re")
     _check_transverse(cfg["d"], cfg["n"], "n")
     try:    # n <= n_max, and n_u >= 16 resolves mode n_max at any s extent
         n_max = resolve_n_max(cfg["n"], cfg["n_max"])

@@ -1,9 +1,13 @@
 """Scaled effective 1D Hamiltonians and their resolvent convergence studies.
 
 h_eps = -d^2/ds^2 + beta (1 + eps b) / eps^2 * gamma^2(s/eps), discretised by
-second-order central differences on a Dirichlet-truncated interval.  The
-convergence driver compares (h_eps - z)^{-1} f against the graph-limit
-resolvent predicted by the resonance analysis of v = beta gamma^2.
+second-order central differences on [-L, L] with exact discrete transparent
+ends: outside the probes and the potential the lattice is the free line,
+whose outgoing solution g_{i+1} = r g_i closes each end (Engquist & Majda
+1977; Ehrhardt & Arnold 2001), so the finite grid returns the infinite
+lattice's solution.  The convergence driver compares (h_eps - z)^{-1} f
+against the graph-limit resolvent predicted by the resonance analysis of
+v = beta gamma^2.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ import numpy as np
 from ._lapack import zgtsv
 from .errors import GridResolutionError, ProfileError, RobinwgError
 from .geometry import CurvatureProfile
-from .graph_limit import (DECOUPLED, GraphOperatorSpec, resolvent_apply,
-                          sqrt_upper)
+from .graph_limit import DECOUPLED, GraphOperatorSpec, resolvent_apply
 from .report import (ConvergenceReport, extrapolate_linear, predicted_limit,
                      run_study)
 
@@ -26,7 +29,10 @@ RESOLUTION_FACTOR = 50  # grid cells across the scaled support, per the contract
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform grid on [-L, L] with Dirichlet caps; n_cells even so 0 is a node."""
+    """Uniform grid on [-L, L], n_cells even so 0 is a node.
+
+    `resolvent_solve` closes the end nodes by the outgoing lattice condition;
+    the 2D backend, which shares the grid, keeps Dirichlet caps there."""
 
     half_length: float
     n_cells: int
@@ -49,22 +55,48 @@ class Grid1D:
         return pts
 
 
-def s_grid(profile: CurvatureProfile, eps: float, z, min_half_length: float,
+def s_grid(profile: CurvatureProfile, eps: float, half_length: float,
            h_max: float = np.inf) -> Grid1D:
-    """The s-grid of both backends at one eps: the one place grids are sized.
+    """The s-grid of both backends at one eps: the one place h and n are sized.
 
-    L = max(min_half_length, 10/Im sqrt(z) + 1), so the decay e^(-Im sqrt(z) L)
-    measured from s = 0 is below e^-10 (that does not bound the truncation
-    error of a probe supported away from the vertex); h = min(h_max,
-    eps * support_width / RESOLUTION_FACTOR), and the cell count 2L/h is
-    rounded up to an even number so that s = 0 is a node, plus 2 where the
-    step 2L/n would still exceed the `check_resolution` bound by an ulp.
+    The grid is [-L, L], L = half_length (the backend chooses it: in 1D
+    every probe vanishes outside it, in 2D `waveguide2d.s_half_length`
+    keeps its Dirichlet caps away).  The cell count n is the smallest even
+    one whose step 2L/n is within min(h_max, eps * support_width /
+    RESOLUTION_FACTOR), as computed in floats, so that s = 0 is a node and
+    `check_resolution` passes.  Where 2L over that bound is an integer, n
+    is that integer (made even): a rectangle whose scaled edges sit on
+    multiples of the step keeps them on nodes.
     """
-    L = max(min_half_length, 10.0 / sqrt_upper(z).imag + 1.0)
-    bound = eps * profile.support_width / RESOLUTION_FACTOR
-    n = int(np.ceil(2 * L / min(h_max, bound)))
-    n += n % 2
-    return Grid1D(L, n + 2 if 2 * L / n > bound else n)
+    bound = min(h_max, eps * profile.support_width / RESOLUTION_FACTOR)
+    n = max(int(np.round(2 * half_length / bound)), 1)
+    while 2 * half_length / n > bound:   # at most twice: rounding, an ulp
+        n += 1
+    return Grid1D(half_length, n + n % 2)
+
+
+def outgoing_root(h, z):
+    """The root r, |r| < 1, of r + 1/r = 2 - h^2 z (z, or an array of z,
+    off [0, 4/h^2]): away from its sources the free lattice line -D2 - z of
+    step h has the outgoing solution g_{i+1} = r g_i.  With t = h^2 z and
+    a = 2 - t, a^2 - 4 = t (t - 4) and r = 2 / (a +- sqrt(a^2 - 4)), the
+    sign giving the larger modulus: no cancellation near r = 1 or r = 0."""
+    t = h * h * np.asarray(z, dtype=complex)
+    q = np.sqrt(t * (t - 4.0))
+    a = 2.0 - t
+    return 2.0 / np.where(np.abs(a + q) >= np.abs(a - q), a + q, a - q)
+
+
+def check_support(profile: CurvatureProfile, eps: float, half_length: float):
+    """Raise GridResolutionError unless the scaled potential's support
+    eps * profile.support lies in [-L, L], L = half_length: the transparent
+    ends take the line beyond +-L to be free."""
+    lo, hi = profile.support
+    if eps * lo < -half_length or eps * hi > half_length:
+        raise GridResolutionError(
+            f"the potential's support [{eps * lo!r}, {eps * hi!r}] at eps = "
+            f"{eps!r} leaves [-L, L], L = {half_length!r}: the transparent "
+            "ends need it inside")
 
 
 def check_resolution(h: float, eps: float, profile: CurvatureProfile):
@@ -90,7 +122,9 @@ class Discrete1DOperator:
 
     def apply_interior(self, g, diag, out, work):
         """(H - shift) g on the interior nodes of one full-node row g, written
-        into out; diag = `diagonal(shift)`, work is scratch of out's shape."""
+        into out; diag = `diagonal(shift)`, work is scratch of out's shape.
+        g's end nodes close the end rows: r times the neighbour there is
+        `resolvent_solve`'s transparent end, 0 a Dirichlet cap."""
         np.multiply(diag, g[1:-1], out=out)
         np.add(g[:-2], g[2:], out=work)
         # times 1/h^2: numpy divides a complex array by a float as by a
@@ -124,17 +158,20 @@ def _gtsv(diag, off, b):
     return x
 
 
-def exterior_solve(h, z, B_left, B_right, scale):
-    """The free Dirichlet exteriors on both sides of a window, for each z_j.
+def exterior_solve(h, z, B_left, B_right, scale, outer):
+    """The free exteriors on both sides of a window, for each z_j.
 
     Each side's operator is E_j = tridiag(-c, 2c - z_j, -c), c = 1/h^2, on
-    its m nodes between a Dirichlet cap and the window.  B_left (1, k,
-    m_left) holds k right-hand sides, B_right likewise; the system of z_j
-    takes them times scale[j] (a real array, one per z_j), formed as it is
-    filled, so no scaled copy of the whole B is made.  Returns (U_left,
-    phi_left, U_right, phi_right): U = E_j^{-1} scale[j] B and phi the Green
-    column E_j^{-1} e of the node next to the window.  All systems go end to
-    end, zero couplings at the joints and left row i sharing a column with
+    its m nodes, with `outer[j]` (a scalar or one per z_j) added to the
+    diagonal of the node at the far end: 0 is a Dirichlet cap, -c r_j
+    (`outgoing_root`) the exact transparent end.  The node next to the
+    window sees it as a Dirichlet cap.  B_left (1, k, m_left) holds k
+    right-hand sides, B_right likewise; the system of z_j takes them times
+    scale[j] (a real array, one per z_j), formed as it is filled, so no
+    scaled copy of the whole B is made.  Returns (U_left, phi_left,
+    U_right, phi_right): U = E_j^{-1} scale[j] B and phi the Green column
+    E_j^{-1} e of the node next to the window.  All systems go end to end,
+    zero couplings at the joints and left row i sharing a column with
     right row i, into one LAPACK `gtsv` call of at least two unknowns; each
     comes out bit for bit as its own solve would.
     """
@@ -147,9 +184,12 @@ def exterior_solve(h, z, B_left, B_right, scale):
         np.multiply(scale[:, None, None], B, out=part.transpose(1, 0, 2))
     X[k, :, max(ml - 1, 0):ml + 1] = 1.0        # the nodes next to the window
     if m:
+        diag = np.repeat(2.0 / h ** 2 - z, m).reshape(J, m)
+        ends = [i for i, side in ((0, ml), (m - 1, mr)) if side]
+        diag[:, ends] += np.reshape(outer, (-1, 1))
         off = np.full((J, m), -1.0 / h ** 2)
         off[:, [ml - 1, m - 1]] = 0.0           # the joints
-        X = _gtsv(np.repeat(2.0 / h ** 2 - z, m), off.ravel()[:-1],
+        X = _gtsv(diag.ravel(), off.ravel()[:-1],
                   X.reshape(k + 1, -1).T).T.reshape(X.shape)
     return (X[:kl, :, :ml].transpose(1, 0, 2), X[k, :, :ml],
             X[:kr, :, ml:].transpose(1, 0, 2), X[k, :, ml:])
@@ -194,28 +234,35 @@ def flat_exterior(op: Discrete1DOperator, z, f_samples) -> FlatExterior:
     i0, k = op.grid.n_cells // 2, _core_half_width(op)
     sides = (F[:, 1:i0 - k], F[:, i0 + k + 1:-1])
     rows = tuple(np.flatnonzero(np.any(side != 0, axis=1)) for side in sides)
-    # times 1.0, exact: the rows as they are
+    # times 1.0, exact: the rows as they are; transparent far ends
+    h = op.grid.h
     U_l, phi_l, U_r, phi_r = exterior_solve(
-        op.grid.h, complex(z), sides[0][None, rows[0]], sides[1][None, rows[1]],
-        np.ones(1))
+        h, complex(z), sides[0][None, rows[0]], sides[1][None, rows[1]],
+        np.ones(1), -outgoing_root(h, z) / h ** 2)
     return FlatExterior(op.grid, complex(z), k, len(F), rows,
                         (U_l[0], U_r[0]), (phi_l[0], phi_r[0]))
 
 
 def resolvent_solve(op: Discrete1DOperator, z, f_samples,
                     exterior: FlatExterior | None = None) -> np.ndarray:
-    """(H - z)^{-1} f by the exact Schur split of W and its flat exterior.
+    """(H - z)^{-1} f on the infinite lattice, by the exact Schur split of W
+    and its flat exterior, with transparent ends.
 
     f is sampled on the full node set, one probe or a (probes, nodes)
-    block; the output has f's shape and zeros at the Dirichlet caps.
-    Outside the core window W each row is g = U + c g(edge) phi, c = 1/h^2
-    (`flat_exterior`, built here when `exterior` is None), so W's
-    tridiagonal takes the Schur corner terms c^2 phi(edge) and the
-    right-hand side c U(edge): one LAPACK `gtsv` call for all rows, each
-    bit for bit its own solve.  An `exterior` of another grid, z, W or row
-    count raises RobinwgError; one of another block of f's shape fails the
-    check that every row's residual is within 1e-12 of its own ||f||, as
-    does a row that is not finite.
+    block; f and op's potential must vanish at both end nodes
+    (GridResolutionError otherwise), as they do beyond s = +-L, so the
+    lattice solution there is g_{i+1} = r g_i, r = `outgoing_root(h, z)`,
+    and each end row takes the diagonal 2c - z - c r, c = 1/h^2.  The output
+    has f's shape and holds r times its neighbour at the end nodes, so the
+    residual gate below checks the operator that was solved.  Outside the
+    core window W each row is g = U + c g(edge) phi (`flat_exterior`, built
+    here when `exterior` is None), so W's tridiagonal takes the Schur
+    corner terms c^2 phi(edge) and the right-hand side c U(edge); a W that
+    reaches the end nodes takes the end term itself.  One LAPACK `gtsv`
+    call solves all rows, each bit for bit its own solve.  An `exterior` of
+    another grid, z, W or row count raises RobinwgError; one of another
+    block of f's shape fails the check that every row's residual is within
+    1e-12 of its own ||f||, as does a row that is not finite.
     """
     if complex(z).imag == 0:
         raise RobinwgError("resolvent_solve needs Im z != 0")
@@ -224,6 +271,15 @@ def resolvent_solve(op: Discrete1DOperator, z, f_samples,
     if f.shape[-1:] != s.shape or f.ndim > 2:
         raise RobinwgError("f must be sampled on the full grid")
     F = np.atleast_2d(f)
+    if np.any(F[:, [0, -1]] != 0):
+        raise GridResolutionError(
+            f"f is nonzero at an end node s = +-{op.grid.half_length!r}: the "
+            "transparent ends need every source to vanish outside [-L, L]")
+    if np.any(op.potential[[0, -1]] != 0):
+        raise GridResolutionError(
+            f"the potential is nonzero at an end node s = "
+            f"+-{op.grid.half_length!r}: the transparent ends need it to "
+            "vanish outside [-L, L]")
     ext = exterior or flat_exterior(op, z, F)
     if ((ext.grid, ext.z, ext.k, ext.n_rows)
             != (op.grid, complex(z), _core_half_width(op), len(F))):
@@ -231,28 +287,34 @@ def resolvent_solve(op: Discrete1DOperator, z, f_samples,
                            "z, core window or row count")
     h = op.grid.h
     c = 1.0 / h ** 2
+    r = complex(outgoing_root(h, z))
     i0 = op.grid.n_cells // 2
     lo, hi = i0 - ext.k, i0 + ext.k
     diag = 2.0 / h ** 2 + op.potential[lo:hi + 1] - z
     b = F[:, lo:hi + 1].astype(complex).T
-    flat = len(ext.phi[0]) > 0        # W short of the caps
+    flat = len(ext.phi[0]) > 0        # W short of the end nodes
     if flat:
         diag[0] -= c * c * ext.phi[0][-1]
         diag[-1] -= c * c * ext.phi[1][0]
         b[0, ext.rows[0]] += c * ext.U[0][:, -1]
         b[-1, ext.rows[1]] += c * ext.U[1][:, 0]
+    else:
+        diag[[0, -1]] -= c * r
     x = _gtsv(diag, -c, b)
     G = np.empty(F.shape, dtype=complex)
-    G[:, [0, -1]] = 0.0
     G[:, lo:hi + 1] = x.T
     if flat:
         for nodes, g_edge, rows, U, phi in zip(
                 (slice(1, lo), slice(hi + 1, -1)), (x[0], x[-1]), ext.rows,
                 ext.U, ext.phi):
-            for r, ge in enumerate(g_edge):
-                np.multiply(phi, c * ge, out=G[r, nodes])
-            for r, u in zip(rows, U):
-                G[r, nodes] += u
+            for p, ge in enumerate(g_edge):
+                np.multiply(phi, c * ge, out=G[p, nodes])
+            for p, u in zip(rows, U):
+                G[p, nodes] += u
+    # the lattice beyond each end node: g_{i+1} = r g_i; row by row, as
+    # numpy's loop over a column can round differently from one element
+    for row in G:
+        row[0], row[-1] = r * row[1], r * row[-2]
     # backward-stable solve: the attainable residual scales with eps*||A||
     a_scale = 4.0 / h ** 2 + np.max(np.abs(op.potential)) + abs(z)
     diag = op.diagonal(z)
@@ -298,13 +360,15 @@ def extract_vertex_data(s, g, eps, support_radius) -> VertexData:
     """One-sided extrapolation of (f, f') at 0 from outside the scaled core.
 
     Quintic least squares on [a, a + max(0.4, 2a)] per side with
-    a = 1.05 * eps * support_radius; raises when the window would swallow
-    half the grid.
+    a = 1.05 * eps * support_radius; raises when the window would run off
+    the grid.  The transparent ends leave no cap reflection to keep the
+    window away from (the Dirichlet caps of earlier versions needed it
+    within half the grid).
     """
     a = max(1.05 * eps * support_radius, 5 * (s[1] - s[0]))
     width = max(0.4, 2 * a)
-    if a + width > 0.5 * s[-1]:
-        raise GridResolutionError("extrapolation window exceeds half the grid")
+    if a + width > s[-1]:
+        raise GridResolutionError("extrapolation window runs off the grid")
     out = {}
     for sign in (+1, -1):
         sel = (sign * s >= a) & (sign * s <= a + width)
@@ -332,7 +396,7 @@ def vertex_condition_residuals(spec: GraphOperatorSpec, vd: VertexData) -> dict:
 
 
 def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
-                      f, eps_list, half_length: float = 16.0,
+                      f, eps_list, half_length: float = 8.0,
                       h_target: float = 2e-3,
                       error_threshold: float = 0.02) -> ConvergenceReport:
     """Per-eps resolvent errors against the resonance-predicted graph limit.
@@ -340,18 +404,27 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
     The 1D backend of `report.run_study`: f may be a callable or a list of
     callables (the error is then the max over the probe set, a sampled
     stand-in for the operator norm), and all probes of one eps share one
-    banded solve of the block.  A flat exterior (`flat_exterior`) is built
-    when run_study hands over a new probe block, which it does only on a new
-    grid, or when the core window W changes; the other eps solve only the
-    core.  The backend holds that one exterior and the block it was built
-    for, and lets both go on a new grid before run_study samples its block,
-    on a new W before the next exterior is built, and before the
-    discretisation estimate.  The transmission is measured against the
-    continuum free resolvent.  For a limit that couples the edges each
-    solve fits the first probe's vertex data, and the gluing conditions are
-    tested on them and on their eps -> 0 extrapolation.  The
-    discretisation estimate re-solves
-    the first probe on a grid with h halved at the smallest eps.  An eps
+    banded solve of the block.  Every probe must vanish outside [-L, L],
+    L = half_length (one nonzero at an end node raises
+    GridResolutionError), as must the potential: a scaled support
+    eps * profile.support that leaves [-L, L] raises GridResolutionError
+    before any solve (`check_support`).  The grid needs no margin beyond
+    that, because
+    its transparent ends return the infinite lattice's solution, and
+    run_study takes the error and leakage norms to infinity with the
+    lattice's `outgoing_root`.  The default L = 8 holds |s| <= 1, the
+    2 < s < 6 transmission window and probes out to |s| = 8.  A flat
+    exterior (`flat_exterior`) is built when run_study hands over a new
+    probe block, which it does only on a new grid, or when the core window
+    W changes; the other eps solve only the core.  The backend holds that
+    one exterior and the block it was built for, and lets both go on a new
+    grid before run_study samples its block, on a new W before the next
+    exterior is built, and before the discretisation estimate.  The
+    transmission is measured against the continuum free resolvent.  For a
+    limit that couples the edges each solve fits the first probe's vertex
+    data, and the gluing conditions are tested on them and on their
+    eps -> 0 extrapolation.  The discretisation estimate re-solves the
+    first probe on a grid with h halved at the smallest eps.  An eps
     with 1 + eps*b <= 0, where the deformation flips the coupling's sign,
     raises ProfileError before any solve.
     """
@@ -360,13 +433,15 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
         if 1.0 + eps * b <= 0:
             raise ProfileError(f"deformation requires 1 + eps*b > 0, got "
                                f"{1.0 + eps * b!r} at eps = {eps!r}")
+        if beta != 0.0:
+            check_support(profile, eps, half_length)
     predicted, alt = predicted_limit(profile, beta, b)
     support_radius = max(abs(profile.support[0]), abs(profile.support[1]))
     last = {"grid": None, "block": None, "exterior": None}
     vdata = []
 
     def solver(eps):
-        grid = s_grid(profile, eps, z, half_length, h_target)
+        grid = s_grid(profile, eps, half_length, h_target)
         if grid != last["grid"]:
             # run_study samples a new block on a new grid: the old block
             # and its exterior go before any array of the new grid is made
@@ -399,7 +474,8 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
     free = GraphOperatorSpec.free()
     report = run_study(predicted, alt, z, f, eps_list, solver, error_threshold,
                        lambda s, fs: resolvent_apply(free, z, s, fs),
-                       floor_estimate=floor_estimate)
+                       floor_estimate=floor_estimate,
+                       outgoing=lambda h: outgoing_root(h, z))
     report.vertex_residuals = [vertex_condition_residuals(predicted, vd)
                                for vd in vdata]
     if len(vdata) >= 3:

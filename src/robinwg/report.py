@@ -7,7 +7,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import RobinwgError
-from .graph_limit import DECOUPLED, GraphOperatorSpec, resolvent_apply
+from .graph_limit import (DECOUPLED, GraphOperatorSpec, resolvent_apply,
+                          sqrt_upper)
 from .resonance import Potential1D, detect_resonance
 
 VERDICT_MATCH = "converges-to-predicted"
@@ -109,22 +110,36 @@ def _trapezoid_weights(s, *runs):
     return w
 
 
-def _weighted_norm(t, w):
-    """sqrt(sum(w |t|^2)) without forming |t|^2."""
-    return np.sqrt(np.vdot(t, w * t).real)
+def _weighted_norm(t, w, tail=0.0):
+    """sqrt(sum(w |t|^2) + tail) without forming |t|^2; tail is the squared
+    norm beyond the end nodes, if any."""
+    return np.sqrt(np.vdot(t, w * t).real + tail)
 
 
-def _max_error(G, L, norms, w):
-    """max over the rows of ||g - l||_w / ||f||, G and L row-aligned blocks."""
+def _max_error(G, L, norms, w, tail=None):
+    """max over the rows of ||g - l||_w / ||f||, G and L row-aligned blocks;
+    tail(g, l), when given, adds the squared norm beyond the end nodes."""
     e = 0.0
     for g, lim, nf in zip(G, L, norms):
-        e = max(e, _weighted_norm(g - lim, w) / nf)
+        e = max(e, _weighted_norm(g - lim, w,
+                                  0.0 if tail is None else tail(g, lim)) / nf)
     return e
+
+
+def _end_tail(a, b, r, q, h):
+    """The trapezoid rule's share of |g - l|^2 from one end node outwards,
+    where the run ends: h/2 |a - b|^2 at the end node, where g = a and
+    l = b, and sum_{j >= 1} h |a r^j - b q^j|^2 beyond it, in closed form
+    (geometric series in |r|^2, |q|^2 and r conj(q))."""
+    rr, qq, rq = abs(r) ** 2, abs(q) ** 2, r * q.conjugate()
+    return h * (abs(a - b) ** 2 / 2 + abs(a) ** 2 * rr / (1 - rr)
+                + abs(b) ** 2 * qq / (1 - qq)
+                - 2 * (a * b.conjugate() * rq / (1 - rq)).real)
 
 
 def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
               eps_list, solver, error_threshold: float, free_line,
-              floor_estimate=None, notes=()) -> ConvergenceReport:
+              floor_estimate=None, notes=(), outgoing=None) -> ConvergenceReport:
     """Per-eps resolvent errors against the predicted limit, and the verdict.
 
     `solver(eps)` returns (s, solve): solve(F) takes the probes sampled on s
@@ -134,12 +149,18 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
     of s; the error is the max over the probes of the L2(|s| > 1) distance
     to the limit output over ||f||, where the limit output is smooth: the
     trapezoid rule on the two half-lines s < -1 and s > 1, with no cell
-    across the gap between them.  Only this per-grid pass decides whether an
-    eps is on the last eps's grid (the same s, bit for bit), and only a new
-    grid samples the probe block (each norm finite and positive), makes one
-    `resolvent_apply` call for the predicted and competitor outputs and
-    forms the first probe's free_line reference and the error and leakage
-    weights, none of which depends on eps.  Each eps gets its own solve,
+    across the gap between them.  `outgoing(h)`, when given, is the root r
+    with which the backend's solutions continue beyond the end nodes
+    (g_end r^j, j nodes out; the 1D lattice's transparent ends), and the
+    error and leakage norms then run to infinity: the limit continues as
+    l_end e^{i sqrt(z) j h}, so each half-line's tail is a closed-form
+    geometric sum (`_end_tail`).  Without it (the 2D backend, whose caps
+    are Dirichlet) the norms stop at the end nodes.  Only this per-grid
+    pass decides whether an eps is on the last eps's grid (the same s, bit
+    for bit), and only a new grid samples the probe block (each norm finite
+    and positive), makes one `resolvent_apply` call for the predicted and
+    competitor outputs and forms the first probe's free_line reference and
+    the error and leakage weights and tails, none of which depends on eps.  Each eps gets its own solve,
     handed the same block object while the grid stays, so a backend may
     key its per-grid work on that object.  The first probe's solve, when
     that probe lies left of the vertex, gives the leakage past s = 1 and,
@@ -181,16 +202,24 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
                     raise RobinwgError(f"probe {i} has sampled norm {nf:.3g} "
                                        "on the s-grid: need finite and > 0")
             limits = resolvent_apply([predicted, alt], z, s, F)
+            tail = None
+            if outgoing is not None:
+                h = s[1] - s[0]
+                rqh = (complex(outgoing(h)),
+                       complex(np.exp(1j * sqrt_upper(z) * h)), h)
+                tail = lambda g, lim: (_end_tail(g[0], lim[0], *rqh)
+                                       + _end_tail(g[-1], lim[-1], *rqh))
             mass_left = np.trapezoid(np.abs(F[0][s < 0]) ** 2, s[s < 0])
             left = mass_left > (1 - 1e-12) * norms[0] ** 2
             ref = (free_line(s, F[0])
                    if left and predicted.kind != DECOUPLED else None)
         G = solve(F)
-        errors.append(_max_error(G, limits[0], norms, outer))
-        alt_errors.append(_max_error(G, limits[1], norms, outer))
+        errors.append(_max_error(G, limits[0], norms, outer, tail))
+        alt_errors.append(_max_error(G, limits[1], norms, outer, tail))
         if left:
             # on s > 1 the outer weights are that half-line's own
-            leakage.append(float(_weighted_norm(G[0, far], outer[far])
+            beyond = 0.0 if tail is None else _end_tail(G[0, -1], 0j, *rqh)
+            leakage.append(float(_weighted_norm(G[0, far], outer[far], beyond)
                                  / norms[0]))
         if ref is not None:
             taus.append(complex(np.mean(G[0, win] / ref[win])))

@@ -266,7 +266,9 @@ def find_resonant_coupling(profile: CurvatureProfile, beta_range):
 
     Scans 120 couplings over the range, 0 left out.  Brent's method refines
     at full tolerance, on a scalar gamma^2 path, each interval across which
-    the lattice count of resonances (`_lattice_counts`) steps by one.  A
+    the lattice count of resonances (`_lattice_counts`) steps by one; in
+    the interval that straddles 0 the step of the constant mode (beta = 0,
+    the free line, where D = 0 trivially) is discounted.  A
     tabulated profile's integration restarts at every spline knot.
     Positive couplings give convex solutions (D > 0), so a range inside
     (0, inf) scans to None.
@@ -286,6 +288,9 @@ def find_resonant_coupling(profile: CurvatureProfile, beta_range):
     betas = np.linspace(lo, hi, 120)
     betas = betas[betas != 0.0]
     steps = np.abs(np.diff(_lattice_counts(profile, betas)))
+    # the constant Neumann mode (lam = 0) steps the count across beta = 0,
+    # where D(0) = 0 holds trivially: it is no resonance
+    steps[(betas[:-1] < 0) & (betas[1:] > 0)] -= 1
     interval = lambda i: f"scan interval [{betas[i]:.6g}, {betas[i + 1]:.6g}]"
     many = np.flatnonzero(steps > 1)
     if many.size:

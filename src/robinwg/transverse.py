@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketingError, NearSpectrumError, SingularDenominatorError
+from .errors import (BracketingError, NearSpectrumError, RobinwgError,
+                     SingularDenominatorError)
 
 _BRENT_KW = dict(xtol=1e-15, rtol=8.9e-16, maxiter=200)
 
@@ -490,42 +491,86 @@ class PerturbationCoefficients:
     beta: float
 
 
-def _lambda2(alpha, mu, d):
-    """lambda2 elementwise, nan where the formula is singular."""
+def _den1(alpha, mu, d, n):
+    """alpha^2 + mu, elementwise, for mode n of the symmetric problem.
+
+    For mu = -kappa^2 < 0 (the ground mode of a parity, alpha < 0) the
+    secular equation gives |alpha| - kappa without a subtraction: even modes
+    (kappa tanh kappa d = -alpha) -2 kappa / (e^(2 kappa d) + 1), odd modes
+    (kappa coth kappa d = -alpha) 2 kappa / (e^(2 kappa d) - 1); then
+    alpha^2 + mu = (|alpha| - kappa)(|alpha| + kappa), about
+    -+4 alpha^2 e^(-2 |alpha| d) on the tunnelling-split pair, where the
+    direct sum keeps none of its digits.  Elsewhere it is the direct sum.
+    """
+    kappa = np.sqrt(np.maximum(-mu, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gap = np.where(np.asarray(n) % 2 == 0,
+                       -2 * kappa / (np.exp(2 * kappa * d) + 1),
+                       2 * kappa / np.expm1(2 * kappa * d))
+    return np.where(mu < 0, gap * (np.abs(alpha) + kappa), alpha * alpha + mu)
+
+
+def _lambda2(alpha, mu, d, n):
+    """lambda2 elementwise for mode n, nan where the formula is singular:
+    alpha + d (alpha^2 + mu) = 0.  alpha^2 + mu (`_den1`) is nonzero at
+    finite d, so it needs no test; with it the entries grow like
+    e^(2 |alpha| d) as alpha d -> -inf."""
     alpha, mu = np.asarray(alpha, dtype=float), np.asarray(mu, dtype=float)
     scale = (np.abs(alpha) + 1.0 / d) ** 2
     origin = (np.abs(alpha) < 1e-9 / d) & (np.abs(mu) < 1e-9 / d ** 2)
-    den1 = alpha * alpha + mu
+    den1 = _den1(alpha, mu, d, n)
     den2 = alpha + d * den1
-    singular = ~origin & ((np.abs(den1) < 1e-12 * scale)
-                          | (np.abs(den2) < 1e-12 * scale * d))
+    singular = ~origin & (np.abs(den2) < 1e-12 * scale * d)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam2 = -mu * (alpha - 2 * d * den1) / (2 * d * d * den1 * den2)
     return np.where(singular, np.nan, np.where(origin, 1.0 / (4 * d * d), lam2))
+
+
+def _check_mode(alpha, mu, d, n):
+    """Raise RobinwgError unless a negative mu is mode n's eigenvalue: mode
+    0 with kappa tanh(kappa d) = -alpha or mode 1 with kappa coth(kappa d)
+    = -alpha, kappa = sqrt(-mu), to 1e-9 of |alpha| + kappa + 1/d.  Where
+    the pair's split, about 4 kappa e^(-2 kappa d), is below that (alpha d
+    below about -11) either n passes, and n alone picks the sign of
+    `_den1`."""
+    if mu >= 0:
+        return
+    kappa = np.sqrt(-mu)
+    side = {0: kappa * np.tanh(kappa * d),
+            1: kappa / np.tanh(kappa * d)}.get(n, np.inf)
+    if not abs(side + alpha) <= 1e-9 * (abs(alpha) + kappa + 1.0 / d):
+        raise RobinwgError(f"mu_n = {mu!r} is not the eigenvalue of mode {n} "
+                           f"at alpha = {alpha!r}, d = {d!r}")
 
 
 def _singular_message(alpha, mu_n):
     return f"lambda2 denominator vanishes at alpha={alpha}, mu={mu_n}"
 
 
-def lambda2_coefficient(alpha: float, mu_n: float, d: float) -> float:
+def lambda2_coefficient(alpha: float, mu_n: float, d: float, n: int) -> float:
     """Second-order eigenvalue coefficient in the (d eta)^2 expansion.
 
         lambda2 = -mu [alpha - 2d(alpha^2 + mu)] / (2 d^2 (alpha^2+mu) [alpha + d(alpha^2+mu)])
 
-    The joint limit (alpha, mu_0) -> (0, 0) along mu_0 ~ alpha/d is finite
-    and equals 1/(4 d^2); it is returned when both arguments vanish to
-    tolerance.  Elsewhere a vanishing denominator raises.
+    for mode n with eigenvalue mu_n at (alpha, d).  When mu_n < 0, n sets
+    the parity whose secular equation forms alpha^2 + mu_n without
+    cancellation (`_den1`), so the pair must be an eigenpair: a negative
+    mu_n that is not mode n's eigenvalue raises RobinwgError.  The joint
+    limit (alpha, mu_0) -> (0, 0) along mu_0 ~ alpha/d is finite and equals
+    1/(4 d^2); it is returned when both arguments vanish to tolerance.
+    Elsewhere a vanishing denominator raises.
     """
-    lam2 = float(_lambda2(alpha, mu_n, d))
+    _check_mode(alpha, mu_n, d, n)
+    lam2 = float(_lambda2(alpha, mu_n, d, n))
     if np.isnan(lam2):
         raise SingularDenominatorError(_singular_message(alpha, mu_n))
     return lam2
 
 
-def beta_coefficient(alpha: float, mu_n: float, d: float) -> float:
-    """Effective longitudinal coupling beta_n = -1/4 + lambda2."""
-    return -0.25 + lambda2_coefficient(alpha, mu_n, d)
+def beta_coefficient(alpha: float, mu_n: float, d: float, n: int) -> float:
+    """Effective longitudinal coupling beta_n = -1/4 + lambda2 of mode n,
+    mu_n its eigenvalue at (alpha, d) (`lambda2_coefficient`)."""
+    return -0.25 + lambda2_coefficient(alpha, mu_n, d, n)
 
 
 @dataclass(frozen=True)
@@ -552,7 +597,7 @@ def beta_table(alpha_grid, d: float, n_max: int) -> BetaTable:
     whole table; singular points and decreasing rows are marked, not fatal."""
     alpha = np.array(alpha_grid, dtype=float)
     mu = _symmetric_solve(alpha, d, n_max)[2]
-    lam2 = _lambda2(alpha[:, None], mu, d)
+    lam2 = _lambda2(alpha[:, None], mu, d, np.arange(n_max + 1))
     return BetaTable(alpha, mu, lam2, -0.25 + lam2, _order_errors(alpha, d, mu))
 
 

@@ -30,24 +30,34 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _lapack as lapack
-from .effective_1d import (Discrete1DOperator, check_resolution,
-                           exterior_solve, resolvent_solve, s_grid)
+from .effective_1d import check_resolution, exterior_solve, s_grid
 from .errors import (BracketingError, GridResolutionError, ProfileError,
                      RobinwgError)
 from .geometry import WaveguideGeometry
+from .graph_limit import sqrt_upper
 from .report import ConvergenceReport, predicted_limit, run_study
 from .transverse import (_asymmetric_solve, _mode_values, _sign_changes,
                          beta_coefficient, symmetric_spectrum)
 
 FULL = "full"
 SIMPLIFIED = "simplified"
-# the strip's smallest s half-length; `s_grid` lengthens it as z nears [0, inf)
+# the strip's smallest s half-length; `s_half_length` lengthens it as z
+# nears [0, inf)
 MIN_HALF_LENGTH = 12.0
 
 # Gregory end-corrected trapezoid weights, O(h^6); needs >= 14 points, and
 # a Grid2D (n_u >= 16) has at least 17.
 _GREGORY6 = np.array([95.0 / 288, 317.0 / 240, 23.0 / 30, 793.0 / 720,
                       157.0 / 160])
+
+
+def s_half_length(z) -> float:
+    """The strip's s half-length at z: L = max(MIN_HALF_LENGTH, 10/Im sqrt(z)
+    + 1), so the decay e^(-Im sqrt(z) L) from s = 0 to the Dirichlet caps
+    is below e^-10 (that does not bound the truncation error of a probe
+    supported away from the vertex).  The 1D backend has transparent ends
+    and needs no such rule."""
+    return max(MIN_HALF_LENGTH, 10.0 / sqrt_upper(z).imag + 1.0)
 
 
 def gregory_weights(n_points: int, h: float) -> np.ndarray:
@@ -339,7 +349,7 @@ def _core_system(op: DiscreteWaveguideOperator, projector: ModeProjector,
     C, k = op.core, op.core.stop - op.core.start
     U_l, phi_l, U_r, phi_r = exterior_solve(
         op.grid.h_s, zj, F[None, :, :C.start], F[None, :, C.stop:],
-        (projector.flat[n] * wu) @ Phi)
+        (projector.flat[n] * wu) @ Phi, 0.0)          # Dirichlet caps
 
     def assemble(p, xc):
         y = c * (xc[[0, -1]] * wu) @ Phi if len(xc) else np.zeros((2, nu))
@@ -467,7 +477,7 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
 
     flat = symmetric_spectrum(geometry.alpha, geometry.d, n_max)
     mu_n = flat[n].eigenvalue
-    beta_n = beta_coefficient(geometry.alpha, mu_n, geometry.d)
+    beta_n = beta_coefficient(geometry.alpha, mu_n, geometry.d, n)
     predicted, alt = predicted_limit(geometry.profile, beta_n, sc.b)
 
     offdiag = {m: [] for m in range(n_max + 1) if m != n}
@@ -476,7 +486,7 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
     def solver(eps):
         last.pop("field", None)    # the last eps's field goes before this one's
         geo = replace(geometry, scaling=replace(sc, epsilon=eps))
-        line = s_grid(geometry.profile, eps, z, MIN_HALF_LENGTH)
+        line = s_grid(geometry.profile, eps, s_half_length(z))
         grid = Grid2D(line.half_length, line.n_cells, n_u, geometry.d)
         op = build_waveguide(geo, variant, n_max, grid)
         proj = ModeProjector(geo, grid, n_max, flat)
@@ -496,10 +506,12 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
         return s, solve
 
     def free_line(s, fs):
-        """Discrete free 1D resolvent on the interior nodes of this eps's line."""
-        line = last["line"]
-        free = Discrete1DOperator(line, np.zeros(line.n_cells + 1))
-        return resolvent_solve(free, z, np.pad(fs.astype(complex), 1))[1:-1]
+        """Discrete free 1D resolvent on the interior nodes of this eps's
+        line, with the strip's Dirichlet caps: the exterior of an empty
+        core."""
+        U, *_ = exterior_solve(last["line"].h, complex(z), fs[None, None],
+                               fs[None, None, :0], np.ones(1), 0.0)
+        return U[0, 0]
 
     report = run_study(
         predicted, alt, z, probes, eps_list, solver, error_threshold, free_line,

@@ -2,7 +2,9 @@
 
 `whole_grid_resolvent` solves the 1D scaled operator on every interior node
 with scipy's banded solver, without the core/exterior split of
-`effective_1d.resolvent_solve`.  `full_grid_matrix` assembles the 2D
+`effective_1d.resolvent_solve`, closing its ends by the outgoing root that
+`lattice_root` takes from numpy's polynomial roots, or by Dirichlet caps
+(`dirichlet_line`, the 2D strip's free line).  `full_grid_matrix` assembles the 2D
 waveguide operator on the whole grid by successive sparse sums, the direct
 discretisation that the matrix-free apply of `waveguide2d` must reproduce.  `scalar_asymmetric_spectrum` solves the
 asymmetric transverse problem one root at a time with scalar brentq, the
@@ -43,22 +45,39 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def whole_grid_resolvent(h, potential, z, F):
+def lattice_root(h, z):
+    """The root |r| < 1 of r^2 - (2 - h^2 z) r + 1, by numpy's roots."""
+    roots = np.roots([1.0, -(2.0 - h * h * z), 1.0])
+    return roots[np.argmin(np.abs(roots))]
+
+
+def whole_grid_resolvent(h, potential, z, F, r=0.0):
     """(H - z)^{-1} f for each row of F, H = -D2 + diag(potential) by central
-    differences with step h and Dirichlet caps at the first and last node."""
+    differences with step h on the interior nodes, each end node holding r
+    times its neighbour: r = `lattice_root(h, z)` the transparent end, 0 a
+    Dirichlet cap."""
     F = np.atleast_2d(F)
     n = F.shape[1] - 2
     ab = np.zeros((3, n), dtype=complex)
     ab[0, 1:] = ab[2, :-1] = -1.0 / h ** 2
     ab[1] = 2.0 / h ** 2 + potential[1:-1] - z
+    ab[1, [0, -1]] -= r / h ** 2
     G = np.zeros(F.shape, dtype=complex)
     G[:, 1:-1] = solve_banded((1, 1), ab, F[:, 1:-1].T).T
+    G[:, 0], G[:, -1] = r * G[:, 1], r * G[:, -2]
     return G
 
 
+def dirichlet_line(h, z, f):
+    """The free line's (-D2 - z)^{-1} f with Dirichlet caps, f on the
+    interior nodes: the 2D strip's reference."""
+    full = np.pad(np.asarray(f, dtype=complex), 1)
+    return whole_grid_resolvent(h, np.zeros(len(full)), z, full)[0, 1:-1]
+
+
 def apply_1d(op, g):
-    """A `Discrete1DOperator`'s action on full-node samples g (caps pinned
-    to zero)."""
+    """A `Discrete1DOperator`'s action on full-node samples g: g's end nodes
+    close the end rows, and the output's end nodes are 0."""
     g = np.asarray(g)
     out = np.zeros(g.shape, dtype=np.result_type(g, op.potential))
     op.apply_interior(g, op.diagonal(), out[1:-1],

@@ -23,7 +23,7 @@ from robinwg.waveguide2d import (FULL, SIMPLIFIED, Grid2D, ModeProjector,
                                  build_waveguide, gregory_weights,
                                  reduced_resolvent, theorem_check)
 
-from reference import apply_2d
+from reference import apply_2d, dirichlet_line
 
 D = 1.0
 Z = 1j
@@ -88,7 +88,7 @@ def test_criterion_03_perturbation_expansion():
             a2 = alpha + eta / (2 * (1 - D * eta))
             lams.append(asymmetric_spectrum(a1, a2, D, n)[n].eigenvalue)
         coef, *_ = np.linalg.lstsq(X, np.array(lams), rcond=None)
-        l2 = lambda2_coefficient(alpha, mu, D)
+        l2 = lambda2_coefficient(alpha, mu, D, n)
         checks[f"fit{trial}"] = (abs(coef[2] - l2) < 1e-3 * abs(l2)
                                  and abs(coef[1]) < 1e-6 * abs(coef[2]))
     checks["runtime<10s"] = time.time() - t0 < 10.0
@@ -264,12 +264,7 @@ def test_criterion_10_2d_separable_exactness():
         g, info = reduced_resolvent(op, proj, 1, 1, Z, f)
         outs[ratio] = g
         if ratio == 0.05:
-            from robinwg.effective_1d import Grid1D, build_h_n_eps, resolvent_solve
-            full = np.zeros(grid.n_s + 1, dtype=complex)
-            full[1:-1] = f
-            ref = resolvent_solve(
-                build_h_n_eps(flat, 0.0, 1.0, 0.0,
-                              Grid1D(grid.s_half_length, grid.n_s)), Z, full)[1:-1]
+            ref = dirichlet_line(grid.h_s, Z, f)
             checks["r_nn = free 1D to 1e-8"] = bool(
                 np.max(np.abs(g - ref)) < 1e-8)
             g01 = proj.project(info["field"], 0)

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,24 +208,65 @@ def test_non_finite_floats_and_empty_scans_are_config_errors(
 
 
 @pytest.mark.parametrize("command, cfg, size", [
-    ("limit-check", "beta = 3.0\nz_re = 1.0\nz_im = 0.001\n", "20,001,005"),
     ("waveguide-check", "z_re = 1.0\nz_im = 0.01\n", "16,508,481"),
-], ids=["limit", "waveguide"])
+], ids=["waveguide"])
 def test_z_near_the_positive_axis_is_rejected_before_any_solve(
         tmp_path, capsys, monkeypatch, command, cfg, size):
-    # these grids would need gigabytes: a missing guard fails here at once
-    from robinwg import effective_1d, waveguide2d
+    # the strip's s extent grows as 10/Im sqrt(z): these grids would need
+    # gigabytes, so a missing guard fails here at once
+    from robinwg import waveguide2d
 
     def no_study(*args, **kwargs):
         raise AssertionError("the study ran past the grid guard")
 
-    monkeypatch.setattr(effective_1d, "convergence_study", no_study)
     monkeypatch.setattr(waveguide2d, "theorem_check", no_study)
     code, out = run(tmp_path, command, cfg)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: z_re = 1.0, z_im = ")
     assert f"grid of {size} unknowns" in err and "2,000,000" in err
+    assert not list(out.glob("*"))
+
+
+def test_limit_check_near_the_positive_axis_runs_on_the_probe_window(
+        tmp_path):
+    # the 1D grid spans [-half_length, half_length] whatever z is, and its
+    # transparent ends keep the errors those of the whole line
+    cfg = "beta = 3.0\nz_re = 1.0\nz_im = 0.001\neps_list = 0.4,0.2\n"
+    code, out = run(tmp_path, "limit-check", cfg)
+    assert code in (0, 3)
+    doc = json.loads((out / "report.json").read_text())["data"]
+    assert doc["predicted"]["kind"] == "decoupled"
+    assert all(np.isfinite(doc["errors"])) and doc["errors"][1] < doc["errors"][0]
+
+
+def test_huge_half_length_is_rejected_before_any_solve(tmp_path, capsys):
+    code, out = run(tmp_path, "limit-check",
+                    "beta = 3.0\nhalf_length = 5000\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: half_length = 5000.0, h_target = ")
+    assert "lower half_length or raise h_target" in err
+    assert not list(out.glob("*"))
+
+
+def test_probe_past_half_length_is_a_config_error(tmp_path, capsys):
+    # bump(-4, 1.5) reaches s = -5.5: it is nonzero at s = -5
+    code, out = run(tmp_path, "limit-check", "beta = 3.0\nhalf_length = 5\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the probe is nonzero at s = "
+                          "+-half_length = 5.0")
+    assert not list(out.glob("*"))
+
+
+def test_potential_past_half_length_is_a_config_error(tmp_path, capsys):
+    # the bump centred at 20 has scaled support [7.2, 8.8] at eps = 0.4
+    code, out = run(tmp_path, "limit-check", "beta = 3.0\ncenter = 20\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the potential's support [")
+    assert "leaves [-L, L], L = 8.0" in err and "raise half_length" in err
     assert not list(out.glob("*"))
 
 
@@ -300,3 +343,17 @@ def test_field_slice_bytes_equal_the_row_writer(tmp_path):
     _write_csv(tmp_path / "rows.csv", ["s", "u", "re", "im"], rows, cfg_raw, 3)
     assert ((tmp_path / "field_slice.csv").read_bytes()
             == (tmp_path / "rows.csv").read_bytes())
+
+
+def test_readme_limit_check_reports_the_figures_it_quotes(tmp_path):
+    # the README's limit.cfg block and the figures quoted after it, to three
+    # significant figures, so the docs cannot drift from the program
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    m = re.search(r"```\n(# limit\.cfg.*?)```\s*It reports errors (.*?) "
+                  r"\(fitted\s+exponent (\S+)\)", readme, re.S)
+    quoted = [float(x) for x in m.group(2).split(",")]
+    code, out = run(tmp_path, "limit-check", m.group(1))
+    assert code == 0
+    doc = json.loads((out / "report.json").read_text())["data"]
+    assert [float(f"{e:.3g}") for e in doc["errors"]] == quoted
+    assert f"{doc['fitted_exponent']:#.3g}" == m.group(3)

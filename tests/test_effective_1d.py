@@ -13,17 +13,17 @@ from robinwg.effective_1d import (RESOLUTION_FACTOR, Grid1D, VertexData,
                                   build_h_n_eps, bump_probe, check_resolution,
                                   convergence_study, exterior_solve,
                                   extract_vertex_data, flat_exterior,
-                                  resolvent_solve, s_grid,
+                                  outgoing_root, resolvent_solve, s_grid,
                                   vertex_condition_residuals)
 from robinwg.errors import GridResolutionError, ProfileError, RobinwgError
 from robinwg.geometry import (RECTANGULAR, SMOOTH_BUMP, CurvatureProfile,
                               ScalingParams, WaveguideGeometry, default_bump)
-from robinwg.graph_limit import GraphOperatorSpec, resolvent_apply, sqrt_upper
+from robinwg.graph_limit import DECOUPLED, GraphOperatorSpec, resolvent_apply
 from robinwg.report import VERDICT_INCONCLUSIVE, VERDICT_MATCH
 from robinwg.waveguide2d import FULL, Grid2D, build_waveguide
 
-from reference import (apply_1d, lowest_eigenvalues, traced_peak,
-                       whole_grid_resolvent)
+from reference import (apply_1d, lattice_root, lowest_eigenvalues,
+                       traced_peak, whole_grid_resolvent)
 
 BUMP_BETA_STAR = -7.647474116758
 SQUARE_SYM = CurvatureProfile(RECTANGULAR, amplitude=1.0, half_width=1.0)
@@ -83,7 +83,11 @@ def test_resolvent_solve_inverse_consistency():
     w = np.zeros(len(s), dtype=complex)
     w[1:-1] = rng.standard_normal(len(s) - 2) + 1j * rng.standard_normal(len(s) - 2)
     z = 0.7 + 1.3j
+    # the end nodes continue the lattice outwards: w_end = r w_neighbour
+    r = lattice_root(grid.h, z)
+    w[0], w[-1] = r * w[1], r * w[-2]
     f = apply_1d(op, w) - z * w
+    f[[0, -1]] = 0.0
     out = resolvent_solve(op, z, f)
     assert np.max(np.abs(out - w)) < 1e-11 * np.max(np.abs(w))
 
@@ -101,12 +105,12 @@ def test_resolvent_adjoint_identity():
 
 
 def test_resolvent_vs_free_kernel_order2():
-    # box large enough that the Dirichlet-cap reflection (exp(-Im w (L - c)))
-    # sits well below the h^2 error being measured
+    # the transparent ends leave no reflection, so only the h^2 error of
+    # the lattice shows, on a box just wider than the probe
     z = 1j
     errs = []
-    for n in (24000, 48000):
-        grid = Grid1D(24.0, n)
+    for n in (6000, 12000):
+        grid = Grid1D(6.0, n)
         op = build_h_n_eps(FLAT, 0.0, 1.0, 0.0, grid)
         s = grid.points
         f = bump_probe(-2.0, 1.0)(s)
@@ -149,23 +153,47 @@ def test_under_resolved_potential_rejected(build):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.floats(0.005, 0.5), st.floats(-4.0, 4.0), st.floats(0.01, 4.0),
-       st.floats(0.5, 30.0), st.one_of(st.just(np.inf), st.floats(1e-4, 0.05)),
+@given(st.floats(0.005, 0.5), st.floats(0.5, 30.0),
+       st.one_of(st.just(np.inf), st.floats(1e-4, 0.05)),
        st.sampled_from([default_bump(), SQUARE_SYM, SQUARE_UNIT]))
-@example(0.025, 0.0, 1.0, 16.0, 2e-3, default_bump())    # README limit-check
-@example(0.1, 0.0, 1.0, 12.0, np.inf, default_bump())    # README waveguide-check
+@example(0.025, 8.0, 2e-3, default_bump())          # README limit-check
+@example(0.1, 15.142135623730951, np.inf, default_bump())   # README 2D
 # 2L/h = 2100 cells at eps = 1/3 leave h one ulp above eps*width/50
-@example(1 / 3, 0.0, 1.0, 28.0, np.inf, default_bump())
-def test_s_grid_sizes_by_the_one_rule(eps, re_z, im_z, min_half_length, h_max,
-                                      profile):
-    z = complex(re_z, im_z)
-    grid = s_grid(profile, eps, z, min_half_length, h_max)
-    assert grid.half_length >= min_half_length
-    # the cap amplitude measured from s = 0 is below e^-10
-    assert grid.half_length * sqrt_upper(z).imag >= 10.0
-    assert grid.h <= min(h_max, eps * profile.support_width / RESOLUTION_FACTOR)
-    check_resolution(grid.h, eps, profile)
+@example(1 / 3, 28.0, np.inf, default_bump())
+def test_s_grid_sizes_by_the_one_rule(eps, half_length, h_max, profile):
+    grid = s_grid(profile, eps, half_length, h_max)
+    bound = min(h_max, eps * profile.support_width / RESOLUTION_FACTOR)
+    assert grid.half_length == half_length
     assert grid.n_cells % 2 == 0
+    assert grid.h <= bound
+    check_resolution(grid.h, eps, profile)
+    # the smallest even count that keeps the step within the bound
+    assert grid.n_cells == 4 or 2 * half_length / (grid.n_cells - 2) > bound
+
+
+@pytest.mark.parametrize("half_length", [8.0, 9.0, 16.0])
+def test_s_grid_keeps_an_integer_2L_over_h(half_length):
+    # the unit square's scaled edges 0 and eps sit on multiples of h
+    for eps, h in ((0.4, 1e-3), (0.05, 1e-3), (0.025, 5e-4)):
+        grid = s_grid(SQUARE_UNIT, eps, half_length, 1e-3)
+        assert grid.n_cells == round(2 * half_length / h)
+        assert np.min(np.abs(grid.points - eps)) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 0.1), st.floats(-1e4, 1e2), st.floats(1e-3, 1e2),
+       st.booleans())
+@example(2e-3, 1.0, 1e-3, True)     # |r| next to 1
+@example(1e-3, -1e4, 1e-3, True)    # a 2D mode far below threshold: r small
+def test_outgoing_root_is_the_root_inside_the_unit_circle(h, re_z, im_z,
+                                                          upper):
+    z = complex(re_z, im_z if upper else -im_z)
+    t = h * h * z
+    r = complex(outgoing_root(h, z))
+    assert abs(r) < 1
+    assert abs(r - lattice_root(h, z)) <= 1e-9 * abs(r)
+    # r + 1/r - 2 = -t, in a form that keeps t's digits
+    assert abs((r - 1) ** 2 / r + t) <= 1e-9 * abs(t)
 
 
 def test_grid_requires_even_cells():
@@ -252,10 +280,95 @@ def test_convergence_study_rejects_a_deformation_that_flips_the_coupling(
 
 
 def test_convergence_study_rejects_a_probe_off_the_grid():
-    # the probe vanishes on |s| <= 16
+    # the probe vanishes on |s| <= 8
     with pytest.raises(RobinwgError, match="probe 0 has sampled norm 0"):
         convergence_study(default_bump(), 3.0, 0.0, 1j, bump_probe(40.0, 1.5),
                           [0.4, 0.2], h_target=4e-3)
+
+
+def test_probe_nonzero_at_an_end_node_raises():
+    # bump(-4, 1.5) reaches s = -5.5: on [-5, 5] it is nonzero at s = -5
+    with pytest.raises(GridResolutionError, match="nonzero at an end node"):
+        convergence_study(default_bump(), 3.0, 0.0, 1j, bump_probe(-4.0, 1.5),
+                          [0.4, 0.2], half_length=5.0, h_target=4e-3)
+
+
+def test_potential_nonzero_at_an_end_node_raises():
+    # the default bump's support [-2, 2] at eps = 1 crosses s = +-1
+    grid = Grid1D(1.0, 400)
+    op = build_h_n_eps(default_bump(), 3.0, 1.0, 0.0, grid)
+    f = bump_probe(0.0, 0.5)(grid.points)
+    with pytest.raises(GridResolutionError,
+                       match="potential is nonzero at an end node"):
+        resolvent_solve(op, 1j, f)
+
+
+def test_support_past_half_length_raises_before_any_solve():
+    # a decoupled limit fits no vertex data, so without the check the
+    # potential beyond +-L would be dropped silently: the shifted bump's
+    # scaled support [0.4 * 16, 0.4 * 20] = [6.4, 8] leaves [-7, 7]
+    shifted = CurvatureProfile(SMOOTH_BUMP, amplitude=1.5, center=18.0,
+                               half_width=2.0)
+    with pytest.raises(GridResolutionError, match="leaves \\[-L, L\\]"):
+        convergence_study(shifted, 3.0, 0.0, 1j, bump_probe(-4.0, 1.5),
+                          [0.4, 0.2], half_length=7.0, h_target=4e-3)
+    report = convergence_study(shifted, 3.0, 0.0, 1j, bump_probe(-4.0, 1.5),
+                               [0.4, 0.2], half_length=9.0, h_target=4e-3)
+    assert report.predicted["kind"] == DECOUPLED
+    assert all(np.isfinite(report.errors))
+
+
+@pytest.mark.parametrize("z", [1j, 1.0 + 0.05j])
+def test_transparent_ends_return_the_whole_line_solution(z):
+    # the free lattice on [-L, L] with transparent ends is the infinite
+    # lattice restricted there: the nodes of L = 7 agree across L to
+    # rounding (the lattice's condition grows as Im z falls), and all with
+    # the continuum Green function to O(h^2), even near the positive axis,
+    # where a Dirichlet cap's reflection would decay only over 40 lengths
+    h = 2e-3
+    f = bump_probe(-4.0, 1.5)
+    solves = {}
+    for L in (7.0, 8.0, 16.0):
+        grid = Grid1D(L, round(2 * L / h))
+        s = grid.points
+        g = resolvent_solve(build_h_n_eps(FLAT, 0.0, 1.0, 0.0, grid), z, f(s))
+        ref = resolvent_apply(GraphOperatorSpec.free(), z, s, f(s))
+        assert np.max(np.abs(g - ref)) < h ** 2 * np.max(np.abs(ref))
+        solves[L] = g
+    base = solves[7.0]
+    for L in (8.0, 16.0):
+        cut = round((L - 7.0) / h)
+        overlap = solves[L][cut:len(solves[L]) - cut]
+        assert np.max(np.abs(overlap - base)) < 1e-10 * np.max(np.abs(base))
+
+
+@pytest.mark.parametrize("z", [1j, 1.0 + 0.05j])
+def test_errors_do_not_depend_on_the_half_length(z):
+    # the README limit-check, and z near the positive axis, where most of
+    # the norm lies beyond L: the closed-form tails carry it
+    reports = [convergence_study(default_bump(), 3.0, 0.0, z,
+                                 bump_probe(-4.0, 1.5),
+                                 [0.4, 0.2, 0.1, 0.05, 0.025], half_length=L)
+               for L in (8.0, 16.0)]
+    for key in ("errors", "alt_errors", "leakage"):
+        a, b = (np.array(getattr(rep, key)) for rep in reports)
+        assert np.all(np.abs(a - b) <= 1e-3 * b)
+
+
+def test_rectangle_verdict_does_not_depend_on_the_half_length():
+    # the unit square's scaled edges 0 and eps stay on nodes at every L
+    # (2L/h an integer); a z rule that set L = 15.142 moved them off and
+    # the study read a mismatch (errors 0.0317 ... 0.0052, 0.0083, 0.0122)
+    reports = [convergence_study(SQUARE_UNIT, -np.pi ** 2, 1.0, 1j,
+                                 bump_probe(-4.0, 1.5),
+                                 [0.4, 0.2, 0.1, 0.05, 0.025], half_length=L,
+                                 h_target=1e-3)
+               for L in (8.0, 9.0, 16.0)]
+    for rep in reports:
+        assert rep.predicted["kind"] == "deformed"
+        assert rep.verdict == VERDICT_MATCH
+    errors = np.array([rep.errors for rep in reports])
+    assert np.all(np.abs(errors - errors[0]) <= 1e-3 * errors[0])
 
 
 def test_extract_vertex_data_on_known_field():
@@ -271,6 +384,14 @@ def test_extract_vertex_data_on_known_field():
     assert res["derivative"] < 5e-3
     with pytest.raises(GridResolutionError):
         extract_vertex_data(s, g, 4.0, 2.0)  # window swallows the grid
+
+
+def test_resonant_study_at_large_eps_fits_on_the_default_grid():
+    # at eps 0.8 the vertex-data window of the bump reaches s = 5.04: on
+    # the whole of [-8, 8], as it fitted in half of the Dirichlet [-16, 16]
+    rep = convergence_study(default_bump(), BUMP_BETA_STAR, 0.0, 1j,
+                            bump_probe(-4.0, 1.5), [0.8, 0.4], h_target=4e-3)
+    assert len(rep.vertex_residuals) == 2
 
 
 def test_vertex_residual_decoupled():
@@ -385,7 +506,7 @@ def test_two_grid_study_holds_one_grid_working_set():
     probes = [bump_probe(c, w) for c, w in zip(np.linspace(-5.0, 5.0, 10),
                                                np.linspace(0.8, 1.6, 10))]
     eps_list = [0.2, 0.1]
-    grids = [s_grid(SQUARE_UNIT, eps, 1j, 16.0, 4e-3) for eps in eps_list]
+    grids = [s_grid(SQUARE_UNIT, eps, 8.0, 4e-3) for eps in eps_list]
     assert grids[1].n_cells == 2 * grids[0].n_cells
     peak = traced_peak(lambda: convergence_study(
         SQUARE_UNIT, -np.pi ** 2, 1.0, 1j, probes, eps_list, h_target=4e-3))
@@ -420,32 +541,37 @@ EXTERIOR_CASES = {
                 max_size=4),
        st.integers(0, 3), st.integers(0, 3),
        st.sampled_from([1j, 0.7 + 1.3j, -2.0 + 0.1j]),
-       st.integers(0, 2 ** 32 - 1))
-@example(2, 2, 1, [0.0], 1, 1, 1j, 0)
-@example(2, 0, 3, [0.0, 8.0], 2, 0, 1j, 1)
-@example(0, 2, 1, [8.0], 0, 1, 1j, 2)
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+@example(2, 2, 1, [0.0], 1, 1, 1j, 0, False)
+@example(2, 0, 3, [0.0, 8.0], 2, 0, 1j, 1, True)
+@example(0, 2, 1, [8.0], 0, 1, 1j, 2, True)
 def test_exterior_solve_is_the_whole_line_solve(ml, mr, w, log_shifts, kl,
-                                                 kr, z, seed):
+                                                 kr, z, seed, transparent):
     # on each side of a window of w nodes, a whole-line solve is the
     # exterior's particular solution plus c g(edge) times its Green column;
-    # z_j = z - 10^x (or z itself) reaches the large 2D mode shifts
+    # z_j = z - 10^x (or z itself) reaches the large 2D mode shifts.  The
+    # line's two end nodes take the outer term: 0 (Dirichlet caps) or
+    # -c r_j, the transparent ends
     J = len(log_shifts)
     assume(J * (ml + mr) >= 2)
     h = 0.05
     c = 1.0 / h ** 2
     zs = z - np.array([10 ** x if x else 0.0 for x in log_shifts])
+    outer = (-c * np.array([lattice_root(h, zj) for zj in zs]) if transparent
+             else 0.0)
     rng = np.random.default_rng(seed)
     k = max(kl, kr)
     F = rng.standard_normal((1, k, ml + w + mr)) + 0j
     scale = rng.standard_normal(J)
     U_l, phi_l, U_r, phi_r = exterior_solve(h, zs, F[:, :kl, :ml],
-                                            F[:, :kr, ml + w:], scale)
+                                            F[:, :kr, ml + w:], scale, outer)
     assert U_l.shape == (J, kl, ml) and U_r.shape == (J, kr, mr)
     assert phi_l.shape == (J, ml) and phi_r.shape == (J, mr)
     ab = np.zeros((3, ml + w + mr), dtype=complex)
     ab[0, 1:] = ab[2, :-1] = -c
     for j in range(J):
         ab[1] = 2 * c - zs[j]
+        ab[1, [0, -1]] += np.broadcast_to(outer, (J,))[j]
         Fj = scale[j] * F
         G = solve_banded((1, 1), ab, Fj[0].T).T
         for i, g in enumerate(G):
@@ -460,7 +586,8 @@ def test_exterior_solve_is_the_whole_line_solve(ml, mr, w, log_shifts, kl,
             # each system, its right-hand sides scaled as it is filled,
             # comes out as its own solve of the scaled copy, bit for bit
             one = exterior_solve(h, zs[j:j + 1], Fj[:, :kl, :ml],
-                                 Fj[:, :kr, ml + w:], np.ones(1))
+                                 Fj[:, :kr, ml + w:], np.ones(1),
+                                 np.broadcast_to(outer, (J,))[j:j + 1])
             whole = (U_l, phi_l, U_r, phi_r)
             assert all(np.array_equal(a[0], b[j]) for a, b in zip(one, whole))
 
@@ -470,7 +597,8 @@ def test_resolvent_solve_equals_whole_grid_banded_solve(case):
     profile, beta, eps, grid, probes, z = EXTERIOR_CASES[case]
     op = build_h_n_eps(profile, beta, eps, 0.0, grid)
     F = np.array([bump_probe(c, w)(grid.points) for c, w in probes])
-    ref = whole_grid_resolvent(grid.h, op.potential, z, F)
+    ref = whole_grid_resolvent(grid.h, op.potential, z, F,
+                               lattice_root(grid.h, z))
     G = resolvent_solve(op, z, F)
     for g, r in zip(G, ref):
         assert np.max(np.abs(g - r)) <= 1e-10 * np.max(np.abs(r))

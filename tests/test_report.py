@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robinwg.effective_1d import bump_probe
+from robinwg.effective_1d import bump_probe, outgoing_root
 from robinwg.errors import RobinwgError
-from robinwg.graph_limit import GraphOperatorSpec, resolvent_apply
+from robinwg.graph_limit import GraphOperatorSpec, resolvent_apply, sqrt_upper
 from robinwg.report import (VERDICT_INCONCLUSIVE, VERDICT_MATCH,
                             VERDICT_MISMATCH, ConvergenceReport,
-                            _trapezoid_weights,
+                            _end_tail, _trapezoid_weights,
                             _weighted_norm, run_study)
 
 Z = 1j
@@ -137,6 +137,28 @@ def test_weighted_norms_equal_two_segment_trapezoid(L, n, shift, seed):
                       (_weighted_norm(t[far], w[far]), (far,))):
         want = np.sqrt(sum(np.trapezoid(y[r], s[r]) for r in runs))
         assert abs(got - want) <= 1e-14 * want
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([1j, 1.0 + 0.05j, -2.0 + 0.1j]),
+       st.sampled_from([1e-2, 4e-3]), st.integers(0, 2 ** 32 - 1))
+def test_end_tail_is_the_trapezoid_sum_beyond_the_end_node(z, h, seed):
+    # h/2 |a - b|^2 plus h |a r^j - b q^j|^2 summed over j >= 1, against
+    # the sum itself, out to where |r|^j and |q|^j are below 1e-20
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    b = a + 0.01 * b             # the error is small against the field
+    r = complex(outgoing_root(h, z))
+    q = complex(np.exp(1j * sqrt_upper(z) * h))
+    j = np.arange(1, int(46 / (1 - max(abs(r), abs(q)))))
+    want = h * (abs(a - b) ** 2 / 2
+                + np.sum(np.abs(a * r ** j - b * q ** j) ** 2))
+    # the closed form cancels its geometric sums, each up to
+    # h |a|^2 / |1 - r conj(q)|, to the small difference: rounding there
+    eps = np.finfo(float).eps
+    tol = (10 * eps * h * (abs(a) ** 2 + abs(b) ** 2)
+           / abs(1 - r * q.conjugate()) ** 2)
+    assert abs(_end_tail(a, b, r, q, h) - want) <= tol + 1e-12 * want
 
 
 def test_to_dict_is_the_repr_fields_as_plain_json():

@@ -160,6 +160,15 @@ def test_find_resonant_coupling_bump():
     assert abs(res.b_hat_per_b - BUMP_BHAT_PER_B) < 1e-8
 
 
+def test_beta_zero_is_not_a_resonance():
+    # the count steps across beta = 0 by the constant Neumann mode, where
+    # D = 0 trivially; a range straddling 0 finds the first attractive root
+    root = find_resonant_coupling(default_bump(), (-20.0, -0.5))
+    straddling = find_resonant_coupling(default_bump(), (-20.0, 20.0))
+    assert abs(straddling - root) <= 1e-10 * abs(root)
+    assert find_resonant_coupling(default_bump(), (-0.5, 20.0)) is None
+
+
 def test_scan_solves_each_coupling_once(monkeypatch):
     # the guard reads D at the bracket ends Brent starts from, Brent returns
     # a point it evaluated, and the acceptance check reuses that solve: one

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 from scipy.optimize import brentq
@@ -9,9 +9,9 @@ from robinwg import transverse
 from robinwg.cli import main
 from reference import scalar_asymmetric_spectrum
 from robinwg.errors import (BracketingError, NearSpectrumError,
-                            SingularDenominatorError)
+                            RobinwgError, SingularDenominatorError)
 from robinwg.transverse import (IMAGINARY, REAL, ZERO, _BRENT_KW,
-                                _asymmetric_solve, _brent_lanes,
+                                _asymmetric_solve, _brent_lanes, _den1,
                                 _symmetric_solve,
                                 asymmetric_spectrum, beta_coefficient,
                                 beta_table, lambda2_coefficient,
@@ -278,11 +278,30 @@ def test_lambda2_dirichlet_limit():
 
 
 def test_lambda2_singular_denominator_raises():
-    # alpha + d (alpha^2 + mu) = 0 with mu away from the joint origin limit
-    alpha = -2.0
+    # alpha + d (alpha^2 + mu) = 0 with mu away from the joint origin limit;
+    # mu > 0, where alpha^2 + mu is the direct sum for either parity
+    alpha = -0.5
     mu = -alpha / D - alpha ** 2  # forces the second factor to vanish
-    with pytest.raises(SingularDenominatorError):
-        lambda2_coefficient(alpha, mu, D)
+    assert mu > 0
+    for n in (0, 1):
+        with pytest.raises(SingularDenominatorError):
+            lambda2_coefficient(alpha, mu, D, n)
+
+
+def test_lambda2_rejects_a_negative_mu_that_is_not_mode_n():
+    # alpha d = -3: mu_0 < mu_1 < 0; the secular form of alpha^2 + mu
+    # needs the pair (mu_n, n) to be an eigenpair
+    alpha = -3.0
+    mu0, mu1, mu2 = (m.eigenvalue for m in symmetric_spectrum(alpha, D, 2))
+    assert mu0 < mu1 < 0 < mu2
+    for mu, n in ((mu0, 1), (mu1, 0), (mu0, 2), (0.5 * mu0, 0)):
+        with pytest.raises(RobinwgError, match=f"eigenvalue of mode {n}"):
+            lambda2_coefficient(alpha, mu, D, n)
+        with pytest.raises(RobinwgError, match=f"eigenvalue of mode {n}"):
+            beta_coefficient(alpha, mu, D, n)
+    for mu, n in ((mu0, 0), (mu1, 1), (mu2, 2)):
+        assert (beta_coefficient(alpha, mu, D, n)
+                == perturbation_coefficients(alpha, D, n).beta)
 
 
 def _asym_pair(alpha, eta, d=D):
@@ -305,7 +324,7 @@ def test_finite_eta_fit_matches_lambda2():
             la = asymmetric_spectrum(a1, a2, D, n)[n].eigenvalue
             lams.append(la)
         coef, *_ = np.linalg.lstsq(X, np.array(lams), rcond=None)
-        l2 = lambda2_coefficient(alpha, mode.eigenvalue, D)
+        l2 = lambda2_coefficient(alpha, mode.eigenvalue, D, n)
         assert abs(coef[2] - l2) < 1e-3 * abs(l2)
         assert abs(coef[1]) < 1e-6 * abs(coef[2])
 
@@ -351,7 +370,7 @@ def test_symmetric_spectrum_input_validation():
 
 def test_beta_coefficient_matches_definition():
     pc = perturbation_coefficients(1.3, D, 2)
-    assert abs(beta_coefficient(1.3, pc.mu, D) - pc.beta) < 1e-15
+    assert abs(beta_coefficient(1.3, pc.mu, D, 2) - pc.beta) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +546,35 @@ def test_table_marks_lambda2_pole_at_alpha_d_minus_one(tmp_path):
     assert "-1.0,1,0.0,nan,nan" in lines
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-8.0, -0.01), st.floats(0.2, 3.0), st.integers(0, 1))
+def test_secular_den1_is_the_direct_sum_where_that_keeps_its_digits(
+        alpha, d, n):
+    # alpha^2 + mu from the secular equation against the direct sum, where
+    # the sum cancels at most two digits
+    mu = symmetric_spectrum(alpha, d, 1)[n].eigenvalue
+    direct = alpha * alpha + mu
+    assume(mu < 0 and abs(direct) >= 1e-2 * alpha * alpha)
+    assert abs(_den1(alpha, mu, d, n) - direct) <= 1e-12 * alpha * alpha
+
+
+def test_spectrum_reaches_strongly_negative_alpha(tmp_path):
+    # below alpha d ~ -14.5 the direct alpha^2 + mu of the split ground
+    # pair (~ 4 alpha^2 e^(-2|alpha|d)) fell under the singularity test and
+    # every such row was nan; the entries grow like e^(2|alpha|d)
+    alpha = np.linspace(-20.0, 5.0, 201)
+    table = beta_table(alpha, D, 3)
+    bad = np.argwhere(np.isnan(table.lambda2))
+    assert bad.tolist() == [[np.flatnonzero(alpha == -1.0)[0], 1]]  # the pole
+    deep = alpha <= -10.0
+    growth = table.beta[deep, :2] * np.exp(-2 * np.abs(alpha[deep, None]) * D)
+    assert np.allclose(growth, [-0.125, 0.125], rtol=1e-6)
+    cfg = tmp_path / "spectrum.cfg"
+    cfg.write_text("alpha_min = -20\nalpha_max = 5\nalpha_count = 201\n")
+    assert main(["spectrum", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 0
+
+
 def test_decreasing_row_still_fails_spectrum(tmp_path, monkeypatch, capsys):
     solve = transverse._symmetric_solve
 
@@ -576,11 +624,11 @@ def test_table_entries_are_the_one_alpha_routes_bit_for_bit(d, extra, n_max):
             if np.isnan(lam2):
                 assert np.isnan(beta)
                 with pytest.raises(SingularDenominatorError):
-                    lambda2_coefficient(alpha, mu, d)
+                    lambda2_coefficient(alpha, mu, d, n)
                 with pytest.raises(SingularDenominatorError):
                     perturbation_coefficients(alpha, d, n)
                 continue
-            assert lam2 == lambda2_coefficient(alpha, mu, d)
-            assert beta == beta_coefficient(alpha, modes[n].eigenvalue, d)
+            assert lam2 == lambda2_coefficient(alpha, mu, d, n)
+            assert beta == beta_coefficient(alpha, modes[n].eigenvalue, d, n)
             pc = perturbation_coefficients(alpha, d, n)
             assert (pc.mu, pc.lambda2, pc.beta) == (mu, lam2, beta)

@@ -5,20 +5,21 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
-from robinwg.effective_1d import (Grid1D, build_h_n_eps, bump_probe,
-                                  resolvent_solve, s_grid)
+from robinwg.effective_1d import bump_probe, s_grid
 from robinwg.errors import BracketingError, ProfileError, RobinwgError
 from robinwg.geometry import (RECTANGULAR, SMOOTH_BUMP, TABULATED,
                               CurvatureProfile, ScalingParams,
                               WaveguideGeometry, default_bump)
+from robinwg.graph_limit import sqrt_upper
 from robinwg.transverse import symmetric_spectrum
 from robinwg import cli, waveguide2d
 from robinwg.waveguide2d import (FULL, SIMPLIFIED, Grid2D, ModeProjector,
                                  _core_system, build_waveguide,
                                  gregory_weights, reduced_resolvent,
                                  theorem_check)
-from reference import (apply_2d, full_grid_matrix, gram_deviation, mode_values,
-                       scalar_asymmetric_spectrum, traced_peak)
+from reference import (apply_2d, dirichlet_line, full_grid_matrix,
+                       gram_deviation, mode_values, scalar_asymmetric_spectrum,
+                       traced_peak)
 
 FLAT = CurvatureProfile(SMOOTH_BUMP, amplitude=0.0, half_width=1.0)
 BELL = CurvatureProfile(TABULATED, nodes=tuple(np.linspace(-2, 2, 9)),
@@ -116,10 +117,7 @@ def test_flat_reduced_resolvent_is_free_1d():
     f = bump_probe(-4.0, 1.5)(si)
     for n in (0, 1, 2):
         g, info = reduced_resolvent(op, proj, n, n, Z, f)
-        g1 = Grid1D(grid.s_half_length, grid.n_s)
-        full = np.zeros(grid.n_s + 1, dtype=complex)
-        full[1:-1] = f
-        ref = resolvent_solve(build_h_n_eps(FLAT, 0.0, 1.0, 0.0, g1), Z, full)[1:-1]
+        ref = dirichlet_line(grid.h_s, Z, f)
         assert np.max(np.abs(g - ref)) < 1e-8
     # off-diagonal vanishes to solver tolerance
     g01, _ = reduced_resolvent(op, proj, 0, 1, Z, f)
@@ -221,7 +219,7 @@ def test_block_call_holds_one_row_field_at_a_time(alpha):
     # numbers (3.7 with every row's M F, every row's field and the scaled
     # exterior right-hand sides held at once), on theorem_check's grid
     geom = bump_geometry(0.2, alpha=alpha)
-    line = s_grid(geom.profile, 0.2, Z, waveguide2d.MIN_HALF_LENGTH)
+    line = s_grid(geom.profile, 0.2, waveguide2d.s_half_length(Z))
     grid = Grid2D(line.half_length, line.n_cells, 32, 1.0)
     op = build_waveguide(geom, FULL, 1, grid)
     proj = ModeProjector(geom, grid, 1)
@@ -438,6 +436,17 @@ def test_theorem_dichotomy_tuned_vs_detuned_profile():
     assert rep_detuned.errors[-1] < rep_detuned.alt_errors[-1]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3))
+def test_s_half_length_keeps_the_caps_past_the_decay(re_z, im_z):
+    # the cap amplitude measured from s = 0 is below e^-10
+    z = complex(re_z, im_z)
+    L = waveguide2d.s_half_length(z)
+    assert L >= waveguide2d.MIN_HALF_LENGTH
+    assert L * sqrt_upper(z).imag >= 10.0
+    assert s_grid(default_bump(), 0.1, L).half_length == L
+
+
 def test_grid_validation():
     with pytest.raises(Exception):
         Grid2D(4.0, 100, 8, 1.0)        # n_u too small
@@ -631,8 +640,8 @@ def test_dump_field_reuses_the_theorem_check_solve(tmp_path, monkeypatch):
     assert np.array_equal(s_col, si[::stride])
     assert len(rows) == len(s_col) * len(u)
     # the field lives on the interior nodes of the check's own s-grid
-    assert np.array_equal(si, s_grid(default_bump(), eps_list[-1], Z,
-                                     12.0).points[1:-1])
+    assert np.array_equal(si, s_grid(default_bump(), eps_list[-1],
+                                     waveguide2d.s_half_length(Z)).points[1:-1])
     first = rows[0]
     assert complex(float(first[2]), float(first[3])) == field[0, 0]
 
