@@ -13,14 +13,13 @@ from .graph_limit import GraphOperatorSpec, green_function, scattering_matrix
 from .resonance import (Potential1D, ResonanceResult, detect_resonance,
                         find_resonant_coupling, zero_energy_solve)
 from .transverse import (TransverseMode, asymmetric_spectrum, beta_table,
-                         lambda2_coefficient, resolvent_kernel,
-                         symmetric_spectrum)
+                         resolvent_kernel, symmetric_spectrum)
 
 __all__ = [
     "CurvatureProfile", "ScalingParams", "WaveguideGeometry", "bending_angle",
     "default_bump", "GraphOperatorSpec", "green_function", "scattering_matrix",
     "Potential1D", "ResonanceResult", "detect_resonance",
     "find_resonant_coupling", "zero_energy_solve", "TransverseMode",
-    "asymmetric_spectrum", "beta_table", "lambda2_coefficient",
-    "resolvent_kernel", "symmetric_spectrum", "__version__",
+    "asymmetric_spectrum", "beta_table", "resolvent_kernel",
+    "symmetric_spectrum", "__version__",
 ]

@@ -23,4 +23,4 @@ if _flapack is None:
     _spec.loader.exec_module(_flapack)
     sys.modules[_NAME] = _flapack
 
-zgtsv, zgbsv, dsygvd = _flapack.zgtsv, _flapack.zgbsv, _flapack.dsygvd
+zgtsv, zgbsv, dstemr = _flapack.zgtsv, _flapack.zgbsv, _flapack.dstemr

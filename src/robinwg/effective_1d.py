@@ -142,7 +142,8 @@ def build_h_n_eps(profile: CurvatureProfile, beta: float, eps: float,
     if beta != 0.0:
         check_resolution(grid.h, eps, profile)
     s = grid.points
-    V = beta * (1.0 + eps * b) / eps ** 2 * profile.sample_squared(s / eps)
+    V = (beta * (1.0 + eps * b) / eps ** 2
+         * profile.sample_squared(s / eps, grid.h / eps))
     return Discrete1DOperator(grid, V)
 
 

@@ -167,24 +167,23 @@ class CurvatureProfile:
                  else float(self._spline(s)))
         return float(g * g)
 
-    def sample_squared(self, s):
-        """gamma(s)^2 with the half-value convention at rectangular jumps.
+    def sample_squared(self, s, h):
+        """gamma^2 at the nodes s of a lattice of step h.
 
-        Sampling a discontinuous coefficient at a node that sits exactly on
-        the jump must use the mean of the one-sided limits, or second-order
-        discretisations of beta*gamma^2 degrade to first order.
+        A rectangle's value is amplitude^2 times the fraction of each node's
+        cell [s - h/2, s + h/2] that its support covers: one half at an edge
+        on a node, and continuous as an edge moves between nodes.  A point
+        value at a jump would move the jump by up to h/2, a coupling error
+        of O(h) that second-order discretisations of beta gamma^2 cannot
+        absorb.  Other kinds are sampled.
         """
         if self.kind != RECTANGULAR:
             return self.sample(s) ** 2
-        s_arr = np.asarray(s, dtype=float)
-        scalar = s_arr.ndim == 0
-        s_arr = np.atleast_1d(s_arr)
-        t = (s_arr - self.center) / self.half_width
-        out = np.zeros_like(s_arr)
-        out[np.abs(t) < 1.0] = self.amplitude ** 2
-        on_jump = np.abs(np.abs(t) - 1.0) < 1e-12
-        out[on_jump] = 0.5 * self.amplitude ** 2
-        return out[0] if scalar else out
+        lo, hi = self.support
+        s = np.asarray(s, dtype=float)
+        covered = (np.minimum(1.0, 0.5 + (hi - s) / h)
+                   + np.minimum(1.0, 0.5 + (s - lo) / h) - 1.0)
+        return self.amplitude ** 2 * np.maximum(covered, 0.0)
 
     def sup_abs(self) -> float:
         """sup_s |gamma(s)|, used for the chart-validity bound."""

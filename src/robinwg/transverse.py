@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BracketingError, NearSpectrumError, RobinwgError,
+from .errors import (BracketingError, NearSpectrumError,
                      SingularDenominatorError)
 
 _BRENT_KW = dict(xtol=1e-15, rtol=8.9e-16, maxiter=200)
@@ -511,10 +511,15 @@ def _den1(alpha, mu, d, n):
 
 
 def _lambda2(alpha, mu, d, n):
-    """lambda2 elementwise for mode n, nan where the formula is singular:
-    alpha + d (alpha^2 + mu) = 0.  alpha^2 + mu (`_den1`) is nonzero at
-    finite d, so it needs no test; with it the entries grow like
-    e^(2 |alpha| d) as alpha d -> -inf."""
+    """lambda2 elementwise for mode n with eigenvalue mu at (alpha, d),
+
+        lambda2 = -mu [alpha - 2d(alpha^2 + mu)] / (2 d^2 (alpha^2+mu) [alpha + d(alpha^2+mu)]),
+
+    nan where the formula is singular: alpha + d (alpha^2 + mu) = 0.
+    alpha^2 + mu (`_den1`) is nonzero at finite d, so it needs no test;
+    with it the entries grow like e^(2 |alpha| d) as alpha d -> -inf.  The
+    joint limit (alpha, mu_0) -> (0, 0) along mu_0 ~ alpha/d is 1/(4 d^2),
+    returned where both vanish to tolerance."""
     alpha, mu = np.asarray(alpha, dtype=float), np.asarray(mu, dtype=float)
     scale = (np.abs(alpha) + 1.0 / d) ** 2
     origin = (np.abs(alpha) < 1e-9 / d) & (np.abs(mu) < 1e-9 / d ** 2)
@@ -524,53 +529,6 @@ def _lambda2(alpha, mu, d, n):
     with np.errstate(divide="ignore", invalid="ignore"):
         lam2 = -mu * (alpha - 2 * d * den1) / (2 * d * d * den1 * den2)
     return np.where(singular, np.nan, np.where(origin, 1.0 / (4 * d * d), lam2))
-
-
-def _check_mode(alpha, mu, d, n):
-    """Raise RobinwgError unless a negative mu is mode n's eigenvalue: mode
-    0 with kappa tanh(kappa d) = -alpha or mode 1 with kappa coth(kappa d)
-    = -alpha, kappa = sqrt(-mu), to 1e-9 of |alpha| + kappa + 1/d.  Where
-    the pair's split, about 4 kappa e^(-2 kappa d), is below that (alpha d
-    below about -11) either n passes, and n alone picks the sign of
-    `_den1`."""
-    if mu >= 0:
-        return
-    kappa = np.sqrt(-mu)
-    side = {0: kappa * np.tanh(kappa * d),
-            1: kappa / np.tanh(kappa * d)}.get(n, np.inf)
-    if not abs(side + alpha) <= 1e-9 * (abs(alpha) + kappa + 1.0 / d):
-        raise RobinwgError(f"mu_n = {mu!r} is not the eigenvalue of mode {n} "
-                           f"at alpha = {alpha!r}, d = {d!r}")
-
-
-def _singular_message(alpha, mu_n):
-    return f"lambda2 denominator vanishes at alpha={alpha}, mu={mu_n}"
-
-
-def lambda2_coefficient(alpha: float, mu_n: float, d: float, n: int) -> float:
-    """Second-order eigenvalue coefficient in the (d eta)^2 expansion.
-
-        lambda2 = -mu [alpha - 2d(alpha^2 + mu)] / (2 d^2 (alpha^2+mu) [alpha + d(alpha^2+mu)])
-
-    for mode n with eigenvalue mu_n at (alpha, d).  When mu_n < 0, n sets
-    the parity whose secular equation forms alpha^2 + mu_n without
-    cancellation (`_den1`), so the pair must be an eigenpair: a negative
-    mu_n that is not mode n's eigenvalue raises RobinwgError.  The joint
-    limit (alpha, mu_0) -> (0, 0) along mu_0 ~ alpha/d is finite and equals
-    1/(4 d^2); it is returned when both arguments vanish to tolerance.
-    Elsewhere a vanishing denominator raises.
-    """
-    _check_mode(alpha, mu_n, d, n)
-    lam2 = float(_lambda2(alpha, mu_n, d, n))
-    if np.isnan(lam2):
-        raise SingularDenominatorError(_singular_message(alpha, mu_n))
-    return lam2
-
-
-def beta_coefficient(alpha: float, mu_n: float, d: float, n: int) -> float:
-    """Effective longitudinal coupling beta_n = -1/4 + lambda2 of mode n,
-    mu_n its eigenvalue at (alpha, d) (`lambda2_coefficient`)."""
-    return -0.25 + lambda2_coefficient(alpha, mu_n, d, n)
 
 
 @dataclass(frozen=True)
@@ -607,7 +565,8 @@ def perturbation_coefficients(alpha: float, d: float, n: int) -> PerturbationCoe
     table = beta_table([alpha], d, n).check_order()
     mu, lam2 = table.mu[0, n].item(), table.lambda2[0, n].item()
     if np.isnan(lam2):
-        raise SingularDenominatorError(_singular_message(alpha, mu))
+        raise SingularDenominatorError(
+            f"lambda2 denominator vanishes at alpha={alpha}, mu={mu}")
     return PerturbationCoefficients(n, mu, lam2, table.beta[0, n].item())
 
 

@@ -20,7 +20,9 @@ transverse mode by the 1D backend's `exterior_solve`, solves the core's
 exact Schur system by one banded LU, assembles each field once and checks
 it by one matrix-free apply, and projects onto per-column transverse modes
 after subtracting the *discrete* flat threshold, so the renormalised
-problem is delta-independent at machine level.
+problem is delta-independent at machine level.  The operator's flat
+eigenbasis and the projector's modes are one basis, the discrete Robin
+modes of `robin_modes`: no continuum mode is sampled here.
 """
 
 from __future__ import annotations
@@ -36,19 +38,13 @@ from .errors import (BracketingError, GridResolutionError, ProfileError,
 from .geometry import WaveguideGeometry
 from .graph_limit import sqrt_upper
 from .report import ConvergenceReport, predicted_limit, run_study
-from .transverse import (_asymmetric_solve, _mode_values, _sign_changes,
-                         beta_coefficient, symmetric_spectrum)
+from .transverse import _sign_changes, perturbation_coefficients
 
 FULL = "full"
 SIMPLIFIED = "simplified"
 # the strip's smallest s half-length; `s_half_length` lengthens it as z
 # nears [0, inf)
 MIN_HALF_LENGTH = 12.0
-
-# Gregory end-corrected trapezoid weights, O(h^6); needs >= 14 points, and
-# a Grid2D (n_u >= 16) has at least 17.
-_GREGORY6 = np.array([95.0 / 288, 317.0 / 240, 23.0 / 30, 793.0 / 720,
-                      157.0 / 160])
 
 
 def s_half_length(z) -> float:
@@ -58,14 +54,6 @@ def s_half_length(z) -> float:
     supported away from the vertex).  The 1D backend has transparent ends
     and needs no such rule."""
     return max(MIN_HALF_LENGTH, 10.0 / sqrt_upper(z).imag + 1.0)
-
-
-def gregory_weights(n_points: int, h: float) -> np.ndarray:
-    """High-order uniform-grid quadrature weights (end-corrected trapezoid)."""
-    w = np.ones(n_points)
-    w[:5] = _GREGORY6
-    w[-5:] = _GREGORY6[::-1]
-    return w * h
 
 
 @dataclass(frozen=True)
@@ -179,6 +167,62 @@ class DiscreteWaveguideOperator:
         return Y
 
 
+def robin_modes(alpha_lower, alpha_upper, n_u: int, h_u: float, count: int):
+    """The `count` lowest discrete transverse modes of each Robin pair.
+
+    For the pair (alpha_lower at u = -d, alpha_upper at u = d) mode phi
+    solves Bw phi = lam W phi: W = diag(u_mass) and Bw the weighted
+    ghost-eliminated Robin matrix that `build_waveguide` uses.  W^-1/2 Bw
+    W^-1/2 is symmetric tridiagonal, and LAPACK dstemr (MRRR: Dhillon and
+    Parlett 2004) gives its lowest eigenpairs; phi = W^-1/2 psi is then
+    W-orthonormal.  lam is each phi's Rayleigh quotient in the energy form
+    (sum of (phi_{i+1} - phi_i)^2 / h_u^2, plus alpha phi^2 / h_u at each
+    end), second order in phi's error: dstemr's own eigenvalues are about
+    eps_mach |T| off (2.3e-13 for alpha = 0 at n_u = 32), which the
+    threshold lam_n / delta^2 of `reduced_resolvent` would amplify.  The
+    sign follows the continuum modes: even n positive at u = 0, odd n
+    increasing through u = 0.  A nonzero info or fewer pairs than asked
+    raises RobinwgError.  As for any Jacobi matrix, mode n must change sign
+    exactly n times, or BracketingError is raised.  Returns (lam, phi),
+    shaped (pairs, count) and (pairs, count, n_u + 1).
+    """
+    lower, upper = np.broadcast_arrays(np.atleast_1d(alpha_lower),
+                                       np.atleast_1d(alpha_upper))
+    nu = n_u + 1
+    root_w = np.ones(nu)
+    root_w[[0, -1]] = np.sqrt(0.5)
+    phi = np.empty((len(lower), count, nu))
+    for p, ends in enumerate(zip(lower, upper)):
+        # Bw's rows are (-1, 2, -1) / h_u^2 and, at the ends, half of
+        # (2 + 2 h_u alpha, -2) / h_u^2
+        diag = np.full(nu, 2 / h_u ** 2)
+        diag[[0, -1]] = (2 + 2 * h_u * np.array(ends)) / h_u ** 2
+        # dstemr overwrites e, whose last entry is its workspace
+        off = np.full(nu, -1 / h_u ** 2)
+        off[[0, n_u - 1]] /= root_w[0]
+        m, w, v, info = lapack.dstemr(diag, off, 2, 0.0, 0.0, 1, count)
+        if info != 0:
+            raise RobinwgError(f"transverse eigenproblem: dstemr info = {info}")
+        if m < count:
+            raise RobinwgError(f"transverse eigenproblem: dstemr returned "
+                               f"{m} of {count} pairs")
+        phi[p] = v[:, :count].T / root_w
+    lam = ((np.sum(np.diff(phi) ** 2, axis=-1) / h_u ** 2
+            + (lower[:, None] * phi[..., 0] ** 2
+               + upper[:, None] * phi[..., -1] ** 2) / h_u)
+           / (phi ** 2 @ root_w ** 2))
+    even = np.arange(count) % 2 == 0
+    key = np.where(even, phi[..., n_u // 2] + phi[..., (n_u + 1) // 2],
+                   phi[..., (n_u + 2) // 2] - phi[..., (n_u - 1) // 2])
+    phi *= np.where(key < 0, -1.0, 1.0)[..., None]
+    bad = (_sign_changes(phi) != np.arange(count)).any(axis=1)
+    if bad.any():
+        raise BracketingError(
+            f"{np.count_nonzero(bad)} of {len(bad)} transverse problems: "
+            "mode oscillation count inconsistent with mode index")
+    return lam, phi
+
+
 def build_waveguide(geometry: WaveguideGeometry, variant: str,
                     n_context: int, grid: Grid2D) -> DiscreteWaveguideOperator:
     """The operator as flat data and E on the core (without threshold shift).
@@ -187,7 +231,9 @@ def build_waveguide(geometry: WaveguideGeometry, variant: str,
     column each side for the midpoint fluxes.  The full variant needs
     gamma'': non-smooth profiles are rejected.  For gamma == 0 the core is
     empty: both variants are exactly the separable sum of the 1D Dirichlet
-    Laplacian and the transverse Robin operator.
+    Laplacian and the transverse Robin operator.  The flat eigenbasis is
+    all n_u + 1 `robin_modes` of the flat alpha: the eigenvalues, and
+    wu-orthonormal columns Phi.
     """
     if variant not in (FULL, SIMPLIFIED):
         raise RobinwgError(f"unknown variant {variant!r}")
@@ -208,14 +254,13 @@ def build_waveguide(geometry: WaveguideGeometry, variant: str,
     wu = grid.u_mass
     alpha = geometry.alpha
 
-    # ghost-eliminated flat Robin matrix, weighted; Phi is wu-orthonormal
+    # ghost-eliminated flat Robin matrix, weighted, and its eigenbasis Phi,
+    # wu-orthonormal columns
     B = 2 * np.eye(nu) - np.eye(nu, k=1) - np.eye(nu, k=-1)
     B[0, 0] = B[-1, -1] = 2 + 2 * hu * alpha
     B[0, 1] = B[-1, -2] = -2
     Bw = wu[:, None] * B / hu ** 2
-    lam, Phi, info = lapack.dsygvd(Bw, np.diag(wu))
-    if info != 0:
-        raise RobinwgError(f"flat transverse eigenproblem: dsygvd info = {info}")
+    lam, Phi = robin_modes(alpha, alpha, grid.n_u, hu, nu)
 
     gscaled = defo * geometry.profile.sample(si / eps)   # sqrt(1+2 eps b) gamma(s/eps)
     Vs = -gscaled ** 2 / (4 * eps ** 2)    # flat part of the potential
@@ -252,7 +297,8 @@ def build_waveguide(geometry: WaveguideGeometry, variant: str,
         diag += ((2.0 - aL - aR) / hs ** 2 + Vs[core, None] - V) * wu
     return DiscreteWaveguideOperator(geometry, grid, variant,
                                      CoreBands(diag.ravel(), off),
-                                     Bw / delta ** 2, lam, Phi, Vs, core)
+                                     Bw / delta ** 2, lam[0], Phi[0].T, Vs,
+                                     core)
 
 
 # ---------------------------------------------------------------------------
@@ -263,44 +309,38 @@ def build_waveguide(geometry: WaveguideGeometry, variant: str,
 class ModeProjector:
     """Per-column transverse modes phi_n(alpha^eps(s), .) on the u grid.
 
-    Flat columns (eta = 0) share the symmetric modes `flat_modes` (solved
-    here unless given), stored once; the columns from the first to the last
-    curved one (`core`) keep their own, from one lane-wise solve.  Gregory
-    end-corrected weights integrate sampled products to ~1e-9.  A Sturm
-    count guards the lane-wise solve: sampled on the u grid, curved mode n
-    must change sign exactly n times, or BracketingError is raised (a
-    missed root shifts the mode indices).
+    The modes are the operator's own: `robin_modes` of the flat alpha,
+    stored once as `flat`, and of each curved column's (a2(s), a1(s)), kept
+    for the columns from the first to the last curved one (`core`), all
+    from one call, which raises BracketingError unless mode n changes sign
+    n times.  Scaled to unit norm in the operator's trapezoid u-mass times
+    h_u (`quad`), they are orthonormal in it.  Curved modes take the sign
+    that makes their inner product with the flat mode positive.
     """
 
     geometry: WaveguideGeometry
     grid: Grid2D
     n_max: int
-    flat_modes: list | None = None
     flat: np.ndarray = field(init=False)          # (n_max+1, n_u+1)
     core: slice = field(init=False)
     core_modes: np.ndarray = field(init=False)    # (n_max+1, core, n_u+1)
     quad: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        si = self.grid.s_interior
-        u = self.grid.u_points
-        self.quad = gregory_weights(len(u), self.grid.h_u)
-        modes = self.flat_modes or symmetric_spectrum(
-            self.geometry.alpha, self.grid.d, self.n_max)
-        self.flat = np.array([m(u) for m in modes])
+        si, hu = self.grid.s_interior, self.grid.h_u
+        self.quad = self.grid.u_mass * hu
         curved = np.flatnonzero(self.geometry.eta(si) != 0.0)
         self.core = (slice(curved[0], curved[-1] + 1) if len(curved)
                      else slice(0, 0))
-        self.core_modes = np.repeat(self.flat[:, None, :], len(si[self.core]), 1)
-        branch, k, _, A, B = _asymmetric_solve(
-            *self.geometry.robin_coefficients(si[curved]), self.grid.d, self.n_max)
-        vals = _mode_values(branch.T, k.T, A.T, B.T, u)
-        bad = _sign_changes(vals) != np.arange(self.n_max + 1)[:, None]
-        if bad.any():
-            raise BracketingError(
-                f"{np.count_nonzero(bad.any(0))} of {len(curved)} curved "
-                "columns: mode oscillation count inconsistent with mode index")
-        # fix the sign to follow the flat modes continuously
+        a1, a2 = self.geometry.robin_coefficients(si[curved])
+        alpha = self.geometry.alpha
+        _, modes = robin_modes(np.r_[alpha, a2], np.r_[alpha, a1],
+                               self.grid.n_u, hu, self.n_max + 1)
+        modes /= np.sqrt(hu)
+        self.flat = modes[0]
+        self.core_modes = np.repeat(self.flat[:, None, :],
+                                    len(si[self.core]), 1)
+        vals = modes[1:].transpose(1, 0, 2)
         flip = np.einsum("ncu,nu->nc", vals, self.flat) < 0
         self.core_modes[:, curved - self.core.start] = np.where(
             flip[..., None], -vals, vals)
@@ -328,7 +368,8 @@ def _core_system(op: DiscreteWaveguideOperator, projector: ModeProjector,
 
     Outside the core C (`op.core`) mode j of the flat transverse eigenbasis
     Phi is the free line at z_j = z - (lam_j - lam_n)/delta^2 with source
-    c_j f, c = Phi^T W phi_n (not pure mode n when alpha != 0); one
+    c_j f, c = Phi^T W phi_n (pure mode n to the eigenvectors' accuracy,
+    since the projector's flat modes are Phi's own, scaled); one
     `exterior_solve`, which scales each row by c_j as it fills mode j's
     system, gives every row's particular solution U_j and the shared Green
     column phi_j.  Returns (ab, b, assemble, shift): the rows' common
@@ -475,9 +516,7 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
     sc = geometry.scaling
     sc.require_convergence_regime()
 
-    flat = symmetric_spectrum(geometry.alpha, geometry.d, n_max)
-    mu_n = flat[n].eigenvalue
-    beta_n = beta_coefficient(geometry.alpha, mu_n, geometry.d, n)
+    beta_n = perturbation_coefficients(geometry.alpha, geometry.d, n).beta
     predicted, alt = predicted_limit(geometry.profile, beta_n, sc.b)
 
     offdiag = {m: [] for m in range(n_max + 1) if m != n}
@@ -489,7 +528,7 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
         line = s_grid(geometry.profile, eps, s_half_length(z))
         grid = Grid2D(line.half_length, line.n_cells, n_u, geometry.d)
         op = build_waveguide(geo, variant, n_max, grid)
-        proj = ModeProjector(geo, grid, n_max, flat)
+        proj = ModeProjector(geo, grid, n_max)
         s = grid.s_interior
         last["line"] = line
 

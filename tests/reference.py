@@ -8,7 +8,8 @@ with scipy's banded solver, without the core/exterior split of
 waveguide operator on the whole grid by successive sparse sums, the direct
 discretisation that the matrix-free apply of `waveguide2d` must reproduce.  `scalar_asymmetric_spectrum` solves the
 asymmetric transverse problem one root at a time with scalar brentq, the
-oracle of the lane-wise solve; `scalar_resonant_couplings` brackets the
+oracle of the lane-wise solve and the continuum limit that the 2D
+backend's discrete transverse modes converge to; `scalar_resonant_couplings` brackets the
 roots of a resonance scan by the signs of scipy's solves and refines each
 by scalar brentq likewise.  `scipy_integrate` is
 the zero-energy integration with every piece solved by scipy's `solve_ivp`

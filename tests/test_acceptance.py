@@ -16,12 +16,12 @@ from robinwg.graph_limit import GraphOperatorSpec, scattering_matrix
 from robinwg.report import VERDICT_MATCH
 from robinwg.resonance import (Potential1D, detect_resonance,
                                zero_energy_solve)
-from robinwg.transverse import (asymmetric_spectrum, lambda2_coefficient,
+from robinwg.transverse import (asymmetric_spectrum,
                                 perturbation_coefficients, resolvent_kernel,
                                 symmetric_spectrum)
 from robinwg.waveguide2d import (FULL, SIMPLIFIED, Grid2D, ModeProjector,
-                                 build_waveguide, gregory_weights,
-                                 reduced_resolvent, theorem_check)
+                                 build_waveguide, reduced_resolvent,
+                                 theorem_check)
 
 from reference import apply_2d, dirichlet_line
 
@@ -81,14 +81,13 @@ def test_criterion_03_perturbation_expansion():
     for trial in range(10):
         alpha = rng.uniform(0.2, 3.0)
         n = int(rng.integers(0, 4))
-        mu = symmetric_spectrum(alpha, D, n)[n].eigenvalue
         lams = []
         for eta in etas:
             a1 = alpha - eta / (2 * (1 + D * eta))
             a2 = alpha + eta / (2 * (1 - D * eta))
             lams.append(asymmetric_spectrum(a1, a2, D, n)[n].eigenvalue)
         coef, *_ = np.linalg.lstsq(X, np.array(lams), rcond=None)
-        l2 = lambda2_coefficient(alpha, mu, D, n)
+        l2 = perturbation_coefficients(alpha, D, n).lambda2
         checks[f"fit{trial}"] = (abs(coef[2] - l2) < 1e-3 * abs(l2)
                                  and abs(coef[1]) < 1e-6 * abs(coef[2]))
     checks["runtime<10s"] = time.time() - t0 < 10.0
@@ -318,7 +317,7 @@ def test_criterion_12_lemma_magnitude_scaling():
         S, U = np.meshgrid(si, u, indexing="ij")
         psi = np.exp(-S ** 2) * np.cos(np.pi * U / 3)
         dv = apply_2d(a_full, psi) - apply_2d(a_hat, psi)
-        wq = gregory_weights(len(u), grid.h_u)
+        wq = grid.u_mass * grid.h_u
         norms[ratio] = np.sqrt(np.sum((np.abs(dv) ** 2 @ wq)) * grid.h_s)
     ratio = norms[0.1] / norms[0.05]
     checks = {"linear in delta/eps within 20%": abs(ratio - 2.0) < 0.4,

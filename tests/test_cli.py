@@ -357,3 +357,18 @@ def test_readme_limit_check_reports_the_figures_it_quotes(tmp_path):
     doc = json.loads((out / "report.json").read_text())["data"]
     assert [float(f"{e:.3g}") for e in doc["errors"]] == quoted
     assert f"{doc['fitted_exponent']:#.3g}" == m.group(3)
+
+
+def test_readme_waveguide_check_reports_the_figures_it_quotes(tmp_path):
+    # the README's wg.cfg block and the figures quoted after it, to three
+    # significant figures, as for limit.cfg
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    m = re.search(r"```\n(# wg\.cfg.*?)```\s*It reports errors (.*?) "
+                  r"\(fitted\s+exponent (\S+)\) and\s+`(\S+)`", readme, re.S)
+    quoted = [float(x) for x in m.group(2).split(",")]
+    code, out = run(tmp_path, "waveguide-check", m.group(1))
+    assert code == 0
+    doc = json.loads((out / "report.json").read_text())["data"]
+    assert [float(f"{e:.3g}") for e in doc["errors"]] == quoted
+    assert f"{doc['fitted_exponent']:#.3g}" == m.group(3)
+    assert doc["verdict"] == m.group(4)

@@ -371,6 +371,23 @@ def test_rectangle_verdict_does_not_depend_on_the_half_length():
     assert np.all(np.abs(errors - errors[0]) <= 1e-3 * errors[0])
 
 
+def test_rectangle_edges_between_nodes_keep_the_verdict():
+    # at L = 8.0003 and 8.00071 the scaled edges fall between nodes; sampled
+    # at the nodes, the jump moved by up to h/2 and the study read a
+    # mismatch (errors 3.88e-3, 1.74e-3, 1.69e-3, 4.83e-3, 7.19e-3); the
+    # covered fraction of each cell keeps the errors of L = 8
+    errors = [convergence_study(SQUARE_UNIT, -np.pi ** 2, 1.0, 1j,
+                                bump_probe(-4.0, 1.5),
+                                [0.4, 0.2, 0.1, 0.05, 0.025], half_length=L,
+                                h_target=1e-3).errors
+              for L in (8.0, 8.0003, 8.00071, 9.0)]
+    assert [float(f"{e:.3g}") for e in errors[0]] == [
+        3.92e-3, 1.81e-3, 8.68e-4, 4.15e-4, 2.76e-4]
+    for errs in errors[1:]:
+        assert np.all(np.abs(np.array(errs) - errors[0]) <= 1e-3 * np.array(
+            errors[0]))
+
+
 def test_extract_vertex_data_on_known_field():
     grid = Grid1D(16.0, 8000)
     s = grid.points

@@ -215,3 +215,20 @@ def test_squared_at_is_sample_squared_bit_for_bit(case):
     want = (prof.sample(np.array([s])) ** 2)[0]
     assert got == want
     assert isinstance(got, float)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-1.0, 1.0), st.floats(1e-3, 2.0), st.floats(1e-3, 0.1),
+       st.floats(0.0, 1.0))
+def test_rectangle_cell_fractions_hold_its_mass(center, half_width, h, shift):
+    # each node carries the covered fraction of its cell, so the lattice
+    # sum is the rectangle's mass wherever its edges fall, and an edge on a
+    # node gets one half when the rectangle is at least half a cell wide
+    prof = CurvatureProfile(RECTANGULAR, 1.5, center, half_width)
+    s = h * (np.arange(-round(4.0 / h), round(4.0 / h) + 1) + shift)
+    v = prof.sample_squared(s, h)
+    assert np.all((0.0 <= v) & (v <= 2.25))
+    assert abs(h * v.sum() - 2.25 * 2 * half_width) <= 1e-9
+    lo, _ = prof.support
+    if 2 * half_width >= h / 2:
+        assert prof.sample_squared(lo + h * np.arange(-3, 4), h)[3] == 1.125

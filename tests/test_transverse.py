@@ -9,12 +9,11 @@ from robinwg import transverse
 from robinwg.cli import main
 from reference import scalar_asymmetric_spectrum
 from robinwg.errors import (BracketingError, NearSpectrumError,
-                            RobinwgError, SingularDenominatorError)
+                            SingularDenominatorError)
 from robinwg.transverse import (IMAGINARY, REAL, ZERO, _BRENT_KW,
                                 _asymmetric_solve, _brent_lanes, _den1,
-                                _symmetric_solve,
-                                asymmetric_spectrum, beta_coefficient,
-                                beta_table, lambda2_coefficient,
+                                _lambda2, _symmetric_solve,
+                                asymmetric_spectrum, beta_table,
                                 perturbation_coefficients, resolvent_kernel,
                                 symmetric_spectrum)
 
@@ -284,24 +283,11 @@ def test_lambda2_singular_denominator_raises():
     mu = -alpha / D - alpha ** 2  # forces the second factor to vanish
     assert mu > 0
     for n in (0, 1):
-        with pytest.raises(SingularDenominatorError):
-            lambda2_coefficient(alpha, mu, D, n)
-
-
-def test_lambda2_rejects_a_negative_mu_that_is_not_mode_n():
-    # alpha d = -3: mu_0 < mu_1 < 0; the secular form of alpha^2 + mu
-    # needs the pair (mu_n, n) to be an eigenpair
-    alpha = -3.0
-    mu0, mu1, mu2 = (m.eigenvalue for m in symmetric_spectrum(alpha, D, 2))
-    assert mu0 < mu1 < 0 < mu2
-    for mu, n in ((mu0, 1), (mu1, 0), (mu0, 2), (0.5 * mu0, 0)):
-        with pytest.raises(RobinwgError, match=f"eigenvalue of mode {n}"):
-            lambda2_coefficient(alpha, mu, D, n)
-        with pytest.raises(RobinwgError, match=f"eigenvalue of mode {n}"):
-            beta_coefficient(alpha, mu, D, n)
-    for mu, n in ((mu0, 0), (mu1, 1), (mu2, 2)):
-        assert (beta_coefficient(alpha, mu, D, n)
-                == perturbation_coefficients(alpha, D, n).beta)
+        assert np.isnan(_lambda2(alpha, mu, D, n))
+    # alpha d = -1 makes mode 1 the zero mode, where the second factor of
+    # the eigenpair vanishes
+    with pytest.raises(SingularDenominatorError, match="vanishes"):
+        perturbation_coefficients(-1.0 / D, D, 1)
 
 
 def _asym_pair(alpha, eta, d=D):
@@ -324,7 +310,7 @@ def test_finite_eta_fit_matches_lambda2():
             la = asymmetric_spectrum(a1, a2, D, n)[n].eigenvalue
             lams.append(la)
         coef, *_ = np.linalg.lstsq(X, np.array(lams), rcond=None)
-        l2 = lambda2_coefficient(alpha, mode.eigenvalue, D, n)
+        l2 = perturbation_coefficients(alpha, D, n).lambda2
         assert abs(coef[2] - l2) < 1e-3 * abs(l2)
         assert abs(coef[1]) < 1e-6 * abs(coef[2])
 
@@ -369,8 +355,14 @@ def test_symmetric_spectrum_input_validation():
 
 
 def test_beta_coefficient_matches_definition():
-    pc = perturbation_coefficients(1.3, D, 2)
-    assert abs(beta_coefficient(1.3, pc.mu, D, 2) - pc.beta) < 1e-15
+    alpha, n = 1.3, 2
+    pc = perturbation_coefficients(alpha, D, n)
+    assert pc.mu == symmetric_spectrum(alpha, D, n)[n].eigenvalue
+    den = alpha ** 2 + pc.mu
+    lam2 = (-pc.mu * (alpha - 2 * D * den)
+            / (2 * D * D * den * (alpha + D * den)))
+    assert abs(pc.lambda2 - lam2) < 1e-15 * abs(lam2)
+    assert pc.beta == -0.25 + pc.lambda2
 
 
 # ---------------------------------------------------------------------------
@@ -624,11 +616,9 @@ def test_table_entries_are_the_one_alpha_routes_bit_for_bit(d, extra, n_max):
             if np.isnan(lam2):
                 assert np.isnan(beta)
                 with pytest.raises(SingularDenominatorError):
-                    lambda2_coefficient(alpha, mu, d, n)
-                with pytest.raises(SingularDenominatorError):
                     perturbation_coefficients(alpha, d, n)
                 continue
-            assert lam2 == lambda2_coefficient(alpha, mu, d, n)
-            assert beta == beta_coefficient(alpha, modes[n].eigenvalue, d, n)
+            assert lam2 == _lambda2(alpha, mu, d, n)
+            assert beta == -0.25 + lam2
             pc = perturbation_coefficients(alpha, d, n)
             assert (pc.mu, pc.lambda2, pc.beta) == (mu, lam2, beta)

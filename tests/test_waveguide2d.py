@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from robinwg.effective_1d import bump_probe, s_grid
 from robinwg.errors import BracketingError, ProfileError, RobinwgError
@@ -15,8 +15,7 @@ from robinwg.transverse import symmetric_spectrum
 from robinwg import cli, waveguide2d
 from robinwg.waveguide2d import (FULL, SIMPLIFIED, Grid2D, ModeProjector,
                                  _core_system, build_waveguide,
-                                 gregory_weights, reduced_resolvent,
-                                 theorem_check)
+                                 reduced_resolvent, robin_modes, theorem_check)
 from reference import (apply_2d, dirichlet_line, full_grid_matrix,
                        gram_deviation, mode_values, scalar_asymmetric_spectrum,
                        traced_peak)
@@ -39,17 +38,6 @@ def bump_geometry(eps, ratio=0.05, alpha=0.0, d=1.0, b=0.0):
                              alpha)
 
 
-def test_gregory_weights_integrate_trig_to_high_order():
-    # end-corrected trapezoid (7th order measured): products of the first
-    # few modes integrate to ~1e-8 at the n_u used for tight-tolerance runs
-    for n, tol in ((65, 5e-7), (129, 1e-8)):
-        u = np.linspace(-1, 1, n)
-        w = gregory_weights(n, u[1] - u[0])
-        for p in (np.pi / 2, np.pi, 3 * np.pi / 2):
-            exact = 1.0 + np.sin(2 * p) / (2 * p)
-            assert abs(np.dot(w, np.cos(p * u) ** 2) - exact) < tol
-
-
 def test_separable_eigenvalues_small_grid():
     # gamma = 0: 2D eigenvalues are exactly sums of the 1D pieces
     geom = flat_geometry(alpha=0.3, ratio=0.5)
@@ -68,27 +56,56 @@ def test_separable_eigenvalues_small_grid():
     assert np.max(np.abs(vals - sums[:len(vals)])) < 1e-10 * np.max(np.abs(vals))
 
 
+def _robin_matrix(alpha_lower, alpha_upper, hu, nu):
+    """The weighted ghost-eliminated Robin matrix Bw, dense."""
+    B = 2 * np.eye(nu) - np.eye(nu, k=1) - np.eye(nu, k=-1)
+    B[0, 0] = 2 + 2 * hu * alpha_lower
+    B[-1, -1] = 2 + 2 * hu * alpha_upper
+    B[0, 1] = B[-1, -2] = -2
+    wu = np.ones(nu)
+    wu[[0, -1]] = 0.5
+    return wu[:, None] * B / hu ** 2
+
+
 @pytest.mark.parametrize("n_u, alpha", [(32, 0.0), (32, -2.0), (64, 0.0)])
 def test_flat_transverse_modes_are_scipy_eigh_bit_for_bit(n_u, alpha):
-    # LAPACK dsygvd as `scipy.linalg.eigh(Bw, diag(wu))` calls it, Bw the
-    # weighted ghost-eliminated Robin matrix built as the library builds it
+    # the flat eigenbasis is scipy's `eigh_tridiagonal` (LAPACK dstemr) of
+    # W^-1/2 Bw W^-1/2, Bw as the library builds it, scaled back by W^-1/2
+    # and signed as the continuum modes are; each eigenvalue is its vector's
+    # Rayleigh quotient, within 1e-15 |T| of dstemr's
     grid = Grid2D(8.0, 512, n_u, 1.0)
     op = build_waveguide(bump_geometry(0.4, alpha=alpha), FULL, 1, grid)
     nu, hu, wu = n_u + 1, grid.h_u, grid.u_mass
-    B = 2 * np.eye(nu) - np.eye(nu, k=1) - np.eye(nu, k=-1)
-    B[0, 0] = B[-1, -1] = 2 + 2 * hu * alpha
-    B[0, 1] = B[-1, -2] = -2
-    lam, Phi = eigh(wu[:, None] * B / hu ** 2, np.diag(wu))
-    assert op.flat_eigvals.tobytes() == lam.tobytes()
+    Bw = _robin_matrix(alpha, alpha, hu, nu)
+    assert np.array_equal(op.transverse * op.geometry.scaling.delta ** 2, Bw)
+    lam, psi = eigh_tridiagonal(
+        np.diag(Bw) / wu, np.diag(Bw, 1) / np.sqrt(wu[:-1] * wu[1:]),
+        select="i", select_range=(0, n_u), lapack_driver="stemr")
+    Phi = psi / np.sqrt(wu)[:, None]
+    mid = n_u // 2
+    key = np.where(np.arange(nu) % 2 == 0, Phi[mid], Phi[mid + 1] - Phi[mid - 1])
+    Phi *= np.where(key < 0, -1.0, 1.0)
     assert op.flat_eigvecs.tobytes() == Phi.tobytes()
+    T = 4 / hu ** 2
+    assert np.max(np.abs(op.flat_eigvals - lam)) < 1e-15 * nu * T
+    assert np.max(np.abs(Phi.T @ (wu[:, None] * Phi) - np.eye(nu))) < 1e-12
+    # even modes are even, odd modes odd, about u = 0
+    parity = np.where(np.arange(nu) % 2 == 0, 1.0, -1.0)
+    assert np.max(np.abs(Phi[::-1] - parity * Phi)) < 1e-10
 
 
 def test_failed_flat_eigenproblem_raises(monkeypatch):
-    dsygvd = waveguide2d.lapack.dsygvd
-    monkeypatch.setattr(waveguide2d.lapack, "dsygvd",
-                        lambda *a, **kw: (*dsygvd(*a, **kw)[:2], 3))
-    with pytest.raises(RobinwgError, match="dsygvd info = 3"):
-        build_waveguide(bump_geometry(0.4), FULL, 1, Grid2D(8.0, 512, 16, 1.0))
+    stemr = waveguide2d.lapack.dstemr
+    grid = Grid2D(8.0, 512, 16, 1.0)
+    for (short, code), message in (((0, 3), "dstemr info = 3"),
+                                   ((1, 0), "returned 16 of 17 pairs")):
+        def faulty(*args, short=short, code=code, **kwargs):
+            m, w, v, _ = stemr(*args, **kwargs)
+            return m - short, w, v, code
+
+        monkeypatch.setattr(waveguide2d.lapack, "dstemr", faulty)
+        with pytest.raises(RobinwgError, match=message):
+            build_waveguide(bump_geometry(0.4), FULL, 1, grid)
 
 
 @pytest.mark.parametrize("variant", [FULL, SIMPLIFIED])
@@ -109,19 +126,23 @@ def test_core_bands_apply_and_count_like_csr(variant):
 
 
 def test_flat_reduced_resolvent_is_free_1d():
-    geom = flat_geometry()
-    grid = Grid2D(12.0, 1200, 128, 1.0)
-    op = build_waveguide(geom, SIMPLIFIED, 2, grid)
-    proj = ModeProjector(geom, grid, 2)
-    si = grid.s_interior
-    f = bump_probe(-4.0, 1.5)(si)
-    for n in (0, 1, 2):
-        g, info = reduced_resolvent(op, proj, n, n, Z, f)
+    # the projector's modes are the operator's own, so each mode is the
+    # free line to rounding: the simplified strip at n_u = 128, and the
+    # benchmark's straight strip (full variant, alpha = 0.7) at 32 and 64
+    for variant, alpha, n_u in ((SIMPLIFIED, 0.0, 128), (FULL, 0.7, 32),
+                                (FULL, 0.7, 64)):
+        geom = flat_geometry(alpha=alpha)
+        grid = Grid2D(12.0, 1200, n_u, 1.0)
+        op = build_waveguide(geom, variant, 2, grid)
+        proj = ModeProjector(geom, grid, 2)
+        f = bump_probe(-4.0, 1.5)(grid.s_interior)
         ref = dirichlet_line(grid.h_s, Z, f)
-        assert np.max(np.abs(g - ref)) < 1e-8
-    # off-diagonal vanishes to solver tolerance
-    g01, _ = reduced_resolvent(op, proj, 0, 1, Z, f)
-    assert np.max(np.abs(g01)) < 1e-9
+        for n in (0, 1, 2):
+            g, info = reduced_resolvent(op, proj, n, n, Z, f)
+            assert np.max(np.abs(g - ref)) < 1e-13
+        # off-diagonal vanishes to the modes' orthogonality
+        g01, _ = reduced_resolvent(op, proj, 0, 1, Z, f)
+        assert np.max(np.abs(g01)) < 1e-11
 
 
 def test_nan_residual_fails_the_post_check(monkeypatch):
@@ -245,47 +266,84 @@ def test_renormalisation_delta_independence():
 
 
 def test_projector_orthonormal_and_flat_exact():
-    geom = bump_geometry(0.4)
+    geom = bump_geometry(0.4, alpha=0.7)
     grid = Grid2D(6.0, 600, 128, 1.0)
     proj = ModeProjector(geom, grid, 3)
-    assert gram_deviation(proj) < 1e-8
-    # flat columns equal the symmetric modes exactly, through synthesize
-    # and project alike
-    u = grid.u_points
+    op = build_waveguide(geom, FULL, 3, grid)
+    # orthonormal in the operator's own weights, trapezoid u-mass times h_u
+    assert np.array_equal(proj.quad, grid.u_mass * grid.h_u)
+    assert gram_deviation(proj) < 1e-12
+    # flat columns are the operator's flat eigenvectors in unit L2 norm,
+    # through synthesize and project alike
+    assert np.max(np.abs(proj.flat * np.sqrt(grid.h_u)
+                         - op.flat_eigvecs[:, :4].T)) < 1e-12
     flat = np.flatnonzero(geom.eta(grid.s_interior) == 0)
     assert 5 in flat  # far from the scaled support
-    field = np.random.default_rng(4).standard_normal((len(grid.s_interior), len(u)))
-    for n, m in enumerate(symmetric_spectrum(0.0, 1.0, 3)):
-        S = proj.synthesize(np.ones(len(grid.s_interior)), n)
-        assert np.array_equal(S[flat], np.broadcast_to(m(u), (len(flat), len(u))))
-        want = (field * np.broadcast_to(m(u), field.shape)) @ proj.quad
+    nsi, nu = op.shape
+    field = np.random.default_rng(4).standard_normal((nsi, nu))
+    for n in range(4):
+        S = proj.synthesize(np.ones(nsi), n)
+        assert np.array_equal(S[flat], np.broadcast_to(proj.flat[n],
+                                                       (len(flat), nu)))
+        want = (field * proj.flat[n]) @ proj.quad
         assert np.array_equal(proj.project(field, n)[flat], want[flat])
 
 
 @pytest.mark.parametrize("profile", ["bump", "bell"])
 @pytest.mark.parametrize("alpha", [-2.0, 0.0, 0.7])
 def test_projector_core_modes_are_the_scalar_solves_bit_for_bit(profile, alpha):
-    # one lane-wise pass over all curved columns gives each column the modes
-    # of its own scalar-brentq solve, sign-matched to the flat modes
+    # one call over all curved columns gives each column the modes of its
+    # own one-pair solve, sign-matched to the flat modes; each solves its
+    # column's discrete Robin eigenproblem
     prof = default_bump() if profile == "bump" else BELL
     geom = WaveguideGeometry(prof, 1.0,
                              ScalingParams(epsilon=0.4, delta_ratio=0.05), alpha)
     grid = Grid2D(6.0, 600, 32, 1.0)
-    si, u = grid.s_interior, grid.u_points
+    si, hu, nu = grid.s_interior, grid.h_u, grid.n_u + 1
+    wu = grid.u_mass
     for n_max in (1, 3):
         proj = ModeProjector(geom, grid, n_max)
-        flat = [m(u) for m in symmetric_spectrum(alpha, 1.0, n_max)]
+        flat = robin_modes(alpha, alpha, grid.n_u, hu, n_max + 1)[1][0]
+        assert np.array_equal(proj.flat, flat / np.sqrt(hu))
         curved = np.flatnonzero(geom.eta(si) != 0)
         assert proj.core == slice(curved[0], curved[-1] + 1)
         a1, a2 = geom.robin_coefficients(si)
         for col in range(proj.core.start, proj.core.stop):
-            modes = scalar_asymmetric_spectrum(a1[col], a2[col], 1.0, n_max)
-            for n, (branch, k, _, A, B) in enumerate(modes):
-                want = mode_values(branch, k, A, B, u) if col in curved else flat[n]
-                if np.dot(want, flat[n]) < 0:
+            Bw = _robin_matrix(a2[col], a1[col], hu, nu)
+            modes = (robin_modes(a2[col], a1[col], grid.n_u, hu, n_max + 1)[1][0]
+                     if col in curved else flat) / np.sqrt(hu)
+            for n, want in enumerate(modes):
+                if np.dot(want, proj.flat[n]) < 0:
                     want = -want
                 got = proj.core_modes[n, col - proj.core.start]
                 assert np.array_equal(got, want), (col, n)
+                lam = got @ Bw @ got / (got @ (wu * got))
+                assert np.linalg.norm(Bw @ got - lam * wu * got) < (
+                    1e-12 * np.abs(Bw).sum(1).max() * np.linalg.norm(got))
+
+
+@pytest.mark.parametrize("alpha", [-2.0, 0.0, 0.7])
+def test_curved_modes_converge_to_the_continuum_at_second_order(alpha):
+    # the discrete modes of a curved column against the scalar continuum
+    # solve sampled on the u grid: halving h_u divides the error by 4
+    geom = bump_geometry(0.4, alpha=alpha)
+    errors = []
+    for n_u in (32, 64):
+        grid = Grid2D(6.0, 600, n_u, 1.0)
+        proj = ModeProjector(geom, grid, 3)
+        si, u = grid.s_interior, grid.u_points
+        col = (proj.core.start + proj.core.stop) // 2 + 5
+        assert geom.eta(si[col]) != 0
+        a1, a2 = geom.robin_coefficients(si)
+        err = []
+        for n, (branch, k, _, A, B) in enumerate(
+                scalar_asymmetric_spectrum(a1[col], a2[col], 1.0, 3)):
+            want = mode_values(branch, k, A, B, u)
+            got = proj.core_modes[n, col - proj.core.start]
+            err.append(np.max(np.abs(got - np.sign(got @ want) * want)))
+        errors.append(err)
+    ratio = np.array(errors[0]) / np.array(errors[1])
+    assert np.all((3.8 < ratio) & (ratio < 4.2)), (errors, ratio)
 
 
 def test_projection_bessel_inequality():
@@ -360,7 +418,7 @@ def test_full_minus_simplified_scales_linearly_in_delta_ratio():
         S, U = np.meshgrid(si, u, indexing="ij")
         psi = np.exp(-S ** 2) * np.cos(np.pi * U / 3)
         dv = apply_2d(a_full, psi) - apply_2d(a_hat, psi)
-        wq = gregory_weights(len(u), grid.h_u)
+        wq = grid.u_mass * grid.h_u
         norms[ratio] = np.sqrt(np.sum((np.abs(dv) ** 2 @ wq)) * grid.h_s)
     r = norms[0.1] / norms[0.05]
     assert abs(r - 2.0) < 0.4
@@ -551,19 +609,27 @@ def test_matrix_free_apply_is_the_full_grid_matrix(variant, profile, alpha, eps,
 
 
 def test_theorem_check_solves_the_flat_spectrum_once(monkeypatch):
+    # the continuum spectrum enters only through beta_n, asked for by mode
+    # once per check; every projection uses the discrete modes
+    from robinwg import transverse
+    from robinwg.report import predicted_limit
     calls = []
-    solve = waveguide2d.symmetric_spectrum
+    solve = transverse._symmetric_solve
 
     def counted(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(waveguide2d, "symmetric_spectrum", counted)
+    monkeypatch.setattr(transverse, "_symmetric_solve", counted)
     for alpha, n in ((0.0, 0), (-2.0, 1)):
         calls.clear()
-        theorem_check(bump_geometry(0.4, alpha=alpha), n, Z, bump_probe(-4.0, 1.5),
-                      [0.4, 0.2, 0.1], n_max=1, n_u=16)
-        assert calls == [(alpha, 1.0, 1)]
+        rep = theorem_check(bump_geometry(0.4, alpha=alpha), n, Z,
+                            bump_probe(-4.0, 1.5), [0.4, 0.2, 0.1], n_max=1,
+                            n_u=16)
+        assert calls == [([alpha], 1.0, n)]
+        beta = transverse.perturbation_coefficients(alpha, 1.0, n).beta
+        assert rep.predicted == predicted_limit(default_bump(), beta,
+                                               0.0)[0].to_dict()
 
 
 @pytest.mark.parametrize("alpha", [-2.0, 0.0, 0.7])
@@ -660,18 +726,47 @@ def test_theorem_check_validates_mode_and_eps_list():
                       [0.4, 0.2])
 
 
-def test_mode_projector_sturm_guard():
-    # at alpha = -4 the negative pair splits by ~e^(-2|alpha|d), below the
-    # lane-wise solve's bracket spacing on weakly curved columns: the modes
-    # come out with shifted indices, and the sign count catches it
-    with pytest.raises(BracketingError, match="oscillation count"):
-        theorem_check(bump_geometry(0.4, alpha=-4.0), 0, Z,
-                      bump_probe(-4.0, 1.5), [0.4, 0.2])
+def test_mode_projector_sturm_guard(monkeypatch):
+    # at alpha = -4 the negative pair splits by ~e^(-2|alpha|d) on weakly
+    # curved columns; the discrete modes resolve it, and the check runs
+    rep = theorem_check(bump_geometry(0.4, alpha=-4.0), 0, Z,
+                        bump_probe(-4.0, 1.5), [0.4, 0.2, 0.1], n_max=1)
+    assert rep.predicted["kind"] == "decoupled"
+    assert rep.verdict == "converges-to-predicted"
+    assert [float(f"{e:.3g}") for e in rep.errors] == [0.0252, 0.0104, 0.00473]
     # the benchmark's three waveguide-check configs pass the guard
     for alpha, n in ((0.0, 0), (0.0, 1), (-2.0, 0)):
         rep = theorem_check(bump_geometry(0.4, alpha=alpha), n, Z,
                             bump_probe(-4.0, 1.5), [0.4, 0.2, 0.1], n_max=1)
         assert rep.verdict == "converges-to-predicted"
+    # a mode out of order changes sign the wrong number of times
+    stemr = waveguide2d.lapack.dstemr
+
+    def swapped(*args, **kwargs):
+        m, w, v, info = stemr(*args, **kwargs)
+        v[:, [0, 1]] = v[:, [1, 0]]
+        return m, w, v, info
+
+    monkeypatch.setattr(waveguide2d.lapack, "dstemr", swapped)
+    grid = Grid2D(8.0, 512, 32, 1.0)
+    with pytest.raises(BracketingError, match="oscillation count"):
+        ModeProjector(bump_geometry(0.4, alpha=-4.0), grid, 1)
+    with pytest.raises(BracketingError, match="oscillation count"):
+        build_waveguide(bump_geometry(0.4), FULL, 1, grid)
+
+
+def test_off_diagonal_norms_measure_leakage_not_the_transverse_grid():
+    # alpha = 1, n = 2, n_max = 3: r_02 shares its parity with r_22, and
+    # projected on sampled continuum modes it sat on an h_u^2 floor
+    # (5.3e-4 at n_u = 32); on the operator's own modes it falls with eps
+    # and reads the same at every n_u
+    geom = bump_geometry(0.4, alpha=1.0)
+    norms = [theorem_check(geom, 2, Z, bump_probe(-4.0, 1.5), [0.4, 0.2],
+                           n_max=3, n_u=n_u).offdiagonal[0]
+             for n_u in (32, 64)]
+    for r02 in norms:
+        assert r02[1] < r02[0] < 1e-7
+    assert np.allclose(norms[0], norms[1], rtol=0.01)
 
 
 def test_perturbed_exterior_column_trips_the_field_check(monkeypatch):
