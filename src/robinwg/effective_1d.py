@@ -159,41 +159,77 @@ def _gtsv(diag, off, b):
     return x
 
 
-def exterior_solve(h, z, B_left, B_right, scale, outer):
-    """The free exteriors on both sides of a window, for each z_j.
+def green_columns(h, z, m: int, transparent: bool) -> np.ndarray:
+    """The Green column of a free lattice exterior of m nodes, for each z.
 
-    Each side's operator is E_j = tridiag(-c, 2c - z_j, -c), c = 1/h^2, on
-    its m nodes, with `outer[j]` (a scalar or one per z_j) added to the
-    diagonal of the node at the far end: 0 is a Dirichlet cap, -c r_j
-    (`outgoing_root`) the exact transparent end.  The node next to the
-    window sees it as a Dirichlet cap.  B_left (1, k, m_left) holds k
-    right-hand sides, B_right likewise; the system of z_j takes them times
-    scale[j] (a real array, one per z_j), formed as it is filled, so no
-    scaled copy of the whole B is made.  Returns (U_left, phi_left,
-    U_right, phi_right): U = E_j^{-1} scale[j] B and phi the Green column
-    E_j^{-1} e of the node next to the window.  All systems go end to end,
-    zero couplings at the joints and left row i sharing a column with
-    right row i, into one LAPACK `gtsv` call of at least two unknowns; each
-    comes out bit for bit as its own solve would.
+    The exterior is tridiag(-c, 2c - z, -c), c = 1/h^2, on nodes k = 1..m
+    counted from its window, whose side (node 0) it sees as a Dirichlet
+    cap; beyond node m it has a Dirichlet cap, or with `transparent` the
+    outgoing lattice g_{m+1} = r g_m, r = `outgoing_root(h, z)`.  Its
+    column phi = E^{-1} e_1 has the closed form (Ehrhardt & Arnold 2001)
+
+        phi_k = r^k (1 - r^(2(m+1-k))) / (c (1 - r^(2(m+1))))   cap
+        phi_k = r^k / c                                         transparent
+
+    taken as exp(k log r), and only while |r|^k is a normal float: past
+    that reach the entries are exact zeros, so the cost is the sum over z of
+    min(m, reach).  The cap's reflection r^(2(m+1)-k), k <= m, is below
+    |r|^(m+2): it is a normal float only in a column that reaches node m,
+    and only such a column takes the cap factors, by expm1.
+    Returns (len(z), m), row j for z[j], column k - 1 for node k.
     """
-    z = np.atleast_1d(z)
-    J = len(z)
-    (_, kl, ml), (_, kr, mr) = B_left.shape, B_right.shape
+    t = h * h * np.atleast_1d(z).astype(complex)
+    # r = s e^L, Re L < 0: with w = sqrt(-t)/2 (s = 1) or sqrt(t - 4)/2
+    # (s = -1, Re t >= 2) the roots' product 1 and sum 2 - t give
+    # L = -2 asinh(w), with no cancellation near r = 1 or r = -1
+    top = t.real >= 2
+    log_r = -2 * np.arcsinh(np.sqrt(np.where(top, t - 4, -t)) / 2)
+    with np.errstate(divide="ignore"):       # |r| = 1 in floats reaches m
+        reach = np.minimum(m, np.log(np.finfo(float).tiny) / log_r.real)
+    reach = reach.astype(int)
+    # every column's nodes 1..reach_j, end to end
+    row = np.repeat(np.arange(len(log_r)), reach)
+    k = np.arange(1, len(row) + 1) - np.repeat(np.cumsum(reach) - reach, reach)
+    lr = log_r[row]
+    col = np.exp(k * lr) * h ** 2
+    col[top[row] & (k % 2 == 1)] *= -1
+    if not transparent:
+        far = reach[row] == m
+        col[far] *= (np.expm1(2 * (m + 1 - k[far]) * lr[far])
+                     / np.expm1(2 * (m + 1) * lr[far]))
+    phi = np.zeros((len(log_r), m), dtype=complex)
+    phi[row, k - 1] = col
+    return phi
+
+
+def exterior_solve(h, z, B_left, B_right, outer):
+    """The particular solutions of the free exteriors on both sides of a
+    window, at one z.
+
+    Each side's operator is E = tridiag(-c, 2c - z, -c), c = 1/h^2, on its
+    m nodes, with `outer` added to the diagonal of the node at the far end:
+    0 is a Dirichlet cap, -c r (`outgoing_root`) the exact transparent end.
+    The node next to the window sees it as a Dirichlet cap.  B_left
+    (k, m_left) holds k right-hand sides, B_right likewise.  Returns
+    (U_left, U_right), U = E^{-1} B; the Green column of the node next to
+    the window is `green_columns`'.  Both sides go end to end, zero
+    coupling at the joint and left row i sharing a column with right row i,
+    into one LAPACK `gtsv` call, a column per row (one unknown is a
+    division).
+    """
+    (kl, ml), (kr, mr) = B_left.shape, B_right.shape
     m, k = ml + mr, max(kl, kr)
-    X = np.zeros((k + 1, J, m), dtype=complex)
-    for B, part in ((B_left, X[:kl, :, :ml]), (B_right, X[:kr, :, ml:])):
-        np.multiply(scale[:, None, None], B, out=part.transpose(1, 0, 2))
-    X[k, :, max(ml - 1, 0):ml + 1] = 1.0        # the nodes next to the window
-    if m:
-        diag = np.repeat(2.0 / h ** 2 - z, m).reshape(J, m)
-        ends = [i for i, side in ((0, ml), (m - 1, mr)) if side]
-        diag[:, ends] += np.reshape(outer, (-1, 1))
-        off = np.full((J, m), -1.0 / h ** 2)
-        off[:, [ml - 1, m - 1]] = 0.0           # the joints
-        X = _gtsv(diag.ravel(), off.ravel()[:-1],
-                  X.reshape(k + 1, -1).T).T.reshape(X.shape)
-    return (X[:kl, :, :ml].transpose(1, 0, 2), X[k, :, :ml],
-            X[:kr, :, ml:].transpose(1, 0, 2), X[k, :, ml:])
+    X = np.zeros((m, k), dtype=complex, order="F")
+    X[:ml, :kl] = B_left.T
+    X[ml:, :kr] = B_right.T
+    if m and k:
+        diag = np.full(m, 2.0 / h ** 2 - z)
+        diag[[i for i, side in ((0, ml), (m - 1, mr)) if side]] += outer
+        off = np.full(m - 1, -1.0 / h ** 2)
+        if ml and mr:
+            off[ml - 1] = 0.0                   # the joint
+        X = _gtsv(diag, off, X) if m > 1 else X / diag
+    return X[:ml, :kl].T, X[ml:, :kr].T
 
 
 def _core_half_width(op: Discrete1DOperator) -> int:
@@ -228,20 +264,22 @@ class FlatExterior:
 
 def flat_exterior(op: Discrete1DOperator, z, f_samples) -> FlatExterior:
     """The flat exterior of (op.grid, z, f), f one row or a (probes, nodes)
-    block, from one `exterior_solve`.  W depends on the grid and op's
-    potential only, so several eps on one grid can share an exterior while
-    their potentials sit inside the same W; the caller decides when."""
+    block: the particular solutions from one `exterior_solve`, the Green
+    columns from `green_columns`, transparent far ends.  W depends on the
+    grid and op's potential only, so several eps on one grid can share an
+    exterior while their potentials sit inside the same W; the caller
+    decides when."""
     F = np.atleast_2d(f_samples)
     i0, k = op.grid.n_cells // 2, _core_half_width(op)
     sides = (F[:, 1:i0 - k], F[:, i0 + k + 1:-1])
     rows = tuple(np.flatnonzero(np.any(side != 0, axis=1)) for side in sides)
-    # times 1.0, exact: the rows as they are; transparent far ends
     h = op.grid.h
-    U_l, phi_l, U_r, phi_r = exterior_solve(
-        h, complex(z), sides[0][None, rows[0]], sides[1][None, rows[1]],
-        np.ones(1), -outgoing_root(h, z) / h ** 2)
-    return FlatExterior(op.grid, complex(z), k, len(F), rows,
-                        (U_l[0], U_r[0]), (phi_l[0], phi_r[0]))
+    U = exterior_solve(h, complex(z), sides[0][rows[0]], sides[1][rows[1]],
+                       -outgoing_root(h, z) / h ** 2)
+    phi_l, phi_r = (green_columns(h, z, side.shape[1], True)[0]
+                    for side in sides)
+    return FlatExterior(op.grid, complex(z), k, len(F), rows, U,
+                        (phi_l[::-1], phi_r))
 
 
 def resolvent_solve(op: Discrete1DOperator, z, f_samples,

@@ -15,24 +15,29 @@ The curvature has compact support, so outside a core of O(eps) s-columns
 the operator is the flat separable one, P^-1 = kron(D2s + diag(V_flat), W)
 + kron(I, Bw)/delta^2, with V_flat the flat part of the potential.  Only
 the core correction E = P^-1 - M A is assembled and P^-1 is applied
-matrix-free.  The reduced resolvent eliminates the flat exterior per
-transverse mode by the 1D backend's `exterior_solve`, solves the core's
-exact Schur system by one banded LU, assembles each field once and checks
-it by one matrix-free apply, and projects onto per-column transverse modes
-after subtracting the *discrete* flat threshold, so the renormalised
-problem is delta-independent at machine level.  The operator's flat
-eigenbasis and the projector's modes are one basis, the discrete Robin
-modes of `robin_modes`: no continuum mode is sampled here.
+matrix-free.  The operator's flat eigenbasis and the projector's modes are
+one basis, the discrete Robin modes of `robin_modes` (the flat ones shared
+bit for bit, `flat_modes`): no continuum mode is sampled here.  So outside
+the core a source in mode n feeds mode n alone, and the reduced resolvent
+eliminates the flat exterior per transverse mode with one tridiagonal solve,
+mode n's particular solution (the 1D backend's `exterior_solve`), and every
+mode's Green column in closed form (`green_columns`).  It then solves the
+core's exact Schur system by one banded LU, assembles each field once and
+checks it by one matrix-free apply, and projects onto per-column transverse
+modes after subtracting the *discrete* flat threshold, so the renormalised
+problem is delta-independent at machine level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from . import _lapack as lapack
-from .effective_1d import check_resolution, exterior_solve, s_grid
+from .effective_1d import (check_resolution, exterior_solve, green_columns,
+                          s_grid)
 from .errors import (BracketingError, GridResolutionError, ProfileError,
                      RobinwgError)
 from .geometry import WaveguideGeometry
@@ -223,6 +228,19 @@ def robin_modes(alpha_lower, alpha_upper, n_u: int, h_u: float, count: int):
     return lam, phi
 
 
+@lru_cache(maxsize=8)
+def flat_modes(alpha: float, n_u: int, h_u: float):
+    """All n_u + 1 `robin_modes` of the flat pair (alpha, alpha), as (lam,
+    phi) of shapes (n_u + 1,) and (n_u + 1, n_u + 1), read-only.  One
+    dstemr call per (alpha, n_u, h_u) serves `build_waveguide` and every
+    `ModeProjector` on that u grid, so the projector's flat modes are the
+    operator's eigenvectors bit for bit, and so the exterior source of mode
+    n is mode n alone."""
+    lam, phi = (a[0] for a in robin_modes(alpha, alpha, n_u, h_u, n_u + 1))
+    lam.flags.writeable = phi.flags.writeable = False
+    return lam, phi
+
+
 def build_waveguide(geometry: WaveguideGeometry, variant: str,
                     n_context: int, grid: Grid2D) -> DiscreteWaveguideOperator:
     """The operator as flat data and E on the core (without threshold shift).
@@ -232,8 +250,7 @@ def build_waveguide(geometry: WaveguideGeometry, variant: str,
     gamma'': non-smooth profiles are rejected.  For gamma == 0 the core is
     empty: both variants are exactly the separable sum of the 1D Dirichlet
     Laplacian and the transverse Robin operator.  The flat eigenbasis is
-    all n_u + 1 `robin_modes` of the flat alpha: the eigenvalues, and
-    wu-orthonormal columns Phi.
+    `flat_modes`: the eigenvalues, and wu-orthonormal columns Phi.
     """
     if variant not in (FULL, SIMPLIFIED):
         raise RobinwgError(f"unknown variant {variant!r}")
@@ -260,7 +277,7 @@ def build_waveguide(geometry: WaveguideGeometry, variant: str,
     B[0, 0] = B[-1, -1] = 2 + 2 * hu * alpha
     B[0, 1] = B[-1, -2] = -2
     Bw = wu[:, None] * B / hu ** 2
-    lam, Phi = robin_modes(alpha, alpha, grid.n_u, hu, nu)
+    lam, Phi = flat_modes(alpha, grid.n_u, hu)
 
     gscaled = defo * geometry.profile.sample(si / eps)   # sqrt(1+2 eps b) gamma(s/eps)
     Vs = -gscaled ** 2 / (4 * eps ** 2)    # flat part of the potential
@@ -297,7 +314,7 @@ def build_waveguide(geometry: WaveguideGeometry, variant: str,
         diag += ((2.0 - aL - aR) / hs ** 2 + Vs[core, None] - V) * wu
     return DiscreteWaveguideOperator(geometry, grid, variant,
                                      CoreBands(diag.ravel(), off),
-                                     Bw / delta ** 2, lam[0], Phi[0].T, Vs,
+                                     Bw / delta ** 2, lam, Phi.T, Vs,
                                      core)
 
 
@@ -309,13 +326,14 @@ def build_waveguide(geometry: WaveguideGeometry, variant: str,
 class ModeProjector:
     """Per-column transverse modes phi_n(alpha^eps(s), .) on the u grid.
 
-    The modes are the operator's own: `robin_modes` of the flat alpha,
-    stored once as `flat`, and of each curved column's (a2(s), a1(s)), kept
-    for the columns from the first to the last curved one (`core`), all
-    from one call, which raises BracketingError unless mode n changes sign
-    n times.  Scaled to unit norm in the operator's trapezoid u-mass times
-    h_u (`quad`), they are orthonormal in it.  Curved modes take the sign
-    that makes their inner product with the flat mode positive.
+    The modes are the operator's own: its flat eigenvectors (`flat_modes`),
+    stored once as `flat`, and `robin_modes` of each curved column's
+    (a2(s), a1(s)), kept for the columns from the first to the last curved
+    one (`core`), all from one call, which raises BracketingError unless
+    mode n changes sign n times.  Scaled to unit norm in the operator's
+    trapezoid u-mass times h_u (`quad`), they are orthonormal in it.
+    Curved modes take the sign that makes their inner product with the flat
+    mode positive.
     """
 
     geometry: WaveguideGeometry
@@ -333,14 +351,13 @@ class ModeProjector:
         self.core = (slice(curved[0], curved[-1] + 1) if len(curved)
                      else slice(0, 0))
         a1, a2 = self.geometry.robin_coefficients(si[curved])
-        alpha = self.geometry.alpha
-        _, modes = robin_modes(np.r_[alpha, a2], np.r_[alpha, a1],
-                               self.grid.n_u, hu, self.n_max + 1)
-        modes /= np.sqrt(hu)
-        self.flat = modes[0]
+        count = self.n_max + 1
+        self.flat = flat_modes(self.geometry.alpha, self.grid.n_u,
+                               hu)[1][:count] / np.sqrt(hu)
         self.core_modes = np.repeat(self.flat[:, None, :],
                                     len(si[self.core]), 1)
-        vals = modes[1:].transpose(1, 0, 2)
+        vals = (robin_modes(a2, a1, self.grid.n_u, hu, count)[1]
+                / np.sqrt(hu)).transpose(1, 0, 2)
         flip = np.einsum("ncu,nu->nc", vals, self.flat) < 0
         self.core_modes[:, curved - self.core.start] = np.where(
             flip[..., None], -vals, vals)
@@ -368,35 +385,50 @@ def _core_system(op: DiscreteWaveguideOperator, projector: ModeProjector,
 
     Outside the core C (`op.core`) mode j of the flat transverse eigenbasis
     Phi is the free line at z_j = z - (lam_j - lam_n)/delta^2 with source
-    c_j f, c = Phi^T W phi_n (pure mode n to the eigenvectors' accuracy,
-    since the projector's flat modes are Phi's own, scaled); one
-    `exterior_solve`, which scales each row by c_j as it fills mode j's
-    system, gives every row's particular solution U_j and the shared Green
-    column phi_j.  Returns (ab, b, assemble, shift): the rows' common
-    K = (M A - shift M) on C in LAPACK band storage (kl = ku = n_u + 1,
-    s-major, K[i, j] at ab[2 (n_u + 1) + i - j, j]), whose edge columns
-    carry the exact Schur corners -c^2 (W Phi) diag(phi_j(edge)) (W Phi)^T,
-    c = 1/hs^2; b_C, a column per row: M F on C plus c W Phi U_j of the
-    exterior column next to each edge; (p, x_C) -> row p's whole-grid
-    field, each exterior U_j + c y_j phi_j per mode with y_j from C's edge
-    column; and shift = lam_n/delta^2 + z.  Only U and phi span the whole
-    grid: M F is formed on C alone.
+    c_j f, c = Phi^T W phi_n.  The projector's flat modes are Phi's own
+    columns, scaled (`flat_modes`), so c is c_n e_n: only mode n, at z_n =
+    z, has a particular solution, and one `exterior_solve` over its
+    exterior nodes, a column per row, gives every row's U.  Every mode's
+    Green column phi_j is the capped line's closed form (`green_columns`).
+    Returns (ab, b, assemble, shift): the rows' common K = (M A - shift M)
+    on C in LAPACK band storage (kl = ku = n_u + 1, s-major, K[i, j] at
+    ab[2 (n_u + 1) + i - j, j]), whose edge columns carry the exact Schur
+    corners -c^2 (W Phi) diag(phi_j(edge)) (W Phi)^T, c = 1/hs^2; b_C, a
+    column per row: M F on C plus c W Phi_n U of the exterior column next
+    to each edge; (p, x_C) -> row p's whole-grid field, each exterior
+    column Phi (U e_n + c y_j phi_j) with y_j from C's edge column; and
+    shift = lam_n/delta^2 + z.  Across the exteriors the call holds U, one
+    node value per row, and phi, one field's worth; M F is formed on C
+    alone.
     """
     nsi, nu = op.shape
     wu, Phi, lam = op.grid.u_mass, op.flat_eigvecs, op.flat_eigvals
-    c, delta = 1.0 / op.grid.h_s ** 2, op.geometry.scaling.delta
+    hs, delta = op.grid.h_s, op.geometry.scaling.delta
+    c = 1.0 / hs ** 2
     shift = lam[n] / delta ** 2 + z
     zj = z - (lam - lam[n]) / delta ** 2
     C, k = op.core, op.core.stop - op.core.start
-    U_l, phi_l, U_r, phi_r = exterior_solve(
-        op.grid.h_s, zj, F[None, :, :C.start], F[None, :, C.stop:],
-        (projector.flat[n] * wu) @ Phi, 0.0)          # Dirichlet caps
+    cn = (projector.flat[n] * wu) @ Phi[:, n]
+    U_l, U_r = exterior_solve(hs, z, cn * F[:, :C.start], cn * F[:, C.stop:],
+                              0.0)
+    # Dirichlet caps; a straight strip has no core edge for them to feed
+    phi_l, phi_r = ((green_columns(hs, zj, C.start, False)[:, ::-1],
+                     green_columns(hs, zj, nsi - C.stop, False))
+                    if k else (None, None))
+
+    def exterior(U, y, phi):
+        V = y[:, None] * phi                  # (modes, nodes), c y_j phi_j
+        V[n] += U
+        # Phi V on V's real and imaginary parts side by side: one real
+        # product, not a complex one with Phi made complex
+        return (Phi @ V.view(float)).view(complex).T
 
     def assemble(p, xc):
-        y = c * (xc[[0, -1]] * wu) @ Phi if len(xc) else np.zeros((2, nu))
-        return np.concatenate([
-            (U_l[:, p] + y[0, :, None] * phi_l).T @ Phi.T, xc,
-            (U_r[:, p] + y[1, :, None] * phi_r).T @ Phi.T])
+        if not k:             # a straight strip: mode n's line alone
+            return np.outer(U_r[p], Phi[:, n])
+        y = c * (xc[[0, -1]] * wu) @ Phi
+        return np.concatenate([exterior(U_l[p], y[0], phi_l), xc,
+                               exterior(U_r[p], y[1], phi_r)])
 
     iu = np.arange(nu)
     blocks = np.repeat(op.transverse[None] + 0j, k, axis=0)
@@ -407,12 +439,10 @@ def _core_system(op: DiscreteWaveguideOperator, projector: ModeProjector,
     # each exterior's Schur corner in K, and its particular solution in b
     if C.start:
         blocks[0] -= c * c * (WPhi * phi_l[:, -1]) @ WPhi.T
-        for p in range(len(F)):
-            b[p, 0] += (c * wu) * (U_l[:, p, -1:].T @ Phi.T)[0]
+        b[:, 0] += np.outer(U_l[:, -1], c * WPhi[:, n])
     if k and C.stop < nsi:
         blocks[-1] -= c * c * (WPhi * phi_r[:, 0]) @ WPhi.T
-        for p in range(len(F)):
-            b[p, -1] += (c * wu) * (U_r[:, p, :1].T @ Phi.T)[0]
+        b[:, -1] += np.outer(U_r[:, 0], c * WPhi[:, n])
     ab = np.zeros((3 * nu + 1, k * nu), dtype=complex)
     ab[2 * nu + iu[:, None] - iu, nu * np.arange(k)[:, None, None] + iu] = blocks
     ab[nu, nu:] = ab[3 * nu, :-nu] = -c * np.tile(wu, k)[nu:]
@@ -441,9 +471,10 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
     The other rows hold only the rounding of the exterior solves and of the
     length-(n_u + 1) transforms, so |R| <= |R_C| + 50 (n_u + 1) eps_mach a |x|
     is required; both gates read "not below", so a NaN fails.  The call
-    holds the exterior solutions of every row and mode (one whole-grid
-    field's worth per row) and, per row in turn, that row's field, M F and
-    residual; of the fields it keeps the first row's only.  Returns
+    holds mode n's exterior solution (one node value per row), every
+    mode's Green column (one whole-grid field's worth in all) and, per row
+    in turn, that row's field, M F and residual; of the fields it keeps the
+    first row's only.  Returns
     (g, {"iterations": 0, "field": x}), x the first (or only) row's field.
     """
     if complex(z).imag == 0:
@@ -548,9 +579,9 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
         """Discrete free 1D resolvent on the interior nodes of this eps's
         line, with the strip's Dirichlet caps: the exterior of an empty
         core."""
-        U, *_ = exterior_solve(last["line"].h, complex(z), fs[None, None],
-                               fs[None, None, :0], np.ones(1), 0.0)
-        return U[0, 0]
+        U, _ = exterior_solve(last["line"].h, complex(z), fs[None],
+                              fs[None, :0], 0.0)
+        return U[0]
 
     report = run_study(
         predicted, alt, z, probes, eps_list, solver, error_threshold, free_line,

@@ -4,7 +4,9 @@
 with scipy's banded solver, without the core/exterior split of
 `effective_1d.resolvent_solve`, closing its ends by the outgoing root that
 `lattice_root` takes from numpy's polynomial roots, or by Dirichlet caps
-(`dirichlet_line`, the 2D strip's free line).  `full_grid_matrix` assembles the 2D
+(`dirichlet_line`, the 2D strip's free line).  `capped_line_green` is the
+Green column of one exterior line by elimination in extended precision,
+the reference of the closed form `effective_1d.green_columns`.  `full_grid_matrix` assembles the 2D
 waveguide operator on the whole grid by successive sparse sums, the direct
 discretisation that the matrix-free apply of `waveguide2d` must reproduce.  `scalar_asymmetric_spectrum` solves the
 asymmetric transverse problem one root at a time with scalar brentq, the
@@ -67,6 +69,31 @@ def whole_grid_resolvent(h, potential, z, F, r=0.0):
     G[:, 1:-1] = solve_banded((1, 1), ab, F[:, 1:-1].T).T
     G[:, 0], G[:, -1] = r * G[:, 1], r * G[:, -2]
     return G
+
+
+def capped_line_green(h, z, m, transparent):
+    """The Green column E^{-1} e_1 of the m-node lattice line E = tridiag(-c,
+    2c - z, -c), c = 1/h^2, with a Dirichlet cap beyond node m, or with
+    `transparent` the outgoing end g_{m+1} = r g_m, r the root |r| < 1 of
+    r^2 - (2 - t) r + 1, t = h h z as rounded in double.  Elimination from
+    node m up, in numpy's extended precision: each pivot is the ratio
+    q_k = g_{k-1}/g_k, q_k = 2 - t - 1/q_{k+1}, carried as p_k = q_k - 1 =
+    p_{k+1}/(1 + p_{k+1}) - t so that t is not lost beside 2; the
+    transparent end starts from q_m = 1/r, p_m = (t (t - 4))^(1/2)/2 - t/2
+    with the sign that makes |q_m| > 1."""
+    x = np.clongdouble
+    t = x(h * h * complex(z))
+    root = np.sqrt(t * (t - 4)) / 2
+    p = np.empty(m + 1, dtype=x)
+    p[m] = (max(root, -root, key=lambda w: abs(1 + w - t / 2)) - t / 2
+            if transparent else 1 - t)
+    for k in range(m - 1, 0, -1):
+        p[k] = p[k + 1] / (1 + p[k + 1]) - t
+    g = np.empty(m, dtype=x)
+    g[0] = x(h * h) / (1 + p[1])
+    for k in range(1, m):
+        g[k] = g[k - 1] / (1 + p[k + 1])
+    return g.astype(complex)
 
 
 def dirichlet_line(h, z, f):

@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
@@ -13,7 +13,8 @@ from robinwg.effective_1d import (RESOLUTION_FACTOR, Grid1D, VertexData,
                                   build_h_n_eps, bump_probe, check_resolution,
                                   convergence_study, exterior_solve,
                                   extract_vertex_data, flat_exterior,
-                                  outgoing_root, resolvent_solve, s_grid,
+                                  green_columns, outgoing_root,
+                                  resolvent_solve, s_grid,
                                   vertex_condition_residuals)
 from robinwg.errors import GridResolutionError, ProfileError, RobinwgError
 from robinwg.geometry import (RECTANGULAR, SMOOTH_BUMP, CurvatureProfile,
@@ -22,8 +23,8 @@ from robinwg.graph_limit import DECOUPLED, GraphOperatorSpec, resolvent_apply
 from robinwg.report import VERDICT_INCONCLUSIVE, VERDICT_MATCH
 from robinwg.waveguide2d import FULL, Grid2D, build_waveguide
 
-from reference import (apply_1d, lattice_root, lowest_eigenvalues,
-                       traced_peak, whole_grid_resolvent)
+from reference import (apply_1d, capped_line_green, lattice_root,
+                       lowest_eigenvalues, traced_peak, whole_grid_resolvent)
 
 BUMP_BETA_STAR = -7.647474116758
 SQUARE_SYM = CurvatureProfile(RECTANGULAR, amplitude=1.0, half_width=1.0)
@@ -552,61 +553,85 @@ EXTERIOR_CASES = {
 }
 
 
+# t = h^2 z: near 0 and near 4, where |r| -> 1 and r -> +-1; a small Im t
+# across the band; and Re t << 0, where the column underflows
+LATTICE_T = st.one_of(
+    st.builds(lambda c, u, a: c + 10 ** u * np.exp(1j * a),
+              st.sampled_from([0.0, 4.0]), st.floats(-9, -1),
+              st.floats(0.01, np.pi - 0.01)),
+    st.builds(complex, st.floats(0, 4),
+              st.floats(-6, -1).map(lambda v: 10 ** v)),
+    st.builds(complex, st.floats(1, 15).map(lambda u: -10 ** u),
+              st.floats(0.01, 10)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(LATTICE_T, st.integers(1, 4000), st.booleans(), st.floats(-3, -1))
+@example(1e-6j, 4000, False, -3.0)           # the 1D study's mode at h = 1e-3
+@example(6e-5j, 1850, False, -2.1)           # the 2D mode n at eps 0.1
+@example(2.0 + 1e-6j, 4000, True, -1.0)
+@example(-1e12 + 1j, 4000, False, -2.0)      # underflows after 25 nodes
+def test_green_columns_are_the_capped_line_solve(t, m, transparent, log_h):
+    # the closed form against an elimination in extended precision; its
+    # error is the rounding of the phase k log r over k <= m, and a capped
+    # line near its own resonance amplifies it by 1/|1 - r^(2(m+1))|
+    h = 10 ** log_h
+    z = t / h ** 2
+    phi = green_columns(h, z, m, transparent)[0]
+    ref = capped_line_green(h, z, m, transparent)
+    r = lattice_root(h, z)
+    kappa = 1.0 if transparent else 1.0 + 1.0 / abs(1 - r ** (2 * (m + 1)))
+    eps = np.finfo(float).eps
+    tol = max(1e-12, 4 * eps * (m + 1) * abs(np.log(r)) * kappa)
+    assert np.abs(phi - ref).max() <= tol * np.abs(ref).max()
+    # the evaluated entries are a prefix; past it |r|^k is below the
+    # smallest normal float
+    reach = np.count_nonzero(phi)
+    assert np.count_nonzero(phi[:reach]) == reach
+    tiny = np.finfo(float).tiny
+    assert np.abs(ref[reach:]).max(initial=0) <= 2 * tiny * h ** 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 40), st.integers(0, 40), st.integers(1, 4),
-       st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0)), min_size=1,
-                max_size=4),
+       st.one_of(st.just(0.0), st.floats(0.0, 8.0)),
        st.integers(0, 3), st.integers(0, 3),
        st.sampled_from([1j, 0.7 + 1.3j, -2.0 + 0.1j]),
        st.integers(0, 2 ** 32 - 1), st.booleans())
-@example(2, 2, 1, [0.0], 1, 1, 1j, 0, False)
-@example(2, 0, 3, [0.0, 8.0], 2, 0, 1j, 1, True)
-@example(0, 2, 1, [8.0], 0, 1, 1j, 2, True)
-def test_exterior_solve_is_the_whole_line_solve(ml, mr, w, log_shifts, kl,
-                                                 kr, z, seed, transparent):
+@example(2, 2, 1, 0.0, 1, 1, 1j, 0, False)
+@example(2, 0, 3, 8.0, 2, 0, 1j, 1, True)
+@example(0, 2, 1, 8.0, 0, 1, 1j, 2, True)
+@example(1, 0, 2, 0.0, 1, 0, 1j, 3, False)
+def test_exterior_solve_is_the_whole_line_solve(ml, mr, w, log_shift, kl, kr,
+                                                 z, seed, transparent):
     # on each side of a window of w nodes, a whole-line solve is the
-    # exterior's particular solution plus c g(edge) times its Green column;
-    # z_j = z - 10^x (or z itself) reaches the large 2D mode shifts.  The
-    # line's two end nodes take the outer term: 0 (Dirichlet caps) or
-    # -c r_j, the transparent ends
-    J = len(log_shifts)
-    assume(J * (ml + mr) >= 2)
+    # exterior's particular solution plus c g(edge) times its Green column
+    # (`green_columns`); z - 10^x (or z itself) reaches the large 2D mode
+    # shifts.  The line's two end nodes take the outer term: 0 (Dirichlet
+    # caps) or -c r, the transparent ends
     h = 0.05
     c = 1.0 / h ** 2
-    zs = z - np.array([10 ** x if x else 0.0 for x in log_shifts])
-    outer = (-c * np.array([lattice_root(h, zj) for zj in zs]) if transparent
-             else 0.0)
+    z = z - (10 ** log_shift if log_shift else 0.0)
+    outer = -c * lattice_root(h, z) if transparent else 0.0
     rng = np.random.default_rng(seed)
-    k = max(kl, kr)
-    F = rng.standard_normal((1, k, ml + w + mr)) + 0j
-    scale = rng.standard_normal(J)
-    U_l, phi_l, U_r, phi_r = exterior_solve(h, zs, F[:, :kl, :ml],
-                                            F[:, :kr, ml + w:], scale, outer)
-    assert U_l.shape == (J, kl, ml) and U_r.shape == (J, kr, mr)
-    assert phi_l.shape == (J, ml) and phi_r.shape == (J, mr)
+    F = rng.standard_normal((max(kl, kr), ml + w + mr)) + 0j
+    U_l, U_r = exterior_solve(h, z, F[:kl, :ml], F[:kr, ml + w:], outer)
+    assert U_l.shape == (kl, ml) and U_r.shape == (kr, mr)
+    phi_l = green_columns(h, z, ml, transparent)[0, ::-1]
+    phi_r = green_columns(h, z, mr, transparent)[0]
     ab = np.zeros((3, ml + w + mr), dtype=complex)
     ab[0, 1:] = ab[2, :-1] = -c
-    for j in range(J):
-        ab[1] = 2 * c - zs[j]
-        ab[1, [0, -1]] += np.broadcast_to(outer, (J,))[j]
-        Fj = scale[j] * F
-        G = solve_banded((1, 1), ab, Fj[0].T).T
-        for i, g in enumerate(G):
-            tol = 1e-12 * np.abs(g).max()
-            if i < kl:
-                want = U_l[j, i] + c * g[ml] * phi_l[j]
-                assert np.abs(g[:ml] - want).max(initial=0) <= tol
-            if i < kr:
-                want = U_r[j, i] + c * g[ml + w - 1] * phi_r[j]
-                assert np.abs(g[ml + w:] - want).max(initial=0) <= tol
-        if ml + mr >= 2:
-            # each system, its right-hand sides scaled as it is filled,
-            # comes out as its own solve of the scaled copy, bit for bit
-            one = exterior_solve(h, zs[j:j + 1], Fj[:, :kl, :ml],
-                                 Fj[:, :kr, ml + w:], np.ones(1),
-                                 np.broadcast_to(outer, (J,))[j:j + 1])
-            whole = (U_l, phi_l, U_r, phi_r)
-            assert all(np.array_equal(a[0], b[j]) for a, b in zip(one, whole))
+    ab[1] = 2 * c - z
+    ab[1, [0, -1]] += outer
+    G = solve_banded((1, 1), ab, F.T).T
+    for i, g in enumerate(G):
+        tol = 1e-12 * np.abs(g).max()
+        if i < kl:
+            want = U_l[i] + c * g[ml] * phi_l
+            assert np.abs(g[:ml] - want).max(initial=0) <= tol
+        if i < kr:
+            want = U_r[i] + c * g[ml + w - 1] * phi_r
+            assert np.abs(g[ml + w:] - want).max(initial=0) <= tol
 
 
 @pytest.mark.parametrize("case", sorted(EXTERIOR_CASES))

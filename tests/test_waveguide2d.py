@@ -97,6 +97,7 @@ def test_flat_transverse_modes_are_scipy_eigh_bit_for_bit(n_u, alpha):
 def test_failed_flat_eigenproblem_raises(monkeypatch):
     stemr = waveguide2d.lapack.dstemr
     grid = Grid2D(8.0, 512, 16, 1.0)
+    waveguide2d.flat_modes.cache_clear()   # the flat modes are solved anew
     for (short, code), message in (((0, 3), "dstemr info = 3"),
                                    ((1, 0), "returned 16 of 17 pairs")):
         def faulty(*args, short=short, code=code, **kwargs):
@@ -234,11 +235,12 @@ def test_block_rows_equal_their_single_row_calls(profile, alpha):
 
 @pytest.mark.parametrize("alpha", [0.0, -2.0])
 def test_block_call_holds_one_row_field_at_a_time(alpha):
-    # a 10-row call holds every row's exterior solutions (one field's worth
-    # per row) and one row's field, M F and residual at a time: its traced
-    # peak stays below 2.5 blocks of rows x n_si x (n_u + 1) complex
-    # numbers (3.7 with every row's M F, every row's field and the scaled
-    # exterior right-hand sides held at once), on theorem_check's grid
+    # a 10-row call holds mode n's exterior solution (one node value per
+    # row), the Green columns (one field's worth) and one row's field, M F
+    # and residual at a time: its traced peak, 1.10 blocks of rows x n_si x
+    # (n_u + 1) complex numbers on theorem_check's grid, stays below 1.3
+    # (2.04 with every mode's exterior solution held for every row, 3.7
+    # with every row's M F and field held too)
     geom = bump_geometry(0.2, alpha=alpha)
     line = s_grid(geom.profile, 0.2, waveguide2d.s_half_length(Z))
     grid = Grid2D(line.half_length, line.n_cells, 32, 1.0)
@@ -247,7 +249,7 @@ def test_block_call_holds_one_row_field_at_a_time(alpha):
     si = grid.s_interior
     F = np.array([bump_probe(c, 1.0)(si) for c in np.linspace(-5.0, 5.0, 10)])
     peak = traced_peak(lambda: reduced_resolvent(op, proj, 0, 0, Z, F))
-    assert peak < 2.5 * F.size * op.shape[1] * 16
+    assert peak < 1.3 * F.size * op.shape[1] * 16
 
 
 def test_renormalisation_delta_independence():
@@ -292,19 +294,21 @@ def test_projector_orthonormal_and_flat_exact():
 @pytest.mark.parametrize("profile", ["bump", "bell"])
 @pytest.mark.parametrize("alpha", [-2.0, 0.0, 0.7])
 def test_projector_core_modes_are_the_scalar_solves_bit_for_bit(profile, alpha):
-    # one call over all curved columns gives each column the modes of its
-    # own one-pair solve, sign-matched to the flat modes; each solves its
-    # column's discrete Robin eigenproblem
+    # the flat modes are the operator's flat eigenvectors over sqrt(h_u),
+    # bit for bit; one call over all curved columns gives each column the
+    # modes of its own one-pair solve, sign-matched to the flat modes; each
+    # solves its column's discrete Robin eigenproblem
     prof = default_bump() if profile == "bump" else BELL
     geom = WaveguideGeometry(prof, 1.0,
                              ScalingParams(epsilon=0.4, delta_ratio=0.05), alpha)
     grid = Grid2D(6.0, 600, 32, 1.0)
     si, hu, nu = grid.s_interior, grid.h_u, grid.n_u + 1
     wu = grid.u_mass
+    op = build_waveguide(geom, FULL, 3, grid)
     for n_max in (1, 3):
         proj = ModeProjector(geom, grid, n_max)
-        flat = robin_modes(alpha, alpha, grid.n_u, hu, n_max + 1)[1][0]
-        assert np.array_equal(proj.flat, flat / np.sqrt(hu))
+        flat = op.flat_eigvecs[:, :n_max + 1].T
+        assert proj.flat.tobytes() == (flat / np.sqrt(hu)).tobytes()
         curved = np.flatnonzero(geom.eta(si) != 0)
         assert proj.core == slice(curved[0], curved[-1] + 1)
         a1, a2 = geom.robin_coefficients(si)
@@ -748,6 +752,7 @@ def test_mode_projector_sturm_guard(monkeypatch):
         return m, w, v, info
 
     monkeypatch.setattr(waveguide2d.lapack, "dstemr", swapped)
+    waveguide2d.flat_modes.cache_clear()   # the flat modes are solved anew
     grid = Grid2D(8.0, 512, 32, 1.0)
     with pytest.raises(BracketingError, match="oscillation count"):
         ModeProjector(bump_geometry(0.4, alpha=-4.0), grid, 1)
@@ -781,9 +786,9 @@ def test_perturbed_exterior_column_trips_the_field_check(monkeypatch):
     solve = waveguide2d.exterior_solve
 
     def perturbed(*args):
-        U_l, phi_l, U_r, phi_r = solve(*args)
-        U_l[:, :, 40] += 1e-6 * np.abs(info["field"]).max()
-        return U_l, phi_l, U_r, phi_r
+        U_l, U_r = solve(*args)
+        U_l[:, 40] += 1e-6 * np.abs(info["field"]).max()
+        return U_l, U_r
 
     monkeypatch.setattr(waveguide2d, "exterior_solve", perturbed)
     assert op.core.start > 41
@@ -804,9 +809,9 @@ def test_one_exterior_solve_and_no_factorisation_beyond_the_core(
     sizes = {"gtsv": [], "gbsv": []}
     gtsv, gbsv = effective_1d.zgtsv, waveguide2d.lapack.zgbsv
 
-    def counted_gtsv(dl, d, *args, **kwargs):
-        sizes["gtsv"].append(len(d))
-        return gtsv(dl, d, *args, **kwargs)
+    def counted_gtsv(dl, d, du, b, *args, **kwargs):
+        sizes["gtsv"].append(b.shape)
+        return gtsv(dl, d, du, b, *args, **kwargs)
 
     def counted_gbsv(kl, ku, ab, *args, **kwargs):
         sizes["gbsv"].append((kl, ku, ab.shape[1]))
@@ -824,18 +829,20 @@ def test_one_exterior_solve_and_no_factorisation_beyond_the_core(
     monkeypatch.setattr(waveguide2d.DiscreteWaveguideOperator,
                         "_weighted_apply", counted_apply)
     nsi, nu = op.shape
-    core = (op.core.stop - op.core.start) * nu
+    k = op.core.stop - op.core.start
     # a block of 3 rows is solved by the same two calls as one row
     for rows in (f, np.array([f, 2 * f, 3 * f])):
         sizes["gtsv"].clear()
         sizes["gbsv"].clear()
         applies.clear()
         reduced_resolvent(op, proj, 0, 0, Z, rows)
-        # the exterior of every mode in one solve, the core in one band solve
-        assert sizes["gtsv"] == [nsi * nu - core]
-        assert sizes["gbsv"] == ([(nu, nu, core)] if core else [])
+        p = np.atleast_2d(rows).shape[0]
+        # mode n's exterior nodes in one solve, a column per row (the other
+        # modes have no source there), the core in one band solve
+        assert sizes["gtsv"] == [(nsi - k, p)]
+        assert sizes["gbsv"] == ([(nu, nu, k * nu)] if k else [])
         # one matrix-free apply per row serves both gates
-        assert len(applies) == np.atleast_2d(rows).shape[0]
+        assert len(applies) == p
 
 
 def test_two_probe_study_is_the_max_of_its_one_probe_studies(monkeypatch):
