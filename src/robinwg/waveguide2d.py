@@ -12,20 +12,24 @@ ghost elimination.  Multiplying the boundary rows by the trapezoid weight
 systems are then (A - shift*M) x = M F with M the u-weight diagonal.
 
 The curvature has compact support, so outside a core of O(eps) s-columns
-the operator is the flat separable one, P^-1 = kron(D2s + diag(V_flat), W)
-+ kron(I, Bw)/delta^2, with V_flat the flat part of the potential.  Only
-the core correction E = P^-1 - M A is assembled and P^-1 is applied
-matrix-free.  The operator's flat eigenbasis and the projector's modes are
-one basis, the discrete Robin modes of `robin_modes` (the flat ones shared
-bit for bit, `flat_modes`): no continuum mode is sampled here.  So outside
-the core a source in mode n feeds mode n alone, and the reduced resolvent
-eliminates the flat exterior per transverse mode with one tridiagonal solve,
-mode n's particular solution (the 1D backend's `exterior_solve`), and every
-mode's Green column in closed form (`green_columns`).  It then solves the
-core's exact Schur system by one banded LU, assembles each field once and
-checks it by one matrix-free apply, and projects onto per-column transverse
-modes after subtracting the *discrete* flat threshold, so the renormalised
-problem is delta-independent at machine level.
+(`core_columns`, one slice for the operator and the projector) the
+operator is the flat separable one, P^-1 = kron(D2s + diag(V_flat), W) +
+kron(I, Bw)/delta^2, with V_flat the flat part of the potential and Bw the
+weighted Robin matrix, whose bands `robin_bands` states once for the
+operator and for every transverse eigenproblem.  Only the core correction
+E = P^-1 - M A is assembled and P^-1 is applied matrix-free.  The
+operator's flat eigenbasis and the projector's modes are one basis, the
+discrete Robin modes of `robin_modes` (the flat ones shared bit for bit,
+`flat_modes`): no continuum mode is sampled here.  So outside the core a
+source in mode n feeds mode n alone, and the reduced resolvent eliminates
+the flat exterior per transverse mode with one tridiagonal solve, mode n's
+particular solution (the 1D backend's `exterior_solve`), and every mode's
+Green column in closed form (`green_columns`).  It then writes the core's
+exact Schur system straight into band storage and solves it by one banded
+LU, assembles each field once and checks it by one matrix-free apply, and
+projects onto per-column transverse modes after subtracting the *discrete*
+flat threshold, so the renormalised problem is delta-independent at
+machine level.
 """
 
 from __future__ import annotations
@@ -162,6 +166,10 @@ class DiscreteWaveguideOperator:
         """(M A - shift M) X: the flat stencil, less R^T E x_C."""
         wu = self.grid.u_mass
         c = 1.0 / self.grid.h_s ** 2
+        # one dense BLAS product, although the matrix is tridiagonal: on the
+        # README eps-0.1 field (3785 x 33, complex) it took 0.84-1.22 ms, and
+        # each numpy three-term stencil tried 2.93-5.72 ms (min of 7 x 50
+        # runs, one BLAS thread, 2-core Xeon host)
         Y = X @ (self.transverse + np.diag((2 * c - shift) * wu))
         Y[1:] -= (c * wu) * X[:-1]
         Y[:-1] -= (c * wu) * X[1:]
@@ -172,40 +180,53 @@ class DiscreteWaveguideOperator:
         return Y
 
 
+def robin_bands(alpha_lower, alpha_upper, mass, h_u):
+    """Bw's diagonal and off-diagonal: the weighted ghost-eliminated Robin
+    matrix of the pair (alpha_lower at u = -d, alpha_upper at u = d) on a u
+    grid of step h_u and trapezoid weights `mass`.
+
+    The unweighted rows are (-1, 2, -1) / h_u^2 and, with the ghost node
+    eliminated, (2 + 2 h_u alpha, -2) / h_u^2 at the ends; the half weight
+    there makes Bw symmetric, every off-diagonal entry -1 / h_u^2."""
+    diag = np.full(len(mass), 2.0)
+    diag[0] = 2 + 2 * h_u * alpha_lower
+    diag[-1] = 2 + 2 * h_u * alpha_upper
+    return mass * diag / h_u ** 2, np.full(len(mass) - 1, -1 / h_u ** 2)
+
+
 def robin_modes(alpha_lower, alpha_upper, n_u: int, h_u: float, count: int):
     """The `count` lowest discrete transverse modes of each Robin pair.
 
     For the pair (alpha_lower at u = -d, alpha_upper at u = d) mode phi
     solves Bw phi = lam W phi: W = diag(u_mass) and Bw the weighted
-    ghost-eliminated Robin matrix that `build_waveguide` uses.  W^-1/2 Bw
-    W^-1/2 is symmetric tridiagonal, and LAPACK dstemr (MRRR: Dhillon and
-    Parlett 2004) gives its lowest eigenpairs; phi = W^-1/2 psi is then
-    W-orthonormal.  lam is each phi's Rayleigh quotient in the energy form
-    (sum of (phi_{i+1} - phi_i)^2 / h_u^2, plus alpha phi^2 / h_u at each
-    end), second order in phi's error: dstemr's own eigenvalues are about
-    eps_mach |T| off (2.3e-13 for alpha = 0 at n_u = 32), which the
-    threshold lam_n / delta^2 of `reduced_resolvent` would amplify.  The
-    sign follows the continuum modes: even n positive at u = 0, odd n
-    increasing through u = 0.  A nonzero info or fewer pairs than asked
-    raises RobinwgError.  As for any Jacobi matrix, mode n must change sign
-    exactly n times, or BracketingError is raised.  Returns (lam, phi),
-    shaped (pairs, count) and (pairs, count, n_u + 1).
+    ghost-eliminated Robin matrix of `robin_bands`, as `build_waveguide`
+    holds it.  W^-1/2 Bw W^-1/2 is symmetric tridiagonal (Bw's diagonal
+    over W_i, its off-diagonal over sqrt(W_i W_i+1)), and LAPACK dstemr
+    (MRRR: Dhillon and Parlett 2004) gives its lowest eigenpairs; phi =
+    W^-1/2 psi is then W-orthonormal.  lam is each phi's Rayleigh quotient
+    in the energy form (sum of (phi_{i+1} - phi_i)^2 / h_u^2, plus alpha
+    phi^2 / h_u at each end), second order in phi's error: dstemr's own
+    eigenvalues are about eps_mach |T| off (2.3e-13 for alpha = 0 at n_u =
+    32), which the threshold lam_n / delta^2 of `reduced_resolvent` would
+    amplify.  The sign follows the continuum modes: even n positive at u =
+    0, odd n increasing through u = 0.  A nonzero info or fewer pairs than
+    asked raises RobinwgError.  As for any Jacobi matrix, mode n must
+    change sign exactly n times, or BracketingError is raised.  Returns
+    (lam, phi), shaped (pairs, count) and (pairs, count, n_u + 1).
     """
     lower, upper = np.broadcast_arrays(np.atleast_1d(alpha_lower),
                                        np.atleast_1d(alpha_upper))
     nu = n_u + 1
-    root_w = np.ones(nu)
-    root_w[[0, -1]] = np.sqrt(0.5)
+    mass = np.ones(nu)
+    mass[[0, -1]] = 0.5
+    root_w = np.sqrt(mass)
     phi = np.empty((len(lower), count, nu))
     for p, ends in enumerate(zip(lower, upper)):
-        # Bw's rows are (-1, 2, -1) / h_u^2 and, at the ends, half of
-        # (2 + 2 h_u alpha, -2) / h_u^2
-        diag = np.full(nu, 2 / h_u ** 2)
-        diag[[0, -1]] = (2 + 2 * h_u * np.array(ends)) / h_u ** 2
+        diag, off = robin_bands(*ends, mass, h_u)
         # dstemr overwrites e, whose last entry is its workspace
-        off = np.full(nu, -1 / h_u ** 2)
-        off[[0, n_u - 1]] /= root_w[0]
-        m, w, v, info = lapack.dstemr(diag, off, 2, 0.0, 0.0, 1, count)
+        m, w, v, info = lapack.dstemr(
+            diag / mass, np.append(off / np.sqrt(mass[:-1] * mass[1:]), 0.0),
+            2, 0.0, 0.0, 1, count)
         if info != 0:
             raise RobinwgError(f"transverse eigenproblem: dstemr info = {info}")
         if m < count:
@@ -241,16 +262,33 @@ def flat_modes(alpha: float, n_u: int, h_u: float):
     return lam, phi
 
 
+def core_columns(geometry: WaveguideGeometry, grid: Grid2D):
+    """The core: the s-columns where eta or V_flat is nonzero, padded by one
+    column each side for the midpoint fluxes (empty for a straight strip).
+
+    `build_waveguide` and `ModeProjector` both take their core here, so the
+    two are one slice.  Returns (core, g, V_flat) on the s interior, with g
+    = sqrt(1 + 2 eps b) gamma(s/eps) and V_flat = -g^2 / (4 eps^2) the flat
+    part of the potential."""
+    eps, si = geometry.scaling.epsilon, grid.s_interior
+    g = geometry.scaling.deformation_factor * geometry.profile.sample(si / eps)
+    V = -g ** 2 / (4 * eps ** 2)
+    curved = np.flatnonzero((geometry.eta(si) != 0) | (V != 0))
+    core = (slice(max(curved[0] - 1, 0), min(curved[-1] + 2, len(si)))
+            if len(curved) else slice(0, 0))
+    return core, g, V
+
+
 def build_waveguide(geometry: WaveguideGeometry, variant: str,
                     n_context: int, grid: Grid2D) -> DiscreteWaveguideOperator:
     """The operator as flat data and E on the core (without threshold shift).
 
-    The core is the s-columns where eta or V_flat is nonzero, padded by one
-    column each side for the midpoint fluxes.  The full variant needs
-    gamma'': non-smooth profiles are rejected.  For gamma == 0 the core is
-    empty: both variants are exactly the separable sum of the 1D Dirichlet
-    Laplacian and the transverse Robin operator.  The flat eigenbasis is
-    `flat_modes`: the eigenvalues, and wu-orthonormal columns Phi.
+    The core is `core_columns`'s, and the flat Robin matrix Bw is
+    `robin_bands`'s, held dense.  The full variant needs gamma'': non-smooth
+    profiles are rejected.  For gamma == 0 the core is empty: both variants
+    are exactly the separable sum of the 1D Dirichlet Laplacian and the
+    transverse Robin operator.  The flat eigenbasis is `flat_modes`: the
+    eigenvalues, and wu-orthonormal columns Phi.
     """
     if variant not in (FULL, SIMPLIFIED):
         raise RobinwgError(f"unknown variant {variant!r}")
@@ -264,27 +302,19 @@ def build_waveguide(geometry: WaveguideGeometry, variant: str,
     sc = geometry.scaling
     eps, delta = sc.epsilon, sc.delta
     defo = sc.deformation_factor
-    si = grid.s_interior
     u = grid.u_points
-    nsi, nu = len(si), grid.n_u + 1
+    nu = grid.n_u + 1
     hs, hu = grid.h_s, grid.h_u
     wu = grid.u_mass
     alpha = geometry.alpha
 
-    # ghost-eliminated flat Robin matrix, weighted, and its eigenbasis Phi,
-    # wu-orthonormal columns
-    B = 2 * np.eye(nu) - np.eye(nu, k=1) - np.eye(nu, k=-1)
-    B[0, 0] = B[-1, -1] = 2 + 2 * hu * alpha
-    B[0, 1] = B[-1, -2] = -2
-    Bw = wu[:, None] * B / hu ** 2
+    # the flat Robin matrix and its eigenbasis Phi, wu-orthonormal columns
+    b_diag, b_off = robin_bands(alpha, alpha, wu, hu)
+    Bw = np.diag(b_diag) + np.diag(b_off, 1) + np.diag(b_off, -1)
     lam, Phi = flat_modes(alpha, grid.n_u, hu)
 
-    gscaled = defo * geometry.profile.sample(si / eps)   # sqrt(1+2 eps b) gamma(s/eps)
-    Vs = -gscaled ** 2 / (4 * eps ** 2)    # flat part of the potential
-    curved = np.flatnonzero((geometry.eta(si) != 0) | (Vs != 0))
-    core = (slice(max(curved[0] - 1, 0), min(curved[-1] + 2, nsi))
-            if len(curved) else slice(0, 0))
-    s_core = si[core]
+    core, gscaled, Vs = core_columns(geometry, grid)
+    s_core = grid.s_interior[core]
 
     # s-dependent Robin rows differ from the flat ones only on the diagonal
     a1, a2 = geometry.robin_coefficients(s_core)
@@ -327,13 +357,14 @@ class ModeProjector:
     """Per-column transverse modes phi_n(alpha^eps(s), .) on the u grid.
 
     The modes are the operator's own: its flat eigenvectors (`flat_modes`),
-    stored once as `flat`, and `robin_modes` of each curved column's
-    (a2(s), a1(s)), kept for the columns from the first to the last curved
-    one (`core`), all from one call, which raises BracketingError unless
-    mode n changes sign n times.  Scaled to unit norm in the operator's
-    trapezoid u-mass times h_u (`quad`), they are orthonormal in it.
-    Curved modes take the sign that makes their inner product with the flat
-    mode positive.
+    stored once as `flat`, and on the operator's core (`core_columns`, so
+    `core` is `build_waveguide`'s) `core_modes`: `robin_modes` of each
+    curved column's (a2(s), a1(s)), all from one call, which raises
+    BracketingError unless mode n changes sign n times, and the flat modes
+    on the core's other columns (its padding).  Scaled to unit norm in the
+    operator's trapezoid u-mass times h_u (`quad`), they are orthonormal in
+    it.  Curved modes take the sign that makes their inner product with the
+    flat mode positive.
     """
 
     geometry: WaveguideGeometry
@@ -345,22 +376,20 @@ class ModeProjector:
     quad: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        si, hu = self.grid.s_interior, self.grid.h_u
+        hu = self.grid.h_u
         self.quad = self.grid.u_mass * hu
-        curved = np.flatnonzero(self.geometry.eta(si) != 0.0)
-        self.core = (slice(curved[0], curved[-1] + 1) if len(curved)
-                     else slice(0, 0))
-        a1, a2 = self.geometry.robin_coefficients(si[curved])
+        self.core = core_columns(self.geometry, self.grid)[0]
+        s_core = self.grid.s_interior[self.core]
+        curved = np.flatnonzero(self.geometry.eta(s_core) != 0.0)
+        a1, a2 = self.geometry.robin_coefficients(s_core[curved])
         count = self.n_max + 1
         self.flat = flat_modes(self.geometry.alpha, self.grid.n_u,
                                hu)[1][:count] / np.sqrt(hu)
-        self.core_modes = np.repeat(self.flat[:, None, :],
-                                    len(si[self.core]), 1)
+        self.core_modes = np.repeat(self.flat[:, None, :], len(s_core), 1)
         vals = (robin_modes(a2, a1, self.grid.n_u, hu, count)[1]
                 / np.sqrt(hu)).transpose(1, 0, 2)
         flip = np.einsum("ncu,nu->nc", vals, self.flat) < 0
-        self.core_modes[:, curved - self.core.start] = np.where(
-            flip[..., None], -vals, vals)
+        self.core_modes[:, curved] = np.where(flip[..., None], -vals, vals)
 
     def synthesize(self, f_s: np.ndarray, n: int) -> np.ndarray:
         """F(s, u) = f(s) phi_n(alpha(s), u), for one f or a block of rows."""
@@ -391,10 +420,14 @@ def _core_system(op: DiscreteWaveguideOperator, projector: ModeProjector,
     exterior nodes, a column per row, gives every row's U.  Every mode's
     Green column phi_j is the capped line's closed form (`green_columns`).
     Returns (ab, b, assemble, shift): the rows' common K = (M A - shift M)
-    on C in LAPACK band storage (kl = ku = n_u + 1, s-major, K[i, j] at
-    ab[2 (n_u + 1) + i - j, j]), whose edge columns carry the exact Schur
-    corners -c^2 (W Phi) diag(phi_j(edge)) (W Phi)^T, c = 1/hs^2; b_C, a
-    column per row: M F on C plus c W Phi_n U of the exterior column next
+    on C, written straight into LAPACK band storage (kl = ku = n_u + 1,
+    s-major, K[i, j] at ab[2 (n_u + 1) + i - j, j]) as T's three diagonals
+    plus (2c - shift + V_flat) W on each column, T = Bw/delta^2 and c =
+    1/hs^2, with no T coupling across a column joint, then -c W on the
+    +-(n_u + 1) diagonals, the exact Schur corners -c^2 (W Phi)
+    diag(phi_j(edge)) (W Phi)^T on the edge columns' blocks, and less E;
+    b_C, a column per row: M F on C, from the projector's `core_modes` (its
+    core is the operator's), plus c W Phi_n U of the exterior column next
     to each edge; (p, x_C) -> row p's whole-grid field, each exterior
     column Phi (U e_n + c y_j phi_j) with y_j from C's edge column; and
     shift = lam_n/delta^2 + z.  Across the exteriors the call holds U, one
@@ -430,22 +463,28 @@ def _core_system(op: DiscreteWaveguideOperator, projector: ModeProjector,
         return np.concatenate([exterior(U_l[p], y[0], phi_l), xc,
                                exterior(U_r[p], y[1], phi_r)])
 
-    iu = np.arange(nu)
-    blocks = np.repeat(op.transverse[None] + 0j, k, axis=0)
-    blocks[:, iu, iu] += (2 * c - shift + op.potential_s[C, None]) * wu
+    # K's band rows: offset j - i at ab[2 nu - (j - i)], column j
+    ab = np.zeros((3 * nu + 1, k * nu), dtype=complex)
+    T = op.transverse
+    ab[2 * nu] = (np.diagonal(T) + (2 * c - shift + op.potential_s[C, None])
+                  * wu).ravel()
+    # T couples u-neighbours within a column, not across a column joint
+    ab[2 * nu - 1].reshape(-1, nu)[:, 1:] = np.diagonal(T, 1)
+    ab[2 * nu + 1].reshape(-1, nu)[:, :-1] = np.diagonal(T, -1)
+    ab[nu, nu:] = ab[3 * nu, :-nu] = -c * np.tile(wu, k)[nu:]
     WPhi = wu[:, None] * Phi
-    # M F on C: synthesising f = 1 gives phi_n itself on every column
-    b = F[:, C, None] * projector.synthesize(np.ones(nsi), n)[C] * wu
-    # each exterior's Schur corner in K, and its particular solution in b
+    # M F on C: the projector's core is the operator's
+    b = F[:, C, None] * projector.core_modes[n] * wu
+    # each exterior's Schur corner in K's edge block, and its particular
+    # solution in b
+    iu = np.arange(nu)
+    band = 2 * nu + iu[:, None] - iu
     if C.start:
-        blocks[0] -= c * c * (WPhi * phi_l[:, -1]) @ WPhi.T
+        ab[band, iu] -= c * c * (WPhi * phi_l[:, -1]) @ WPhi.T
         b[:, 0] += np.outer(U_l[:, -1], c * WPhi[:, n])
     if k and C.stop < nsi:
-        blocks[-1] -= c * c * (WPhi * phi_r[:, 0]) @ WPhi.T
+        ab[band, (k - 1) * nu + iu] -= c * c * (WPhi * phi_r[:, 0]) @ WPhi.T
         b[:, -1] += np.outer(U_r[:, 0], c * WPhi[:, n])
-    ab = np.zeros((3 * nu + 1, k * nu), dtype=complex)
-    ab[2 * nu + iu[:, None] - iu, nu * np.arange(k)[:, None, None] + iu] = blocks
-    ab[nu, nu:] = ab[3 * nu, :-nu] = -c * np.tile(wu, k)[nu:]
     E = op.matrix
     ab[2 * nu] -= E.diag
     ab[nu, nu:] -= E.off
@@ -458,9 +497,10 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
     """g(s) = <phi_m, (Op - mu_n/delta^2 - z)^{-1} f phi_n> per column.
 
     f is one row on the s interior or a (rows, nsi) block, g of its shape;
-    an f that is not finite raises RobinwgError before any work.  mu_n is
-    the discrete operator's flat transverse threshold (the continuum value
-    would leave an O(h_u^2)/delta^2 drift).  The rows share one
+    a projector built for another geometry or grid than op's, or an f that
+    is not finite, raises RobinwgError before any work.  mu_n is the
+    discrete operator's flat transverse threshold (the continuum value would
+    leave an O(h_u^2)/delta^2 drift).  The rows share one
     `_core_system` and one banded LU (LAPACK zgbsv, a column per row; a
     nonzero info raises RobinwgError), each row bit for bit its own call.
     Each row's field x is assembled once, and one matrix-free apply gives
@@ -477,6 +517,9 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
     first row's only.  Returns
     (g, {"iterations": 0, "field": x}), x the first (or only) row's field.
     """
+    if projector.geometry != op.geometry or projector.grid != op.grid:
+        raise RobinwgError("the projector's geometry and grid must be the "
+                           "operator's")
     if complex(z).imag == 0:
         raise RobinwgError("reduced resolvent needs Im z != 0")
     f = np.asarray(f_s, dtype=complex)

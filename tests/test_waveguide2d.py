@@ -72,19 +72,26 @@ def test_flat_transverse_modes_are_scipy_eigh_bit_for_bit(n_u, alpha):
     # the flat eigenbasis is scipy's `eigh_tridiagonal` (LAPACK dstemr) of
     # W^-1/2 Bw W^-1/2, Bw as the library builds it, scaled back by W^-1/2
     # and signed as the continuum modes are; each eigenvalue is its vector's
-    # Rayleigh quotient, within 1e-15 |T| of dstemr's
+    # Rayleigh quotient, within 1e-15 |T| of dstemr's.  So are the modes of
+    # an asymmetric pair, as a curved column has.
     grid = Grid2D(8.0, 512, n_u, 1.0)
     op = build_waveguide(bump_geometry(0.4, alpha=alpha), FULL, 1, grid)
     nu, hu, wu = n_u + 1, grid.h_u, grid.u_mass
-    Bw = _robin_matrix(alpha, alpha, hu, nu)
-    assert np.array_equal(op.transverse * op.geometry.scaling.delta ** 2, Bw)
-    lam, psi = eigh_tridiagonal(
-        np.diag(Bw) / wu, np.diag(Bw, 1) / np.sqrt(wu[:-1] * wu[1:]),
-        select="i", select_range=(0, n_u), lapack_driver="stemr")
-    Phi = psi / np.sqrt(wu)[:, None]
-    mid = n_u // 2
-    key = np.where(np.arange(nu) % 2 == 0, Phi[mid], Phi[mid + 1] - Phi[mid - 1])
-    Phi *= np.where(key < 0, -1.0, 1.0)
+
+    def scipy_modes(lower, upper):
+        Bw = _robin_matrix(lower, upper, hu, nu)
+        lam, psi = eigh_tridiagonal(
+            np.diag(Bw) / wu, np.diag(Bw, 1) / np.sqrt(wu[:-1] * wu[1:]),
+            select="i", select_range=(0, n_u), lapack_driver="stemr")
+        Phi = psi / np.sqrt(wu)[:, None]
+        mid = n_u // 2
+        key = np.where(np.arange(nu) % 2 == 0, Phi[mid],
+                       Phi[mid + 1] - Phi[mid - 1])
+        return lam, Phi * np.where(key < 0, -1.0, 1.0)
+
+    assert np.array_equal(op.transverse * op.geometry.scaling.delta ** 2,
+                          _robin_matrix(alpha, alpha, hu, nu))
+    lam, Phi = scipy_modes(alpha, alpha)
     assert op.flat_eigvecs.tobytes() == Phi.tobytes()
     T = 4 / hu ** 2
     assert np.max(np.abs(op.flat_eigvals - lam)) < 1e-15 * nu * T
@@ -92,6 +99,10 @@ def test_flat_transverse_modes_are_scipy_eigh_bit_for_bit(n_u, alpha):
     # even modes are even, odd modes odd, about u = 0
     parity = np.where(np.arange(nu) % 2 == 0, 1.0, -1.0)
     assert np.max(np.abs(Phi[::-1] - parity * Phi)) < 1e-10
+    lam, Phi = scipy_modes(alpha, 0.7)
+    got_lam, got = (a[0] for a in robin_modes(alpha, 0.7, n_u, hu, nu))
+    assert got.T.tobytes() == Phi.tobytes()
+    assert np.max(np.abs(got_lam - lam)) < 1e-15 * nu * T
 
 
 def test_failed_flat_eigenproblem_raises(monkeypatch):
@@ -309,8 +320,10 @@ def test_projector_core_modes_are_the_scalar_solves_bit_for_bit(profile, alpha):
         proj = ModeProjector(geom, grid, n_max)
         flat = op.flat_eigvecs[:, :n_max + 1].T
         assert proj.flat.tobytes() == (flat / np.sqrt(hu)).tobytes()
+        # the operator's core, whose padding columns hold the flat modes
         curved = np.flatnonzero(geom.eta(si) != 0)
-        assert proj.core == slice(curved[0], curved[-1] + 1)
+        assert proj.core == op.core
+        assert proj.core.start < curved[0] and curved[-1] + 1 < proj.core.stop
         a1, a2 = geom.robin_coefficients(si)
         for col in range(proj.core.start, proj.core.stop):
             Bw = _robin_matrix(a2[col], a1[col], hu, nu)
@@ -824,10 +837,18 @@ def test_one_exterior_solve_and_no_factorisation_beyond_the_core(
         applies.append(1)
         return apply(self, *args, **kwargs)
 
+    synthesize = ModeProjector.synthesize
+    syntheses = []
+
+    def counted_synthesize(self, *args, **kwargs):
+        syntheses.append(1)
+        return synthesize(self, *args, **kwargs)
+
     monkeypatch.setattr(effective_1d, "zgtsv", counted_gtsv)
     monkeypatch.setattr(waveguide2d.lapack, "zgbsv", counted_gbsv)
     monkeypatch.setattr(waveguide2d.DiscreteWaveguideOperator,
                         "_weighted_apply", counted_apply)
+    monkeypatch.setattr(ModeProjector, "synthesize", counted_synthesize)
     nsi, nu = op.shape
     k = op.core.stop - op.core.start
     # a block of 3 rows is solved by the same two calls as one row
@@ -835,14 +856,38 @@ def test_one_exterior_solve_and_no_factorisation_beyond_the_core(
         sizes["gtsv"].clear()
         sizes["gbsv"].clear()
         applies.clear()
+        syntheses.clear()
         reduced_resolvent(op, proj, 0, 0, Z, rows)
         p = np.atleast_2d(rows).shape[0]
         # mode n's exterior nodes in one solve, a column per row (the other
         # modes have no source there), the core in one band solve
         assert sizes["gtsv"] == [(nsi - k, p)]
         assert sizes["gbsv"] == ([(nu, nu, k * nu)] if k else [])
-        # one matrix-free apply per row serves both gates
+        # one matrix-free apply per row serves both gates, and the
+        # residual's source is the one whole-grid synthesis per row (M F on
+        # the core comes from the projector's core modes)
         assert len(applies) == p
+        assert len(syntheses) == p
+
+
+def test_projector_of_another_geometry_or_grid_is_refused(monkeypatch):
+    # the core system reads the projector's modes on op.core, so a
+    # projector built for another eps on a grid of the same size, another
+    # alpha or another grid is refused before any work
+    grid = Grid2D(8.0, 512, 32, 1.0)
+    op = build_waveguide(bump_geometry(0.4), FULL, 1, grid)
+    f = bump_probe(-3.0, 1.2)(grid.s_interior)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the core system was formed")
+
+    monkeypatch.setattr(waveguide2d, "_core_system", no_work)
+    for proj in (ModeProjector(bump_geometry(0.2), grid, 1),
+                 ModeProjector(bump_geometry(0.4, alpha=0.7), grid, 1),
+                 ModeProjector(op.geometry, Grid2D(8.0, 512, 48, 1.0), 1),
+                 ModeProjector(op.geometry, Grid2D(9.0, 512, 32, 1.0), 1)):
+        with pytest.raises(RobinwgError, match="projector's geometry"):
+            reduced_resolvent(op, proj, 0, 0, Z, f)
 
 
 def test_two_probe_study_is_the_max_of_its_one_probe_studies(monkeypatch):
