@@ -54,6 +54,20 @@ class Grid1D:
         pts.flags.writeable = False
         return pts
 
+    def apply_interior(self, g, diag, out, work):
+        """(-D2 + diag) g on the interior nodes of one full-node row g,
+        written into out: with diag = `Discrete1DOperator.diagonal(shift)`
+        it is (H - shift) g.  work is scratch of out's shape.  g's end nodes
+        close the end rows: r times the neighbour there is
+        `resolvent_solve`'s transparent end, 0 a Dirichlet cap."""
+        np.multiply(diag, g[1:-1], out=out)
+        np.add(g[:-2], g[2:], out=work)
+        # times 1/h^2: numpy divides a complex array by a float as by a
+        # complex number, several times slower than this product
+        work *= 1.0 / self.h ** 2
+        out -= work
+        return out
+
 
 def s_grid(profile: CurvatureProfile, eps: float, half_length: float,
            h_max: float = np.inf) -> Grid1D:
@@ -119,19 +133,6 @@ class Discrete1DOperator:
     def diagonal(self, shift=0.0):
         """Diagonal of H - shift on the interior nodes."""
         return 2.0 / self.grid.h ** 2 + self.potential[1:-1] - shift
-
-    def apply_interior(self, g, diag, out, work):
-        """(H - shift) g on the interior nodes of one full-node row g, written
-        into out; diag = `diagonal(shift)`, work is scratch of out's shape.
-        g's end nodes close the end rows: r times the neighbour there is
-        `resolvent_solve`'s transparent end, 0 a Dirichlet cap."""
-        np.multiply(diag, g[1:-1], out=out)
-        np.add(g[:-2], g[2:], out=work)
-        # times 1/h^2: numpy divides a complex array by a float as by a
-        # complex number, several times slower than this product
-        work *= 1.0 / self.grid.h ** 2
-        out -= work
-        return out
 
 
 def build_h_n_eps(profile: CurvatureProfile, beta: float, eps: float,
@@ -284,52 +285,76 @@ def flat_exterior(op: Discrete1DOperator, z, f_samples) -> FlatExterior:
 
 def resolvent_solve(op: Discrete1DOperator, z, f_samples,
                     exterior: FlatExterior | None = None) -> np.ndarray:
-    """(H - z)^{-1} f on the infinite lattice, by the exact Schur split of W
-    and its flat exterior, with transparent ends.
+    """(H - z)^{-1} f on the infinite lattice, f one probe or a (probes,
+    nodes) block sampled on the full node set: a loop over the rows of one
+    `resolvent_solve_rows` call, so the output has f's shape and each row
+    equals its own solve bit for bit."""
+    f = np.asarray(f_samples)
+    row = resolvent_solve_rows(op, z, f, exterior)
+    if f.ndim == 1:
+        return row(0)
+    G = np.empty(f.shape, dtype=complex)
+    for p in range(len(G)):
+        G[p] = row(p)
+    return G
+
+
+def resolvent_solve_rows(op: Discrete1DOperator, z, f_samples,
+                         exterior: FlatExterior | None = None):
+    """The block core solve of (H - z)^{-1} f on the infinite lattice, by
+    the exact Schur split of W and its flat exterior, with transparent
+    ends; returns row(p), which assembles and checks row p's solution.
 
     f is sampled on the full node set, one probe or a (probes, nodes)
     block; f and op's potential must vanish at both end nodes
     (GridResolutionError otherwise), as they do beyond s = +-L, so the
     lattice solution there is g_{i+1} = r g_i, r = `outgoing_root(h, z)`,
-    and each end row takes the diagonal 2c - z - c r, c = 1/h^2.  The output
-    has f's shape and holds r times its neighbour at the end nodes, so the
-    residual gate below checks the operator that was solved.  Outside the
-    core window W each row is g = U + c g(edge) phi (`flat_exterior`, built
-    here when `exterior` is None), so W's tridiagonal takes the Schur
-    corner terms c^2 phi(edge) and the right-hand side c U(edge); a W that
-    reaches the end nodes takes the end term itself.  One LAPACK `gtsv`
-    call solves all rows, each bit for bit its own solve.  An `exterior` of
-    another grid, z, W or row count raises RobinwgError; one of another
-    block of f's shape fails the check that every row's residual is within
-    1e-12 of its own ||f||, as does a row that is not finite.
+    and each end row takes the diagonal 2c - z - c r, c = 1/h^2.  Each row
+    holds r times its neighbour at the end nodes, so the residual gate
+    below checks the operator that was solved.  Outside the core window W
+    each row is g = U + c g(edge) phi (`flat_exterior`, built here when
+    `exterior` is None), so W's tridiagonal takes the Schur corner terms
+    c^2 phi(edge) and the right-hand side c U(edge); a W that reaches the
+    end nodes takes the end term itself.  One LAPACK `gtsv` call solves all
+    rows on W, each bit for bit its own solve.  An `exterior` of another
+    grid, z, W or row count raises RobinwgError.  row(p) returns a fresh
+    whole-grid row and raises RobinwgError unless its residual is within
+    1e-12 of its own ||f|| (or of the backward-stable floor): so fails a
+    row of another block's exterior, or one that is not finite.  Between
+    rows the returned function holds W's solution block and diagonal, the
+    exterior and f, not op: outside W the potential is zero, so the gate's
+    diagonal there is the constant 2c - z, bit for bit `op.diagonal(z)`.
     """
     if complex(z).imag == 0:
         raise RobinwgError("resolvent_solve needs Im z != 0")
     f = np.asarray(f_samples)
-    s = op.grid.points
-    if f.shape[-1:] != s.shape or f.ndim > 2:
+    grid = op.grid
+    if f.shape[-1:] != grid.points.shape or f.ndim > 2:
         raise RobinwgError("f must be sampled on the full grid")
     F = np.atleast_2d(f)
     if np.any(F[:, [0, -1]] != 0):
         raise GridResolutionError(
-            f"f is nonzero at an end node s = +-{op.grid.half_length!r}: the "
+            f"f is nonzero at an end node s = +-{grid.half_length!r}: the "
             "transparent ends need every source to vanish outside [-L, L]")
     if np.any(op.potential[[0, -1]] != 0):
         raise GridResolutionError(
             f"the potential is nonzero at an end node s = "
-            f"+-{op.grid.half_length!r}: the transparent ends need it to "
+            f"+-{grid.half_length!r}: the transparent ends need it to "
             "vanish outside [-L, L]")
     ext = exterior or flat_exterior(op, z, F)
     if ((ext.grid, ext.z, ext.k, ext.n_rows)
-            != (op.grid, complex(z), _core_half_width(op), len(F))):
+            != (grid, complex(z), _core_half_width(op), len(F))):
         raise RobinwgError("the flat exterior was built for another grid, "
                            "z, core window or row count")
-    h = op.grid.h
+    h = grid.h
     c = 1.0 / h ** 2
     r = complex(outgoing_root(h, z))
-    i0 = op.grid.n_cells // 2
+    i0 = grid.n_cells // 2
     lo, hi = i0 - ext.k, i0 + ext.k
-    diag = 2.0 / h ** 2 + op.potential[lo:hi + 1] - z
+    # `op.diagonal(z)` on W, interior node i at i - 1; the Schur corners
+    # and gtsv take a copy
+    diag_w = 2.0 / h ** 2 + op.potential[lo:hi + 1] - z
+    diag = diag_w.copy()
     b = F[:, lo:hi + 1].astype(complex).T
     flat = len(ext.phi[0]) > 0        # W short of the end nodes
     if flat:
@@ -340,36 +365,35 @@ def resolvent_solve(op: Discrete1DOperator, z, f_samples,
     else:
         diag[[0, -1]] -= c * r
     x = _gtsv(diag, -c, b)
-    G = np.empty(F.shape, dtype=complex)
-    G[:, lo:hi + 1] = x.T
-    if flat:
-        for nodes, g_edge, rows, U, phi in zip(
-                (slice(1, lo), slice(hi + 1, -1)), (x[0], x[-1]), ext.rows,
-                ext.U, ext.phi):
-            for p, ge in enumerate(g_edge):
-                np.multiply(phi, c * ge, out=G[p, nodes])
-            for p, u in zip(rows, U):
-                G[p, nodes] += u
-    # the lattice beyond each end node: g_{i+1} = r g_i; row by row, as
-    # numpy's loop over a column can round differently from one element
-    for row in G:
-        row[0], row[-1] = r * row[1], r * row[-2]
     # backward-stable solve: the attainable residual scales with eps*||A||
     a_scale = 4.0 / h ** 2 + np.max(np.abs(op.potential)) + abs(z)
-    diag = op.diagonal(z)
-    n = len(s) - 2
-    resid, work = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
-    for fr, gr in zip(F, G):
+
+    def row(p):
+        g = np.empty(len(grid.points), dtype=complex)
+        g[lo:hi + 1] = x[:, p]
+        if flat:
+            for nodes, ge, rows, U, phi in zip(
+                    (slice(1, lo), slice(hi + 1, -1)), (x[0, p], x[-1, p]),
+                    ext.rows, ext.U, ext.phi):
+                np.multiply(phi, c * ge, out=g[nodes])
+                for j in np.flatnonzero(rows == p):
+                    g[nodes] += U[j]
+        # the lattice beyond each end node: g_{i+1} = r g_i
+        g[0], g[-1] = r * g[1], r * g[-2]
+        fr = F[p]
+        d = np.full(len(g) - 2, 2.0 / h ** 2 - z)     # op.diagonal(z)
+        d[lo - 1:hi] = diag_w
         f_norm = max(np.linalg.norm(fr[1:-1]), 1e-300)
-        op.apply_interior(gr, diag, resid, work)
+        resid = grid.apply_interior(g, d, np.empty_like(d), np.empty_like(d))
         resid -= fr[1:-1]
         rel = np.linalg.norm(resid) / f_norm
         floor = 50 * np.finfo(float).eps * a_scale * (
-            np.linalg.norm(gr[1:-1]) / f_norm)
+            np.linalg.norm(g[1:-1]) / f_norm)
         # judged as "not below": a NaN residual fails
         if not rel <= max(1e-12, floor):
             raise RobinwgError(f"banded solve residual {rel:.3g} above target")
-    return G if f.ndim == 2 else G[0]
+        return g
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -452,18 +476,24 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
     its transparent ends return the infinite lattice's solution, and
     run_study takes the error and leakage norms to infinity with the
     lattice's `outgoing_root`.  The default L = 8 holds |s| <= 1, the
-    2 < s < 6 transmission window and probes out to |s| = 8.  A flat
-    exterior (`flat_exterior`) is built when run_study hands over a new
-    probe block, which it does only on a new grid, or when the core window
-    W changes; the other eps solve only the core.  The backend holds that
-    one exterior and the block it was built for, and lets both go on a new
-    grid before run_study samples its block, on a new W before the next
-    exterior is built, and before the discretisation estimate.  The
-    transmission is measured against the continuum free resolvent.  For a
-    limit that couples the edges each solve fits the first probe's vertex
-    data, and the gluing conditions are tested on them and on their
-    eps -> 0 extrapolation.  The discretisation estimate re-solves the
-    first probe on a grid with h halved at the smallest eps.  An eps
+    2 < s < 6 transmission window and probes out to |s| = 8.  Each eps's
+    solve builds the operator, makes one block core solve
+    (`resolvent_solve_rows`) and hands run_study its row(p); the operator
+    goes when solve returns, so between rows an eps holds only its core
+    window W's solution block and diagonal.  A flat exterior
+    (`flat_exterior`) is built when run_study hands over a new probe
+    block, which it does only on a new grid, or when W changes; the other
+    eps solve only the core.  The backend holds that one exterior and the
+    block it was built for, and lets both go on a new grid, on a new W
+    before the next exterior is built (an earlier eps's rows keep theirs
+    until run_study has its grid's rows) and before the discretisation
+    estimate.  The transmission is measured against the continuum free
+    resolvent.  For a limit that couples the edges the first probe's row
+    of each eps fits that eps's vertex data, and the gluing conditions are
+    tested on them and on their eps -> 0 extrapolation.  The
+    discretisation estimate re-solves the first probe on a grid with h
+    halved at the smallest eps, after run_study has let every array of
+    the study go.  An eps
     with 1 + eps*b <= 0, where the deformation flips the coupling's sign,
     raises ProfileError before any solve.
     """
@@ -481,26 +511,34 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
 
     def solver(eps):
         grid = s_grid(profile, eps, half_length, h_target)
-        if grid != last["grid"]:
+        if grid == last["grid"]:
+            grid = last["grid"]          # one set of points per grid
+        else:
             # run_study samples a new block on a new grid: the old block
             # and its exterior go before any array of the new grid is made
             last.update(block=None, exterior=None)
-        op = build_h_n_eps(profile, beta, eps, b, grid)
         last.update(eps=eps, grid=grid)
 
         def solve(F):
+            op = build_h_n_eps(profile, beta, eps, b, grid)
             # run_study hands over the same block while the grid stays, so
             # the flat exterior of its first eps serves the later ones
             if (F is not last["block"]
                     or last["exterior"].k != _core_half_width(op)):
-                # the old exterior goes before the next one is built
+                # the backend's exterior goes before the next one is built
                 last.update(block=None, exterior=None)
                 last.update(block=F, exterior=flat_exterior(op, z, F))
-            G = resolvent_solve(op, z, F, last["exterior"])
-            if predicted.kind != DECOUPLED:
-                vdata.append(extract_vertex_data(grid.points, G[0], eps,
-                                                 support_radius))
-            return G
+            row = resolvent_solve_rows(op, z, F, last["exterior"])
+            if predicted.kind == DECOUPLED:
+                return row
+
+            def fitted(p):
+                g = row(p)
+                if p == 0:
+                    vdata.append(extract_vertex_data(grid.points, g, eps,
+                                                     support_radius))
+                return g
+            return fitted
         return grid.points, solve
 
     def floor_estimate(probe, g):

@@ -174,18 +174,41 @@ def resolvent_apply(spec, z, s_grid, f_samples):
     are accumulated by a recursion over the cells that touch f's support,
     so the only error is the linear interpolation of f (O(h^2)) and the
     grid truncation of its support.
-    f is one row sampled on the grid or a (probes, nodes) block; the grid
-    is validated and the phases e^{-+iws} formed once per call, and each
-    output has f's shape, every row equal bit for bit to its own call.
-    `spec` may be a sequence of GraphOperatorSpec: the free part and the
-    moments (A_0, B_0) at the vertex are then computed once per row and
-    each operator adds its own vertex images to a copy, giving a list of
-    outputs equal bit for bit to separate calls.
+    f is one row sampled on the grid or a (probes, nodes) block; each
+    output has f's shape, every row equal bit for bit to its own call: a
+    loop over the rows of one `resolvent_apply_rows` form.  `spec` may be a
+    sequence of GraphOperatorSpec, giving a list of outputs equal bit for
+    bit to separate calls.
     """
     s = np.asarray(s_grid, dtype=float)
     f = np.asarray(f_samples)
     if s.ndim != 1 or f.ndim > 2 or f.shape[-1:] != s.shape:
         raise RobinwgError("grid/sample shape mismatch")
+    single = isinstance(spec, GraphOperatorSpec)
+    specs = [spec] if single else list(spec)
+    row = resolvent_apply_rows(specs, z, s)
+    F = np.atleast_2d(f)
+    outs = [np.empty(F.shape, dtype=complex) for _ in specs]
+    for p, fr in enumerate(F):
+        for out, lim in zip(outs, row(fr)):
+            out[p] = lim
+    if f.ndim == 1:
+        outs = [out[0] for out in outs]
+    return outs[0] if single else outs
+
+
+def resolvent_apply_rows(specs, z, s_grid):
+    """The per-row form of `resolvent_apply` on one grid, for a sequence of
+    GraphOperatorSpec.
+
+    The grid is validated and the phases e^{-+iws}, the cell moments and
+    the vertex amplitudes are formed once; the returned row(f) takes one
+    row f sampled on the grid and gives the list of (h_spec - z)^{-1} f,
+    fresh arrays, one per spec: the free part and the moments (A_0, B_0)
+    at the vertex are computed once and each operator adds its own vertex
+    images to a copy.
+    """
+    s = np.asarray(s_grid, dtype=float)
     h = s[1] - s[0]
     if not (h > 0 and np.allclose(np.diff(s), h, rtol=1e-10, atol=1e-12)):
         raise RobinwgError("resolvent_apply needs a uniform increasing grid")
@@ -196,8 +219,7 @@ def resolvent_apply(spec, z, s_grid, f_samples):
     i_r = int(np.searchsorted(s, 0.0))
     w = sqrt_upper(z)
     ph_m, ph_p = np.exp(-1j * w * s), np.exp(1j * w * s)
-    specs = [spec] if isinstance(spec, GraphOperatorSpec) else list(spec)
-    amplitudes = [_amplitudes(sp, w) for sp in specs]
+    amplitudes = [_amplitudes(spec, w) for spec in specs]
 
     iwh = 1j * w * h
     ep = np.exp(iwh)
@@ -213,9 +235,7 @@ def resolvent_apply(spec, z, s_grid, f_samples):
     # in-place complex product can round differently
     img_l, img_r = pref * ph_m[:i_r].copy(), pref * ph_p[i_r:].copy()
 
-    F = np.atleast_2d(f)
-    outs = [np.empty(F.shape, dtype=complex) for _ in amplitudes]
-    for row, fr in enumerate(F):
+    def row(fr):
         # A_i = int_{s_0}^{s_i} e^{-iws'} f ds' and
         # B_i = int_{s_i}^{s_N} e^{iws'} f ds', accumulated on the nodes
         # a..e of the cells that touch f's support only: left of them A is
@@ -242,10 +262,11 @@ def resolvent_apply(spec, z, s_grid, f_samples):
         # at the vertex are those at the node of a..e nearest to it
         at = min(max(i0 - a, 0), e - a)
         A0, B0 = A[at], B[at]
-        for out, (rho_l, rho_r, tau) in zip(outs, amplitudes):
-            out[row] = free
-            out[row, :i_r] += img_l * (rho_l * A0 + (tau - 1.0) * B0)
-            out[row, i_r:] += img_r * (rho_r * B0 + (tau - 1.0) * A0)
-    if f.ndim == 1:
-        outs = [out[0] for out in outs]
-    return outs[0] if isinstance(spec, GraphOperatorSpec) else outs
+        outs = []
+        for rho_l, rho_r, tau in amplitudes:
+            out = free.copy()
+            out[:i_r] += img_l * (rho_l * A0 + (tau - 1.0) * B0)
+            out[i_r:] += img_r * (rho_r * B0 + (tau - 1.0) * A0)
+            outs.append(out)
+        return outs
+    return row

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import RobinwgError
-from .graph_limit import (DECOUPLED, GraphOperatorSpec, resolvent_apply,
-                          sqrt_upper)
+from .graph_limit import (DECOUPLED, GraphOperatorSpec,
+                          resolvent_apply_rows, sqrt_upper)
 from .resonance import Potential1D, detect_resonance
 
 VERDICT_MATCH = "converges-to-predicted"
@@ -116,16 +116,6 @@ def _weighted_norm(t, w, tail=0.0):
     return np.sqrt(np.vdot(t, w * t).real + tail)
 
 
-def _max_error(G, L, norms, w, tail=None):
-    """max over the rows of ||g - l||_w / ||f||, G and L row-aligned blocks;
-    tail(g, l), when given, adds the squared norm beyond the end nodes."""
-    e = 0.0
-    for g, lim, nf in zip(G, L, norms):
-        e = max(e, _weighted_norm(g - lim, w,
-                                  0.0 if tail is None else tail(g, lim)) / nf)
-    return e
-
-
 def _end_tail(a, b, r, q, h):
     """The trapezoid rule's share of |g - l|^2 from one end node outwards,
     where the run ends: h/2 |a - b|^2 at the end node, where g = a and
@@ -137,14 +127,31 @@ def _end_tail(a, b, r, q, h):
                 - 2 * (a * b.conjugate() * rq / (1 - rq)).real)
 
 
+def _grid_runs(solver, eps_list):
+    """Yield (s, solves) for each run of consecutive eps whose s-grids are
+    equal bit for bit, solves the runs' `solver(eps)[1]` in eps order; the
+    first eps of the next run is asked for before its run is yielded."""
+    grid, solves = None, []
+    for eps in eps_list:
+        s, solve = solver(eps)
+        if solves and not np.array_equal(s, grid):
+            yield grid, solves
+            solves = []
+        if not solves:
+            grid = s
+        solves.append(solve)
+    yield grid, solves
+
+
 def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
               eps_list, solver, error_threshold: float, free_line,
               floor_estimate=None, notes=(), outgoing=None) -> ConvergenceReport:
     """Per-eps resolvent errors against the predicted limit, and the verdict.
 
     `solver(eps)` returns (s, solve): solve(F) takes the probes sampled on s
-    as one (probes, len(s)) block and returns their solutions G row by row;
-    a backend keeps its own extras of that solve inside solve.
+    as one (probes, len(s)) block, makes that eps's one block solve and
+    returns row(p), probe p's solution on s; a backend keeps its own extras
+    of that solve inside solve and row.
     `probes` is a callable or a non-empty list of them, each a pure function
     of s; the error is the max over the probes of the L2(|s| > 1) distance
     to the limit output over ||f||, where the limit output is smooth: the
@@ -155,25 +162,28 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
     error and leakage norms then run to infinity: the limit continues as
     l_end e^{i sqrt(z) j h}, so each half-line's tail is a closed-form
     geometric sum (`_end_tail`).  Without it (the 2D backend, whose caps
-    are Dirichlet) the norms stop at the end nodes.  Only this per-grid
-    pass decides whether an eps is on the last eps's grid (the same s, bit
-    for bit), and only a new grid samples the probe block (each norm finite
-    and positive), makes one `resolvent_apply` call for the predicted and
-    competitor outputs and forms the first probe's free_line reference and
-    the error and leakage weights and tails, none of which depends on eps.  Each eps gets its own solve,
-    handed the same block object while the grid stays, so a backend may
-    key its per-grid work on that object.  The first probe's solve, when
-    that probe lies left of the vertex, gives the leakage past s = 1 and,
-    for a limit that couples the edges, the transmission: the mean of
+    are Dirichlet) the norms stop at the end nodes.
+    The eps go in runs of consecutive eps on one grid (the same s, bit for
+    bit), and only a new run samples the probe block (each norm finite and
+    positive), makes one `resolvent_apply_rows` pass for the predicted and
+    competitor operators, and forms the first probe's free_line reference
+    and the error and leakage weights and tails, none of which depends on
+    eps.
+    Each eps of the run gets its own solve, handed the same block object,
+    so a backend may key its per-grid work on that object.  The run then
+    goes probe by probe: the probe's two limit rows, then its row of every
+    eps's solve, each error folded into that eps's max.  The first probe,
+    when it lies left of the vertex, gives the leakage past s = 1 and, for
+    a limit that couples the edges, the transmission: the mean of
     g / free_line(s, f) over 2 < s < 6, extrapolated linearly to eps = 0
     from three or more eps, else the last value.
     `floor_estimate(probe, g)` gets the first probe and a copy of its solve
     at the smallest eps, and its value is reported as the discretisation
     estimate.  The driver holds one grid's working set at a time: the probe
-    block, the predicted and competitor outputs and the reference, and one
-    eps's solution block.  The old grid's blocks go before the new grid's
-    are sampled, the last eps's solution before the next solve, and every
-    block before the floor estimate runs.
+    block, the reference, what each eps's row function holds, and one
+    probe's limit and solution rows.  The old grid's arrays go before the
+    new grid's probe block is sampled, and every array before the floor
+    estimate runs.
     """
     eps_list = list(eps_list)
     if not eps_list or any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
@@ -183,51 +193,60 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
         raise RobinwgError("probes must hold at least one probe")
 
     errors, alt_errors, leakage, taus = [], [], [], []
-    grid = None
-    for eps in eps_list:
-        s, solve = solver(eps)
-        G = None            # one solution block alive at a time
-        if grid is None or not np.array_equal(s, grid):
-            # the limit side depends on the grid only, not on eps; the old
-            # grid's blocks go before the new grid's are made
-            F = limits = ref = None
-            grid = s
-            outer = _trapezoid_weights(s, s < -1.0, s > 1.0)
-            far = slice(int(np.searchsorted(s, 1.0, side="right")), None)
-            win = (s > 2.0) & (s < 6.0)
-            F = np.array([probe(s) for probe in probes])
-            norms = [np.sqrt(np.trapezoid(np.abs(fs) ** 2, s)) for fs in F]
-            for i, nf in enumerate(norms):
-                if not 0.0 < nf < np.inf:
-                    raise RobinwgError(f"probe {i} has sampled norm {nf:.3g} "
-                                       "on the s-grid: need finite and > 0")
-            limits = resolvent_apply([predicted, alt], z, s, F)
-            tail = None
-            if outgoing is not None:
-                h = s[1] - s[0]
-                rqh = (complex(outgoing(h)),
-                       complex(np.exp(1j * sqrt_upper(z) * h)), h)
-                tail = lambda g, lim: (_end_tail(g[0], lim[0], *rqh)
-                                       + _end_tail(g[-1], lim[-1], *rqh))
-            mass_left = np.trapezoid(np.abs(F[0][s < 0]) ** 2, s[s < 0])
-            left = mass_left > (1 - 1e-12) * norms[0] ** 2
-            ref = (free_line(s, F[0])
-                   if left and predicted.kind != DECOUPLED else None)
-        G = solve(F)
-        errors.append(_max_error(G, limits[0], norms, outer, tail))
-        alt_errors.append(_max_error(G, limits[1], norms, outer, tail))
-        if left:
-            # on s > 1 the outer weights are that half-line's own
-            beyond = 0.0 if tail is None else _end_tail(G[0, -1], 0j, *rqh)
-            leakage.append(float(_weighted_norm(G[0, far], outer[far], beyond)
-                                 / norms[0]))
-        if ref is not None:
-            taus.append(complex(np.mean(G[0, win] / ref[win])))
 
-    # the floor estimate gets a copy of the first probe's solve, with the
-    # last grid's blocks gone
-    g = G[0].copy()
-    F = limits = ref = G = None
+    def run(s, solves):
+        """One run's errors, leakage and transmission, appended; returns
+        the first probe's row at the run's last eps.  Every array of the
+        run is a local here, so all go when it returns."""
+        outer = _trapezoid_weights(s, s < -1.0, s > 1.0)
+        far = slice(int(np.searchsorted(s, 1.0, side="right")), None)
+        win = (s > 2.0) & (s < 6.0)
+        F = np.array([probe(s) for probe in probes])
+        norms = [np.sqrt(np.trapezoid(np.abs(fs) ** 2, s)) for fs in F]
+        for i, nf in enumerate(norms):
+            if not 0.0 < nf < np.inf:
+                raise RobinwgError(f"probe {i} has sampled norm {nf:.3g} "
+                                   "on the s-grid: need finite and > 0")
+        limit_rows = resolvent_apply_rows([predicted, alt], z, s)
+        tail = None
+        if outgoing is not None:
+            h = s[1] - s[0]
+            rqh = (complex(outgoing(h)),
+                   complex(np.exp(1j * sqrt_upper(z) * h)), h)
+            tail = lambda g, lim: (_end_tail(g[0], lim[0], *rqh)
+                                   + _end_tail(g[-1], lim[-1], *rqh))
+        mass_left = np.trapezoid(np.abs(F[0][s < 0]) ** 2, s[s < 0])
+        left = mass_left > (1 - 1e-12) * norms[0] ** 2
+        ref = (free_line(s, F[0])
+               if left and predicted.kind != DECOUPLED else None)
+        rows = [solve(F) for solve in solves]
+        errs = [[0.0] * len(rows), [0.0] * len(rows)]
+        for p, nf in enumerate(norms):
+            lims = limit_rows(F[p])
+            for i, row in enumerate(rows):
+                g = row(p)
+                for e, lim in zip(errs, lims):
+                    e[i] = max(e[i], _weighted_norm(
+                        g - lim, outer, 0.0 if tail is None else tail(g, lim))
+                        / nf)
+                if p:
+                    continue
+                if left:
+                    # on s > 1 the outer weights are that half-line's own
+                    beyond = 0.0 if tail is None else _end_tail(g[-1], 0j,
+                                                                *rqh)
+                    leakage.append(float(_weighted_norm(g[far], outer[far],
+                                                        beyond) / norms[0]))
+                if ref is not None:
+                    taus.append(complex(np.mean(g[win] / ref[win])))
+                first = g
+        errors.extend(errs[0])
+        alt_errors.extend(errs[1])
+        return first.copy()
+
+    # each run's arrays go before the next run samples its probe block
+    for s, solves in _grid_runs(solver, eps_list):
+        g = run(s, solves)
     floor = None if floor_estimate is None else floor_estimate(probes[0], g)
     notes = list(notes)
     strictly = all(a > b for a, b in zip(errors, errors[1:]))

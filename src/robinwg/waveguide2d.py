@@ -40,8 +40,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import _lapack as lapack
-from .effective_1d import (check_resolution, exterior_solve, green_columns,
-                          s_grid)
+from .effective_1d import (Grid1D, check_resolution, exterior_solve,
+                          green_columns, s_grid)
 from .errors import (BracketingError, GridResolutionError, ProfileError,
                      RobinwgError)
 from .geometry import WaveguideGeometry
@@ -510,11 +510,13 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
     (the core system's residual) must pass |R_C| <= 50 eps_mach a |x_C|.
     The other rows hold only the rounding of the exterior solves and of the
     length-(n_u + 1) transforms, so |R| <= |R_C| + 50 (n_u + 1) eps_mach a |x|
-    is required; both gates read "not below", so a NaN fails.  The call
-    holds mode n's exterior solution (one node value per row), every
-    mode's Green column (one whole-grid field's worth in all) and, per row
-    in turn, that row's field, M F and residual; of the fields it keeps the
-    first row's only.  Returns
+    is required; both gates read "not below", so a NaN fails.  The band
+    storage goes after zgbsv; the call then holds mode n's exterior
+    solution (one node value per row), every mode's Green column (one
+    whole-grid field's worth in all) and, per row in turn, that row's
+    field and its residual, formed in place from M F (R = M F, R *= W,
+    R -= (M A - shift M) x); of the fields it keeps the first row's only.
+    Returns
     (g, {"iterations": 0, "field": x}), x the first (or only) row's field.
     """
     if projector.geometry != op.geometry or projector.grid != op.grid:
@@ -538,11 +540,14 @@ def reduced_resolvent(op: DiscreteWaveguideOperator, projector: ModeProjector,
                                      overwrite_b=1)
         if info != 0:
             raise RobinwgError(f"core band solve: zgbsv info = {info}")
+    ab = None          # the band storage goes before the rows
     G = []
     for p, xc in enumerate(b.T.reshape(len(F), -1, nu)):
         x = assemble(p, xc)
-        R = (projector.synthesize(F[p], n) * op.grid.u_mass
-             - op._weighted_apply(x, shift))
+        # R = M F - (M A - shift M) x, formed in place
+        R = projector.synthesize(F[p], n)
+        R *= op.grid.u_mass
+        R -= op._weighted_apply(x, shift)
         r = np.linalg.norm(R[C])
         bound = 50 * eps_mach * a * np.linalg.norm(xc)
         if not r <= bound:
@@ -580,11 +585,13 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
     The 2D backend of `report.run_study`: for each eps the geometry is the
     given one at that eps (its a or delta_ratio, and b, kept), the operator
     built and r_{n,n} of the whole probe block, from one `reduced_resolvent`
-    call, compared with the limit predicted by the resonance analysis of
-    beta_n gamma^2; the transmission is measured against the discrete free
-    line resolvent on the same s grid.  The first probe's 2D field gives
-    the off-diagonal norms ||r_{m,n} f|| / ||f|| for every other m <= n_max,
-    and at the last eps rides on the report as `probe_field`.
+    call whose rows run_study reads, compared with the limit predicted by
+    the resonance analysis of beta_n gamma^2; the transmission is measured
+    against the discrete free line resolvent on the same s grid, whose
+    step free_line takes from the grid it is handed.  The first probe's 2D
+    field gives the off-diagonal norms ||r_{m,n} f|| / ||f|| for every
+    other m <= n_max, and at the last eps rides on the report as
+    `probe_field`; the last eps's field goes before the next solve.
     """
     n_max = resolve_n_max(n, n_max)
     sc = geometry.scaling
@@ -597,16 +604,15 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
     last = {}
 
     def solver(eps):
-        last.pop("field", None)    # the last eps's field goes before this one's
         geo = replace(geometry, scaling=replace(sc, epsilon=eps))
         line = s_grid(geometry.profile, eps, s_half_length(z))
         grid = Grid2D(line.half_length, line.n_cells, n_u, geometry.d)
         op = build_waveguide(geo, variant, n_max, grid)
         proj = ModeProjector(geo, grid, n_max)
         s = grid.s_interior
-        last["line"] = line
 
         def solve(F):
+            last.pop("field", None)   # the last eps's field goes first
             G, info = reduced_resolvent(op, proj, n, n, z, F)
             # the first probe's 2D field projects onto every other m
             x = info["field"]
@@ -615,15 +621,14 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
                 offdiag[m].append(float(np.sqrt(np.trapezoid(
                     np.abs(proj.project(x, m)) ** 2, s)) / nf))
             last["field"] = (s, grid.u_points, x)
-            return G
+            return lambda p: G[p]
         return s, solve
 
     def free_line(s, fs):
-        """Discrete free 1D resolvent on the interior nodes of this eps's
-        line, with the strip's Dirichlet caps: the exterior of an empty
-        core."""
-        U, _ = exterior_solve(last["line"].h, complex(z), fs[None],
-                              fs[None, :0], 0.0)
+        """Discrete free 1D resolvent on the interior nodes s of a strip
+        line, with its Dirichlet caps: the exterior of an empty core."""
+        h = Grid1D(s_half_length(z), len(s) + 1).h
+        U, _ = exterior_solve(h, complex(z), fs[None], fs[None, :0], 0.0)
         return U[0]
 
     report = run_study(

@@ -108,7 +108,7 @@ def apply_1d(op, g):
     close the end rows, and the output's end nodes are 0."""
     g = np.asarray(g)
     out = np.zeros(g.shape, dtype=np.result_type(g, op.potential))
-    op.apply_interior(g, op.diagonal(), out[1:-1],
+    op.grid.apply_interior(g, op.diagonal(), out[1:-1],
                       np.empty(out[1:-1].shape, out.dtype))
     return out
 

@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
@@ -14,12 +14,14 @@ from robinwg.effective_1d import (RESOLUTION_FACTOR, Grid1D, VertexData,
                                   convergence_study, exterior_solve,
                                   extract_vertex_data, flat_exterior,
                                   green_columns, outgoing_root,
-                                  resolvent_solve, s_grid,
+                                  resolvent_solve, resolvent_solve_rows,
+                                  s_grid,
                                   vertex_condition_residuals)
 from robinwg.errors import GridResolutionError, ProfileError, RobinwgError
 from robinwg.geometry import (RECTANGULAR, SMOOTH_BUMP, CurvatureProfile,
                               ScalingParams, WaveguideGeometry, default_bump)
-from robinwg.graph_limit import DECOUPLED, GraphOperatorSpec, resolvent_apply
+from robinwg.graph_limit import (DECOUPLED, GraphOperatorSpec, resolvent_apply,
+                                 resolvent_apply_rows, sqrt_upper)
 from robinwg.report import VERDICT_INCONCLUSIVE, VERDICT_MATCH
 from robinwg.waveguide2d import FULL, Grid2D, build_waveguide
 
@@ -420,23 +422,31 @@ def test_vertex_residual_decoupled():
 
 def test_convergence_study_solves_each_probe_once_per_eps(monkeypatch):
     from robinwg import effective_1d
-    calls = []
-    solve = effective_1d.resolvent_solve
+    calls, rows = [], []
+    solve_rows = effective_1d.resolvent_solve_rows
 
     def counted(op, z, f, exterior=None):
         calls.append(np.shape(f))
-        return solve(op, z, f, exterior)
+        row, call = solve_rows(op, z, f, exterior), len(calls) - 1
 
-    monkeypatch.setattr(effective_1d, "resolvent_solve", counted)
+        def counted_row(p):
+            rows.append((call, p))
+            return row(p)
+        return counted_row
+
+    monkeypatch.setattr(effective_1d, "resolvent_solve_rows", counted)
     probes = [bump_probe(-4.0, 1.5), bump_probe(-4.0, 0.8),
               bump_probe(-2.75, 1.5)]
     eps_list = [0.4, 0.2]
     report = convergence_study(default_bump(), BUMP_BETA_STAR, 0.0, 1j,
                                probes, eps_list, h_target=4e-3)
-    # one block solve per eps, plus the refined-grid control solve
+    # one block core solve per eps, plus the refined-grid control solve
     assert len(calls) == len(eps_list) + 1
     assert [c[0] for c in calls[:-1]] == [len(probes)] * len(eps_list)
     assert len(calls[-1]) == 1
+    # each probe's row of each solve is assembled once
+    assert sorted(rows) == [(i, p) for i in range(len(eps_list))
+                            for p in range(len(probes))] + [(len(eps_list), 0)]
     assert report.transmission and report.vertex_residuals
 
 
@@ -467,28 +477,61 @@ def test_sweep_entries_equal_one_eps_studies(sweep):
         assert one.transmission == [rep.transmission[i]]
 
 
+def test_probe_block_study_is_the_max_over_one_probe_studies():
+    # the unit square well at eps 0.4, 0.3 (one grid), 0.1 and 0.08: each
+    # eps's error is the max over its probes' own studies, and the first
+    # probe alone gives the leakage, transmission and vertex data, bit for
+    # bit
+    probes = [bump_probe(c, w) for c, w in zip(np.linspace(-5.0, 5.0, 10),
+                                               np.linspace(0.8, 1.6, 10))]
+    eps_list = [0.4, 0.3, 0.1, 0.08]
+    study = lambda f: convergence_study(SQUARE_UNIT, -np.pi ** 2, 0.0, 1j, f,
+                                        eps_list, h_target=4e-3)
+    rep = study(probes)
+    ones = [study(f) for f in probes]
+    assert rep.errors == [max(0.0, *e) for e in
+                          zip(*(one.errors for one in ones))]
+    assert rep.alt_errors == [max(0.0, *e) for e in
+                              zip(*(one.alt_errors for one in ones))]
+    assert len(rep.leakage) == len(rep.transmission) == len(eps_list)
+    assert rep.leakage == ones[0].leakage
+    assert rep.transmission == ones[0].transmission
+    assert rep.vertex_residuals == ones[0].vertex_residuals
+
+
 @pytest.mark.parametrize("sweep", sorted(SWEEPS))
 def test_limit_side_is_computed_once_per_distinct_grid(monkeypatch, sweep):
     from robinwg import effective_1d, report
     profile, beta, eps_list, n_grids = SWEEPS[sweep]
     shared, free = [], []
 
-    def counted(spec, z, s, f):
-        (free if isinstance(spec, GraphOperatorSpec) else shared).append(
-            np.shape(f))
+    def counted_rows(specs, z, s):
+        # the predicted operator and its competitor, in one pass
+        assert len(specs) == 2
+        row = resolvent_apply_rows(specs, z, s)
+        shared.append([len(s), 0])
+
+        def counted_row(f):
+            shared[-1][1] += 1
+            return row(f)
+        return counted_row
+
+    def counted_free(spec, z, s, f):
+        free.append(np.shape(f))
         return resolvent_apply(spec, z, s, f)
 
-    monkeypatch.setattr(report, "resolvent_apply", counted)
-    monkeypatch.setattr(effective_1d, "resolvent_apply", counted)
+    monkeypatch.setattr(report, "resolvent_apply_rows", counted_rows)
+    monkeypatch.setattr(effective_1d, "resolvent_apply", counted_free)
     rep = convergence_study(profile, beta, 0.0, 1j, SWEEP_PROBES, eps_list,
                             h_target=4e-3)
     coupled = rep.predicted["kind"] != "decoupled"
-    # one shared call for the probe block, and the free reference of the
-    # first (left) probe when the prediction couples the edges, per grid
+    # one limit-side pass per grid, forming each probe's limit rows once,
+    # and the free reference of the first (left) probe when the prediction
+    # couples the edges
     assert len(shared) == n_grids
     assert len(free) == (n_grids if coupled else 0)
-    assert len(set(shared)) == n_grids
-    assert all(shape[0] == len(SWEEP_PROBES) for shape in shared)
+    assert len({nodes for nodes, _ in shared}) == n_grids
+    assert all(rows == len(SWEEP_PROBES) for _, rows in shared)
     assert len(rep.errors) == len(rep.leakage) == len(eps_list)
 
 
@@ -516,11 +559,12 @@ def test_sweep_builds_one_flat_exterior_per_distinct_grid(monkeypatch, sweep):
 
 def test_two_grid_study_holds_one_grid_working_set():
     # eps 0.2 and 0.1 of the unit square well: the second grid halves h.
-    # The study holds the new grid's probe block, its predicted and
-    # competitor outputs, one flat exterior and one solution block, and
-    # none of the old grid's: its traced peak stays below 5.25 blocks of
-    # (probes x finest nodes) complex numbers (6.2 when the old grid's
-    # blocks lived on into the new grid's)
+    # The study holds the new grid's probe block, one flat exterior, each
+    # eps's core solution block and one probe's limit and solution rows,
+    # and none of the old grid's: its traced peak, 2.64 blocks of (probes x
+    # finest nodes) complex numbers, stays below 3.25 (4.82 with the
+    # predicted and competitor outputs and a solution block held whole,
+    # 6.2 when the old grid's blocks lived on into the new grid's)
     probes = [bump_probe(c, w) for c, w in zip(np.linspace(-5.0, 5.0, 10),
                                                np.linspace(0.8, 1.6, 10))]
     eps_list = [0.2, 0.1]
@@ -529,7 +573,24 @@ def test_two_grid_study_holds_one_grid_working_set():
     peak = traced_peak(lambda: convergence_study(
         SQUARE_UNIT, -np.pi ** 2, 1.0, 1j, probes, eps_list, h_target=4e-3))
     block = len(probes) * (grids[1].n_cells + 1) * 16
-    assert peak < 5.25 * block
+    assert peak < 3.25 * block
+
+
+def test_one_grid_study_holds_no_whole_grid_state_per_eps():
+    # five eps of the bump on one grid of 16,001 nodes: between rows each
+    # eps holds its core window's solution and diagonal only, and the eps
+    # share the grid's points, so the traced peak, 16.6 rows of 16,001
+    # complex numbers, stays below 19; it is set by the refined-grid
+    # control solve on 32,001 nodes (18.4 with a solution block per eps
+    # and whole-block limit outputs, 25.7 when every eps kept its
+    # whole-grid diagonal and potential)
+    eps_list = [0.4, 0.2, 0.1, 0.05, 0.025]
+    grids = {s_grid(default_bump(), eps, 8.0, 1e-3) for eps in eps_list}
+    assert [g.n_cells for g in grids] == [16000]
+    peak = traced_peak(lambda: convergence_study(
+        default_bump(), BUMP_BETA_STAR, 0.0, 1j, bump_probe(-4.0, 1.5),
+        eps_list, h_target=1e-3))
+    assert peak < 19 * 16001 * 16
 
 
 # (profile, beta, eps, grid, probes (center, half-width), z): W is
@@ -715,6 +776,29 @@ def test_block_resolvent_solve_equals_row_solves(probes, z):
     assert G.shape == F.shape
     for f, g in zip(F, G):
         assert np.array_equal(g, resolvent_solve(op, z, f))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.floats(-8.0, 8.0), st.floats(0.3, 2.0)),
+                min_size=1, max_size=6),
+       st.sampled_from([1j, 0.7 + 1.3j, -2.0 + 0.1j]),
+       st.floats(0.0, 2 * np.pi), st.floats(-5.0, 5.0))
+def test_row_forms_equal_the_block_calls_rows(probes, z, theta, b_hat):
+    c = (np.cos(theta), np.sin(theta))
+    assume(abs(1j * sqrt_upper(z) - b_hat) > 0.1)
+    specs = [GraphOperatorSpec.decoupled(), GraphOperatorSpec.free(),
+             GraphOperatorSpec.deformed(*c, b_hat)]
+    op = build_h_n_eps(default_bump(), -3.0, 0.5, 0.0, BLOCK_GRID)
+    s = BLOCK_GRID.points
+    F = np.array([bump_probe(c, w)(s) for c, w in probes])
+    limits = resolvent_apply(specs, z, s, F)
+    limit_row = resolvent_apply_rows(specs, z, s)
+    G = resolvent_solve(op, z, F)
+    row = resolvent_solve_rows(op, z, F)
+    for p, f in enumerate(F):
+        for lim, want in zip(limit_row(f), limits):
+            assert np.array_equal(lim, want[p])
+        assert np.array_equal(row(p), G[p])
 
 
 @pytest.mark.parametrize("bad", range(4))

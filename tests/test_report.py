@@ -28,10 +28,11 @@ def free_line(s, fs):
 
 
 def synthetic(limit, offset):
-    """Backend returning the limit's output plus offset(eps) on a fixed grid."""
+    """Backend returning the limit's output plus offset(eps) on a fixed grid,
+    row p of the block F for row(p)."""
     def solver(eps):
-        return S, lambda F: np.array([resolvent_apply(limit, Z, S, fs)
-                                      + offset(eps) for fs in F])
+        return S, lambda F: lambda p: (resolvent_apply(limit, Z, S, F[p])
+                                       + offset(eps))
     return solver
 
 

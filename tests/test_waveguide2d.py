@@ -247,11 +247,12 @@ def test_block_rows_equal_their_single_row_calls(profile, alpha):
 @pytest.mark.parametrize("alpha", [0.0, -2.0])
 def test_block_call_holds_one_row_field_at_a_time(alpha):
     # a 10-row call holds mode n's exterior solution (one node value per
-    # row), the Green columns (one field's worth) and one row's field, M F
-    # and residual at a time: its traced peak, 1.10 blocks of rows x n_si x
+    # row), the Green columns (one field's worth) and one row's field and
+    # residual at a time: its traced peak, 0.73 blocks of rows x n_si x
     # (n_u + 1) complex numbers on theorem_check's grid, stays below 1.3
-    # (2.04 with every mode's exterior solution held for every row, 3.7
-    # with every row's M F and field held too)
+    # (1.10 with the band storage and whole-field residual temporaries
+    # held, 2.04 with every mode's exterior solution held for every row,
+    # 3.7 with every row's M F and field held too)
     geom = bump_geometry(0.2, alpha=alpha)
     line = s_grid(geom.profile, 0.2, waveguide2d.s_half_length(Z))
     grid = Grid2D(line.half_length, line.n_cells, 32, 1.0)
@@ -261,6 +262,22 @@ def test_block_call_holds_one_row_field_at_a_time(alpha):
     F = np.array([bump_probe(c, 1.0)(si) for c in np.linspace(-5.0, 5.0, 10)])
     peak = traced_peak(lambda: reduced_resolvent(op, proj, 0, 0, Z, F))
     assert peak < 1.3 * F.size * op.shape[1] * 16
+
+
+@pytest.mark.parametrize("alpha", [0.0, -2.0])
+def test_one_row_call_lets_the_band_storage_go(alpha):
+    # the band storage goes after zgbsv and the residual is formed in
+    # place: a one-row call at eps 0.2 on theorem_check's grid peaks at 6.49
+    # fields of n_si x (n_u + 1) complex numbers, below 7.0 (7.93 with the
+    # band storage and whole-field residual temporaries held)
+    geom = bump_geometry(0.2, alpha=alpha)
+    line = s_grid(geom.profile, 0.2, waveguide2d.s_half_length(Z))
+    grid = Grid2D(line.half_length, line.n_cells, 32, 1.0)
+    op = build_waveguide(geom, FULL, 1, grid)
+    proj = ModeProjector(geom, grid, 1)
+    f = bump_probe(-3.0, 1.0)(grid.s_interior)
+    peak = traced_peak(lambda: reduced_resolvent(op, proj, 0, 0, Z, f))
+    assert peak < 7.0 * op.shape[0] * op.shape[1] * 16
 
 
 def test_renormalisation_delta_independence():
