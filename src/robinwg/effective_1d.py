@@ -472,30 +472,23 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
     GridResolutionError), as must the potential: a scaled support
     eps * profile.support that leaves [-L, L] raises GridResolutionError
     before any solve (`check_support`).  The grid needs no margin beyond
-    that, because
-    its transparent ends return the infinite lattice's solution, and
-    run_study takes the error and leakage norms to infinity with the
-    lattice's `outgoing_root`.  The default L = 8 holds |s| <= 1, the
-    2 < s < 6 transmission window and probes out to |s| = 8.  Each eps's
-    solve builds the operator, makes one block core solve
-    (`resolvent_solve_rows`) and hands run_study its row(p); the operator
-    goes when solve returns, so between rows an eps holds only its core
-    window W's solution block and diagonal.  A flat exterior
-    (`flat_exterior`) is built when run_study hands over a new probe
-    block, which it does only on a new grid, or when W changes; the other
-    eps solve only the core.  The backend holds that one exterior and the
-    block it was built for, and lets both go on a new grid, on a new W
-    before the next exterior is built (an earlier eps's rows keep theirs
-    until run_study has its grid's rows) and before the discretisation
-    estimate.  The transmission is measured against the continuum free
-    resolvent.  For a limit that couples the edges the first probe's row
-    of each eps fits that eps's vertex data, and the gluing conditions are
-    tested on them and on their eps -> 0 extrapolation.  The
-    discretisation estimate re-solves the first probe on a grid with h
-    halved at the smallest eps, after run_study has let every array of
-    the study go.  An eps
-    with 1 + eps*b <= 0, where the deformation flips the coupling's sign,
-    raises ProfileError before any solve.
+    that, because its transparent ends return the infinite lattice's
+    solution, and run_study takes the error and leakage norms to infinity
+    with the lattice's `outgoing_root`.  The default L = 8 holds |s| <= 1,
+    the 2 < s < 6 transmission window and probes out to |s| = 8.  Each run
+    of eps on one grid is one call: it builds a flat exterior
+    (`flat_exterior`) for its first eps and again wherever the core window
+    W changes, and for each eps the operator, one block core solve
+    (`resolvent_solve_rows`) and its row(p); no row holds the operator, so
+    between rows an eps holds only W's solution block and diagonal, and
+    its exterior.  The transmission is measured against the continuum
+    free resolvent.  For a limit that couples the edges the first probe's
+    row of each eps fits that eps's vertex data, and the gluing conditions
+    are tested on them and on their eps -> 0 extrapolation.
+    The discretisation estimate re-solves the first probe on a grid with h
+    halved at the smallest eps, after run_study has let every array of the
+    study go.  An eps with 1 + eps*b <= 0, where the deformation flips the
+    coupling's sign, raises ProfileError before any solve.
     """
     eps_list = list(eps_list)
     for eps in eps_list:
@@ -506,53 +499,42 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
             check_support(profile, eps, half_length)
     predicted, alt = predicted_limit(profile, beta, b)
     support_radius = max(abs(profile.support[0]), abs(profile.support[1]))
-    last = {"grid": None, "block": None, "exterior": None}
     vdata = []
 
-    def solver(eps):
-        grid = s_grid(profile, eps, half_length, h_target)
-        if grid == last["grid"]:
-            grid = last["grid"]          # one set of points per grid
-        else:
-            # run_study samples a new block on a new grid: the old block
-            # and its exterior go before any array of the new grid is made
-            last.update(block=None, exterior=None)
-        last.update(eps=eps, grid=grid)
+    def fitted(row, s, eps):
+        """row, with probe 0's row fitting that eps's vertex data."""
+        def fit(p):
+            g = row(p)
+            if p == 0:
+                vdata.append(extract_vertex_data(s, g, eps, support_radius))
+            return g
+        return row if predicted.kind == DECOUPLED else fit
 
-        def solve(F):
+    def grid_at(eps):
+        g = s_grid(profile, eps, half_length, h_target)
+        return g, g.points
+
+    def solve(grid, eps_run, F):
+        rows, ext = [], None
+        for eps in eps_run:
             op = build_h_n_eps(profile, beta, eps, b, grid)
-            # run_study hands over the same block while the grid stays, so
-            # the flat exterior of its first eps serves the later ones
-            if (F is not last["block"]
-                    or last["exterior"].k != _core_half_width(op)):
-                # the backend's exterior goes before the next one is built
-                last.update(block=None, exterior=None)
-                last.update(block=F, exterior=flat_exterior(op, z, F))
-            row = resolvent_solve_rows(op, z, F, last["exterior"])
-            if predicted.kind == DECOUPLED:
-                return row
+            if ext is None or ext.k != _core_half_width(op):
+                ext = flat_exterior(op, z, F)
+            rows.append(fitted(resolvent_solve_rows(op, z, F, ext),
+                               grid.points, eps))
+        return rows
 
-            def fitted(p):
-                g = row(p)
-                if p == 0:
-                    vdata.append(extract_vertex_data(grid.points, g, eps,
-                                                     support_radius))
-                return g
-            return fitted
-        return grid.points, solve
-
-    def floor_estimate(probe, g):
-        last.update(block=None, exterior=None)
-        fine = Grid1D(last["grid"].half_length, 2 * last["grid"].n_cells)
-        op = build_h_n_eps(profile, beta, last["eps"], b, fine)
+    def floor_estimate(probe, g, grid, eps):
+        fine = Grid1D(grid.half_length, 2 * grid.n_cells)
+        op = build_h_n_eps(profile, beta, eps, b, fine)
         gf = resolvent_solve(op, z, probe(fine.points))
         return float(np.max(np.abs(gf[::2] - g)))
 
     free = GraphOperatorSpec.free()
-    report = run_study(predicted, alt, z, f, eps_list, solver, error_threshold,
-                       lambda s, fs: resolvent_apply(free, z, s, fs),
-                       floor_estimate=floor_estimate,
-                       outgoing=lambda h: outgoing_root(h, z))
+    report = run_study(
+        predicted, alt, z, f, eps_list, (grid_at, solve), error_threshold,
+        lambda s, fs: resolvent_apply(free, z, s, fs),
+        floor_estimate=floor_estimate, outgoing=lambda h: outgoing_root(h, z))
     report.vertex_residuals = [vertex_condition_residuals(predicted, vd)
                                for vd in vdata]
     if len(vdata) >= 3:

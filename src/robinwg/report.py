@@ -127,31 +127,35 @@ def _end_tail(a, b, r, q, h):
                 - 2 * (a * b.conjugate() * rq / (1 - rq)).real)
 
 
-def _grid_runs(solver, eps_list):
-    """Yield (s, solves) for each run of consecutive eps whose s-grids are
-    equal bit for bit, solves the runs' `solver(eps)[1]` in eps order; the
-    first eps of the next run is asked for before its run is yielded."""
-    grid, solves = None, []
+def _grid_runs(grid_at, eps_list):
+    """Yield (g, s, eps_run) for each run of consecutive eps whose grids
+    grid_at(eps) = (g, s) have node arrays s equal bit for bit; the next
+    run's first eps is gridded before its run is yielded."""
+    run = None
     for eps in eps_list:
-        s, solve = solver(eps)
-        if solves and not np.array_equal(s, grid):
-            yield grid, solves
-            solves = []
-        if not solves:
-            grid = s
-        solves.append(solve)
-    yield grid, solves
+        g, s = grid_at(eps)
+        if run and np.array_equal(s, run[1]):
+            run[2].append(eps)
+        else:
+            if run:
+                yield run
+            run = (g, s, [eps])
+        del g, s            # a repeated grid goes at once
+    yield run
 
 
 def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
-              eps_list, solver, error_threshold: float, free_line,
+              eps_list, backend, error_threshold: float, free_line,
               floor_estimate=None, notes=(), outgoing=None) -> ConvergenceReport:
     """Per-eps resolvent errors against the predicted limit, and the verdict.
 
-    `solver(eps)` returns (s, solve): solve(F) takes the probes sampled on s
-    as one (probes, len(s)) block, makes that eps's one block solve and
-    returns row(p), probe p's solution on s; a backend keeps its own extras
-    of that solve inside solve and row.
+    `backend` is the pair (grid_at, solve): grid_at(eps) returns (g, s), the
+    backend's grid at that eps and the nodes s its solutions live on, and
+    the eps go in runs of consecutive eps whose s are equal bit for bit.
+    solve(g, eps_run, F) takes a whole run, F the probes sampled on s as
+    one (probes, len(s)) block, makes each eps's one block solve and
+    returns one row function per eps, row(p) probe p's solution on s;
+    whatever a backend decides per grid lives in that call.
     `probes` is a callable or a non-empty list of them, each a pure function
     of s; the error is the max over the probes of the L2(|s| > 1) distance
     to the limit output over ||f||, where the limit output is smooth: the
@@ -163,27 +167,24 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
     l_end e^{i sqrt(z) j h}, so each half-line's tail is a closed-form
     geometric sum (`_end_tail`).  Without it (the 2D backend, whose caps
     are Dirichlet) the norms stop at the end nodes.
-    The eps go in runs of consecutive eps on one grid (the same s, bit for
-    bit), and only a new run samples the probe block (each norm finite and
-    positive), makes one `resolvent_apply_rows` pass for the predicted and
-    competitor operators, and forms the first probe's free_line reference
-    and the error and leakage weights and tails, none of which depends on
-    eps.
-    Each eps of the run gets its own solve, handed the same block object,
-    so a backend may key its per-grid work on that object.  The run then
-    goes probe by probe: the probe's two limit rows, then its row of every
-    eps's solve, each error folded into that eps's max.  The first probe,
-    when it lies left of the vertex, gives the leakage past s = 1 and, for
-    a limit that couples the edges, the transmission: the mean of
-    g / free_line(s, f) over 2 < s < 6, extrapolated linearly to eps = 0
-    from three or more eps, else the last value.
-    `floor_estimate(probe, g)` gets the first probe and a copy of its solve
-    at the smallest eps, and its value is reported as the discretisation
-    estimate.  The driver holds one grid's working set at a time: the probe
-    block, the reference, what each eps's row function holds, and one
-    probe's limit and solution rows.  The old grid's arrays go before the
-    new grid's probe block is sampled, and every array before the floor
-    estimate runs.
+    Each run samples the probe block (each norm finite and positive), makes
+    one `resolvent_apply_rows` pass for the predicted and competitor
+    operators, and forms the first probe's free_line reference and the
+    error and leakage weights and tails, none of which depends on eps, then
+    hands the run to solve.  It then goes probe by probe: the probe's two
+    limit rows, then its row of every eps, each error folded into that
+    eps's max.  The first probe, when it lies left of the vertex, gives the
+    leakage past s = 1 and, for a limit that couples the edges, the
+    transmission: the mean of g / free_line(s, f) over 2 < s < 6,
+    extrapolated linearly to eps = 0 from three or more eps, else the last
+    value.
+    `floor_estimate(probe, g, grid, eps)` gets the first probe, a copy of
+    its solution at the smallest eps, the last run's grid and that eps; its
+    value is reported as the discretisation estimate.  The driver holds one
+    run's working set at a time: the probe block, the reference, what the
+    row functions hold, and one probe's limit and solution rows.  The old
+    run's arrays go before the next run's probe block is sampled, and every
+    array but the last grid's before the floor estimate runs.
     """
     eps_list = list(eps_list)
     if not eps_list or any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
@@ -193,8 +194,9 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
         raise RobinwgError("probes must hold at least one probe")
 
     errors, alt_errors, leakage, taus = [], [], [], []
+    grid_at, solve = backend
 
-    def run(s, solves):
+    def run(grid, s, eps_run):
         """One run's errors, leakage and transmission, appended; returns
         the first probe's row at the run's last eps.  Every array of the
         run is a local here, so all go when it returns."""
@@ -219,7 +221,7 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
         left = mass_left > (1 - 1e-12) * norms[0] ** 2
         ref = (free_line(s, F[0])
                if left and predicted.kind != DECOUPLED else None)
-        rows = [solve(F) for solve in solves]
+        rows = solve(grid, eps_run, F)
         errs = [[0.0] * len(rows), [0.0] * len(rows)]
         for p, nf in enumerate(norms):
             lims = limit_rows(F[p])
@@ -245,9 +247,10 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
         return first.copy()
 
     # each run's arrays go before the next run samples its probe block
-    for s, solves in _grid_runs(solver, eps_list):
-        g = run(s, solves)
-    floor = None if floor_estimate is None else floor_estimate(probes[0], g)
+    for grid, s, eps_run in _grid_runs(grid_at, eps_list):
+        g = run(grid, s, eps_run)
+    floor = (None if floor_estimate is None
+             else floor_estimate(probes[0], g, grid, eps_run[-1]))
     notes = list(notes)
     strictly = all(a > b for a, b in zip(errors, errors[1:]))
     if len(errors) < 2:

@@ -463,8 +463,9 @@ def _core_system(op: DiscreteWaveguideOperator, projector: ModeProjector,
         return np.concatenate([exterior(U_l[p], y[0], phi_l), xc,
                                exterior(U_r[p], y[1], phi_r)])
 
-    # K's band rows: offset j - i at ab[2 nu - (j - i)], column j
-    ab = np.zeros((3 * nu + 1, k * nu), dtype=complex)
+    # K's band rows: offset j - i at ab[2 nu - (j - i)], column j; Fortran
+    # order, so zgbsv factors it in place rather than in an f2py copy
+    ab = np.zeros((3 * nu + 1, k * nu), dtype=complex, order="F")
     T = op.transverse
     ab[2 * nu] = (np.diagonal(T) + (2 * c - shift + op.potential_s[C, None])
                   * wu).ravel()
@@ -582,16 +583,17 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
                   error_threshold: float = 0.05) -> ConvergenceReport:
     """Reduced-resolvent convergence of the 2D operator against the graph limit.
 
-    The 2D backend of `report.run_study`: for each eps the geometry is the
-    given one at that eps (its a or delta_ratio, and b, kept), the operator
-    built and r_{n,n} of the whole probe block, from one `reduced_resolvent`
-    call whose rows run_study reads, compared with the limit predicted by
-    the resonance analysis of beta_n gamma^2; the transmission is measured
-    against the discrete free line resolvent on the same s grid, whose
-    step free_line takes from the grid it is handed.  The first probe's 2D
-    field gives the off-diagonal norms ||r_{m,n} f|| / ||f|| for every
-    other m <= n_max, and at the last eps rides on the report as
-    `probe_field`; the last eps's field goes before the next solve.
+    The 2D backend of `report.run_study`: each eps of a run gets the given
+    geometry at that eps (its a or delta_ratio, and b, kept), its operator
+    and projector, and r_{n,n} of the whole probe block from one
+    `reduced_resolvent` call, whose rows run_study compares with the limit
+    predicted by the resonance analysis of beta_n gamma^2; the operator and
+    projector go with their eps.  The transmission is measured against the
+    discrete free line resolvent on the same s grid, whose step free_line
+    takes from the grid it is handed.  The first probe's 2D field gives the
+    off-diagonal norms ||r_{m,n} f|| / ||f|| for every other m <= n_max,
+    and at the last eps rides on the report as `probe_field`; each eps's
+    field goes before the next eps solves.
     """
     n_max = resolve_n_max(n, n_max)
     sc = geometry.scaling
@@ -601,28 +603,33 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
     predicted, alt = predicted_limit(geometry.profile, beta_n, sc.b)
 
     offdiag = {m: [] for m in range(n_max + 1) if m != n}
-    last = {}
+    field = None
 
-    def solver(eps):
-        geo = replace(geometry, scaling=replace(sc, epsilon=eps))
+    def grid_at(eps):
         line = s_grid(geometry.profile, eps, s_half_length(z))
+        return line, line.points[1:-1]
+
+    def solve_eps(line, eps, F):
+        """p -> row p of r_{n,n} F at eps; sets `field` to probe 0's."""
+        nonlocal field
+        field = None              # the last eps's field goes first
+        geo = replace(geometry, scaling=replace(sc, epsilon=eps))
         grid = Grid2D(line.half_length, line.n_cells, n_u, geometry.d)
+        s = line.points[1:-1]
         op = build_waveguide(geo, variant, n_max, grid)
         proj = ModeProjector(geo, grid, n_max)
-        s = grid.s_interior
+        G, info = reduced_resolvent(op, proj, n, n, z, F)
+        # the first probe's 2D field projects onto every other m
+        x = info["field"]
+        nf = np.sqrt(np.trapezoid(np.abs(F[0]) ** 2, s))
+        for m in offdiag:
+            offdiag[m].append(float(np.sqrt(np.trapezoid(
+                np.abs(proj.project(x, m)) ** 2, s)) / nf))
+        field = (s, grid.u_points, x)
+        return G.__getitem__
 
-        def solve(F):
-            last.pop("field", None)   # the last eps's field goes first
-            G, info = reduced_resolvent(op, proj, n, n, z, F)
-            # the first probe's 2D field projects onto every other m
-            x = info["field"]
-            nf = np.sqrt(np.trapezoid(np.abs(F[0]) ** 2, s))
-            for m in offdiag:
-                offdiag[m].append(float(np.sqrt(np.trapezoid(
-                    np.abs(proj.project(x, m)) ** 2, s)) / nf))
-            last["field"] = (s, grid.u_points, x)
-            return lambda p: G[p]
-        return s, solve
+    def solve(line, eps_run, F):
+        return [solve_eps(line, eps, F) for eps in eps_run]
 
     def free_line(s, fs):
         """Discrete free 1D resolvent on the interior nodes s of a strip
@@ -632,9 +639,10 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
         return U[0]
 
     report = run_study(
-        predicted, alt, z, probes, eps_list, solver, error_threshold, free_line,
+        predicted, alt, z, probes, eps_list, (grid_at, solve), error_threshold,
+        free_line,
         notes=[f"variant={variant}; delta/eps fixed at "
                f"{sc.delta / sc.epsilon:.4g} (desk-scale protocol)"])
     report.offdiagonal = offdiag
-    report.probe_field = last["field"]
+    report.probe_field = field
     return report

@@ -161,6 +161,9 @@ def test_waveguide_check_small(tmp_path):
     ("waveguide-check", "z_re = -1\nz_im = 0\n", "z_im must be nonzero"),
     ("limit-check", "beta = 3.0\nerror_threshold = -1\n", "error_threshold"),
     ("waveguide-check", "error_threshold = 0\n", "error_threshold"),
+    # bump(14.5, 1.5) straddles the cap at s = 15.14 (z = i)
+    ("waveguide-check", "probe_center = 14.5\n",
+     "nonzero at the strip's Dirichlet caps s = +-15.142"),
 ], ids=["misspelt_bool", "waveguide_probe", "limit_probe", "waveguide_no_eps",
         "limit_no_eps", "zero_h_target", "negative_half_length",
         "limit_negative_eps", "limit_increasing_eps", "increasing_eps",
@@ -177,7 +180,7 @@ def test_waveguide_check_small(tmp_path):
         "waveguide_invalid_chart", "waveguide_negative_half_width",
         "waveguide_full_variant_rectangle", "limit_deformation_flips_coupling",
         "limit_real_z", "waveguide_real_z", "limit_negative_error_threshold",
-        "waveguide_zero_error_threshold"])
+        "waveguide_zero_error_threshold", "waveguide_probe_at_cap"])
 def test_study_commands_reject_bad_configs(tmp_path, capsys, command, cfg, key):
     code, out = run(tmp_path, command, cfg)
     assert code == 2

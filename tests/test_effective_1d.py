@@ -450,20 +450,27 @@ def test_convergence_study_solves_each_probe_once_per_eps(monkeypatch):
     assert report.transmission and report.vertex_residuals
 
 
-# (profile, beta, eps_list, distinct grids): h = min(4e-3, eps*width/50)
-# keeps the bump's grid for every eps, while the unit square's grid is
-# shared by eps = 0.4 and 0.3 and refined at 0.1 and again at 0.08
+# (profile, beta, eps_list, distinct grids, distinct (grid, core window
+# W) pairs): h = min(4e-3, eps*width/50) keeps the bump's grid for every
+# eps, while the unit square's grid is shared by eps = 0.4 and 0.3 and
+# refined at 0.1 and again at 0.08; on the bump's grid W is |s| <= 1 up
+# to eps 0.4, and wider at 0.6 and 0.8 (half-width 399, 299, 250 nodes)
 SWEEPS = {
-    "bump_shared_grid": (default_bump(), BUMP_BETA_STAR, [0.4, 0.2, 0.1], 1),
-    "square_grid_changes": (SQUARE_UNIT, -np.pi ** 2, [0.4, 0.3, 0.1, 0.08], 3),
-    "bump_decoupled": (default_bump(), 3.0, [0.4, 0.2, 0.1], 1),
+    "bump_shared_grid": (default_bump(), BUMP_BETA_STAR, [0.4, 0.2, 0.1], 1,
+                         1),
+    "square_grid_changes": (SQUARE_UNIT, -np.pi ** 2, [0.4, 0.3, 0.1, 0.08],
+                            3, 3),
+    "bump_decoupled": (default_bump(), 3.0, [0.4, 0.2, 0.1], 1, 1),
+    "bump_window_shrinks": (default_bump(), BUMP_BETA_STAR, [0.8, 0.6, 0.4],
+                            1, 3),
 }
 SWEEP_PROBES = [bump_probe(-4.0, 1.5), bump_probe(3.0, 1.0)]
 
 
-@pytest.mark.parametrize("sweep", ["bump_shared_grid", "square_grid_changes"])
+@pytest.mark.parametrize("sweep", ["bump_shared_grid", "square_grid_changes",
+                                   "bump_window_shrinks"])
 def test_sweep_entries_equal_one_eps_studies(sweep):
-    profile, beta, eps_list, _ = SWEEPS[sweep]
+    profile, beta, eps_list, *_ = SWEEPS[sweep]
     rep = convergence_study(profile, beta, 0.0, 1j, SWEEP_PROBES, eps_list,
                             h_target=4e-3)
     assert rep.predicted["kind"] == "scale_invariant"
@@ -502,7 +509,7 @@ def test_probe_block_study_is_the_max_over_one_probe_studies():
 @pytest.mark.parametrize("sweep", sorted(SWEEPS))
 def test_limit_side_is_computed_once_per_distinct_grid(monkeypatch, sweep):
     from robinwg import effective_1d, report
-    profile, beta, eps_list, n_grids = SWEEPS[sweep]
+    profile, beta, eps_list, n_grids, _ = SWEEPS[sweep]
     shared, free = [], []
 
     def counted_rows(specs, z, s):
@@ -535,26 +542,30 @@ def test_limit_side_is_computed_once_per_distinct_grid(monkeypatch, sweep):
     assert len(rep.errors) == len(rep.leakage) == len(eps_list)
 
 
-@pytest.mark.parametrize("sweep", ["bump_shared_grid", "square_grid_changes"])
-def test_sweep_builds_one_flat_exterior_per_distinct_grid(monkeypatch, sweep):
+@pytest.mark.parametrize("sweep", ["bump_shared_grid", "square_grid_changes",
+                                   "bump_window_shrinks"])
+def test_sweep_builds_one_flat_exterior_per_grid_and_window(monkeypatch,
+                                                            sweep):
     from robinwg import effective_1d
-    profile, beta, eps_list, n_grids = SWEEPS[sweep]
+    profile, beta, eps_list, _, n_exteriors = SWEEPS[sweep]
     built, alive = [], []
 
     def counted(op, z, f):
-        # the study lets each exterior go before it builds the next one
-        assert not any(ref() for ref in alive)
-        built.append(op.grid)
+        # no exterior of an earlier grid outlives its run; on one grid an
+        # earlier W's exterior stays with its eps's rows
+        assert not any(ref() for grid, ref in alive if grid != op.grid)
+        built.append((op.grid, effective_1d._core_half_width(op)))
         ext = flat_exterior(op, z, f)
-        alive.append(weakref.ref(ext))
+        alive.append((op.grid, weakref.ref(ext)))
         return ext
 
     monkeypatch.setattr(effective_1d, "flat_exterior", counted)
     convergence_study(profile, beta, 0.0, 1j, SWEEP_PROBES, eps_list,
                       h_target=4e-3)
-    # one per grid of the sweep, then one for the refined-grid control solve
-    assert len(built) == n_grids + 1
-    assert len(set(built[:-1])) == n_grids
+    # one per (grid, W) of the sweep, then one for the refined-grid
+    # control solve
+    assert len(built) == n_exteriors + 1
+    assert len(set(built[:-1])) == n_exteriors
 
 
 def test_two_grid_study_holds_one_grid_working_set():

@@ -29,11 +29,12 @@ def free_line(s, fs):
 
 def synthetic(limit, offset):
     """Backend returning the limit's output plus offset(eps) on a fixed grid,
-    row p of the block F for row(p)."""
-    def solver(eps):
-        return S, lambda F: lambda p: (resolvent_apply(limit, Z, S, F[p])
-                                       + offset(eps))
-    return solver
+    row p of the block F for each eps's row(p)."""
+    def solve(grid, eps_run, F):
+        assert grid == "S"
+        return [lambda p, eps=eps: resolvent_apply(limit, Z, S, F[p])
+                + offset(eps) for eps in eps_run]
+    return lambda eps: ("S", S), solve
 
 
 def test_linear_perturbation_converges_with_exponent_one():
@@ -48,15 +49,15 @@ def test_linear_perturbation_converges_with_exponent_one():
 def test_constant_offset_is_inconclusive_with_floor_note():
     seen = []
 
-    def floor(probe, g):
-        seen.append(probe)
+    def floor(probe, g, grid, eps):
+        seen.append((probe, grid, eps))
         return 2.5e-4
 
     solver = synthetic(FREE, lambda eps: 1e-3)
     rep = run_study(FREE, DECOUPLED, Z, [PROBE, bump_probe(4.0, 1.5)], EPS,
                     solver, 0.02, free_line, floor_estimate=floor)
     assert rep.verdict == VERDICT_INCONCLUSIVE
-    assert seen == [PROBE]
+    assert seen == [(PROBE, "S", EPS[-1])]
     assert rep.discretization_estimate == 2.5e-4
     assert len(rep.notes) == 1 and "floor estimate 0.00025" in rep.notes[0]
 
@@ -81,8 +82,11 @@ def test_transmission_with_fewer_than_three_eps_is_the_last_value():
     assert rep.transmission_extrapolated == rep.transmission[-1]
 
 
-def no_solve(eps):
-    raise AssertionError("no solve before the input checks")
+def no_grid(eps):
+    raise AssertionError("no grid before the input checks")
+
+
+no_solve = (no_grid, no_grid)
 
 
 @pytest.mark.parametrize("eps_list", [[], [0.1, 0.2], [0.2, 0.2, 0.1]])
@@ -103,12 +107,12 @@ def test_empty_probe_list_is_rejected_before_any_solve():
                          ids=["off_grid", "nan", "inf"])
 def test_probe_without_a_finite_positive_norm_is_rejected(bad):
     # its error would be 0/0: no verdict may rest on it
-    def solver(eps):
-        return S, lambda F: pytest.fail("no solve after the probe check")
+    def solve(grid, eps_run, F):
+        pytest.fail("no solve after the probe check")
 
     with pytest.raises(RobinwgError, match="probe 1 has sampled norm"):
-        run_study(FREE, DECOUPLED, Z, [PROBE, bad], EPS, solver, 0.02,
-                  free_line)
+        run_study(FREE, DECOUPLED, Z, [PROBE, bad], EPS,
+                  (lambda eps: ("S", S), solve), 0.02, free_line)
 
 
 

@@ -266,10 +266,12 @@ def test_block_call_holds_one_row_field_at_a_time(alpha):
 
 @pytest.mark.parametrize("alpha", [0.0, -2.0])
 def test_one_row_call_lets_the_band_storage_go(alpha):
-    # the band storage goes after zgbsv and the residual is formed in
-    # place: a one-row call at eps 0.2 on theorem_check's grid peaks at 6.49
-    # fields of n_si x (n_u + 1) complex numbers, below 7.0 (7.93 with the
-    # band storage and whole-field residual temporaries held)
+    # the band storage is Fortran-ordered, so zgbsv factors it in place,
+    # and it goes after zgbsv; the residual is formed in place: a one-row
+    # call at eps 0.2 on theorem_check's grid peaks at 5.23 fields of n_si
+    # x (n_u + 1) complex numbers, below 5.5 (6.49 with zgbsv factoring an
+    # f2py copy, 7.93 with the band storage and whole-field residual
+    # temporaries held)
     geom = bump_geometry(0.2, alpha=alpha)
     line = s_grid(geom.profile, 0.2, waveguide2d.s_half_length(Z))
     grid = Grid2D(line.half_length, line.n_cells, 32, 1.0)
@@ -277,7 +279,12 @@ def test_one_row_call_lets_the_band_storage_go(alpha):
     proj = ModeProjector(geom, grid, 1)
     f = bump_probe(-3.0, 1.0)(grid.s_interior)
     peak = traced_peak(lambda: reduced_resolvent(op, proj, 0, 0, Z, f))
-    assert peak < 7.0 * op.shape[0] * op.shape[1] * 16
+    assert peak < 5.5 * op.shape[0] * op.shape[1] * 16
+    nu = op.shape[1]
+    ab, b, _, _ = _core_system(op, proj, 0, Z, f[None].astype(complex))
+    lu, _, _, info = waveguide2d.lapack.zgbsv(nu, nu, ab, b, overwrite_ab=1,
+                                              overwrite_b=1)
+    assert info == 0 and np.shares_memory(lu, ab)
 
 
 def test_renormalisation_delta_independence():
