@@ -224,13 +224,10 @@ def _check_study(cfg):
     return complex(cfg["z_re"], cfg["z_im"])
 
 
-def _check_grid_size(profile, eps, half_length, h_max, n_u, cause, remedy):
-    """The s-grid at the smallest eps may hold MAX_UNKNOWNS unknowns per
-    probe: nodes in 1D (n_u None), interior columns times n_u + 1 in 2D;
-    a larger one is a config error naming the keys that set it."""
-    from .effective_1d import s_grid
-    n = s_grid(profile, eps, half_length, h_max).n_cells
-    size = n + 1 if n_u is None else (n - 1) * (n_u + 1)
+def _check_grid_size(size, eps, cause, remedy):
+    """The grid at the smallest eps may hold MAX_UNKNOWNS unknowns per
+    probe, `size`: nodes in 1D, interior columns times n_u + 1 in 2D; a
+    larger one is a config error naming the keys that set it."""
     if size > MAX_UNKNOWNS:
         raise ConfigError(
             f"{cause} give a grid of {size:,} unknowns per probe at "
@@ -281,13 +278,13 @@ def _emit_green_trace(report, out, cfg_raw, seed):
 
 
 def cmd_limit_check(cfg_raw, out, seed, override=None):
-    from .effective_1d import check_support, convergence_study
+    from .effective_1d import check_support, convergence_study, s_grid
     cfg = validate(cfg_raw, LIMIT_SCHEMA)
     profile = profile_from_config(cfg)
     z = _check_study(cfg)
-    L = cfg["half_length"]
-    _check_grid_size(profile, cfg["eps_list"][-1], L, cfg["h_target"], None,
-                     f"half_length = {L!r}, h_target = {cfg['h_target']!r}",
+    L, h, eps = cfg["half_length"], cfg["h_target"], cfg["eps_list"][-1]
+    _check_grid_size(s_grid(profile, eps, L, h).n_cells + 1, eps,
+                     f"half_length = {L!r}, h_target = {h!r}",
                      "lower half_length or raise h_target")
     probe = _probe_from(cfg, seed)
     _check_probe_ends(
@@ -328,21 +325,22 @@ WAVEGUIDE_SCHEMA = dict(PROFILE_SCHEMA, **{
 
 
 def cmd_waveguide_check(cfg_raw, out, seed, override=None):
-    from .waveguide2d import (FULL, SIMPLIFIED, Grid2D, resolve_n_max,
-                              s_half_length, theorem_check)
+    from .waveguide2d import (FULL, SIMPLIFIED, resolve_n_max, strip_grid,
+                              theorem_check)
     cfg = validate(cfg_raw, WAVEGUIDE_SCHEMA)
     profile = profile_from_config(cfg)
     z = _check_study(cfg)
-    _check_grid_size(profile, cfg["eps_list"][-1], s_half_length(z), np.inf,
-                     cfg["n_u"],
-                     f"z_re = {cfg['z_re']!r}, z_im = {cfg['z_im']!r}",
-                     "raise z_im or lower z_re")
     _check_transverse(cfg["d"], cfg["n"], "n")
-    try:    # n <= n_max, and n_u >= 16 resolves mode n_max at any s extent
+    eps = cfg["eps_list"][-1]
+    try:    # n <= n_max, and the smallest eps's grid resolves mode n_max
         n_max = resolve_n_max(cfg["n"], cfg["n_max"])
-        Grid2D(1.0, 8, cfg["n_u"], cfg["d"]).check_mode_resolution(n_max)
+        grid = strip_grid(profile, eps, z, cfg["n_u"], cfg["d"])
+        grid.check_mode_resolution(n_max)
     except RobinwgError as exc:
         raise ConfigError(str(exc)) from None
+    _check_grid_size((grid.n_s - 1) * (grid.n_u + 1), eps,
+                     f"z_re = {cfg['z_re']!r}, z_im = {cfg['z_im']!r}",
+                     "raise z_im or lower z_re")
     if cfg["variant"] not in (FULL, SIMPLIFIED):
         raise ConfigError(f"variant must be {FULL!r} or {SIMPLIFIED!r}, got "
                           f"{cfg['variant']!r}")
@@ -350,7 +348,7 @@ def cmd_waveguide_check(cfg_raw, out, seed, override=None):
                             delta_ratio=cfg["delta_ratio"])
     geometry = WaveguideGeometry(profile, cfg["d"], scaling, cfg["alpha"])
     probe = _probe_from(cfg, seed)
-    L = s_half_length(z)
+    L = grid.s_half_length
     _check_probe_ends(
         probe, L, f"the strip's Dirichlet caps s = +-{L!r}; every probe must "
         "vanish there: move or narrow the probe")

@@ -249,28 +249,22 @@ def _core_half_width(op: Discrete1DOperator) -> int:
 
 @dataclass(frozen=True, eq=False)
 class FlatExterior:
-    """The free problem outside the core window W for one grid, z and block
-    of `n_rows` rows: per side of W, (left, right), the rows nonzero there,
-    their particular solutions U and the Green column phi of the node next
-    to W (the other rows' particular solution is zero)."""
+    """The free problem outside the core window W, nodes i0 - k .. i0 + k
+    around the vertex node i0, for one block of rows: per side of W, (left,
+    right), the rows nonzero there, their particular solutions U and the
+    Green column phi of the node next to W (other rows have U = 0)."""
 
-    grid: Grid1D
-    z: complex
     k: int
-    n_rows: int
     rows: tuple
     U: tuple
     phi: tuple
 
 
-def flat_exterior(op: Discrete1DOperator, z, f_samples) -> FlatExterior:
-    """The flat exterior of (op.grid, z, f), f one row or a (probes, nodes)
-    block: the particular solutions from one `exterior_solve`, the Green
-    columns from `green_columns`, transparent far ends.  W depends on the
-    grid and op's potential only, so several eps on one grid can share an
-    exterior while their potentials sit inside the same W; the caller
-    decides when."""
-    F = np.atleast_2d(f_samples)
+def flat_exterior(op: Discrete1DOperator, z, F) -> FlatExterior:
+    """The flat exterior of op's W for the (probes, nodes) block F: the
+    particular solutions from one `exterior_solve`, the Green columns from
+    `green_columns`, transparent far ends.  W depends on the grid and op's
+    potential only (`_core_half_width`)."""
     i0, k = op.grid.n_cells // 2, _core_half_width(op)
     sides = (F[:, 1:i0 - k], F[:, i0 + k + 1:-1])
     rows = tuple(np.flatnonzero(np.any(side != 0, axis=1)) for side in sides)
@@ -279,18 +273,16 @@ def flat_exterior(op: Discrete1DOperator, z, f_samples) -> FlatExterior:
                        -outgoing_root(h, z) / h ** 2)
     phi_l, phi_r = (green_columns(h, z, side.shape[1], True)[0]
                     for side in sides)
-    return FlatExterior(op.grid, complex(z), k, len(F), rows, U,
-                        (phi_l[::-1], phi_r))
+    return FlatExterior(k, rows, U, (phi_l[::-1], phi_r))
 
 
-def resolvent_solve(op: Discrete1DOperator, z, f_samples,
-                    exterior: FlatExterior | None = None) -> np.ndarray:
+def resolvent_solve(op: Discrete1DOperator, z, f_samples) -> np.ndarray:
     """(H - z)^{-1} f on the infinite lattice, f one probe or a (probes,
-    nodes) block sampled on the full node set: a loop over the rows of one
-    `resolvent_solve_rows` call, so the output has f's shape and each row
-    equals its own solve bit for bit."""
+    nodes) block sampled on the full node set: a loop over the rows of a
+    one-operator `resolvent_solve_rows` call, so the output has f's shape
+    and each row equals its own solve bit for bit."""
     f = np.asarray(f_samples)
-    row = resolvent_solve_rows(op, z, f, exterior)
+    row, = resolvent_solve_rows([op], z, f)
     if f.ndim == 1:
         return row(0)
     G = np.empty(f.shape, dtype=complex)
@@ -299,53 +291,59 @@ def resolvent_solve(op: Discrete1DOperator, z, f_samples,
     return G
 
 
-def resolvent_solve_rows(op: Discrete1DOperator, z, f_samples,
-                         exterior: FlatExterior | None = None):
-    """The block core solve of (H - z)^{-1} f on the infinite lattice, by
-    the exact Schur split of W and its flat exterior, with transparent
-    ends; returns row(p), which assembles and checks row p's solution.
+def resolvent_solve_rows(ops, z, f_samples):
+    """The block core solves of (H - z)^{-1} f on the infinite lattice for
+    one run of operators on one grid (another grid raises RobinwgError),
+    taken one at a time, by the exact Schur split of each core window W
+    and its flat exterior, with transparent ends; returns one row(p) per
+    operator, which assembles and checks row p's solution.
 
     f is sampled on the full node set, one probe or a (probes, nodes)
-    block; f and op's potential must vanish at both end nodes
+    block; f and each operator's potential must vanish at both end nodes
     (GridResolutionError otherwise), as they do beyond s = +-L, so the
     lattice solution there is g_{i+1} = r g_i, r = `outgoing_root(h, z)`,
     and each end row takes the diagonal 2c - z - c r, c = 1/h^2.  Each row
     holds r times its neighbour at the end nodes, so the residual gate
-    below checks the operator that was solved.  Outside the core window W
-    each row is g = U + c g(edge) phi (`flat_exterior`, built here when
-    `exterior` is None), so W's tridiagonal takes the Schur corner terms
-    c^2 phi(edge) and the right-hand side c U(edge); a W that reaches the
-    end nodes takes the end term itself.  One LAPACK `gtsv` call solves all
-    rows on W, each bit for bit its own solve.  An `exterior` of another
-    grid, z, W or row count raises RobinwgError.  row(p) returns a fresh
-    whole-grid row and raises RobinwgError unless its residual is within
-    1e-12 of its own ||f|| (or of the backward-stable floor): so fails a
-    row of another block's exterior, or one that is not finite.  Between
-    rows the returned function holds W's solution block and diagonal, the
-    exterior and f, not op: outside W the potential is zero, so the gate's
-    diagonal there is the constant 2c - z, bit for bit `op.diagonal(z)`.
+    below checks the operator that was solved.  Outside W each row is g =
+    U + c g(edge) phi (`flat_exterior`, built for the first operator and
+    again wherever W changes), so W's tridiagonal takes the Schur corner
+    terms c^2 phi(edge) and the right-hand side c U(edge); a W that
+    reaches the end nodes takes the end term itself.  One LAPACK `gtsv`
+    call per operator solves all rows on W, each bit for bit its own
+    solve.  row(p) returns a fresh whole-grid row and raises RobinwgError
+    unless its residual is within 1e-12 of its own ||f|| (or of the
+    backward-stable floor): so fails a row of another block's exterior, or
+    one that is not finite.  Between rows each returned function holds its
+    W's solution block and diagonal, the exterior and f, not the operator:
+    outside W the potential is zero, so the gate's diagonal there is the
+    constant 2c - z, bit for bit `op.diagonal(z)`.
     """
     if complex(z).imag == 0:
         raise RobinwgError("resolvent_solve needs Im z != 0")
     f = np.asarray(f_samples)
-    grid = op.grid
-    if f.shape[-1:] != grid.points.shape or f.ndim > 2:
-        raise RobinwgError("f must be sampled on the full grid")
     F = np.atleast_2d(f)
-    if np.any(F[:, [0, -1]] != 0):
-        raise GridResolutionError(
-            f"f is nonzero at an end node s = +-{grid.half_length!r}: the "
-            "transparent ends need every source to vanish outside [-L, L]")
-    if np.any(op.potential[[0, -1]] != 0):
-        raise GridResolutionError(
-            f"the potential is nonzero at an end node s = "
-            f"+-{grid.half_length!r}: the transparent ends need it to "
-            "vanish outside [-L, L]")
-    ext = exterior or flat_exterior(op, z, F)
-    if ((ext.grid, ext.z, ext.k, ext.n_rows)
-            != (grid, complex(z), _core_half_width(op), len(F))):
-        raise RobinwgError("the flat exterior was built for another grid, "
-                           "z, core window or row count")
+    rows, grid, ext = [], None, None
+    for op in ops:
+        if grid not in (None, op.grid):
+            raise RobinwgError("the operators of one run must share one grid")
+        grid = op.grid
+        if f.shape[-1:] != grid.points.shape or f.ndim > 2:
+            raise RobinwgError("f must be sampled on the full grid")
+        for name, v in (("f", F), ("the potential", op.potential[None])):
+            if np.any(v[:, [0, -1]] != 0):
+                raise GridResolutionError(
+                    f"{name} is nonzero at an end node s = "
+                    f"+-{grid.half_length!r}: the transparent ends need it "
+                    "to vanish outside [-L, L]")
+        if ext is None or ext.k != _core_half_width(op):
+            ext = flat_exterior(op, z, F)
+        rows.append(_window_solve(op, z, F, ext))
+    return rows
+
+
+def _window_solve(op: Discrete1DOperator, z, F, ext: FlatExterior):
+    """One operator's block solve on W, and its row(p)."""
+    grid = op.grid
     h = grid.h
     c = 1.0 / h ** 2
     r = complex(outgoing_root(h, z))
@@ -476,15 +474,15 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
     solution, and run_study takes the error and leakage norms to infinity
     with the lattice's `outgoing_root`.  The default L = 8 holds |s| <= 1,
     the 2 < s < 6 transmission window and probes out to |s| = 8.  Each run
-    of eps on one grid is one call: it builds a flat exterior
-    (`flat_exterior`) for its first eps and again wherever the core window
-    W changes, and for each eps the operator, one block core solve
-    (`resolvent_solve_rows`) and its row(p); no row holds the operator, so
-    between rows an eps holds only W's solution block and diagonal, and
-    its exterior.  The transmission is measured against the continuum
-    free resolvent.  For a limit that couples the edges the first probe's
-    row of each eps fits that eps's vertex data, and the gluing conditions
-    are tested on them and on their eps -> 0 extrapolation.
+    of eps on one grid is one `resolvent_solve_rows` call, handed the
+    run's operators as they are built, which returns each eps's row(p)
+    and decides where the flat exterior is built; no row holds the
+    operator, so between rows an eps holds only its core window's solution
+    block and diagonal, and its exterior.  The transmission is measured
+    against the continuum free resolvent.  For a limit that couples the
+    edges the first probe's row of each eps fits that eps's vertex data,
+    and the gluing conditions are tested on them and on their eps -> 0
+    extrapolation.
     The discretisation estimate re-solves the first probe on a grid with h
     halved at the smallest eps, after run_study has let every array of the
     study go.  An eps with 1 + eps*b <= 0, where the deformation flips the
@@ -515,14 +513,9 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
         return g, g.points
 
     def solve(grid, eps_run, F):
-        rows, ext = [], None
-        for eps in eps_run:
-            op = build_h_n_eps(profile, beta, eps, b, grid)
-            if ext is None or ext.k != _core_half_width(op):
-                ext = flat_exterior(op, z, F)
-            rows.append(fitted(resolvent_solve_rows(op, z, F, ext),
-                               grid.points, eps))
-        return rows
+        ops = (build_h_n_eps(profile, beta, eps, b, grid) for eps in eps_run)
+        return [fitted(row, grid.points, eps) for eps, row
+                in zip(eps_run, resolvent_solve_rows(ops, z, F))]
 
     def floor_estimate(probe, g, grid, eps):
         fine = Grid1D(grid.half_length, 2 * grid.n_cells)
@@ -533,7 +526,7 @@ def convergence_study(profile: CurvatureProfile, beta: float, b: float, z,
     free = GraphOperatorSpec.free()
     report = run_study(
         predicted, alt, z, f, eps_list, (grid_at, solve), error_threshold,
-        lambda s, fs: resolvent_apply(free, z, s, fs),
+        lambda grid, fs: resolvent_apply(free, z, grid.points, fs),
         floor_estimate=floor_estimate, outgoing=lambda h: outgoing_root(h, z))
     report.vertex_residuals = [vertex_condition_residuals(predicted, vd)
                                for vd in vdata]

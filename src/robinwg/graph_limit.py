@@ -174,27 +174,20 @@ def resolvent_apply(spec, z, s_grid, f_samples):
     are accumulated by a recursion over the cells that touch f's support,
     so the only error is the linear interpolation of f (O(h^2)) and the
     grid truncation of its support.
-    f is one row sampled on the grid or a (probes, nodes) block; each
-    output has f's shape, every row equal bit for bit to its own call: a
-    loop over the rows of one `resolvent_apply_rows` form.  `spec` may be a
-    sequence of GraphOperatorSpec, giving a list of outputs equal bit for
-    bit to separate calls.
+    f is one row sampled on the grid or a (probes, nodes) block; the output
+    has f's shape, every row equal bit for bit to its own call: a loop over
+    the rows of one `resolvent_apply_rows` form.
     """
     s = np.asarray(s_grid, dtype=float)
     f = np.asarray(f_samples)
     if s.ndim != 1 or f.ndim > 2 or f.shape[-1:] != s.shape:
         raise RobinwgError("grid/sample shape mismatch")
-    single = isinstance(spec, GraphOperatorSpec)
-    specs = [spec] if single else list(spec)
-    row = resolvent_apply_rows(specs, z, s)
+    row = resolvent_apply_rows([spec], z, s)
     F = np.atleast_2d(f)
-    outs = [np.empty(F.shape, dtype=complex) for _ in specs]
+    out = np.empty(F.shape, dtype=complex)
     for p, fr in enumerate(F):
-        for out, lim in zip(outs, row(fr)):
-            out[p] = lim
-    if f.ndim == 1:
-        outs = [out[0] for out in outs]
-    return outs[0] if single else outs
+        out[p], = row(fr)
+    return out[0] if f.ndim == 1 else out
 
 
 def resolvent_apply_rows(specs, z, s_grid):

@@ -175,9 +175,9 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
     limit rows, then its row of every eps, each error folded into that
     eps's max.  The first probe, when it lies left of the vertex, gives the
     leakage past s = 1 and, for a limit that couples the edges, the
-    transmission: the mean of g / free_line(s, f) over 2 < s < 6,
-    extrapolated linearly to eps = 0 from three or more eps, else the last
-    value.
+    transmission: the mean of g / free_line(grid, f) over 2 < s < 6, f its
+    samples on s, extrapolated linearly to eps = 0 from three or more eps,
+    else the last value.
     `floor_estimate(probe, g, grid, eps)` gets the first probe, a copy of
     its solution at the smallest eps, the last run's grid and that eps; its
     value is reported as the discretisation estimate.  The driver holds one
@@ -219,7 +219,7 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
                                    + _end_tail(g[-1], lim[-1], *rqh))
         mass_left = np.trapezoid(np.abs(F[0][s < 0]) ** 2, s[s < 0])
         left = mass_left > (1 - 1e-12) * norms[0] ** 2
-        ref = (free_line(s, F[0])
+        ref = (free_line(grid, F[0])
                if left and predicted.kind != DECOUPLED else None)
         rows = solve(grid, eps_run, F)
         errs = [[0.0] * len(rows), [0.0] * len(rows)]

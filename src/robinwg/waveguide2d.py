@@ -35,7 +35,7 @@ machine level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -67,7 +67,8 @@ def s_half_length(z) -> float:
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Tensor grid: s uniform on [-L, L] (Dirichlet caps), u on [-d, d]."""
+    """Tensor grid: s on `line`, the Grid1D of n_s cells on [-L, L] whose
+    end nodes are the strip's Dirichlet caps, and u on [-d, d]."""
 
     s_half_length: float
     n_s: int               # s cells, even so s = 0 is a node
@@ -82,21 +83,22 @@ class Grid2D:
         if self.s_half_length <= 0 or self.d <= 0:
             raise GridResolutionError("lengths must be positive")
 
+    @cached_property
+    def line(self) -> Grid1D:
+        """The s-axis, whose read-only nodes are built once per grid."""
+        return Grid1D(self.s_half_length, self.n_s)
+
     @property
     def h_s(self):
-        return 2 * self.s_half_length / self.n_s
+        return self.line.h
 
     @property
     def h_u(self):
         return 2 * self.d / self.n_u
 
     @property
-    def s_points(self):
-        return np.linspace(-self.s_half_length, self.s_half_length, self.n_s + 1)
-
-    @property
     def s_interior(self):
-        return self.s_points[1:-1]
+        return self.line.points[1:-1]
 
     @property
     def u_points(self):
@@ -114,6 +116,13 @@ class Grid2D:
             raise GridResolutionError(
                 f"n_u = {self.n_u} under-resolves transverse mode {n_max}; "
                 f"n_u >= {8 * (n_max + 1)} resolves it")
+
+
+def strip_grid(profile, eps: float, z, n_u: int, d: float) -> Grid2D:
+    """The strip's grid at eps, the one place it is sized: s on [-L, L],
+    L = `s_half_length(z)`, with `s_grid`'s cells, and n_u cells on [-d, d]."""
+    line = s_grid(profile, eps, s_half_length(z))
+    return Grid2D(line.half_length, line.n_cells, n_u, d)
 
 
 @dataclass(frozen=True)
@@ -326,7 +335,7 @@ def build_waveguide(geometry: WaveguideGeometry, variant: str,
         # conservative -d/ds a(s,u) d/ds, a = (1 + u eta)^-2, midpoint fluxes,
         # against the flat a = 1; the core's outer midpoints (and the
         # Dirichlet cap cells) lie in the flat region where a = 1
-        s_all = grid.s_points[core.start:core.stop + 2]
+        s_all = grid.line.points[core.start:core.stop + 2]
         smid = 0.5 * (s_all[:-1] + s_all[1:])
         a_mid = 1.0 / (1.0 + np.outer(geometry.eta(smid), u)) ** 2
         aL, aR = a_mid[:-1, :], a_mid[1:, :]
@@ -583,44 +592,49 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
                   error_threshold: float = 0.05) -> ConvergenceReport:
     """Reduced-resolvent convergence of the 2D operator against the graph limit.
 
-    The 2D backend of `report.run_study`: each eps of a run gets the given
-    geometry at that eps (its a or delta_ratio, and b, kept), its operator
-    and projector, and r_{n,n} of the whole probe block from one
-    `reduced_resolvent` call, whose rows run_study compares with the limit
-    predicted by the resonance analysis of beta_n gamma^2; the operator and
-    projector go with their eps.  The transmission is measured against the
-    discrete free line resolvent on the same s grid, whose step free_line
-    takes from the grid it is handed.  The first probe's 2D field gives the
-    off-diagonal norms ||r_{m,n} f|| / ||f|| for every other m <= n_max,
-    and at the last eps rides on the report as `probe_field`; each eps's
-    field goes before the next eps solves.
+    The 2D backend of `report.run_study`: each eps gets `strip_grid`'s
+    grid, the given geometry at that eps (its a or delta_ratio, and b,
+    kept), its operator and projector, and r_{n,n} of the whole probe block
+    from one `reduced_resolvent` call, whose rows run_study compares with
+    the limit predicted by the resonance analysis of beta_n gamma^2, at
+    the 1D b of 2b: the operator scales gamma by sqrt(1 + 2 eps b).  The
+    operator and projector go with their eps.  A probe nonzero at the
+    Dirichlet caps s = +-`s_half_length(z)` raises GridResolutionError
+    before any solve.  The transmission is measured against the discrete
+    free line resolvent on the run's grid.  The first probe's 2D field
+    gives the off-diagonal norms ||r_{m,n} f|| / ||f|| for every other
+    m <= n_max, and at the last eps rides on the report as `probe_field`;
+    each eps's field goes before the next eps solves.
     """
     n_max = resolve_n_max(n, n_max)
     sc = geometry.scaling
     sc.require_convergence_regime()
+    L = s_half_length(z)
+    for probe in [probes] if callable(probes) else probes:
+        if np.any(probe(np.array([-L, L]))):
+            raise GridResolutionError("a probe is nonzero at the strip's "
+                                      f"Dirichlet caps s = +-{L!r}")
 
     beta_n = perturbation_coefficients(geometry.alpha, geometry.d, n).beta
-    predicted, alt = predicted_limit(geometry.profile, beta_n, sc.b)
+    predicted, alt = predicted_limit(geometry.profile, beta_n, 2 * sc.b)
 
     offdiag = {m: [] for m in range(n_max + 1) if m != n}
     field = None
 
     def grid_at(eps):
-        line = s_grid(geometry.profile, eps, s_half_length(z))
-        return line, line.points[1:-1]
+        grid = strip_grid(geometry.profile, eps, z, n_u, geometry.d)
+        return grid, grid.s_interior
 
-    def solve_eps(line, eps, F):
+    def solve_eps(grid, eps, F):
         """p -> row p of r_{n,n} F at eps; sets `field` to probe 0's."""
         nonlocal field
         field = None              # the last eps's field goes first
         geo = replace(geometry, scaling=replace(sc, epsilon=eps))
-        grid = Grid2D(line.half_length, line.n_cells, n_u, geometry.d)
-        s = line.points[1:-1]
         op = build_waveguide(geo, variant, n_max, grid)
         proj = ModeProjector(geo, grid, n_max)
         G, info = reduced_resolvent(op, proj, n, n, z, F)
         # the first probe's 2D field projects onto every other m
-        x = info["field"]
+        x, s = info["field"], grid.s_interior
         nf = np.sqrt(np.trapezoid(np.abs(F[0]) ** 2, s))
         for m in offdiag:
             offdiag[m].append(float(np.sqrt(np.trapezoid(
@@ -628,14 +642,13 @@ def theorem_check(geometry: WaveguideGeometry, n: int, z, probes, eps_list,
         field = (s, grid.u_points, x)
         return G.__getitem__
 
-    def solve(line, eps_run, F):
-        return [solve_eps(line, eps, F) for eps in eps_run]
+    def solve(grid, eps_run, F):
+        return [solve_eps(grid, eps, F) for eps in eps_run]
 
-    def free_line(s, fs):
-        """Discrete free 1D resolvent on the interior nodes s of a strip
-        line, with its Dirichlet caps: the exterior of an empty core."""
-        h = Grid1D(s_half_length(z), len(s) + 1).h
-        U, _ = exterior_solve(h, complex(z), fs[None], fs[None, :0], 0.0)
+    def free_line(grid, fs):
+        """The strip's discrete free line resolvent: an empty core's exterior."""
+        U, _ = exterior_solve(grid.h_s, complex(z), fs[None], fs[None, :0],
+                              0.0)
         return U[0]
 
     report = run_study(

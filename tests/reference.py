@@ -170,7 +170,7 @@ def full_grid_matrix(op):
         A = A + sp.diags(np.repeat(-gscaled ** 2 / (4 * eps ** 2), nu)
                          * np.tile(wu, nsi))
     else:
-        s_all = grid.s_points
+        s_all = grid.line.points
         smid = 0.5 * (s_all[:-1] + s_all[1:])
         a_mid = 1.0 / (1.0 + np.outer(geometry.eta(smid), u)) ** 2
         aL, aR = a_mid[:-1, :], a_mid[1:, :]

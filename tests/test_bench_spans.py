@@ -77,3 +77,38 @@ def test_every_result_hook_reads_the_real_output():
         "waveguide2d.nnz": op.matrix.nnz,
         "waveguide2d.gmres_iterations": 0,
     }
+
+
+def test_installed_tracer_counts_a_small_study_and_solve():
+    # the wrappers and hooks run on real calls, as `bench/run.py --trace 1`
+    # runs them: a signature or result they cannot take fails here
+    from robinwg import effective_1d, waveguide2d
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        effective_1d.convergence_study(default_bump(), 3.0, 0.0, 1j,
+                                       bump_probe(-4.0, 1.5), [0.4, 0.2],
+                                       h_target=4e-3)
+        geometry = WaveguideGeometry(
+            default_bump(), 1.0, ScalingParams(epsilon=0.4, delta_ratio=0.05))
+        grid = waveguide2d.Grid2D(6.0, 800, 16, 1.0)
+        op = waveguide2d.build_waveguide(geometry, FULL, 1, grid)
+        waveguide2d.reduced_resolvent(
+            op, waveguide2d.ModeProjector(geometry, grid, 1), 0, 0, 1j,
+            np.exp(-(grid.s_interior + 3.0) ** 2))
+    finally:
+        tracer.uninstall()
+    calls = tracer.calls
+    assert calls["effective_1d.convergence_study"] == 1
+    assert calls["effective_1d.build_h_n_eps"] == 3     # two eps, the floor
+    assert calls["effective_1d.resolvent_solve"] == 1   # the floor's solve
+    assert tracer.counters["effective_1d.unknowns"] > 0
+    assert calls["waveguide2d.build_waveguide"] == 1
+    assert calls["waveguide2d.ModeProjector"] == 1
+    assert calls["waveguide2d.reduced_resolvent"] == 1
+    assert tracer.counters["waveguide2d.nnz"] == op.matrix.nnz
+    assert calls["geometry.sample"] > 0
+    # uninstall put the originals back
+    assert effective_1d.convergence_study.__module__ == "robinwg.effective_1d"
+    assert not hasattr(effective_1d.convergence_study, "__wrapped__")

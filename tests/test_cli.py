@@ -231,6 +231,44 @@ def test_z_near_the_positive_axis_is_rejected_before_any_solve(
     assert not list(out.glob("*"))
 
 
+def test_waveguide_pre_checks_run_on_the_studys_smallest_eps_grid(
+        tmp_path, monkeypatch):
+    # the unknowns, mode resolution and cap checks size no grid of their
+    # own: theirs is the one theorem_check solves on at the smallest eps
+    from robinwg import waveguide2d
+    sized = []
+    strip_grid = waveguide2d.strip_grid
+
+    def recorded(profile, eps, *args):
+        sized.append((eps, strip_grid(profile, eps, *args)))
+        return sized[-1][1]
+
+    monkeypatch.setattr(waveguide2d, "strip_grid", recorded)
+    code, _ = run(tmp_path, "waveguide-check", "eps_list = 0.4,0.2,0.1\n")
+    assert code == 0
+    assert [eps for eps, _ in sized] == [0.1, 0.4, 0.2, 0.1]
+    assert sized[0][1] == sized[-1][1]
+
+
+def test_waveguide_check_builds_one_s_node_array_per_eps(tmp_path,
+                                                         monkeypatch):
+    # the strip's nodes are its grid's, built once: counted as the linspace
+    # calls that start at the cap s = -15.142 (z = i)
+    from robinwg.waveguide2d import s_half_length
+    starts = []
+    linspace = np.linspace
+
+    def counted(start, *args, **kwargs):
+        starts.append(start)
+        return linspace(start, *args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", counted)
+    code, _ = run(tmp_path, "waveguide-check",
+                  "eps_list = 0.4,0.2,0.1\ndump_field = true\n")
+    assert code == 0
+    assert starts.count(-s_half_length(1j)) == 3
+
+
 def test_limit_check_near_the_positive_axis_runs_on_the_probe_window(
         tmp_path):
     # the 1D grid spans [-half_length, half_length] whatever z is, and its

@@ -423,18 +423,19 @@ def test_vertex_residual_decoupled():
 def test_convergence_study_solves_each_probe_once_per_eps(monkeypatch):
     from robinwg import effective_1d
     calls, rows = [], []
-    solve_rows = effective_1d.resolvent_solve_rows
+    window_solve = effective_1d._window_solve
 
-    def counted(op, z, f, exterior=None):
-        calls.append(np.shape(f))
-        row, call = solve_rows(op, z, f, exterior), len(calls) - 1
+    def counted(op, z, F, ext):
+        # one block core solve on W
+        calls.append(F.shape)
+        row, call = window_solve(op, z, F, ext), len(calls) - 1
 
         def counted_row(p):
             rows.append((call, p))
             return row(p)
         return counted_row
 
-    monkeypatch.setattr(effective_1d, "resolvent_solve_rows", counted)
+    monkeypatch.setattr(effective_1d, "_window_solve", counted)
     probes = [bump_probe(-4.0, 1.5), bump_probe(-4.0, 0.8),
               bump_probe(-2.75, 1.5)]
     eps_list = [0.4, 0.2]
@@ -442,8 +443,7 @@ def test_convergence_study_solves_each_probe_once_per_eps(monkeypatch):
                                probes, eps_list, h_target=4e-3)
     # one block core solve per eps, plus the refined-grid control solve
     assert len(calls) == len(eps_list) + 1
-    assert [c[0] for c in calls[:-1]] == [len(probes)] * len(eps_list)
-    assert len(calls[-1]) == 1
+    assert [c[0] for c in calls] == [len(probes)] * len(eps_list) + [1]
     # each probe's row of each solve is assembled once
     assert sorted(rows) == [(i, p) for i in range(len(eps_list))
                             for p in range(len(probes))] + [(len(eps_list), 0)]
@@ -716,53 +716,47 @@ def test_resolvent_solve_equals_whole_grid_banded_solve(case):
     G = resolvent_solve(op, z, F)
     for g, r in zip(G, ref):
         assert np.max(np.abs(g - r)) <= 1e-10 * np.max(np.abs(r))
-    # a given exterior serves its own grid, z and row count only
-    ext = flat_exterior(op, z, F)
-    assert np.array_equal(resolvent_solve(op, z, F, ext), G)
-    with pytest.raises(RobinwgError, match="exterior"):
-        resolvent_solve(op, z + 0.5, F, ext)
-    with pytest.raises(RobinwgError, match="exterior"):
-        resolvent_solve(op, z, F[:1], ext)
 
 
-def test_exterior_follows_the_window():
-    # eps * support radius crosses |s| = 1 between 0.4 and 0.8, so W grows
-    # and the exterior of eps 0.4 no longer fits
+def test_exterior_follows_the_window(monkeypatch):
+    # eps * support radius crosses |s| = 1 between 0.4 and 0.8, so W grows:
+    # eps 0.2 and 0.4 share one exterior and eps 0.8 builds its own
     grid = Grid1D(8.0, 1600)
     F = np.array([bump_probe(-3.0, 1.5)(grid.points)])
     ops = [build_h_n_eps(default_bump(), 2.0, eps, 0.0, grid)
            for eps in (0.2, 0.4, 0.8)]
-    ext = flat_exterior(ops[0], 1j, F)
-    assert np.array_equal(resolvent_solve(ops[1], 1j, F, ext),
-                          resolvent_solve(ops[1], 1j, F))
-    with pytest.raises(RobinwgError, match="exterior"):
-        resolvent_solve(ops[2], 1j, F, ext)
+    built = []
+
+    def counted(op, z, f):
+        built.append(op)
+        return flat_exterior(op, z, f)
+
+    monkeypatch.setattr(effective_1d, "flat_exterior", counted)
+    rows = resolvent_solve_rows(iter(ops), 1j, F)
+    assert len(built) == 2
+    assert built[0] is ops[0] and built[1] is ops[2]
+    for op, row in zip(ops, rows):
+        assert np.array_equal(row(0), resolvent_solve(op, 1j, F)[0])
 
 
-@pytest.mark.parametrize("other", ["grid", "z", "window"])
-def test_resolvent_solve_rejects_an_exterior_of_another_grid_z_or_window(
-        other):
-    grid = Grid1D(8.0, 1600)
-    eps = {"window": 0.8}.get(other, 0.4)
-    theirs = Grid1D(8.0, 1602) if other == "grid" else grid
-    z = 0.7 + 1.3j if other == "z" else 1j
-    op = build_h_n_eps(default_bump(), 2.0, 0.4, 0.0, grid)
-    ext = flat_exterior(build_h_n_eps(default_bump(), 2.0, eps, 0.0, theirs),
-                        z, bump_probe(-3.0, 1.5)(theirs.points))
-    with pytest.raises(RobinwgError, match="exterior"):
-        resolvent_solve(op, 1j, bump_probe(-3.0, 1.5)(grid.points), ext)
+def test_run_on_two_grids_raises():
+    ops = [build_h_n_eps(default_bump(), 2.0, 0.4, 0.0, Grid1D(8.0, n))
+           for n in (1600, 1602)]
+    F = bump_probe(-3.0, 1.5)(ops[0].grid.points)
+    with pytest.raises(RobinwgError, match="share one grid"):
+        resolvent_solve_rows(ops, 1j, F)
 
 
-def test_exterior_of_another_block_fails_the_residual_gate():
+def test_exterior_of_another_block_fails_the_residual_gate(monkeypatch):
     # same grid, z, W and row count: only the residual check can tell
     grid = Grid1D(8.0, 1600)
     op = build_h_n_eps(default_bump(), 2.0, 0.4, 0.0, grid)
     F = np.array([bump_probe(c, 1.0)(grid.points) for c in (-4.0, 3.0)])
-    ext = flat_exterior(op, 1j, F[::-1])
+    resolvent_solve(op, 1j, F)          # its own block's exterior passes
+    monkeypatch.setattr(effective_1d, "flat_exterior",
+                        lambda op, z, f: flat_exterior(op, z, f[::-1]))
     with pytest.raises(RobinwgError, match="banded solve residual"):
-        resolvent_solve(op, 1j, F, ext)
-    assert np.array_equal(resolvent_solve(op, 1j, F[::-1], ext),
-                          resolvent_solve(op, 1j, F[::-1]))
+        resolvent_solve(op, 1j, F)
 
 
 def test_grid_points_are_built_once_and_read_only():
@@ -770,6 +764,13 @@ def test_grid_points_are_built_once_and_read_only():
     assert grid.points is grid.points
     with pytest.raises(ValueError):
         grid.points[0] = 1.0
+    # the strip's s-axis is a Grid1D: its nodes too
+    strip = Grid2D(4.0, 400, 16, 1.0)
+    assert strip.line is strip.line and strip.line == grid
+    assert np.shares_memory(strip.s_interior, strip.line.points)
+    for nodes in (strip.line.points, strip.s_interior):
+        with pytest.raises(ValueError):
+            nodes[0] = 1.0
 
 
 BLOCK_GRID = Grid1D(12.0, 2400)
@@ -802,10 +803,10 @@ def test_row_forms_equal_the_block_calls_rows(probes, z, theta, b_hat):
     op = build_h_n_eps(default_bump(), -3.0, 0.5, 0.0, BLOCK_GRID)
     s = BLOCK_GRID.points
     F = np.array([bump_probe(c, w)(s) for c, w in probes])
-    limits = resolvent_apply(specs, z, s, F)
+    limits = [resolvent_apply(spec, z, s, F) for spec in specs]
     limit_row = resolvent_apply_rows(specs, z, s)
     G = resolvent_solve(op, z, F)
-    row = resolvent_solve_rows(op, z, F)
+    row, = resolvent_solve_rows([op], z, F)
     for p, f in enumerate(F):
         for lim, want in zip(limit_row(f), limits):
             assert np.array_equal(lim, want[p])

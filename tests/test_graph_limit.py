@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from robinwg.effective_1d import bump_probe
 from robinwg.errors import BranchError, RobinwgError
 from robinwg.graph_limit import (GraphOperatorSpec, green_function,
-                                 resolvent_apply, scattering_matrix,
-                                 sqrt_upper)
+                                 resolvent_apply, resolvent_apply_rows,
+                                 scattering_matrix, sqrt_upper)
 
 INV = 1 / np.sqrt(2)
 
@@ -430,11 +430,11 @@ def test_shared_moment_pass_equals_separate_calls(theta, b_hat, r, phi, center,
     specs = [kinds[i] for i in order]
     s = np.linspace(-7.0, 7.0, 1401)
     f = bump_probe(center, 1.2)(s) + 0.5j * bump_probe(-center, 0.8)(s)
-    outs = resolvent_apply(specs, z, s, f)
+    outs = resolvent_apply_rows(specs, z, s)(f)
     assert len(outs) == len(specs)
     for spec, out in zip(specs, outs):
         assert np.array_equal(out, resolvent_apply(spec, z, s, f))
-    assert resolvent_apply((), z, s, f) == []
+    assert resolvent_apply_rows((), z, s)(f) == []
 
 
 @settings(max_examples=50, deadline=None)
@@ -452,14 +452,15 @@ def test_block_resolvent_apply_equals_row_calls(rows, z, theta, b_hat):
     s = np.linspace(-8.0, 8.0, 1601)
     F = np.array([np.zeros_like(s) if r is None else bump_probe(*r)(s)
                   for r in rows])
-    outs = resolvent_apply(specs, z, s, F)
+    outs = [resolvent_apply(spec, z, s, F) for spec in specs]
     assert [out.shape for out in outs] == [F.shape] * len(specs)
-    for spec, out in zip(specs, outs):
-        assert np.array_equal(out, resolvent_apply(spec, z, s, F))
-        for f, g in zip(F, out):
+    row = resolvent_apply_rows(specs, z, s)
+    for p, f in enumerate(F):
+        for spec, out, lim in zip(specs, outs, row(f)):
             one = resolvent_apply(spec, z, s, f)
             assert one.shape == s.shape
-            assert np.array_equal(g, one)
+            assert np.array_equal(out[p], one)
+            assert np.array_equal(lim, one)
 
 
 def _masked_resolvent_apply(spec, z, s, f):

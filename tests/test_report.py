@@ -23,8 +23,9 @@ DECOUPLED = GraphOperatorSpec.decoupled()
 H = 1e-3 * np.cos(S)
 
 
-def free_line(s, fs):
-    return resolvent_apply(FREE, Z, s, fs)
+def free_line(grid, fs):
+    assert grid == "S"
+    return resolvent_apply(FREE, Z, S, fs)
 
 
 def synthetic(limit, offset):

@@ -6,7 +6,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, eigh_tridiagonal
 
 from robinwg.effective_1d import bump_probe, s_grid
-from robinwg.errors import BracketingError, ProfileError, RobinwgError
+from robinwg.errors import (BracketingError, GridResolutionError,
+                            ProfileError, RobinwgError)
 from robinwg.geometry import (RECTANGULAR, SMOOTH_BUMP, TABULATED,
                               CurvatureProfile, ScalingParams,
                               WaveguideGeometry, default_bump)
@@ -254,8 +255,7 @@ def test_block_call_holds_one_row_field_at_a_time(alpha):
     # held, 2.04 with every mode's exterior solution held for every row,
     # 3.7 with every row's M F and field held too)
     geom = bump_geometry(0.2, alpha=alpha)
-    line = s_grid(geom.profile, 0.2, waveguide2d.s_half_length(Z))
-    grid = Grid2D(line.half_length, line.n_cells, 32, 1.0)
+    grid = waveguide2d.strip_grid(geom.profile, 0.2, Z, 32, 1.0)
     op = build_waveguide(geom, FULL, 1, grid)
     proj = ModeProjector(geom, grid, 1)
     si = grid.s_interior
@@ -273,8 +273,7 @@ def test_one_row_call_lets_the_band_storage_go(alpha):
     # f2py copy, 7.93 with the band storage and whole-field residual
     # temporaries held)
     geom = bump_geometry(0.2, alpha=alpha)
-    line = s_grid(geom.profile, 0.2, waveguide2d.s_half_length(Z))
-    grid = Grid2D(line.half_length, line.n_cells, 32, 1.0)
+    grid = waveguide2d.strip_grid(geom.profile, 0.2, Z, 32, 1.0)
     op = build_waveguide(geom, FULL, 1, grid)
     proj = ModeProjector(geom, grid, 1)
     f = bump_probe(-3.0, 1.0)(grid.s_interior)
@@ -533,6 +532,38 @@ def test_theorem_dichotomy_tuned_vs_detuned_profile():
                                 n_max=1, n_u=24, variant=FULL)
     assert rep_detuned.predicted["kind"] == "decoupled"
     assert rep_detuned.errors[-1] < rep_detuned.alt_errors[-1]
+
+
+def test_deformed_resonant_study_is_predicted_with_the_operators_deformation():
+    # the operator scales gamma by sqrt(1 + 2 eps b), a 1D coupling
+    # beta_n (1 + 2 eps b): the prediction takes b_hat at the 1D b = 2b.
+    # The bump of half-width 2 tuned to resonate at alpha = -2, n = 0, with
+    # b = 1: predicted with the 1D b = 1 (b_hat -0.982) its errors read
+    # 0.0137, 0.0148, 0.0154, inconclusive
+    from robinwg.report import VERDICT_MATCH, predicted_limit
+    from robinwg.transverse import perturbation_coefficients
+    beta0 = perturbation_coefficients(-2.0, 1.0, 0).beta
+    tuned = CurvatureProfile(SMOOTH_BUMP, half_width=2.0, amplitude=float(
+        np.sqrt(-7.647474116758 * 1.5 ** 2 / beta0)))
+    geom = WaveguideGeometry(tuned, 1.0, ScalingParams(
+        epsilon=0.4, b=1.0, delta_ratio=0.05), -2.0)
+    rep = theorem_check(geom, 0, Z, bump_probe(-4.0, 1.5), [0.4, 0.2, 0.1])
+    assert rep.predicted == predicted_limit(tuned, beta0, 2.0)[0].to_dict()
+    assert rep.predicted["kind"] == "deformed"
+    assert abs(rep.predicted["b_hat"] + 1.9638) < 1e-4
+    assert rep.verdict == VERDICT_MATCH
+
+
+def test_theorem_check_rejects_a_probe_at_the_caps(monkeypatch):
+    # bump(14.5, 1.5) straddles the cap at s = 15.14 (z = i): no solve runs
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran past the cap check")
+
+    monkeypatch.setattr(waveguide2d, "build_waveguide", no_solve)
+    with pytest.raises(GridResolutionError, match="Dirichlet caps"):
+        theorem_check(bump_geometry(0.4), 0, Z,
+                      [bump_probe(-4.0, 1.5), bump_probe(14.5, 1.5)],
+                      [0.4, 0.2], n_u=24)
 
 
 @settings(max_examples=300, deadline=None)
