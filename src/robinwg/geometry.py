@@ -103,8 +103,7 @@ class CurvatureProfile:
         A rectangle is the amplitude on its closed support, judged on the
         floats of `support` (lo <= s <= hi) rather than on
         |s - center| / half_width <= 1, whose rounding can move an edge by
-        an ulp either way.  A stepper that evaluates at the support edges
-        thus sees the well's value there, not a jump to zero.
+        an ulp either way.
         """
         s_arr = np.asarray(s, dtype=float)
         scalar = s_arr.ndim == 0
@@ -144,28 +143,6 @@ class CurvatureProfile:
             m = (s_arr > lo) & (s_arr < hi)
             out[m] = self._spline(s_arr[m], order)
         return out[0] if scalar else out
-
-    def squared_at(self, s: float) -> float:
-        """gamma(s)^2 at one point: bit for bit `sample(s) ** 2`, no arrays.
-
-        The scalar path of the zero-energy right-hand side, evaluated once
-        per ODE stage; it repeats `sample`'s arithmetic (np.exp included) so
-        the rounding is the same, and its membership test: a rectangle is
-        the amplitude on its closed support, lo <= s <= hi on the floats of
-        `support`.
-        """
-        if self.kind == SMOOTH_BUMP:
-            t = (s - self.center) / self.half_width
-            if not abs(t) < 1.0:
-                return 0.0
-            g = self.amplitude * np.exp(-1.0 / (1.0 - t * t))
-        else:
-            lo, hi = self.support
-            if not lo <= s <= hi:
-                return 0.0
-            g = (float(self.amplitude) if self.kind == RECTANGULAR
-                 else float(self._spline(s)))
-        return float(g * g)
 
     def sample_squared(self, s, h):
         """gamma^2 at the nodes s of a lattice of step h.

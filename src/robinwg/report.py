@@ -185,6 +185,10 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
     row functions hold, and one probe's limit and solution rows.  The old
     run's arrays go before the next run's probe block is sampled, and every
     array but the last grid's before the floor estimate runs.
+    The verdict is a mismatch when the competitor's error is the smaller
+    at the last eps and the ratio of predicted to competitor error does
+    not fall over the last two eps; a falling ratio (a shrinking lead) is
+    inconclusive, with a note of the eps where its power law crosses 1.
     """
     eps_list = list(eps_list)
     if not eps_list or any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
@@ -259,6 +263,19 @@ def run_study(predicted: GraphOperatorSpec, alt: GraphOperatorSpec, z, probes,
                      "exponent need two or more")
     elif not errors[-1] < alt_errors[-1]:
         verdict = VERDICT_MISMATCH
+        (e2, e1), (a2, a1) = errors[-2:], alt_errors[-2:]
+        if a2 > 0 and e1 * a2 < e2 * a1:
+            # the competitor wins, but its lead shrinks: the ratio's power
+            # law through the last two eps reaches 1 at a smaller eps
+            verdict = VERDICT_INCONCLUSIVE
+            r2, r1 = e2 / a2, e1 / a1
+            crossover = eps_list[-1] / r1 ** (
+                np.log(eps_list[-1] / eps_list[-2]) / np.log(r1 / r2))
+            notes.append(
+                f"the competitor ({alt.kind}) has the smaller error, but "
+                "the ratio of predicted to competitor error falls "
+                f"({r2:.3g} -> {r1:.3g}); its power law through the last "
+                f"two eps crosses 1 at eps ~ {crossover:.2g}")
     elif strictly and errors[-1] < error_threshold:
         verdict = VERDICT_MATCH
     else:

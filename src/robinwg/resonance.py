@@ -7,28 +7,31 @@ D = f'(right edge) vanishes.  At a resonance the asymptotic constants are
 (c_-, c_+) ~ (1, f(right edge)) up to the normalisation c_-^2 + c_+^2 = 1,
 and the deformation coupling per unit b is the integral of v f_r^2.
 
-Every zero-energy solve runs through `_dop853`, a port of scipy's DOP853
-stepper that returns `solve_ivp`'s states bit for bit; scipy itself is the
-oracle in the tests only.  A coupling scan brackets its roots by a lattice
-count of resonances (`_lattice_counts`), which solves no ODE.
+Every zero-energy solve is a spectral integration on Chebyshev panels
+(Greengard, SIAM J. Numer. Anal. 28, 1991; `_march`), on numpy alone;
+scipy's `solve_ivp` is the oracle in the tests only.  A coupling scan
+brackets its roots by a lattice count of resonances (`_lattice_counts`),
+which solves no ODE.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._dop853 import dop853
 from .errors import RobinwgError
 from .geometry import CurvatureProfile
 from .transverse import _brent_lanes
 
 DEFAULT_TOL_D = 1e-9
-_ODE_TOL = 1e-12
-_ROOT_TOL = 1e-11   # |D| a refined root must be below (or 10x its noise)
+_ROOT_TOL = 1e-11   # |D| a refined root must be below
 _LATTICE_CELLS = 500
+_N = 32             # the Chebyshev degree of every panel
+_TAIL = 4           # the trailing coefficients a panel's gate reads
+_GATE = 100.0       # the gate, in units of eps_mach (see `_march`)
+_MIN_WIDTH = 1e-10  # the narrowest panel, relative to the support width
 
 
 @dataclass(frozen=True)
@@ -36,31 +39,27 @@ class Potential1D:
     """Compactly supported potential v on `support`, zero outside it.
 
     `knots` are interior points where v is only piecewise smooth; the
-    zero-energy integration restarts there.  `_at`, set by `from_profile`,
-    is v at one point on the scalar gamma^2 path, equal bit for bit to
-    `func` there.
+    zero-energy solve puts a panel boundary there.
     """
 
     func: Callable
     support: tuple[float, float]
     knots: tuple = ()
-    _at: Callable | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_callable(cls, func, support, knots=()):
-        """v = `func` on `support`, restarting the integration at `knots`.
+        """v = `func` on `support`, with panel boundaries at `knots`.
 
-        The stepper evaluates `func` at both ends of every piece (its first
-        stage and, on the last step, its last stage), so a jump sitting
-        exactly on a knot or a support edge is seen by those stages, and
-        the error estimate pays for it in rejected steps.  A `func` that
-        keeps its inside value at the support edges, as a rectangular
-        `CurvatureProfile` does, avoids that there.
+        The zero-energy solve calls `func` on arrays of interior Chebyshev
+        points of each panel, never at a panel end, so a jump of v on a
+        knot or a support edge is never evaluated.  A jump elsewhere makes
+        the solve bisect towards it until it converges or raises
+        RobinwgError: give it as a knot.
         """
         lo, hi = support
         if not hi > lo:
             raise RobinwgError("empty potential support")
-        # the integration runs forward over each piece between knots
+        # the panels run forward between the knots
         edges = (lo, *knots, hi)
         if not all(a < b for a, b in zip(edges, edges[1:])):
             raise RobinwgError(f"knots {tuple(knots)!r} must increase "
@@ -70,10 +69,8 @@ class Potential1D:
     @classmethod
     def from_profile(cls, profile: CurvatureProfile, beta: float) -> "Potential1D":
         """v = beta * gamma^2, the effective longitudinal potential."""
-        fn = lambda s: beta * profile.sample(s) ** 2
-        sq = profile.squared_at
-        return replace(cls.from_callable(fn, profile.support, profile.knots),
-                       _at=lambda s: beta * sq(s))
+        return cls.from_callable(lambda s: beta * profile.sample(s) ** 2,
+                                 profile.support, profile.knots)
 
     @classmethod
     def zero(cls, support=(-1.0, 1.0)) -> "Potential1D":
@@ -137,60 +134,140 @@ class ResonanceResult:
         return out
 
 
-def _integrate(v_at, support, knots=(), rtol=_ODE_TOL, dense=False):
-    """Integrate f'' = v f with f = 1, f' = 0 at the left support edge.
+def _chebyshev(theta, degree):
+    """T_j(cos theta) for j = 0..degree, one row per angle."""
+    return np.cos(np.outer(theta, np.arange(degree + 1)))
 
-    `v_at(s)` is v at one point, a float.  The state is (f, f', q), q the
-    integral of v f^2.  DOP853 (`_dop853`, scipy's stepper bit for bit) with
-    rtol = atol = `rtol` restarts at every knot, where v is only C^2,
-    carrying the state across.  Returns the final state and the
-    `_dop853.Solution` of each piece.
+
+def _antiderivative(n):
+    """Chebyshev coefficients of degree n to those (degree n + 1) of the
+    antiderivative that vanishes at x = -1: int T_0 = T_1, int T_k =
+    T_{k+1} / (2 (k + 1)) - T_{k-1} / (2 (k - 1)) plus a constant."""
+    B = np.zeros((n + 2, n + 1))
+    j = np.arange(1, n + 2)
+    B[j, j - 1] = 1.0 / (2 * j)
+    B[1, 0] = 1.0
+    B[j[:n - 1], j[:n - 1] + 1] = -1.0 / (2 * j[:n - 1])
+    B[0] = -((-1.0) ** j) @ B[1:]
+    return B
+
+
+# the panel rule: _N + 1 first-kind points x on [-1, 1], ascending (no end
+# point among them); values there -> Chebyshev coefficients of their
+# interpolant (_C), and of its integral from x = -1 taken once (_B1) and
+# twice (_B2); _J the once integrated interpolant at the points, _W the
+# Fejer weights (its value at x = 1)
+_THETA = np.pi * (_N + 0.5 - np.arange(_N + 1)) / (_N + 1)
+_X = np.cos(_THETA)
+_C = 2.0 / (_N + 1) * _chebyshev(_THETA, _N).T
+_C[0] /= 2
+_B1 = _antiderivative(_N) @ _C
+_B2 = _antiderivative(_N + 1) @ _B1
+_J = _chebyshev(_THETA, _N + 1) @ _B1
+_JJ = _J @ _J
+_EYE = np.eye(_N + 1)
+_W = _B1.sum(axis=0)
+_LEFT = (-1.0) ** np.arange(_N + 1)
+
+
+def _tail(c):
+    return np.abs(c[-_TAIL:]).max()
+
+
+def _march(func, support, knots=()):
+    """f'' = v f, v = `func`, from f = 1, f' = 0 at the left support edge.
+
+    Spectral integration on panels, left to right, one between each two
+    consecutive points of the support ends and `knots`.  On a panel [a, b],
+    s = a + h (x + 1), f is the solution at the nodes of the Volterra form
+    f = f_a + f'_a (s - a) + h^2 J J (v f), one dense second-kind solve;
+    then f' = f'_a + h J (v f) there, f_b = f_a + h W f', f'_b = f'_a +
+    h W (v f), and int v f^2 gains h W (v f^2).  v is read at the interior
+    nodes only, so a jump on a knot or a support end is never evaluated.
+
+    A panel is accepted when, with gate = _GATE * eps_mach:
+      * f's trailing Chebyshev coefficients are below gate * max|f|;
+      * h times those of f'' = v f are below gate * (max|f'| + max|f| /
+        width): what the quadrature of f'' misses, the error of f', is
+        about that, where f's tail understates it at a jump of v, and the
+        support width keeps the budget from shrinking with h;
+      * where the panel joins the last one at no knot, h times the jump
+        between their series of v f there is below the same budget: a jump
+        of v between a panel end and its first node is in no sample of that
+        panel, but it splits the series of the two panels that meet there;
+      * exp((b - a) sqrt(max v)) is below _GATE: a growing solution
+        amplifies the solve's rounding by its growth across the panel.
+    A panel that fails is bisected; one narrower than _MIN_WIDTH times the
+    support width raises RobinwgError, so no unconverged D is returned.
+    Returns the final (f, f', int v f^2) and the accepted panels
+    (a, h, f_a, f'_a, f, v f), f and v f at the nodes.
     """
     lo, hi = support
-    y = np.array([1.0, 0.0, 0.0])
+    width = hi - lo
+    edges = (lo, *knots, hi)
+    todo = list(zip(edges[-2::-1], edges[:0:-1]))    # leftmost panel last
+    f_a, fp_a, q = 1.0, 0.0, 0.0
+    g_end = None        # v f at the last panel's right end, if no knot
+    gate = _GATE * np.finfo(float).eps
+    panels = []
+    while todo:
+        a, b = todo.pop()
+        h = (b - a) / 2
+        v = func(a + h * (_X + 1))
+        if not np.isfinite(v).all():
+            raise RobinwgError("zero-energy solve: v is not finite on "
+                               f"[{a:.17g}, {b:.17g}]")
+        f = np.linalg.solve(_EYE - h * h * _JJ * v, f_a + fp_a * h * (_X + 1))
+        g = v * f
+        fp = fp_a + h * (_J @ g)
+        cg = _C @ g
+        f_max = np.abs(f).max()
+        budget = gate * (np.abs(fp).max() + f_max / width)
+        if not (_tail(_C @ f) <= gate * f_max
+                and h * _tail(cg) <= budget
+                and (g_end is None or h * abs(_LEFT @ cg - g_end) <= budget)
+                and (b - a) * np.sqrt(max(v.max(), 0.0)) < np.log(_GATE)):
+            if b - a < _MIN_WIDTH * width:
+                raise RobinwgError(
+                    f"zero-energy solve: the panel [{a:.17g}, {b:.17g}] is "
+                    "unresolved at the minimum width; v may jump inside it "
+                    "(give the jump as a knot)")
+            m = a + h
+            todo += [(m, b), (a, m)]
+            continue
+        panels.append((a, h, f_a, fp_a, f, g))
+        q += h * (_W @ (g * f))
+        f_a, fp_a = f_a + h * (_W @ fp), fp_a + h * (_W @ g)
+        g_end = None if b in edges else cg.sum()
+    return (f_a, fp_a, q), panels
 
-    # the state runs on Python floats: one-element array operations cost
-    # several times the arithmetic they do
-    def rhs(s, y):
-        f, fp, _ = y.tolist()
-        vf = v_at(s) * f
-        return [fp, vf, vf * f]
 
-    pieces = []
-    edges = [lo, *knots, hi]
-    for a, b in zip(edges[:-1], edges[1:]):
-        pieces.append(dop853(rhs, a, b, y, rtol, dense))
-        y = pieces[-1].y
-    return y, pieces
+def zero_energy_solve(v: Potential1D, n_trace: int = 801) -> ZeroEnergyTrace:
+    """Solve f'' = v f with f = 1, f' = 0 at the left support edge.
 
-
-def zero_energy_solve(v: Potential1D, n_trace: int = 801,
-                      rtol: float = _ODE_TOL) -> ZeroEnergyTrace:
-    """Integrate f'' = v f with f = 1, f' = 0 at the left support edge.
-
-    DOP853 with local tolerance 1e-12 (relaxable for coarse scans),
-    restarted at the knots of v; the quadrature of v f^2 rides along as an
-    extra state so it inherits the stepper's accuracy.  Bounded on both
-    sides iff the mismatch vanishes.  A `from_profile` potential is
-    evaluated on its scalar gamma^2 path, any other through `func` on
-    one-element arrays.
+    Spectral integration on Chebyshev panels (`_march`), split at the knots
+    of v and bisected until each passes its convergence gate.  The
+    quadrature of v f^2 uses the same panels (Fejer's weights), and the
+    trace on `n_trace` equispaced points evaluates each panel's series of
+    f and f' (exactly the left data at the left edge).  sup_f is max|f|
+    over the panel nodes and the ends.  Bounded on both sides iff the
+    mismatch vanishes.
     """
     lo, hi = v.support
-    need_trace = n_trace > 2
-    v_at, func = v._at, v.func
-    if v_at is None:
-        v_at = lambda s: float(func(np.asarray([s]))[0]) if lo <= s <= hi else 0.0
-    end, pieces = _integrate(v_at, v.support, v.knots, rtol=rtol,
-                             dense=need_trace)
-    f_right, mismatch, integral = end
-    if need_trace:
+    (f_right, mismatch, integral), panels = _march(v.func, v.support, v.knots)
+    sup_f = max(1.0, abs(f_right), *(np.abs(p[4]).max() for p in panels))
+    if n_trace > 2:
         grid = np.linspace(lo, hi, n_trace)
-        states = np.empty((3, n_trace))
-        for sol in pieces:
-            m = (grid >= sol.t[0]) & (grid <= sol.t[-1])
-            if m.any():
-                states[:, m] = sol(grid[m])
-        f, fp = states[0], states[1]
+        f, fp = np.empty(n_trace), np.empty(n_trace)
+        which = np.searchsorted([p[0] for p in panels], grid, "right") - 1
+        for i, (a, h, f_a, fp_a, _, g) in enumerate(panels):
+            m = which == i
+            d = grid[m] - a
+            theta = np.arccos(np.clip(d / h - 1, -1.0, 1.0))
+            # each series less its value at x = -1: s = a gives the left data
+            T = _chebyshev(theta, _N + 2) - (-1.0) ** np.arange(_N + 3)
+            fp[m] = fp_a + h * (T[:, :-1] @ (_B1 @ g))
+            f[m] = f_a + fp_a * d + h * h * (T @ (_B2 @ g))
     else:
         grid = np.array([lo, hi])
         f = np.array([1.0, f_right])
@@ -198,7 +275,7 @@ def zero_energy_solve(v: Potential1D, n_trace: int = 801,
     return ZeroEnergyTrace(
         mismatch=float(mismatch),
         f_right=float(f_right),
-        sup_f=float(np.max(np.abs(f))),
+        sup_f=float(sup_f),
         integral_v_f2=float(integral),
         s=grid, f=f, fprime=fp)
 
@@ -264,14 +341,14 @@ def _lattice_counts(profile: CurvatureProfile, betas) -> np.ndarray:
 def find_resonant_coupling(profile: CurvatureProfile, beta_range):
     """Smallest-|beta| root of D(beta) = 0 with v = beta*gamma^2, or None.
 
-    Scans 120 couplings over the range, 0 left out.  Brent's method refines
-    at full tolerance, on a scalar gamma^2 path, each interval across which
-    the lattice count of resonances (`_lattice_counts`) steps by one; in
-    the interval that straddles 0 the step of the constant mode (beta = 0,
-    the free line, where D = 0 trivially) is discounted.  A
-    tabulated profile's integration restarts at every spline knot.
-    Positive couplings give convex solutions (D > 0), so a range inside
-    (0, inf) scans to None.
+    Scans 120 couplings over the range, 0 left out.  Brent's method (xtol
+    1e-13) refines, on the panel solve of `_march`, each interval across
+    which the lattice count of resonances (`_lattice_counts`) steps by one;
+    in the interval that straddles 0 the step of the constant mode (beta =
+    0, the free line, where D = 0 trivially) is discounted.  A tabulated
+    profile's panels end at every spline knot, where it is only C^2.  The
+    root is accepted when |D| < 1e-11 there.  Positive couplings give
+    convex solutions (D > 0), so a range inside (0, inf) scans to None.
 
     Guard: instead of a root being missed silently, RobinwgError names an
     interval where the count steps by more than one (a narrower range
@@ -299,17 +376,9 @@ def find_resonant_coupling(profile: CurvatureProfile, beta_range):
             f"{interval(i)} holds {steps[i]} resonances but brackets one "
             "root only; narrow the coupling range (beta_min, beta_max)")
 
-    sq, support, knots = profile.squared_at, profile.support, profile.knots
-    solved = {}
-
-    def mismatch(beta, rtol=_ODE_TOL):
-        # Brent starts from the bracket ends and returns a point it has
-        # evaluated: the guard and the acceptance check reuse those solves
-        if (beta, rtol) not in solved:
-            end, _ = _integrate(lambda s: beta * sq(s), support, knots,
-                                rtol=rtol)
-            solved[beta, rtol] = float(end[1])
-        return solved[beta, rtol]
+    sample, support, knots = profile.sample, profile.support, profile.knots
+    mismatch = lambda beta: _march(lambda s: beta * sample(s) ** 2, support,
+                                   knots)[0][1]
 
     stepped = np.flatnonzero(steps == 1)
     for i in stepped:
@@ -326,13 +395,8 @@ def find_resonant_coupling(profile: CurvatureProfile, beta_range):
     if not roots:
         return None
     best = min(roots, key=abs)
-    d_best = mismatch(best)
-    resid = abs(d_best)
-    # |D| at the refined root is floored by the integration's own global
-    # error, so calibrate the acceptance against the evaluation's
-    # reproducibility across tolerances
-    noise = abs(d_best - mismatch(best, rtol=1e-10))
-    tol_eff = max(_ROOT_TOL, 10.0 * noise)
-    if resid >= tol_eff:
-        raise RobinwgError(f"refined root has |D| = {resid:.3g} >= {tol_eff:.3g}")
+    resid = abs(mismatch(best))
+    if resid >= _ROOT_TOL:
+        raise RobinwgError(
+            f"refined root has |D| = {resid:.3g} >= {_ROOT_TOL:.3g}")
     return float(best)

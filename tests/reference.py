@@ -14,15 +14,14 @@ oracle of the lane-wise solve and the continuum limit that the 2D
 backend's discrete transverse modes converge to; `scalar_resonant_couplings` brackets the
 roots of a resonance scan by the signs of scipy's solves and refines each
 by scalar brentq likewise.  `scipy_integrate` is
-the zero-energy integration with every piece solved by scipy's `solve_ivp`
-DOP853, the oracle of the library's port of that stepper.  `apply_1d` and
+the zero-energy integration by scipy's `solve_ivp` (DOP853), restarted at
+every knot, the oracle of the library's Chebyshev panels.  `apply_1d` and
 `apply_2d` (the operator actions), `lowest_eigenvalues` (the 1D spectrum)
 and `gram_deviation` (the projector's mode Gram check) are called by the
 tests only.  `traced_peak` reads a call's peak working set from tracemalloc.
 """
 
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,9 +29,6 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.optimize import brentq
 
-from robinwg import resonance
-from robinwg.errors import RobinwgError
-from robinwg.resonance import _ODE_TOL
 from robinwg.transverse import _BRENT_KW
 from robinwg.waveguide2d import FULL
 
@@ -275,42 +271,35 @@ def mode_values(branch, k, A, B, u):
     return A * u + B * np.ones_like(u)
 
 
-def scalar_resonant_couplings(profile, beta_range):
-    """Every root of the zero-energy mismatch D(beta) between two of the
-    120 scan couplings of `find_resonant_coupling` where D changes sign,
-    each refined by scalar brentq on the same scalar path and with the same
-    tolerances.  The signs come from scipy's solves at 1e-8: only a scan
-    coupling about that close to a root could take the wrong one."""
+def scipy_integrate(v, support, knots=(), rtol=1e-12):
+    """(f, f', int v f^2) at the right support edge, f'' = v f from f = 1,
+    f' = 0 at the left edge, v(s) at one point: `solve_ivp`'s DOP853 at
+    rtol = atol = `rtol`, restarted at every knot."""
+    y = [1.0, 0.0, 0.0]
+
+    def rhs(s, y):
+        vf = v(s) * y[0]
+        return [y[1], vf, vf * y[0]]
+
+    edges = (support[0], *knots, support[1])
+    for a, b in zip(edges[:-1], edges[1:]):
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=rtol, atol=rtol)
+        assert sol.success, sol.message
+        y = sol.y[:, -1]
+    return y
+
+
+def scalar_resonant_couplings(profile, beta_range, mismatch):
+    """Every root of `mismatch(beta)` between two of the 120 scan couplings
+    of `find_resonant_coupling` where D changes sign, each refined by
+    scalar brentq with the scan's tolerances.  The signs come from scipy's
+    solves at 1e-8: only a scan coupling about that close to a root could
+    take the wrong one."""
     betas = np.linspace(min(beta_range), max(beta_range), 120)
     betas = betas[betas != 0.0]
-
-    def mismatch(beta, rtol=_ODE_TOL):
-        end, _ = scipy_integrate(lambda s: beta * profile.squared_at(s),
-                                 profile.support, profile.knots, rtol=rtol)
-        return float(end[1])
-
-    signs = np.sign([mismatch(beta, 1e-8) for beta in betas])
+    signs = np.sign([scipy_integrate(lambda s: beta * profile.sample(s) ** 2,
+                                     profile.support, profile.knots, 1e-8)[1]
+                     for beta in betas])
     return [brentq(mismatch, betas[i], betas[i + 1], xtol=1e-13,
                    rtol=8.9e-16, maxiter=200)
             for i in np.flatnonzero(signs[:-1] * signs[1:] < 0)]
-
-
-class ScipyDOP853:
-    """`solve_ivp(..., method="DOP853")` called and read as `_dop853.dop853`."""
-
-    def __init__(self, fun, t0, t_bound, y0, tol, dense=False):
-        self.ivp = solve_ivp(fun, (t0, t_bound), y0, method="DOP853",
-                             rtol=tol, atol=tol, dense_output=dense)
-        if not self.ivp.success:
-            raise RobinwgError(
-                f"zero-energy integration failed: {self.ivp.message}")
-        self.t, self.y = self.ivp.t, self.ivp.y[:, -1]
-
-    def __call__(self, s):
-        return self.ivp.sol(s)
-
-
-def scipy_integrate(*args, **kwargs):
-    """`resonance._integrate` with every piece solved by scipy's DOP853."""
-    with mock.patch.object(resonance, "dop853", ScipyDOP853):
-        return resonance._integrate(*args, **kwargs)

@@ -150,7 +150,7 @@ def test_criterion_05_resonance_oracle():
     positive_ok = True
     for beta in np.linspace(0.1, 25.0, 100):
         tr = zero_energy_solve(Potential1D.from_profile(SQUARE, beta),
-                               n_trace=2, rtol=1e-10)
+                               n_trace=2)
         positive_ok &= tr.mismatch > 1e-9 * max(1.0, tr.sup_f)
     checks["positive never resonant"] = positive_ok
     norm_ok = True

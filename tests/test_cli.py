@@ -103,6 +103,20 @@ def test_limit_check_override_mismatch(tmp_path):
     assert doc["data"]["verdict"] == "mismatch"
 
 
+def test_waveguide_check_shrinking_competitor_lead_is_inconclusive(tmp_path):
+    # README wg.cfg at alpha = -0.5: decoupled is predicted, and the free
+    # competitor's errors 0.00113, 0.00224, 0.00472 grow like 1/eps under
+    # the predicted 0.0264, 0.0274, 0.0289: no mismatch before eps ~ 0.016
+    cfg = ("alpha = -0.5\nn = 0\nn_max = 1\neps_list = 0.4,0.2,0.1\n"
+           "delta_ratio = 0.05\n")
+    code, out = run(tmp_path, "waveguide-check", cfg)
+    assert code == 3
+    doc = json.loads((out / "report.json").read_text())["data"]
+    assert doc["verdict"] == "inconclusive"
+    assert doc["predicted"]["kind"] == "decoupled" and doc["alt_kind"] == "free"
+    assert doc["notes"][-1].endswith("crosses 1 at eps ~ 0.016")
+
+
 def test_waveguide_check_small(tmp_path):
     cfg = ("alpha = 0.0\nn = 0\nn_max = 1\nn_u = 16\n"
            "eps_list = 0.4,0.2\ndump_field = true\n")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -160,9 +160,9 @@ def test_rectangle_is_the_amplitude_on_its_closed_support():
                             half_width=0.3)
     lo, hi = prof.support
     for s in (lo, hi):
-        assert prof.sample(s) == 0.7 and prof.squared_at(s) == 0.7 * 0.7
+        assert prof.sample(s) == 0.7
     for s in (np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)):
-        assert prof.sample(s) == 0.0 and prof.squared_at(s) == 0.0
+        assert prof.sample(s) == 0.0
 
 
 def test_rectangular_not_smooth():
@@ -177,44 +177,6 @@ def test_scaling_params_delta():
     assert abs(sc2.delta - 0.01) < 1e-17
     with pytest.raises(ProfileError):
         ScalingParams(epsilon=0.5, a=2.0).require_convergence_regime()
-
-
-@st.composite
-def profile_and_point(draw):
-    """A profile of any kind and a point, often on an edge, jump or knot."""
-    kind = draw(st.sampled_from([SMOOTH_BUMP, RECTANGULAR, TABULATED]))
-    if kind == TABULATED:
-        nodes = np.linspace(-2.0, 2.0, 9)
-        values = np.zeros(9)
-        values[1:-1] = draw(st.lists(st.floats(-1.0, 1.0), min_size=7,
-                                     max_size=7))
-        prof = CurvatureProfile(TABULATED, nodes=tuple(nodes),
-                                values=tuple(values))
-        special = list(nodes)
-    else:
-        prof = CurvatureProfile(kind, draw(st.floats(-2.0, 2.0)),
-                                draw(st.floats(-1.0, 1.0)),
-                                draw(st.floats(0.1, 3.0)))
-        special = list(prof.support)
-    lo, hi = prof.support
-    special += [np.nextafter(x, d) for x in (lo, hi) for d in (-np.inf, np.inf)]
-    s = draw(st.one_of(st.sampled_from(special),
-                       st.floats(lo - 1.0, hi + 1.0)))
-    return prof, float(s)
-
-
-@settings(max_examples=15, deadline=None)
-@given(profile_and_point())
-# the array square (x * x) is the reference: the scalar np.float64 ** 2
-# goes through libm pow, which rounds this one an ulp off
-@example((CurvatureProfile(RECTANGULAR, 0.8650618792150917, 0.0, 1.0),
-          -0.9999999999999999))
-def test_squared_at_is_sample_squared_bit_for_bit(case):
-    prof, s = case
-    got = prof.squared_at(s)
-    want = (prof.sample(np.array([s])) ** 2)[0]
-    assert got == want
-    assert isinstance(got, float)
 
 
 @settings(max_examples=100, deadline=None)

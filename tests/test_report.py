@@ -77,6 +77,27 @@ def test_winning_alternative_is_a_mismatch():
     assert rep.errors[-1] > rep.alt_errors[-1]
 
 
+def test_shrinking_competitor_lead_is_inconclusive_with_its_crossover():
+    # the competitor's error grows like 1/eps and the predicted one barely
+    # moves: the competitor wins at the last eps, but its lead halves with
+    # each halving of eps, so the ratio's power law reaches 1 near
+    # eps / ratio
+    rep = run_study(FREE, DECOUPLED, Z, PROBE, EPS,
+                    synthetic(DECOUPLED, lambda eps: 0.1 / eps * H), 0.02,
+                    free_line)
+    assert rep.verdict == VERDICT_INCONCLUSIVE
+    assert rep.errors[-1] > rep.alt_errors[-1]
+    (e2, e1), (a2, a1) = rep.errors[-2:], rep.alt_errors[-2:]
+    assert e1 / a1 < e2 / a2
+    crossover = 0.1 / (e1 / a1) ** (np.log(0.5) / np.log(e1 * a2 / (e2 * a1)))
+    assert 0.02 < crossover < 0.1 / (e1 / a1) * 1.1
+    assert rep.notes == [
+        "the competitor (decoupled) has the smaller error, but the ratio of "
+        f"predicted to competitor error falls ({e2 / a2:.3g} -> {e1 / a1:.3g}); "
+        f"its power law through the last two eps crosses 1 at eps ~ "
+        f"{crossover:.2g}"]
+
+
 def test_transmission_with_fewer_than_three_eps_is_the_last_value():
     rep = run_study(FREE, DECOUPLED, Z, PROBE, [0.4, 0.2],
                     synthetic(FREE, lambda eps: eps * H), 0.02, free_line)

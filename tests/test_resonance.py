@@ -2,33 +2,38 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from robinwg.errors import RobinwgError
 from robinwg.geometry import (RECTANGULAR, TABULATED, CurvatureProfile,
                               default_bump)
 from robinwg import resonance
-from robinwg.resonance import (Potential1D, _integrate, _lattice_counts,
+from robinwg.resonance import (_GATE, Potential1D, _lattice_counts, _march,
                                detect_resonance, find_resonant_coupling,
                                zero_energy_solve)
 
-from reference import scalar_resonant_couplings
+from reference import scalar_resonant_couplings, scipy_integrate
 
-# frozen by the scanner cross-checked against the fixed-step oracle below;
-# the well-strength invariant is beta* * amplitude^2 * half_width^2 = const
-BUMP_BETA_STAR = -7.647474116758
-BUMP_BHAT_PER_B = -0.981875792218
+# frozen by the scanner cross-checked against the fixed-step and solve_ivp
+# oracles below; the well-strength invariant is beta* * amplitude^2 *
+# half_width^2 = const
+BUMP_BETA_STAR = -7.647474116754879
+BUMP_BHAT_PER_B = -0.9818757922184146
 
 SQUARE = CurvatureProfile(RECTANGULAR, amplitude=1.0, center=0.5, half_width=0.5)
 
 
-def transfer_matrix_well(beta, length=1.0):
-    """Closed-form zero-energy data for the constant well v = beta on [0, L].
-
-    With left data (f, f') = (1, 0): f = cos(q s), f' = -q sin(q s), q =
-    sqrt(-beta); the half-bound condition is sin(q L) = 0.
-    """
-    q = np.sqrt(-beta)
-    return np.cos(q * length), -q * np.sin(q * length)
+def constant_well(c, L):
+    """(f(L), D, int v f^2) for v = c on [0, L] from f = 1, f' = 0, and the
+    scales of their errors: f = cosh(k s) for c > 0, cos(k s) for c < 0."""
+    k = np.sqrt(abs(c))
+    if c > 0:
+        exact = (np.cosh(k * L), k * np.sinh(k * L),
+                 c * (L / 2 + np.sinh(2 * k * L) / (4 * k)))
+        return exact, np.abs(exact)
+    exact = (np.cos(k * L), -k * np.sin(k * L),
+             c * (L / 2 + np.sin(2 * k * L) / (4 * k)))
+    return exact, (1.0, k, -c * L)
 
 
 def rk4_mismatch(v, beta_support, n_steps):
@@ -63,19 +68,19 @@ def test_square_well_half_bound_state():
     # W = pi^2/L^2 makes f = cos(pi s/L): D = 0 exactly
     v = Potential1D.from_profile(SQUARE, -np.pi ** 2)
     tr = zero_energy_solve(v)
-    f_exact, d_exact = transfer_matrix_well(-np.pi ** 2)
-    assert abs(tr.mismatch - d_exact) < 1e-11
-    assert abs(tr.mismatch) < 1e-11
-    assert abs(tr.f_right - f_exact) < 1e-11
+    (f_exact, d_exact, _), _ = constant_well(-np.pi ** 2, 1.0)
+    assert abs(tr.mismatch - d_exact) < 1e-14
+    assert abs(tr.mismatch) < 1e-14
+    assert abs(tr.f_right - f_exact) < 1e-14
 
 
 def test_ode_matches_transfer_matrix_off_resonance():
     for beta in (-2.0, -5.0, -12.0):
         v = Potential1D.from_profile(SQUARE, beta)
         tr = zero_energy_solve(v)
-        f_exact, d_exact = transfer_matrix_well(beta)
-        assert abs(tr.mismatch - d_exact) < 1e-11
-        assert abs(tr.f_right - f_exact) < 1e-11
+        (f_exact, d_exact, _), _ = constant_well(beta, 1.0)
+        assert abs(tr.mismatch - d_exact) < 1e-14
+        assert abs(tr.f_right - f_exact) < 1e-14
 
 
 def test_positive_potential_never_resonant():
@@ -92,11 +97,11 @@ def test_detect_square_well_constants_and_coupling():
     res = detect_resonance(Potential1D.from_profile(SQUARE, -np.pi ** 2))
     assert res.resonant
     # pre-normalised (1, cos(pi)) = (1, -1)
-    assert abs(res.c_minus - 1 / np.sqrt(2)) < 1e-10
-    assert abs(res.c_plus + 1 / np.sqrt(2)) < 1e-10
+    assert abs(res.c_minus - 1 / np.sqrt(2)) < 1e-14
+    assert abs(res.c_plus + 1 / np.sqrt(2)) < 1e-14
     assert abs(res.c_minus ** 2 + res.c_plus ** 2 - 1.0) < 1e-12
     # int_0^1 -pi^2 cos^2(pi s) ds / 2 = -pi^2/4
-    assert abs(res.b_hat_per_b - (-np.pi ** 2 / 4)) < 1e-8
+    assert abs(res.b_hat_per_b - (-np.pi ** 2 / 4)) < 1e-14
 
 
 def test_resonance_function_residual():
@@ -114,20 +119,20 @@ def test_resonance_function_residual():
 def test_find_resonant_coupling_square_well():
     # sin(sqrt(-beta) L) = 0: first nontrivial root beta = -pi^2
     root = find_resonant_coupling(SQUARE, (-15.0, -0.5))
-    assert abs(root - (-np.pi ** 2)) < 5e-12
+    assert abs(root - (-np.pi ** 2)) <= 1e-14 * np.pi ** 2
 
 
 @pytest.mark.parametrize("center, half_width", [(0.5, 0.5), (0.1, 0.3),
                                                 (0.0, 1.0)])
 def test_rectangle_solve_takes_few_steps(center, half_width):
-    # the stages at the piece ends see the well's depth, not zero, so the
-    # error estimate has no jump to resolve (89-95 steps when they saw 0)
+    # v is read at interior points only, so the support edges' jumps are
+    # never seen: the rectangle is one panel that passes the gate
     prof = CurvatureProfile(RECTANGULAR, 1.0, center, half_width)
     beta = -(np.pi / (2 * half_width)) ** 2
-    sq = prof.squared_at
-    _, (piece,) = _integrate(lambda s: beta * sq(s), prof.support,
-                             rtol=1e-12)
-    assert len(piece.t) - 1 <= 30
+    (f_right, mismatch, _), panels = _march(
+        lambda s: beta * prof.sample(s) ** 2, prof.support)
+    assert len(panels) == 1
+    assert abs(f_right + 1) < 1e-14 and abs(mismatch) < 1e-13
 
 
 def test_empty_coupling_range_is_rejected():
@@ -147,8 +152,14 @@ def test_zero_profile_scan_is_rejected(zero):
 
 def test_find_resonant_coupling_bump():
     root = find_resonant_coupling(default_bump(), (-20.0, -0.5))
-    assert abs(root - BUMP_BETA_STAR) < 1e-8
-    # dual-resolution fixed-step oracle agreement
+    assert abs(root - BUMP_BETA_STAR) <= 1e-14 * abs(BUMP_BETA_STAR)
+    # solve_ivp's root at rtol 1e-13, and the dual-resolution fixed-step
+    # oracle
+    d = lambda beta: scipy_integrate(
+        lambda s: beta * default_bump().sample(s) ** 2, (-2.0, 2.0),
+        rtol=1e-13)[1]
+    oracle = brentq(d, -7.7, -7.6, xtol=1e-13, rtol=8.9e-16)
+    assert abs(root - oracle) <= 1e-12 * abs(oracle)
     prof = default_bump()
     for n_steps in (4000, 8000):
         v = Potential1D.from_profile(prof, root)
@@ -157,7 +168,7 @@ def test_find_resonant_coupling_bump():
     res = detect_resonance(Potential1D.from_profile(prof, root))
     assert res.resonant
     assert abs(res.c_plus + 1 / np.sqrt(2)) < 1e-6
-    assert abs(res.b_hat_per_b - BUMP_BHAT_PER_B) < 1e-8
+    assert abs(res.b_hat_per_b - BUMP_BHAT_PER_B) < 1e-14
 
 
 def test_beta_zero_is_not_a_resonance():
@@ -165,26 +176,30 @@ def test_beta_zero_is_not_a_resonance():
     # D = 0 trivially; a range straddling 0 finds the first attractive root
     root = find_resonant_coupling(default_bump(), (-20.0, -0.5))
     straddling = find_resonant_coupling(default_bump(), (-20.0, 20.0))
-    assert abs(straddling - root) <= 1e-10 * abs(root)
+    assert abs(straddling - root) <= 1e-14 * abs(root)
     assert find_resonant_coupling(default_bump(), (-0.5, 20.0)) is None
 
 
-def test_scan_solves_each_coupling_once(monkeypatch):
-    # the guard reads D at the bracket ends Brent starts from, Brent returns
-    # a point it evaluated, and the acceptance check reuses that solve: one
-    # solve per Brent point and one noise solve
-    calls, integrate = [], resonance._integrate
+def test_scan_makes_no_noise_solve(monkeypatch):
+    # the guard reads D at the bracket ends, Brent starts from them again
+    # and returns a point it evaluated, and the acceptance check solves
+    # that point once more: no other solve
+    calls, march = [], resonance._march
+    g2 = default_bump().sample(0.0) ** 2
 
-    def counted(v_at, *args, rtol=resonance._ODE_TOL, **kwargs):
-        calls.append((rtol, float(v_at(0.0))))
-        return integrate(v_at, *args, rtol=rtol, **kwargs)
+    def counted(func, *args):
+        calls.append(float(func(np.array([0.0]))[0]))
+        return march(func, *args)
 
-    monkeypatch.setattr(resonance, "_integrate", counted)
+    monkeypatch.setattr(resonance, "_march", counted)
     root = find_resonant_coupling(default_bump(), (-20.0, -0.5))
-    assert [c[0] for c in calls].count(1e-10) == 1
-    fine = [c[1] for c in calls if c[0] == resonance._ODE_TOL]
-    assert len(fine) == len(set(fine)) >= 2
-    assert root * default_bump().squared_at(0.0) in fine
+    betas = np.linspace(-20.0, -0.5, 120)
+    i = np.searchsorted(betas, root) - 1
+    ends = [betas[i] * g2, betas[i + 1] * g2]
+    assert calls[:4] == ends + ends
+    brent = calls[2:-1]
+    assert len(brent) == len(set(brent)) >= 3
+    assert calls[-1] == root * g2 in brent
 
 
 def test_find_resonant_coupling_positive_range_none():
@@ -206,9 +221,9 @@ def test_reflection_covariance():
     res_m = detect_resonance(Potential1D.from_profile(mirror, root))
     assert res_m.resonant
     # (c-, c+) swaps up to the overall sign fixed by left-normalisation
-    assert abs(abs(res_m.c_minus) - abs(res.c_plus)) < 1e-9
-    assert abs(abs(res_m.c_plus) - abs(res.c_minus)) < 1e-9
-    assert abs(res_m.c_minus * res_m.c_plus - res.c_minus * res.c_plus) < 1e-9
+    assert abs(abs(res_m.c_minus) - abs(res.c_plus)) < 1e-13
+    assert abs(abs(res_m.c_plus) - abs(res.c_minus)) < 1e-13
+    assert abs(res_m.c_minus * res_m.c_plus - res.c_minus * res.c_plus) < 1e-13
 
 
 def test_scaling_invariance_of_verdict():
@@ -218,8 +233,8 @@ def test_scaling_invariance_of_verdict():
     for eps in (1.0, 0.5, 0.1):
         res = detect_resonance(base.scaled(eps))
         assert res.resonant == ref.resonant
-        assert abs(res.c_minus - ref.c_minus) < 1e-8
-        assert abs(res.c_plus - ref.c_plus) < 1e-8
+        assert abs(res.c_minus - ref.c_minus) < 1e-13
+        assert abs(res.c_plus - ref.c_plus) < 1e-13
     # off resonance the mismatch sign is scale invariant as well
     voff = Potential1D.from_profile(prof, -3.0)
     sign = np.sign(zero_energy_solve(voff, 2).mismatch)
@@ -252,9 +267,9 @@ def test_lattice_count_square_well_closed_form(monkeypatch):
     # resonances above beta = -q^2, lam = 0 included; none for beta > 0,
     # where h^2 beta / 12 > 1 too.  The count solves no ODE.
     def no_solve(*args, **kwargs):
-        raise AssertionError("the lattice count ran the ODE stepper")
+        raise AssertionError("the lattice count ran the zero-energy solve")
 
-    monkeypatch.setattr(resonance, "dop853", no_solve)
+    monkeypatch.setattr(resonance, "_march", no_solve)
     betas = np.linspace(-45.0, -1.0, 9)
     q = np.sqrt(-betas)
     assert list(_lattice_counts(SQUARE, betas)) == list(
@@ -269,12 +284,12 @@ def test_sturm_guard_names_interval_with_hidden_roots(monkeypatch):
         raise AssertionError("the scan solved before the guard")
 
     with monkeypatch.context() as m:
-        m.setattr(resonance, "_integrate", no_solve)
+        m.setattr(resonance, "_march", no_solve)
         with pytest.raises(RobinwgError, match=r"scan interval "
                            r"\[-43\.0084, -1\] holds 2 resonances"):
             find_resonant_coupling(SQUARE, (-5000.0, -1.0))
     root = find_resonant_coupling(SQUARE, (-45.0, -1.0))
-    assert abs(root + np.pi ** 2) < 5e-12
+    assert abs(root + np.pi ** 2) <= 1e-14 * np.pi ** 2
 
 
 def test_sturm_guard_names_interval_where_count_and_mismatch_disagree(
@@ -328,12 +343,12 @@ def rk4_knot_aligned(profile, beta, n_steps):
 
 
 def test_tabulated_root_matches_knot_aligned_rk4():
-    # stepping DOP853 across the C^2 knots left beta* ~1e-9 off here
+    # a panel between each two knots sees one cubic piece of the spline
     prof = seeded_bell(3)
     root = find_resonant_coupling(prof, (-30.0, -0.5))
     d, dd = rk4_knot_aligned(prof, root, 16000)
     newton = root - d / dd
-    assert abs(newton - root) < 1e-11 * abs(root)
+    assert abs(newton - root) < 1e-13 * abs(root)
 
 
 def test_zero_energy_solve_restarts_at_knots():
@@ -343,7 +358,7 @@ def test_zero_energy_solve_restarts_at_knots():
     assert v.scaled(0.5).knots == tuple(0.5 * k for k in v.knots)
     tr = zero_energy_solve(v)
     d, _ = rk4_knot_aligned(prof, -7.0, 16000)
-    assert abs(tr.mismatch - d) < 1e-11
+    assert abs(tr.mismatch - d) < 1e-13
     # the trace is continuous across the pieces and starts from (1, 0)
     assert tr.f[0] == 1.0 and tr.fprime[0] == 0.0
     assert np.max(np.abs(np.diff(tr.f))) < 0.05
@@ -359,7 +374,7 @@ def scaled_bump_star(amp):
 def test_resonant_coupling_amplitude_covariance(amp):
     # v = beta (A gamma)^2 = (beta A^2) gamma^2
     root = scaled_bump_star(amp)
-    assert abs(root * amp ** 2 - BUMP_BETA_STAR) < 1e-10 * abs(BUMP_BETA_STAR)
+    assert abs(root * amp ** 2 - BUMP_BETA_STAR) < 1e-14 * abs(BUMP_BETA_STAR)
 
 
 @settings(max_examples=10, deadline=None)
@@ -375,13 +390,6 @@ def test_node_count_steps_by_one_across_root(amp):
     assert d[0] * d[1] < 0
     nodes = _lattice_counts(prof, betas)
     assert nodes[1] == nodes[0] + 1
-
-
-def scalar_sign_changes(profile, betas):
-    """Intervals of `betas` over which scalar solves of D change sign."""
-    d = np.sign([zero_energy_solve(Potential1D.from_profile(profile, b), 2,
-                                   rtol=1e-8).mismatch for b in betas])
-    return np.flatnonzero(d[:-1] * d[1:] < 0)
 
 
 SCANS = st.one_of(
@@ -400,7 +408,9 @@ def test_count_steps_where_scalar_mismatch_changes_sign(scan):
     profile, beta_range = scan
     betas = np.linspace(*beta_range, 120)
     steps = -np.diff(_lattice_counts(profile, betas))
-    flips = scalar_sign_changes(profile, betas)
+    d = np.sign([zero_energy_solve(Potential1D.from_profile(profile, b),
+                                   2).mismatch for b in betas])
+    flips = np.flatnonzero(d[:-1] * d[1:] < 0)
     assert set(steps) <= {0, 1}
     assert np.array_equal(np.flatnonzero(steps), flips)
     if scan == (default_bump(), (-20.0, -0.5)):
@@ -430,11 +440,11 @@ def test_detect_resonance_invariant_under_scaling(a, b, L1, eps, detune):
     pot = Potential1D.from_callable(v, (0.0, L1 + detune * L2), knots=(L1,))
     ref, res = detect_resonance(pot), detect_resonance(pot.scaled(eps))
     assert res.resonant == ref.resonant == (detune == 1.0)
-    assert abs(res.mismatch * eps - ref.mismatch) < 1e-9 * max(1.0, abs(ref.mismatch))
+    assert abs(res.mismatch * eps - ref.mismatch) < 1e-12 * max(1.0, abs(ref.mismatch))
     if ref.resonant:
-        assert abs(res.c_minus - ref.c_minus) < 1e-9
-        assert abs(res.c_plus - ref.c_plus) < 1e-9
-        assert abs(res.b_hat_per_b * eps - ref.b_hat_per_b) < 1e-8 * max(
+        assert abs(res.c_minus - ref.c_minus) < 1e-12
+        assert abs(res.c_plus - ref.c_plus) < 1e-12
+        assert abs(res.b_hat_per_b * eps - ref.b_hat_per_b) < 1e-12 * max(
             1.0, abs(ref.b_hat_per_b))
 
 
@@ -449,30 +459,11 @@ def test_detect_resonance_reflection_swaps_constants(a, b, L1):
     res, res_m = detect_resonance(pot), detect_resonance(mirror)
     assert res.resonant and res_m.resonant
     # (c-, c+) swaps up to the overall sign fixed by left-normalisation
-    assert abs(abs(res_m.c_minus) - abs(res.c_plus)) < 1e-9
-    assert abs(abs(res_m.c_plus) - abs(res.c_minus)) < 1e-9
-    assert abs(res_m.c_minus * res_m.c_plus - res.c_minus * res.c_plus) < 1e-9
-    assert abs(res_m.b_hat_per_b - res.b_hat_per_b) < 1e-8 * max(
+    assert abs(abs(res_m.c_minus) - abs(res.c_plus)) < 1e-12
+    assert abs(abs(res_m.c_plus) - abs(res.c_minus)) < 1e-12
+    assert abs(res_m.c_minus * res_m.c_plus - res.c_minus * res.c_plus) < 1e-12
+    assert abs(res_m.b_hat_per_b - res.b_hat_per_b) < 1e-12 * max(
         1.0, abs(res.b_hat_per_b))
-
-
-@pytest.mark.parametrize("profile, beta", [
-    (default_bump(), BUMP_BETA_STAR),
-    (default_bump(), -3.0),
-    (SQUARE, -np.pi ** 2),
-    (seeded_bell(3), -7.0),
-], ids=["bump_resonant", "bump_detuned", "rectangular_well", "tabulated_bell"])
-def test_profile_potential_scalar_path_equals_general_path(profile, beta):
-    fast = Potential1D.from_profile(profile, beta)
-    general = Potential1D.from_callable(fast.func, fast.support,
-                                        knots=fast.knots)
-    a, b = zero_energy_solve(fast), zero_energy_solve(general)
-    for name in ("mismatch", "f_right", "sup_f", "integral_v_f2"):
-        assert getattr(a, name) == getattr(b, name)
-    for name in ("s", "f", "fprime"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
-    # the scaled potential carries no scalar path and keeps the general one
-    assert fast.scaled(0.5)._at is None
 
 
 @pytest.mark.parametrize("profile, beta_range", [
@@ -493,7 +484,78 @@ def test_lane_wise_refinement_is_scalar_brentq(monkeypatch, profile,
 
     monkeypatch.setattr(resonance, "_brent_lanes", kept)
     root = find_resonant_coupling(profile, beta_range)
-    want = scalar_resonant_couplings(profile, beta_range)
+    want = scalar_resonant_couplings(
+        profile, beta_range, lambda beta: zero_energy_solve(
+            Potential1D.from_profile(profile, beta), 2).mismatch)
     assert len(want) >= 2
     assert found[0].tolist() == want
     assert root == min(want, key=abs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-3000.0, 2000.0).filter(lambda c: abs(c) > 1e-6),
+       st.floats(0.2, 3.0))
+@example(300.0, 2.5)      # f(L) ~ e^43 / 2
+@example(-3000.0, 3.0)    # 26 periods
+def test_constant_potential_matches_closed_form(c, L):
+    end, panels = _march(lambda s: np.full_like(s, c), (0.0, L))
+    exact, scale = constant_well(c, L)
+    for got, want, sc in zip(end, exact, scale):
+        assert abs(got - want) <= 1e-12 * sc
+    # f grows by more than the gate allows one panel: the panel bisects
+    if np.sqrt(max(c, 0.0)) * L > np.log(_GATE):
+        assert len(panels) > 1
+
+
+def two_step_closed_form(a, b, L1, L2):
+    """(f, D, int v f^2) at L1 + L2 for v = -a^2 on [0, L1], -b^2 beyond,
+    and the scales of their errors: f = cos(a s), then f1 cos(b t) +
+    g1 sin(b t), t = s - L1."""
+    f1, g1 = np.cos(a * L1), -a / b * np.sin(a * L1)
+    c, s2 = np.cos(b * L2), np.sin(b * L2)
+    q = (-a * a * (L1 / 2 + np.sin(2 * a * L1) / (4 * a))
+         - b * b * ((f1 ** 2 + g1 ** 2) * L2 / 2
+                    + (f1 ** 2 - g1 ** 2) * np.sin(2 * b * L2) / (4 * b)
+                    + f1 * g1 * s2 ** 2 / b))
+    size = max(1.0, np.hypot(f1, g1))
+    return ((f1 * c + g1 * s2, b * (g1 * c - f1 * s2), q),
+            (size, max(a, b) * size, (a * a * L1 + b * b * L2) * size ** 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(*WELL, st.floats(0.05, 2.0))
+def test_two_step_well_with_its_jump_on_a_knot(a, b, L1, L2):
+    _, v = two_step_well(a, b, L1)
+    end, _ = _march(v, (0.0, L1 + L2), (L1,))
+    exact, scale = two_step_closed_form(a, b, L1, L2)
+    for got, want, sc in zip(end, exact, scale):
+        assert abs(got - want) <= 1e-12 * sc
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.05, 0.95), st.floats(-8.0, 2.0))
+@example(0.5, 0.0)     # on a bisection point, where the joint check sees it
+@example(0.7, 0.0)     # off every bisection point
+def test_unannounced_jump_converges_or_raises(jump, log_dv):
+    # a jump of v off every knot: the panel holding it bisects until the
+    # gate passes, and D is right, or it reaches the minimum width and
+    # raises; an unconverged D is never returned
+    a, b = 1.0, np.sqrt(1.0 + 10.0 ** log_dv)
+    v = Potential1D.from_callable(two_step_well(a, b, jump)[1], (0.0, 1.0))
+    try:
+        tr = zero_energy_solve(v, 2)
+    except RobinwgError as err:
+        assert "minimum width" in str(err)
+        return
+    exact, scale = two_step_closed_form(a, b, jump, 1.0 - jump)
+    got = (tr.f_right, tr.mismatch, tr.integral_v_f2)
+    for got, want, sc in zip(got, exact, scale):
+        assert abs(got - want) <= 1e-12 * sc
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_potential_raises(bad):
+    v = Potential1D.from_callable(lambda s: np.where(s > 0.3, bad, -1.0),
+                                  (0.0, 1.0))
+    with pytest.raises(RobinwgError, match="v is not finite"):
+        zero_energy_solve(v)
